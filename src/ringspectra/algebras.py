@@ -15,6 +15,19 @@ The two structure computations that everything else leans on live here as
 well: the Jacobson radical (trace bilinear form in characteristic zero,
 the lifted-trace chain over F_p) and the Wedderburn block decomposition of
 a semisimple algebra via central idempotents.
+
+Each algebra carries one ``AlgebraStructure``, created on first use, that
+holds what is computed about it once: the radical, the semisimple quotient
+``(a/J, projection, section)`` (``(a, None, None)`` when J = 0), the
+Wedderburn blocks, the simple modules, the primitive idempotents, the
+minimal primes and the opposite algebra.  The radical's self-check builds
+the quotient and proves its radical zero, so the quotient is stored with
+that zero radical recorded.  ``opposite()`` is built once and paired, so
+``a.opposite().opposite() is a``; the pair shares one radical, since
+J(A^op) = J(A) (docs/derivations.md), and the opposite's semisimple
+quotient is the opposite of A/J.  The radical and its checks therefore run
+once per opposite pair, and the structure constants of the opposite, being
+those of a validated algebra transposed, are not validated again.
 """
 
 from __future__ import annotations
@@ -28,10 +41,20 @@ from .linalg import (Matrix, Subspace, apply_vec, field_name, spin,
                      unit_vec, vec_add, vec_is_zero, vec_scale, zero_vec)
 
 
+class AlgebraStructure:
+    """What is computed about one algebra, each field filled in on first use.
+
+    ``mirror`` marks an algebra built by ``opposite()``: its radical and
+    semisimple quotient are read off the algebra it is the opposite of.
+    """
+    radical = quotient = blocks = simples = None
+    primitive_idempotents = minimal_primes = opposite = None
+    mirror = False
+
+
 class FiniteDimAlgebra:
     __slots__ = ("field", "dim", "sc", "unit", "labels", "name",
-                 "_right_mats", "_left_mats", "_rad_cache", "_blocks_cache",
-                 "_simples_cache", "_prim_idem_cache")
+                 "_right_mats", "_left_mats", "_structure")
 
     def __init__(self, field, sc, unit=None, labels=None, name="A",
                  validate=True):
@@ -50,10 +73,7 @@ class FiniteDimAlgebra:
         self.name = name
         self._right_mats = None
         self._left_mats = None
-        self._rad_cache = None
-        self._blocks_cache = None
-        self._simples_cache = None
-        self._prim_idem_cache = None
+        self._structure = None
         if unit is None:
             unit = self._solve_unit()
         self.unit = tuple(field.scalar(x) for x in unit)
@@ -164,7 +184,8 @@ class FiniteDimAlgebra:
         return la.rank() == self.dim and ra.rank() == self.dim
 
     def inverse_element(self, a):
-        x = self.left_mult_matrix(a).transpose().solve_left(self.unit)
+        # x*a = 1 reads x R_a = 1 on row vectors; a*x = 1 is checked below.
+        x = self.right_mult_matrix(a).solve_left(self.unit)
         if x is None or self.mul(x, a) != self.unit or self.mul(a, x) != self.unit:
             raise ValueError("element is not invertible")
         return x
@@ -189,12 +210,24 @@ class FiniteDimAlgebra:
 
     # -- derived algebras -----------------------------------------------------
 
+    @property
+    def structure(self) -> AlgebraStructure:
+        if self._structure is None:
+            self._structure = AlgebraStructure()
+        return self._structure
+
     def opposite(self) -> "FiniteDimAlgebra":
-        d = self.dim
-        sc = tuple(tuple(self.sc[j][i] for j in range(d)) for i in range(d))
-        return FiniteDimAlgebra(self.field, sc, unit=self.unit,
-                                labels=self.labels, name=self.name + "^op",
-                                validate=False)
+        """The opposite algebra, built once: ``a.opposite().opposite() is a``."""
+        st = self.structure
+        if st.opposite is None:
+            d = self.dim
+            sc = tuple(tuple(self.sc[j][i] for j in range(d)) for i in range(d))
+            op = FiniteDimAlgebra(self.field, sc, unit=self.unit,
+                                  labels=self.labels, name=self.name + "^op",
+                                  validate=False)
+            op.structure.opposite, op.structure.mirror = self, True
+            st.opposite = op
+        return st.opposite
 
     def center(self) -> Subspace:
         f = self.field
@@ -589,23 +622,51 @@ def jacobson_radical(a: FiniteDimAlgebra) -> Subspace:
     z -> tr(M_z^{p^i}) / p^i mod p on integer lifts M_z of left
     multiplication; each step is linear algebra on the previous ideal.
     The result is post-validated: two-sided, nilpotent, and the quotient's
-    own chain must vanish.
+    own chain must vanish.  The checked quotient is kept as the algebra's
+    semisimple quotient, with its zero radical recorded.  The opposite
+    algebra of a pair reads the radical off its partner (J(A^op) = J(A)).
     """
-    if a._rad_cache is not None:
-        return a._rad_cache
+    st = a.structure
+    if st.radical is None and st.mirror:
+        st.radical = jacobson_radical(st.opposite)
+    if st.radical is not None:
+        return st.radical
     rad = _radical_space(a)
     if not is_two_sided_ideal_space(a, rad):
         raise ValidationError("radical computation produced a non-ideal")
     if not is_nilpotent_space(a, rad):
         raise ValidationError("radical computation produced a non-nilpotent space")
-    if rad.dim < a.dim:
-        quot = quotient_algebra(a, rad)[0]
+    if rad.dim == a.dim:
+        raise ValidationError("radical cannot be the whole unital algebra")
+    # J = 0: the quotient is a itself, whose chain has just been seen to vanish.
+    st.quotient = (a, None, None) if rad.dim == 0 else quotient_algebra(a, rad)
+    quot = st.quotient[0]
+    if quot is not a:
         if _radical_space(quot).dim != 0:
             raise ValidationError("radical quotient is not semisimple")
-    else:
-        raise ValidationError("radical cannot be the whole unital algebra")
-    a._rad_cache = rad
+        quot.structure.radical = Subspace.zero(a.field, quot.dim)
+        quot.structure.quotient = (quot, None, None)
+    st.radical = rad
     return rad
+
+
+def semisimple_quotient(a: FiniteDimAlgebra):
+    """(a/J, projection, section), or (a, None, None) when J = 0; built once.
+
+    The opposite of a pair gets the opposite of its partner's quotient,
+    with the same projection and section matrices.
+    """
+    st = a.structure
+    jacobson_radical(a)
+    if st.quotient is None:
+        quot, proj, section = semisimple_quotient(st.opposite)
+        if proj is None:
+            st.quotient = (a, None, None)
+        else:
+            qop = quot.opposite()
+            st.quotient = (qop, AlgebraMap(a, qop, proj.matrix),
+                           AlgebraMap(qop, a, section.matrix))
+    return st.quotient
 
 
 def _radical_space(a: FiniteDimAlgebra) -> Subspace:
@@ -686,8 +747,8 @@ class WedderburnBlock:
 
 def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
     """Central primitive idempotent decomposition of a semisimple algebra."""
-    if a._blocks_cache is not None:
-        return a._blocks_cache
+    if a.structure.blocks is not None:
+        return a.structure.blocks
     if not is_semisimple(a):
         raise ValidationError("wedderburn decomposition needs a semisimple algebra")
     f = a.field
@@ -752,7 +813,7 @@ def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
         for j in range(i + 1, len(out)):
             if not vec_is_zero(f, a.mul(out[i].idempotent, out[j].idempotent)):
                 raise ValidationError("block idempotents are not orthogonal")
-    a._blocks_cache = out
+    a.structure.blocks = out
     return out
 
 

@@ -13,6 +13,7 @@ is the identity on the structured content.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -145,43 +146,56 @@ class LoadedFixture:
     fixture: FixtureFile
 
 
+@contextmanager
+def _reported_at(section):
+    """Re-raise a bad value met while building a section as a parse error."""
+    try:
+        yield
+    except (ValueError, ValidationError) as exc:
+        raise FixtureParseError(f"[{section.name}] {exc}", section.line) from None
+
+
 def load_fixture(text: str) -> LoadedFixture:
     fixture = parse_fixture(text)
     b = fixture.section("backend")
     kind = b.require("kind")
-    window = _parse_window(fixture.section("window"))
+    with _reported_at(fixture.section("window")):
+        window = _parse_window(fixture.section("window"))
 
     if kind == "algebra":
-        algebra = _build_algebra(b)
+        with _reported_at(b):
+            algebra = _build_algebra(b)
         backend = ArtinianBackend(algebra, label=b.get("name", algebra.name))
         modules = {}
         for s in fixture.sections_named("module"):
             name = s.name.partition(" ")[2] or f"M{len(modules) + 1}"
-            modules[name] = _build_module(algebra, s, name)
+            with _reported_at(s):
+                modules[name] = _build_module(algebra, s, name)
         return LoadedFixture(backend, modules, {}, window, fixture)
 
-    if kind == "int":
-        return LoadedFixture(IntegerBackend(), {}, {}, window, fixture)
-    if kind == "int_mod":
-        n = int(b.require("modulus"))
-        return LoadedFixture(IntModBackend(n), {}, {}, window, fixture)
-    if kind == "poly":
-        fld = field_by_name(b.require("field"))
-        return LoadedFixture(PolyBackend(fld), {}, {}, window, fixture)
-    if kind == "poly_quot":
-        fld = field_by_name(b.require("field"))
-        coeffs = _scalar_list(fld, b.require("modulus"))
-        return LoadedFixture(PolyQuotBackend(fld, coeffs), {}, {}, window,
-                             fixture)
+    with _reported_at(b):
+        backend = _symbolic_backend(b, kind)
+    graded = {}
     if kind == "graded_poly":
-        fld = field_by_name(b.require("field"))
-        backend = GradedPolyBackend(fld)
-        graded = {}
         for s in fixture.sections_named("graded_module"):
             name = s.name.partition(" ")[2] or f"M{len(graded) + 1}"
-            graded[name] = _build_graded_module(s)
-        return LoadedFixture(backend, {}, graded, window, fixture)
+            with _reported_at(s):
+                graded[name] = _build_graded_module(s)
+    return LoadedFixture(backend, {}, graded, window, fixture)
 
+
+def _symbolic_backend(b: Section, kind):
+    if kind == "int":
+        return IntegerBackend()
+    if kind == "int_mod":
+        return IntModBackend(int(b.require("modulus")))
+    if kind == "poly":
+        return PolyBackend(field_by_name(b.require("field")))
+    if kind == "poly_quot":
+        fld = field_by_name(b.require("field"))
+        return PolyQuotBackend(fld, _scalar_list(fld, b.require("modulus")))
+    if kind == "graded_poly":
+        return GradedPolyBackend(field_by_name(b.require("field")))
     raise FixtureParseError(f"unknown backend kind {kind!r}", b.line)
 
 
@@ -313,10 +327,7 @@ def _build_module(algebra, s: Section, name) -> RightModule:
         missing = [i for i, m in enumerate(mats) if m is None]
         raise FixtureParseError(
             f"module {name!r} missing action matrices {missing}", s.line)
-    try:
-        return RightModule(algebra, mats, name=name)
-    except ValidationError as exc:
-        raise FixtureParseError(f"module {name!r}: {exc}", s.line)
+    return RightModule(algebra, mats, name=name)
 
 
 def _build_graded_module(s: Section) -> GradedModuleDescriptor:

@@ -1,8 +1,10 @@
 """Two-sided ideals: arithmetic, primeness, radicals, minimal primes.
 
-A prime here is detected through its quotient: for a finite-dimensional
-algebra a proper two-sided ideal P is prime iff Lambda/P is a simple
-algebra (prime artinian rings are simple).  The quantifier-over-ideal-pairs
+For a finite-dimensional algebra a proper two-sided ideal P is prime iff
+Lambda/P is a simple algebra (prime artinian rings are simple), i.e. iff P
+is maximal; the primes are therefore the preimages of the block-killing
+ideals of Lambda/J, and ``is_prime`` looks an ideal up among the cached
+``minimal_primes``.  The quantifier-over-ideal-pairs
 definition survives as the brute-force oracle in ``oracle``; the two are
 compared on the full enumerated lattice in tests.
 """
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 
 from .algebras import (FiniteDimAlgebra, ideal_closure, is_nilpotent_space,
                        is_two_sided_ideal_space, jacobson_radical,
-                       quotient_algebra, subspace_product, wedderburn_blocks)
+                       quotient_algebra, semisimple_quotient, subspace_product,
+                       wedderburn_blocks)
 from .errors import ValidationError
 from .linalg import Matrix, Subspace
 
@@ -102,23 +105,16 @@ def ideal_product(i: TwoSidedIdeal, j: TwoSidedIdeal) -> TwoSidedIdeal:
     return TwoSidedIdeal(i.algebra, prod)
 
 
-def ideal_power(i: TwoSidedIdeal, n: int) -> TwoSidedIdeal:
-    if n < 1:
-        raise ValueError("ideal power needs n >= 1")
-    acc = i
-    for _ in range(n - 1):
-        acc = ideal_product(acc, i)
-    return acc
-
-
 def is_prime(i: TwoSidedIdeal) -> bool:
-    """Prime iff the quotient is a simple algebra."""
+    """Prime iff one of the (cached) ``minimal_primes``.
+
+    A proper ideal is prime iff its quotient is simple, i.e. iff it is
+    maximal; the maximal ideals are the preimages of the ideals of a/J
+    killing one Wedderburn block, which ``minimal_primes`` lists.
+    """
     if i.is_whole():
         raise ValidationError("primeness is about proper ideals")
-    quot = quotient_algebra(i.algebra, i.space)[0]
-    if jacobson_radical(quot).dim != 0:
-        return False
-    return len(wedderburn_blocks(quot)) == 1
+    return any(w.ideal.space == i.space for w in minimal_primes(i.algebra))
 
 
 @dataclass
@@ -135,15 +131,14 @@ def minimal_primes(a: FiniteDimAlgebra) -> list[PrimeWitness]:
     """All primes of a finite-dimensional algebra (they are maximal).
 
     Each is the preimage of the ideal killing one Wedderburn block of the
-    semisimple quotient; pairwise incomparable by construction.
+    semisimple quotient; pairwise incomparable by construction.  Computed
+    once per algebra and kept on its ``structure``.
     """
+    if a.structure.minimal_primes is not None:
+        return a.structure.minimal_primes
     rad = jacobson_radical(a)
-    if rad.dim == 0:
-        quot, proj, section = a, None, None
-        blocks = wedderburn_blocks(a)
-    else:
-        quot, proj, section = quotient_algebra(a, rad)
-        blocks = wedderburn_blocks(quot)
+    quot, proj, _section = semisimple_quotient(a)
+    blocks = wedderburn_blocks(quot)
     out = []
     for t in range(len(blocks)):
         others = [r for s, b in enumerate(blocks) if s != t
@@ -154,6 +149,7 @@ def minimal_primes(a: FiniteDimAlgebra) -> list[PrimeWitness]:
         else:
             space = _preimage(proj.matrix, kill_t, rad)
         out.append(PrimeWitness(TwoSidedIdeal(a, space), t))
+    a.structure.minimal_primes = out
     return out
 
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import (FiniteDimAlgebra, jacobson_radical, quotient_algebra,
+from .algebras import (FiniteDimAlgebra, jacobson_radical, semisimple_quotient,
                        wedderburn_blocks)
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .ideals import annihilator, is_prime
@@ -296,31 +296,12 @@ def minimal_right_ideal_module(block: FiniteDimAlgebra) -> RightModule | None:
     reg = RightModule.regular(block)
     if block.dim == 1 or block.is_commutative():
         return reg
-    f = block.field
-    if f.is_finite():
-        space = Subspace.full(f, block.dim)
-        shrunk = True
-        while shrunk:
-            shrunk = False
-            for v in space.vectors():
-                if vec_is_zero(f, v):
-                    continue
-                gen = reg.spin_submodule([v])
-                if gen.dim < space.dim:
-                    space = gen
-                    shrunk = True
-                    break
-        sub, _ = reg.submodule(space, name=f"{block.name}.S")
-        return sub
-    candidates = _rational_right_submodule_candidates(block, reg)
-    best = None
-    for s in candidates:
-        if 0 < s.dim < block.dim and (best is None or s.dim < best.dim):
-            best = s
-    if best is None:
+    try:
+        space = _minimal_right_ideal_space(block, reg)
+    except CapabilityError:
         return None
-    sub, _ = reg.submodule(best, name=f"{block.name}.S")
-    if len(hom_basis(sub, sub)) == 1:
+    sub, _ = reg.submodule(space, name=f"{block.name}.S")
+    if block.field.is_finite() or len(hom_basis(sub, sub)) == 1:
         return sub
     return None
 
@@ -357,17 +338,11 @@ def _rational_right_submodule_candidates(block, reg):
 
 def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
     """Complete irredundant list; one class per Wedderburn block of a/J."""
-    if a._simples_cache is not None:
-        return a._simples_cache
-    rad = jacobson_radical(a)
-    if rad.dim == 0:
-        quot, proj = a, None
-        blocks = wedderburn_blocks(a)
-    else:
-        quot, proj, _sec = quotient_algebra(a, rad)
-        blocks = wedderburn_blocks(quot)
+    if a.structure.simples is not None:
+        return a.structure.simples
+    quot, proj, _sec = semisimple_quotient(a)
     out = []
-    for t, blk in enumerate(blocks):
+    for t, blk in enumerate(wedderburn_blocks(quot)):
         simple_over_block = minimal_right_ideal_module(blk.algebra)
         label = f"S{t + 1}"
         if simple_over_block is None:
@@ -382,7 +357,7 @@ def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
         mod = RightModule(a, mats, name=label, validate=False)
         end = len(hom_basis(mod, mod))
         out.append(SimpleClass(label, t, mod, end, mod.dim))
-    a._simples_cache = out
+    a.structure.simples = out
     return out
 
 
@@ -392,11 +367,9 @@ def block_idempotent_lifts(a: FiniteDimAlgebra):
     Not idempotents of a in general; they act correctly on any module
     killed by J, which is all the isotypic bookkeeping needs.
     """
-    rad = jacobson_radical(a)
-    if rad.dim == 0:
-        return [blk.idempotent for blk in wedderburn_blocks(a)]
-    quot, _proj, section = quotient_algebra(a, rad)
-    return [section(blk.idempotent) for blk in wedderburn_blocks(quot)]
+    quot, _proj, section = semisimple_quotient(a)
+    return [blk.idempotent if section is None else section(blk.idempotent)
+            for blk in wedderburn_blocks(quot)]
 
 
 def semisimple_isotypic_dims(m: RightModule) -> list[int]:
@@ -606,18 +579,12 @@ class PrimitiveIdempotentData:
 
 def primitive_idempotents(a: FiniteDimAlgebra) -> list[PrimitiveIdempotentData]:
     """One primitive idempotent per block, lifted from a/J."""
-    if a._prim_idem_cache is not None:
-        return a._prim_idem_cache
-    rad = jacobson_radical(a)
-    if rad.dim == 0:
-        quot, proj, section = a, None, None
-        blocks = wedderburn_blocks(a)
-    else:
-        quot, proj, section = quotient_algebra(a, rad)
-        blocks = wedderburn_blocks(quot)
+    if a.structure.primitive_idempotents is not None:
+        return a.structure.primitive_idempotents
+    quot, _proj, section = semisimple_quotient(a)
     reg = RightModule.regular(a)
     out = []
-    for t, blk in enumerate(blocks):
+    for t, blk in enumerate(wedderburn_blocks(quot)):
         ebar = _idempotent_in_minimal_right_ideal(blk)
         if ebar is None:
             raise CapabilityError(
@@ -629,7 +596,7 @@ def primitive_idempotents(a: FiniteDimAlgebra) -> list[PrimitiveIdempotentData]:
         space = reg.spin_submodule([e])
         pmod, _ = reg.submodule(space, name=f"P{t + 1}")
         out.append(PrimitiveIdempotentData(t, e, pmod, space))
-    a._prim_idem_cache = out
+    a.structure.primitive_idempotents = out
     return out
 
 
@@ -642,7 +609,7 @@ def _idempotent_in_minimal_right_ideal(blk):
     """
     block = blk.algebra
     try:
-        space = _minimal_right_ideal_space(block)
+        space = _minimal_right_ideal_space(block, RightModule.regular(block))
     except CapabilityError:
         return None
     f = block.field
@@ -662,9 +629,14 @@ def _idempotent_in_minimal_right_ideal(blk):
     raise ValidationError("no idempotent found in a minimal right ideal")
 
 
-def _minimal_right_ideal_space(block) -> Subspace:
+def _minimal_right_ideal_space(block, reg) -> Subspace:
+    """A minimal right ideal of a simple block; certified only over F_p.
+
+    Finite fields: shrink by exhaustive generation to the fixed point,
+    where every nonzero vector generates.  Over Q: the smallest proper
+    candidate kernel, which callers still have to certify simple.
+    """
     f = block.field
-    reg = RightModule.regular(block)
     if block.dim == 1 or block.is_commutative():
         return Subspace.full(f, block.dim)
     if f.is_finite():
@@ -750,7 +722,8 @@ def injective_envelope(m: RightModule):
 
     E(M) is the dual of the projective cover of the dual of M; the double
     dual is literally M in coordinates, so the embedding is the transpose
-    of the cover matrix.
+    of the cover matrix.  The opposite algebra is the one cached on ``a``,
+    so its radical, quotient and primitive idempotents are computed once.
     """
     a = m.algebra
     aop = a.opposite()
@@ -770,11 +743,6 @@ def injective_envelope(m: RightModule):
 def _is_essential_image(m, embed, e_mod):
     img = embed.image_space()
     return img.contains(e_mod.socle_space())
-
-
-def is_injective_module(m: RightModule) -> bool:
-    e_mod, _ = injective_envelope(m)
-    return e_mod.dim == m.dim
 
 
 # -- object-level predicates -----------------------------------------------------

@@ -139,6 +139,10 @@ def reduced_part(backend) -> ReducedPartResult:
 
 
 def _reduced_part_symbolic(backend):
+    if not backend.has_noetherian_generator:
+        # The flags are undefined, as verify_correspondence records.
+        raise CapabilityError(
+            "reduced part needs a noetherian generator, which this backend lacks")
     aflags = backend.atomic_flags()
     mflags = backend.molecular_flags()
     if aflags != mflags:

@@ -4,15 +4,16 @@ import random
 
 import pytest
 
+from ringspectra import algebras
 from ringspectra.algebras import (BoundQuiver, FiniteDimAlgebra,
                                   bound_quiver_algebra, companion_algebra,
                                   cyclic_group_algebra, is_semisimple,
                                   jacobson_radical, matrix_algebra,
                                   product_algebra, quotient_algebra,
-                                  subspace_product, upper_triangular_algebra,
-                                  wedderburn_blocks)
+                                  semisimple_quotient, subspace_product,
+                                  upper_triangular_algebra, wedderburn_blocks)
 from ringspectra.errors import ValidationError
-from ringspectra.linalg import F2, F3, QQ, Subspace
+from ringspectra.linalg import F2, F3, QQ, Matrix, Subspace
 from ringspectra.oracle import brute_largest_nilpotent_ideal
 
 
@@ -244,3 +245,98 @@ def test_rational_c5_is_an_honest_capability_boundary():
     from ringspectra.errors import CapabilityError
     with pytest.raises(CapabilityError):
         wedderburn_blocks(cyclic_group_algebra(QQ, 5))
+
+
+# -- the per-algebra structure ------------------------------------------------------
+
+def _transposed(a):
+    """An unpaired opposite, built and validated from transposed constants."""
+    d = a.dim
+    sc = [[a.sc[j][i] for j in range(d)] for i in range(d)]
+    return FiniteDimAlgebra(a.field, sc, unit=a.unit, name=a.name + "^T")
+
+
+def test_opposite_is_cached_and_paired(corpus_by_name):
+    for name in ["t2_f2", "m2_f3", "quiver.cycle.J2_f2", "field_f3"]:
+        a = corpus_by_name[name]
+        assert a.opposite() is a.opposite()
+        assert a.opposite().opposite() is a
+
+
+def test_radical_of_opposite_equals_radical(algebra_corpus):
+    """J(A^op) = J(A), computed on an opposite that shares nothing with A."""
+    assert len(algebra_corpus) == 43
+    for name, a in algebra_corpus:
+        assert jacobson_radical(_transposed(a)) == jacobson_radical(a), name
+        assert jacobson_radical(a.opposite()) is jacobson_radical(a), name
+
+
+def test_paired_quotient_is_the_quotient_of_the_opposite(algebra_corpus):
+    """The opposite's quotient, read off A/J, equals a^op/J built directly."""
+    for name, a in algebra_corpus:
+        rad = jacobson_radical(a)
+        quot, proj, section = semisimple_quotient(a.opposite())
+        if rad.dim == 0:
+            assert quot is a.opposite() and proj is None, name
+            continue
+        direct, dproj, dsection = quotient_algebra(a.opposite(), rad)
+        assert quot.structurally_equal(direct), name
+        assert proj.matrix == dproj.matrix and section.matrix == dsection.matrix
+        assert proj.is_algebra_hom(), name
+        assert jacobson_radical(quot).dim == 0 == jacobson_radical(direct).dim
+
+
+def test_semisimple_quotient_is_stored_with_zero_radical():
+    a = upper_triangular_algebra(3, F2)
+    quot, proj, section = semisimple_quotient(a)
+    assert semisimple_quotient(a)[0] is quot
+    assert quot.structure.radical is not None and quot.structure.radical.dim == 0
+    assert semisimple_quotient(quot) == (quot, None, None)
+    assert quot.dim == 3 and proj.is_algebra_hom()
+
+
+def test_verify_correspondence_computes_the_radical_at_most_twice(monkeypatch):
+    """Once on T_4(F_2) and once in its self-check on the quotient."""
+    from ringspectra.spectra import ArtinianBackend, verify_correspondence
+    calls = []
+    real = algebras._radical_space
+
+    def counted(a):
+        calls.append(a.name)
+        return real(a)
+
+    monkeypatch.setattr(algebras, "_radical_space", counted)
+    report = verify_correspondence(ArtinianBackend(upper_triangular_algebra(4, F2)))
+    assert all(r.passed or r.skipped for r in report.assertions)
+    assert len(calls) <= 2, calls
+
+
+def _in_random_basis(a, rng):
+    """a with its basis replaced by a random invertible change of basis."""
+    f, d = a.field, a.dim
+    while True:
+        change = Matrix(f, [[f.scalar(rng.randrange(f.p)) for _ in range(d)]
+                            for _ in range(d)], d)
+        if change.is_invertible():
+            break
+    rows = change.rows
+    sc = [[change.solve_left(a.mul(u, v)) for v in rows]
+          for u in rows]
+    return FiniteDimAlgebra(f, sc)
+
+
+@pytest.mark.parametrize("name", ["m2_f2", "m2_f3", "f9", "c3_f2",
+                                  "m2f2_x_f2", "t2_f3"])
+def test_inverse_element_is_two_sided(corpus_by_name, name):
+    rng = random.Random(name)
+    for a in (corpus_by_name[name], _in_random_basis(corpus_by_name[name], rng)):
+        f = a.field
+        units = 0
+        for _ in range(40):
+            x = tuple(f.scalar(rng.randrange(f.p)) for _ in range(a.dim))
+            if not a.is_invertible_element(x):
+                continue
+            y = a.inverse_element(x)
+            assert a.mul(y, x) == a.unit == a.mul(x, y)
+            units += 1
+        assert units > 0

@@ -292,3 +292,82 @@ def test_quiver_relation_with_two_terms():
     ac = a.mul(a.basis_coords(ia), a.basis_coords(ic))
     bd = a.mul(a.basis_coords(ib), a.basis_coords(idd))
     assert ac == bd and ac != a.zero_coords()
+
+
+def test_shipped_fixtures_all_analyze(capsys):
+    """Every shipped fixture gives a complete JSON report with exit 0."""
+    import glob
+    import os
+    root = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    paths = sorted(glob.glob(os.path.join(root, "*.alg")))
+    assert len(paths) >= 6
+    for path in paths:
+        assert cli_main(["analyze", path]) == 0, path
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema_version"] == 1 and "reduced_part" in payload
+
+
+def test_graded_reduced_part_is_unavailable(capsys):
+    import os
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                        "graded_kx.alg")
+    assert cli_main(["analyze", path, "--radical"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reduced_part"].startswith("unavailable: ")
+
+
+def _structure_constant_fixture(a):
+    lines = ["[backend]", "kind = algebra", f"field = F{a.field.p}",
+             "source = structure_constants", f"dim = {a.dim}",
+             "unit = " + " ".join(str(x) for x in a.unit)]
+    for i, plane in enumerate(a.sc):
+        for j, row in enumerate(plane):
+            lines += [f"c = {i} {j} {k} {x}" for k, x in enumerate(row) if x]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["m2_f2", "m2_f3", "f9", "c3_f2", "m2f2_x_f2"])
+def test_cli_structure_constants_with_units_off_the_diagonal(
+        tmp_path, capsys, corpus_by_name, name):
+    """The Goldie section inverts sampled units of these algebras, whose
+    multiplication matrices are not symmetric."""
+    path = _write(tmp_path, f"{name}.alg",
+                  _structure_constant_fixture(corpus_by_name[name]))
+    assert cli_main(["analyze", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    checked = payload["goldie"]["quotient_ring_validation"]["checked"]
+    assert checked["regular_invertible"] > 0
+    assert cli_main(["verify", path]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+BAD_ALGEBRA = """\
+[backend]
+kind = algebra
+field = F2
+source = matrix
+n = 2
+"""
+
+
+@pytest.mark.parametrize("old,new", [("field = F2", "field = F4"),
+                                     ("n = 2", "n = x"),
+                                     ("n = 2", "n = 0")])
+def test_cli_bad_algebra_value_is_a_parse_error(tmp_path, capsys, old, new):
+    path = _write(tmp_path, "bad.alg", BAD_ALGEBRA.replace(old, new))
+    assert cli_main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: [backend]") and "(line 1)" in err
+
+
+@pytest.mark.parametrize("text,where", [
+    ("[backend]\nkind = int_mod\nmodulus = x\n", "[backend]"),
+    ("[backend]\nkind = poly\nfield = F4\n[window]\nbound = 3\n", "[backend]"),
+    ("[backend]\nkind = int\n[window]\nbound = y\n", "[window]"),
+    ("[backend]\nkind = graded_poly\nfield = F2\n\n[graded_module M]\n"
+     "torsion = x:1\n", "[graded_module M]"),
+])
+def test_cli_bad_symbolic_value_is_a_parse_error(tmp_path, capsys, text, where):
+    path = _write(tmp_path, "bad.alg", text)
+    assert cli_main(["analyze", path]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: {where}")
