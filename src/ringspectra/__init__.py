@@ -12,9 +12,10 @@ from .algebras import (BoundQuiver, FiniteDimAlgebra, bound_quiver_algebra,
                        jacobson_radical, matrix_algebra, opposite_of,
                        product_algebra, quotient_algebra,
                        upper_triangular_algebra, wedderburn_blocks)
-from .commutative import (GradedModuleDescriptor, GradedPolyBackend,
-                          IntegerBackend, IntModBackend, PolyBackend,
-                          PolyQuotBackend, factor_integer, factor_polynomial)
+from .commutative import (CommutativeSpec, GradedModuleDescriptor,
+                          GradedPolyBackend, IntegerBackend, IntModBackend,
+                          PolyBackend, PolyQuotBackend, factor_integer,
+                          factor_polynomial)
 from .errors import (BudgetExceeded, CapabilityError, RingSpectraError,
                      ValidationError)
 from .goldie import (RightIdeal, classical_quotient_ring, goldie_localizing,
@@ -31,8 +32,8 @@ from .modules import (ModuleMap, RightModule, SimpleClass,
                       projective_cover, simple_modules)
 from .oracle import Budget, corpus, enumerate_subspaces
 from .spectra import (ArtinianBackend, Atom, Molecule, PhiUndefinedError,
-                      SpectrumReport, atom_closure, atoms_above,
-                      verify_correspondence)
+                      SpectrumBackend, SpectrumReport, atom_closure,
+                      atoms_above, verify_correspondence)
 from .subcats import (ClosedSubcatDescriptor, LocalizingSubcatDescriptor,
                       LocallyClosedLocalizingDescriptor, artinianization,
                       classify_localizing, classify_locally_closed_localizing,

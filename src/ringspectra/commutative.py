@@ -1,18 +1,19 @@
 """Symbolic noetherian commutative backends: Z, Z/n, k[x], k[x]/(f), GrMod k[x].
 
-All implement the same duck-typed spectrum surface as ``ArtinianBackend``:
-atoms/molecules (windowed when the spectrum is infinite), order predicates,
-phi/psi, minimality, and the two flag routes.  Prime data comes from exact
-factorization: trial division over Z, irreducibility tables up to degree
-four over F_p (which certify factorizations up to degree nine), and the
-rational-root-plus-discriminant fragment over Q.  Anything beyond raises
-``CapabilityError`` instead of guessing.
+Each implements the ``spectra.SpectrumBackend`` protocol.  For a
+commutative noetherian ring R both spectra are Spec R under containment,
+so ``CommutativeSpec`` implements the protocol once; the four ring
+backends only say how their primes are found and named.  Prime data
+comes from exact factorization: trial division over Z, irreducibility
+tables up to degree four over F_p (which certify factorizations up to
+degree nine), and the rational-root-plus-discriminant fragment over Q.
+Anything beyond raises ``CapabilityError`` instead of guessing.
 
 The graded polynomial backend reproduces the boundary behavior of graded
 module categories over k[x]: every atom is minimal, the degree-shift
 simples are the only molecules, the free module has no prime subobject,
-phi has no value on the generic atom, and artinianization is refused
-because no artinian generator exists.
+phi has no value on the generic atom, and artinianization and the flags
+are refused because no noetherian (let alone artinian) generator exists.
 """
 
 from __future__ import annotations
@@ -40,16 +41,6 @@ def poly_trim(field, p):
 
 def poly_deg(p):
     return len(p) - 1
-
-
-def poly_add(field, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.zero
-        y = b[i] if i < len(b) else field.zero
-        out.append(field.add(x, y))
-    return poly_trim(field, out)
 
 
 def poly_scale(field, c, a):
@@ -102,34 +93,10 @@ def poly_monic(field, a):
     return poly_scale(field, inv, a)
 
 
-def poly_gcd(field, a, b):
-    a, b = poly_trim(field, a), poly_trim(field, b)
-    while b:
-        a, b = b, poly_mod(field, a, b)
-    return poly_monic(field, a)
-
-
-def poly_derivative(field, a):
-    return poly_trim(field, [field.mul(field.scalar(i), c)
-                             for i, c in enumerate(a)][1:])
-
-
 def poly_eval(field, a, x):
     acc = field.zero
     for c in reversed(a):
         acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
-def poly_pow_mod(field, base, e, mod):
-    acc = (field.one,)
-    base = poly_mod(field, base, mod)
-    while e:
-        if e & 1:
-            acc = poly_mod(field, poly_mul(field, acc, base), mod)
-        e >>= 1
-        if e:
-            base = poly_mod(field, poly_mul(field, base, base), mod)
     return acc
 
 
@@ -358,17 +325,6 @@ def primes_up_to(bound: int):
     return out
 
 
-def squarefree_part_integer(n: int) -> int:
-    return _prod(p for p, _m in factor_integer(n))
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
-
-
 # -- backend descriptors -----------------------------------------------------------
 
 @dataclass
@@ -391,40 +347,60 @@ def _require_window(window):
     return window
 
 
-class IntegerBackend:
-    kind = "int"
+_GENERIC_POINT = (("zero",), "(0)")
+
+
+class CommutativeSpec:
+    """ASpec = MSpec = Spec R for a commutative noetherian ring R.
+
+    Both spectra are the prime ideals under containment, so phi and psi
+    only relabel (see docs/derivations.md).  A subclass supplies one of
+    two kinds of data:
+
+    - ``factors``, the maximal ideals with multiplicities, when R is
+      artinian: the points are the factors, an antichain.  It then also
+      supplies ``radical_generator()`` and ``_quotient_label(generator)``,
+      which names R's reduced ring;
+    - ``fraction_field`` (name, embedding) and ``_closed_points(window)``
+      when R is a one-dimensional domain: the points are (0) below every
+      closed point, and only a window of closed points is listed.
+
+    Either way it also supplies ``_point(generator) -> (key, label)``.
+    """
+
     has_noetherian_generator = True
-    complete = False
+    factors = ()
+    fraction_field = None
 
-    def __init__(self):
-        self.label = "Z"
+    @property
+    def complete(self):
+        return self.fraction_field is None
 
-    def _primes(self, window):
-        return primes_up_to(_require_window(window))
+    def _points(self, window):
+        if self.complete:
+            return [self._point(g) for g, _m in self.factors]
+        closed = self._closed_points(_require_window(window))
+        return [_GENERIC_POINT] + [self._point(g) for g in closed]
+
+    def _minimal_points(self):
+        return self._points(None) if self.complete else [_GENERIC_POINT]
 
     def atoms(self, window=None):
-        out = [Atom(self.label, ("zero",), "(0)")]
-        out.extend(Atom(self.label, ("p", p), f"({p})")
-                   for p in self._primes(window))
-        return out
+        return [Atom(self.label, k, lbl) for k, lbl in self._points(window)]
 
     def molecules(self, window=None):
-        out = [Molecule(self.label, ("zero",), "(0)")]
-        out.extend(Molecule(self.label, ("p", p), f"({p})")
-                   for p in self._primes(window))
-        return out
+        return [Molecule(self.label, k, lbl) for k, lbl in self._points(window)]
 
     def atom_leq(self, a, b):
         return a == b or a.key == ("zero",)
 
-    def molecule_leq(self, r, s):
-        return r == s or r.key == ("zero",)
+    molecule_leq = atom_leq
 
     def minimal_atoms(self, window=None):
-        return [Atom(self.label, ("zero",), "(0)")]
+        return [Atom(self.label, k, lbl) for k, lbl in self._minimal_points()]
 
     def minimal_molecules(self, window=None):
-        return [Molecule(self.label, ("zero",), "(0)")]
+        return [Molecule(self.label, k, lbl) for k, lbl in self._minimal_points()]
 
     def phi(self, a):
         return Molecule(self.label, a.key, a.label)
@@ -433,84 +409,33 @@ class IntegerBackend:
         return Atom(self.label, r.key, r.label)
 
     def is_semiprime(self):
-        return True
+        return all(m == 1 for _g, m in self.factors)
 
     def atomic_flags(self):
-        return {"reduced": True, "irreducible": True, "integral": True}
-
-    def molecular_flags(self):
-        return {"reduced": True, "irreducible": True, "integral": True}
-
-    def reduced_ring_label(self):
-        return "Z"
-
-    def artinianization(self):
-        return ArtinianizationDescriptor(
-            "module-category", "Mod Q (localization at the generic point)",
-            ["(0)"])
-
-    def quotient_ring_descriptor(self):
-        return QuotientRingDescriptor(
-            "fraction-field", "Q", "n -> n/1")
-
-
-class IntModBackend:
-    kind = "int_mod"
-    has_noetherian_generator = True
-    complete = True
-
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValidationError("modulus must be at least 2")
-        self.n = n
-        self.label = f"Z/{n}"
-        self.factors = factor_integer(n)
-
-    def atoms(self, window=None):
-        return [Atom(self.label, ("p", p), f"({p})") for p, _ in self.factors]
-
-    def molecules(self, window=None):
-        return [Molecule(self.label, ("p", p), f"({p})") for p, _ in self.factors]
-
-    def atom_leq(self, a, b):
-        return a == b
-
-    def molecule_leq(self, r, s):
-        return r == s
-
-    def minimal_atoms(self, window=None):
-        return self.atoms()
-
-    def minimal_molecules(self, window=None):
-        return self.molecules()
-
-    def phi(self, a):
-        return Molecule(self.label, a.key, a.label)
-
-    def psi(self, r):
-        return Atom(self.label, r.key, r.label)
-
-    def is_semiprime(self):
-        return all(m == 1 for _p, m in self.factors)
-
-    def atomic_flags(self):
-        return {"reduced": self.is_semiprime(),
-                "irreducible": len(self.factors) == 1,
-                "integral": self.is_semiprime() and len(self.factors) == 1}
+        reduced = self.is_semiprime()
+        irreducible = len(self._minimal_points()) == 1
+        return {"reduced": reduced, "irreducible": irreducible,
+                "integral": reduced and irreducible}
 
     molecular_flags = atomic_flags
 
-    def radical_generator(self) -> int:
-        return squarefree_part_integer(self.n)
-
     def reduced_ring_label(self):
-        return f"Z/{self.radical_generator()}"
+        if not self.complete:
+            return self.label
+        return self._quotient_label(self.radical_generator())
 
     def artinianization(self):
+        atoms = [lbl for _k, lbl in self._minimal_points()]
+        if self.complete:
+            return ArtinianizationDescriptor("identity", self.label, atoms)
         return ArtinianizationDescriptor(
-            "identity", self.label, [a.label for a in self.atoms()])
+            "module-category",
+            f"Mod {self.fraction_field[0]} (localization at the generic point)",
+            atoms)
 
     def quotient_ring_descriptor(self):
+        if not self.complete:
+            return QuotientRingDescriptor("fraction-field", *self.fraction_field)
         if not self.is_semiprime():
             raise CapabilityError(
                 f"{self.label} is not semiprime: no semisimple classical "
@@ -518,150 +443,80 @@ class IntModBackend:
         return QuotientRingDescriptor("self", self.label, "identity")
 
 
-class PolyBackend:
+class IntegerBackend(CommutativeSpec):
+    kind = "int"
+    label = "Z"
+    fraction_field = ("Q", "n -> n/1")
+
+    def _closed_points(self, window):
+        return primes_up_to(window)
+
+    def _point(self, p):
+        return ("p", p), f"({p})"
+
+
+class IntModBackend(CommutativeSpec):
+    kind = "int_mod"
+
+    def __init__(self, n: int):
+        if n < 2:
+            raise ValidationError("modulus must be at least 2")
+        self.n = n
+        self.label = self._quotient_label(n)
+        self.factors = factor_integer(n)
+
+    def _point(self, p):
+        return ("p", p), f"({p})"
+
+    @staticmethod
+    def _quotient_label(n):
+        return f"Z/{n}"
+
+    def radical_generator(self) -> int:
+        return math.prod(p for p, _m in self.factors)
+
+
+class PolyBackend(CommutativeSpec):
     kind = "poly"
-    has_noetherian_generator = True
-    complete = False
 
     def __init__(self, field):
         self.field = field
         self.label = f"{field_name(field)}[x]"
+        self.fraction_field = (f"{field_name(field)}(x)", "f -> f/1")
 
-    def _irreducibles(self, window):
-        bound = _require_window(window)
-        if self.field.is_finite():
-            return [q for q in irreducible_polys(self.field.p,
-                                                 min(bound, _GF_TABLE_DEG))]
+    def _closed_points(self, window):
         f = self.field
-        out = []
-        for c in range(0, bound + 1):
-            for sign in (1, -1) if c else (1,):
-                out.append((f.scalar(-sign * c), f.one))
-        return out
+        if f.is_finite():
+            return irreducible_polys(f.p, min(window, _GF_TABLE_DEG))
+        return [(f.scalar(-sign * c), f.one)
+                for c in range(window + 1) for sign in ((1, -1) if c else (1,))]
 
-    def atoms(self, window=None):
-        out = [Atom(self.label, ("zero",), "(0)")]
-        out.extend(Atom(self.label, ("poly", q), f"({poly_label(self.field, q)})")
-                   for q in self._irreducibles(window))
-        return out
-
-    def molecules(self, window=None):
-        out = [Molecule(self.label, ("zero",), "(0)")]
-        out.extend(Molecule(self.label, ("poly", q),
-                            f"({poly_label(self.field, q)})")
-                   for q in self._irreducibles(window))
-        return out
-
-    def atom_leq(self, a, b):
-        return a == b or a.key == ("zero",)
-
-    def molecule_leq(self, r, s):
-        return r == s or r.key == ("zero",)
-
-    def minimal_atoms(self, window=None):
-        return [Atom(self.label, ("zero",), "(0)")]
-
-    def minimal_molecules(self, window=None):
-        return [Molecule(self.label, ("zero",), "(0)")]
-
-    def phi(self, a):
-        return Molecule(self.label, a.key, a.label)
-
-    def psi(self, r):
-        return Atom(self.label, r.key, r.label)
-
-    def is_semiprime(self):
-        return True
-
-    def atomic_flags(self):
-        return {"reduced": True, "irreducible": True, "integral": True}
-
-    molecular_flags = atomic_flags
-
-    def reduced_ring_label(self):
-        return self.label
-
-    def artinianization(self):
-        name = field_name(self.field)
-        return ArtinianizationDescriptor(
-            "module-category", f"Mod {name}(x) (localization at the generic point)",
-            ["(0)"])
-
-    def quotient_ring_descriptor(self):
-        return QuotientRingDescriptor(
-            "fraction-field", f"{field_name(self.field)}(x)", "f -> f/1")
+    def _point(self, q):
+        return ("poly", q), f"({poly_label(self.field, q)})"
 
 
-class PolyQuotBackend:
+class PolyQuotBackend(CommutativeSpec):
     kind = "poly_quot"
-    has_noetherian_generator = True
-    complete = True
 
     def __init__(self, field, modulus):
         self.field = field
         self.modulus = poly_monic(field, poly_trim(field, modulus))
         if poly_deg(self.modulus) < 1:
             raise ValidationError("modulus must have degree >= 1")
-        self.label = f"{field_name(field)}[x]/({poly_label(field, self.modulus)})"
+        self.label = self._quotient_label(self.modulus)
         self.factors = factor_polynomial(field, self.modulus)
 
-    def atoms(self, window=None):
-        return [Atom(self.label, ("poly", q), f"({poly_label(self.field, q)})")
-                for q, _m in self.factors]
+    def _point(self, q):
+        return ("poly", q), f"({poly_label(self.field, q)})"
 
-    def molecules(self, window=None):
-        return [Molecule(self.label, ("poly", q),
-                         f"({poly_label(self.field, q)})")
-                for q, _m in self.factors]
-
-    def atom_leq(self, a, b):
-        return a == b
-
-    def molecule_leq(self, r, s):
-        return r == s
-
-    def minimal_atoms(self, window=None):
-        return self.atoms()
-
-    def minimal_molecules(self, window=None):
-        return self.molecules()
-
-    def phi(self, a):
-        return Molecule(self.label, a.key, a.label)
-
-    def psi(self, r):
-        return Atom(self.label, r.key, r.label)
-
-    def is_semiprime(self):
-        return all(m == 1 for _q, m in self.factors)
-
-    def atomic_flags(self):
-        return {"reduced": self.is_semiprime(),
-                "irreducible": len(self.factors) == 1,
-                "integral": self.is_semiprime() and len(self.factors) == 1}
-
-    molecular_flags = atomic_flags
+    def _quotient_label(self, f):
+        return f"{field_name(self.field)}[x]/({poly_label(self.field, f)})"
 
     def radical_generator(self):
         out = (self.field.one,)
         for q, _m in self.factors:
             out = poly_mul(self.field, out, q)
         return out
-
-    def reduced_ring_label(self):
-        rad = self.radical_generator()
-        return f"{field_name(self.field)}[x]/({poly_label(self.field, rad)})"
-
-    def artinianization(self):
-        return ArtinianizationDescriptor(
-            "identity", self.label, [a.label for a in self.atoms()])
-
-    def quotient_ring_descriptor(self):
-        if not self.is_semiprime():
-            raise CapabilityError(
-                f"{self.label} is not semiprime: no semisimple classical "
-                "quotient ring in scope")
-        return QuotientRingDescriptor("self", self.label, "identity")
 
     def bridge_to_algebra(self) -> FiniteDimAlgebra:
         """Structure-constant realization on the basis 1, x, ..., x^{d-1}."""
@@ -751,20 +606,20 @@ class GradedPolyBackend:
     def psi(self, r):
         return Atom(self.label, r.key, r.label)
 
-    def is_semiprime(self):
-        return True
-
     def artinianization(self):
         raise CapabilityError(
             "no artinian generator: artinianization undefined for this backend")
 
-    def reduced_ring_label(self):
-        raise CapabilityError(
-            "no smallest weakly closed subcategory with full atom support exists here")
-
     def quotient_ring_descriptor(self):
         raise CapabilityError(
             "classical quotient ring out of scope for the graded backend")
+
+    def atomic_flags(self):
+        raise CapabilityError(
+            "reduced/irreducible/integral flags need a noetherian generator, "
+            "which this backend lacks")
+
+    molecular_flags = atomic_flags
 
     # -- descriptor-level module operations --------------------------------------
 

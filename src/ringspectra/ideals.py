@@ -178,8 +178,11 @@ def primes_over(a: FiniteDimAlgebra, i: TwoSidedIdeal) -> list[PrimeWitness]:
 
 def prime_radical(i: TwoSidedIdeal) -> TwoSidedIdeal:
     """Intersection of all primes containing i."""
-    a = i.algebra
-    ws = primes_over(a, i)
+    return intersect_primes(i.algebra, primes_over(i.algebra, i))
+
+
+def intersect_primes(a: FiniteDimAlgebra, ws: list[PrimeWitness]) -> TwoSidedIdeal:
+    """The intersection of the listed primes of a."""
     if not ws:
         raise ValidationError("an artinian algebra has at least one prime")
     acc = ws[0].ideal

@@ -268,15 +268,6 @@ def brute_mass(m: RightModule, backend, budget: Budget = None):
     return {mol for mol in backend.molecules() if mol.key in out}
 
 
-def brute_monoform_exists(m: RightModule, budget: Budget = None) -> bool:
-    for s in enumerate_submodules(m, budget):
-        if s.dim == 0:
-            continue
-        if brute_is_monoform(m.submodule(s)[0], budget):
-            return True
-    return False
-
-
 # -- corpus -----------------------------------------------------------------------
 
 def _quiver_truncations():

@@ -1,11 +1,12 @@
 """Atom and molecule spectra, the maps between them, and verification.
 
-Backends expose one duck-typed surface: enumerate (or window) atoms and
-molecules, order predicates, phi and psi, minimality, and property flags
-computed along two independent routes.  ``ArtinianBackend`` realizes it
-for module categories of finite-dimensional algebras, where atoms are
-simple classes (an antichain) and molecules are the prime two-sided
-ideals.  Symbolic commutative backends live in ``commutative``.
+Backends implement the ``SpectrumBackend`` protocol: enumerate (or
+window) atoms and molecules, order predicates, phi and psi, minimality,
+and property flags computed along two independent routes.
+``ArtinianBackend`` realizes it for module categories of
+finite-dimensional algebras, where atoms are simple classes (an
+antichain) and molecules are the prime two-sided ideals.  Symbolic
+commutative backends live in ``commutative``.
 
 ``verify_correspondence`` sweeps every assertion the correspondence makes
 on a backend's (windowed) spectra and returns a ``SpectrumReport`` with
@@ -16,6 +17,7 @@ generator) are recorded as skips with a reason, never silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol, runtime_checkable
 
 from .algebras import FiniteDimAlgebra, jacobson_radical
 from .errors import CapabilityError, ValidationError
@@ -43,6 +45,41 @@ class PhiUndefinedError(CapabilityError):
     """No prime monoform object represents this atom."""
 
 
+@runtime_checkable
+class SpectrumBackend(Protocol):
+    """What ``verify_correspondence`` and the CLI read off a backend.
+
+    ``complete`` is false when only a window of an infinite spectrum is
+    listed; ``phi`` may raise ``PhiUndefinedError``; without a noetherian
+    generator the flags may raise ``CapabilityError``.
+    """
+
+    kind: str
+    label: str
+    complete: bool
+    has_noetherian_generator: bool
+
+    def atoms(self, window=None) -> list[Atom]: ...
+
+    def molecules(self, window=None) -> list[Molecule]: ...
+
+    def atom_leq(self, a: Atom, b: Atom) -> bool: ...
+
+    def molecule_leq(self, r: Molecule, s: Molecule) -> bool: ...
+
+    def minimal_atoms(self, window=None) -> list[Atom]: ...
+
+    def minimal_molecules(self, window=None) -> list[Molecule]: ...
+
+    def phi(self, a: Atom) -> Molecule: ...
+
+    def psi(self, r: Molecule) -> Atom: ...
+
+    def atomic_flags(self) -> dict: ...
+
+    def molecular_flags(self) -> dict: ...
+
+
 class ArtinianBackend:
     """Mod(Lambda) for a finite-dimensional algebra Lambda.
 
@@ -57,20 +94,14 @@ class ArtinianBackend:
     def __init__(self, algebra: FiniteDimAlgebra, label=None):
         self.algebra = algebra
         self.label = label or f"{algebra.name}/{field_name(algebra.field)}"
-        self._simples = None
-        self._primes = None
 
-    # -- raw data ------------------------------------------------------------
+    # -- raw data (cached on the algebra's structure) ------------------------
 
     def simples(self) -> list[SimpleClass]:
-        if self._simples is None:
-            self._simples = simple_modules(self.algebra)
-        return self._simples
+        return simple_modules(self.algebra)
 
     def primes(self):
-        if self._primes is None:
-            self._primes = minimal_primes(self.algebra)
-        return self._primes
+        return minimal_primes(self.algebra)
 
     # -- spectra ---------------------------------------------------------------
 
@@ -281,13 +312,13 @@ class SpectrumReport:
         }
 
 
-def verify_correspondence(backend, window=None) -> SpectrumReport:
+def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumReport:
     """Run every correspondence assertion applicable to the backend."""
     atoms = backend.atoms(window)
     mols = backend.molecules(window)
     notes = []
     records = []
-    complete = getattr(backend, "complete", True)
+    complete = backend.complete
     if not complete:
         notes.append("infinite spectrum verified on a finite window only")
 
@@ -354,7 +385,7 @@ def verify_correspondence(backend, window=None) -> SpectrumReport:
     # Bijection between minimal atoms and minimal molecules.
     amin = backend.minimal_atoms(window)
     mmin = backend.minimal_molecules(window)
-    if getattr(backend, "has_noetherian_generator", True):
+    if backend.has_noetherian_generator:
         image = []
         ok = True
         for a in amin:
@@ -378,7 +409,7 @@ def verify_correspondence(backend, window=None) -> SpectrumReport:
 
     # Property flags along both routes.
     aflags = mflags = None
-    if getattr(backend, "has_noetherian_generator", True):
+    if backend.has_noetherian_generator:
         aflags = backend.atomic_flags()
         mflags = backend.molecular_flags()
         rec("atomic_flags_equal_molecular_flags", aflags == mflags,

@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import FiniteDimAlgebra, jacobson_radical
+from .commutative import ArtinianizationDescriptor
 from .errors import BudgetExceeded, CapabilityError, ValidationError
-from .ideals import (TwoSidedIdeal, ideal_product, minimal_primes,
-                     nilpotency_index, prime_radical, prime_radical_of_zero,
-                     primes_over)
+from .ideals import (TwoSidedIdeal, ideal_product, intersect_primes,
+                     minimal_primes, nilpotency_index, prime_radical,
+                     prime_radical_of_zero, primes_over)
 from .linalg import Subspace
 from .modules import RightModule
 from .spectra import ArtinianBackend
@@ -151,14 +152,7 @@ def _reduced_part_symbolic(backend):
     return ReducedPartResult(None, dict(aflags), label, label)
 
 
-@dataclass
-class ArtinianizationResult:
-    kind: str              # identity | module-category
-    description: str
-    atoms: list
-
-
-def artinianization(backend) -> ArtinianizationResult:
+def artinianization(backend) -> ArtinianizationDescriptor:
     """Quotient supported on the minimal atoms.
 
     Artinian backends are their own artinianization; the symbolic
@@ -166,11 +160,10 @@ def artinianization(backend) -> ArtinianizationResult:
     backend refuses (no artinian generator exists there).
     """
     if isinstance(backend, ArtinianBackend):
-        return ArtinianizationResult(
+        return ArtinianizationDescriptor(
             "identity", backend.label,
             [a.label for a in backend.minimal_atoms()])
-    desc = backend.artinianization()
-    return ArtinianizationResult(desc.kind, desc.description, list(desc.atoms))
+    return backend.artinianization()
 
 
 # -- localizing subcategories ------------------------------------------------------
@@ -274,7 +267,7 @@ def decompose_into_primes(c: ClosedSubcatDescriptor):
         raise ValidationError("the zero subcategory has no prime decomposition")
     a = c.backend.algebra
     ws = primes_over(a, c.ideal)
-    rad = prime_radical(c.ideal)
+    rad = intersect_primes(a, ws)
     power = nilpotency_index(rad, c.ideal)
     sequence = [w.ideal for w in ws] * power
     prod = sequence[0]

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from ringspectra.ideals import annihilator
 from ringspectra.modules import (RightModule, injective_envelope,
                                  composition_factors, simple_modules)
@@ -248,3 +250,19 @@ def test_order_query_helpers(corpus_by_name):
     generic = z.atoms(window=5)[0]
     assert len(atoms_above(z, generic, window=5)) == 4    # everything
     assert atom_closure(z, generic, window=5) == [generic]
+
+
+def test_every_backend_satisfies_the_protocol(corpus_by_name):
+    from ringspectra.commutative import (GradedPolyBackend, IntegerBackend,
+                                         IntModBackend, PolyBackend,
+                                         PolyQuotBackend)
+    from ringspectra.errors import CapabilityError
+    from ringspectra.linalg import F2, QQ
+    from ringspectra.spectra import SpectrumBackend
+    backends = [_backend("t2_f2", corpus_by_name), IntegerBackend(),
+                IntModBackend(12), PolyBackend(QQ),
+                PolyQuotBackend(F2, [0, 0, 1, 1]), GradedPolyBackend(F2)]
+    for b in backends:
+        assert isinstance(b, SpectrumBackend), b.kind
+    with pytest.raises(CapabilityError):            # no noetherian generator
+        backends[-1].atomic_flags()

@@ -288,3 +288,27 @@ def test_filter_membership_matches_closed_subcat(corpus_by_name):
     w_descriptor = closed_from_ideal(b, soc)
     for mname, m in standard_modules(a, include_envelopes=False):
         assert filt.contains_module(m) == w_descriptor.contains_module(m), mname
+
+
+def test_decompose_into_primes_builds_one_quotient(monkeypatch):
+    """The primes over I are found once and intersected for the radical."""
+    from ringspectra import algebras, ideals
+    from ringspectra.algebras import upper_triangular_algebra
+    from ringspectra.linalg import F2
+    a = upper_triangular_algebra(3, F2)
+    j = TwoSidedIdeal(a, jacobson_radical(a))
+    b = ArtinianBackend(a)
+    c = closed_from_ideal(b, ideal_product(j, j))
+    built = []
+    real = algebras.quotient_algebra
+
+    def counting(alg, *args, **kwargs):
+        if alg is a:
+            built.append(args[0].dim)
+        return real(alg, *args, **kwargs)
+
+    monkeypatch.setattr(algebras, "quotient_algebra", counting)
+    monkeypatch.setattr(ideals, "quotient_algebra", counting)
+    factors, power = decompose_into_primes(c)
+    assert len(factors) == 3 and power == 2
+    assert built == [1]                    # a / J^2 once; dim J^2 = 1
