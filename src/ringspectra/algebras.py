@@ -37,8 +37,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapabilityError, ValidationError
-from .linalg import (Matrix, Subspace, apply_vec, field_name, spin,
-                     unit_vec, vec_add, vec_is_zero, vec_scale, zero_vec)
+from .linalg import (Matrix, Subspace, apply_vec, common_left_kernel,
+                     field_name, spin, unit_vec, vec_add, vec_is_zero,
+                     vec_scale, zero_vec)
 
 
 class AlgebraStructure:
@@ -230,20 +231,11 @@ class FiniteDimAlgebra:
         return st.opposite
 
     def center(self) -> Subspace:
-        f = self.field
-        d = self.dim
-        rows = []
-        rm = self.right_mult_matrices()
-        lm = self.left_mult_matrices()
-        for j in range(d):
-            diff = rm[j] - lm[j]
-            rows.append(diff)
-        # x central iff x*(R_j - L_j) = 0 for all j: stack the conditions.
-        stacked_cols = []
-        for m in rows:
-            stacked_cols.extend(zip(*m.rows))
-        big = Matrix(f, stacked_cols, d).transpose()
-        return Subspace.from_vectors(f, d, big.left_kernel().rows)
+        """x is central iff x (R_j - L_j) = 0 for every basis element j."""
+        return common_left_kernel(
+            self.field, self.dim,
+            [r - l for r, l in zip(self.right_mult_matrices(),
+                                   self.left_mult_matrices())])
 
 
 # -- constructors ------------------------------------------------------------

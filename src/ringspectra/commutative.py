@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +28,9 @@ from functools import lru_cache
 from .algebras import FiniteDimAlgebra, companion_algebra
 from .errors import CapabilityError, ValidationError
 from .linalg import GF, field_name
-from .spectra import Atom, Molecule, PhiUndefinedError
+from .spectra import (ArtinianizationDescriptor, Atom, Molecule,
+                      PhiUndefinedError, QuotientRingDescriptor,
+                      check_algebra_quotient_ring)
 
 
 # -- polynomial arithmetic (coefficients low-to-high) ---------------------------
@@ -325,21 +328,7 @@ def primes_up_to(bound: int):
     return out
 
 
-# -- backend descriptors -----------------------------------------------------------
-
-@dataclass
-class QuotientRingDescriptor:
-    kind: str          # self | fraction-field | product-of-fields
-    description: str
-    embedding: str
-
-
-@dataclass
-class ArtinianizationDescriptor:
-    kind: str          # identity | module-category
-    description: str
-    atoms: list
-
+# -- the commutative spectra -------------------------------------------------------
 
 def _require_window(window):
     if window is None:
@@ -363,7 +352,9 @@ class CommutativeSpec:
       which names R's reduced ring;
     - ``fraction_field`` (name, embedding) and ``_closed_points(window)``
       when R is a one-dimensional domain: the points are (0) below every
-      closed point, and only a window of closed points is listed.
+      closed point, and only a window of closed points is listed.  It
+      then also supplies R's arithmetic for the quotient-ring checks:
+      ``zero``, ``one``, ``_sample(rng)``, ``_mul`` and ``_divmod``.
 
     Either way it also supplies ``_point(generator) -> (key, label)``.
     """
@@ -442,11 +433,47 @@ class CommutativeSpec:
                 "quotient ring in scope")
         return QuotientRingDescriptor("self", self.label, "identity")
 
+    def check_quotient_ring(self, rng, samples):
+        """The fraction-field clauses on sampled pairs (a, s != 0), in R.
+
+        Distinct samples a keep distinct images a * 1 (injective); s is
+        regular, a * s != 0 for a != 0 (regular_invertible, so s becomes a
+        unit of the fraction field); dividing a * s exactly by s gives a
+        back, so (a s) s^-1 is the fraction a/1 (fraction_form).
+        """
+        pairs = []
+        for _ in range(samples):
+            a, s = self._sample(rng), self.zero
+            while s == self.zero:
+                s = self._sample(rng)
+            pairs.append((a, s))
+        numerators = {a for a, _s in pairs}
+        if len({self._mul(a, self.one) for a in numerators}) != len(numerators):
+            raise ValidationError(f"the embedding of {self.label} identifies samples")
+        regular = 0
+        for a, s in pairs:
+            prod = self._mul(a, s)
+            if a != self.zero:
+                if prod == self.zero:
+                    raise ValidationError(f"{s} is a zero divisor in {self.label}")
+                regular += 1
+            if self._divmod(prod, s) != (a, self.zero):
+                raise ValidationError(
+                    f"({a})({s}) divided by {s} is not {a} in {self.label}")
+        return {"injective": len(numerators), "regular_invertible": regular,
+                "fraction_form": len(pairs)}
+
 
 class IntegerBackend(CommutativeSpec):
     kind = "int"
     label = "Z"
     fraction_field = ("Q", "n -> n/1")
+    zero, one = 0, 1
+    _mul, _divmod = staticmethod(operator.mul), staticmethod(divmod)
+
+    @staticmethod
+    def _sample(rng):
+        return rng.randint(-50, 50)
 
     def _closed_points(self, window):
         return primes_up_to(window)
@@ -475,14 +502,51 @@ class IntModBackend(CommutativeSpec):
     def radical_generator(self) -> int:
         return math.prod(p for p, _m in self.factors)
 
+    def check_quotient_ring(self, rng, samples):
+        """Z/n (n squarefree) as its own quotient ring, in residues.
+
+        Each sampled x is x * 1^-1 (fraction_form), each unit x has
+        x * x^-1 = 1 (regular_invertible: the regular elements of Z/n are
+        its units), and the first min(n, samples) residues keep distinct
+        images (injective: all of Z/n when n <= samples).
+        """
+        n = self.n
+        one_inv = pow(1, -1, n)
+        reps = range(min(n, samples))
+        if len({r * one_inv % n for r in reps}) != len(reps):
+            raise ValidationError(f"the embedding of {self.label} identifies residues")
+        regular = 0
+        for _ in range(samples):
+            x = rng.randrange(1, n)
+            if x * one_inv % n != x:
+                raise ValidationError(f"{x} is not x * 1^-1 in {self.label}")
+            if math.gcd(x, n) == 1:
+                if x * pow(x, -1, n) % n != 1:
+                    raise ValidationError(f"unit {x} of {self.label} was not inverted")
+                regular += 1
+        return {"injective": len(reps), "regular_invertible": regular,
+                "fraction_form": samples}
+
 
 class PolyBackend(CommutativeSpec):
     kind = "poly"
+    zero = ()
 
     def __init__(self, field):
         self.field = field
         self.label = f"{field_name(field)}[x]"
         self.fraction_field = (f"{field_name(field)}(x)", "f -> f/1")
+        self.one = (field.one,)
+
+    def _sample(self, rng):
+        f = self.field
+        return poly_trim(f, [f.scalar(rng.randint(0, 6)) for _ in range(3)])
+
+    def _mul(self, a, b):
+        return poly_mul(self.field, a, b)
+
+    def _divmod(self, a, b):
+        return poly_divmod(self.field, a, b)
 
     def _closed_points(self, window):
         f = self.field
@@ -522,6 +586,9 @@ class PolyQuotBackend(CommutativeSpec):
         """Structure-constant realization on the basis 1, x, ..., x^{d-1}."""
         return companion_algebra(self.field, self.modulus,
                                  name=self.label)
+
+    def check_quotient_ring(self, rng, samples):
+        return check_algebra_quotient_ring(self.bridge_to_algebra(), rng, samples)
 
 
 # -- the graded counterexample backend -----------------------------------------------
@@ -611,6 +678,10 @@ class GradedPolyBackend:
             "no artinian generator: artinianization undefined for this backend")
 
     def quotient_ring_descriptor(self):
+        raise CapabilityError(
+            "classical quotient ring out of scope for the graded backend")
+
+    def check_quotient_ring(self, rng, samples):
         raise CapabilityError(
             "classical quotient ring out of scope for the graded backend")
 

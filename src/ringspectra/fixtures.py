@@ -42,6 +42,7 @@ class Section:
     name: str
     entries: list          # list of (key, value) strings, order preserved
     line: int = 0
+    entry_lines: list = dc_field(default_factory=list)   # line of each entry
 
     def get(self, key, default=None):
         for k, v in self.entries:
@@ -50,7 +51,9 @@ class Section:
         return default
 
     def get_all(self, key):
-        return [v for k, v in self.entries if k == key]
+        """(value, line) of every entry for key, in order."""
+        return [(v, n) for (k, v), n in zip(self.entries, self.entry_lines)
+                if k == key]
 
     def require(self, key):
         v = self.get(key)
@@ -58,6 +61,15 @@ class Section:
             raise FixtureParseError(f"[{self.name}] needs '{key} = ...'",
                                     self.line)
         return v
+
+    def parse(self, key, convert, default=None):
+        """``convert`` of the value of key (required unless a default is
+        given); a value that fails to convert is reported at its line."""
+        value = self.require(key) if default is None else self.get(key, default)
+        line = next((n for (k, _v), n in zip(self.entries, self.entry_lines)
+                     if k == key), self.line)
+        with _reported_at(self, line):
+            return convert(value)
 
 
 @dataclass
@@ -97,6 +109,7 @@ def parse_fixture(text: str) -> FixtureFile:
             raise FixtureParseError("key outside of any [section]", lineno)
         key, _, value = line.partition("=")
         current.entries.append((key.strip(), value.strip()))
+        current.entry_lines.append(lineno)
     if fixture.section("backend") is None:
         raise FixtureParseError("fixture needs a [backend] section")
     return fixture
@@ -114,13 +127,13 @@ def serialize_fixture(fixture: FixtureFile) -> str:
 
 # -- building backends from fixtures ---------------------------------------------
 
-def _scalar(field, token, lineno=None):
+def _scalar(field, token):
     try:
         if "/" in token:
             return field.scalar(Fraction(token))
         return field.scalar(int(token))
     except (ValueError, ZeroDivisionError) as exc:
-        raise FixtureParseError(f"bad scalar {token!r}: {exc}", lineno)
+        raise ValueError(f"bad scalar {token!r}: {exc}") from None
 
 
 def _int_list(value):
@@ -131,7 +144,7 @@ def _scalar_list(field, value):
     return [_scalar(field, t) for t in value.replace(",", " ").split()]
 
 
-def _matrix(field, value, lineno=None):
+def _matrix(field, value):
     rows = [r.strip() for r in value.split(";")]
     return Matrix(field, [_scalar_list(field, r) for r in rows if r],
                   ncols=None)
@@ -147,12 +160,14 @@ class LoadedFixture:
 
 
 @contextmanager
-def _reported_at(section):
-    """Re-raise a bad value met while building a section as a parse error."""
+def _reported_at(section, line=None):
+    """Re-raise a bad value met in a section as a parse error at ``line``,
+    by default the section header's."""
     try:
         yield
     except (ValueError, ValidationError) as exc:
-        raise FixtureParseError(f"[{section.name}] {exc}", section.line) from None
+        raise FixtureParseError(f"[{section.name}] {exc}",
+                                section.line if line is None else line) from None
 
 
 def load_fixture(text: str) -> LoadedFixture:
@@ -188,80 +203,85 @@ def _symbolic_backend(b: Section, kind):
     if kind == "int":
         return IntegerBackend()
     if kind == "int_mod":
-        return IntModBackend(int(b.require("modulus")))
+        return IntModBackend(b.parse("modulus", int))
     if kind == "poly":
-        return PolyBackend(field_by_name(b.require("field")))
+        return PolyBackend(b.parse("field", field_by_name))
     if kind == "poly_quot":
-        fld = field_by_name(b.require("field"))
-        return PolyQuotBackend(fld, _scalar_list(fld, b.require("modulus")))
+        fld = b.parse("field", field_by_name)
+        return PolyQuotBackend(
+            fld, b.parse("modulus", lambda v: _scalar_list(fld, v)))
     if kind == "graded_poly":
-        return GradedPolyBackend(field_by_name(b.require("field")))
+        return GradedPolyBackend(b.parse("field", field_by_name))
     raise FixtureParseError(f"unknown backend kind {kind!r}", b.line)
 
 
 def _parse_window(section):
     if section is None:
         return None
-    bound = section.get("bound")
-    if bound is not None:
-        return int(bound)
-    lo, hi = section.get("lo"), section.get("hi")
-    if lo is not None and hi is not None:
-        return (int(lo), int(hi))
+    if section.get("bound") is not None:
+        return section.parse("bound", int)
+    if section.get("lo") is not None and section.get("hi") is not None:
+        return (section.parse("lo", int), section.parse("hi", int))
     raise FixtureParseError("[window] needs 'bound' or 'lo'/'hi'", section.line)
 
 
 def _build_algebra(b: Section) -> FiniteDimAlgebra:
-    fld = field_by_name(b.require("field"))
+    fld = b.parse("field", field_by_name)
     source = b.require("source")
     name = b.get("name", "A")
     if source == "matrix":
-        return matrix_algebra(int(b.require("n")), fld, name=name)
+        return matrix_algebra(b.parse("n", int), fld, name=name)
     if source == "triangular":
-        return upper_triangular_algebra(int(b.require("n")), fld, name=name)
+        return upper_triangular_algebra(b.parse("n", int), fld, name=name)
     if source == "companion":
-        return companion_algebra(fld, _scalar_list(fld, b.require("poly")),
-                                 name=name)
+        return companion_algebra(
+            fld, b.parse("poly", lambda v: _scalar_list(fld, v)), name=name)
     if source == "group":
-        table = [_int_list(row) for row in b.require("table").split(";")]
+        table = b.parse("table",
+                        lambda v: [_int_list(row) for row in v.split(";")])
         return group_algebra(fld, table, name=name)
     if source == "quiver":
         return bound_quiver_algebra(fld, _build_quiver(b), name=name)
     if source == "structure_constants":
-        dim = int(b.require("dim"))
+        dim = b.parse("dim", int)
         zero = fld.zero
         sc = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for line in b.get_all("c"):
+        for line, lineno in b.get_all("c"):
             parts = line.replace(",", " ").split()
             if len(parts) != 4:
                 raise FixtureParseError(
-                    f"'c = i j k value' expected, got {line!r}", b.line)
-            i, j, k = (int(p) for p in parts[:3])
-            sc[i][j][k] = _scalar(fld, parts[3], b.line)
+                    f"'c = i j k value' expected, got {line!r}", lineno)
+            with _reported_at(b, lineno):
+                i, j, k = (int(p) for p in parts[:3])
+                if not all(0 <= t < dim for t in (i, j, k)):
+                    raise ValueError(f"index outside 0..{dim - 1} in {line!r}")
+                sc[i][j][k] = _scalar(fld, parts[3])
         unit = b.get("unit")
         labels = b.get("labels")
         return algebra_from_structure_constants(
             fld, sc,
-            unit=_scalar_list(fld, unit) if unit else None,
+            unit=b.parse("unit", lambda v: _scalar_list(fld, v)) if unit else None,
             labels=labels.split() if labels else None, name=name)
     raise FixtureParseError(f"unknown algebra source {source!r}", b.line)
 
 
 def _build_quiver(b: Section) -> BoundQuiver:
-    vertices = int(b.require("vertices"))
+    vertices = b.parse("vertices", int)
     arrows = []
-    for spec in b.get_all("arrow"):
+    for spec, lineno in b.get_all("arrow"):
         parts = spec.split()
         if len(parts) != 3:
             raise FixtureParseError(
-                f"'arrow = label source target' expected, got {spec!r}", b.line)
-        label, s, t = parts[0], int(parts[1]), int(parts[2])
+                f"'arrow = label source target' expected, got {spec!r}", lineno)
+        with _reported_at(b, lineno):
+            label, s, t = parts[0], int(parts[1]), int(parts[2])
         arrows.append((label, s - 1, t - 1))
     arrow_index = {a[0]: i for i, a in enumerate(arrows)}
     relations = []
-    for spec in b.get_all("relation"):
-        relations.append(_parse_relation(spec, arrow_index, b.line))
-    bound = int(b.get("nilpotency_bound", "16"))
+    for spec, lineno in b.get_all("relation"):
+        with _reported_at(b, lineno):
+            relations.append(_parse_relation(spec, arrow_index, lineno))
+    bound = b.parse("nilpotency_bound", int, "16")
     return BoundQuiver(vertices, tuple(arrows), tuple(relations), bound)
 
 
@@ -300,10 +320,10 @@ def _parse_relation(spec, arrow_index, lineno):
 
 
 def _build_module(algebra, s: Section, name) -> RightModule:
-    dim = int(s.require("dim"))
+    dim = s.parse("dim", int)
     fld = algebra.field
     mats = [None] * algebra.dim
-    for key, value in s.entries:
+    for (key, value), lineno in zip(s.entries, s.entry_lines):
         if key == "dim":
             continue
         if key.startswith("action"):
@@ -312,17 +332,18 @@ def _build_module(algebra, s: Section, name) -> RightModule:
                 idx = int(idx_token)
             except ValueError:
                 raise FixtureParseError(
-                    f"'action <index> = rows' expected, got {key!r}", s.line)
+                    f"'action <index> = rows' expected, got {key!r}", lineno)
             if not 0 <= idx < algebra.dim:
                 raise FixtureParseError(f"action index {idx} out of range",
-                                        s.line)
-            mat = _matrix(fld, value, s.line)
+                                        lineno)
+            with _reported_at(s, lineno):
+                mat = _matrix(fld, value)
             if mat.nrows != dim or mat.ncols != dim:
                 raise FixtureParseError(
-                    f"action {idx} must be {dim}x{dim}", s.line)
+                    f"action {idx} must be {dim}x{dim}", lineno)
             mats[idx] = mat
         else:
-            raise FixtureParseError(f"unknown module key {key!r}", s.line)
+            raise FixtureParseError(f"unknown module key {key!r}", lineno)
     if any(m is None for m in mats):
         missing = [i for i, m in enumerate(mats) if m is None]
         raise FixtureParseError(
@@ -331,18 +352,19 @@ def _build_module(algebra, s: Section, name) -> RightModule:
 
 
 def _build_graded_module(s: Section) -> GradedModuleDescriptor:
-    free = s.get("free")
-    torsion = s.get("torsion")
-    free_shifts = tuple(sorted(_int_list(free))) if free else ()
-    tors = []
-    if torsion:
-        for tok in torsion.replace(",", " ").split():
-            if ":" not in tok:
-                raise FixtureParseError(
-                    f"torsion entries are 'length:socle_shift', got {tok!r}",
-                    s.line)
-            length, _, shift = tok.partition(":")
-            if int(length) < 1:
-                raise FixtureParseError("torsion length must be >= 1", s.line)
-            tors.append((int(length), int(shift)))
+    free_shifts = tuple(sorted(s.parse("free", _int_list, "")))
+    tors = s.parse("torsion", _torsion_list, "")
     return GradedModuleDescriptor(free_shifts, tuple(sorted(tors)))
+
+
+def _torsion_list(value):
+    tors = []
+    for tok in value.replace(",", " ").split():
+        if ":" not in tok:
+            raise ValueError(
+                f"torsion entries are 'length:socle_shift', got {tok!r}")
+        length, _, shift = tok.partition(":")
+        if int(length) < 1:
+            raise ValueError("torsion length must be >= 1")
+        tors.append((int(length), int(shift)))
+    return tors

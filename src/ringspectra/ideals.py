@@ -163,17 +163,14 @@ def _preimage(proj_matrix: Matrix, target: Subspace, kernel: Subspace) -> Subspa
 
 
 def primes_over(a: FiniteDimAlgebra, i: TwoSidedIdeal) -> list[PrimeWitness]:
-    """Primes of a containing i, as pullbacks of the primes of a/i."""
+    """Primes of a containing i: the (cached) ``minimal_primes`` over i.
+
+    Every prime of a finite-dimensional algebra is maximal, so the primes
+    over i are among the primes of a.
+    """
     if i.is_whole():
         raise ValidationError("no primes contain the whole algebra")
-    if i.is_zero():
-        return minimal_primes(a)
-    quot, proj, _ = quotient_algebra(a, i.space)
-    out = []
-    for w in minimal_primes(quot):
-        space = _preimage(proj.matrix, w.ideal.space, i.space)
-        out.append(PrimeWitness(TwoSidedIdeal(a, space), w.block_index))
-    return out
+    return [w for w in minimal_primes(a) if w.ideal.contains(i)]
 
 
 def prime_radical(i: TwoSidedIdeal) -> TwoSidedIdeal:

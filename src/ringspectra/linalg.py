@@ -526,6 +526,18 @@ class Subspace:
         return vecs
 
 
+def common_left_kernel(field, n: int, mats: Iterable[Matrix]) -> Subspace:
+    """{v in k^n : v m = 0 for every m}; all of k^n when there is no m.
+
+    v m = 0 says v is orthogonal to every column of m, so the answer is
+    the right kernel of the matrix whose rows are all the columns.
+    """
+    cols = [c for m in mats for c in zip(*m.rows)]
+    if not cols:
+        return Subspace.full(field, n)
+    return Subspace.from_vectors(field, n, Matrix(field, cols, n).right_kernel().rows)
+
+
 def spin(field, ambient: int, seeds: Iterable, operators: Sequence[Matrix]) -> Subspace:
     """Smallest subspace containing seeds and stable under every operator.
 

@@ -26,8 +26,8 @@ from .algebras import (FiniteDimAlgebra, jacobson_radical, semisimple_quotient,
                        wedderburn_blocks)
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .ideals import annihilator, is_prime
-from .linalg import (Matrix, Subspace, apply_vec, spin, unit_vec, vec_add,
-                     vec_is_zero, vec_scale, zero_vec)
+from .linalg import (Matrix, Subspace, apply_vec, common_left_kernel, spin,
+                     unit_vec, vec_add, vec_is_zero, vec_scale, zero_vec)
 
 
 class RightModule:
@@ -159,21 +159,15 @@ class RightModule:
 
     # -- socle / radical -------------------------------------------------------
 
+    def killed_by(self, space: Subspace) -> Subspace:
+        """{v : v x = 0 for every x in space}, for a subspace of the algebra."""
+        return common_left_kernel(self.algebra.field, self.dim,
+                                  [self.act_matrix(x) for x in space.basis_rows()])
+
     def socle_space(self) -> Subspace:
         """{v : v J = 0}, the largest semisimple submodule."""
         if self._socle is None:
-            f = self.algebra.field
-            rad = jacobson_radical(self.algebra)
-            if rad.dim == 0 or self.dim == 0:
-                self._socle = Subspace.full(f, self.dim)
-            else:
-                cols = []
-                for j in rad.basis_rows():
-                    m = self.act_matrix(j)
-                    cols.extend(zip(*m.rows))
-                big = Matrix(f, cols, self.dim).transpose()
-                self._socle = Subspace.from_vectors(f, self.dim,
-                                                    big.left_kernel().rows)
+            self._socle = self.killed_by(jacobson_radical(self.algebra))
         return self._socle
 
     def radical_space(self) -> Subspace:
@@ -433,18 +427,6 @@ def is_simple_module(m: RightModule) -> bool:
     return module_length(m) == 1
 
 
-def classify_simple(m: RightModule) -> SimpleClass:
-    """Which simple class a simple module belongs to (block detection)."""
-    a = m.algebra
-    if not is_simple_module(m):
-        raise ValidationError("classify_simple needs a simple module")
-    dims = semisimple_isotypic_dims(m)
-    hits = [t for t, d in enumerate(dims) if d > 0]
-    if len(hits) != 1:
-        raise ValidationError("a simple module must be isotypic for one block")
-    return simple_modules(a)[hits[0]]
-
-
 # -- homomorphisms ---------------------------------------------------------------
 
 def hom_basis(m: RightModule, n: RightModule) -> list[Matrix]:
@@ -485,78 +467,65 @@ def hom_dim(m, n) -> int:
     return len(hom_basis(m, n))
 
 
-def are_isomorphic(m: RightModule, n: RightModule, combo_budget: int = 200000) -> bool:
+COMBO_BUDGET = 200000     # coefficient combinations one map search may try
+
+
+def are_isomorphic(m: RightModule, n: RightModule) -> bool:
     """True iff an invertible intertwiner exists.
 
-    Finite fields enumerate coefficient combinations of the hom basis up to
-    the budget.  Over Q, a grid with dim+1 points per coefficient decides
-    (the determinant has degree at most dim in each coefficient), when the
-    grid fits the budget; otherwise CapabilityError.
+    Between modules of equal dimension an injective map is an
+    isomorphism, so this is the embedding search.  Over Q, a grid with
+    dim+1 points per coefficient decides (the determinant has degree at
+    most dim in each coefficient), when the grid fits the budget;
+    otherwise CapabilityError.
     """
     if m.dim != n.dim:
         return False
-    if m.dim == 0:
-        return True
-    homs = hom_basis(m, n)
-    if not homs:
-        return False
-    for h in homs:
-        if h.is_invertible():
-            return True
-    f = m.algebra.field
-    k = len(homs)
-    if f.is_finite():
-        total = f.p ** k
-        if total > combo_budget:
-            raise BudgetExceeded("isomorphism search", total, combo_budget)
-        for coeffs in itertools.product(f.elements(), repeat=k):
-            acc = Matrix.zero(f, m.dim, n.dim)
-            for c, h in zip(coeffs, homs):
-                if c != f.zero:
-                    acc = acc + h.scale(c)
-            if acc.is_invertible():
-                return True
-        return False
-    grid = [Fraction(t) for t in range(m.dim + 1)]
-    if len(grid) ** k > combo_budget:
-        raise CapabilityError("isomorphism grid search too large over Q")
-    for coeffs in itertools.product(grid, repeat=k):
-        acc = Matrix.zero(f, m.dim, n.dim)
-        for c, h in zip(coeffs, homs):
-            if c != 0:
-                acc = acc + h.scale(c)
-        if acc.is_invertible():
-            return True
-    return False
+    return _injective_map_exists(m, n, "isomorphism search",
+                                 [Fraction(t) for t in range(m.dim + 1)])
 
 
-def embeds_in(m: RightModule, n: RightModule, combo_budget: int = 200000) -> bool:
-    """True iff an injective module map m -> n exists."""
-    if m.dim == 0:
-        return True
+def embeds_in(m: RightModule, n: RightModule) -> bool:
+    """True iff an injective module map m -> n exists; not decided over Q."""
     if m.dim > n.dim:
         return False
+    return _injective_map_exists(m, n, "embedding search", None)
+
+
+def _injective_map_exists(m, n, what, rational_grid) -> bool:
+    """Whether some combination of the Hom(m, n) basis is injective.
+
+    Finite fields try every combination up to ``COMBO_BUDGET``; over Q the
+    coefficients come from ``rational_grid``, and without one the search
+    is refused unless a basis map already decides it.
+    """
+    if m.dim == 0:
+        return True
     homs = hom_basis(m, n)
     if not homs:
         return False
-    for h in homs:
-        if h.rank() == m.dim:
-            return True
+    if any(h.rank() == m.dim for h in homs):
+        return True
     f = m.algebra.field
-    k = len(homs)
     if f.is_finite():
-        total = f.p ** k
-        if total > combo_budget:
-            raise BudgetExceeded("embedding search", total, combo_budget)
-        for coeffs in itertools.product(f.elements(), repeat=k):
-            acc = Matrix.zero(f, m.dim, n.dim)
-            for c, h in zip(coeffs, homs):
-                if c != f.zero:
-                    acc = acc + h.scale(c)
-            if acc.rank() == m.dim:
-                return True
-        return False
-    raise CapabilityError("embedding search over Q is not enumerable")
+        coeffs = f.elements()
+        total = f.p ** len(homs)
+        if total > COMBO_BUDGET:
+            raise BudgetExceeded(what, total, COMBO_BUDGET)
+    elif rational_grid is None:
+        raise CapabilityError(f"{what} over Q is not enumerable")
+    else:
+        coeffs = rational_grid
+        if len(coeffs) ** len(homs) > COMBO_BUDGET:
+            raise CapabilityError(f"{what} grid too large over Q")
+    for combo in itertools.product(coeffs, repeat=len(homs)):
+        acc = Matrix.zero(f, m.dim, n.dim)
+        for c, h in zip(combo, homs):
+            if c != f.zero:
+                acc = acc + h.scale(c)
+        if acc.rank() == m.dim:
+            return True
+    return False
 
 
 # -- duality, projective covers, injective envelopes ------------------------------
@@ -790,7 +759,7 @@ def is_monoform(m: RightModule, budget=None) -> bool:
     return True
 
 
-def is_compressible(m: RightModule, budget=None) -> bool:
+def is_compressible(m: RightModule) -> bool:
     """Every nonzero submodule contains a copy of m; finite length: simple."""
     if m.dim == 0:
         raise ValidationError("compressible is about nonzero modules")
@@ -807,7 +776,7 @@ def is_prime_object(m: RightModule) -> bool:
     return is_prime(ann)
 
 
-def monoform_submodule(m: RightModule, budget=None) -> RightModule:
+def monoform_submodule(m: RightModule) -> RightModule:
     """Some monoform submodule; a simple submodule always qualifies."""
     if m.dim == 0:
         raise ValidationError("the zero module has no monoform submodule")

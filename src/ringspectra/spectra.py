@@ -2,7 +2,9 @@
 
 Backends implement the ``SpectrumBackend`` protocol: enumerate (or
 window) atoms and molecules, order predicates, phi and psi, minimality,
-and property flags computed along two independent routes.
+property flags computed along two independent routes, and the
+ring-level answers (artinianization, classical quotient ring and its
+sampled clauses).
 ``ArtinianBackend`` realizes it for module categories of
 finite-dimensional algebras, where atoms are simple classes (an
 antichain) and molecules are the prime two-sided ideals.  Symbolic
@@ -16,13 +18,15 @@ generator) are recorded as skips with a reason, never silently dropped.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Protocol, runtime_checkable
 
 from .algebras import FiniteDimAlgebra, jacobson_radical
 from .errors import CapabilityError, ValidationError
 from .ideals import (TwoSidedIdeal, annihilator, is_semiprime, minimal_primes)
-from .linalg import Matrix, Subspace, field_name
+from .linalg import field_name
 from .modules import (RightModule, SimpleClass, composition_factors,
                       injective_envelope, simple_modules)
 
@@ -45,13 +49,31 @@ class PhiUndefinedError(CapabilityError):
     """No prime monoform object represents this atom."""
 
 
+@dataclass
+class QuotientRingDescriptor:
+    kind: str          # self | fraction-field | product-of-fields
+    description: str
+    embedding: str
+
+
+@dataclass
+class ArtinianizationDescriptor:
+    kind: str          # identity | module-category
+    description: str
+    atoms: list
+
+
 @runtime_checkable
 class SpectrumBackend(Protocol):
     """What ``verify_correspondence`` and the CLI read off a backend.
 
     ``complete`` is false when only a window of an infinite spectrum is
     listed; ``phi`` may raise ``PhiUndefinedError``; without a noetherian
-    generator the flags may raise ``CapabilityError``.
+    generator the flags may raise ``CapabilityError``.  The ring-level
+    answers raise ``CapabilityError`` where they are out of scope;
+    ``check_quotient_ring`` runs the classical quotient ring's clauses on
+    sampled elements, raises ``ValidationError`` on the first that fails,
+    and returns how many checks of each clause ran.
     """
 
     kind: str
@@ -78,6 +100,12 @@ class SpectrumBackend(Protocol):
     def atomic_flags(self) -> dict: ...
 
     def molecular_flags(self) -> dict: ...
+
+    def artinianization(self) -> ArtinianizationDescriptor: ...
+
+    def quotient_ring_descriptor(self) -> QuotientRingDescriptor: ...
+
+    def check_quotient_ring(self, rng: random.Random, samples: int) -> dict: ...
 
 
 class ArtinianBackend:
@@ -201,7 +229,7 @@ class ArtinianBackend:
         """{P prime : Ann(ann_m(P)) = P}; see docs/derivations.md."""
         out = set()
         for w in self.primes():
-            tors = self._prime_torsion(m, w)
+            tors = m.killed_by(w.ideal.space)   # a submodule: P is two-sided
             if tors.dim == 0:
                 continue
             sub, _ = m.submodule(tors, name="torP")
@@ -216,20 +244,6 @@ class ArtinianBackend:
         ann = annihilator(m)
         return {Molecule(self.label, ("prime", w.block_index), w.label)
                 for w in self.primes() if w.ideal.space.contains(ann.space)}
-
-    def _prime_torsion(self, m: RightModule, w) -> Subspace:
-        """{v in m : v P = 0}, a submodule since P is two-sided."""
-        f = self.algebra.field
-        if m.dim == 0:
-            return Subspace.zero(f, 0)
-        cols = []
-        for p in w.ideal.space.basis_rows():
-            mat = m.act_matrix(p)
-            cols.extend(zip(*mat.rows))
-        if not cols:
-            return Subspace.full(f, m.dim)
-        big = Matrix(f, cols, m.dim).transpose()
-        return Subspace.from_vectors(f, m.dim, big.left_kernel().rows)
 
     # -- property flags --------------------------------------------------------------
 
@@ -246,6 +260,59 @@ class ArtinianBackend:
         irreducible = len(self.minimal_molecules()) == 1
         return {"reduced": reduced, "irreducible": irreducible,
                 "integral": reduced and irreducible}
+
+    # -- ring-level answers ------------------------------------------------------------
+
+    def artinianization(self):
+        """An artinian category is its own artinianization."""
+        return ArtinianizationDescriptor(
+            "identity", self.label, [a.label for a in self.minimal_atoms()])
+
+    def quotient_ring_descriptor(self):
+        """A semiprime artinian ring is its own classical quotient ring."""
+        if not is_semiprime(self.algebra):
+            raise CapabilityError(
+                f"{self.label} is not semiprime: no semisimple classical "
+                "quotient ring in scope")
+        return QuotientRingDescriptor("self", self.label, "identity")
+
+    def check_quotient_ring(self, rng, samples):
+        return check_algebra_quotient_ring(self.algebra, rng, samples)
+
+
+def check_algebra_quotient_ring(a: FiniteDimAlgebra, rng, samples) -> dict:
+    """The clauses of a semiprime algebra as its own quotient ring, sampled.
+
+    The embedding is the identity: each sample x is the fraction
+    x * 1^-1 (fraction_form), distinct samples keep distinct images
+    (injective), and each regular sample has a two-sided inverse
+    (regular_invertible).
+    """
+    one_inv = a.inverse_element(a.unit)
+    elements = [_sample_element(a, rng) for _ in range(samples)]
+    fractions = [a.mul(x, one_inv) for x in elements]
+    distinct = len(set(elements))
+    if len(set(fractions)) != distinct:
+        raise ValidationError(f"the embedding of {a.name} identifies samples")
+    regular = 0
+    for x, q in zip(elements, fractions):
+        if q != x:
+            raise ValidationError(f"{a.element_str(x)} is not x * 1^-1 in {a.name}")
+        if a.is_regular_element(x):
+            y = a.inverse_element(x)
+            if a.mul(x, y) != a.unit or a.mul(y, x) != a.unit:
+                raise ValidationError(
+                    f"regular {a.element_str(x)} of {a.name} was not inverted")
+            regular += 1
+    return {"injective": distinct, "regular_invertible": regular,
+            "fraction_form": len(elements)}
+
+
+def _sample_element(a: FiniteDimAlgebra, rng):
+    f = a.field
+    if f.is_finite():
+        return tuple(rng.randrange(f.p) for _ in range(a.dim))
+    return tuple(Fraction(rng.randint(-5, 5)) for _ in range(a.dim))
 
 
 def atom_closure(backend, alpha: Atom, window=None) -> list:

@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import FiniteDimAlgebra, jacobson_radical
-from .commutative import ArtinianizationDescriptor
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .ideals import (TwoSidedIdeal, ideal_product, intersect_primes,
                      minimal_primes, nilpotency_index, prime_radical,
                      prime_radical_of_zero, primes_over)
 from .linalg import Subspace
 from .modules import RightModule
-from .spectra import ArtinianBackend
+from .spectra import (ArtinianBackend, ArtinianizationDescriptor,
+                      SpectrumBackend)
 
 
 @dataclass
@@ -152,17 +152,13 @@ def _reduced_part_symbolic(backend):
     return ReducedPartResult(None, dict(aflags), label, label)
 
 
-def artinianization(backend) -> ArtinianizationDescriptor:
+def artinianization(backend: SpectrumBackend) -> ArtinianizationDescriptor:
     """Quotient supported on the minimal atoms.
 
     Artinian backends are their own artinianization; the symbolic
     backends answer with their localized module category; the graded
     backend refuses (no artinian generator exists there).
     """
-    if isinstance(backend, ArtinianBackend):
-        return ArtinianizationDescriptor(
-            "identity", backend.label,
-            [a.label for a in backend.minimal_atoms()])
     return backend.artinianization()
 
 

@@ -87,6 +87,34 @@ def test_parse_errors_carry_line_numbers():
         parse_fixture("# nothing\n")                # no backend section
 
 
+SC_FIXTURE = """\
+[backend]
+kind = algebra
+field = F2
+source = structure_constants
+dim = 1
+c = 0 0 0 1
+"""
+
+
+@pytest.mark.parametrize("text,old,new,line", [
+    (SC_FIXTURE, "c = 0 0 0 1", "c = 0 0 0 y", 6),
+    (SC_FIXTURE, "c = 0 0 0 1", "c = 0 0", 6),
+    (SC_FIXTURE, "c = 0 0 0 1", "c = 5 0 0 1", 6),
+    (QUIVER_FIXTURE, "arrow = b 2 1", "arrow = b 2 y", 7),
+    (QUIVER_FIXTURE, "relation = b.a", "relation = y*b.a", 9),
+    (MODULE_FIXTURE, "action 1 = 0", "action 1 = y", 10),
+    (MODULE_FIXTURE, "action 1 = 0", "action y = 0", 10),
+    (GRADED_FIXTURE, "free = 0", "torsion = 1:y", 6),
+    (GRADED_FIXTURE, "hi = 1", "hi = y", 10),
+], ids=["c-scalar", "c-shape", "c-index", "arrow", "relation", "action-value",
+        "action-index", "torsion", "window"])
+def test_bad_entry_reports_its_own_line(text, old, new, line):
+    with pytest.raises(FixtureParseError) as err:
+        load_fixture(text.replace(old, new))
+    assert str(err.value).endswith(f"(line {line})")
+
+
 def test_load_fixture_kinds():
     assert load_fixture(T2_FIXTURE).backend.algebra.dim == 3
     assert load_fixture(QUIVER_FIXTURE).backend.algebra.dim == 4
@@ -354,10 +382,13 @@ n = 2
                                      ("n = 2", "n = x"),
                                      ("n = 2", "n = 0")])
 def test_cli_bad_algebra_value_is_a_parse_error(tmp_path, capsys, old, new):
+    # A value that fails to convert names its own line; n = 0 fails only
+    # when the algebra is built, so it names the section header's.
+    line = {"field = F4": 3, "n = x": 5, "n = 0": 1}[new]
     path = _write(tmp_path, "bad.alg", BAD_ALGEBRA.replace(old, new))
     assert cli_main(["analyze", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("parse error: [backend]") and "(line 1)" in err
+    assert err.startswith("parse error: [backend]") and f"(line {line})" in err
 
 
 @pytest.mark.parametrize("text,where", [

@@ -1,10 +1,17 @@
 """Goldie machinery: singular subobjects, essentiality, quotient rings."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ringspectra.algebras import companion_algebra, upper_triangular_algebra
+from ringspectra import commutative
+from ringspectra.algebras import FiniteDimAlgebra
 from ringspectra.commutative import (IntegerBackend, IntModBackend,
-                                     PolyQuotBackend)
+                                     PolyBackend, PolyQuotBackend)
 from ringspectra.errors import CapabilityError, ValidationError
 from ringspectra.goldie import (RightIdeal, classical_quotient_ring,
                                 goldie_localizing, is_essential_right_ideal,
@@ -13,7 +20,7 @@ from ringspectra.goldie import (RightIdeal, classical_quotient_ring,
                                 regular_element_in, regular_socle_ideal,
                                 singular_subspace, validate_quotient_ring)
 from ringspectra.ideals import is_semiprime
-from ringspectra.linalg import F2, Subspace
+from ringspectra.linalg import F2, QQ, Subspace
 from ringspectra.modules import RightModule, simple_modules
 from ringspectra.oracle import (brute_is_essential, brute_singular_subspace,
                                 enumerate_right_ideals, enumerate_submodules,
@@ -204,6 +211,53 @@ def test_quotient_ring_validation_sampling():
     out3 = validate_quotient_ring(PolyQuotBackend(F2, [0, 1, 1]), samples=30)
     assert out3["checked"]["fraction_form"] == 30
     assert out3["descriptor"]["kind"] == "self"
+
+
+def test_algebra_route_catches_a_wrong_inverse(monkeypatch, corpus_by_name):
+    monkeypatch.setattr(FiniteDimAlgebra, "inverse_element",
+                        lambda self, x: self.unit)
+    for backend in (ArtinianBackend(corpus_by_name["m2_f3"]),
+                    PolyQuotBackend(F2, [1, 1, 1])):        # F2[x]/(x^2+x+1)
+        with pytest.raises(ValidationError):
+            validate_quotient_ring(backend, samples=30)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_modular_route_catches_a_wrong_inverse(flags):
+    """A modular inverse off by one for every unit but 1 raises, also
+    under ``python -O``, which strips asserts."""
+    script = """
+import builtins
+from ringspectra import commutative
+from ringspectra.errors import ValidationError
+from ringspectra.goldie import validate_quotient_ring
+commutative.pow = lambda x, e, n: (builtins.pow(x, e, n) + (x != 1)) % n
+try:
+    validate_quotient_ring(commutative.IntModBackend(97))
+except ValidationError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_integer_route_catches_a_wrong_product(monkeypatch):
+    monkeypatch.setattr(IntegerBackend, "_mul",
+                        staticmethod(lambda a, b: a * b + 1))
+    with pytest.raises(ValidationError):
+        validate_quotient_ring(IntegerBackend())
+
+
+def test_polynomial_route_catches_a_wrong_product(monkeypatch):
+    real = commutative.poly_mul
+    monkeypatch.setattr(commutative, "poly_mul",
+                        lambda f, a, b: real(f, a, b) + (f.one,))
+    with pytest.raises(ValidationError):
+        validate_quotient_ring(PolyBackend(QQ))
 
 
 def test_socle_ideal_is_two_sided(algebra_corpus):

@@ -7,7 +7,8 @@ from ringspectra.algebras import (companion_algebra, matrix_algebra,
 from ringspectra.errors import ValidationError
 from ringspectra.ideals import (TwoSidedIdeal, annihilator, ideal_product,
                                 is_prime, is_semiprime, minimal_primes,
-                                prime_radical, prime_radical_of_zero)
+                                prime_radical, prime_radical_of_zero,
+                                primes_over)
 from ringspectra.linalg import F2, F3
 from ringspectra.modules import RightModule, simple_modules
 from ringspectra.oracle import (brute_is_prime, brute_prime_radical_of_zero,
@@ -74,6 +75,18 @@ def test_is_prime_agrees_with_lattice_oracle(small_f2_corpus):
                 continue
             ideal = TwoSidedIdeal(a, s, validate=False)
             assert is_prime(ideal) == brute_is_prime(ideal, lattice), name
+
+
+def test_primes_over_agree_with_lattice_oracle(small_f2_corpus):
+    for name, a in small_f2_corpus:
+        lattice = enumerate_two_sided_ideals(a)
+        primes = [s for s in lattice if s.dim < a.dim
+                  and brute_is_prime(TwoSidedIdeal(a, s, validate=False), lattice)]
+        for s in lattice:
+            if s.dim == a.dim:
+                continue
+            over = {w.ideal.space for w in primes_over(a, TwoSidedIdeal(a, s))}
+            assert over == {p for p in primes if p.contains(s)}, name
 
 
 def test_minimal_primes_examples():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, Subspace, apply_vec,
-                                spin, unit_vec)
+                                common_left_kernel, spin, unit_vec)
 
 
 def test_gf_arithmetic_exact():
@@ -101,6 +101,18 @@ def test_kernel_and_solve():
     x = m.solve_left((1, 3, 4))
     assert x is not None and apply_vec(x, m) == tuple(map(QQ.scalar, (1, 3, 4)))
     assert m.solve_left((0, 0, 1)) is None
+
+
+def test_common_left_kernel_meets_the_left_kernels():
+    rng = random.Random(3)
+    assert common_left_kernel(F3, 3, []) == Subspace.full(F3, 3)
+    for _ in range(20):
+        mats = [Matrix(F3, [[rng.randrange(3) for _ in range(2)]
+                            for _ in range(4)], 2) for _ in range(rng.randrange(1, 4))]
+        meet = Subspace.full(F3, 4)
+        for m in mats:
+            meet = meet.intersect(Subspace.from_vectors(F3, 4, m.left_kernel().rows))
+        assert common_left_kernel(F3, 4, mats) == meet
 
 
 def test_inverse():

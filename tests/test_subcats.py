@@ -311,4 +311,4 @@ def test_decompose_into_primes_builds_one_quotient(monkeypatch):
     monkeypatch.setattr(ideals, "quotient_algebra", counting)
     factors, power = decompose_into_primes(c)
     assert len(factors) == 3 and power == 2
-    assert built == [1]                    # a / J^2 once; dim J^2 = 1
+    assert built == []                     # the cached primes of a; no a / J^2
