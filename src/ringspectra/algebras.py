@@ -33,6 +33,7 @@ those of a validated algebra transposed, are not validated again.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,7 +55,10 @@ class AlgebraStructure:
 
 
 class FiniteDimAlgebra:
-    __slots__ = ("field", "dim", "sc", "unit", "labels", "name",
+    """``sc`` holds the dense constants; ``_terms[i][j]`` the nonzero
+    ``(k, c[i][j][k])`` pairs of b_i * b_j, which the arithmetic reads."""
+
+    __slots__ = ("field", "dim", "sc", "_terms", "unit", "labels", "name",
                  "_right_mats", "_left_mats", "_structure")
 
     def __init__(self, field, sc, unit=None, labels=None, name="A",
@@ -62,14 +66,16 @@ class FiniteDimAlgebra:
         dim = len(sc)
         if dim == 0:
             raise ValidationError("unital algebra needs dimension >= 1")
-        sc = tuple(tuple(tuple(field.scalar(x) for x in row)
-                         for row in plane) for plane in sc)
+        sc = tuple(tuple(tuple(map(field.scalar, row)) for row in plane)
+                   for plane in sc)
         if any(len(plane) != dim or any(len(row) != dim for row in plane)
                for plane in sc):
             raise ValidationError("structure constants must be dim^3")
         self.field = field
         self.dim = dim
         self.sc = sc
+        self._terms = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
+                                  for row in plane) for plane in sc)
         self.labels = tuple(labels) if labels else tuple(f"b{i}" for i in range(dim))
         self.name = name
         self._right_mats = None
@@ -104,13 +110,14 @@ class FiniteDimAlgebra:
         return u
 
     def _validate(self):
-        f = self.field
         d = self.dim
+        terms = self._terms
         for i, j, k in itertools.product(range(d), repeat=3):
-            lhs = self.mul(self.basis_coords(i), self.basis_coords(j))
-            lhs = self.mul(lhs, self.basis_coords(k))
-            rhs = self.mul(self.basis_coords(j), self.basis_coords(k))
-            rhs = self.mul(self.basis_coords(i), rhs)
+            # (b_i b_j) b_k = sum_m c_ijm b_m b_k and b_i (b_j b_k) = sum_m c_jkm b_i b_m
+            if not (terms[i][j] or terms[j][k]):
+                continue
+            lhs = self._combine((c, m, k) for m, c in terms[i][j])
+            rhs = self._combine((c, i, m) for m, c in terms[j][k])
             if lhs != rhs:
                 raise ValidationError(
                     f"associativity fails at basis triple ({i},{j},{k})")
@@ -127,21 +134,23 @@ class FiniteDimAlgebra:
     def zero_coords(self):
         return zero_vec(self.field, self.dim)
 
-    def mul(self, x, y):
+    def _combine(self, terms):
+        """sum of c * b_i * b_j over the triples (c, i, j), as coordinates.
+
+        The sum is formed with the scalars' own + and *, exact on ints and
+        Fractions, and reduced into the field once, by ``row_scale``.
+        """
         f = self.field
         out = [f.zero] * self.dim
-        for i, xi in enumerate(x):
-            if xi == f.zero:
-                continue
-            for j, yj in enumerate(y):
-                if yj == f.zero:
-                    continue
-                c = f.mul(xi, yj)
-                row = self.sc[i][j]
-                for k, ck in enumerate(row):
-                    if ck != f.zero:
-                        out[k] = f.add(out[k], f.mul(c, ck))
-        return tuple(out)
+        for c, i, j in terms:
+            for k, e in self._terms[i][j]:
+                out[k] += c * e
+        return tuple(f.row_scale(f.one, out))
+
+    def mul(self, x, y):
+        nz = [(j, yj) for j, yj in enumerate(y) if yj]
+        return self._combine((xi * yj, i, j) for i, xi in enumerate(x) if xi
+                             for j, yj in nz)
 
     def power(self, x, n: int):
         acc = self.unit
@@ -150,28 +159,33 @@ class FiniteDimAlgebra:
         return acc
 
     def right_mult_matrix(self, a) -> Matrix:
-        """Matrix of x -> x*a on row vectors."""
-        return Matrix(self.field,
-                      [self.mul(self.basis_coords(i), a) for i in range(self.dim)],
-                      self.dim)
+        """Matrix of x -> x*a on row vectors: row i is b_i * a."""
+        nz = [(j, aj) for j, aj in enumerate(a) if aj]
+        return Matrix.trusted(self.field, tuple(
+            self._combine((aj, i, j) for j, aj in nz) for i in range(self.dim)),
+            self.dim)
 
     def left_mult_matrix(self, a) -> Matrix:
-        """Matrix of x -> a*x on row vectors."""
-        return Matrix(self.field,
-                      [self.mul(a, self.basis_coords(i)) for i in range(self.dim)],
-                      self.dim)
+        """Matrix of x -> a*x on row vectors: row i is a * b_i."""
+        nz = [(j, aj) for j, aj in enumerate(a) if aj]
+        return Matrix.trusted(self.field, tuple(
+            self._combine((aj, j, i) for j, aj in nz) for i in range(self.dim)),
+            self.dim)
 
     def right_mult_matrices(self):
-        """Right multiplication by every basis element (the regular action)."""
+        """Right multiplication by every basis element (the regular action);
+        row i of the j-th is b_i b_j, the constants sc[i][j]."""
         if self._right_mats is None:
-            self._right_mats = tuple(self.right_mult_matrix(self.basis_coords(j))
-                                     for j in range(self.dim))
+            self._right_mats = tuple(
+                Matrix.trusted(self.field, tuple(plane[j] for plane in self.sc),
+                               self.dim) for j in range(self.dim))
         return self._right_mats
 
     def left_mult_matrices(self):
+        """Left multiplication by every basis element: the j-th is sc[j]."""
         if self._left_mats is None:
-            self._left_mats = tuple(self.left_mult_matrix(self.basis_coords(j))
-                                    for j in range(self.dim))
+            self._left_mats = tuple(Matrix.trusted(self.field, plane, self.dim)
+                                    for plane in self.sc)
         return self._left_mats
 
     def is_invertible_element(self, a):
@@ -281,9 +295,20 @@ def upper_triangular_algebra(n: int, field, name=None) -> FiniteDimAlgebra:
                             name=name or f"T{n}({field_name(field)})")
 
 
+def check_group_table(table: Sequence[Sequence[int]]):
+    """The table itself, once it is square with entries in 0..len(table)-1."""
+    d = len(table)
+    if any(len(row) != d for row in table):
+        raise ValidationError(f"group table of {d} rows must be {d} x {d}, "
+                              f"got row lengths {[len(row) for row in table]}")
+    if not all(0 <= x < d for row in table for x in row):
+        raise ValidationError(f"group table entries must lie in 0..{d - 1}")
+    return table
+
+
 def group_algebra(field, table: Sequence[Sequence[int]], labels=None, name="kG"):
     """Group algebra from a multiplication table table[i][j] = index of g_i g_j."""
-    d = len(table)
+    d = len(check_group_table(table))
     zero = zero_vec(field, d)
     sc = [[list(zero) for _ in range(d)] for _ in range(d)]
     for i in range(d):
@@ -662,11 +687,19 @@ def semisimple_quotient(a: FiniteDimAlgebra):
 
 
 def _radical_space(a: FiniteDimAlgebra) -> Subspace:
+    """Kernel of the trace form, shrunk by the lifted traces over F_p.
+
+    The Gram matrix is read off the structure constants:
+    tr(L_i L_j) = sum_k c_ijk tr(L_k), and tr(L_k) = sum_r c_krr.
+    """
     f = a.field
     d = a.dim
-    lm = a.left_mult_matrices()
-    gram = Matrix(f, [[(lm[i] * lm[j]).trace() for j in range(d)]
-                      for i in range(d)], d)
+    terms = a._terms
+    tr = [sum((a.sc[k][r][r] for r in range(d)), f.zero) for k in range(d)]
+    gram = Matrix.trusted(f, tuple(
+        tuple(f.row_scale(f.one, [sum((c * tr[k] for k, c in terms[i][j]), f.zero)
+                                  for j in range(d)]))
+        for i in range(d)), d)
     base = Subspace.from_vectors(f, d, gram.left_kernel().rows)
     if f.char == 0:
         return base
@@ -676,35 +709,16 @@ def _radical_space(a: FiniteDimAlgebra) -> Subspace:
 def _shrink_charp(a, current: Subspace) -> Subspace:
     """F_p refinement of the trace-form kernel down to the radical.
 
-    For x in the current ideal I and any y, z = x*y stays in I and
-    tr(M_z^{p^i}) is divisible by p^i; the divisibility is asserted, so a
-    violated hypothesis fails loudly instead of corrupting the kernel.
+    Step i keeps the x of the current ideal I with g_i(x b_j) = 0 for every
+    j, where g_i(z) = tr(L_z^{p^i}) / p^i mod p on integer lifts.  g_i is
+    linear on I (docs/derivations.md), so it is evaluated only on the basis
+    of I, and g_i(u b_j) is read off the coordinates of u b_j in I.  The
+    divisibility by p^i is checked, so a violated hypothesis fails loudly
+    instead of corrupting the kernel.
     """
     f = a.field
     p = f.char
     d = a.dim
-
-    def int_mat_mul(u, v):
-        n = len(u)
-        return [[sum(u[i][t] * v[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)]
-
-    def lifted_trace(x, i):
-        m = [[int(e) % p for e in row] for row in a.left_mult_matrix(x).rows]
-        acc = None
-        e = p ** i
-        base = m
-        while e:
-            if e & 1:
-                acc = base if acc is None else int_mat_mul(acc, base)
-            e >>= 1
-            if e:
-                base = int_mat_mul(base, base)
-        tr = sum(acc[t][t] for t in range(len(acc)))
-        q, r = divmod(tr, p ** i)
-        if r:
-            raise ValidationError("lifted trace not divisible as expected")
-        return q % p
 
     level = 0
     while p ** level < d:
@@ -713,13 +727,60 @@ def _shrink_charp(a, current: Subspace) -> Subspace:
     for i in range(1, level + 1):
         if current.dim == 0:
             break
-        basis = current.basis_rows()
-        cond = Matrix(f, [[lifted_trace(a.mul(u, a.basis_coords(j)), i)
-                           for j in range(d)] for u in basis], d)
-        kern = cond.left_kernel()
+        mats = [a.left_mult_matrix(u) for u in current.basis_rows()]
+        g = [_lifted_trace(m.rows, p, i) for m in mats]
+        cond = []
+        for m in mats:            # row j of L_u is u b_j
+            row = []
+            for v in m.rows:
+                coords = current.coords_of(v)
+                if coords is None:
+                    raise ValidationError("lifted-trace ideal is not a right ideal")
+                row.append(sum(c * gt for c, gt in zip(coords, g)))
+            cond.append(tuple(f.row_scale(f.one, row)))
+        kern = Matrix.trusted(f, tuple(cond), d).left_kernel()
         vecs = [apply_vec(z, current.mat) for z in kern.rows]
         current = Subspace.from_vectors(f, d, vecs)
     return current
+
+
+def _lifted_trace(rows, p: int, i: int) -> int:
+    """tr(M^(p^i)) / p^i mod p for the integer matrix M with these rows.
+
+    Only tr mod p^(i+1) is needed, and reduction mod m = p^(i+1) is a ring
+    map, so every product is reduced mod m.  Rows are packed into one int,
+    entry c at bit w*c (Kronecker substitution): a row of A B is the sum of
+    A[r][t] times packed row t of B, whose slots hold at most d (m-1)^2 and
+    so never carry into each other at slot width w.
+    """
+    d = len(rows)
+    m = p ** (i + 1)
+    w = (d * (m - 1) ** 2).bit_length() + 1
+    mask = (1 << w) - 1
+    shifts = [w * c for c in range(d)]
+
+    def times(x, y):
+        packed = [sum(map(operator.lshift, row, shifts)) for row in y]
+        out = []
+        for row in x:
+            acc = 0
+            for e, pk in zip(row, packed):
+                if e:
+                    acc += e * pk
+            out.append([(acc >> s & mask) % m for s in shifts])
+        return out
+
+    power, base, e = None, [list(r) for r in rows], p ** i
+    while e:
+        if e & 1:
+            power = base if power is None else times(power, base)
+        e >>= 1
+        if e:
+            base = times(base, base)
+    q, r = divmod(sum(power[t][t] for t in range(d)) % m, p ** i)
+    if r:
+        raise ValidationError("lifted trace not divisible as expected")
+    return q
 
 
 def is_semisimple(a: FiniteDimAlgebra) -> bool:

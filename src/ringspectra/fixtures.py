@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .algebras import (BoundQuiver, FiniteDimAlgebra,
                        algebra_from_structure_constants, bound_quiver_algebra,
-                       companion_algebra, group_algebra, matrix_algebra,
-                       upper_triangular_algebra)
+                       check_group_table, companion_algebra, group_algebra,
+                       matrix_algebra, upper_triangular_algebra)
 from .commutative import (GradedModuleDescriptor, GradedPolyBackend,
                           IntegerBackend, IntModBackend, PolyBackend,
                           PolyQuotBackend)
@@ -237,8 +237,8 @@ def _build_algebra(b: Section) -> FiniteDimAlgebra:
         return companion_algebra(
             fld, b.parse("poly", lambda v: _scalar_list(fld, v)), name=name)
     if source == "group":
-        table = b.parse("table",
-                        lambda v: [_int_list(row) for row in v.split(";")])
+        table = b.parse("table", lambda v: check_group_table(
+            [_int_list(row) for row in v.split(";")]))
         return group_algebra(fld, table, name=name)
     if source == "quiver":
         return bound_quiver_algebra(fld, _build_quiver(b), name=name)

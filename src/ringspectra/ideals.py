@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import (FiniteDimAlgebra, ideal_closure, is_nilpotent_space,
+from .algebras import (FiniteDimAlgebra, ideal_closure,
                        is_two_sided_ideal_space, jacobson_radical,
                        quotient_algebra, semisimple_quotient, subspace_product,
                        wedderburn_blocks)
@@ -56,9 +56,6 @@ class TwoSidedIdeal:
     def is_whole(self):
         return self.space.dim == self.algebra.dim
 
-    def is_proper(self):
-        return not self.is_whole()
-
     def contains(self, other: "TwoSidedIdeal"):
         self._check_parent(other)
         return self.space.contains(other.space)
@@ -90,9 +87,6 @@ class TwoSidedIdeal:
         self._check_parent(other)
         return TwoSidedIdeal(self.algebra, self.space.intersect(other.space),
                              validate=False)
-
-    def is_nilpotent(self):
-        return is_nilpotent_space(self.algebra, self.space)
 
     def quotient(self, name=None):
         return quotient_algebra(self.algebra, self.space, name=name)
@@ -206,7 +200,7 @@ def annihilator(module) -> TwoSidedIdeal:
     for i in range(a.dim):
         m = module.action[i]
         rows.append(tuple(x for r in m.rows for x in r))
-    big = Matrix(f, rows, module.dim * module.dim)
+    big = Matrix.trusted(f, tuple(rows), module.dim * module.dim)
     space = Subspace.from_vectors(f, a.dim, big.left_kernel().rows)
     return TwoSidedIdeal(a, space)
 

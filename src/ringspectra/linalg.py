@@ -10,6 +10,12 @@ Vectors are tuples of scalars, acting as row vectors: a matrix acts on the
 right, ``w = apply_vec(v, m)``.  Scalars are ``fractions.Fraction`` over Q
 and plain ints in ``[0, p)`` over F_p; the field object mediates all
 arithmetic so no floating point can sneak in.
+
+The kernels work a row at a time: ``axpy`` and ``row_scale`` are the field's
+row operations, so a field is consulted once per row, not once per scalar.
+Zero is falsy in both fields, which the kernels use to skip zero entries.
+Scalars are coerced once, where they enter: ``Matrix(field, rows)`` coerces,
+and results computed here from field scalars go through ``Matrix.trusted``.
 """
 
 from __future__ import annotations
@@ -51,6 +57,16 @@ class GF:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def axpy(self, u, c, v):
+        """The row u + c*v as a list."""
+        p = self.p
+        return [(a + c * b) % p for a, b in zip(u, v)]
+
+    def row_scale(self, c, v):
+        """The row c*v as a list."""
+        p = self.p
+        return [c * b % p for b in v]
 
     def is_finite(self):
         return True
@@ -96,6 +112,14 @@ class RationalField:
     def div(self, a, b):
         return a / b
 
+    def axpy(self, u, c, v):
+        """The row u + c*v as a list; zero entries of v cost no product."""
+        return [a + c * b if b else a for a, b in zip(u, v)]
+
+    def row_scale(self, c, v):
+        """The row c*v as a list."""
+        return [c * b if b else b for b in v]
+
     def is_finite(self):
         return False
 
@@ -134,22 +158,24 @@ def field_name(field) -> str:
 # -- vector helpers ----------------------------------------------------------
 
 def vec_add(field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
+    return tuple(field.axpy(u, field.one, v))
 
 def vec_sub(field, u, v):
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
+    return tuple(field.axpy(u, field.neg(field.one), v))
 
 def vec_scale(field, c, v):
-    return tuple(field.mul(c, a) for a in v)
+    return tuple(field.row_scale(c, v))
 
 def vec_is_zero(field, v):
-    return all(a == field.zero for a in v)
+    return not any(v)
 
 def zero_vec(field, n):
     return (field.zero,) * n
 
 def unit_vec(field, n, i):
-    return tuple(field.one if j == i else field.zero for j in range(n))
+    v = [field.zero] * n
+    v[i] = field.one
+    return tuple(v)
 
 
 class Matrix:
@@ -158,7 +184,7 @@ class Matrix:
     __slots__ = ("field", "rows", "nrows", "ncols")
 
     def __init__(self, field, rows: Sequence[Sequence], ncols: int | None = None):
-        rows = tuple(tuple(field.scalar(x) for x in r) for r in rows)
+        rows = tuple(tuple(map(field.scalar, r)) for r in rows)
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -171,12 +197,20 @@ class Matrix:
         self.ncols = ncols
 
     @classmethod
+    def trusted(cls, field, rows: tuple, ncols: int):
+        """The matrix on ``rows``, a tuple of equal-length tuples that already
+        hold scalars of ``field``, taken as they are."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), ncols
+        return m
+
+    @classmethod
     def identity(cls, field, n):
-        return cls(field, [unit_vec(field, n, i) for i in range(n)], n)
+        return cls.trusted(field, tuple(unit_vec(field, n, i) for i in range(n)), n)
 
     @classmethod
     def zero(cls, field, r, c):
-        return cls(field, [zero_vec(field, c)] * r, c)
+        return cls.trusted(field, (zero_vec(field, c),) * r, c)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -197,68 +231,68 @@ class Matrix:
 
     def __add__(self, other):
         f = self.field
-        return Matrix(f, [vec_add(f, a, b) for a, b in zip(self.rows, other.rows)],
-                      self.ncols)
+        return Matrix.trusted(f, tuple(vec_add(f, a, b)
+                                       for a, b in zip(self.rows, other.rows)),
+                              self.ncols)
 
     def __sub__(self, other):
         f = self.field
-        return Matrix(f, [vec_sub(f, a, b) for a, b in zip(self.rows, other.rows)],
-                      self.ncols)
+        return Matrix.trusted(f, tuple(vec_sub(f, a, b)
+                                       for a, b in zip(self.rows, other.rows)),
+                              self.ncols)
 
     def __neg__(self):
-        f = self.field
-        return Matrix(f, [vec_scale(f, f.neg(f.one), r) for r in self.rows], self.ncols)
+        return self.scale(self.field.neg(self.field.one))
 
     def scale(self, c):
         f = self.field
         c = f.scalar(c)
-        return Matrix(f, [vec_scale(f, c, r) for r in self.rows], self.ncols)
+        return Matrix.trusted(f, tuple(vec_scale(f, c, r) for r in self.rows),
+                              self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        f = self.field
-        cols = other.transpose().rows
-        out = [tuple(_dot(f, r, c) for c in cols) for r in self.rows]
-        return Matrix(f, out, other.ncols)
+        return Matrix.trusted(self.field,
+                              tuple(apply_vec(r, other) for r in self.rows),
+                              other.ncols)
 
     def transpose(self):
-        f = self.field
         if self.nrows == 0:
-            return Matrix(f, [()] * self.ncols, 0)
-        return Matrix(f, list(zip(*self.rows)), self.nrows)
+            return Matrix.trusted(self.field, ((),) * self.ncols, 0)
+        return Matrix.trusted(self.field, tuple(zip(*self.rows)), self.nrows)
 
     def stack(self, other):
         if self.ncols != other.ncols:
             raise ValueError("column mismatch in stack")
-        return Matrix(self.field, self.rows + other.rows, self.ncols)
+        return Matrix.trusted(self.field, self.rows + other.rows, self.ncols)
 
     def rref(self):
         """Unique reduced row echelon form: (matrix, pivot columns)."""
         f = self.field
         rows = [list(r) for r in self.rows]
+        n = len(rows)
         pivots = []
         pr = 0
         for pc in range(self.ncols):
-            pivot_row = None
-            for r in range(pr, len(rows)):
-                if rows[r][pc] != f.zero:
-                    pivot_row = r
+            if pr == n:
+                break
+            for r in range(pr, n):
+                if rows[r][pc]:
                     break
-            if pivot_row is None:
+            else:
                 continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = f.inv(rows[pr][pc])
-            rows[pr] = [f.mul(inv, x) for x in rows[pr]]
-            for r in range(len(rows)):
-                if r != pr and rows[r][pc] != f.zero:
-                    c = rows[r][pc]
-                    rows[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[r], rows[pr])]
+            rows[pr], rows[r] = rows[r], rows[pr]
+            prow = rows[pr] = f.row_scale(f.inv(rows[pr][pc]), rows[pr])
+            for r in range(n):
+                c = rows[r][pc]
+                if c and r != pr:
+                    rows[r] = f.axpy(rows[r], f.neg(c), prow)
             pivots.append(pc)
             pr += 1
-        return Matrix(f, rows, self.ncols), tuple(pivots)
+        return Matrix.trusted(f, tuple(map(tuple, rows)), self.ncols), tuple(pivots)
 
     def rank(self):
         return len(self.rref()[1])
@@ -275,7 +309,7 @@ class Matrix:
             for i, pc in enumerate(pivots):
                 v[pc] = f.neg(r.rows[i][j])
             basis.append(tuple(v))
-        return Matrix(f, basis, self.ncols)
+        return Matrix.trusted(f, tuple(basis), self.ncols)
 
     def left_kernel(self):
         """Basis (as rows) of {v : v @ self = 0}."""
@@ -315,9 +349,8 @@ class Matrix:
             det = f.mul(det, rows[c][c])
             inv = f.inv(rows[c][c])
             for r in range(c + 1, n):
-                if rows[r][c] != f.zero:
-                    k = f.mul(rows[r][c], inv)
-                    rows[r] = [f.sub(x, f.mul(k, y)) for x, y in zip(rows[r], rows[c])]
+                if rows[r][c]:
+                    rows[r] = f.axpy(rows[r], f.neg(f.mul(rows[r][c], inv)), rows[c])
         return det
 
     def is_invertible(self):
@@ -328,12 +361,12 @@ class Matrix:
             raise ValueError("inverse of non-square matrix")
         f = self.field
         n = self.nrows
-        aug = Matrix(f, [list(r) + list(unit_vec(f, n, i))
-                         for i, r in enumerate(self.rows)], 2 * n)
+        aug = Matrix.trusted(f, tuple(r + unit_vec(f, n, i)
+                                      for i, r in enumerate(self.rows)), 2 * n)
         r, pivots = aug.rref()
         if tuple(pivots) != tuple(range(n)):
             raise ValueError("matrix not invertible")
-        return Matrix(f, [row[n:] for row in r.rows], n)
+        return Matrix.trusted(f, tuple(row[n:] for row in r.rows), n)
 
     def trace(self):
         f = self.field
@@ -343,21 +376,13 @@ class Matrix:
         return t
 
 
-def _dot(field, u, v):
-    s = field.zero
-    for a, b in zip(u, v):
-        if a != field.zero and b != field.zero:
-            s = field.add(s, field.mul(a, b))
-    return s
-
-
 def apply_vec(v, m: Matrix):
     """Row vector times matrix, as the combination of m's rows by v."""
     f = m.field
     out = [f.zero] * m.ncols
     for vi, row in zip(v, m.rows):
-        if vi != f.zero:
-            out = [f.add(o, f.mul(vi, r)) for o, r in zip(out, row)]
+        if vi:
+            out = f.axpy(out, vi, row)
     return tuple(out)
 
 
@@ -368,28 +393,29 @@ class RowReducer:
         self.field = field
         self.ambient = ambient
         self.rows = []     # echelon rows, pivot normalized to 1
-        self.pivot_of = {}  # pivot column -> row index
+        self.pivots = []   # pivot column of each row
 
     def reduce(self, v):
+        """Normal form of v: zero in every pivot column.
+
+        A row is zero in the pivot columns of the rows inserted before it,
+        so clearing the pivots in insertion order never refills one.
+        """
         f = self.field
-        v = list(v)
-        for pc, ri in sorted(self.pivot_of.items()):
-            if v[pc] != f.zero:
-                c = v[pc]
-                row = self.rows[ri]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+        for pc, row in zip(self.pivots, self.rows):
+            c = v[pc]
+            if c:
+                v = f.axpy(v, f.neg(c), row)
         return tuple(v)
 
     def add(self, v) -> bool:
         """Insert v; True if it enlarged the span."""
         f = self.field
-        v = list(self.reduce(v))
+        v = self.reduce(v)
         for pc, x in enumerate(v):
-            if x != f.zero:
-                inv = f.inv(x)
-                v = [f.mul(inv, y) for y in v]
-                self.pivot_of[pc] = len(self.rows)
-                self.rows.append(tuple(v))
+            if x:
+                self.pivots.append(pc)
+                self.rows.append(tuple(f.row_scale(f.inv(x), v)))
                 return True
         return False
 
@@ -422,17 +448,17 @@ class Subspace:
     def from_vectors(cls, field, ambient: int, vectors: Iterable):
         m = Matrix(field, list(vectors), ambient)
         r, pivots = m.rref()
-        rows = [row for row in r.rows if not vec_is_zero(field, row)]
-        return cls(field, ambient, Matrix(field, rows, ambient), pivots)
+        rows = r.rows[:len(pivots)]
+        return cls(field, ambient, Matrix.trusted(field, rows, ambient), pivots)
 
     @classmethod
     def zero(cls, field, ambient: int):
-        return cls.from_vectors(field, ambient, [])
+        return cls(field, ambient, Matrix.trusted(field, (), ambient), ())
 
     @classmethod
     def full(cls, field, ambient: int):
-        return cls.from_vectors(field, ambient,
-                                [unit_vec(field, ambient, i) for i in range(ambient)])
+        return cls(field, ambient, Matrix.identity(field, ambient),
+                   tuple(range(ambient)))
 
     @property
     def dim(self):
@@ -444,12 +470,10 @@ class Subspace:
     def reduce(self, v):
         """Normal form of v modulo this subspace (zero iff v belongs)."""
         f = self.field
-        v = list(v)
-        for i, pc in enumerate(self.pivots):
-            if v[pc] != f.zero:
-                c = v[pc]
-                row = self.mat.rows[i]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+        for pc, row in zip(self.pivots, self.mat.rows):
+            c = v[pc]
+            if c:
+                v = f.axpy(v, f.neg(c), row)
         return tuple(v)
 
     def contains_vector(self, v):
@@ -489,15 +513,13 @@ class Subspace:
     def coords_of(self, v):
         """Coefficients of v in the canonical basis, or None."""
         f = self.field
-        red = list(v)
         coords = [f.zero] * self.dim
-        for i, pc in enumerate(self.pivots):
-            if red[pc] != f.zero:
-                c = red[pc]
+        for i, (pc, row) in enumerate(zip(self.pivots, self.mat.rows)):
+            c = v[pc]
+            if c:
                 coords[i] = c
-                row = self.mat.rows[i]
-                red = [f.sub(x, f.mul(c, y)) for x, y in zip(red, row)]
-        if not vec_is_zero(f, red):
+                v = f.axpy(v, f.neg(c), row)
+        if any(v):
             return None
         return tuple(coords)
 
@@ -512,7 +534,7 @@ class Subspace:
         for i in range(self.ambient):
             red = self.reduce(unit_vec(self.field, self.ambient, i))
             rows.append(tuple(red[j] for j in comp))
-        return Matrix(self.field, rows, len(comp))
+        return Matrix.trusted(self.field, tuple(rows), len(comp))
 
     def vectors(self):
         """All vectors of the subspace (finite fields only)."""
@@ -535,7 +557,8 @@ def common_left_kernel(field, n: int, mats: Iterable[Matrix]) -> Subspace:
     cols = [c for m in mats for c in zip(*m.rows)]
     if not cols:
         return Subspace.full(field, n)
-    return Subspace.from_vectors(field, n, Matrix(field, cols, n).right_kernel().rows)
+    return Subspace.from_vectors(field, n,
+                                 Matrix.trusted(field, tuple(cols), n).right_kernel().rows)
 
 
 def spin(field, ambient: int, seeds: Iterable, operators: Sequence[Matrix]) -> Subspace:

@@ -27,7 +27,7 @@ from .algebras import (FiniteDimAlgebra, jacobson_radical, semisimple_quotient,
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .ideals import annihilator, is_prime
 from .linalg import (Matrix, Subspace, apply_vec, common_left_kernel, spin,
-                     unit_vec, vec_add, vec_is_zero, vec_scale, zero_vec)
+                     vec_add, vec_is_zero, vec_scale, zero_vec)
 
 
 class RightModule:
@@ -54,12 +54,7 @@ class RightModule:
         d = a.dim
         for i in range(d):
             for j in range(d):
-                lhs = self.action[i] * self.action[j]
-                rhs = Matrix.zero(f, self.dim, self.dim)
-                for k, c in enumerate(a.sc[i][j]):
-                    if c != f.zero:
-                        rhs = rhs + self.action[k].scale(c)
-                if lhs != rhs:
+                if self.action[i] * self.action[j] != self.act_matrix(a.sc[i][j]):
                     raise ValidationError(
                         f"action breaks structure constants at ({i},{j})")
         if self.act_matrix(a.unit) != Matrix.identity(f, self.dim):
@@ -78,18 +73,16 @@ class RightModule:
         return cls(algebra, [z] * algebra.dim, name="0", validate=False)
 
     def act_matrix(self, a_coords) -> Matrix:
+        """The action of sum_k a_k b_k, combined row by row."""
         f = self.algebra.field
-        acc = Matrix.zero(f, self.dim, self.dim)
+        rows = [zero_vec(f, self.dim)] * self.dim
         for c, m in zip(a_coords, self.action):
-            if c != f.zero:
-                acc = acc + m.scale(c)
-        return acc
+            if c:
+                rows = [f.axpy(r, c, mr) for r, mr in zip(rows, m.rows)]
+        return Matrix.trusted(f, tuple(map(tuple, rows)), self.dim)
 
     def act(self, v, a_coords):
         return apply_vec(v, self.act_matrix(a_coords))
-
-    def canonical_key(self):
-        return (id(self.algebra), self.dim, self.action)
 
     def __repr__(self):
         return f"RightModule({self.name}, dim {self.dim} over {self.algebra.name})"
@@ -129,13 +122,9 @@ class RightModule:
         else:
             space = self.spin_submodule(list(space_or_seeds))
         f = self.algebra.field
-        mats = []
-        for m in self.action:
-            rows = []
-            for v in space.basis_rows():
-                coords = space.coords_of(apply_vec(v, m))
-                rows.append(coords)
-            mats.append(Matrix(f, rows, space.dim))
+        mats = [Matrix.trusted(f, tuple(space.coords_of(apply_vec(v, m))
+                                        for v in space.basis_rows()), space.dim)
+                for m in self.action]
         sub = RightModule(self.algebra, mats, name=name, validate=False)
         incl = ModuleMap(sub, self, space.mat)
         return sub, incl
@@ -149,11 +138,9 @@ class RightModule:
         comp = space.complement_coords()
         mats = []
         for m in self.action:
-            rows = []
-            for j in comp:
-                img = apply_vec(unit_vec(f, self.dim, j), m)
-                rows.append(apply_vec(img, proj))
-            mats.append(Matrix(f, rows, len(comp)))
+            # Row j of m is the image of the j-th unit vector.
+            mats.append(Matrix.trusted(f, tuple(apply_vec(m.rows[j], proj)
+                                                for j in comp), len(comp)))
         quot = RightModule(self.algebra, mats, name=name, validate=False)
         return quot, ModuleMap(self, quot, proj)
 
@@ -249,9 +236,6 @@ class ModuleMap:
     def image_space(self) -> Subspace:
         return Subspace.from_vectors(self.target.algebra.field,
                                      self.target.dim, self.matrix.rows)
-
-    def compose(self, then: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(self.source, then.target, self.matrix * then.matrix)
 
 
 # -- simple modules ------------------------------------------------------------

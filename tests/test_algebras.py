@@ -13,7 +13,7 @@ from ringspectra.algebras import (BoundQuiver, FiniteDimAlgebra,
                                   semisimple_quotient, subspace_product,
                                   upper_triangular_algebra, wedderburn_blocks)
 from ringspectra.errors import ValidationError
-from ringspectra.linalg import F2, F3, QQ, Matrix, Subspace
+from ringspectra.linalg import F2, F3, GF, QQ, Matrix, Subspace, apply_vec
 from ringspectra.oracle import brute_largest_nilpotent_ideal
 
 
@@ -73,6 +73,15 @@ def test_validation_rejects_mutations():
         except ValidationError:
             rejected += 1
     assert rejected >= 20
+
+
+def test_validation_catches_a_product_that_only_one_side_reaches():
+    """(a a) b = 0 but a (a b) = b: only the right-hand side is nonzero."""
+    e, a, b = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    zero = (0, 0, 0)
+    sc = [[e, a, b], [a, zero, b], [b, zero, zero]]
+    with pytest.raises(ValidationError, match=r"associativity fails at basis triple \(1,1,2\)"):
+        FiniteDimAlgebra(F2, sc, unit=e)
 
 
 def test_unit_is_solved_when_missing():
@@ -311,8 +320,9 @@ def test_verify_correspondence_computes_the_radical_at_most_twice(monkeypatch):
     assert len(calls) <= 2, calls
 
 
-def _in_random_basis(a, rng):
-    """a with its basis replaced by a random invertible change of basis."""
+def _random_change_of_basis(a, rng):
+    """(b, change): a in the basis given by the rows of a random invertible
+    matrix, so coordinates y in b are y * change in a."""
     f, d = a.field, a.dim
     while True:
         change = Matrix(f, [[f.scalar(rng.randrange(f.p)) for _ in range(d)]
@@ -322,7 +332,12 @@ def _in_random_basis(a, rng):
     rows = change.rows
     sc = [[change.solve_left(a.mul(u, v)) for v in rows]
           for u in rows]
-    return FiniteDimAlgebra(f, sc)
+    return FiniteDimAlgebra(f, sc), change
+
+
+def _in_random_basis(a, rng):
+    """a with its basis replaced by a random invertible change of basis."""
+    return _random_change_of_basis(a, rng)[0]
 
 
 @pytest.mark.parametrize("name", ["m2_f2", "m2_f3", "f9", "c3_f2",
@@ -340,3 +355,126 @@ def test_inverse_element_is_two_sided(corpus_by_name, name):
             assert a.mul(y, x) == a.unit == a.mul(x, y)
             units += 1
         assert units > 0
+
+
+# -- the radical against the dense reference route ------------------------------
+
+def _reference_radical_space(a):
+    """The dense route the fast one replaced: the Gram matrix from d^2
+    matrix products, then one lifted trace for every product u b_j of a
+    basis vector u of the ideal with a basis element b_j, whose left
+    multiplication is L_{u b_j} = L_{b_j} L_u on row vectors.  The integer
+    powers are ``algebras._lifted_trace``'s, which
+    ``test_lifted_trace_matches_plain_integer_power`` checks."""
+    f, d = a.field, a.dim
+    lm = [a.left_mult_matrix(a.basis_coords(i)) for i in range(d)]
+    gram = Matrix(f, [[(lm[i] * lm[j]).trace() for j in range(d)]
+                      for i in range(d)], d)
+    current = Subspace.from_vectors(f, d, gram.left_kernel().rows)
+    if f.char == 0:
+        return current
+    p = f.char
+    level = 0
+    while p ** level < d:
+        level += 1
+    for i in range(1, level + 1):
+        if current.dim == 0:
+            break
+        cond = Matrix(f, [[algebras._lifted_trace((lm[j] * lu).rows, p, i)
+                           for j in range(d)]
+                          for lu in map(a.left_mult_matrix, current.basis_rows())], d)
+        vecs = [apply_vec(z, current.mat) for z in cond.left_kernel().rows]
+        current = Subspace.from_vectors(f, d, vecs)
+    return current
+
+
+def _plain_lifted_trace(rows, p, i):
+    """tr(M^(p^i)) / p^i mod p by unreduced integer products; None when
+    the trace is not divisible by p^i."""
+    def times(u, v):
+        cols = list(zip(*v))
+        return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in u]
+    power, base, e = None, rows, p ** i
+    while e:
+        if e & 1:
+            power = base if power is None else times(power, base)
+        e >>= 1
+        if e:
+            base = times(base, base)
+    q, r = divmod(sum(power[t][t] for t in range(len(rows))), p ** i)
+    return None if r else q % p
+
+
+def test_lifted_trace_matches_plain_integer_power():
+    rng = random.Random(60)
+    cases = [(p, i, d) for p in (2, 3, 5, 7) for i in (1, 2) for d in (1, 2, 4, 7)]
+    cases += [(2, 4, 16), (3, 3, 27)]
+    seen = set()
+    for p, i, d in cases:
+        for _ in range(12):
+            rows = [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(d)]
+                    for _ in range(d)]
+            want = _plain_lifted_trace(rows, p, i)
+            if want is None:
+                with pytest.raises(ValidationError):
+                    algebras._lifted_trace(rows, p, i)
+            else:
+                assert algebras._lifted_trace(rows, p, i) == want, (p, i, rows)
+            seen.add(want is None)
+    assert seen == {True, False}
+
+
+def _radical_inputs():
+    rng = random.Random(61)
+    fields = [GF(p) for p in (2, 3, 5, 7)]
+    out = [cyclic_group_algebra(f, n) for f in fields for n in range(2, 11)]
+    out += [upper_triangular_algebra(n, f) for f in fields for n in (2, 3, 4)]
+    for f in fields:
+        for deg in (2, 3, 4, 5):
+            poly = [rng.randrange(f.p) for _ in range(deg)] + [1]
+            out.append(companion_algebra(f, poly, name=f"F{f.p}[x]/{poly}"))
+    out += [cyclic_group_algebra(F2, 16), cyclic_group_algebra(F3, 27),
+            product_algebra(upper_triangular_algebra(2, F3),
+                            companion_algebra(F3, [0, 0, 1]))]
+    return out
+
+
+def test_radical_route_matches_dense_reference():
+    """Same canonical subspace as the dense route, natural and random bases.
+
+    The dense route costs about ten seconds on F_3[C_27] in a random basis,
+    so there, and only there, the reference is the natural basis's radical
+    moved through the change of basis: J does not depend on the basis.
+    """
+    rng = random.Random(62)
+    for a in _radical_inputs():
+        want = _reference_radical_space(a)
+        assert algebras._radical_space(a) == want, a.name
+        b, change = _random_change_of_basis(a, rng)
+        if a.dim < 27:
+            want = _reference_radical_space(b)
+        else:
+            back = change.inverse()
+            want = Subspace.from_vectors(a.field, a.dim,
+                                         [apply_vec(v, back) for v in want.basis_rows()])
+        assert algebras._radical_space(b) == want, a.name
+
+
+def test_shrink_step_refuses_a_subspace_that_is_not_a_right_ideal():
+    t2 = upper_triangular_algebra(2, F2)
+    e11 = Subspace.from_vectors(F2, 3, [t2.basis_coords(t2.labels.index("e11"))])
+    with pytest.raises(ValidationError, match="not a right ideal"):
+        algebras._shrink_charp(t2, e11)
+
+
+def test_radical_matches_brute_force_in_random_bases():
+    """The shrink loop runs (p <= d) on algebras with a nontrivial radical."""
+    rng = random.Random(63)
+    inputs = [upper_triangular_algebra(2, F2), upper_triangular_algebra(3, F2),
+              cyclic_group_algebra(F2, 4), companion_algebra(F2, [0, 0, 0, 0, 0, 1]),
+              cyclic_group_algebra(F3, 3), upper_triangular_algebra(2, F3),
+              product_algebra(cyclic_group_algebra(F2, 2), companion_algebra(F2, [1, 1, 1]))]
+    for a in inputs:
+        assert a.field.p <= a.dim
+        b = _in_random_basis(a, rng)
+        assert jacobson_radical(b) == brute_largest_nilpotent_ideal(b), a.name

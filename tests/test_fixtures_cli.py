@@ -378,13 +378,20 @@ n = 2
 """
 
 
+GROUP_RAGGED = "source = group\ntable = 0 1; 1"
+GROUP_OUT_OF_RANGE = "source = group\ntable = 0 1; 1 2"
+
+
 @pytest.mark.parametrize("old,new", [("field = F2", "field = F4"),
                                      ("n = 2", "n = x"),
-                                     ("n = 2", "n = 0")])
+                                     ("n = 2", "n = 0"),
+                                     ("source = matrix\nn = 2", GROUP_RAGGED),
+                                     ("source = matrix\nn = 2", GROUP_OUT_OF_RANGE)])
 def test_cli_bad_algebra_value_is_a_parse_error(tmp_path, capsys, old, new):
     # A value that fails to convert names its own line; n = 0 fails only
     # when the algebra is built, so it names the section header's.
-    line = {"field = F4": 3, "n = x": 5, "n = 0": 1}[new]
+    line = {"field = F4": 3, "n = x": 5, "n = 0": 1,
+            GROUP_RAGGED: 5, GROUP_OUT_OF_RANGE: 5}[new]
     path = _write(tmp_path, "bad.alg", BAD_ALGEBRA.replace(old, new))
     assert cli_main(["analyze", path]) == 2
     err = capsys.readouterr().err

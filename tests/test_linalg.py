@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +26,43 @@ def test_gf_rejects_composite():
 def test_rational_exactness():
     x = QQ.scalar("2/3")
     assert QQ.mul(x, QQ.inv(x)) == QQ.one
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(7), QQ], ids=str)
+def test_row_ops_equal_scalar_ops(field):
+    rng = random.Random(17)
+
+    def draw():
+        return field.scalar(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+                            if field == QQ else rng.randrange(field.char))
+
+    for n in (0, 1, 3, 8):
+        for _ in range(20):
+            u, v, c = [draw() for _ in range(n)], [draw() for _ in range(n)], draw()
+            assert field.axpy(u, c, v) == [field.add(a, field.mul(c, b))
+                                           for a, b in zip(u, v)]
+            assert field.row_scale(c, v) == [field.mul(c, b) for b in v]
+
+
+def test_rational_kernels_keep_fractions():
+    """Only Fractions pass through the trusted constructor over Q."""
+    from ringspectra.algebras import upper_triangular_algebra
+    from ringspectra.modules import RightModule
+
+    def all_fractions(m):
+        return all(type(x) is Fraction for row in m.rows for x in row)
+
+    m = Matrix(QQ, [[0, 2, 1], [0, 4, 2], [3, 0, 0]])
+    assert all_fractions(m.rref()[0]) and all_fractions(m.transpose())
+    assert all_fractions(m * m) and all_fractions(m.right_kernel())
+    reg = RightModule.regular(upper_triangular_algebra(2, QQ))
+    assert all_fractions(reg.act_matrix((0, 3, Fraction(1, 2))))
+    assert all_fractions(reg.act_matrix((0, 0, 0)))
+
+
+def test_public_constructor_coerces():
+    assert Matrix(F3, [[4]]).rows == ((1,),)
+    assert Matrix(QQ, [[1, "1/2"]]).rows == ((Fraction(1), Fraction(1, 2)),)
 
 
 def test_rref_identity():
