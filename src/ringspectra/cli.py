@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,8 +30,7 @@ EXIT_CAPABILITY = 3
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FixtureParseError as exc:
@@ -41,7 +41,9 @@ def main(argv=None) -> int:
         return EXIT_CAPABILITY
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="ringspectra",
         description="Atom and molecule spectra of concrete noetherian rings")

@@ -30,7 +30,8 @@ from .errors import CapabilityError, ValidationError
 from .linalg import GF, field_name
 from .spectra import (ArtinianizationDescriptor, Atom, Molecule,
                       PhiUndefinedError, QuotientRingDescriptor,
-                      check_algebra_quotient_ring)
+                      ReducedPartResult, check_algebra_quotient_ring,
+                      two_route_flags)
 
 
 # -- polynomial arithmetic (coefficients low-to-high) ---------------------------
@@ -415,6 +416,11 @@ class CommutativeSpec:
             return self.label
         return self._quotient_label(self.radical_generator())
 
+    def reduced_part(self):
+        """R_red along both routes: each names the same reduced ring."""
+        label = self.reduced_ring_label()
+        return ReducedPartResult(None, two_route_flags(self), label, label)
+
     def artinianization(self):
         atoms = [lbl for _k, lbl in self._minimal_points()]
         if self.complete:
@@ -676,6 +682,11 @@ class GradedPolyBackend:
     def artinianization(self):
         raise CapabilityError(
             "no artinian generator: artinianization undefined for this backend")
+
+    def reduced_part(self):
+        # The flags are undefined, as verify_correspondence records.
+        raise CapabilityError(
+            "reduced part needs a noetherian generator, which this backend lacks")
 
     def quotient_ring_descriptor(self):
         raise CapabilityError(

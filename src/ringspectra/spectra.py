@@ -3,8 +3,8 @@
 Backends implement the ``SpectrumBackend`` protocol: enumerate (or
 window) atoms and molecules, order predicates, phi and psi, minimality,
 property flags computed along two independent routes, and the
-ring-level answers (artinianization, classical quotient ring and its
-sampled clauses).
+ring-level answers (reduced part, artinianization, classical quotient
+ring and its sampled clauses).
 ``ArtinianBackend`` realizes it for module categories of
 finite-dimensional algebras, where atoms are simple classes (an
 antichain) and molecules are the prime two-sided ideals.  Symbolic
@@ -25,7 +25,8 @@ from typing import Protocol, runtime_checkable
 
 from .algebras import FiniteDimAlgebra, jacobson_radical
 from .errors import CapabilityError, ValidationError
-from .ideals import (TwoSidedIdeal, annihilator, is_semiprime, minimal_primes)
+from .ideals import (TwoSidedIdeal, annihilator, is_semiprime, minimal_primes,
+                     prime_radical_of_zero)
 from .linalg import field_name
 from .modules import (RightModule, SimpleClass, composition_factors,
                       injective_envelope, simple_modules)
@@ -63,6 +64,24 @@ class ArtinianizationDescriptor:
     atoms: list
 
 
+@dataclass
+class ReducedPartResult:
+    """The reduced part, as each route computed it, and the flags."""
+
+    descriptor: object      # a subcats.ClosedSubcatDescriptor; None if symbolic
+    flags: dict
+    atomic_route_ideal: object
+    molecular_route_ideal: object
+
+
+def two_route_flags(backend) -> dict:
+    """The reduced/irreducible/integral flags, equal along both routes."""
+    aflags = backend.atomic_flags()
+    if aflags != backend.molecular_flags():
+        raise ValidationError("atomic and molecular flags disagree")
+    return dict(aflags)
+
+
 @runtime_checkable
 class SpectrumBackend(Protocol):
     """What ``verify_correspondence`` and the CLI read off a backend.
@@ -70,7 +89,8 @@ class SpectrumBackend(Protocol):
     ``complete`` is false when only a window of an infinite spectrum is
     listed; ``phi`` may raise ``PhiUndefinedError``; without a noetherian
     generator the flags may raise ``CapabilityError``.  The ring-level
-    answers raise ``CapabilityError`` where they are out of scope;
+    answers (reduced part, artinianization, classical quotient ring)
+    raise ``CapabilityError`` where they are out of scope;
     ``check_quotient_ring`` runs the classical quotient ring's clauses on
     sampled elements, raises ``ValidationError`` on the first that fails,
     and returns how many checks of each clause ran.
@@ -100,6 +120,8 @@ class SpectrumBackend(Protocol):
     def atomic_flags(self) -> dict: ...
 
     def molecular_flags(self) -> dict: ...
+
+    def reduced_part(self) -> ReducedPartResult: ...
 
     def artinianization(self) -> ArtinianizationDescriptor: ...
 
@@ -263,6 +285,19 @@ class ArtinianBackend:
 
     # -- ring-level answers ------------------------------------------------------------
 
+    def reduced_part(self):
+        """Mod(Lambda/J): J is the Jacobson radical and the prime radical."""
+        from .subcats import ClosedSubcatDescriptor  # subcats imports spectra
+        a = self.algebra
+        atomic = TwoSidedIdeal(a, jacobson_radical(a), validate=False)
+        molecular = prime_radical_of_zero(a)
+        if atomic.space != molecular.space:
+            raise ValidationError(
+                "atomically and molecularly reduced parts disagree: "
+                "this violates the correspondence and indicates a bug")
+        return ReducedPartResult(ClosedSubcatDescriptor(self, atomic),
+                                 two_route_flags(self), atomic, molecular)
+
     def artinianization(self):
         """An artinian category is its own artinianization."""
         return ArtinianizationDescriptor(
@@ -399,9 +434,6 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
             notes.append(f"phi partial: {a.label}: {exc}")
     psi_table = {r.label: backend.psi(r).label for r in mols}
 
-    label_to_atom = {a.label: a for a in atoms}
-    label_to_mol = {r.label: r for r in mols}
-
     def rec(name, passed, detail="", skipped=False):
         records.append(AssertionRecord(name, passed, detail, skipped))
 
@@ -411,43 +443,37 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
     rec("phi_psi_identity", not bad,
         f"violations: {bad}" if bad else f"checked {len(mols)} molecules")
 
+    # Each order is read off the backend once; every order check below
+    # reads these up-sets (docs/derivations.md, "Order checks on up-sets").
+    atom_up = up_sets(atoms, backend.atom_leq)
+    mol_up = up_sets(mols, backend.molecule_leq)
+    atom_above = [set(up) for up in atom_up]
+    mol_above = [set(up) for up in mol_up]
+    atom_index = {a.label: i for i, a in enumerate(atoms)}
+    mol_index = {r.label: k for k, r in enumerate(mols)}
+    phi_index = {i: mol_index[phi_table[a.label]]
+                 for i, a in enumerate(atoms) if a.label in phi_table}
+    psi_index = [atom_index[psi_table[r.label]] for r in mols]
+
     # Order preservation.
-    bad = []
-    for a in atoms:
-        for b in atoms:
-            if a.label in phi_table and b.label in phi_table \
-                    and backend.atom_leq(a, b):
-                fa = label_to_mol[phi_table[a.label]]
-                fb = label_to_mol[phi_table[b.label]]
-                if not backend.molecule_leq(fa, fb):
-                    bad.append((a.label, b.label))
+    bad = [(atoms[i].label, atoms[j].label)
+           for i, fi in phi_index.items()
+           for j in atom_up[i] if j in phi_index
+           if phi_index[j] not in mol_above[fi]]
     rec("phi_order_preserving", not bad, f"violations: {bad}" if bad else "")
 
-    bad = []
-    for r in mols:
-        for s in mols:
-            if backend.molecule_leq(r, s):
-                pr = label_to_atom[psi_table[r.label]]
-                ps = label_to_atom[psi_table[s.label]]
-                if not backend.atom_leq(pr, ps):
-                    bad.append((r.label, s.label))
+    bad = [(mols[k].label, mols[l].label)
+           for k, up in enumerate(mol_up) for l in up
+           if psi_index[l] not in atom_above[psi_index[k]]]
     rec("psi_order_preserving", not bad, f"violations: {bad}" if bad else "")
 
     # Adjunction: psi(rho) <= alpha iff rho <= phi(alpha), phi-defined pairs.
-    bad = []
-    pairs = 0
-    for a in atoms:
-        if a.label not in phi_table:
-            continue
-        fa = label_to_mol[phi_table[a.label]]
-        for r in mols:
-            pairs += 1
-            lhs = backend.atom_leq(label_to_atom[psi_table[r.label]], a)
-            rhs = backend.molecule_leq(r, fa)
-            if lhs != rhs:
-                bad.append((a.label, r.label))
+    bad = [(atoms[i].label, r.label)
+           for i, fi in phi_index.items() for k, r in enumerate(mols)
+           if (i in atom_above[psi_index[k]]) != (fi in mol_above[k])]
     rec("adjunction", not bad,
-        f"violations: {bad}" if bad else f"checked {pairs} pairs")
+        f"violations: {bad}" if bad
+        else f"checked {len(phi_index) * len(mols)} pairs")
 
     # Bijection between minimal atoms and minimal molecules.
     amin = backend.minimal_atoms(window)
@@ -488,12 +514,11 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
 
     # Injective-envelope facts on artinian backends with realized simples.
     if isinstance(backend, ArtinianBackend):
-        records.extend(_artinian_envelope_assertions(backend, phi_table))
+        records.extend(_artinian_envelope_assertions(backend, phi_table,
+                                                      psi_table))
 
-    atom_order = sorted((a.label, b.label) for a in atoms for b in atoms
-                        if a != b and backend.atom_leq(a, b))
-    mol_order = sorted((r.label, s.label) for r in mols for s in mols
-                       if r != s and backend.molecule_leq(r, s))
+    atom_order = _strict_pairs(atoms, atom_up)
+    mol_order = _strict_pairs(mols, mol_up)
 
     return SpectrumReport(
         backend=backend.label, complete=complete, atoms=atoms, molecules=mols,
@@ -504,7 +529,24 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
         notes=notes)
 
 
-def _artinian_envelope_assertions(backend: ArtinianBackend, phi_table):
+def up_sets(elements, leq) -> list[list[int]]:
+    """For each element x, the indices of the elements y with leq(x, y).
+
+    Indices ascend, in listing order.  leq is called exactly once per
+    ordered pair, so an order is read off its backend once and every
+    order check runs on the result.
+    """
+    return [[j for j, y in enumerate(elements) if leq(x, y)] for x in elements]
+
+
+def _strict_pairs(elements, up) -> list:
+    """Sorted label pairs (x, y) with x < y, read off the up-sets."""
+    return sorted((x.label, elements[j].label) for i, x in enumerate(elements)
+                  for j in up[i] if x != elements[j])
+
+
+def _artinian_envelope_assertions(backend: ArtinianBackend, phi_table,
+                                  psi_table):
     """mass(E(S)) = {phi(S)} and E(Lambda/P) isotypic over E(psi(P))."""
     records = []
     try:
@@ -514,10 +556,10 @@ def _artinian_envelope_assertions(backend: ArtinianBackend, phi_table):
     except CapabilityError as exc:
         return [AssertionRecord("envelope_facts", True,
                                 f"skipped: {exc}", skipped=True)]
+    envelopes = {s.label: injective_envelope(s.module)[0] for s in simples}
     bad = []
     for s in simples:
-        e_mod, _ = injective_envelope(s.module)
-        m = backend.mass(e_mod)
+        m = backend.mass(envelopes[s.label])
         if len(m) != 1 or next(iter(m)).label != phi_table[s.label]:
             bad.append(s.label)
     records.append(AssertionRecord(
@@ -528,15 +570,12 @@ def _artinian_envelope_assertions(backend: ArtinianBackend, phi_table):
     for w in backend.primes():
         quot_reg = _module_on_quotient_ring(backend.algebra, w.ideal)
         e_big, _ = injective_envelope(quot_reg)
-        psi_atom = backend.psi(Molecule(backend.label, ("prime", w.block_index),
-                                        w.label))
-        s = backend._simple_by_key(psi_atom.key)
-        e_small, _ = injective_envelope(s.module)
+        s_label = psi_table[w.label]
         soc_big, _ = e_big.submodule(e_big.socle_space(), name="socE")
         factors = composition_factors(soc_big)
-        isotypic = set(factors) == {s.label}
-        copies = factors.get(s.label, 0)
-        dims_ok = e_big.dim == copies * e_small.dim and copies >= 1
+        isotypic = set(factors) == {s_label}
+        copies = factors.get(s_label, 0)
+        dims_ok = e_big.dim == copies * envelopes[s_label].dim and copies >= 1
         if not (isotypic and dims_ok):
             bad.append(w.label)
     records.append(AssertionRecord(

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import FiniteDimAlgebra, jacobson_radical
+from .algebras import FiniteDimAlgebra
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .ideals import (TwoSidedIdeal, ideal_product, intersect_primes,
                      minimal_primes, nilpotency_index, prime_radical,
-                     prime_radical_of_zero, primes_over)
+                     primes_over)
 from .linalg import Subspace
 from .modules import RightModule
 from .spectra import (ArtinianBackend, ArtinianizationDescriptor,
-                      SpectrumBackend)
+                      ReducedPartResult, SpectrumBackend, up_sets)
 
 
 @dataclass
@@ -105,51 +105,17 @@ def radical_of_closed(c: ClosedSubcatDescriptor):
     return result, n
 
 
-@dataclass
-class ReducedPartResult:
-    descriptor: ClosedSubcatDescriptor
-    flags: dict
-    atomic_route_ideal: TwoSidedIdeal
-    molecular_route_ideal: TwoSidedIdeal
-
-
-def reduced_part(backend) -> ReducedPartResult:
+def reduced_part(backend: SpectrumBackend) -> ReducedPartResult:
     """Smallest full-support subcategory, computed along both routes.
 
     Atomic route: the Jacobson radical (semisimple modules are the
     atomically reduced part of an artinian category).  Molecular route:
     the prime radical.  They must agree; disagreement is a bug by the
-    correspondence theorem, so it raises.
+    correspondence theorem, so the backend raises.  The symbolic backends
+    name their reduced ring; the graded backend refuses (its flags need a
+    noetherian generator).
     """
-    if not isinstance(backend, ArtinianBackend):
-        return _reduced_part_symbolic(backend)
-    a = backend.algebra
-    j_space = jacobson_radical(a)
-    atomic = TwoSidedIdeal(a, j_space, validate=False)
-    molecular = prime_radical_of_zero(a)
-    if atomic.space != molecular.space:
-        raise ValidationError(
-            "atomically and molecularly reduced parts disagree: "
-            "this violates the correspondence and indicates a bug")
-    aflags = backend.atomic_flags()
-    mflags = backend.molecular_flags()
-    if aflags != mflags:
-        raise ValidationError("atomic and molecular flags disagree")
-    return ReducedPartResult(
-        ClosedSubcatDescriptor(backend, atomic), dict(aflags), atomic, molecular)
-
-
-def _reduced_part_symbolic(backend):
-    if not backend.has_noetherian_generator:
-        # The flags are undefined, as verify_correspondence records.
-        raise CapabilityError(
-            "reduced part needs a noetherian generator, which this backend lacks")
-    aflags = backend.atomic_flags()
-    mflags = backend.molecular_flags()
-    if aflags != mflags:
-        raise ValidationError("atomic and molecular flags disagree")
-    label = backend.reduced_ring_label()
-    return ReducedPartResult(None, dict(aflags), label, label)
+    return backend.reduced_part()
 
 
 def artinianization(backend: SpectrumBackend) -> ArtinianizationDescriptor:
@@ -230,25 +196,26 @@ class LocallyClosedLocalizingDescriptor:
 
 
 def classify_locally_closed_localizing(backend, window=None):
-    """All upward-closed subsets of the (windowed) molecule order."""
+    """All upward-closed subsets of the (windowed) molecule order.
+
+    The order is read once, as one up-set bit mask per molecule; a subset
+    is upward closed iff it contains the up-set of each of its members,
+    that is the union of those up-sets.
+    """
     mols = backend.molecules(window)
     if len(mols) > 16:
         raise BudgetExceeded("locally closed classification", 2 ** len(mols),
                              2 ** 16)
-    out = []
-    for mask in range(2 ** len(mols)):
-        chosen = frozenset(m for i, m in enumerate(mols) if mask >> i & 1)
-        if _is_upward_closed(backend, chosen, mols):
-            out.append(LocallyClosedLocalizingDescriptor(backend, chosen))
-    return out
-
-
-def _is_upward_closed(backend, subset, all_mols):
-    for r in subset:
-        for s in all_mols:
-            if backend.molecule_leq(r, s) and s not in subset:
-                return False
-    return True
+    up = [sum(1 << j for j in above)
+          for above in up_sets(mols, backend.molecule_leq)]
+    # reach[mask]: the union of the up-sets of the members of mask.
+    reach = [0] * 2 ** len(mols)
+    for mask in range(1, len(reach)):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | up[low.bit_length() - 1]
+    return [LocallyClosedLocalizingDescriptor(
+                backend, frozenset(m for i, m in enumerate(mols) if mask >> i & 1))
+            for mask, r in enumerate(reach) if r | mask == mask]
 
 
 # -- prime decomposition of closed subcategories ------------------------------------

@@ -4,12 +4,16 @@ import random
 
 import pytest
 
+from ringspectra.algebras import upper_triangular_algebra
+from ringspectra.commutative import (GradedPolyBackend, IntegerBackend,
+                                     PolyBackend)
 from ringspectra.ideals import annihilator
+from ringspectra.linalg import F2, GF, QQ
 from ringspectra.modules import (RightModule, injective_envelope,
                                  composition_factors, simple_modules)
 from ringspectra.oracle import brute_mass, enumerate_submodules, standard_modules
 from ringspectra.spectra import (ArtinianBackend, Molecule,
-                                 verify_correspondence)
+                                 PhiUndefinedError, verify_correspondence)
 
 
 def _backend(name, corpus_by_name):
@@ -266,3 +270,109 @@ def test_every_backend_satisfies_the_protocol(corpus_by_name):
         assert isinstance(b, SpectrumBackend), b.kind
     with pytest.raises(CapabilityError):            # no noetherian generator
         backends[-1].atomic_flags()
+
+
+
+class _CountingZ(IntegerBackend):
+    """Z, counting the order queries each spectrum receives."""
+
+    def __init__(self):
+        self.calls = {"atom_leq": 0, "molecule_leq": 0}
+
+    def atom_leq(self, a, b):
+        self.calls["atom_leq"] += 1
+        return super().atom_leq(a, b)
+
+    def molecule_leq(self, r, s):
+        self.calls["molecule_leq"] += 1
+        return super().molecule_leq(r, s)
+
+
+class _DiscreteMoleculesZ(IntegerBackend):
+    """Z with the generic molecule no longer below the closed ones."""
+
+    def molecule_leq(self, r, s):
+        return r == s
+
+
+def test_verifier_reads_each_order_once():
+    b = _CountingZ()
+    rep = verify_correspondence(b, 200)
+    n = len(b.atoms(200))
+    assert n == 47 and rep.passed()
+    assert b.calls["atom_leq"] <= n * n
+    assert b.calls["molecule_leq"] <= n * n
+
+
+def test_verifier_catches_a_discrete_molecule_order():
+    rep = verify_correspondence(_DiscreteMoleculesZ(), 13)
+    failed = {r.name for r in rep.assertions if not (r.passed or r.skipped)}
+    assert {"phi_order_preserving", "adjunction"} <= failed
+
+
+def test_envelope_of_each_simple_computed_once(monkeypatch):
+    import ringspectra.spectra as spectra
+    inputs = []
+
+    def counting(m):
+        inputs.append(m)
+        return injective_envelope(m)
+
+    monkeypatch.setattr(spectra, "injective_envelope", counting)
+    a = upper_triangular_algebra(3, F2)
+    assert verify_correspondence(ArtinianBackend(a)).passed()
+    # One envelope per simple and one per prime quotient, none repeated.
+    assert len(inputs) == 6 and len({id(m) for m in inputs}) == 6
+
+
+def _pairwise_order_checks(backend, window):
+    """The order assertions by their literal pairwise definitions.
+
+    The reference for the up-set route in ``verify_correspondence``: every
+    pair is put to the backend, in listing order.
+    """
+    atoms, mols = backend.atoms(window), backend.molecules(window)
+    phi = {}
+    for a in atoms:
+        try:
+            phi[a.label] = backend.phi(a).label
+        except PhiUndefinedError:
+            pass
+    psi = {r.label: backend.psi(r).label for r in mols}
+    atom = {a.label: a for a in atoms}
+    mol = {r.label: r for r in mols}
+    leq_a, leq_m = backend.atom_leq, backend.molecule_leq
+    phi_bad = [(a.label, b.label) for a in atoms for b in atoms
+               if a.label in phi and b.label in phi and leq_a(a, b)
+               and not leq_m(mol[phi[a.label]], mol[phi[b.label]])]
+    psi_bad = [(r.label, s.label) for r in mols for s in mols
+               if leq_m(r, s) and not leq_a(atom[psi[r.label]], atom[psi[s.label]])]
+    adj_bad = [(a.label, r.label) for a in atoms if a.label in phi
+               for r in mols
+               if leq_a(atom[psi[r.label]], a) != leq_m(r, mol[phi[a.label]])]
+    pairs = sum(1 for a in atoms if a.label in phi) * len(mols)
+    return {
+        "phi_order_preserving": f"violations: {phi_bad}" if phi_bad else "",
+        "psi_order_preserving": f"violations: {psi_bad}" if psi_bad else "",
+        "adjunction": (f"violations: {adj_bad}" if adj_bad
+                       else f"checked {pairs} pairs"),
+        "atom_order": sorted((a.label, b.label) for a in atoms for b in atoms
+                             if a != b and leq_a(a, b)),
+        "molecule_order": sorted((r.label, s.label) for r in mols for s in mols
+                                 if r != s and leq_m(r, s)),
+    }
+
+
+def test_order_checks_equal_their_pairwise_definitions(corpus_by_name):
+    cases = [(IntegerBackend(), 13), (PolyBackend(QQ), 2),
+             (PolyBackend(GF(3)), 2), (_backend("t3_f2", corpus_by_name), None),
+             (GradedPolyBackend(F2), 3), (_DiscreteMoleculesZ(), 13),
+             (_CorruptedOrder(_backend("t2_f2", corpus_by_name)), None),
+             (_CorruptedPhi(_backend("t2_f2", corpus_by_name)), None)]
+    for backend, window in cases:
+        rep = verify_correspondence(backend, window)
+        got = {r.name: r.detail for r in rep.assertions}
+        got["atom_order"] = rep.atom_order
+        got["molecule_order"] = rep.molecule_order
+        want = _pairwise_order_checks(backend, window)
+        assert {k: got[k] for k in want} == want, backend.label

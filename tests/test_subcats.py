@@ -2,9 +2,13 @@
 
 import random
 
+import pytest
+
 from ringspectra.algebras import jacobson_radical
 from ringspectra.ideals import TwoSidedIdeal, ideal_product
-from ringspectra.commutative import IntegerBackend
+from ringspectra.commutative import IntModBackend, IntegerBackend, PolyBackend
+from ringspectra.errors import ValidationError
+from ringspectra.linalg import GF, QQ
 from ringspectra.modules import RightModule
 from ringspectra.oracle import (enumerate_submodules,
                                 enumerate_two_sided_ideals, standard_modules)
@@ -133,6 +137,23 @@ def test_reduced_part_routes_agree_corpus(algebra_corpus):
             red.molecular_route_ideal.space, name
 
 
+class _DisagreeingZ12(IntModBackend):
+    def molecular_flags(self):
+        return dict(super().molecular_flags(), irreducible=None)
+
+
+class _DisagreeingArtinian(ArtinianBackend):
+    def molecular_flags(self):
+        return dict(super().molecular_flags(), irreducible=None)
+
+
+def test_reduced_part_refuses_disagreeing_flags(corpus_by_name):
+    for b in (_DisagreeingZ12(12),
+              _DisagreeingArtinian(corpus_by_name["t2_f2"])):
+        with pytest.raises(ValidationError, match="flags disagree"):
+            reduced_part(b)
+
+
 def test_artinianization_descriptors(corpus_by_name):
     b = _backend("t2_f2", corpus_by_name)
     art = artinianization(b)
@@ -180,6 +201,53 @@ def test_classify_locally_closed_counts(corpus_by_name):
     assert len(classify_locally_closed_localizing(bf)) == 2
     z = IntegerBackend()
     assert len(classify_locally_closed_localizing(z, window=3)) == 5
+
+
+class _CountingZ(IntegerBackend):
+    """Z, counting the molecule order queries."""
+
+    calls = 0
+
+    def molecule_leq(self, r, s):
+        self.calls += 1
+        return super().molecule_leq(r, s)
+
+
+def test_locally_closed_classification_reads_the_order_once():
+    b = _CountingZ()
+    n = len(b.molecules(47))               # 16 molecules: the subset budget
+    assert len(classify_locally_closed_localizing(b, window=47)) == 2 ** 15 + 1
+    assert n == 16 and b.calls <= n * n
+
+
+class _ReversedZ(IntegerBackend):
+    """Z with its molecules listed generic point last."""
+
+    def molecules(self, window=None):
+        return super().molecules(window)[::-1]
+
+
+def _upward_closed_subsets(backend, window):
+    """Every subset of the molecules, kept iff r <= s, r in it puts s in it."""
+    mols = backend.molecules(window)
+    out = []
+    for mask in range(2 ** len(mols)):
+        chosen = {m for i, m in enumerate(mols) if mask >> i & 1}
+        if all(s in chosen for r in chosen for s in mols
+               if backend.molecule_leq(r, s)):
+            out.append(frozenset(chosen))
+    return out
+
+
+def test_locally_closed_classification_equals_pairwise_definition(
+        corpus_by_name):
+    cases = [(IntegerBackend(), 13), (PolyBackend(QQ), 2),
+             (PolyBackend(GF(3)), 2), (_backend("t3_f2", corpus_by_name), None),
+             (_ReversedZ(), 13)]
+    for backend, window in cases:
+        got = [d.molecule_support
+               for d in classify_locally_closed_localizing(backend, window)]
+        assert got == _upward_closed_subsets(backend, window), backend.label
 
 
 def test_locally_closed_membership(corpus_by_name):

@@ -1,12 +1,22 @@
-"""Time verify_correspondence on a ladder of algebras of growing dimension.
+"""Time the verifier and the classifications on inputs of growing size.
 
 Usage: python tools/ladder.py [OUT.json]      (default BENCH_ladder.json)
 
-Runs ``verify_correspondence(ArtinianBackend(a))`` once per rung, each
-algebra built fresh (its associativity check included in the time):
-T_n(F_2) for n = 2..9, then M_3(F_3) and T_4(Q).  ringspectra is imported
-from the ``src`` directory of the checkout this file sits in, so a copy of
-the file times the checkout it is copied into.  Stdlib only.
+Runs each rung once, in this order:
+
+- ``verify_correspondence(ArtinianBackend(a))`` with each algebra built
+  fresh (its associativity check included in the time): T_n(F_2) for
+  n = 2..9, then M_3(F_3) and T_4(Q);
+- ``verify_correspondence`` on Z with windows 1000..6000 and on Q[x] with
+  windows 150 and 300 (the backend built in the time);
+- ``ringspectra analyze fixtures/z.alg --window N --json TMP`` in-process,
+  for N = 41, 43, 47 (14 to 16 molecules, up to the 2^16 subset budget);
+- ``classify_locally_closed_localizing`` on T_9(F_2), after building the
+  algebra and its primes outside the timed region.
+
+ringspectra is imported from the ``src`` directory of the checkout this
+file sits in, so a copy of the file times the checkout it is copied into.
+Stdlib only.
 
 Once a T_n(F_2) rung takes longer than SKIP_AFTER_S, the higher T_n rungs
 are recorded with ``seconds: null`` instead of being run: verification
@@ -17,6 +27,7 @@ the figures as sizes, not as gates.
 import json
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -24,39 +35,83 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from ringspectra.algebras import matrix_algebra, upper_triangular_algebra  # noqa: E402
+from ringspectra.cli import main as cli_main  # noqa: E402
+from ringspectra.commutative import IntegerBackend, PolyBackend  # noqa: E402
 from ringspectra.linalg import F2, F3, QQ  # noqa: E402
 from ringspectra.spectra import ArtinianBackend, verify_correspondence  # noqa: E402
+from ringspectra.subcats import classify_locally_closed_localizing  # noqa: E402
 
 SKIP_AFTER_S = 300.0
 
-RUNGS = ([(f"T{n}(F2)", upper_triangular_algebra, n, F2) for n in range(2, 10)]
-         + [("M3(F3)", matrix_algebra, 3, F3), ("T4(Q)", upper_triangular_algebra, 4, QQ)])
 
-
-def time_rung(build, n, field):
+def verify_algebra(build, n, field):
     t0 = time.perf_counter()
     a = build(n, field)
     report = verify_correspondence(ArtinianBackend(a))
-    return a.dim, time.perf_counter() - t0, report.passed()
+    return time.perf_counter() - t0, {"dim": a.dim, "passed": report.passed()}
+
+
+def verify_window(backend_cls, args, window):
+    t0 = time.perf_counter()
+    report = verify_correspondence(backend_cls(*args), window)
+    return time.perf_counter() - t0, {"points": len(report.atoms),
+                                      "passed": report.passed()}
+
+
+def analyze_z(window):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "z.json"
+        argv = ["analyze", str(ROOT / "fixtures" / "z.alg"),
+                "--window", str(window), "--json", str(out)]
+        t0 = time.perf_counter()
+        code = cli_main(argv)
+        seconds = time.perf_counter() - t0
+        subcats = json.loads(out.read_text())["subcategories"]
+    return seconds, {"exit": code,
+                     "locally_closed": subcats["locally_closed_localizing_count"]}
+
+
+def classify_algebra(build, n, field):
+    backend = ArtinianBackend(build(n, field))
+    backend.molecules()                     # the primes, outside the timing
+    t0 = time.perf_counter()
+    found = classify_locally_closed_localizing(backend)
+    return time.perf_counter() - t0, {"dim": backend.algebra.dim,
+                                      "locally_closed": len(found)}
+
+
+# (label, run, arguments); labels ending in "(F2)" form the T_n ladder.
+RUNGS = ([(f"T{n}(F2)", verify_algebra, (upper_triangular_algebra, n, F2))
+          for n in range(2, 10)]
+         + [("M3(F3)", verify_algebra, (matrix_algebra, 3, F3)),
+            ("T4(Q)", verify_algebra, (upper_triangular_algebra, 4, QQ))]
+         + [(f"Z window {w}", verify_window, (IntegerBackend, (), w))
+            for w in range(1000, 7000, 1000)]
+         + [(f"Q[x] window {w}", verify_window, (PolyBackend, (QQ,), w))
+            for w in (150, 300)]
+         + [(f"analyze z.alg --window {w}", analyze_z, (w,))
+            for w in (41, 43, 47)]
+         + [("T9(F2) lcl classification", classify_algebra,
+             (upper_triangular_algebra, 9, F2))])
 
 
 def main(argv) -> int:
     out = Path(argv[0]) if argv else ROOT / "BENCH_ladder.json"
     rows = []
     too_slow = False
-    for label, build, n, field in RUNGS:
+    for label, run, args in RUNGS:
         ladder = label.endswith("(F2)")
         if ladder and too_slow:
-            dim = n * (n + 1) // 2
-            rows.append({"input": label, "dim": dim, "seconds": None,
+            n = args[1]
+            rows.append({"input": label, "dim": n * (n + 1) // 2, "seconds": None,
                          "note": f"not run: a lower rung took over {SKIP_AFTER_S:.0f} s"})
-            print(f"{label:8s} dim {dim:3d}  not run", flush=True)
+            print(f"{label:28s} not run", flush=True)
             continue
-        dim, seconds, passed = time_rung(build, n, field)
+        seconds, facts = run(*args)
         too_slow = too_slow or (ladder and seconds > SKIP_AFTER_S)
-        rows.append({"input": label, "dim": dim, "seconds": round(seconds, 3),
-                     "passed": passed})
-        print(f"{label:8s} dim {dim:3d}  {seconds:8.2f} s  passed={passed}", flush=True)
+        rows.append({"input": label, "seconds": round(seconds, 3), **facts})
+        shown = "  ".join(f"{k}={v}" for k, v in facts.items())
+        print(f"{label:28s} {seconds:8.2f} s  {shown}", flush=True)
     doc = {"tool": "tools/ladder.py", "python": platform.python_version(),
            "machine": platform.machine(), "rungs": rows}
     out.write_text(json.dumps(doc, indent=2) + "\n")
