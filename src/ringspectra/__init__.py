@@ -9,9 +9,9 @@ against brute-force oracles.
 
 from .algebras import (BoundQuiver, FiniteDimAlgebra, bound_quiver_algebra,
                        companion_algebra, cyclic_group_algebra, group_algebra,
-                       jacobson_radical, matrix_algebra, opposite_of,
-                       product_algebra, quotient_algebra,
-                       upper_triangular_algebra, wedderburn_blocks)
+                       jacobson_radical, matrix_algebra, product_algebra,
+                       quotient_algebra, upper_triangular_algebra,
+                       wedderburn_blocks)
 from .commutative import (CommutativeSpec, GradedModuleDescriptor,
                           GradedPolyBackend, IntegerBackend, IntModBackend,
                           PolyBackend, PolyQuotBackend, factor_integer,

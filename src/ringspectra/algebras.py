@@ -258,10 +258,6 @@ def algebra_from_structure_constants(field, sc, unit=None, labels=None, name="A"
     return FiniteDimAlgebra(field, sc, unit=unit, labels=labels, name=name)
 
 
-def opposite_of(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
-    return a.opposite()
-
-
 def matrix_algebra(n: int, field, name=None) -> FiniteDimAlgebra:
     """Full matrix algebra with basis the matrix units e_{rc}."""
     d = n * n
@@ -821,7 +817,7 @@ def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
             if comp.dim <= 1:
                 new_components.append(comp)
                 continue
-            pieces = _split_by_operator(a, comp, z, lz)
+            pieces = _split_by_operator(a, comp, lz)
             new_components.extend(pieces)
         components = new_components
 
@@ -923,15 +919,8 @@ def _try_split_rational_component(a, comp, zc):
         if any(m > 1 for _fac, m in factors):
             raise ValidationError("central element acts non-semisimply in a block")
         if len(factors) > 1:
-            pieces = []
-            for fac, _m in factors:
-                op = _eval_poly_matrix(f, fac, restricted)
-                kern = op.left_kernel()
-                vecs = [apply_vec(c, comp.mat) for c in kern.rows]
-                pieces.append(Subspace.from_vectors(f, a.dim, vecs))
-            if sum(p.dim for p in pieces) != comp.dim:
-                raise ValidationError("rational refinement lost dimensions")
-            return pieces
+            return _kernel_pieces(a, comp, restricted,
+                                  [fac for fac, _m in factors])
         if deg == zc.dim:
             return None
     raise CapabilityError(
@@ -951,8 +940,8 @@ def _frobenius_fixed_center_basis(a, center):
     return [apply_vec(c, center.mat) for c in kern.rows]
 
 
-def _split_by_operator(a, comp, z, lz):
-    """Decompose an ideal subspace by the action of a central element z."""
+def _split_by_operator(a, comp, lz):
+    """Decompose an ideal subspace by the action lz of a central element."""
     f = a.field
     restricted = _restrict_operator(f, comp, lz)
     minpoly = _minimal_polynomial(f, restricted)
@@ -963,14 +952,22 @@ def _split_by_operator(a, comp, z, lz):
         return [comp]
     if len(factors) == 1:
         return [comp]
+    return _kernel_pieces(a, comp, restricted, factors)
+
+
+def _kernel_pieces(a, comp, restricted, factors):
+    """comp split into the kernels of fac(restricted), one per factor.
+
+    The factors are coprime, so the pieces must fill comp exactly.
+    """
+    f = a.field
     pieces = []
     for fac in factors:
-        op = _eval_poly_matrix(f, fac, restricted)
-        kern = op.left_kernel()
+        kern = _eval_poly_matrix(f, fac, restricted).left_kernel()
         vecs = [apply_vec(c, comp.mat) for c in kern.rows]
         pieces.append(Subspace.from_vectors(f, a.dim, vecs))
     if sum(p.dim for p in pieces) != comp.dim:
-        raise ValidationError("central splitting lost dimensions")
+        raise ValidationError("block splitting lost dimensions")
     return pieces
 
 

@@ -2,8 +2,10 @@
 
 Reports are JSON with a versioned schema and deterministic key order, so
 identical inputs produce byte-identical output.  Exit codes: 0 success,
-1 failed verification, 2 fixture parse error, 3 capability or budget
-error.
+1 failed verification (an assertion that fails, or a self-check that
+raises ``ValidationError``), 2 fixture parse error, 3 capability or
+budget error.  The Lambda-level sections and checks run where the
+backend declares an ``algebra``.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ import functools
 import json
 import sys
 
-from .errors import BudgetExceeded, CapabilityError
+from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .fixtures import FixtureParseError, load_fixture
 from .goldie import goldie_localizing, validate_quotient_ring
 from .linalg import GF
 from .oracle import Budget, corpus, count_subspaces, enumerate_subspaces
-from .spectra import ArtinianBackend, verify_correspondence
+from .spectra import AssertionRecord, hasse_edges, verify_correspondence
 from .subcats import (artinianization, classify_localizing,
                       classify_locally_closed_localizing,
                       radical_lattice_dot, reduced_part)
@@ -39,6 +41,9 @@ def main(argv=None) -> int:
     except (CapabilityError, BudgetExceeded) as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
+    except ValidationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 @functools.cache
@@ -155,7 +160,7 @@ def cmd_analyze(args) -> int:
             payload["artinianization"] = f"unavailable: {exc}"
     if args.subcats or want_all:
         payload["subcategories"] = _subcat_section(backend, window)
-    if (args.goldie or want_all) and isinstance(backend, ArtinianBackend):
+    if (args.goldie or want_all) and backend.algebra is not None:
         payload["goldie"] = goldie_localizing(backend).as_dict()
         try:
             payload["goldie"]["quotient_ring_validation"] = \
@@ -170,7 +175,7 @@ def cmd_analyze(args) -> int:
                    "prime_object": (backend.is_prime_object(descr)
                                     if not descr.is_zero() else None)}
             for name, descr in loaded.graded_modules.items()}
-    if loaded.modules and isinstance(backend, ArtinianBackend):
+    if loaded.modules:
         payload["modules"] = {
             name: {"ass": sorted(a.label for a in backend.ass_atoms(mod)),
                    "asupp": sorted(a.label for a in backend.asupp(mod)),
@@ -178,14 +183,14 @@ def cmd_analyze(args) -> int:
                    "msupp": sorted(r.label for r in backend.msupp(mod))}
             for name, mod in loaded.modules.items()}
     if args.dot_path:
-        if args.subcats and isinstance(backend, ArtinianBackend):
+        if args.subcats and backend.algebra is not None:
             dot = radical_lattice_dot(backend)
         else:
             dot = render_hasse_dot(report)
         with open(args.dot_path, "w", encoding="utf-8") as fh:
             fh.write(dot)
     _emit(args, payload)
-    return EXIT_OK
+    return EXIT_OK if report.passed() else EXIT_VERIFY_FAILED
 
 
 def _subcat_section(backend, window):
@@ -196,7 +201,7 @@ def _subcat_section(backend, window):
         out["locally_closed_localizing"] = sorted(d.label for d in lcl)
     except (CapabilityError, BudgetExceeded) as exc:
         out["locally_closed_localizing_count"] = f"unavailable: {exc}"
-    if isinstance(backend, ArtinianBackend):
+    if backend.algebra is not None:
         try:
             descriptors, prime_ones, max_proper = classify_localizing(backend)
             out["localizing_count"] = len(descriptors)
@@ -211,97 +216,86 @@ def _subcat_section(backend, window):
 def cmd_verify(args) -> int:
     loaded = _load(args)
     backend = loaded.backend
-    report = verify_correspondence(backend, loaded.window)
-    records = list(report.assertions)
-    extra = []
-    if isinstance(backend, ArtinianBackend):
-        extra.extend(_verify_artinian_extras(backend, loaded, args))
+    records = list(verify_correspondence(backend, loaded.window).assertions)
+    if backend.algebra is not None:
+        records.extend(_verify_algebra_extras(backend, args))
     for name, mod in sorted(loaded.modules.items()):
         ass = backend.ass_atoms(mod)
-        asupp = backend.asupp(mod)
-        extra.append(("module_" + name + "_ass_in_asupp", ass <= asupp,
-                      f"AAss {sorted(a.label for a in ass)}"))
+        records.append(AssertionRecord(
+            "module_" + name + "_ass_in_asupp", ass <= backend.asupp(mod),
+            f"AAss {sorted(a.label for a in ass)}"))
         mass = backend.mass(mod)
-        msupp = backend.msupp(mod)
-        extra.append(("module_" + name + "_mass_in_msupp", mass <= msupp,
-                      f"MAss {sorted(r.label for r in mass)}"))
+        records.append(AssertionRecord(
+            "module_" + name + "_mass_in_msupp", mass <= backend.msupp(mod),
+            f"MAss {sorted(r.label for r in mass)}"))
     for name, descr in sorted(loaded.graded_modules.items()):
-        mass = backend.mass(descr)
-        extra.append(("graded_" + name + "_mass",
-                      True, f"MAss = {sorted(r.label for r in mass)}"))
+        records.append(AssertionRecord(
+            "graded_" + name + "_mass", True,
+            f"MAss = {sorted(r.label for r in backend.mass(descr))}"))
 
-    ok = True
     for rec in records:
         status = "SKIP" if rec.skipped else ("PASS" if rec.passed else "FAIL")
-        ok = ok and (rec.passed or rec.skipped)
         detail = f"  [{rec.detail}]" if rec.detail else ""
         print(f"{status} {rec.name}{detail}")
-    for name, passed, detail in extra:
-        status = "PASS" if passed else "FAIL"
-        ok = ok and passed
-        print(f"{status} {name}  [{detail}]" if detail else f"{status} {name}")
-    total = len(records) + len(extra)
-    print(f"{'pass' if ok else 'FAIL'}: {total} assertions "
+    ok = all(rec.passed or rec.skipped for rec in records)
+    print(f"{'pass' if ok else 'FAIL'}: {len(records)} assertions "
           f"({sum(1 for r in records if r.skipped)} skipped)")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _verify_artinian_extras(backend, loaded, args):
+def _verify_algebra_extras(backend, args):
     out = []
     try:
         red = reduced_part(backend)
-        out.append(("reduced_part_two_routes_agree", True,
-                    f"flags {red.flags}"))
+        out.append(AssertionRecord("reduced_part_two_routes_agree", True,
+                                   f"flags {red.flags}"))
     except (CapabilityError, BudgetExceeded) as exc:
-        out.append(("reduced_part_two_routes_agree", True, f"skipped: {exc}"))
+        out.append(AssertionRecord("reduced_part_two_routes_agree", True,
+                                   f"skipped: {exc}"))
     try:
         gol = goldie_localizing(backend)
-        out.append(("goldie_surviving_in_minimal", gol.surviving_in_minimal,
-                    f"surviving {gol.surviving_atoms}"))
-        out.append(("goldie_artinianization_iff_reduced", True,
-                    f"equal: {gol.goldie_equals_artinianization}"))
+        out.append(AssertionRecord("goldie_surviving_in_minimal",
+                                   gol.surviving_in_minimal,
+                                   f"surviving {gol.surviving_atoms}"))
+        out.append(AssertionRecord("goldie_artinianization_iff_reduced", True,
+                                   f"equal: {gol.goldie_equals_artinianization}"))
         if gol.quotient_ring is not None:
             checked = validate_quotient_ring(
                 backend, samples=100, seed=args.seed)["checked"]
-            out.append(("quotient_ring_clauses_sampled", True,
-                        f"{checked}"))
+            out.append(AssertionRecord("quotient_ring_clauses_sampled", True,
+                                       f"{checked}"))
     except (CapabilityError, BudgetExceeded) as exc:
-        out.append(("goldie_analysis", True, f"skipped: {exc}"))
+        out.append(AssertionRecord("goldie_analysis", True, f"skipped: {exc}"))
     if args.exhaustive and backend.algebra.field.is_finite() \
             and backend.algebra.dim <= 4:
-        out.extend(_exhaustive_checks(backend))
+        out.extend(_exhaustive_checks(backend.algebra))
     return out
 
 
-def _exhaustive_checks(backend):
+def _exhaustive_checks(a):
     from .ideals import TwoSidedIdeal, is_prime
     from .modules import RightModule, is_monoform, is_prime_object
     from .oracle import (brute_is_monoform, brute_is_prime,
                          brute_is_prime_object, brute_singular_subspace,
                          enumerate_two_sided_ideals)
     from .goldie import singular_subspace
-    a = backend.algebra
-    out = []
     lattice = enumerate_two_sided_ideals(a)
-    ok = True
-    for s in lattice:
-        if s.dim == a.dim:
-            continue
-        ideal = TwoSidedIdeal(a, s, validate=False)
-        if is_prime(ideal) != brute_is_prime(ideal, lattice):
-            ok = False
-    out.append(("exhaustive_is_prime_agrees", ok,
-                f"{len(lattice)} ideals checked"))
+    proper = [TwoSidedIdeal(a, s, validate=False)
+              for s in lattice if s.dim != a.dim]
+    ok = all(is_prime(i) == brute_is_prime(i, lattice) for i in proper)
     reg = RightModule.regular(a)
-    out.append(("exhaustive_monoform_agrees",
-                is_monoform(reg) == brute_is_monoform(reg), "regular module"))
-    out.append(("exhaustive_prime_object_agrees",
-                is_prime_object(reg) == brute_is_prime_object(reg),
-                "regular module"))
-    out.append(("exhaustive_singular_agrees",
-                singular_subspace(reg) == brute_singular_subspace(reg),
-                "regular module"))
-    return out
+    return [
+        AssertionRecord("exhaustive_is_prime_agrees", ok,
+                        f"{len(lattice)} ideals checked"),
+        AssertionRecord("exhaustive_monoform_agrees",
+                        is_monoform(reg) == brute_is_monoform(reg),
+                        "regular module"),
+        AssertionRecord("exhaustive_prime_object_agrees",
+                        is_prime_object(reg) == brute_is_prime_object(reg),
+                        "regular module"),
+        AssertionRecord("exhaustive_singular_agrees",
+                        singular_subspace(reg) == brute_singular_subspace(reg),
+                        "regular module")]
 
 
 def cmd_hasse(args) -> int:
@@ -327,10 +321,8 @@ def render_hasse_dot(report) -> str:
         lines.append(f'  {node} [label="{label}", shape=ellipse];')
     for label, node in sorted(mol_ids.items()):
         lines.append(f'  {node} [label="{label}", shape=box];')
-    for lo, hi in _transitive_reduction(report.atom_order):
-        lines.append(f"  {atom_ids[lo]} -> {atom_ids[hi]};")
-    for lo, hi in _transitive_reduction(report.molecule_order):
-        lines.append(f"  {mol_ids[lo]} -> {mol_ids[hi]};")
+    lines.extend(_hasse_lines(report.atom_order, atom_ids))
+    lines.extend(_hasse_lines(report.molecule_order, mol_ids))
     for a_label, m_label in sorted(report.phi_table.items()):
         lines.append(f"  {atom_ids[a_label]} -> {mol_ids[m_label]} "
                      "[style=dashed, constraint=false];")
@@ -341,14 +333,15 @@ def render_hasse_dot(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _transitive_reduction(pairs):
-    pairs = set(pairs)
-    out = []
-    for lo, hi in sorted(pairs):
-        if not any((lo, mid) in pairs and (mid, hi) in pairs
-                   for mid in {p[1] for p in pairs if p[0] == lo}):
-            out.append((lo, hi))
-    return out
+def _hasse_lines(order, ids):
+    """DOT edges of the covering pairs of an order given as label pairs."""
+    labels = sorted(ids)
+    index = {label: i for i, label in enumerate(labels)}
+    up = [[] for _ in labels]
+    for lo, hi in sorted(order):
+        up[index[lo]].append(index[hi])
+    return [f"  {ids[labels[i]]} -> {ids[labels[j]]};"
+            for i, j in hasse_edges(up)]
 
 
 def cmd_oracle(args) -> int:

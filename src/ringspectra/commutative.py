@@ -361,6 +361,7 @@ class CommutativeSpec:
     """
 
     has_noetherian_generator = True
+    algebra = None
     factors = ()
     fraction_field = None
 
@@ -632,6 +633,7 @@ class GradedPolyBackend:
     kind = "graded_poly"
     has_noetherian_generator = False
     complete = False
+    algebra = None
 
     def __init__(self, field):
         self.field = field

@@ -4,7 +4,11 @@ Backends implement the ``SpectrumBackend`` protocol: enumerate (or
 window) atoms and molecules, order predicates, phi and psi, minimality,
 property flags computed along two independent routes, and the
 ring-level answers (reduced part, artinianization, classical quotient
-ring and its sampled clauses).
+ring and its sampled clauses), and ``algebra``, the finite-dimensional
+algebra Lambda when the backend is Mod(Lambda) and ``None`` otherwise.
+The verifier and the CLI read ``algebra`` to decide whether the
+Lambda-level checks and sections (injective envelopes, localizing
+classification, Goldie analysis, modules) apply.
 ``ArtinianBackend`` realizes it for module categories of
 finite-dimensional algebras, where atoms are simple classes (an
 antichain) and molecules are the prime two-sided ideals.  Symbolic
@@ -93,13 +97,16 @@ class SpectrumBackend(Protocol):
     raise ``CapabilityError`` where they are out of scope;
     ``check_quotient_ring`` runs the classical quotient ring's clauses on
     sampled elements, raises ``ValidationError`` on the first that fails,
-    and returns how many checks of each clause ran.
+    and returns how many checks of each clause ran.  ``algebra`` is the
+    finite-dimensional algebra Lambda of a backend that is Mod(Lambda),
+    and ``None`` on every other backend.
     """
 
     kind: str
     label: str
     complete: bool
     has_noetherian_generator: bool
+    algebra: FiniteDimAlgebra | None
 
     def atoms(self, window=None) -> list[Atom]: ...
 
@@ -512,8 +519,8 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
             "skipped: flags undefined without a noetherian generator",
             skipped=True)
 
-    # Injective-envelope facts on artinian backends with realized simples.
-    if isinstance(backend, ArtinianBackend):
+    # Injective-envelope facts on Mod(Lambda) with realized simples.
+    if backend.algebra is not None:
         records.extend(_artinian_envelope_assertions(backend, phi_table,
                                                       psi_table))
 
@@ -537,6 +544,18 @@ def up_sets(elements, leq) -> list[list[int]]:
     order check runs on the result.
     """
     return [[j for j, y in enumerate(elements) if leq(x, y)] for x in elements]
+
+
+def hasse_edges(up) -> list[tuple[int, int]]:
+    """The covering pairs (i, j) of the order with up-sets ``up``.
+
+    (i, j) covers when j lies in up[i], j != i, and no third k in up[i]
+    has j in up[k].  Pairs come in the order of i, then of j within
+    up[i], so a caller that lists its elements sorted gets sorted edges.
+    """
+    above = [set(u) for u in up]
+    return [(i, j) for i, u in enumerate(up) for j in u
+            if j != i and not any(k not in (i, j) and j in above[k] for k in u)]
 
 
 def _strict_pairs(elements, up) -> list:

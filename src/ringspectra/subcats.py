@@ -24,7 +24,8 @@ from .ideals import (TwoSidedIdeal, ideal_product, intersect_primes,
 from .linalg import Subspace
 from .modules import RightModule
 from .spectra import (ArtinianBackend, ArtinianizationDescriptor,
-                      ReducedPartResult, SpectrumBackend, up_sets)
+                      ReducedPartResult, SpectrumBackend, hasse_edges,
+                      up_sets)
 
 
 @dataclass
@@ -278,19 +279,11 @@ def radical_lattice_dot(backend: ArtinianBackend) -> str:
     """DOT Hasse diagram of the radical-ideal closed subcategory lattice."""
     descs = sorted(radical_closed_descriptors(backend),
                    key=lambda d: (d.ideal.dim, d.ideal.space.mat.rows))
-    names = {}
     lines = ["digraph closed_subcats {", "  rankdir=BT;"]
-    for i, d in enumerate(descs):
-        names[d.ideal.space] = f"c{i}"
-        lines.append(f'  c{i} [label="{d.label}", shape=box];')
-    pairs = [(x, y) for x in descs for y in descs
-             if x.ideal.space != y.ideal.space and x.leq(y)]
-    pair_set = {(x.ideal.space, y.ideal.space) for x, y in pairs}
-    for x, y in pairs:
-        if not any((x.ideal.space, z.ideal.space) in pair_set
-                   and (z.ideal.space, y.ideal.space) in pair_set
-                   for z in descs):
-            lines.append(f"  {names[x.ideal.space]} -> {names[y.ideal.space]};")
+    lines.extend(f'  c{i} [label="{d.label}", shape=box];'
+                 for i, d in enumerate(descs))
+    up = up_sets(descs, ClosedSubcatDescriptor.leq)
+    lines.extend(f"  c{i} -> c{j};" for i, j in hasse_edges(up))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

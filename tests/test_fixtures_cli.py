@@ -272,6 +272,42 @@ def test_cli_verify_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "FAIL injected_failure" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["verify"], ["analyze", "--radical"]])
+def test_cli_raised_self_check_exit_code(tmp_path, monkeypatch, capsys,
+                                         command):
+    """A self-check that raises ValidationError exits 1, not a traceback."""
+    from ringspectra.errors import ValidationError
+    from ringspectra.spectra import ArtinianBackend
+
+    def disagreeing(self):
+        raise ValidationError("the two routes disagree")
+
+    monkeypatch.setattr(ArtinianBackend, "reduced_part", disagreeing)
+    path = _write(tmp_path, "t2.alg", T2_FIXTURE)
+    assert cli_main([command[0], path, *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err == "verification failed: the two routes disagree\n"
+
+
+def test_cli_analyze_failed_report_exit_code(tmp_path, monkeypatch, capsys):
+    """analyze still prints the refuted report, and exits 1 on it."""
+    from ringspectra.spectra import ArtinianBackend
+
+    real = ArtinianBackend.phi
+
+    def shifted(self, a):
+        mols = self.molecules()
+        return mols[(mols.index(real(self, a)) + 1) % len(mols)]
+
+    monkeypatch.setattr(ArtinianBackend, "phi", shifted)
+    path = _write(tmp_path, "t2.alg", T2_FIXTURE)
+    assert cli_main(["analyze", path, "--phi-psi"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["phi"] == {"S1": "P2", "S2": "P1"}
+    assert cli_main(["verify", path]) == 1
+    assert "FAIL phi_psi_identity" in capsys.readouterr().out
+
+
 def test_cli_verify_module_sections(tmp_path, capsys):
     path = _write(tmp_path, "m.alg", MODULE_FIXTURE)
     assert cli_main(["verify", path]) == 0

@@ -1,8 +1,9 @@
-"""Golden outputs: `analyze` on every shipped fixture and the symbolic backends.
+"""Golden outputs: the CLI on every shipped fixture and the symbolic backends.
 
 The expected files under ``tests/golden/`` pin the exact bytes the CLI
-prints and the exact reports the public API returns, so a refactor that
-must not change behavior is checked against them.  After a deliberate
+prints (``analyze``, ``verify``, ``hasse``) and writes (the ``--dot``
+diagrams), and the exact reports the public API returns, so a refactor
+that must not change behavior is checked against them.  After a deliberate
 change of output, rewrite them with ``PYTHONPATH=src python
 tests/test_golden.py`` and review the diff.
 """
@@ -10,6 +11,7 @@ tests/test_golden.py`` and review the diff.
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted((ROOT / "fixtures").glob("*.alg"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 VARIANTS = {"default": [], "atoms": ["--atoms"], "window13": ["--window", "13"]}
+COMMANDS = {"verify": ["verify"], "verify_exhaustive": ["verify", "--exhaustive"],
+            "hasse": ["hasse"]}
+DOTS = {"analyze": [], "subcats": ["--subcats"]}
 
 SYMBOLIC = {
     "z_w60": (IntegerBackend, (), 60),
@@ -42,12 +47,30 @@ SYMBOLIC = {
 }
 
 
-def analyze_output(fixture: Path, variant: str) -> str:
-    """`exit: N` on the first line, then the exact stdout of `analyze`."""
+def _run(argv) -> str:
+    """`exit: N` on the first line, then the exact stdout of the CLI."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli_main(["analyze", str(fixture), *VARIANTS[variant]])
+        code = cli_main(argv)
     return f"exit: {code}\n{out.getvalue()}"
+
+
+def analyze_output(fixture: Path, variant: str) -> str:
+    return _run(["analyze", str(fixture), *VARIANTS[variant]])
+
+
+def command_output(fixture: Path, command: str) -> str:
+    return _run([COMMANDS[command][0], str(fixture), *COMMANDS[command][1:]])
+
+
+def dot_output(fixture: Path, variant: str) -> str:
+    """The file `analyze --dot` writes, with the variant's flags."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.dot"
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(["analyze", str(fixture), *DOTS[variant],
+                      "--dot", str(path)])
+        return path.read_text(encoding="utf-8")
 
 
 def _or_unavailable(fn):
@@ -84,6 +107,14 @@ def _analyze_golden(fixture, variant):
     return GOLDEN / "analyze" / f"{fixture.stem}.{variant}.txt"
 
 
+def _command_golden(fixture, command):
+    return GOLDEN / "cli" / f"{fixture.stem}.{command}.txt"
+
+
+def _dot_golden(fixture, variant):
+    return GOLDEN / "dot" / f"{fixture.stem}.{variant}.dot"
+
+
 def _symbolic_golden(name):
     return GOLDEN / "symbolic" / f"{name}.json"
 
@@ -95,6 +126,20 @@ def test_analyze_matches_golden(fixture, variant):
     assert analyze_output(fixture, variant) == expected
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
+def test_command_matches_golden(fixture, command):
+    expected = _command_golden(fixture, command).read_text(encoding="utf-8")
+    assert command_output(fixture, command) == expected
+
+
+@pytest.mark.parametrize("variant", sorted(DOTS))
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
+def test_dot_matches_golden(fixture, variant):
+    expected = _dot_golden(fixture, variant).read_text(encoding="utf-8")
+    assert dot_output(fixture, variant) == expected
+
+
 @pytest.mark.parametrize("name", sorted(SYMBOLIC))
 def test_symbolic_backend_matches_golden(name):
     expected = _symbolic_golden(name).read_text(encoding="utf-8")
@@ -103,10 +148,13 @@ def test_symbolic_backend_matches_golden(name):
 
 if __name__ == "__main__":
     for fixture in FIXTURES:
-        for variant in VARIANTS:
-            path = _analyze_golden(fixture, variant)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(analyze_output(fixture, variant), encoding="utf-8")
+        for variants, golden, output in ((VARIANTS, _analyze_golden, analyze_output),
+                                         (COMMANDS, _command_golden, command_output),
+                                         (DOTS, _dot_golden, dot_output)):
+            for variant in variants:
+                path = golden(fixture, variant)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(output(fixture, variant), encoding="utf-8")
     for name in SYMBOLIC:
         path = _symbolic_golden(name)
         path.parent.mkdir(parents=True, exist_ok=True)

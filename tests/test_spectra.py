@@ -268,6 +268,9 @@ def test_every_backend_satisfies_the_protocol(corpus_by_name):
                 PolyQuotBackend(F2, [0, 0, 1, 1]), GradedPolyBackend(F2)]
     for b in backends:
         assert isinstance(b, SpectrumBackend), b.kind
+    # Only Mod(Lambda) declares its algebra Lambda.
+    assert backends[0].algebra is corpus_by_name["t2_f2"]
+    assert all(b.algebra is None for b in backends[1:])
     with pytest.raises(CapabilityError):            # no noetherian generator
         backends[-1].atomic_flags()
 
