@@ -20,7 +20,8 @@ Each algebra carries one ``AlgebraStructure``, created on first use, that
 holds what is computed about it once: the radical, the semisimple quotient
 ``(a/J, projection, section)`` (``(a, None, None)`` when J = 0), the
 Wedderburn blocks, the simple modules, the primitive idempotents, the
-minimal primes and the opposite algebra.  The radical's self-check builds
+minimal primes, the opposite algebra and, on a Wedderburn block, the
+minimal right ideal found for it.  The radical's self-check builds
 the quotient and proves its radical zero, so the quotient is stored with
 that zero radical recorded.  ``opposite()`` is built once and paired, so
 ``a.opposite().opposite() is a``; the pair shares one radical, since
@@ -48,9 +49,13 @@ class AlgebraStructure:
 
     ``mirror`` marks an algebra built by ``opposite()``: its radical and
     semisimple quotient are read off the algebra it is the opposite of.
+    ``minimal_right_ideal`` holds the outcome of a simple block's one
+    search (``modules.minimal_right_ideal``): the subspace, or the
+    ``CapabilityError`` the search raised.
     """
     radical = quotient = blocks = simples = None
     primitive_idempotents = minimal_primes = opposite = None
+    minimal_right_ideal = None
     mirror = False
 
 
@@ -258,25 +263,9 @@ def algebra_from_structure_constants(field, sc, unit=None, labels=None, name="A"
     return FiniteDimAlgebra(field, sc, unit=unit, labels=labels, name=name)
 
 
-def matrix_algebra(n: int, field, name=None) -> FiniteDimAlgebra:
-    """Full matrix algebra with basis the matrix units e_{rc}."""
-    d = n * n
-    idx = {(r, c): r * n + c for r in range(n) for c in range(n)}
-    zero = zero_vec(field, d)
-    sc = [[list(zero) for _ in range(d)] for _ in range(d)]
-    for (r1, c1), i in idx.items():
-        for (r2, c2), j in idx.items():
-            if c1 == r2:
-                sc[i][j][idx[(r1, c2)]] = field.one
-    labels = [f"e{r + 1}{c + 1}" for r in range(n) for c in range(n)]
-    unit = [field.one if r == c else field.zero
-            for r in range(n) for c in range(n)]
-    return FiniteDimAlgebra(field, sc, unit=unit, labels=labels,
-                            name=name or f"M{n}({field_name(field)})")
-
-
-def upper_triangular_algebra(n: int, field, name=None) -> FiniteDimAlgebra:
-    pairs = [(r, c) for r in range(n) for c in range(r, n)]
+def _matrix_unit_algebra(field, pairs, name) -> FiniteDimAlgebra:
+    """The span of the matrix units e_{rc}, (r, c) in pairs, in that order;
+    pairs must be closed under e_{rc} e_{cs} = e_{rs} and hold every e_{rr}."""
     idx = {p: i for i, p in enumerate(pairs)}
     d = len(pairs)
     zero = zero_vec(field, d)
@@ -287,8 +276,18 @@ def upper_triangular_algebra(n: int, field, name=None) -> FiniteDimAlgebra:
                 sc[i][j][idx[(r1, c2)]] = field.one
     labels = [f"e{r + 1}{c + 1}" for r, c in pairs]
     unit = [field.one if r == c else field.zero for r, c in pairs]
-    return FiniteDimAlgebra(field, sc, unit=unit, labels=labels,
-                            name=name or f"T{n}({field_name(field)})")
+    return FiniteDimAlgebra(field, sc, unit=unit, labels=labels, name=name)
+
+
+def matrix_algebra(n: int, field, name=None) -> FiniteDimAlgebra:
+    """Full matrix algebra with basis the matrix units e_{rc}."""
+    return _matrix_unit_algebra(field, [(r, c) for r in range(n) for c in range(n)],
+                                name or f"M{n}({field_name(field)})")
+
+
+def upper_triangular_algebra(n: int, field, name=None) -> FiniteDimAlgebra:
+    return _matrix_unit_algebra(field, [(r, c) for r in range(n) for c in range(r, n)],
+                                name or f"T{n}({field_name(field)})")
 
 
 def check_group_table(table: Sequence[Sequence[int]]):
@@ -787,11 +786,14 @@ def is_semisimple(a: FiniteDimAlgebra) -> bool:
 
 @dataclass
 class WedderburnBlock:
+    """One simple block B of a semisimple algebra.
+
+    What is computed about B itself, such as the minimal right ideal that
+    ``modules`` searches once per block, is kept on ``algebra.structure``.
+    """
     algebra: FiniteDimAlgebra      # the block with its own unit
     idempotent: tuple              # central idempotent in the parent
     space: Subspace                # the block as a subspace of the parent
-    split: bool | None             # True: matrix algebra over the base field
-    division_degree: int | None    # dim over base field of End of the simple
 
 
 def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
@@ -851,9 +853,8 @@ def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
             raise ValidationError("component projection of 1 is not idempotent")
         if not center.contains_vector(e):
             raise ValidationError("block idempotent is not central")
-        block_alg, incl = _subalgebra_on(a, comp, e, name=f"{a.name}.B{bi + 1}")
-        split, divdeg = _block_division_data(block_alg)
-        out.append(WedderburnBlock(block_alg, e, comp, split, divdeg))
+        out.append(WedderburnBlock(
+            _subalgebra_on(a, comp, e, name=f"{a.name}.B{bi + 1}"), e, comp))
 
     total = sum(b.algebra.dim for b in out)
     if total != a.dim:
@@ -942,17 +943,17 @@ def _frobenius_fixed_center_basis(a, center):
 
 def _split_by_operator(a, comp, lz):
     """Decompose an ideal subspace by the action lz of a central element."""
+    from .commutative import factor_polynomial
     f = a.field
     restricted = _restrict_operator(f, comp, lz)
-    minpoly = _minimal_polynomial(f, restricted)
     try:
-        factors = _factor_for_splitting(f, minpoly)
+        factors = factor_polynomial(f, _minimal_polynomial(f, restricted))
     except CapabilityError:
         # Undecidable factorization: defer to the rational refinement pass.
         return [comp]
     if len(factors) == 1:
         return [comp]
-    return _kernel_pieces(a, comp, restricted, factors)
+    return _kernel_pieces(a, comp, restricted, [fac for fac, _m in factors])
 
 
 def _kernel_pieces(a, comp, restricted, factors):
@@ -1010,17 +1011,6 @@ def _eval_poly_matrix(f, poly, m: Matrix) -> Matrix:
     return acc
 
 
-def _factor_for_splitting(f, poly):
-    """Factor a squarefree polynomial for block splitting.
-
-    Finite fields: roots only (the fixed-center splitters have min polys
-    dividing x^q - x, which splits into distinct linear factors).  Over Q,
-    desk-scale factorization; irreducibility failures raise CapabilityError.
-    """
-    from .commutative import factor_polynomial
-    return [fac for fac, _mult in factor_polynomial(f, poly)]
-
-
 def _subalgebra_on(a, comp: Subspace, unit_elem, name):
     f = a.field
     d = comp.dim
@@ -1037,25 +1027,4 @@ def _subalgebra_on(a, comp: Subspace, unit_elem, name):
         sc.append(plane)
     unit_coords = comp.coords_of(unit_elem)
     labels = [f"c{i}" for i in range(d)]
-    alg = FiniteDimAlgebra(f, sc, unit=unit_coords, labels=labels, name=name)
-    incl = Matrix(f, basis, a.dim)
-    return alg, incl
-
-
-def _block_division_data(block: FiniteDimAlgebra):
-    """(split?, division degree) for a simple block; None when undecided."""
-    if block.is_commutative():
-        return (block.dim == 1, block.dim)
-    from .modules import minimal_right_ideal_module, hom_basis
-    try:
-        simple = minimal_right_ideal_module(block)
-    except CapabilityError:
-        return (None, None)
-    if simple is None:
-        return (None, None)
-    e = len(hom_basis(simple, simple))
-    if e == 1:
-        return (True, 1)
-    if block.field.is_finite():
-        return (False, e)
-    return (None, e)
+    return FiniteDimAlgebra(f, sc, unit=unit_coords, labels=labels, name=name)

@@ -161,9 +161,7 @@ def is_irreducible(field, poly) -> bool:
 
 def _rational_root_candidates(poly):
     """Rational root candidates of an integer-normalized polynomial."""
-    denom_lcm = 1
-    for c in poly:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in poly))
     ints = [int(c * denom_lcm) for c in poly]
     while ints and ints[0] == 0:
         ints = ints[1:]
@@ -178,12 +176,6 @@ def _rational_root_candidates(poly):
             cands.add(Fraction(p, q))
             cands.add(Fraction(-p, q))
     return sorted(cands)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

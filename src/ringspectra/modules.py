@@ -7,7 +7,9 @@ carried canonically (rref bases), so equal submodules are identical.
 The structural layers: socle and radical series, Jordan-Hoelder factors
 counted through block idempotents, simple modules realized as certified
 minimal right ideals of the semisimple quotient's blocks, injective
-envelopes as duals of projective covers over the opposite algebra.
+envelopes as duals of projective covers over the opposite algebra.  Each
+block's minimal right ideal is searched once (``minimal_right_ideal``);
+the simple module and the primitive idempotent of the block both read it.
 
 Object-level predicates (monoform, compressible, prime) use the
 finite-length criteria recorded in ``docs/derivations.md``; the raw
@@ -261,30 +263,47 @@ class SimpleClass:
         return self.module
 
 
-def minimal_right_ideal_module(block: FiniteDimAlgebra) -> RightModule | None:
-    """A certified-simple right ideal of a simple block, or None.
+def minimal_right_ideal(block: FiniteDimAlgebra) -> Subspace:
+    """A minimal right ideal of a simple block, searched once per block.
 
-    Finite fields: shrink by exhaustive generation; the fixed point, where
-    every nonzero vector generates, is simple by definition.  Over Q:
-    commutative blocks are fields (the regular module is simple); otherwise
-    kernels of polynomials in central-ish left multiplications are right
-    submodules, and a candidate with one-dimensional endomorphism ring is
-    certified simple.
+    The outcome, the subspace or the ``CapabilityError`` the search
+    raised, is kept on ``block.structure``, and every later call returns
+    or raises it again.
     """
-    reg = RightModule.regular(block)
-    if block.dim == 1 or block.is_commutative():
-        return reg
+    st = block.structure
+    if st.minimal_right_ideal is None:
+        try:
+            st.minimal_right_ideal = _minimal_right_ideal_space(block)
+        except CapabilityError as exc:
+            st.minimal_right_ideal = exc
+    if isinstance(st.minimal_right_ideal, CapabilityError):
+        raise st.minimal_right_ideal
+    return st.minimal_right_ideal
+
+
+def _block_simple(block: FiniteDimAlgebra):
+    """(S, dim End(S)) for the simple right module S of a simple block, or
+    None when S is not certified.
+
+    S is the block's minimal right ideal.  Over F_p the search certifies
+    it; over Q a commutative block is a field, and otherwise the candidate
+    is certified simple when its endomorphism ring is one-dimensional.
+    """
     try:
-        space = _minimal_right_ideal_space(block, reg)
+        space = minimal_right_ideal(block)
     except CapabilityError:
         return None
-    sub, _ = reg.submodule(space, name=f"{block.name}.S")
-    if block.field.is_finite() or len(hom_basis(sub, sub)) == 1:
-        return sub
+    reg = RightModule.regular(block)
+    # The search returns all of B only for a commutative block, a field.
+    is_field = space.dim == block.dim
+    simple = reg if is_field else reg.submodule(space, name=f"{block.name}.S")[0]
+    end = len(hom_basis(simple, simple))
+    if block.field.is_finite() or is_field or end == 1:
+        return simple, end
     return None
 
 
-def _rational_right_submodule_candidates(block, reg):
+def _rational_right_submodule_candidates(block):
     """Right submodules of the regular module from kernels of f(L_z)."""
     from .commutative import factor_polynomial
     from .algebras import _minimal_polynomial, _eval_poly_matrix
@@ -315,17 +334,23 @@ def _rational_right_submodule_candidates(block, reg):
 
 
 def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
-    """Complete irredundant list; one class per Wedderburn block of a/J."""
+    """Complete irredundant list; one class per Wedderburn block of a/J.
+
+    The simple of block B is B's simple module, on which a acts through
+    a -> a/J -> B.  So End_a(S) = End_B(S) (docs/derivations.md), and the
+    End computed over B both certifies S over Q and gives ``end_dim``.
+    """
     if a.structure.simples is not None:
         return a.structure.simples
     quot, proj, _sec = semisimple_quotient(a)
     out = []
     for t, blk in enumerate(wedderburn_blocks(quot)):
-        simple_over_block = minimal_right_ideal_module(blk.algebra)
+        found = _block_simple(blk.algebra)
         label = f"S{t + 1}"
-        if simple_over_block is None:
-            out.append(SimpleClass(label, t, None, blk.division_degree, None))
+        if found is None:
+            out.append(SimpleClass(label, t, None, None, None))
             continue
+        simple_over_block, end = found
         mats = []
         for i in range(a.dim):
             z = a.basis_coords(i) if proj is None else proj(a.basis_coords(i))
@@ -333,7 +358,6 @@ def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
             coords = blk.space.coords_of(zt)
             mats.append(simple_over_block.act_matrix(coords))
         mod = RightModule(a, mats, name=label, validate=False)
-        end = len(hom_basis(mod, mod))
         out.append(SimpleClass(label, t, mod, end, mod.dim))
     a.structure.simples = out
     return out
@@ -538,7 +562,7 @@ def primitive_idempotents(a: FiniteDimAlgebra) -> list[PrimitiveIdempotentData]:
     reg = RightModule.regular(a)
     out = []
     for t, blk in enumerate(wedderburn_blocks(quot)):
-        ebar = _idempotent_in_minimal_right_ideal(blk)
+        ebar = _idempotent_in_minimal_right_ideal(blk.algebra)
         if ebar is None:
             raise CapabilityError(
                 f"block {t}: no primitive idempotent at desk scale (non-split over Q)")
@@ -553,16 +577,15 @@ def primitive_idempotents(a: FiniteDimAlgebra) -> list[PrimitiveIdempotentData]:
     return out
 
 
-def _idempotent_in_minimal_right_ideal(blk):
+def _idempotent_in_minimal_right_ideal(block):
     """Idempotent generating a minimal right ideal of a simple block.
 
     For a minimal right ideal W with wW = W, the solution e in W of
     w e = w is idempotent: w(e^2 - e) = 0 and the left-annihilator of w
     inside W is a proper right subideal, hence zero.
     """
-    block = blk.algebra
     try:
-        space = _minimal_right_ideal_space(block, RightModule.regular(block))
+        space = minimal_right_ideal(block)
     except CapabilityError:
         return None
     f = block.field
@@ -582,32 +605,31 @@ def _idempotent_in_minimal_right_ideal(blk):
     raise ValidationError("no idempotent found in a minimal right ideal")
 
 
-def _minimal_right_ideal_space(block, reg) -> Subspace:
+def _minimal_right_ideal_space(block) -> Subspace:
     """A minimal right ideal of a simple block; certified only over F_p.
 
-    Finite fields: shrink by exhaustive generation to the fixed point,
-    where every nonzero vector generates.  Over Q: the smallest proper
-    candidate kernel, which callers still have to certify simple.
+    Finite fields: shrink to the first right ideal generated by a vector
+    of the current one that is smaller, until every nonzero vector
+    generates it all.  The vectors are walked lazily in the order of
+    ``Subspace.vectors``.  Over Q: the smallest proper candidate kernel,
+    which callers still have to certify simple.
     """
     f = block.field
     if block.dim == 1 or block.is_commutative():
         return Subspace.full(f, block.dim)
     if f.is_finite():
+        ops = block.right_mult_matrices()
         space = Subspace.full(f, block.dim)
-        shrunk = True
-        while shrunk:
-            shrunk = False
-            for v in space.vectors():
-                if vec_is_zero(f, v):
-                    continue
-                gen = reg.spin_submodule([v])
-                if gen.dim < space.dim:
-                    space = gen
-                    shrunk = True
-                    break
-        return space
+        while True:
+            gens = (spin(f, block.dim, [apply_vec(c, space.mat)], ops)
+                    for c in itertools.product(f.elements(), repeat=space.dim)
+                    if any(c))
+            smaller = next((g for g in gens if g.dim < space.dim), None)
+            if smaller is None:
+                return space
+            space = smaller
     best = None
-    for s in _rational_right_submodule_candidates(block, reg):
+    for s in _rational_right_submodule_candidates(block):
         if 0 < s.dim < block.dim and (best is None or s.dim < best.dim):
             best = s
     if best is None:

@@ -154,7 +154,10 @@ class LocalizingSubcatDescriptor:
         return self.atom_support <= other.atom_support
 
 
-def classify_localizing(backend: ArtinianBackend, max_atoms: int = 8):
+LOCALIZING_MAX_ATOMS = 8   # atoms whose 2^n subsets classify_localizing lists
+
+
+def classify_localizing(backend: ArtinianBackend):
     """All localizing subcategories: every subset of the (discrete) ASpec.
 
     Returns (descriptors, prime_ones, maximal_proper_ones).  Prime
@@ -162,9 +165,9 @@ def classify_localizing(backend: ArtinianBackend, max_atoms: int = 8):
     maximal proper ones correspond to minimal atoms.
     """
     atoms = backend.atoms()
-    if len(atoms) > max_atoms:
+    if len(atoms) > LOCALIZING_MAX_ATOMS:
         raise BudgetExceeded("localizing classification", 2 ** len(atoms),
-                             2 ** max_atoms)
+                             2 ** LOCALIZING_MAX_ATOMS)
     universe = frozenset(atoms)
     descriptors = []
     for mask in range(2 ** len(atoms)):

@@ -33,6 +33,27 @@ def test_matrix_algebra_f3():
     assert a.mul(e21, e12) == a.basis_coords(3)
 
 
+@pytest.mark.parametrize("field", [F2, F3, QQ])
+def test_matrix_unit_algebras_in_full(field):
+    """Every constant, the unit, the labels and the names of M_n and T_n."""
+    for n in range(1, 4):
+        full = [(r, c) for r in range(n) for c in range(n)]
+        for build, pairs, name in [
+                (matrix_algebra, full, f"M{n}"),
+                (upper_triangular_algebra, [(r, c) for r, c in full if r <= c], f"T{n}")]:
+            a = build(n, field)
+            assert a.name == f"{name}({'Q' if field is QQ else f'F{field.p}'})"
+            assert build(n, field, name="X").name == "X"
+            assert a.labels == tuple(f"e{r + 1}{c + 1}" for r, c in pairs)
+            assert a.unit == tuple(field.one if r == c else field.zero
+                                   for r, c in pairs)
+            for i, (r1, c1) in enumerate(pairs):
+                for j, (r2, c2) in enumerate(pairs):
+                    want = a.basis_coords(pairs.index((r1, c2))) if c1 == r2 \
+                        else a.zero_coords()
+                    assert a.sc[i][j] == want, (a.name, i, j)
+
+
 def test_cycle_quiver_with_zero_relations():
     q = BoundQuiver(2, (("a", 0, 1), ("b", 1, 0)),
                     (((1, (0, 1)),), ((1, (1, 0)),)), 4)

@@ -2,17 +2,21 @@
 
 import pytest
 
-from ringspectra.algebras import (companion_algebra, matrix_algebra,
-                                  upper_triangular_algebra)
+from ringspectra.algebras import (FiniteDimAlgebra, companion_algebra,
+                                  cyclic_group_algebra, matrix_algebra,
+                                  product_algebra, upper_triangular_algebra,
+                                  wedderburn_blocks)
 from ringspectra.errors import CapabilityError, ValidationError
-from ringspectra.linalg import F2, F3, QQ, Matrix
-from ringspectra.modules import (RightModule, are_isomorphic,
-                                 composition_factors, hom_basis, hom_dim,
+from ringspectra.linalg import F2, F3, QQ, Matrix, Subspace
+from ringspectra.modules import (RightModule, _minimal_right_ideal_space,
+                                 are_isomorphic, composition_factors,
+                                 hom_basis, hom_dim,
                                  injective_envelope, is_compressible,
                                  is_monoform, is_prime_object,
                                  is_simple_module, module_length,
                                  monoform_submodule, prime_submodule,
-                                 projective_cover, simple_modules)
+                                 primitive_idempotents, projective_cover,
+                                 simple_modules)
 from ringspectra.oracle import (brute_is_compressible, brute_is_monoform,
                                 brute_is_prime_object, enumerate_submodules,
                                 standard_modules)
@@ -314,3 +318,101 @@ def test_monoform_respects_budget():
     e, _ = injective_envelope(simple_modules(a)[0].module)
     with pytest.raises(BudgetExceeded):
         is_monoform(e, budget=Budget(max_count=1))
+
+
+# -- one minimal right ideal per block -------------------------------------------
+
+def _exhaustive_shrink(block):
+    """The reference search: list every vector of the current right ideal,
+    then spin them in that order until one generates a smaller one."""
+    f = block.field
+    reg = RightModule.regular(block)
+    space = Subspace.full(f, block.dim)
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for v in space.vectors():
+            if any(v):
+                gen = reg.spin_submodule([v])
+                if gen.dim < space.dim:
+                    space, shrunk = gen, True
+                    break
+    return space
+
+
+def test_lazy_shrink_matches_the_exhaustive_shrink():
+    import random
+    from test_algebras import _in_random_basis
+    inputs = [matrix_algebra(2, F2), matrix_algebra(2, F3), matrix_algebra(3, F2),
+              product_algebra(matrix_algebra(2, F2), matrix_algebra(1, F2)),
+              _in_random_basis(matrix_algebra(2, F3), random.Random(9))]
+    for a in inputs:
+        for b in [a] + [blk.algebra for blk in wedderburn_blocks(a)]:
+            if b.is_commutative():
+                continue
+            assert _minimal_right_ideal_space(b) == _exhaustive_shrink(b), b.name
+
+
+@pytest.mark.parametrize("field", [F3, QQ])
+def test_one_minimal_right_ideal_search_per_block(monkeypatch, field):
+    """M_2(k) has one block, and so has its opposite: two searches."""
+    from ringspectra import modules
+    from ringspectra.spectra import ArtinianBackend, verify_correspondence
+    calls = []
+    search = modules._minimal_right_ideal_space
+
+    def counted(block, *rest):
+        calls.append(block.name)
+        return search(block, *rest)
+
+    monkeypatch.setattr(modules, "_minimal_right_ideal_space", counted)
+    report = verify_correspondence(ArtinianBackend(matrix_algebra(2, field)))
+    assert report.passed()
+    assert len(calls) <= 2 and len(set(calls)) == len(calls), calls
+
+
+@pytest.mark.parametrize("build, field, end_dims", [
+    (cyclic_group_algebra, F2, [1, 2]),     # F_2 x F_4
+    (matrix_algebra, F3, [1]),
+    (cyclic_group_algebra, QQ, [1, 2]),     # Q x Q(omega)
+    (matrix_algebra, QQ, [1]),
+])
+def test_end_dim_is_the_dimension_of_end(build, field, end_dims):
+    simples = simple_modules(build(field, 3) if build is cyclic_group_algebra
+                             else build(2, field))
+    assert sorted(s.end_dim for s in simples) == end_dims
+    for s in simples:
+        assert s.end_dim == len(hom_basis(s.module, s.module)), s.label
+
+
+def _rational_quaternions():
+    """(-1, -1)_Q on 1, i, j, k: a division algebra, so no proper right ideal."""
+    table = {(1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
+             (1, 2): (1, 3), (2, 1): (-1, 3), (2, 3): (1, 1),
+             (3, 2): (-1, 1), (3, 1): (1, 2), (1, 3): (-1, 2)}
+    sc = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        sc[0][i][i] = sc[i][0][i] = 1
+    for (i, j), (c, k) in table.items():
+        sc[i][j][k] = c
+    return FiniteDimAlgebra(QQ, sc, labels=["1", "i", "j", "k"], name="H(Q)")
+
+
+def test_unresolved_block_over_q_is_searched_once_and_refused(monkeypatch):
+    from ringspectra import modules
+    calls = []
+    search = modules._minimal_right_ideal_space
+
+    def counted(block, *rest):
+        calls.append(block.name)
+        return search(block, *rest)
+
+    monkeypatch.setattr(modules, "_minimal_right_ideal_space", counted)
+    h = _rational_quaternions()
+    [s] = simple_modules(h)
+    assert (s.module, s.end_dim, s.dim) == (None, None, None)
+    with pytest.raises(CapabilityError, match="division part unresolved"):
+        s.require_module()
+    with pytest.raises(CapabilityError, match=r"block 0: no primitive idempotent"):
+        primitive_idempotents(h)
+    assert calls == ["H(Q).B1"]

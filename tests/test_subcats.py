@@ -173,6 +173,21 @@ def test_classify_localizing_counts(corpus_by_name):
         assert len(maxp) == len(b.minimal_atoms()), name
 
 
+def test_classify_localizing_refuses_more_than_eight_atoms():
+    """Q^9 as Q[x]/((x)(x-1)...(x-8)): nine atoms, 512 subsets."""
+    from ringspectra.algebras import companion_algebra
+    from ringspectra.errors import BudgetExceeded
+    poly = [1]
+    for c in range(9):              # multiply by (x - c), low-to-high
+        poly = [u - c * t for t, u in zip(poly + [0], [0] + poly)]
+    b = ArtinianBackend(companion_algebra(QQ, poly))
+    assert len(b.atoms()) == 9
+    with pytest.raises(BudgetExceeded) as exc:
+        classify_localizing(b)
+    assert str(exc.value) == ("localizing classification: needs 512, "
+                              "budget allows 256")
+
+
 def test_localizing_membership_is_serre(corpus_by_name):
     """Membership closed under sub, quotient, extension, finite direct sum."""
     b = _backend("t2_f2", corpus_by_name)
