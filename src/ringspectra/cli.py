@@ -3,9 +3,9 @@
 Reports are JSON with a versioned schema and deterministic key order, so
 identical inputs produce byte-identical output.  Exit codes: 0 success,
 1 failed verification (an assertion that fails, or a self-check that
-raises ``ValidationError``), 2 fixture parse error, 3 capability or
-budget error.  The Lambda-level sections and checks run where the
-backend declares an ``algebra``.
+raises ``ValidationError``), 2 fixture parse error or usage error,
+3 capability or budget error.  The Lambda-level sections and checks run
+where the backend declares an ``algebra``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .fixtures import FixtureParseError, load_fixture
 from .goldie import goldie_localizing, validate_quotient_ring
 from .linalg import GF
-from .oracle import Budget, corpus, count_subspaces, enumerate_subspaces
+from .oracle import corpus, count_subspaces, enumerate_subspaces
 from .spectra import AssertionRecord, hasse_edges, verify_correspondence
 from .subcats import (artinianization, classify_localizing,
                       classify_locally_closed_localizing,
@@ -91,9 +91,24 @@ def _build_parser():
                    help="list the fixture corpus")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--subspaces", nargs=2, type=int, metavar=("DIM", "P"),
+                   action=_SubspacesArgs,
                    help="count subspaces of F_p^dim against the formula")
     p.set_defaults(func=cmd_oracle)
     return parser
+
+
+class _SubspacesArgs(argparse.Action):
+    """``--subspaces DIM P``: a usage error unless DIM >= 0 and P is prime."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        dim, p = values
+        if dim < 0:
+            parser.error(f"{option_string}: DIM must be non-negative, got {dim}")
+        try:
+            GF(p)
+        except ValueError as exc:
+            parser.error(f"{option_string}: P: {exc}")
+        setattr(namespace, self.dest, values)
 
 
 def _load(args):
@@ -347,7 +362,7 @@ def _hasse_lines(order, ids):
 def cmd_oracle(args) -> int:
     if args.subspaces:
         dim, p = args.subspaces
-        subs = enumerate_subspaces(GF(p), dim, Budget.from_env())
+        subs = enumerate_subspaces(GF(p), dim)
         expected = count_subspaces(dim, p)
         print(f"subspaces of F_{p}^{dim}: enumerated {len(subs)}, "
               f"formula {expected}")

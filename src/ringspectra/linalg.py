@@ -510,6 +510,21 @@ class Subspace:
         vecs = [apply_vec(z[:self.dim], self.mat) for z in rels.rows]
         return Subspace.from_vectors(self.field, self.ambient, vecs)
 
+    def meets(self, other: "Subspace") -> bool:
+        """True when the intersection with other is nonzero.
+
+        dim(S & T) = dim S + dim T - dim(S + T): the intersection is
+        nonzero exactly when some basis row of T is dependent on the rows
+        of S and the rows of T before it.
+        """
+        if other.ambient != self.ambient:
+            raise ValueError("ambient dimension mismatch")
+        red = RowReducer(self.field, self.ambient)
+        # Canonical rows are zero in each other's pivot columns, as the
+        # reducer's rows must be.
+        red.rows, red.pivots = list(self.mat.rows), list(self.pivots)
+        return not all(red.add(v) for v in other.mat.rows)
+
     def coords_of(self, v):
         """Coefficients of v in the canonical basis, or None."""
         f = self.field

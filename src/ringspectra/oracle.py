@@ -19,7 +19,7 @@ from .algebras import (BoundQuiver, FiniteDimAlgebra, bound_quiver_algebra,
                        is_nilpotent_space, is_two_sided_ideal_space,
                        matrix_algebra, product_algebra,
                        upper_triangular_algebra)
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .ideals import TwoSidedIdeal, annihilator
 from .linalg import F2, F3, Matrix, Subspace, apply_vec
 from .modules import RightModule, embeds_in
@@ -35,14 +35,19 @@ class Budget:
 
     @classmethod
     def from_env(cls):
+        """The defaults, with ``max_count`` from ``SPECTRA_BUDGET`` if set.
+
+        Read when an enumeration needs it, so a bad value stops only the
+        commands that enumerate, each with a ``CapabilityError``.
+        """
         b = cls()
-        raw = os.environ.get("SPECTRA_BUDGET")
+        raw = os.environ.get("SPECTRA_BUDGET", "").strip()
         if raw:
+            if not raw.isdecimal():
+                raise CapabilityError("SPECTRA_BUDGET must be a non-negative "
+                                      f"integer, got {raw!r}")
             b.max_count = int(raw)
         return b
-
-
-DEFAULT_BUDGET = Budget.from_env()
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -57,21 +62,30 @@ def count_subspaces(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
-def enumerate_subspaces(field, dim: int, budget: Budget = None):
-    """Every subspace of k^dim in canonical form; complete and duplicate-free."""
-    budget = budget or DEFAULT_BUDGET
+def _budgeted(what, field, dim: int, count, budget: Budget = None) -> int:
+    """The size count(dim, p) of an enumeration over field^dim, refused
+    with ``BudgetExceeded`` where it overruns the budget."""
+    budget = budget or Budget.from_env()
     if not field.is_finite():
-        raise ValidationError("subspace enumeration needs a finite field")
+        raise ValidationError(f"{what} needs a finite field")
     if dim > budget.max_ambient_dim:
-        raise BudgetExceeded("subspace enumeration dim", dim,
-                             budget.max_ambient_dim)
+        raise BudgetExceeded(f"{what} dim", dim, budget.max_ambient_dim)
     if field.p > budget.max_field_size:
-        raise BudgetExceeded("subspace enumeration field", field.p,
-                             budget.max_field_size)
-    total = count_subspaces(dim, field.p)
+        raise BudgetExceeded(f"{what} field", field.p, budget.max_field_size)
+    total = count(dim, field.p)
     if total > budget.max_count:
-        raise BudgetExceeded("subspace enumeration count", total,
-                             budget.max_count)
+        raise BudgetExceeded(f"{what} count", total, budget.max_count)
+    return total
+
+
+def enumerate_subspaces(field, dim: int, budget: Budget = None):
+    """Every subspace of k^dim in canonical form; complete and duplicate-free.
+
+    Each one is built as its reduced echelon matrix: the entries are field
+    scalars (``field.elements()``), so the matrix is taken as it is.
+    """
+    total = _budgeted("subspace enumeration", field, dim, count_subspaces,
+                      budget)
     out = []
     for r in range(dim + 1):
         for pivots in itertools.combinations(range(dim), r):
@@ -88,21 +102,23 @@ def enumerate_subspaces(field, dim: int, budget: Budget = None):
                     row[p] = field.one
                     rows.append(row)
                 for (i, j), v in zip(free_positions, values):
-                    rows[i][j] = field.scalar(v)
-                mat = Matrix(field, rows, dim)
+                    rows[i][j] = v
+                mat = Matrix.trusted(field, tuple(map(tuple, rows)), dim)
                 out.append(Subspace(field, dim, mat, tuple(pivots)))
     if len(out) != total:
         raise ValidationError("subspace enumeration does not match the count")
     return out
 
 
-def enumerate_vectors(field, dim: int):
+def enumerate_vectors(field, dim: int, budget: Budget = None):
+    """Every vector of k^dim, within the budget's dimension, field and count."""
+    _budgeted("vector enumeration", field, dim, lambda d, q: q ** d, budget)
     return [tuple(field.scalar(c) for c in combo)
             for combo in itertools.product(field.elements(), repeat=dim)]
 
 
-def module_vectors(m: RightModule):
-    return enumerate_vectors(m.algebra.field, m.dim)
+def module_vectors(m: RightModule, budget: Budget = None):
+    return enumerate_vectors(m.algebra.field, m.dim, budget)
 
 
 def enumerate_two_sided_ideals(a: FiniteDimAlgebra, budget: Budget = None):
@@ -111,12 +127,7 @@ def enumerate_two_sided_ideals(a: FiniteDimAlgebra, budget: Budget = None):
 
 
 def enumerate_right_ideals(a: FiniteDimAlgebra, budget: Budget = None):
-    out = []
-    for s in enumerate_subspaces(a.field, a.dim, budget):
-        if all(s.contains_vector(apply_vec(v, mat))
-               for v in s.basis_rows() for mat in a.right_mult_matrices()):
-            out.append(s)
-    return out
+    return enumerate_submodules(RightModule.regular(a), budget)
 
 
 def enumerate_submodules(m: RightModule, budget: Budget = None):
@@ -175,7 +186,7 @@ def brute_is_essential(space: Subspace, m: RightModule,
     submodules = submodules if submodules is not None \
         else enumerate_submodules(m, budget)
     for s in submodules:
-        if s.dim > 0 and space.intersect(s).dim == 0:
+        if s.dim > 0 and not space.meets(s):
             return False
     return True
 
@@ -184,15 +195,13 @@ def brute_singular_subspace(m: RightModule, budget: Budget = None) -> Subspace:
     """{v : the right annihilator of v is an essential right ideal}."""
     a = m.algebra
     f = a.field
-    right_ideals = enumerate_right_ideals(a, budget)
+    right_ideals = [r for r in enumerate_right_ideals(a, budget) if r.dim > 0]
     vecs = []
-    for v in module_vectors(m):
-        rows = [m.act(v, a.basis_coords(i)) for i in range(a.dim)]
-        ann = Subspace.from_vectors(f, a.dim,
-                                    Matrix(f, rows, m.dim).left_kernel().rows)
-        essential = all(ann.intersect(r).dim > 0
-                        for r in right_ideals if r.dim > 0)
-        if essential:
+    for v in module_vectors(m, budget):
+        rows = tuple(apply_vec(v, mat) for mat in m.action)     # v b_i
+        ann = Subspace.from_vectors(
+            f, a.dim, Matrix.trusted(f, rows, m.dim).left_kernel().rows)
+        if all(ann.meets(r) for r in right_ideals):
             vecs.append(v)
     return Subspace.from_vectors(f, m.dim, vecs)
 
@@ -239,32 +248,37 @@ def brute_is_compressible(m: RightModule, budget: Budget = None) -> bool:
     return True
 
 
+def _submodule_annihilators(m: RightModule, budget: Budget = None):
+    """(s, Ann(s)) for each nonzero submodule s of m, from one lattice.
+
+    The submodules of the submodule on s are exactly the members t of this
+    lattice with t in s (docs/derivations.md).  Lazy, so a caller that has
+    its answer stops computing annihilators.
+    """
+    for s in enumerate_submodules(m, budget):
+        if s.dim > 0:
+            yield s, annihilator(m.submodule(s)[0]).space
+
+
+def _is_prime_on(s: Subspace, ann: Subspace, members) -> bool:
+    """The submodule on s is prime: each nonzero t in s has Ann(t) = Ann(s)."""
+    return all(ann_t == ann or not s.contains(t) for t, ann_t in members)
+
+
 def brute_is_prime_object(m: RightModule, budget: Budget = None) -> bool:
     """All nonzero submodules share the annihilator of m."""
     if m.dim == 0:
         raise ValidationError("prime is about nonzero modules")
     ann = annihilator(m).space
-    for s in enumerate_submodules(m, budget):
-        if s.dim == 0:
-            continue
-        if annihilator(m.submodule(s)[0]).space != ann:
-            return False
-    return True
+    return all(ann_t == ann for _s, ann_t in _submodule_annihilators(m, budget))
 
 
 def brute_mass(m: RightModule, backend, budget: Budget = None):
     """Annihilators of prime submodules, as molecules of the backend."""
-    subs = enumerate_submodules(m, budget)
-    out = set()
-    for s in subs:
-        if s.dim == 0:
-            continue
-        sub = m.submodule(s)[0]
-        if brute_is_prime_object(sub, budget):
-            ann = annihilator(sub).space
-            for w in backend.primes():
-                if w.ideal.space == ann:
-                    out.add(("prime", w.block_index))
+    members = list(_submodule_annihilators(m, budget))
+    anns = {ann for s, ann in members if _is_prime_on(s, ann, members)}
+    out = {("prime", w.block_index) for w in backend.primes()
+           if w.ideal.space in anns}
     return {mol for mol in backend.molecules() if mol.key in out}
 
 

@@ -236,6 +236,46 @@ def test_cli_oracle_subcommands(capsys):
     assert "16" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("dim_p, message", [
+    (("3", "4"), "P: modulus 4 is not prime"),
+    (("3", "1"), "P: modulus 1 is not prime"),
+    (("-2", "2"), "DIM must be non-negative, got -2")],
+    ids=["p4", "p1", "dim-2"])
+def test_cli_oracle_subspaces_usage_errors(capsys, dim_p, message):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["oracle", "--subspaces", *dim_p])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_cli_bad_budget_is_a_capability_error(tmp_path, monkeypatch, capsys,
+                                               value):
+    monkeypatch.setenv("SPECTRA_BUDGET", value)
+    path = _write(tmp_path, "t2.alg", T2_FIXTURE)
+    for argv in (["oracle", "--subspaces", "3", "2"],
+                 ["verify", path, "--exhaustive"]):
+        assert cli_main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("capability error: SPECTRA_BUDGET must be a "
+                       f"non-negative integer, got {value!r}\n")
+    # Commands that enumerate nothing do not read the variable.
+    assert cli_main(["verify", path]) == 0
+    proc = subprocess.run([sys.executable, "-c", "import ringspectra"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_budget_from_the_environment_is_enforced(monkeypatch, capsys):
+    monkeypatch.setenv("SPECTRA_BUDGET", "15")
+    assert cli_main(["oracle", "--subspaces", "3", "2"]) == 3
+    assert capsys.readouterr().err == ("capability error: subspace enumeration "
+                                       "count: needs 16, budget allows 15\n")
+    monkeypatch.setenv("SPECTRA_BUDGET", "16")
+    assert cli_main(["oracle", "--subspaces", "3", "2"]) == 0
+
+
 def test_cli_module_entry_point(tmp_path):
     path = _write(tmp_path, "t2.alg", T2_FIXTURE)
     proc = subprocess.run([sys.executable, "-m", "ringspectra.cli",

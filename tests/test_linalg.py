@@ -240,3 +240,26 @@ def test_spin_minimality_exhaustive_f2():
         closed = all(t.contains_vector(apply_vec(v, op))
                      for v in t.basis_rows() for op in ops)
         assert not closed
+
+
+def test_meets_agrees_with_intersection():
+    from ringspectra.oracle import enumerate_subspaces
+    for field, dim in ((F2, 3), (F3, 2)):
+        subs = enumerate_subspaces(field, dim)
+        for s, t in itertools.product(subs, subs):
+            assert s.meets(t) == (s.intersect(t).dim > 0), (s.mat, t.mat)
+    half = Fraction(1, 2)
+    pairs = [([(1, 0, 0)], [(0, 1, 0), (0, 0, 1)], False),     # complements
+             ([(1, 1, 0)], [(1, 0, 0), (0, 1, 0)], True),      # line in plane
+             ([(1, half, 0), (0, 0, 1)], [(2, 1, 0)], True),   # scaled line
+             ([(1, 2, 3), (0, 1, 1)], [(1, 3, 4), (0, 0, 1)], True),
+             ([(1, 2, 3), (4, 5, 6)], [(0, 0, 1)], False),
+             ([], [(1, 0, 0)], False),
+             ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(5, -3, half)], True)]
+    for us, vs, want in pairs:
+        s = Subspace.from_vectors(QQ, 3, us)
+        t = Subspace.from_vectors(QQ, 3, vs)
+        assert (s.intersect(t).dim > 0) == want, (us, vs)
+        assert s.meets(t) == want and t.meets(s) == want, (us, vs)
+    with pytest.raises(ValueError):
+        Subspace.zero(QQ, 2).meets(Subspace.zero(QQ, 3))

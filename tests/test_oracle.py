@@ -3,13 +3,17 @@
 import pytest
 
 from ringspectra.errors import BudgetExceeded
+from ringspectra.ideals import annihilator
 from ringspectra.linalg import F2, F3, GF
 from ringspectra.modules import RightModule, simple_modules
 from ringspectra.oracle import (Budget, brute_is_compressible,
-                                brute_is_monoform, corpus, count_subspaces,
-                                enumerate_submodules, enumerate_subspaces,
-                                enumerate_two_sided_ideals, gaussian_binomial,
+                                brute_is_monoform, brute_is_prime_object,
+                                brute_mass, brute_singular_subspace, corpus,
+                                count_subspaces, enumerate_submodules,
+                                enumerate_subspaces, enumerate_two_sided_ideals,
+                                enumerate_vectors, gaussian_binomial,
                                 standard_modules)
+from ringspectra.spectra import ArtinianBackend
 
 
 def test_subspace_counts():
@@ -38,6 +42,21 @@ def test_budget_exceeded_is_loud():
         enumerate_subspaces(F2, 12, Budget(max_ambient_dim=8))
     with pytest.raises(BudgetExceeded):
         enumerate_subspaces(GF(7), 2, Budget(max_field_size=5))
+
+
+def test_vector_enumeration_is_budgeted(corpus_by_name):
+    s = simple_modules(corpus_by_name["field_f2"])[0].module
+    m = s
+    for _ in range(11):
+        m = m.direct_sum(s)
+    assert m.dim == 12
+    with pytest.raises(BudgetExceeded, match="vector enumeration dim"):
+        brute_singular_subspace(m)
+    with pytest.raises(BudgetExceeded, match="vector enumeration field"):
+        enumerate_vectors(GF(7), 2)
+    with pytest.raises(BudgetExceeded, match="vector enumeration count"):
+        enumerate_vectors(F3, 4, Budget(max_count=80))
+    assert len(set(enumerate_vectors(F3, 4, Budget(max_count=81)))) == 81
 
 
 def test_ideal_lattices(corpus_by_name):
@@ -85,3 +104,50 @@ def test_budget_env_override(monkeypatch):
     assert Budget.from_env().max_count == 1234
     monkeypatch.delenv("SPECTRA_BUDGET")
     assert Budget.from_env().max_count == Budget().max_count
+
+
+# The exhaustive-oracle zoo: corpus algebras and modules of dim <= 4 over
+# F_2 and <= 3 over F_3.
+ZOO_MAX_DIM = {2: 4, 3: 3}
+
+
+def _nested_is_prime_object(m):
+    """Reference: every nonzero submodule has the annihilator of m."""
+    ann = annihilator(m).space
+    return all(annihilator(m.submodule(s)[0]).space == ann
+               for s in enumerate_submodules(m) if s.dim)
+
+
+def _nested_mass(m, backend):
+    """Reference: a fresh submodule lattice for each submodule of m."""
+    out = set()
+    for s in enumerate_submodules(m):
+        if s.dim == 0:
+            continue
+        sub = m.submodule(s)[0]
+        if _nested_is_prime_object(sub):
+            ann = annihilator(sub).space
+            for w in backend.primes():
+                if w.ideal.space == ann:
+                    out.add(("prime", w.block_index))
+    return {mol for mol in backend.molecules() if mol.key in out}
+
+
+def test_one_lattice_matches_the_nested_definitions(algebra_corpus):
+    primes = non_primes = 0
+    for name, a in algebra_corpus:
+        bound = ZOO_MAX_DIM[a.field.p]
+        if a.dim > bound:
+            continue
+        b = ArtinianBackend(a)
+        for mname, m in standard_modules(a):
+            if m.dim > bound:
+                continue
+            assert brute_mass(m, b) == _nested_mass(m, b), (name, mname)
+            if m.dim == 0:
+                continue
+            prime = brute_is_prime_object(m)
+            assert prime == _nested_is_prime_object(m), (name, mname)
+            primes += prime
+            non_primes += not prime
+    assert primes > 20 and non_primes > 20

@@ -12,7 +12,11 @@ Runs each rung once, in this order:
 - ``ringspectra analyze fixtures/z.alg --window N --json TMP`` in-process,
   for N = 41, 43, 47 (14 to 16 molecules, up to the 2^16 subset budget);
 - ``classify_locally_closed_localizing`` on T_9(F_2), after building the
-  algebra and its primes outside the timed region.
+  algebra and its primes outside the timed region;
+- the brute-force oracles ``brute_mass``, ``brute_singular_subspace`` and
+  ``brute_is_prime_object`` on the regular module of T_3(F_2), the algebra,
+  module and primes built outside the timed region;
+- ``ringspectra verify fixtures/cycle_quiver.alg --exhaustive`` in-process.
 
 ringspectra is imported from the ``src`` directory of the checkout this
 file sits in, so a copy of the file times the checkout it is copied into.
@@ -24,6 +28,8 @@ grows several-fold with each step in n.  Single runs on a shared host; read
 the figures as sizes, not as gates.
 """
 
+import contextlib
+import io
 import json
 import platform
 import sys
@@ -38,6 +44,9 @@ from ringspectra.algebras import matrix_algebra, upper_triangular_algebra  # noq
 from ringspectra.cli import main as cli_main  # noqa: E402
 from ringspectra.commutative import IntegerBackend, PolyBackend  # noqa: E402
 from ringspectra.linalg import F2, F3, QQ  # noqa: E402
+from ringspectra.modules import RightModule  # noqa: E402
+from ringspectra.oracle import (brute_is_prime_object, brute_mass,  # noqa: E402
+                                brute_singular_subspace)
 from ringspectra.spectra import ArtinianBackend, verify_correspondence  # noqa: E402
 from ringspectra.subcats import classify_locally_closed_localizing  # noqa: E402
 
@@ -80,6 +89,25 @@ def classify_algebra(build, n, field):
                                       "locally_closed": len(found)}
 
 
+def oracle_on_t3(run):
+    a = upper_triangular_algebra(3, F2)
+    reg = RightModule.regular(a)
+    backend = ArtinianBackend(a)
+    backend.molecules()                     # the primes, outside the timing
+    t0 = time.perf_counter()
+    facts = run(reg, backend)
+    return time.perf_counter() - t0, facts
+
+
+def verify_exhaustive(name):
+    argv = ["verify", str(ROOT / "fixtures" / name), "--exhaustive"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        t0 = time.perf_counter()
+        code = cli_main(argv)
+        seconds = time.perf_counter() - t0
+    return seconds, {"exit": code, "summary": out.getvalue().splitlines()[-1]}
+
+
 # (label, run, arguments); labels ending in "(F2)" form the T_n ladder.
 RUNGS = ([(f"T{n}(F2)", verify_algebra, (upper_triangular_algebra, n, F2))
           for n in range(2, 10)]
@@ -94,7 +122,16 @@ RUNGS = ([(f"T{n}(F2)", verify_algebra, (upper_triangular_algebra, n, F2))
          + [(f"analyze z.alg --window {w}", analyze_z, (w,))
             for w in (41, 43, 47)]
          + [("T9(F2) lcl classification", classify_algebra,
-             (upper_triangular_algebra, 9, F2))])
+             (upper_triangular_algebra, 9, F2))]
+         + [("T3(F2) reg brute_mass", oracle_on_t3, (
+                 lambda reg, b: {"mass": sorted(r.label
+                                                for r in brute_mass(reg, b))},)),
+            ("T3(F2) reg brute_singular_subspace", oracle_on_t3, (
+                 lambda reg, b: {"dim": brute_singular_subspace(reg).dim},)),
+            ("T3(F2) reg brute_is_prime_object", oracle_on_t3, (
+                 lambda reg, b: {"prime": brute_is_prime_object(reg)},)),
+            ("verify cycle_quiver.alg --exhaustive", verify_exhaustive,
+             ("cycle_quiver.alg",))])
 
 
 def main(argv) -> int:
@@ -107,13 +144,13 @@ def main(argv) -> int:
             n = args[1]
             rows.append({"input": label, "dim": n * (n + 1) // 2, "seconds": None,
                          "note": f"not run: a lower rung took over {SKIP_AFTER_S:.0f} s"})
-            print(f"{label:28s} not run", flush=True)
+            print(f"{label:38s} not run", flush=True)
             continue
         seconds, facts = run(*args)
         too_slow = too_slow or (ladder and seconds > SKIP_AFTER_S)
         rows.append({"input": label, "seconds": round(seconds, 3), **facts})
         shown = "  ".join(f"{k}={v}" for k, v in facts.items())
-        print(f"{label:28s} {seconds:8.2f} s  {shown}", flush=True)
+        print(f"{label:38s} {seconds:8.2f} s  {shown}", flush=True)
     doc = {"tool": "tools/ladder.py", "python": platform.python_version(),
            "machine": platform.machine(), "rungs": rows}
     out.write_text(json.dumps(doc, indent=2) + "\n")
