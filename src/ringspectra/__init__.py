@@ -18,10 +18,9 @@ from .commutative import (CommutativeSpec, GradedModuleDescriptor,
                           factor_polynomial)
 from .errors import (BudgetExceeded, CapabilityError, RingSpectraError,
                      ValidationError)
-from .goldie import (RightIdeal, classical_quotient_ring, goldie_localizing,
-                     is_essential_submodule, is_essentially_compressible,
-                     is_nonsingular, regular_element_in, singular_subspace,
-                     validate_quotient_ring)
+from .goldie import (classical_quotient_ring, goldie_localizing,
+                     is_essential_submodule, regular_element_in,
+                     singular_subspace, validate_quotient_ring)
 from .ideals import (PrimeWitness, TwoSidedIdeal, annihilator, ideal_product,
                      is_prime, is_semiprime, minimal_primes, prime_radical,
                      prime_radical_of_zero)
@@ -32,12 +31,11 @@ from .modules import (ModuleMap, RightModule, SimpleClass,
                       projective_cover, simple_modules)
 from .oracle import Budget, corpus, enumerate_subspaces
 from .spectra import (ArtinianBackend, Atom, Molecule, PhiUndefinedError,
-                      SpectrumBackend, SpectrumReport, atom_closure,
-                      atoms_above, verify_correspondence)
+                      SpectrumBackend, SpectrumReport, verify_correspondence)
 from .subcats import (ClosedSubcatDescriptor, LocalizingSubcatDescriptor,
                       LocallyClosedLocalizingDescriptor, artinianization,
                       classify_localizing, classify_locally_closed_localizing,
-                      ext_product, radical_closed_descriptors,
-                      radical_lattice_dot, radical_of_closed, reduced_part)
+                      radical_closed_descriptors, radical_lattice_dot,
+                      reduced_part)
 
 __version__ = "0.1.0"

@@ -47,8 +47,9 @@ from .linalg import (Matrix, Subspace, apply_vec, common_left_kernel,
 class AlgebraStructure:
     """What is computed about one algebra, each field filled in on first use.
 
-    ``mirror`` marks an algebra built by ``opposite()``: its radical and
-    semisimple quotient are read off the algebra it is the opposite of.
+    ``mirror`` marks an algebra built by ``opposite()``: its radical,
+    semisimple quotient and Wedderburn blocks are read off the algebra it
+    is the opposite of.
     ``minimal_right_ideal`` holds the outcome of a simple block's one
     search (``modules.minimal_right_ideal``): the subspace, or the
     ``CapabilityError`` the search raised.
@@ -136,9 +137,6 @@ class FiniteDimAlgebra:
     def basis_coords(self, i):
         return unit_vec(self.field, self.dim, i)
 
-    def zero_coords(self):
-        return zero_vec(self.field, self.dim)
-
     def _combine(self, terms):
         """sum of c * b_i * b_j over the triples (c, i, j), as coordinates.
 
@@ -192,10 +190,6 @@ class FiniteDimAlgebra:
             self._left_mats = tuple(Matrix.trusted(self.field, plane, self.dim)
                                     for plane in self.sc)
         return self._left_mats
-
-    def is_invertible_element(self, a):
-        return self.left_mult_matrix(a).is_invertible() \
-            and self.right_mult_matrix(a).is_invertible()
 
     def is_regular_element(self, a):
         """No left or right zero divisor: both multiplication maps injective."""
@@ -541,16 +535,6 @@ class AlgebraMap:
     def __call__(self, x):
         return apply_vec(x, self.matrix)
 
-    def is_algebra_hom(self):
-        a, b = self.source, self.target
-        for i in range(a.dim):
-            for j in range(a.dim):
-                lhs = self(a.mul(a.basis_coords(i), a.basis_coords(j)))
-                rhs = b.mul(self(a.basis_coords(i)), self(a.basis_coords(j)))
-                if lhs != rhs:
-                    return False
-        return self(a.unit) == b.unit
-
 
 def quotient_algebra(a: FiniteDimAlgebra, ideal_space: Subspace,
                      name=None) -> tuple[FiniteDimAlgebra, AlgebraMap, AlgebraMap]:
@@ -797,9 +781,18 @@ class WedderburnBlock:
 
 
 def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
-    """Central primitive idempotent decomposition of a semisimple algebra."""
-    if a.structure.blocks is not None:
-        return a.structure.blocks
+    """Central primitive idempotent decomposition of a semisimple algebra.
+
+    The opposite algebra of a pair reads its blocks off its partner: the
+    same subspaces and central idempotents in the same order, each block
+    algebra the opposite of the partner's block.
+    """
+    st = a.structure
+    if st.blocks is None and st.mirror:
+        st.blocks = [WedderburnBlock(b.algebra.opposite(), b.idempotent, b.space)
+                     for b in wedderburn_blocks(st.opposite)]
+    if st.blocks is not None:
+        return st.blocks
     if not is_semisimple(a):
         raise ValidationError("wedderburn decomposition needs a semisimple algebra")
     f = a.field
@@ -829,7 +822,7 @@ def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
         if len(components) != len(splitters):
             raise ValidationError("finite-field block splitting incomplete")
     else:
-        components = _refine_rational_components(a, components)
+        components = _refine_rational_components(a, components, center)
     components.sort(key=lambda c: (c.dim, c.mat.rows))
 
     # The unit decomposes along the components into the block idempotents.
@@ -863,13 +856,12 @@ def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
         for j in range(i + 1, len(out)):
             if not vec_is_zero(f, a.mul(out[i].idempotent, out[j].idempotent)):
                 raise ValidationError("block idempotents are not orthogonal")
-    a.structure.blocks = out
+    st.blocks = out
     return out
 
 
-def _refine_rational_components(a, components):
+def _refine_rational_components(a, components, center):
     """Split or certify rational components whose center might not be a field."""
-    center = a.center()
     out = []
     queue = list(components)
     while queue:

@@ -141,24 +141,6 @@ def irreducible_polys(p: int, max_deg: int):
 _GF_TABLE_DEG = 4
 
 
-def is_irreducible(field, poly) -> bool:
-    poly = poly_monic(field, poly_trim(field, poly))
-    d = poly_deg(poly)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    if field.is_finite():
-        if d > 2 * _GF_TABLE_DEG + 1:
-            raise CapabilityError(
-                f"irreducibility over F_{field.p} supported up to degree "
-                f"{2 * _GF_TABLE_DEG + 1}")
-        return not any(poly_mod(field, poly, q) == ()
-                       for q in irreducible_polys(field.p, min(_GF_TABLE_DEG, d // 2)))
-    facs = factor_polynomial(field, poly)
-    return len(facs) == 1 and facs[0][1] == 1
-
-
 def _rational_root_candidates(poly):
     """Rational root candidates of an integer-normalized polynomial."""
     denom_lcm = math.lcm(*(c.denominator for c in poly))

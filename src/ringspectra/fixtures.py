@@ -7,8 +7,7 @@ the default window for infinite spectra.  Polynomials are coefficient
 lists low-to-high; matrices are rows of entries separated by ';'.  The
 grammar is documented with EBNF in docs/fixture_format.md.
 
-Parsing is strict and reports line numbers; parse of serialize of parse
-is the identity on the structured content.
+Parsing is strict and reports line numbers.
 """
 
 from __future__ import annotations
@@ -113,16 +112,6 @@ def parse_fixture(text: str) -> FixtureFile:
     if fixture.section("backend") is None:
         raise FixtureParseError("fixture needs a [backend] section")
     return fixture
-
-
-def serialize_fixture(fixture: FixtureFile) -> str:
-    lines = []
-    for s in fixture.sections:
-        lines.append(f"[{s.name}]")
-        for k, v in s.entries:
-            lines.append(f"{k} = {v}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 # -- building backends from fixtures ---------------------------------------------

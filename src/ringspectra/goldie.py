@@ -1,6 +1,6 @@
 """Goldie machinery: singular subobjects, the Goldie localizing
-subcategory, essential compressibility, classical quotient rings, and the
-regular element lemma, on artinian and symbolic backends.
+subcategory, classical quotient rings, and the regular element lemma, on
+artinian and symbolic backends.
 
 Two derived closed forms do the heavy lifting on artinian backends (both
 proved in docs/derivations.md and cross-checked against definitional
@@ -22,41 +22,9 @@ from dataclasses import dataclass
 from .algebras import FiniteDimAlgebra
 from .errors import CapabilityError, ValidationError
 from .ideals import TwoSidedIdeal, ideal_product, is_semiprime
-from .linalg import (Subspace, apply_vec, spin, vec_add, vec_is_zero,
-                     vec_scale, zero_vec)
-from .modules import RightModule, hom_basis
+from .linalg import Subspace, vec_add, vec_is_zero, vec_scale, zero_vec
+from .modules import RightModule
 from .spectra import ArtinianBackend, QuotientRingDescriptor, SpectrumBackend
-
-
-class RightIdeal:
-    __slots__ = ("algebra", "space")
-
-    def __init__(self, algebra: FiniteDimAlgebra, space: Subspace, validate=True):
-        if space.ambient != algebra.dim:
-            raise ValidationError("right ideal has wrong ambient dimension")
-        if validate:
-            for v in space.basis_rows():
-                for m in algebra.right_mult_matrices():
-                    if not space.contains_vector(apply_vec(v, m)):
-                        raise ValidationError("subspace not closed under right "
-                                              "multiplication")
-        self.algebra = algebra
-        self.space = space
-
-    @classmethod
-    def from_generators(cls, algebra, gens):
-        space = spin(algebra.field, algebra.dim, list(gens),
-                     algebra.right_mult_matrices())
-        return cls(algebra, space, validate=False)
-
-    @classmethod
-    def whole(cls, algebra):
-        return cls(algebra, Subspace.full(algebra.field, algebra.dim),
-                   validate=False)
-
-    @property
-    def dim(self):
-        return self.space.dim
 
 
 def regular_socle_ideal(a: FiniteDimAlgebra) -> TwoSidedIdeal:
@@ -72,20 +40,12 @@ def is_essential_submodule(space: Subspace, m: RightModule) -> bool:
     return space.contains(m.socle_space())
 
 
-def is_essential_right_ideal(l: RightIdeal) -> bool:
-    return l.space.contains(regular_socle_ideal(l.algebra).space)
-
-
 def singular_subspace(m: RightModule) -> Subspace:
     """Z(M) = {v : v * soc(Lambda) = 0}; elements with essential annihilator."""
     z = m.killed_by(regular_socle_ideal(m.algebra).space)
     if not m.is_submodule_space(z):
         raise ValidationError("singular subobject must be a submodule")
     return z
-
-
-def is_nonsingular(m: RightModule) -> bool:
-    return singular_subspace(m).dim == 0
 
 
 @dataclass
@@ -169,39 +129,6 @@ def goldie_localizing(backend: ArtinianBackend) -> GoldieAnalysis:
         notes=notes)
 
 
-def is_essentially_compressible(m: RightModule) -> bool:
-    """Each essential submodule contains a copy of m.
-
-    Finite length forces dim(copy) = dim(essential) = dim(m), so the
-    criterion is semisimplicity.  Over semiprime backends the
-    torsionless-plus-nonsingular route must agree; both are computed and
-    compared when applicable.
-    """
-    if m.dim == 0:
-        raise ValidationError("essential compressibility is about nonzero modules")
-    answer = m.is_semisimple()
-    if is_semiprime(m.algebra):
-        fast = _torsionless(m) and is_nonsingular(m)
-        if fast != answer:
-            raise ValidationError(
-                "semiprime fast path disagrees with the finite length criterion")
-    return answer
-
-
-def _torsionless(m: RightModule) -> bool:
-    """Intersection of kernels of all maps m -> Lambda is zero."""
-    reg = RightModule.regular(m.algebra)
-    homs = hom_basis(m, reg)
-    f = m.algebra.field
-    meet = Subspace.full(f, m.dim)
-    for h in homs:
-        kern = Subspace.from_vectors(f, m.dim, h.left_kernel().rows)
-        meet = meet.intersect(kern)
-        if meet.dim == 0:
-            return True
-    return meet.dim == 0
-
-
 # -- classical quotient rings --------------------------------------------------------
 
 def classical_quotient_ring(backend: SpectrumBackend) -> QuotientRingDescriptor:
@@ -223,28 +150,28 @@ def validate_quotient_ring(backend: SpectrumBackend, samples: int = 100,
     return {"descriptor": vars(desc), "checked": checked}
 
 
-def regular_element_in(l: RightIdeal) -> tuple:
-    """A regular element inside an essential right ideal of a semiprime algebra.
+def regular_element_in(a: FiniteDimAlgebra, space: Subspace) -> tuple:
+    """A regular element inside ``space``, an essential right ideal of the
+    semiprime algebra ``a``; a space that is not a right ideal is refused.
 
     Deterministic: the lexicographically first witness over finite fields;
     small-coefficient sweep over Q.  Existence is guaranteed by the
     regular element lemma under exactly these preconditions.
     """
-    a = l.algebra
     if not is_semiprime(a):
         raise ValidationError("regular element lemma needs a semiprime algebra")
-    if not is_essential_right_ideal(l):
+    if not is_essential_submodule(space, RightModule.regular(a)):
         raise ValidationError("regular element lemma needs an essential right ideal")
     f = a.field
     if f.is_finite():
-        for v in sorted(l.space.vectors()):
+        for v in sorted(space.vectors()):
             if vec_is_zero(f, v):
                 continue
             if a.is_regular_element(v):
                 return v
         raise ValidationError(
             "no regular element found; contradicts the regular element lemma")
-    basis = l.space.basis_rows()
+    basis = space.basis_rows()
     for radius in range(1, a.dim + 3):
         for coeffs in itertools.product(range(-radius, radius + 1),
                                         repeat=len(basis)):

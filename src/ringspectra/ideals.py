@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import (FiniteDimAlgebra, ideal_closure,
-                       is_two_sided_ideal_space, jacobson_radical,
-                       quotient_algebra, semisimple_quotient, subspace_product,
+from .algebras import (FiniteDimAlgebra, is_two_sided_ideal_space,
+                       jacobson_radical, quotient_algebra,
+                       semisimple_quotient, subspace_product,
                        wedderburn_blocks)
 from .errors import ValidationError
 from .linalg import Matrix, Subspace
@@ -31,10 +31,6 @@ class TwoSidedIdeal:
             raise ValidationError("subspace is not a two-sided ideal")
         self.algebra = algebra
         self.space = space
-
-    @classmethod
-    def from_generators(cls, algebra, gens):
-        return cls(algebra, ideal_closure(algebra, list(gens)), validate=False)
 
     @classmethod
     def zero(cls, algebra):
@@ -59,9 +55,6 @@ class TwoSidedIdeal:
     def contains(self, other: "TwoSidedIdeal"):
         self._check_parent(other)
         return self.space.contains(other.space)
-
-    def contains_element(self, x):
-        return self.space.contains_vector(x)
 
     def __eq__(self, other):
         return (isinstance(other, TwoSidedIdeal)
@@ -203,14 +196,3 @@ def annihilator(module) -> TwoSidedIdeal:
     big = Matrix.trusted(f, tuple(rows), module.dim * module.dim)
     space = Subspace.from_vectors(f, a.dim, big.left_kernel().rows)
     return TwoSidedIdeal(a, space)
-
-
-def nilpotency_index(i: TwoSidedIdeal, inside: TwoSidedIdeal) -> int:
-    """Smallest n with i^n contained in `inside`; bounded by dim + 1."""
-    a = i.algebra
-    cur = i
-    for n in range(1, a.dim + 2):
-        if inside.space.contains(cur.space):
-            return n
-        cur = ideal_product(cur, i)
-    raise ValidationError("no containment within the dimension bound")

@@ -55,9 +55,6 @@ class GF:
             raise ZeroDivisionError("inverse of zero in GF(p)")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def axpy(self, u, c, v):
         """The row u + c*v as a list."""
         p = self.p
@@ -108,9 +105,6 @@ class RationalField:
 
     def inv(self, a):
         return 1 / a
-
-    def div(self, a, b):
-        return a / b
 
     def axpy(self, u, c, v):
         """The row u + c*v as a list; zero entries of v cost no product."""

@@ -780,30 +780,3 @@ def is_prime_object(m: RightModule) -> bool:
     if ann.is_whole():
         raise ValidationError("nonzero module with full annihilator")
     return is_prime(ann)
-
-
-def monoform_submodule(m: RightModule) -> RightModule:
-    """Some monoform submodule; a simple submodule always qualifies."""
-    if m.dim == 0:
-        raise ValidationError("the zero module has no monoform submodule")
-    out, _ = m.submodule(_simple_submodule_space(m), name="H")
-    return out
-
-
-def _simple_submodule_space(m: RightModule) -> Subspace:
-    """A simple submodule as the image of a nonzero map from a simple."""
-    f = m.algebra.field
-    for s in simple_modules(m.algebra):
-        smod = s.require_module()
-        for h in hom_basis(smod, m):
-            if any(not vec_is_zero(f, r) for r in h.rows):
-                return Subspace.from_vectors(f, m.dim, h.rows)
-    raise ValidationError("nonzero module without simple submodule")
-
-
-def prime_submodule(m: RightModule) -> RightModule:
-    """Some prime submodule; simple submodules qualify."""
-    if m.dim == 0:
-        raise ValidationError("the zero module has no prime submodule")
-    out, _ = m.submodule(_simple_submodule_space(m), name="H")
-    return out

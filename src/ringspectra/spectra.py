@@ -357,16 +357,6 @@ def _sample_element(a: FiniteDimAlgebra, rng):
     return tuple(Fraction(rng.randint(-5, 5)) for _ in range(a.dim))
 
 
-def atom_closure(backend, alpha: Atom, window=None) -> list:
-    """The closure of {alpha} in the specialization order: all beta <= alpha."""
-    return [b for b in backend.atoms(window) if backend.atom_leq(b, alpha)]
-
-
-def atoms_above(backend, alpha: Atom, window=None) -> list:
-    """V(alpha): all beta >= alpha."""
-    return [b for b in backend.atoms(window) if backend.atom_leq(alpha, b)]
-
-
 # -- verification ------------------------------------------------------------------
 
 @dataclass

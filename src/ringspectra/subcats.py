@@ -2,26 +2,22 @@
 
 Subcategories are never materialized: a closed subcategory is its
 two-sided ideal, a localizing subcategory its atom support, a locally
-closed localizing subcategory its upward-closed molecule support.  Each
-descriptor carries the membership predicate its classification theorem
-dictates, and the brute-force enumerations in ``oracle`` confirm the
-predicates behave like the subcategory they name.
+closed localizing subcategory its upward-closed molecule support.  The
+localizing descriptors carry the membership predicate their
+classification theorem dictates, and the tests confirm against
+enumerated modules that the predicates behave like the subcategory they
+name.
 
-The inclusion order on closed descriptors reverses the ideal order, and
-the extension product mirrors the reversed ideal product; both reversals
-are applied here and nowhere else.
+The inclusion order on closed descriptors reverses the ideal order; the
+reversal is applied here and nowhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import FiniteDimAlgebra
-from .errors import BudgetExceeded, CapabilityError, ValidationError
-from .ideals import (TwoSidedIdeal, ideal_product, intersect_primes,
-                     minimal_primes, nilpotency_index, prime_radical,
-                     primes_over)
-from .linalg import Subspace
+from .errors import BudgetExceeded
+from .ideals import TwoSidedIdeal, minimal_primes
 from .modules import RightModule
 from .spectra import (ArtinianBackend, ArtinianizationDescriptor,
                       ReducedPartResult, SpectrumBackend, hasse_edges,
@@ -52,58 +48,9 @@ class ClosedSubcatDescriptor:
     def __hash__(self):
         return hash(self.ideal.space)
 
-    def is_zero_subcat(self):
-        return self.ideal.is_whole()
-
-    def contains_module(self, m: RightModule) -> bool:
-        """M lies in the subcategory iff the ideal annihilates it."""
-        return all(m.act_matrix(v).is_zero()
-                   for v in self.ideal.space.basis_rows())
-
     def leq(self, other: "ClosedSubcatDescriptor") -> bool:
         """Subcategory inclusion: reverses ideal inclusion."""
         return self.ideal.contains(other.ideal)
-
-
-def closed_from_ideal(backend: ArtinianBackend, ideal: TwoSidedIdeal):
-    return ClosedSubcatDescriptor(backend, ideal)
-
-
-def whole_category(backend: ArtinianBackend):
-    return ClosedSubcatDescriptor(backend, TwoSidedIdeal.zero(backend.algebra))
-
-
-def ext_product(c1: ClosedSubcatDescriptor,
-                c2: ClosedSubcatDescriptor) -> ClosedSubcatDescriptor:
-    """Extensions of a c2-object by a c1-object: ideal product reversed."""
-    if c1.backend is not c2.backend:
-        raise ValidationError("extension product needs a common backend")
-    return ClosedSubcatDescriptor(c1.backend,
-                                  ideal_product(c2.ideal, c1.ideal))
-
-
-def ext_power(c: ClosedSubcatDescriptor, n: int) -> ClosedSubcatDescriptor:
-    acc = c
-    for _ in range(n - 1):
-        acc = ext_product(acc, c)
-    return acc
-
-
-def radical_of_closed(c: ClosedSubcatDescriptor):
-    """(smallest radical-closed descriptor containing c, extension exponent).
-
-    The ideal of the result is the prime radical of c's ideal; the
-    exponent n is minimal with c contained in result^{*n}, i.e. with
-    sqrt(I)^n inside I.
-    """
-    if c.is_zero_subcat():
-        return c, 1
-    rad = prime_radical(c.ideal)
-    result = ClosedSubcatDescriptor(c.backend, rad)
-    n = nilpotency_index(rad, c.ideal)
-    if not c.leq(ext_power(result, n)):
-        raise ValidationError("radical exponent check failed")
-    return result, n
 
 
 def reduced_part(backend: SpectrumBackend) -> ReducedPartResult:
@@ -222,39 +169,6 @@ def classify_locally_closed_localizing(backend, window=None):
             for mask, r in enumerate(reach) if r | mask == mask]
 
 
-# -- prime decomposition of closed subcategories ------------------------------------
-
-def decompose_into_primes(c: ClosedSubcatDescriptor):
-    """Primes P_1..P_n with c inside P_1 * ... * P_n and each P_i inside c.
-
-    Witnesses: the primes over the ideal, repeated until their reversed
-    product falls inside the ideal (the radical is nilpotent modulo it).
-    """
-    if c.is_zero_subcat():
-        raise ValidationError("the zero subcategory has no prime decomposition")
-    a = c.backend.algebra
-    ws = primes_over(a, c.ideal)
-    rad = intersect_primes(a, ws)
-    power = nilpotency_index(rad, c.ideal)
-    sequence = [w.ideal for w in ws] * power
-    prod = sequence[0]
-    for nxt in sequence[1:]:
-        prod = ideal_product(prod, nxt)
-    if not c.ideal.contains(prod):
-        raise ValidationError("prime decomposition product escapes the ideal")
-    descriptors = [ClosedSubcatDescriptor(c.backend, w.ideal) for w in ws]
-    for d in descriptors:
-        if not d.leq(c):
-            raise ValidationError("decomposition factor not inside the subcategory")
-    return descriptors, power
-
-
-def prime_closed_descriptors(backend: ArtinianBackend):
-    """Prime closed subcategories: one per molecule."""
-    return [ClosedSubcatDescriptor(backend, w.ideal)
-            for w in minimal_primes(backend.algebra)]
-
-
 def radical_closed_descriptors(backend: ArtinianBackend):
     """Closed subcategories with radical ideal: intersections of primes.
 
@@ -289,91 +203,3 @@ def radical_lattice_dot(backend: ArtinianBackend) -> str:
     lines.extend(f"  c{i} -> c{j};" for i, j in hasse_edges(up))
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# -- weakly closed subcategories from right-ideal filters ----------------------------
-
-class GeneratedPrelocalizingFilter:
-    """Prelocalizing filter generated by finitely many right ideals.
-
-    Realized as an explicit set over the enumerated right-ideal lattice
-    (finite fields, budgeted): the closure of the generators under
-    up-closure, finite intersection, and translation a^{-1}L.  Membership
-    of a module: every cyclic subquotient Lambda/Ann(x) has Ann(x) in the
-    filter.
-    """
-
-    def __init__(self, algebra: FiniteDimAlgebra, generator_spaces, budget=None):
-        from .oracle import enumerate_right_ideals
-        self.algebra = algebra
-        lattice = enumerate_right_ideals(algebra, budget=budget)
-        self.lattice = lattice
-        current = set()
-        for g in generator_spaces:
-            for r in lattice:
-                if r.contains(g):
-                    current.add(r)
-        changed = True
-        while changed:
-            changed = False
-            frozen = list(current)
-            for r in frozen:
-                for s in frozen:
-                    meet = r.intersect(s)
-                    canon = self._canon(meet)
-                    if canon not in current:
-                        current.add(canon)
-                        changed = True
-            for r in frozen:
-                for i in range(algebra.dim):
-                    pre = self._translate(r, algebra.basis_coords(i))
-                    if pre not in current:
-                        current.add(pre)
-                        changed = True
-            if changed:
-                up = set()
-                for r in current:
-                    for s in lattice:
-                        if s.contains(r):
-                            up.add(s)
-                current = up
-        self.members = current
-
-    def _canon(self, space: Subspace) -> Subspace:
-        for r in self.lattice:
-            if r == space:
-                return r
-        raise ValidationError("subspace is not in the right-ideal lattice")
-
-    def _translate(self, space: Subspace, a) -> Subspace:
-        """a^{-1}L = {b : a b in L}."""
-        alg = self.algebra
-        f = alg.field
-        la = alg.left_mult_matrix(a)
-        cond = la * space.complement_projection_matrix()
-        return self._canon(Subspace.from_vectors(f, alg.dim,
-                                                 cond.left_kernel().rows))
-
-    def contains_right_ideal(self, space: Subspace) -> bool:
-        return self._canon(space) in self.members
-
-    def contains_module(self, m: RightModule) -> bool:
-        f = self.algebra.field
-        if not f.is_finite():
-            raise CapabilityError("filter membership needs an enumerable field")
-        from .oracle import module_vectors
-        for v in module_vectors(m):
-            ann = _element_annihilator_right_ideal(m, v)
-            if not self.contains_right_ideal(ann):
-                return False
-        return True
-
-
-def _element_annihilator_right_ideal(m: RightModule, v) -> Subspace:
-    """{a in Lambda : v a = 0}, a right ideal."""
-    from .linalg import Matrix
-    a = m.algebra
-    f = a.field
-    rows = [m.act(v, a.basis_coords(i)) for i in range(a.dim)]
-    mat = Matrix(f, rows, m.dim)
-    return Subspace.from_vectors(f, a.dim, mat.left_kernel().rows)

@@ -10,15 +10,15 @@ import time
 
 import pytest
 
-from ringspectra.algebras import jacobson_radical
+from ringspectra.algebras import ideal_closure, jacobson_radical
 from ringspectra.commutative import (GradedModuleDescriptor,
                                      GradedPolyBackend, IntegerBackend,
                                      IntModBackend, PolyBackend,
                                      PolyQuotBackend)
 from ringspectra.errors import CapabilityError
-from ringspectra.goldie import (RightIdeal, goldie_localizing,
-                                is_essential_right_ideal, regular_element_in,
-                                singular_subspace, validate_quotient_ring,
+from ringspectra.goldie import (goldie_localizing, is_essential_submodule,
+                                regular_element_in, singular_subspace,
+                                validate_quotient_ring,
                                 classical_quotient_ring)
 from ringspectra.ideals import (TwoSidedIdeal, is_prime, is_semiprime,
                                 minimal_primes, prime_radical_of_zero)
@@ -175,11 +175,11 @@ def test_criterion_6_goldie_suite(algebra_corpus, small_f2_corpus,
     for name, a in small_f2_corpus:
         if not is_semiprime(a):
             continue
+        reg = RightModule.regular(a)
         for space in enumerate_right_ideals(a):
-            ri = RightIdeal(a, space, validate=False)
-            if not is_essential_right_ideal(ri):
+            if not is_essential_submodule(space, reg):
                 continue
-            v = regular_element_in(ri)
+            v = regular_element_in(a, space)
             assert a.is_regular_element(v) and space.contains_vector(v), name
             ideals_checked += 1
     assert ideals_checked > 0
@@ -249,12 +249,13 @@ def test_criterion_9_cross_representation():
         spaces = {w.ideal.space for w in ws}
         for q, _m in backend.factors:
             gen = _poly_element(alg, backend.modulus, q)
-            assert TwoSidedIdeal.from_generators(alg, [gen]).space in spaces
+            assert TwoSidedIdeal(alg, ideal_closure(alg, [gen]),
+                                 validate=False).space in spaces
         assert is_semiprime(alg) == backend.is_semiprime(), coeffs
         rad_sym = backend.radical_generator()
-        assert TwoSidedIdeal.from_generators(
-            alg, [_poly_element(alg, backend.modulus, rad_sym)]).space == \
-            prime_radical_of_zero(alg).space
+        assert TwoSidedIdeal(alg, ideal_closure(
+            alg, [_poly_element(alg, backend.modulus, rad_sym)]),
+            validate=False).space == prime_radical_of_zero(alg).space
         cases += 1
     _report(9, "cross-representation", f"{cases} random polynomial quotients")
 

@@ -13,12 +13,10 @@ from ringspectra.algebras import FiniteDimAlgebra
 from ringspectra.commutative import (IntegerBackend, IntModBackend,
                                      PolyBackend, PolyQuotBackend)
 from ringspectra.errors import CapabilityError, ValidationError
-from ringspectra.goldie import (RightIdeal, classical_quotient_ring,
-                                goldie_localizing, is_essential_right_ideal,
-                                is_essential_submodule,
-                                is_essentially_compressible, is_nonsingular,
-                                regular_element_in, regular_socle_ideal,
-                                singular_subspace, validate_quotient_ring)
+from ringspectra.goldie import (classical_quotient_ring, goldie_localizing,
+                                is_essential_submodule, regular_element_in,
+                                regular_socle_ideal, singular_subspace,
+                                validate_quotient_ring)
 from ringspectra.ideals import is_semiprime
 from ringspectra.linalg import F2, QQ, Subspace
 from ringspectra.modules import RightModule, simple_modules
@@ -58,7 +56,7 @@ def test_essential_agrees_with_enumeration(small_f2_corpus):
 def test_singular_subobject_examples(corpus_by_name):
     # Semisimple: soc(Lambda) = Lambda, so Z = 0 everywhere.
     ff = corpus_by_name["f2xf2"]
-    assert is_nonsingular(RightModule.regular(ff))
+    assert singular_subspace(RightModule.regular(ff)).dim == 0
     # Bound cycle quiver: both simples singular.
     cyc = corpus_by_name["quiver.cycle.J2_f2"]
     for s in simple_modules(cyc):
@@ -108,37 +106,38 @@ def test_goldie_surviving_subset_of_minimal(algebra_corpus):
 
 
 def test_nonsingular_module_has_compressible_submodule(small_f2_corpus):
-    """Nonzero nonsingular modules contain a simple (= compressible) one."""
+    """Nonzero nonsingular modules contain a simple (= compressible) one:
+    a minimal nonzero submodule."""
     from ringspectra.modules import is_compressible
-    from ringspectra.modules import _simple_submodule_space
     for name, a in small_f2_corpus:
         for mname, m in standard_modules(a, include_envelopes=False):
-            if m.dim == 0 or not is_nonsingular(m):
+            if m.dim == 0 or singular_subspace(m).dim != 0:
                 continue
-            space = _simple_submodule_space(m)
+            space = min((s for s in enumerate_submodules(m) if s.dim),
+                        key=lambda s: s.dim)
             sub, _ = m.submodule(space)
             assert is_compressible(sub), (name, mname)
 
 
+# Essentially compressible, finite length: equivalent to semisimple
+# (docs/derivations.md), so ``RightModule.is_semisimple`` decides it.
+
 def test_essentially_compressible(corpus_by_name):
     ff = corpus_by_name["f2xf2"]
-    assert is_essentially_compressible(RightModule.regular(ff))
+    assert RightModule.regular(ff).is_semisimple()
     tr2 = corpus_by_name["trunc2_f2"]
     s = simple_modules(tr2)[0].module
-    assert not is_essentially_compressible(RightModule.regular(tr2))
-    assert is_essentially_compressible(s)          # simple is semisimple
-    with pytest.raises(ValidationError):
-        is_essentially_compressible(RightModule.zero(tr2))
+    assert not RightModule.regular(tr2).is_semisimple()
+    assert s.is_semisimple()                       # simple is semisimple
 
 
 def test_essentially_compressible_over_q():
     """The finite-length criterion needs no enumeration, so Q works too."""
     from ringspectra.algebras import companion_algebra, matrix_algebra
     from ringspectra.linalg import QQ
-    assert is_essentially_compressible(
-        RightModule.regular(matrix_algebra(2, QQ)))
-    assert not is_essentially_compressible(
-        RightModule.regular(companion_algebra(QQ, [0, 0, 1])))
+    assert RightModule.regular(matrix_algebra(2, QQ)).is_semisimple()
+    assert not RightModule.regular(
+        companion_algebra(QQ, [0, 0, 1])).is_semisimple()
 
 
 def test_essentially_compressible_definitional(small_f2_corpus):
@@ -156,7 +155,7 @@ def test_essentially_compressible_definitional(small_f2_corpus):
                 if not embeds_in(m, sub):
                     brute = False
                     break
-            assert is_essentially_compressible(m) == brute, (name, mname)
+            assert m.is_semisimple() == brute, (name, mname)
 
 
 def test_regular_element_lemma_exhaustive(small_f2_corpus):
@@ -164,29 +163,38 @@ def test_regular_element_lemma_exhaustive(small_f2_corpus):
     element; non-essential or non-semiprime inputs are refused."""
     for name, a in small_f2_corpus:
         if not is_semiprime(a):
-            ri = RightIdeal.whole(a)
             with pytest.raises(ValidationError):
-                regular_element_in(ri)
+                regular_element_in(a, Subspace.full(a.field, a.dim))
             continue
+        reg = RightModule.regular(a)
         for space in enumerate_right_ideals(a):
-            ri = RightIdeal(a, space, validate=False)
-            if not is_essential_right_ideal(ri):
+            if not is_essential_submodule(space, reg):
                 with pytest.raises(ValidationError):
-                    regular_element_in(ri)
+                    regular_element_in(a, space)
                 continue
-            v = regular_element_in(ri)
+            v = regular_element_in(a, space)
             assert a.is_regular_element(v), name
             assert space.contains_vector(v), name
 
 
 def test_regular_element_examples(corpus_by_name):
     ff = corpus_by_name["f2xf2"]
-    assert regular_element_in(RightIdeal.whole(ff)) == (1, 1)
-    diag = RightIdeal.from_generators(ff, [ff.unit])
-    assert regular_element_in(diag) == (1, 1)
+    assert regular_element_in(ff, Subspace.full(F2, 2)) == (1, 1)
+    diag = RightModule.regular(ff).spin_submodule([ff.unit])
+    assert regular_element_in(ff, diag) == (1, 1)
     m2 = corpus_by_name["m2_f2"]
-    v = regular_element_in(RightIdeal.whole(m2))
-    assert m2.is_invertible_element(v)
+    v = regular_element_in(m2, Subspace.full(F2, 4))
+    assert m2.is_regular_element(v)
+
+
+def test_regular_element_refuses_a_space_that_is_not_a_right_ideal(
+        corpus_by_name):
+    """m2_f2 is simple, so semiprime; the span of e12 alone is not closed
+    under right multiplication (e12 * e21 = e11)."""
+    m2 = corpus_by_name["m2_f2"]
+    e12 = Subspace.from_vectors(F2, 4, [m2.basis_coords(1)])
+    with pytest.raises(ValidationError, match="about submodules"):
+        regular_element_in(m2, e12)
 
 
 def test_classical_quotient_ring_descriptors(corpus_by_name):

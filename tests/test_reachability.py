@@ -1,0 +1,60 @@
+"""Every definition in the package has a caller outside the tests.
+
+The match is by name: a top-level function or class, or a non-dunder
+method, counts as reached when its name occurs as a ``Name``, an
+``Attribute`` or an import alias anywhere in ``src`` (``__init__.py``
+aside), ``tools`` or ``perfbench``.  So the test can miss a dead method
+that shares a live name, but it cannot flag live code.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = [p for p in sorted((ROOT / "src" / "ringspectra").glob("*.py"))
+           if p.name != "__init__.py"]
+
+EXEMPT = {
+    "oracle": "brute-force references, whose callers are tests by design",
+    "subcats.LocalizingSubcatDescriptor.contains_module":
+        "test_subcats checks the emitted classification against it",
+    "subcats.LocallyClosedLocalizingDescriptor.contains_module":
+        "test_subcats checks the emitted classification against it",
+    "linalg.Matrix.inverse": "the tests' random change of basis uses it",
+    "linalg.Matrix.is_invertible": "the tests' random change of basis uses it",
+    "goldie.regular_element_in": "acceptance criterion 6 tests it",
+}
+
+
+def _definitions(path):
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{path.stem}.{node.name}"
+        if isinstance(node, ast.ClassDef):
+            yield from (f"{path.stem}.{node.name}.{item.name}"
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__"))
+
+
+def _referenced_names():
+    paths = MODULES + sorted((ROOT / "tools").rglob("*.py")) \
+        + sorted((ROOT / "perfbench").rglob("*.py"))
+    names = set()
+    for node in (n for p in paths for n in ast.walk(ast.parse(p.read_text()))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    defined = [d for p in MODULES for d in _definitions(p)]
+    assert set(EXEMPT) <= set(defined) | {p.stem for p in MODULES}
+    names = _referenced_names()
+    unreached = [d for d in defined if d.rsplit(".", 1)[-1] not in names
+                 and d not in EXEMPT and d.split(".", 1)[0] not in EXEMPT]
+    assert unreached == []

@@ -4,22 +4,17 @@ import random
 
 import pytest
 
-from ringspectra.algebras import jacobson_radical
-from ringspectra.ideals import TwoSidedIdeal, ideal_product
+from ringspectra.algebras import ideal_closure, jacobson_radical
+from ringspectra.ideals import TwoSidedIdeal
 from ringspectra.commutative import IntModBackend, IntegerBackend, PolyBackend
 from ringspectra.errors import ValidationError
 from ringspectra.linalg import GF, QQ
 from ringspectra.modules import RightModule
-from ringspectra.oracle import (enumerate_submodules,
-                                enumerate_two_sided_ideals, standard_modules)
+from ringspectra.oracle import enumerate_submodules, enumerate_two_sided_ideals
 from ringspectra.spectra import ArtinianBackend
-from ringspectra.subcats import (GeneratedPrelocalizingFilter,
-                                 classify_localizing,
+from ringspectra.subcats import (ClosedSubcatDescriptor, classify_localizing,
                                  classify_locally_closed_localizing,
-                                 closed_from_ideal, decompose_into_primes,
-                                 ext_product, prime_closed_descriptors,
-                                 radical_of_closed, reduced_part,
-                                 whole_category, artinianization)
+                                 reduced_part, artinianization)
 
 
 def _backend(name, corpus_by_name):
@@ -32,84 +27,10 @@ def test_order_reversal_on_full_lattice(corpus_by_name):
         a = b.algebra
         lattice = [TwoSidedIdeal(a, s, validate=False)
                    for s in enumerate_two_sided_ideals(a)]
-        descs = [closed_from_ideal(b, i) for i in lattice]
+        descs = [ClosedSubcatDescriptor(b, i) for i in lattice]
         for c1 in descs:
             for c2 in descs:
                 assert c1.leq(c2) == c1.ideal.contains(c2.ideal), name
-
-
-def test_ext_product_unit_and_whole(corpus_by_name):
-    b = _backend("t2_f2", corpus_by_name)
-    whole = whole_category(b)
-    assert ext_product(whole, whole) == whole      # 0 * 0 = 0 on ideals
-    # The zero subcategory (ideal = Lambda) is the unit of *.
-    zero = closed_from_ideal(b, TwoSidedIdeal.whole(b.algebra))
-    j = closed_from_ideal(b, TwoSidedIdeal(
-        b.algebra, jacobson_radical(b.algebra), validate=False))
-    assert ext_product(zero, j) == j
-    assert ext_product(j, zero) == j
-    # Extending by the whole category swallows everything.
-    assert ext_product(j, whole) == whole
-    assert ext_product(whole, j) == whole
-
-
-def test_ext_product_nilpotency(corpus_by_name):
-    b = _backend("trunc4_f2", corpus_by_name)
-    a = b.algebra
-    x2 = closed_from_ideal(b, TwoSidedIdeal.from_generators(
-        a, [a.basis_coords(2)]))
-    prod = ext_product(x2, x2)
-    assert prod.ideal.is_zero()                    # (x^2)(x^2) = (x^4) = 0
-    assert prod == whole_category(b)
-
-
-def test_ext_product_radical_square_t2(corpus_by_name):
-    b = _backend("t2_f2", corpus_by_name)
-    j = closed_from_ideal(b, TwoSidedIdeal(
-        b.algebra, jacobson_radical(b.algebra), validate=False))
-    assert ext_product(j, j) == whole_category(b)   # J^2 = 0
-
-
-def test_ext_product_membership_predicate(corpus_by_name):
-    """M in C1 * C2 iff M has a submodule in C1 with quotient in C2.
-
-    Checked by enumeration: the ideal-product descriptor must contain
-    exactly the modules with such a filtration.
-    """
-    b = _backend("trunc3_f2", corpus_by_name)
-    a = b.algebra
-    x = TwoSidedIdeal.from_generators(a, [a.basis_coords(1)])
-    c = closed_from_ideal(b, x)                     # Mod(A/(x))
-    cc = ext_product(c, c)
-    for mname, m in standard_modules(a, include_envelopes=False):
-        member = cc.contains_module(m)
-        witness = False
-        for s in enumerate_submodules(m):
-            sub, _ = m.submodule(s)
-            quot, _ = m.quotient(s)
-            if c.contains_module(sub) and c.contains_module(quot):
-                witness = True
-                break
-        assert member == witness, mname
-
-
-def test_radical_of_closed_examples(corpus_by_name):
-    b = _backend("trunc4_f2", corpus_by_name)
-    whole = whole_category(b)
-    r, n = radical_of_closed(whole)
-    assert r.ideal.dim == 3                         # sqrt(0) = (x)
-    assert n == 4                                   # (x)^4 = 0, minimal
-    r2, n2 = radical_of_closed(r)
-    assert r2 == r and n2 == 1                      # radical ideals are fixed
-    prime = prime_closed_descriptors(b)[0]
-    assert radical_of_closed(prime)[0] == prime
-
-
-def test_radical_semiprime_is_identity(corpus_by_name):
-    b = _backend("f2xf2", corpus_by_name)
-    whole = whole_category(b)
-    r, n = radical_of_closed(whole)
-    assert r == whole and n == 1
 
 
 def test_reduced_part_examples(corpus_by_name):
@@ -276,31 +197,6 @@ def test_locally_closed_membership(corpus_by_name):
     assert empty[0].contains_module(RightModule.zero(b.algebra))
 
 
-def test_decompose_into_primes(corpus_by_name):
-    for name in ["trunc4_f2", "t2_f2", "quiver.cycle.J2_f2"]:
-        b = _backend(name, corpus_by_name)
-        c = whole_category(b)
-        factors, power = decompose_into_primes(c)
-        assert factors and power >= 1
-        seq = [f.ideal for f in factors] * power
-        prod = seq[0]
-        for nxt in seq[1:]:
-            prod = ideal_product(prod, nxt)
-        assert c.ideal.contains(prod), name
-        for f in factors:
-            assert f.leq(c), name
-
-
-def test_prime_closed_descriptors_biject_with_molecules(algebra_corpus):
-    from ringspectra.ideals import is_prime
-    for name, a in algebra_corpus:
-        b = ArtinianBackend(a)
-        descs = prime_closed_descriptors(b)
-        assert len(descs) == len(b.molecules()), name
-        for d in descs:
-            assert is_prime(d.ideal), name
-
-
 def test_dcc_random_descending_chains(corpus_by_name):
     """Strictly descending closed-descriptor chains stop within dim steps.
 
@@ -312,13 +208,13 @@ def test_dcc_random_descending_chains(corpus_by_name):
         a = corpus_by_name[name]
         b = ArtinianBackend(a)
         for _ in range(10):
-            current = whole_category(b)
+            current = ClosedSubcatDescriptor(b, TwoSidedIdeal.zero(a))
             strict_steps = 0
             for _ in range(3 * a.dim):
                 gen = tuple(rng.randrange(2) for _ in range(a.dim))
-                nxt_ideal = current.ideal.sum(
-                    TwoSidedIdeal.from_generators(a, [gen]))
-                nxt = closed_from_ideal(b, nxt_ideal)
+                nxt_ideal = current.ideal.sum(TwoSidedIdeal(
+                    a, ideal_closure(a, [gen]), validate=False))
+                nxt = ClosedSubcatDescriptor(b, nxt_ideal)
                 assert nxt.leq(current)
                 if nxt.ideal.space != current.ideal.space:
                     strict_steps += 1
@@ -327,18 +223,17 @@ def test_dcc_random_descending_chains(corpus_by_name):
 
 
 def test_generated_filter_realizes_goldie_filter(corpus_by_name):
-    """The filter generated by soc(Lambda) is exactly the essential filter."""
+    """The right ideals containing soc(Lambda) are exactly the essential
+    ones, so soc(Lambda) generates the Goldie filter."""
     from ringspectra.goldie import regular_socle_ideal
     from ringspectra.oracle import enumerate_right_ideals
     for name in ["t2_f2", "trunc3_f2", "quiver.cycle.J2_f2"]:
         a = corpus_by_name[name]
         soc = regular_socle_ideal(a)
-        filt = GeneratedPrelocalizingFilter(a, [soc.space])
         for r in enumerate_right_ideals(a):
             brute_essential = all(
                 r.intersect(other).dim > 0
                 for other in enumerate_right_ideals(a) if other.dim > 0)
-            assert filt.contains_right_ideal(r) == r.contains(soc.space), name
             assert (r.contains(soc.space)) == brute_essential, name
 
 
@@ -360,38 +255,3 @@ def test_radical_closed_lattice(corpus_by_name):
     b2 = _backend("f2xf2", corpus_by_name)
     labels = {d.label for d in radical_closed_descriptors(b2)}
     assert any(lab.startswith("Mod f2xf2") for lab in labels)
-
-
-def test_filter_membership_matches_closed_subcat(corpus_by_name):
-    a = corpus_by_name["t2_f2"]
-    from ringspectra.goldie import regular_socle_ideal
-    soc = regular_socle_ideal(a)
-    filt = GeneratedPrelocalizingFilter(a, [soc.space])
-    b = ArtinianBackend(a)
-    w_descriptor = closed_from_ideal(b, soc)
-    for mname, m in standard_modules(a, include_envelopes=False):
-        assert filt.contains_module(m) == w_descriptor.contains_module(m), mname
-
-
-def test_decompose_into_primes_builds_one_quotient(monkeypatch):
-    """The primes over I are found once and intersected for the radical."""
-    from ringspectra import algebras, ideals
-    from ringspectra.algebras import upper_triangular_algebra
-    from ringspectra.linalg import F2
-    a = upper_triangular_algebra(3, F2)
-    j = TwoSidedIdeal(a, jacobson_radical(a))
-    b = ArtinianBackend(a)
-    c = closed_from_ideal(b, ideal_product(j, j))
-    built = []
-    real = algebras.quotient_algebra
-
-    def counting(alg, *args, **kwargs):
-        if alg is a:
-            built.append(args[0].dim)
-        return real(alg, *args, **kwargs)
-
-    monkeypatch.setattr(algebras, "quotient_algebra", counting)
-    monkeypatch.setattr(ideals, "quotient_algebra", counting)
-    factors, power = decompose_into_primes(c)
-    assert len(factors) == 3 and power == 2
-    assert built == []                     # the cached primes of a; no a / J^2
