@@ -17,7 +17,8 @@ the lifted-trace chain over F_p) and the Wedderburn block decomposition of
 a semisimple algebra via central idempotents.
 
 Each algebra carries one ``AlgebraStructure``, created on first use, that
-holds what is computed about it once: the radical, the semisimple quotient
+holds what is computed about it once: a generating set of basis indices,
+the radical, the semisimple quotient
 ``(a/J, projection, section)`` (``(a, None, None)`` when J = 0), the
 Wedderburn blocks, the simple modules, the primitive idempotents, the
 minimal primes, the opposite algebra and, on a Wedderburn block, the
@@ -29,6 +30,12 @@ J(A^op) = J(A) (docs/derivations.md), and the opposite's semisimple
 quotient is the opposite of A/J.  The radical and its checks therefore run
 once per opposite pair, and the structure constants of the opposite, being
 those of a validated algebra transposed, are not validated again.
+
+The generating set S (``FiniteDimAlgebra.generators``) is what every check
+that quantifies over the algebra's action runs on: a subspace closed under
+multiplication by S on a side is closed under all of A on that side, and
+associativity is Light's test on the triples (i, g, k) with g in S
+(docs/derivations.md, "Generating sets").  The pair shares S as well.
 """
 
 from __future__ import annotations
@@ -39,22 +46,22 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapabilityError, ValidationError
-from .linalg import (Matrix, Subspace, apply_vec, common_left_kernel,
-                     field_name, spin, unit_vec, vec_add, vec_is_zero,
-                     vec_scale, zero_vec)
+from .linalg import (Matrix, RowReducer, Subspace, apply_vec,
+                     common_left_kernel, field_name, spin, unit_vec, vec_add,
+                     vec_is_zero, vec_scale, zero_vec)
 
 
 class AlgebraStructure:
     """What is computed about one algebra, each field filled in on first use.
 
-    ``mirror`` marks an algebra built by ``opposite()``: its radical,
-    semisimple quotient and Wedderburn blocks are read off the algebra it
-    is the opposite of.
+    ``mirror`` marks an algebra built by ``opposite()``: its generating
+    set, radical, semisimple quotient and Wedderburn blocks are read off
+    the algebra it is the opposite of.
     ``minimal_right_ideal`` holds the outcome of a simple block's one
     search (``modules.minimal_right_ideal``): the subspace, or the
     ``CapabilityError`` the search raised.
     """
-    radical = quotient = blocks = simples = None
+    generators = radical = quotient = blocks = simples = None
     primitive_idempotents = minimal_primes = opposite = None
     minimal_right_ideal = None
     mirror = False
@@ -82,14 +89,15 @@ class FiniteDimAlgebra:
         self.sc = sc
         self._terms = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
                                   for row in plane) for plane in sc)
-        self.labels = tuple(labels) if labels else tuple(f"b{i}" for i in range(dim))
+        self.labels = check_length(labels, dim, "labels") if labels \
+            else tuple(f"b{i}" for i in range(dim))
         self.name = name
         self._right_mats = None
         self._left_mats = None
         self._structure = None
         if unit is None:
             unit = self._solve_unit()
-        self.unit = tuple(field.scalar(x) for x in unit)
+        self.unit = tuple(field.scalar(x) for x in check_length(unit, dim, "unit"))
         if validate:
             self._validate()
 
@@ -116,9 +124,20 @@ class FiniteDimAlgebra:
         return u
 
     def _validate(self):
+        """The unit law on every basis element, then Light's associativity
+        test: (b_i b_g) b_k = b_i (b_g b_k) for every generator g.
+
+        The y with (x y) z = x (y z) for all x, z form a subalgebra, which
+        holds 1 by the unit law; so it is all of A once it holds S
+        (docs/derivations.md, "Generating sets").
+        """
         d = self.dim
+        for i in range(d):
+            b = self.basis_coords(i)
+            if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
+                raise ValidationError(f"unit law fails at basis element {i}")
         terms = self._terms
-        for i, j, k in itertools.product(range(d), repeat=3):
+        for i, j, k in itertools.product(range(d), self.generators(), range(d)):
             # (b_i b_j) b_k = sum_m c_ijm b_m b_k and b_i (b_j b_k) = sum_m c_jkm b_i b_m
             if not (terms[i][j] or terms[j][k]):
                 continue
@@ -127,10 +146,53 @@ class FiniteDimAlgebra:
             if lhs != rhs:
                 raise ValidationError(
                     f"associativity fails at basis triple ({i},{j},{k})")
-        for i in range(d):
-            b = self.basis_coords(i)
-            if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
-                raise ValidationError(f"unit law fails at basis element {i}")
+
+    def generators(self) -> tuple:
+        """Basis indices S with 1 and the b_g, g in S, generating the algebra.
+
+        Computed once; the opposite reads its partner's, since the products
+        of members of S span the same subspace in either order.
+        """
+        st = self.structure
+        if st.generators is None:
+            st.generators = st.opposite.generators() if st.mirror \
+                else self._generating_set()
+        return st.generators
+
+    def _generating_set(self) -> tuple:
+        """Spin the unit under right multiplication, taking b_i as a new
+        generator whenever it lies outside the span reached so far.
+
+        Indices i with b_i a one-term product b_j b_k, j, k != i, come last:
+        they are often reached through b_j and b_k.  One reducer grows
+        throughout; a new generator multiplies the rows already in it, and
+        each new row is multiplied by every generator chosen so far.  The
+        span of the words in S is the whole algebra once it holds every b_i,
+        which it does under the unit law; anything short of that is refused.
+        """
+        d = self.dim
+        products = {row[0][0] for j, plane in enumerate(self._terms)
+                    for k, row in enumerate(plane)
+                    if len(row) == 1 and row[0][0] not in (j, k)}
+        right = self.right_mult_matrices()
+        red = RowReducer(self.field, d)
+        red.add(self.unit)
+        gens, ops = [], ()
+        for i in sorted(range(d), key=products.__contains__):
+            if red.contains(self.basis_coords(i)):
+                continue
+            gens.append(i)
+            ops += (right[i],)
+            work = [(row, (right[i],)) for row in red.rows]
+            while work:
+                row, by = work.pop()
+                for m in by:
+                    if red.add(apply_vec(row, m)):
+                        work.append((red.rows[-1], ops))
+        if red.dim() != d:
+            raise ValidationError(
+                f"the words in the generators span {red.dim()} of {d} dimensions")
+        return tuple(gens)
 
     # -- element arithmetic --------------------------------------------------
 
@@ -244,14 +306,22 @@ class FiniteDimAlgebra:
         return st.opposite
 
     def center(self) -> Subspace:
-        """x is central iff x (R_j - L_j) = 0 for every basis element j."""
-        return common_left_kernel(
-            self.field, self.dim,
-            [r - l for r, l in zip(self.right_mult_matrices(),
-                                   self.left_mult_matrices())])
+        """x is central iff x (R_g - L_g) = 0 for every generator g: what
+        commutes with each b_g commutes with their products."""
+        right, left = self.right_mult_matrices(), self.left_mult_matrices()
+        return common_left_kernel(self.field, self.dim,
+                                  [right[g] - left[g] for g in self.generators()])
 
 
 # -- constructors ------------------------------------------------------------
+
+def check_length(values, dim: int, what: str):
+    """The values themselves, once there are exactly dim of them."""
+    values = tuple(values)
+    if len(values) != dim:
+        raise ValidationError(f"{what} needs {dim} entries, got {len(values)}")
+    return values
+
 
 def algebra_from_structure_constants(field, sc, unit=None, labels=None, name="A"):
     return FiniteDimAlgebra(field, sc, unit=unit, labels=labels, name=name)
@@ -575,21 +645,27 @@ def quotient_algebra(a: FiniteDimAlgebra, ideal_space: Subspace,
     return quot, proj, section
 
 
+def _generator_multiplications(a: FiniteDimAlgebra):
+    """Right, then left, multiplication by each generator.
+
+    A subspace V has V b_g in V for every generator g iff V A is in V: the
+    words in the generators span A, and V w is in V letter by letter.  The
+    same holds on the left.
+    """
+    right, left = a.right_mult_matrices(), a.left_mult_matrices()
+    gens = a.generators()
+    return [right[g] for g in gens] + [left[g] for g in gens]
+
+
 def ideal_closure(a: FiniteDimAlgebra, seeds) -> Subspace:
     """Smallest two-sided ideal subspace containing the seed elements."""
-    ops = list(a.right_mult_matrices()) + list(a.left_mult_matrices())
-    return spin(a.field, a.dim, seeds, ops)
+    return spin(a.field, a.dim, seeds, _generator_multiplications(a))
 
 
 def is_two_sided_ideal_space(a: FiniteDimAlgebra, s: Subspace) -> bool:
-    for v in s.basis_rows():
-        for m in a.right_mult_matrices():
-            if not s.contains_vector(apply_vec(v, m)):
-                return False
-        for m in a.left_mult_matrices():
-            if not s.contains_vector(apply_vec(v, m)):
-                return False
-    return True
+    ops = _generator_multiplications(a)
+    return all(s.contains_vector(apply_vec(v, m))
+               for v in s.basis_rows() for m in ops)
 
 
 def subspace_product(a: FiniteDimAlgebra, s: Subspace, t: Subspace) -> Subspace:

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .algebras import (BoundQuiver, FiniteDimAlgebra,
                        algebra_from_structure_constants, bound_quiver_algebra,
-                       check_group_table, companion_algebra, group_algebra,
-                       matrix_algebra, upper_triangular_algebra)
+                       check_group_table, check_length, companion_algebra,
+                       group_algebra, matrix_algebra, upper_triangular_algebra)
 from .commutative import (GradedModuleDescriptor, GradedPolyBackend,
                           IntegerBackend, IntModBackend, PolyBackend,
                           PolyQuotBackend)
@@ -249,8 +249,10 @@ def _build_algebra(b: Section) -> FiniteDimAlgebra:
         labels = b.get("labels")
         return algebra_from_structure_constants(
             fld, sc,
-            unit=b.parse("unit", lambda v: _scalar_list(fld, v)) if unit else None,
-            labels=labels.split() if labels else None, name=name)
+            unit=b.parse("unit", lambda v: check_length(
+                _scalar_list(fld, v), dim, "unit")) if unit else None,
+            labels=b.parse("labels", lambda v: check_length(
+                v.split(), dim, "labels")) if labels else None, name=name)
     raise FixtureParseError(f"unknown algebra source {source!r}", b.line)
 
 

@@ -15,7 +15,8 @@ The kernels work a row at a time: ``axpy`` and ``row_scale`` are the field's
 row operations, so a field is consulted once per row, not once per scalar.
 Zero is falsy in both fields, which the kernels use to skip zero entries.
 Scalars are coerced once, where they enter: ``Matrix(field, rows)`` coerces,
-and results computed here from field scalars go through ``Matrix.trusted``.
+and results computed here from field scalars go through ``Matrix.trusted``,
+as do the vectors ``Subspace.from_vectors`` spans.
 """
 
 from __future__ import annotations
@@ -440,7 +441,9 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient: int, vectors: Iterable):
-        m = Matrix(field, list(vectors), ambient)
+        """The span of vectors of length ambient holding scalars of field,
+        taken as they are (coerce outside input with ``Matrix`` first)."""
+        m = Matrix.trusted(field, tuple(map(tuple, vectors)), ambient)
         r, pivots = m.rref()
         rows = r.rows[:len(pivots)]
         return cls(field, ambient, Matrix.trusted(field, rows, ambient), pivots)

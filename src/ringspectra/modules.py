@@ -3,6 +3,10 @@
 A module is a list of action matrices, one per algebra basis element,
 acting on row vectors.  Submodules are generated by ``spin`` closure and
 carried canonically (rref bases), so equal submodules are identical.
+Closure, submodule and module-map checks and ``hom_basis`` read only the
+action of the algebra's generators (``FiniteDimAlgebra.generators``): for
+a representation that is the action of every word in them, so of all of
+the algebra (docs/derivations.md, "Generating sets").
 
 The structural layers: socle and radical series, Jordan-Hoelder factors
 counted through block idempotents, simple modules realized as certified
@@ -51,16 +55,16 @@ class RightModule:
             self._validate()
 
     def _validate(self):
+        """rho(1) = I, then rho(b_i) rho(b_g) = rho(b_i b_g) for every
+        generator g; the y with rho(x) rho(y) = rho(x y) for all x then form
+        a subalgebra holding 1 and S, so all of A."""
         a = self.algebra
-        f = a.field
-        d = a.dim
-        for i in range(d):
-            for j in range(d):
-                if self.action[i] * self.action[j] != self.act_matrix(a.sc[i][j]):
-                    raise ValidationError(
-                        f"action breaks structure constants at ({i},{j})")
-        if self.act_matrix(a.unit) != Matrix.identity(f, self.dim):
+        if self.act_matrix(a.unit) != Matrix.identity(a.field, self.dim):
             raise ValidationError("unit must act as the identity")
+        for i, g in itertools.product(range(a.dim), a.generators()):
+            if self.action[i] * self.action[g] != self.act_matrix(a.sc[i][g]):
+                raise ValidationError(
+                    f"action breaks structure constants at ({i},{g})")
 
     # -- basic structure -----------------------------------------------------
 
@@ -108,12 +112,23 @@ class RightModule:
 
     # -- submodules and quotients ---------------------------------------------
 
+    def generator_action(self):
+        """The action matrices of the algebra's generators."""
+        return [self.action[g] for g in self.algebra.generators()]
+
     def spin_submodule(self, seeds) -> Subspace:
-        return spin(self.algebra.field, self.dim, seeds, self.action)
+        return spin(self.algebra.field, self.dim, seeds, self.generator_action())
 
     def is_submodule_space(self, s: Subspace) -> bool:
+        """Whether s is closed under the generators' action.
+
+        That is closure under the whole algebra because ``action`` is a
+        representation: validated at construction, or built from modules
+        that are.
+        """
+        ops = self.generator_action()
         return all(s.contains_vector(apply_vec(v, m))
-                   for v in s.basis_rows() for m in self.action)
+                   for v in s.basis_rows() for m in ops)
 
     def submodule(self, space_or_seeds, name="L"):
         """(module on the subspace, inclusion map); seeds are spun closed."""
@@ -224,10 +239,11 @@ class ModuleMap:
         return apply_vec(v, self.matrix)
 
     def is_module_map(self):
-        for ms, mt in zip(self.source.action, self.target.action):
-            if ms * self.matrix != self.matrix * mt:
-                return False
-        return True
+        """rho_M(b_g) X = X rho_N(b_g) for every generator g; a map that
+        intertwines the b_g intertwines their products."""
+        return all(ms * self.matrix == self.matrix * mt for ms, mt in
+                   zip(self.source.generator_action(),
+                       self.target.generator_action()))
 
     def is_injective(self):
         return self.matrix.rank() == self.source.dim
@@ -438,21 +454,20 @@ def is_simple_module(m: RightModule) -> bool:
 # -- homomorphisms ---------------------------------------------------------------
 
 def hom_basis(m: RightModule, n: RightModule) -> list[Matrix]:
-    """Basis of Hom(m, n): solutions X of M_i X = X N_i for all i."""
+    """Basis of Hom(m, n): solutions X of M_g X = X N_g for every generator
+    g, which is what ``ModuleMap.is_module_map`` asks of X."""
     if m.algebra is not n.algebra:
         raise ValidationError("hom needs a common algebra")
     f = m.algebra.field
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return []
-    nunk = dm * dn
-    d = m.algebra.dim
+    pairs = list(zip(m.generator_action(), n.generator_action()))
     rows = []
     for r in range(dm):
         for c in range(dn):
             cond = []
-            for i in range(d):
-                mi, ni = m.action[i], n.action[i]
+            for mi, ni in pairs:
                 for u in range(dm):
                     for v in range(dn):
                         x = f.zero
@@ -462,7 +477,7 @@ def hom_basis(m: RightModule, n: RightModule) -> list[Matrix]:
                             x = f.sub(x, ni.rows[c][v])
                         cond.append(x)
             rows.append(tuple(cond))
-    big = Matrix(f, rows, d * dm * dn)
+    big = Matrix(f, rows, len(pairs) * dm * dn)
     kern = big.left_kernel()
     out = []
     for lam in kern.rows:
@@ -618,7 +633,8 @@ def _minimal_right_ideal_space(block) -> Subspace:
     if block.dim == 1 or block.is_commutative():
         return Subspace.full(f, block.dim)
     if f.is_finite():
-        ops = block.right_mult_matrices()
+        right = block.right_mult_matrices()
+        ops = [right[g] for g in block.generators()]
         space = Subspace.full(f, block.dim)
         while True:
             gens = (spin(f, block.dim, [apply_vec(c, space.mat)], ops)

@@ -447,18 +447,26 @@ n = 2
 
 GROUP_RAGGED = "source = group\ntable = 0 1; 1"
 GROUP_OUT_OF_RANGE = "source = group\ntable = 0 1; 1 2"
+SC_LONG_UNIT = "source = structure_constants\ndim = 1\nc = 0 0 0 1\nunit = 1 1"
+SC_F2XF2 = "source = structure_constants\ndim = 2\nc = 0 0 0 1\nc = 1 1 1 1"
+SC_SHORT_UNIT = SC_F2XF2 + "\nunit = 1"
+SC_SHORT_LABELS = SC_F2XF2 + "\nlabels = one"
 
 
 @pytest.mark.parametrize("old,new", [("field = F2", "field = F4"),
                                      ("n = 2", "n = x"),
                                      ("n = 2", "n = 0"),
                                      ("source = matrix\nn = 2", GROUP_RAGGED),
-                                     ("source = matrix\nn = 2", GROUP_OUT_OF_RANGE)])
+                                     ("source = matrix\nn = 2", GROUP_OUT_OF_RANGE),
+                                     ("source = matrix\nn = 2", SC_LONG_UNIT),
+                                     ("source = matrix\nn = 2", SC_SHORT_UNIT),
+                                     ("source = matrix\nn = 2", SC_SHORT_LABELS)])
 def test_cli_bad_algebra_value_is_a_parse_error(tmp_path, capsys, old, new):
     # A value that fails to convert names its own line; n = 0 fails only
     # when the algebra is built, so it names the section header's.
     line = {"field = F4": 3, "n = x": 5, "n = 0": 1,
-            GROUP_RAGGED: 5, GROUP_OUT_OF_RANGE: 5}[new]
+            GROUP_RAGGED: 5, GROUP_OUT_OF_RANGE: 5, SC_LONG_UNIT: 7,
+            SC_SHORT_UNIT: 8, SC_SHORT_LABELS: 8}[new]
     path = _write(tmp_path, "bad.alg", BAD_ALGEBRA.replace(old, new))
     assert cli_main(["analyze", path]) == 2
     err = capsys.readouterr().err

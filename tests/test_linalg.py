@@ -58,6 +58,21 @@ def test_rational_kernels_keep_fractions():
     reg = RightModule.regular(upper_triangular_algebra(2, QQ))
     assert all_fractions(reg.act_matrix((0, 3, Fraction(1, 2))))
     assert all_fractions(reg.act_matrix((0, 0, 0)))
+    # Subspace.from_vectors takes the field scalars it is given as they are.
+    for s in (Subspace.from_vectors(QQ, 3, m.rows),
+              Subspace.from_vectors(QQ, 3, (m * m).rows + m.right_kernel().rows),
+              reg.spin_submodule([(QQ.zero, Fraction(3), Fraction(1, 2))])):
+        assert s.dim > 0 and all_fractions(s.mat)
+    for p in (2, 5):
+        f = GF(p)
+        mp = Matrix(f, [[3, 7, 1], [4, 0, 9], [1, 1, 1]])
+        reg_p = RightModule.regular(upper_triangular_algebra(2, f))
+        for s in (Subspace.from_vectors(f, 3, mp.rows),
+                  Subspace.from_vectors(f, 3, (mp * mp).rows + mp.left_kernel().rows),
+                  reg_p.spin_submodule([(1, 1, 0)])):
+            assert s.dim > 0
+            assert all(type(x) is int and 0 <= x < p
+                       for row in s.basis_rows() for x in row)
 
 
 def test_public_constructor_coerces():
@@ -173,8 +188,8 @@ def test_two_lines_in_f2_plane():
 
 
 def test_plane_intersection_in_q3():
-    xy = Subspace.from_vectors(QQ, 3, [[1, 0, 0], [0, 1, 0]])
-    yz = Subspace.from_vectors(QQ, 3, [[0, 1, 0], [0, 0, 1]])
+    xy = Subspace.from_vectors(QQ, 3, Matrix(QQ, [[1, 0, 0], [0, 1, 0]]).rows)
+    yz = Subspace.from_vectors(QQ, 3, Matrix(QQ, [[0, 1, 0], [0, 0, 1]]).rows)
     meet = xy.intersect(yz)
     join = xy.sum(yz)
     assert meet.basis_rows() == ((QQ.zero, QQ.one, QQ.zero),)
@@ -194,8 +209,8 @@ def test_dimension_formula_random():
 
 
 def test_canonical_form_is_representation_equality():
-    a = Subspace.from_vectors(QQ, 3, [[1, 1, 0], [0, 2, 2]])
-    b = Subspace.from_vectors(QQ, 3, [[1, 0, -1], [3, 3, 0]])
+    a = Subspace.from_vectors(QQ, 3, Matrix(QQ, [[1, 1, 0], [0, 2, 2]]).rows)
+    b = Subspace.from_vectors(QQ, 3, Matrix(QQ, [[1, 0, -1], [3, 3, 0]]).rows)
     assert a == b
     assert hash(a) == hash(b)
     assert a.mat.rows == b.mat.rows
@@ -257,8 +272,8 @@ def test_meets_agrees_with_intersection():
              ([], [(1, 0, 0)], False),
              ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(5, -3, half)], True)]
     for us, vs, want in pairs:
-        s = Subspace.from_vectors(QQ, 3, us)
-        t = Subspace.from_vectors(QQ, 3, vs)
+        s = Subspace.from_vectors(QQ, 3, Matrix(QQ, us, 3).rows)
+        t = Subspace.from_vectors(QQ, 3, Matrix(QQ, vs, 3).rows)
         assert (s.intersect(t).dim > 0) == want, (us, vs)
         assert s.meets(t) == want and t.meets(s) == want, (us, vs)
     with pytest.raises(ValueError):

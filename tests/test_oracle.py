@@ -5,7 +5,7 @@ import pytest
 from ringspectra.errors import BudgetExceeded
 from ringspectra.ideals import annihilator
 from ringspectra.linalg import F2, F3, GF
-from ringspectra.modules import RightModule, simple_modules
+from ringspectra.modules import RightModule, are_isomorphic, simple_modules
 from ringspectra.oracle import (Budget, brute_is_compressible,
                                 brute_is_monoform, brute_is_prime_object,
                                 brute_mass, brute_singular_subspace, corpus,
@@ -151,3 +151,42 @@ def test_one_lattice_matches_the_nested_definitions(algebra_corpus):
             primes += prime
             non_primes += not prime
     assert primes > 20 and non_primes > 20
+
+
+def _nested_is_monoform(m):
+    """Reference: a fresh submodule lattice for every quotient m/L."""
+    subs = enumerate_submodules(m)
+    sub_modules = [m.submodule(s)[0] for s in subs if s.dim > 0]
+    for l_space in subs:
+        if l_space.dim == 0:
+            continue
+        quot, _ = m.quotient(l_space)
+        if quot.dim == 0:
+            continue
+        q_subs = [quot.submodule(t)[0] for t in enumerate_submodules(quot)
+                  if t.dim > 0]
+        if any(x.dim == y.dim and are_isomorphic(x, y)
+               for x in sub_modules for y in q_subs):
+            return False
+    return True
+
+
+def test_monoform_from_one_lattice_matches_the_nested_definition(
+        algebra_corpus, corpus_by_name):
+    """On the zoo, and on the quotients of the Kronecker algebra's regular
+    module: in some of those only a proper submodule of a quotient m/L is
+    isomorphic to a submodule of m."""
+    cases = [(f"{name}:{mname}", m) for name, a in algebra_corpus
+             if a.dim <= ZOO_MAX_DIM[a.field.p]
+             for mname, m in standard_modules(a)
+             if 0 < m.dim <= ZOO_MAX_DIM[a.field.p]]
+    reg = RightModule.regular(corpus_by_name["quiver.kronecker_f2"])
+    cases += [("kronecker:reg/L", reg.quotient(s)[0])
+              for s in enumerate_submodules(reg) if 0 < s.dim < reg.dim]
+    monoform = not_monoform = 0
+    for label, m in cases:
+        got = brute_is_monoform(m)
+        assert got == _nested_is_monoform(m), label
+        monoform += got
+        not_monoform += not got
+    assert monoform > 20 and not_monoform > 20
