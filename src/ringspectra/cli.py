@@ -5,7 +5,10 @@ identical inputs produce byte-identical output.  Exit codes: 0 success,
 1 failed verification (an assertion that fails, or a self-check that
 raises ``ValidationError``), 2 fixture parse error or usage error,
 3 capability or budget error.  The Lambda-level sections and checks run
-where the backend declares an ``algebra``.
+where the backend declares an ``algebra``.  An ``analyze`` listing (only
+``--atoms`` and/or ``--molecules``, no ``--dot``) runs no assertions,
+only the self-checks of what it computes; every other ``analyze``,
+``verify`` and ``hasse`` run the whole suite.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from .fixtures import FixtureParseError, load_fixture
 from .goldie import goldie_localizing, validate_quotient_ring
 from .linalg import GF
 from .oracle import corpus, count_subspaces, enumerate_subspaces
-from .spectra import AssertionRecord, hasse_edges, verify_correspondence
+from .spectra import (AssertionRecord, atom_spectrum, hasse_edges,
+                      molecule_spectrum, verify_correspondence)
 from .subcats import (artinianization, classify_localizing,
                       classify_locally_closed_localizing,
                       radical_lattice_dot, reduced_part)
@@ -130,6 +134,9 @@ def _emit(args, payload):
 
 
 def cmd_analyze(args) -> int:
+    """The requested sections; a listing (only --atoms and/or --molecules,
+    no --dot) reads its spectra without ``verify_correspondence`` and
+    exits 0 unless a self-check raises (docs/report_schema.md)."""
     loaded = _load(args)
     backend = loaded.backend
     window = loaded.window
@@ -137,21 +144,26 @@ def cmd_analyze(args) -> int:
                         args.radical, args.subcats, args.goldie))
     payload = {"schema_version": 1, "backend": backend.label,
                "kind": backend.kind}
-    report = verify_correspondence(backend, window)
-    if args.atoms or want_all:
-        payload["atoms"] = {
-            "elements": [a.label for a in report.atoms],
-            "order": report.atom_order,
-            "minimal": [a.label for a in report.minimal_atoms],
-            "complete": report.complete,
-        }
-    if args.molecules or want_all:
-        payload["molecules"] = {
-            "elements": [m.label for m in report.molecules],
-            "order": report.molecule_order,
-            "minimal": [m.label for m in report.minimal_molecules],
-            "complete": report.complete,
-        }
+    if (args.atoms or args.molecules) and not (
+            args.phi_psi or args.radical or args.subcats or args.goldie
+            or args.dot_path):
+        report = None
+        for name, read in (("atoms", atom_spectrum),
+                           ("molecules", molecule_spectrum)):
+            if getattr(args, name):
+                spec = read(backend, window)
+                payload[name] = _spectrum_section(
+                    spec.elements, spec.order, spec.minimal, backend.complete)
+    else:
+        report = verify_correspondence(backend, window)
+        if args.atoms or want_all:
+            payload["atoms"] = _spectrum_section(
+                report.atoms, report.atom_order, report.minimal_atoms,
+                report.complete)
+        if args.molecules or want_all:
+            payload["molecules"] = _spectrum_section(
+                report.molecules, report.molecule_order,
+                report.minimal_molecules, report.complete)
     if args.phi_psi or want_all:
         payload["phi"] = report.phi_table
         payload["psi"] = report.psi_table
@@ -205,7 +217,12 @@ def cmd_analyze(args) -> int:
         with open(args.dot_path, "w", encoding="utf-8") as fh:
             fh.write(dot)
     _emit(args, payload)
-    return EXIT_OK if report.passed() else EXIT_VERIFY_FAILED
+    return EXIT_OK if report is None or report.passed() else EXIT_VERIFY_FAILED
+
+
+def _spectrum_section(elements, order, minimal, complete):
+    return {"elements": [x.label for x in elements], "order": order,
+            "minimal": [x.label for x in minimal], "complete": complete}
 
 
 def _subcat_section(backend, window):

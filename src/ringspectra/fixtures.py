@@ -85,7 +85,14 @@ class FixtureFile:
         return [s for s in self.sections if s.name.split(" ")[0] == prefix]
 
 
+SECTION_KINDS = ("backend", "window", "module", "graded_module")
+REPEATABLE_KEYS = frozenset({"c", "arrow", "relation"})
+
+
 def parse_fixture(text: str) -> FixtureFile:
+    """Sections and entries, in order.  An unknown section kind, a repeated
+    section header and a repeated key other than ``REPEATABLE_KEYS`` are
+    errors at their line, so nothing in a fixture is silently ignored."""
     fixture = FixtureFile()
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -98,6 +105,10 @@ def parse_fixture(text: str) -> FixtureFile:
             name = line[1:-1].strip()
             if not name:
                 raise FixtureParseError("empty section name", lineno)
+            if name.split(" ")[0] not in SECTION_KINDS:
+                raise FixtureParseError(f"unknown section [{name}]", lineno)
+            if fixture.section(name) is not None:
+                raise FixtureParseError(f"repeated section [{name}]", lineno)
             current = Section(name, [], lineno)
             fixture.sections.append(current)
             continue
@@ -107,7 +118,11 @@ def parse_fixture(text: str) -> FixtureFile:
         if current is None:
             raise FixtureParseError("key outside of any [section]", lineno)
         key, _, value = line.partition("=")
-        current.entries.append((key.strip(), value.strip()))
+        key = key.strip()
+        if key not in REPEATABLE_KEYS and current.get(key) is not None:
+            raise FixtureParseError(f"[{current.name}] repeated key {key!r}",
+                                    lineno)
+        current.entries.append((key, value.strip()))
         current.entry_lines.append(lineno)
     if fixture.section("backend") is None:
         raise FixtureParseError("fixture needs a [backend] section")
@@ -166,26 +181,46 @@ def load_fixture(text: str) -> LoadedFixture:
     with _reported_at(fixture.section("window")):
         window = _parse_window(fixture.section("window"))
 
+    _require_backend_kind(fixture, "graded_module", kind, "graded_poly")
     if kind == "algebra":
         with _reported_at(b):
             algebra = _build_algebra(b)
         backend = ArtinianBackend(algebra, label=b.get("name", algebra.name))
         modules = {}
         for s in fixture.sections_named("module"):
-            name = s.name.partition(" ")[2] or f"M{len(modules) + 1}"
+            name = _section_label(s, modules)
             with _reported_at(s):
                 modules[name] = _build_module(algebra, s, name)
         return LoadedFixture(backend, modules, {}, window, fixture)
 
+    _require_backend_kind(fixture, "module", kind, "algebra")
     with _reported_at(b):
         backend = _symbolic_backend(b, kind)
     graded = {}
     if kind == "graded_poly":
         for s in fixture.sections_named("graded_module"):
-            name = s.name.partition(" ")[2] or f"M{len(graded) + 1}"
+            name = _section_label(s, graded)
             with _reported_at(s):
                 graded[name] = _build_graded_module(s)
     return LoadedFixture(backend, {}, graded, window, fixture)
+
+
+def _section_label(section, taken):
+    """NAME of a [module NAME] or [graded_module NAME] section, M<k> if
+    absent; a name an earlier section in ``taken`` has is an error."""
+    name = section.name.partition(" ")[2] or f"M{len(taken) + 1}"
+    if name in taken:
+        raise FixtureParseError(f"a second module named {name!r}", section.line)
+    return name
+
+
+def _require_backend_kind(fixture, section_kind, kind, needed):
+    """A section of ``section_kind`` is only read on a ``needed`` backend."""
+    sections = fixture.sections_named(section_kind)
+    if sections and kind != needed:
+        raise FixtureParseError(
+            f"[{sections[0].name}] needs 'kind = {needed}' in [backend]",
+            sections[0].line)
 
 
 def _symbolic_backend(b: Section, kind):
@@ -327,6 +362,8 @@ def _build_module(algebra, s: Section, name) -> RightModule:
             if not 0 <= idx < algebra.dim:
                 raise FixtureParseError(f"action index {idx} out of range",
                                         lineno)
+            if mats[idx] is not None:
+                raise FixtureParseError(f"repeated action index {idx}", lineno)
             with _reported_at(s, lineno):
                 mat = _matrix(fld, value)
             if mat.nrows != dim or mat.ncols != dim:

@@ -18,6 +18,9 @@ commutative backends live in ``commutative``.
 on a backend's (windowed) spectra and returns a ``SpectrumReport`` with
 one pass/fail record per claim; hypothesis failures (no noetherian
 generator) are recorded as skips with a reason, never silently dropped.
+It reads each spectrum through ``atom_spectrum`` and
+``molecule_spectrum``, which a listing also calls on its own, without
+the assertions.
 """
 
 from __future__ import annotations
@@ -411,10 +414,45 @@ class SpectrumReport:
         }
 
 
+@dataclass
+class Spectrum:
+    """One spectrum as read off a backend.
+
+    ``up`` holds each element's up-set (``up_sets``), ``order`` the strict
+    order as sorted label pairs and ``minimal`` the backend's minimal
+    elements.
+    """
+
+    elements: list
+    up: list
+    order: list
+    minimal: list
+
+
+def atom_spectrum(backend: SpectrumBackend, window=None) -> Spectrum:
+    """The atoms, their order and the minimal atoms; nothing is verified."""
+    return _read_spectrum(backend.atoms(window), backend.atom_leq,
+                          backend.minimal_atoms(window))
+
+
+def molecule_spectrum(backend: SpectrumBackend, window=None) -> Spectrum:
+    """The molecules, their order and the minimal molecules; nothing is
+    verified."""
+    return _read_spectrum(backend.molecules(window), backend.molecule_leq,
+                          backend.minimal_molecules(window))
+
+
+def _read_spectrum(elements, leq, minimal) -> Spectrum:
+    up = up_sets(elements, leq)
+    return Spectrum(elements, up, _strict_pairs(elements, up), minimal)
+
+
 def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumReport:
     """Run every correspondence assertion applicable to the backend."""
-    atoms = backend.atoms(window)
-    mols = backend.molecules(window)
+    aspec = atom_spectrum(backend, window)
+    mspec = molecule_spectrum(backend, window)
+    atoms, atom_up, amin = aspec.elements, aspec.up, aspec.minimal
+    mols, mol_up, mmin = mspec.elements, mspec.up, mspec.minimal
     notes = []
     records = []
     complete = backend.complete
@@ -442,8 +480,6 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
 
     # Each order is read off the backend once; every order check below
     # reads these up-sets (docs/derivations.md, "Order checks on up-sets").
-    atom_up = up_sets(atoms, backend.atom_leq)
-    mol_up = up_sets(mols, backend.molecule_leq)
     atom_above = [set(up) for up in atom_up]
     mol_above = [set(up) for up in mol_up]
     atom_index = {a.label: i for i, a in enumerate(atoms)}
@@ -473,8 +509,6 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
         else f"checked {len(phi_index) * len(mols)} pairs")
 
     # Bijection between minimal atoms and minimal molecules.
-    amin = backend.minimal_atoms(window)
-    mmin = backend.minimal_molecules(window)
     if backend.has_noetherian_generator:
         image = []
         ok = True
@@ -514,12 +548,9 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
         records.extend(_artinian_envelope_assertions(backend, phi_table,
                                                       psi_table))
 
-    atom_order = _strict_pairs(atoms, atom_up)
-    mol_order = _strict_pairs(mols, mol_up)
-
     return SpectrumReport(
         backend=backend.label, complete=complete, atoms=atoms, molecules=mols,
-        atom_order=atom_order, molecule_order=mol_order,
+        atom_order=aspec.order, molecule_order=mspec.order,
         phi_table=phi_table, psi_table=psi_table,
         minimal_atoms=amin, minimal_molecules=mmin,
         assertions=records, atomic_flags=aflags, molecular_flags=mflags,

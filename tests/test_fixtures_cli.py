@@ -484,3 +484,43 @@ def test_cli_bad_symbolic_value_is_a_parse_error(tmp_path, capsys, text, where):
     path = _write(tmp_path, "bad.alg", text)
     assert cli_main(["analyze", path]) == 2
     assert capsys.readouterr().err.startswith(f"parse error: {where}")
+
+
+@pytest.mark.parametrize("text,line", [
+    ("[backend]\nkind = int\n[backend]\nkind = int\n", 3),
+    (T2_FIXTURE.replace("n = 2", "n = 2\nn = 3"), 7),
+    (Z_FIXTURE + "[window]\nbound = 20\n", 6),
+    (Z_FIXTURE.replace("bound = 10", "bound = 10\nbound = 20"), 6),
+    (MODULE_FIXTURE + "\n[module M]\ndim = 1\naction 0 = 1\naction 1 = 0\n", 12),
+    (MODULE_FIXTURE + "action 0 = 1\n", 11),
+    (MODULE_FIXTURE + "action 00 = 1\n", 11),
+    (MODULE_FIXTURE.replace("[module M]", "[module M2]")
+     + "\n[module]\ndim = 1\naction 0 = 1\naction 1 = 0\n", 12),
+    (GRADED_FIXTURE.replace("[window]", "[graded_module kx]\nfree = 1\n[window]"),
+     8),
+    (MODULE_FIXTURE.replace("[module M]", "[modul M]"), 7),
+    (Z_FIXTURE + "[module M]\ndim = 1\naction 0 = 1\n", 6),
+    (T2_FIXTURE + "[graded_module G]\nfree = 0\n", 8),
+    (Z_FIXTURE + "[graded_module G]\nfree = 0\n", 6),
+], ids=["backend-twice", "key-twice", "window-twice", "window-key-twice",
+        "module-twice", "action-twice", "action-same-index",
+        "module-default-name-taken", "graded-twice",
+        "misspelt-section", "module-on-symbolic", "graded-on-algebra",
+        "graded-on-int"])
+def test_cli_dropped_section_or_key_is_a_parse_error(tmp_path, capsys, text,
+                                                     line):
+    """A section or key the loader would ignore or overwrite is an error at
+    its own line, never read as its first occurrence."""
+    path = _write(tmp_path, "bad.alg", text)
+    assert cli_main(["analyze", path, "--atoms"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.endswith(f"(line {line})\n")
+
+
+def test_repeatable_keys_stay_repeatable():
+    backend = parse_fixture(QUIVER_FIXTURE).section("backend")
+    assert len(backend.get_all("arrow")) == 2
+    assert len(backend.get_all("relation")) == 2
+    two_modules = (MODULE_FIXTURE.replace("[module M]", "[module]")
+                   + "\n[module N]\ndim = 1\naction 0 = 1\naction 1 = 0\n")
+    assert sorted(load_fixture(two_modules).modules) == ["M1", "N"]

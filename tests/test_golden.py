@@ -29,7 +29,8 @@ from ringspectra.subcats import artinianization, reduced_part
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted((ROOT / "fixtures").glob("*.alg"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
-VARIANTS = {"default": [], "atoms": ["--atoms"], "window13": ["--window", "13"]}
+VARIANTS = {"default": [], "atoms": ["--atoms"], "molecules": ["--molecules"],
+            "window13": ["--window", "13"]}
 COMMANDS = {"verify": ["verify"], "verify_exhaustive": ["verify", "--exhaustive"],
             "hasse": ["hasse"]}
 DOTS = {"analyze": [], "subcats": ["--subcats"]}

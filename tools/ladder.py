@@ -11,6 +11,9 @@ Runs each rung once, in this order:
   windows 150 and 300 (the backend built in the time);
 - ``ringspectra analyze fixtures/z.alg --window N --json TMP`` in-process,
   for N = 41, 43, 47 (14 to 16 molecules, up to the 2^16 subset budget);
+- ``ringspectra analyze T.alg --atoms --json TMP`` in-process on
+  ``source = triangular`` fixtures for T_9(F_2) and T_12(F_2) (a listing:
+  the algebra, its radical and its simples, no verification suite);
 - ``classify_locally_closed_localizing`` on T_9(F_2), after building the
   algebra and its primes outside the timed region;
 - the brute-force oracles ``brute_mass``, ``brute_singular_subspace`` and
@@ -22,8 +25,8 @@ ringspectra is imported from the ``src`` directory of the checkout this
 file sits in, so a copy of the file times the checkout it is copied into.
 Stdlib only.
 
-Once a T_n(F_2) rung takes longer than SKIP_AFTER_S, the higher T_n rungs
-are recorded with ``seconds: null`` instead of being run: verification
+Once a T_n(F_2) rung takes longer than SKIP_AFTER_S, the higher T_n rungs,
+the ``analyze --atoms`` ones included, are recorded with ``seconds: null`` instead of being run: verification
 grows several-fold with each step in n.  Single runs on a shared host; read
 the figures as sizes, not as gates.
 """
@@ -80,6 +83,22 @@ def analyze_z(window):
                      "locally_closed": subcats["locally_closed_localizing_count"]}
 
 
+def analyze_atoms(source, n, field):
+    """``analyze --atoms`` on a fixture with ``source`` and ``n``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fixture = Path(tmp) / "a.alg"
+        fixture.write_text(f"[backend]\nkind = algebra\nfield = {field}\n"
+                           f"source = {source}\nn = {n}\n")
+        out = Path(tmp) / "a.json"
+        argv = ["analyze", str(fixture), "--atoms", "--json", str(out)]
+        t0 = time.perf_counter()
+        code = cli_main(argv)
+        seconds = time.perf_counter() - t0
+        atoms = json.loads(out.read_text())["atoms"]["elements"]
+    return seconds, {"dim": n * (n + 1) // 2, "exit": code,
+                     "atoms": len(atoms)}
+
+
 def classify_algebra(build, n, field):
     backend = ArtinianBackend(build(n, field))
     backend.molecules()                     # the primes, outside the timing
@@ -108,7 +127,8 @@ def verify_exhaustive(name):
     return seconds, {"exit": code, "summary": out.getvalue().splitlines()[-1]}
 
 
-# (label, run, arguments); labels ending in "(F2)" form the T_n ladder.
+# (label, run, arguments); labels ending in "(F2)" form the T_n ladder, and
+# their arguments hold n second.
 RUNGS = ([(f"T{n}(F2)", verify_algebra, (upper_triangular_algebra, n, F2))
           for n in range(2, 13)]
          + [("M3(F3)", verify_algebra, (matrix_algebra, 3, F3)),
@@ -121,6 +141,8 @@ RUNGS = ([(f"T{n}(F2)", verify_algebra, (upper_triangular_algebra, n, F2))
             for w in (150, 300)]
          + [(f"analyze z.alg --window {w}", analyze_z, (w,))
             for w in (41, 43, 47)]
+         + [(f"analyze --atoms T{n}(F2)", analyze_atoms, ("triangular", n, "F2"))
+            for n in (9, 12)]
          + [("T9(F2) lcl classification", classify_algebra,
              (upper_triangular_algebra, 9, F2))]
          + [("T3(F2) reg brute_mass", oracle_on_t3, (
