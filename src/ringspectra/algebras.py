@@ -47,8 +47,8 @@ from typing import Sequence
 
 from .errors import CapabilityError, ValidationError
 from .linalg import (Matrix, RowReducer, Subspace, apply_vec,
-                     common_left_kernel, field_name, spin, unit_vec, vec_add,
-                     vec_is_zero, vec_scale, zero_vec)
+                     combine_matrices, common_left_kernel, field_name, spin,
+                     unit_vec, vec_add, vec_is_zero, vec_scale, zero_vec)
 
 
 class AlgebraStructure:
@@ -166,7 +166,8 @@ class FiniteDimAlgebra:
         Indices i with b_i a one-term product b_j b_k, j, k != i, come last:
         they are often reached through b_j and b_k.  One reducer grows
         throughout; a new generator multiplies the rows already in it, and
-        each new row is multiplied by every generator chosen so far.  The
+        each new row is multiplied by every generator chosen so far
+        (``RowReducer.close``).  The
         span of the words in S is the whole algebra once it holds every b_i,
         which it does under the unit law; anything short of that is refused.
         """
@@ -183,12 +184,7 @@ class FiniteDimAlgebra:
                 continue
             gens.append(i)
             ops += (right[i],)
-            work = [(row, (right[i],)) for row in red.rows]
-            while work:
-                row, by = work.pop()
-                for m in by:
-                    if red.add(apply_vec(row, m)):
-                        work.append((red.rows[-1], ops))
+            red.close(ops, fresh=(right[i],))
         if red.dim() != d:
             raise ValidationError(
                 f"the words in the generators span {red.dim()} of {d} dimensions")
@@ -224,18 +220,12 @@ class FiniteDimAlgebra:
         return acc
 
     def right_mult_matrix(self, a) -> Matrix:
-        """Matrix of x -> x*a on row vectors: row i is b_i * a."""
-        nz = [(j, aj) for j, aj in enumerate(a) if aj]
-        return Matrix.trusted(self.field, tuple(
-            self._combine((aj, i, j) for j, aj in nz) for i in range(self.dim)),
-            self.dim)
+        """Matrix of x -> x*a on row vectors: sum_j a_j R_{b_j}."""
+        return combine_matrices(self.field, self.dim, a, self.right_mult_matrices())
 
     def left_mult_matrix(self, a) -> Matrix:
-        """Matrix of x -> a*x on row vectors: row i is a * b_i."""
-        nz = [(j, aj) for j, aj in enumerate(a) if aj]
-        return Matrix.trusted(self.field, tuple(
-            self._combine((aj, j, i) for j, aj in nz) for i in range(self.dim)),
-            self.dim)
+        """Matrix of x -> a*x on row vectors: sum_j a_j L_{b_j}."""
+        return combine_matrices(self.field, self.dim, a, self.left_mult_matrices())
 
     def right_mult_matrices(self):
         """Right multiplication by every basis element (the regular action);
@@ -645,12 +635,13 @@ def quotient_algebra(a: FiniteDimAlgebra, ideal_space: Subspace,
     return quot, proj, section
 
 
-def _generator_multiplications(a: FiniteDimAlgebra):
+def generator_multiplications(a: FiniteDimAlgebra):
     """Right, then left, multiplication by each generator.
 
     A subspace V has V b_g in V for every generator g iff V A is in V: the
     words in the generators span A, and V w is in V letter by letter.  The
-    same holds on the left.
+    same holds on the left.  So V is a two-sided ideal exactly when
+    ``V.is_stable(generator_multiplications(a))``.
     """
     right, left = a.right_mult_matrices(), a.left_mult_matrices()
     gens = a.generators()
@@ -659,13 +650,7 @@ def _generator_multiplications(a: FiniteDimAlgebra):
 
 def ideal_closure(a: FiniteDimAlgebra, seeds) -> Subspace:
     """Smallest two-sided ideal subspace containing the seed elements."""
-    return spin(a.field, a.dim, seeds, _generator_multiplications(a))
-
-
-def is_two_sided_ideal_space(a: FiniteDimAlgebra, s: Subspace) -> bool:
-    ops = _generator_multiplications(a)
-    return all(s.contains_vector(apply_vec(v, m))
-               for v in s.basis_rows() for m in ops)
+    return spin(a.field, a.dim, seeds, generator_multiplications(a))
 
 
 def subspace_product(a: FiniteDimAlgebra, s: Subspace, t: Subspace) -> Subspace:
@@ -704,7 +689,7 @@ def jacobson_radical(a: FiniteDimAlgebra) -> Subspace:
     if st.radical is not None:
         return st.radical
     rad = _radical_space(a)
-    if not is_two_sided_ideal_space(a, rad):
+    if not rad.is_stable(generator_multiplications(a)):
         raise ValidationError("radical computation produced a non-ideal")
     if not is_nilpotent_space(a, rad):
         raise ValidationError("radical computation produced a non-nilpotent space")
@@ -978,7 +963,7 @@ def _try_split_rational_component(a, comp, zc):
             mult = f.mul(mult, f.scalar(w))
         candidates.append(v)
     for z in candidates:
-        restricted = _restrict_operator(f, comp, a.left_mult_matrix(z))
+        restricted = _restrict_operator(comp, a.left_mult_matrix(z))
         minpoly = _minimal_polynomial(f, restricted)
         deg = len(minpoly) - 1
         try:
@@ -1013,7 +998,7 @@ def _split_by_operator(a, comp, lz):
     """Decompose an ideal subspace by the action lz of a central element."""
     from .commutative import factor_polynomial
     f = a.field
-    restricted = _restrict_operator(f, comp, lz)
+    restricted = _restrict_operator(comp, lz)
     try:
         factors = factor_polynomial(f, _minimal_polynomial(f, restricted))
     except CapabilityError:
@@ -1040,15 +1025,11 @@ def _kernel_pieces(a, comp, restricted, factors):
     return pieces
 
 
-def _restrict_operator(f, space: Subspace, op: Matrix) -> Matrix:
-    rows = []
-    for v in space.basis_rows():
-        w = apply_vec(v, op)
-        coords = space.coords_of(w)
-        if coords is None:
-            raise ValidationError("operator does not preserve the subspace")
-        rows.append(coords)
-    return Matrix(f, rows, space.dim)
+def _restrict_operator(space: Subspace, op: Matrix) -> Matrix:
+    restricted = space.restrict(op)
+    if restricted is None:
+        raise ValidationError("operator does not preserve the subspace")
+    return restricted
 
 
 def _minimal_polynomial(f, m: Matrix):

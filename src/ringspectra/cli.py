@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .errors import BudgetExceeded, CapabilityError, ValidationError
@@ -124,13 +125,23 @@ def _load(args):
     return loaded
 
 
+def _out(text: str):
+    """Print a line of output.  A reader that stops reading ends the output,
+    not the command: it still finishes and returns its own exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Send later lines, and the flush at exit, to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
     if getattr(args, "json_path", None):
         with open(args.json_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        _out(text)
 
 
 def cmd_analyze(args) -> int:
@@ -268,10 +279,10 @@ def cmd_verify(args) -> int:
     for rec in records:
         status = "SKIP" if rec.skipped else ("PASS" if rec.passed else "FAIL")
         detail = f"  [{rec.detail}]" if rec.detail else ""
-        print(f"{status} {rec.name}{detail}")
+        _out(f"{status} {rec.name}{detail}")
     ok = all(rec.passed or rec.skipped for rec in records)
-    print(f"{'pass' if ok else 'FAIL'}: {len(records)} assertions "
-          f"({sum(1 for r in records if r.skipped)} skipped)")
+    _out(f"{'pass' if ok else 'FAIL'}: {len(records)} assertions "
+         f"({sum(1 for r in records if r.skipped)} skipped)")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -338,7 +349,7 @@ def cmd_hasse(args) -> int:
         with open(args.dot_path, "w", encoding="utf-8") as fh:
             fh.write(dot)
     else:
-        print(dot)
+        _out(dot)
     return EXIT_OK
 
 
@@ -381,12 +392,12 @@ def cmd_oracle(args) -> int:
         dim, p = args.subspaces
         subs = enumerate_subspaces(GF(p), dim)
         expected = count_subspaces(dim, p)
-        print(f"subspaces of F_{p}^{dim}: enumerated {len(subs)}, "
-              f"formula {expected}")
+        _out(f"subspaces of F_{p}^{dim}: enumerated {len(subs)}, "
+             f"formula {expected}")
         return EXIT_OK if len(subs) == expected else EXIT_VERIFY_FAILED
     if args.corpus:
         for name, alg in corpus(args.seed):
-            print(f"{name}: dim {alg.dim}")
+            _out(f"{name}: dim {alg.dim}")
         return EXIT_OK
     print("nothing to do: pass --corpus or --subspaces", file=sys.stderr)
     return EXIT_OK

@@ -61,6 +61,12 @@ class Section:
                                     self.line)
         return v
 
+    def check_keys(self, allowed):
+        """Refuse, at its line, an entry whose key is not in ``allowed``."""
+        for (k, _v), n in zip(self.entries, self.entry_lines):
+            if k not in allowed:
+                raise FixtureParseError(f"[{self.name}] unknown key {k!r}", n)
+
     def parse(self, key, convert, default=None):
         """``convert`` of the value of key (required unless a default is
         given); a value that fails to convert is reported at its line."""
@@ -87,6 +93,17 @@ class FixtureFile:
 
 SECTION_KINDS = ("backend", "window", "module", "graded_module")
 REPEATABLE_KEYS = frozenset({"c", "arrow", "relation"})
+
+# The keys a [backend] section is read for: by kind, and for kind = algebra
+# by source.  Any other key is an error at its line.
+SYMBOLIC_KEYS = {"int": {"kind"}, "int_mod": {"kind", "modulus"},
+                 "poly": {"kind", "field"}, "poly_quot": {"kind", "field", "modulus"},
+                 "graded_poly": {"kind", "field"}}
+ALGEBRA_KEYS = {"kind", "field", "source", "name"}
+SOURCE_KEYS = {"matrix": {"n"}, "triangular": {"n"}, "companion": {"poly"},
+               "group": {"table"},
+               "quiver": {"vertices", "arrow", "relation", "nilpotency_bound"},
+               "structure_constants": {"dim", "c", "unit", "labels"}}
 
 
 def parse_fixture(text: str) -> FixtureFile:
@@ -178,6 +195,9 @@ def load_fixture(text: str) -> LoadedFixture:
     fixture = parse_fixture(text)
     b = fixture.section("backend")
     kind = b.require("kind")
+    keys = _backend_keys(b, kind)
+    if keys is not None:
+        b.check_keys(keys)
     with _reported_at(fixture.section("window")):
         window = _parse_window(fixture.section("window"))
 
@@ -203,6 +223,15 @@ def load_fixture(text: str) -> LoadedFixture:
             with _reported_at(s):
                 graded[name] = _build_graded_module(s)
     return LoadedFixture(backend, {}, graded, window, fixture)
+
+
+def _backend_keys(b: Section, kind):
+    """The keys a [backend] of this kind is read for; None for an unknown
+    kind or source, which is refused where the backend is built."""
+    if kind != "algebra":
+        return SYMBOLIC_KEYS.get(kind)
+    source = SOURCE_KEYS.get(b.get("source"))
+    return None if source is None else ALGEBRA_KEYS | source
 
 
 def _section_label(section, taken):
@@ -242,7 +271,13 @@ def _symbolic_backend(b: Section, kind):
 def _parse_window(section):
     if section is None:
         return None
+    section.check_keys({"bound", "lo", "hi"})
     if section.get("bound") is not None:
+        extra = [n for (k, _v), n in zip(section.entries, section.entry_lines)
+                 if k in ("lo", "hi")]
+        if extra:
+            raise FixtureParseError("[window] gives both 'bound' and 'lo'/'hi'",
+                                    extra[0])
         return section.parse("bound", int)
     if section.get("lo") is not None and section.get("hi") is not None:
         return (section.parse("lo", int), section.parse("hi", int))
@@ -380,6 +415,7 @@ def _build_module(algebra, s: Section, name) -> RightModule:
 
 
 def _build_graded_module(s: Section) -> GradedModuleDescriptor:
+    s.check_keys({"free", "torsion"})
     free_shifts = tuple(sorted(s.parse("free", _int_list, "")))
     tors = s.parse("torsion", _torsion_list, "")
     return GradedModuleDescriptor(free_shifts, tuple(sorted(tors)))

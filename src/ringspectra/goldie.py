@@ -35,7 +35,7 @@ def regular_socle_ideal(a: FiniteDimAlgebra) -> TwoSidedIdeal:
 
 def is_essential_submodule(space: Subspace, m: RightModule) -> bool:
     """Essential iff it contains the socle (finite length criterion)."""
-    if not m.is_submodule_space(space):
+    if not space.is_stable(m.generator_action()):
         raise ValidationError("essentiality is about submodules")
     return space.contains(m.socle_space())
 
@@ -43,7 +43,7 @@ def is_essential_submodule(space: Subspace, m: RightModule) -> bool:
 def singular_subspace(m: RightModule) -> Subspace:
     """Z(M) = {v : v * soc(Lambda) = 0}; elements with essential annihilator."""
     z = m.killed_by(regular_socle_ideal(m.algebra).space)
-    if not m.is_submodule_space(z):
+    if not z.is_stable(m.generator_action()):
         raise ValidationError("singular subobject must be a submodule")
     return z
 

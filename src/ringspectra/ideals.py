@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import (FiniteDimAlgebra, is_two_sided_ideal_space,
+from .algebras import (FiniteDimAlgebra, generator_multiplications,
                        jacobson_radical, quotient_algebra,
                        semisimple_quotient, subspace_product,
                        wedderburn_blocks)
@@ -27,7 +27,7 @@ class TwoSidedIdeal:
     def __init__(self, algebra: FiniteDimAlgebra, space: Subspace, validate=True):
         if space.ambient != algebra.dim:
             raise ValidationError("ideal subspace has wrong ambient dimension")
-        if validate and not is_two_sided_ideal_space(algebra, space):
+        if validate and not space.is_stable(generator_multiplications(algebra)):
             raise ValidationError("subspace is not a two-sided ideal")
         self.algebra = algebra
         self.space = space

@@ -17,11 +17,21 @@ Zero is falsy in both fields, which the kernels use to skip zero entries.
 Scalars are coerced once, where they enter: ``Matrix(field, rows)`` coerces,
 and results computed here from field scalars go through ``Matrix.trusted``,
 as do the vectors ``Subspace.from_vectors`` spans.
+
+Over F_2 the kernels hold rows packed into Python ints (``pack``): bit j is
+coordinate j, adding rows is XOR and a pivot test is a bit test.  Only this
+module sees that format.  Every row handed out is still a tuple, a
+``Matrix`` keeps its packed rows in a cache beside ``rows``, and canonical
+form, equality and hashing read the tuples as before
+(docs/derivations.md, "Packed rows over F_2").  Other fields keep tuple rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import and_, xor
 from typing import Iterable, Sequence
 
 
@@ -33,6 +43,7 @@ class GF:
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.char = p
+        self.packed = p == 2     # rows are packed into ints in the kernels
         self.zero = 0
         self.one = 1
 
@@ -86,6 +97,7 @@ class RationalField:
     """The field Q, scalars are always-reduced fractions."""
 
     char = 0
+    packed = False
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -173,10 +185,76 @@ def unit_vec(field, n, i):
     return tuple(v)
 
 
-class Matrix:
-    """Immutable exact matrix; rows of scalars."""
+# -- packed rows over F_2 ----------------------------------------------------
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_SHORT = 8     # rows this short pack and unpack through two tables of 511
+_SHORT_ROWS = tuple(tuple(tuple(x >> j & 1 for j in range(n)) for x in range(1 << n))
+                    for n in range(_SHORT + 1))
+_SHORT_BITS = {row: x for rows in _SHORT_ROWS for x, row in enumerate(rows)}
+
+
+def pack(v) -> int:
+    """The F_2 row v as an int whose bit j is v[j]."""
+    if len(v) <= _SHORT:
+        return _SHORT_BITS[tuple(v)]
+    return int(bytes(v[::-1]).translate(_TO_DIGITS), 2)
+
+
+def unpack(x: int, n: int) -> tuple:
+    """The F_2 row of length n packed in x, as a tuple of 0s and 1s."""
+    if n <= _SHORT:
+        return _SHORT_ROWS[n][x]
+    return tuple(bin(x | 1 << n)[:2:-1].encode().translate(_FROM_DIGITS))
+
+
+def _combine_bits(rows, v) -> int:
+    """sum_i v[i] rows[i] over F_2, for packed rows and a tuple v."""
+    return reduce(xor, compress(rows, v), 0)
+
+
+def _clear_bits(x: int, rows, pbits) -> int:
+    """x with every pivot bit cleared by its row.
+
+    The rows are fully reduced (each is zero at the other rows' pivot
+    bits), so the rows to add are read off x before adding any.
+    """
+    return reduce(xor, compress(rows, map(and_, repeat(x), pbits)), x)
+
+
+def _append_bits(x: int, rows: list, pbits: list):
+    """Append x, already cleared, with its lowest bit as pivot, and clear
+    that bit from the other rows."""
+    b = x & -x
+    rows[:] = [r ^ x if r & b else r for r in rows]
+    rows.append(x)
+    pbits.append(b)
+
+
+def _insert_bits(x: int, rows: list, pbits: list) -> int:
+    """Clear x by the fully reduced rows and append what is left; the row
+    added, or 0."""
+    x = _clear_bits(x, rows, pbits)
+    if x:
+        _append_bits(x, rows, pbits)
+    return x
+
+
+def _echelon_bits(rows, pbits):
+    """The fully reduced rows in order of their pivots, and the pivot columns."""
+    pairs = sorted(zip(pbits, rows))
+    return [x for _b, x in pairs], tuple(b.bit_length() - 1 for b, _x in pairs)
+
+
+class Matrix:
+    """Immutable exact matrix; rows of scalars.
+
+    Over F_2, ``bits()`` caches the rows packed; a kernel that computes
+    packed rows hands them over through ``_from_bits``.
+    """
+
+    __slots__ = ("field", "rows", "nrows", "ncols", "_bits")
 
     def __init__(self, field, rows: Sequence[Sequence], ncols: int | None = None):
         rows = tuple(tuple(map(field.scalar, r)) for r in rows)
@@ -190,14 +268,28 @@ class Matrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
+        self._bits = None
 
     @classmethod
     def trusted(cls, field, rows: tuple, ncols: int):
         """The matrix on ``rows``, a tuple of equal-length tuples that already
         hold scalars of ``field``, taken as they are."""
         m = object.__new__(cls)
-        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), ncols
+        m.field, m.rows, m.nrows, m.ncols, m._bits = field, rows, len(rows), ncols, None
         return m
+
+    @classmethod
+    def _from_bits(cls, field, bits, ncols: int):
+        """The F_2 matrix whose rows are packed in ``bits``."""
+        m = cls.trusted(field, tuple([unpack(x, ncols) for x in bits]), ncols)
+        m._bits = tuple(bits)
+        return m
+
+    def bits(self) -> tuple:
+        """The rows packed (over F_2), computed once."""
+        if self._bits is None:
+            self._bits = tuple(map(pack, self.rows))
+        return self._bits
 
     @classmethod
     def identity(cls, field, n):
@@ -250,6 +342,10 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
+        if self.field.packed:
+            bits = other.bits()
+            return Matrix._from_bits(
+                self.field, [_combine_bits(bits, r) for r in self.rows], other.ncols)
         return Matrix.trusted(self.field,
                               tuple(apply_vec(r, other) for r in self.rows),
                               other.ncols)
@@ -267,6 +363,10 @@ class Matrix:
     def rref(self):
         """Unique reduced row echelon form: (matrix, pivot columns)."""
         f = self.field
+        if f.packed:
+            bits, pivots = _echelon_bits(*self._echelon())
+            bits += [0] * (self.nrows - len(bits))
+            return Matrix._from_bits(f, bits, self.ncols), pivots
         rows = [list(r) for r in self.rows]
         n = len(rows)
         pivots = []
@@ -289,7 +389,33 @@ class Matrix:
             pr += 1
         return Matrix.trusted(f, tuple(map(tuple, rows)), self.ncols), tuple(pivots)
 
+    def _echelon(self):
+        """The packed rows fully reduced: (rows, their pivot bits), F_2 only."""
+        rows, pbits = [], []
+        for x in self._bits or self.bits():
+            _insert_bits(x, rows, pbits)
+        return rows, pbits
+
+    def _tagged_echelon(self):
+        """Over F_2, row i packed as [row i | e_i] and reduced in order.
+
+        Bits below ncols hold a row, the bits from ncols on which rows of
+        self it adds up.  A row that depends on the rows before it is not
+        inserted: (rows, pivot bits, the reduced dependent rows), every tag
+        a combination of independent rows only.
+        """
+        w, rows, pbits, dependent = self.ncols, [], [], []
+        for i, x in enumerate(self._bits or self.bits()):
+            y = _clear_bits(x | 1 << (w + i), rows, pbits)
+            if y & ((1 << w) - 1):
+                _append_bits(y, rows, pbits)
+            else:
+                dependent.append(y)
+        return rows, pbits, dependent
+
     def rank(self):
+        if self.field.packed:
+            return len(self._echelon()[0])
         return len(self.rref()[1])
 
     def right_kernel(self):
@@ -297,6 +423,11 @@ class Matrix:
         f = self.field
         r, pivots = self.rref()
         free = [j for j in range(self.ncols) if j not in pivots]
+        if f.packed:
+            # Free column j: bit j, plus the pivot bit of each row with a 1 at j.
+            rows, pbits = r.bits(), [1 << pc for pc in pivots]
+            return Matrix._from_bits(f, [(1 << j) | sum(compress(pbits, map(
+                and_, repeat(1 << j), rows))) for j in free], self.ncols)
         basis = []
         for j in free:
             v = [f.zero] * self.ncols
@@ -307,12 +438,31 @@ class Matrix:
         return Matrix.trusted(f, tuple(basis), self.ncols)
 
     def left_kernel(self):
-        """Basis (as rows) of {v : v @ self = 0}."""
-        return self.transpose().right_kernel()
+        """Basis (as rows) of {v : v @ self = 0}.
+
+        One vector per row i that depends on the rows before it: 1 at i,
+        the combination of the independent rows before i giving row i, and
+        0 at the other dependent rows (the right kernel of the transpose).
+        """
+        f = self.field
+        if not f.packed:
+            return self.transpose().right_kernel()
+        w = self.ncols
+        return Matrix._from_bits(f, [y >> w for y in self._tagged_echelon()[2]],
+                                 self.nrows)
 
     def solve_left(self, b):
-        """Some x with x @ self = b, or None. b is a row vector."""
+        """Some x with x @ self = b, or None. b is a row vector.
+
+        x is 0 at each row of self that depends on the rows before it.
+        """
         f = self.field
+        if f.packed:
+            rows, pbits, _dependent = self._tagged_echelon()
+            y = _clear_bits(pack(b), rows, pbits)
+            if y & ((1 << self.ncols) - 1):
+                return None
+            return unpack(y >> self.ncols, self.nrows)
         aug = Matrix(f, [list(r) + [bi] for r, bi in
                          zip(self.transpose().rows, b)], self.nrows + 1)
         r, pivots = aug.rref()
@@ -374,6 +524,8 @@ class Matrix:
 def apply_vec(v, m: Matrix):
     """Row vector times matrix, as the combination of m's rows by v."""
     f = m.field
+    if f.packed:
+        return unpack(reduce(xor, compress(m._bits or m.bits(), v), 0), m.ncols)
     out = [f.zero] * m.ncols
     for vi, row in zip(v, m.rows):
         if vi:
@@ -381,47 +533,138 @@ def apply_vec(v, m: Matrix):
     return tuple(out)
 
 
-class RowReducer:
-    """Incremental echelon accumulator used by spin and enumerations."""
+def combine_matrices(field, n: int, coeffs, mats: Sequence[Matrix]) -> Matrix:
+    """sum_k coeffs[k] mats[k] for n x n matrices, combined row by row."""
+    if field.packed:
+        acc = [0] * n
+        for c, m in zip(coeffs, mats):
+            if c:
+                acc = list(map(xor, acc, m.bits()))
+        return Matrix._from_bits(field, acc, n)
+    rows = [zero_vec(field, n)] * n
+    for c, m in zip(coeffs, mats):
+        if c:
+            rows = [field.axpy(r, c, mr) for r, mr in zip(rows, m.rows)]
+    return Matrix.trusted(field, tuple(map(tuple, rows)), n)
 
-    def __init__(self, field, ambient: int):
+
+class RowReducer:
+    """Incremental echelon accumulator used by spin and enumerations.
+
+    Over F_2 it is a ``_BitReducer``.  Given ``start``, a subspace, it
+    begins with that subspace's canonical rows.
+    """
+
+    def __new__(cls, field, ambient: int, start: "Subspace" = None):
+        if cls is RowReducer and field.packed:
+            cls = _BitReducer
+        return object.__new__(cls)
+
+    def __init__(self, field, ambient: int, start: "Subspace" = None):
         self.field = field
         self.ambient = ambient
-        self.rows = []     # echelon rows, pivot normalized to 1
-        self.pivots = []   # pivot column of each row
+        # Echelon rows, pivot normalized to 1, and the pivot column of each;
+        # canonical rows are zero in each other's pivot columns, as these are.
+        self._rows = list(start.mat.rows) if start else []
+        self._pivots = list(start.pivots) if start else []
 
-    def reduce(self, v):
+    def _reduce(self, v):
         """Normal form of v: zero in every pivot column.
 
         A row is zero in the pivot columns of the rows inserted before it,
         so clearing the pivots in insertion order never refills one.
         """
         f = self.field
-        for pc, row in zip(self.pivots, self.rows):
+        for pc, row in zip(self._pivots, self._rows):
             c = v[pc]
             if c:
                 v = f.axpy(v, f.neg(c), row)
         return tuple(v)
 
-    def add(self, v) -> bool:
-        """Insert v; True if it enlarged the span."""
+    def _insert(self, v):
+        """Insert v; the echelon row it adds, or None."""
         f = self.field
-        v = self.reduce(v)
+        v = self._reduce(v)
         for pc, x in enumerate(v):
             if x:
-                self.pivots.append(pc)
-                self.rows.append(tuple(f.row_scale(f.inv(x), v)))
-                return True
-        return False
+                row = tuple(f.row_scale(f.inv(x), v))
+                self._pivots.append(pc)
+                self._rows.append(row)
+                return row
+        return None
+
+    # How close() reads rows and operators: here rows and matrices as they are.
+    def _row(self, row):
+        return row
+
+    def _operators(self, mats):
+        return mats
+
+    def _image(self, v, op):
+        return apply_vec(v, op)
+
+    def add(self, v) -> bool:
+        """Insert v; True if it enlarged the span."""
+        return bool(self._insert(v))
 
     def contains(self, v) -> bool:
-        return vec_is_zero(self.field, self.reduce(v))
+        return vec_is_zero(self.field, self._reduce(v))
 
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    def close(self, operators: Sequence[Matrix], fresh: Sequence[Matrix] = None):
+        """Grow the span until it is stable under every operator.
+
+        The rows held so far are multiplied by the operators in ``fresh``,
+        all of them when it is None; each row added on the way by all.
+        """
+        ops = self._operators(operators)
+        by = ops if fresh is None else self._operators(fresh)
+        work = [(self._row(r), by) for r in self._rows]
+        while work:
+            v, by = work.pop()
+            for op in by:
+                w = self._insert(self._image(v, op))
+                if w:
+                    work.append((self._row(w), ops))
 
     def subspace(self):
-        return Subspace.from_vectors(self.field, self.ambient, self.rows)
+        return Subspace.from_vectors(self.field, self.ambient, self._rows)
+
+
+class _BitReducer(RowReducer):
+    """The reducer over F_2, on packed rows kept fully reduced: each row is
+    zero at the other rows' pivot bits, so ``_clear_bits`` reduces."""
+
+    def __init__(self, field, ambient: int, start: "Subspace" = None):
+        self.field = field
+        self.ambient = ambient
+        rows, pbits = start._packed() if start else ((), ())
+        self._rows, self._pbits = list(rows), list(pbits)
+
+    def _insert(self, x: int) -> int:
+        return _insert_bits(x, self._rows, self._pbits)
+
+    def _row(self, x):
+        return unpack(x, self.ambient)
+
+    def _operators(self, mats):
+        return [m.bits() for m in mats]
+
+    def _image(self, v, op):
+        return _combine_bits(op, v)
+
+    def add(self, v) -> bool:
+        return bool(self._insert(pack(v)))
+
+    def contains(self, v) -> bool:
+        return not _clear_bits(pack(v), self._rows, self._pbits)
+
+    def subspace(self):
+        bits, pivots = _echelon_bits(self._rows, self._pbits)
+        return Subspace(self.field, self.ambient,
+                        Matrix._from_bits(self.field, bits, self.ambient), pivots)
 
 
 class Subspace:
@@ -429,15 +672,18 @@ class Subspace:
 
     Canonicality is load bearing: equality and hashing of ideals and
     submodules throughout the package is representation equality here.
+    Over F_2 the membership kernels read the packed basis (``_packed``);
+    rref rows are fully reduced, which ``_clear_bits`` relies on.
     """
 
-    __slots__ = ("field", "ambient", "mat", "pivots")
+    __slots__ = ("field", "ambient", "mat", "pivots", "_bits")
 
     def __init__(self, field, ambient: int, mat: Matrix, pivots):
         self.field = field
         self.ambient = ambient
         self.mat = mat
         self.pivots = pivots
+        self._bits = None
 
     @classmethod
     def from_vectors(cls, field, ambient: int, vectors: Iterable):
@@ -445,8 +691,10 @@ class Subspace:
         taken as they are (coerce outside input with ``Matrix`` first)."""
         m = Matrix.trusted(field, tuple(map(tuple, vectors)), ambient)
         r, pivots = m.rref()
-        rows = r.rows[:len(pivots)]
-        return cls(field, ambient, Matrix.trusted(field, rows, ambient), pivots)
+        top = Matrix.trusted(field, r.rows[:len(pivots)], ambient)
+        if r._bits is not None:
+            top._bits = r._bits[:len(pivots)]
+        return cls(field, ambient, top, pivots)
 
     @classmethod
     def zero(cls, field, ambient: int):
@@ -464,9 +712,18 @@ class Subspace:
     def basis_rows(self):
         return self.mat.rows
 
+    def _packed(self):
+        """(packed basis rows, their pivot bits) over F_2, computed once."""
+        if self._bits is None:
+            self._bits = (self.mat.bits(), tuple(1 << pc for pc in self.pivots))
+        return self._bits
+
     def reduce(self, v):
         """Normal form of v modulo this subspace (zero iff v belongs)."""
         f = self.field
+        if f.packed:
+            return unpack(_clear_bits(pack(v), *(self._bits or self._packed())),
+                          self.ambient)
         for pc, row in zip(self.pivots, self.mat.rows):
             c = v[pc]
             if c:
@@ -474,12 +731,31 @@ class Subspace:
         return tuple(v)
 
     def contains_vector(self, v):
+        if self.field.packed:
+            return not _clear_bits(pack(v), *(self._bits or self._packed()))
         return vec_is_zero(self.field, self.reduce(v))
 
     def contains(self, other: "Subspace"):
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
+        if self.field.packed:
+            rows, pbits = self._packed()
+            return not any(_clear_bits(x, rows, pbits) for x in other.mat.bits())
         return all(self.contains_vector(r) for r in other.mat.rows)
+
+    def is_stable(self, mats: Sequence[Matrix]) -> bool:
+        """Whether v m lies in this subspace for every basis row v and m in mats."""
+        if self.field.packed:
+            rows, pbits = self._bits or self._packed()
+            ops = [m._bits or m.bits() for m in mats]
+            for v in self.mat.rows:
+                for op in ops:
+                    x = reduce(xor, compress(op, v), 0)
+                    if reduce(xor, compress(rows, map(and_, repeat(x), pbits)), x):
+                        return False
+            return True
+        return all(self.contains_vector(apply_vec(v, m))
+                   for v in self.mat.rows for m in mats)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
@@ -516,15 +792,17 @@ class Subspace:
         """
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        red = RowReducer(self.field, self.ambient)
-        # Canonical rows are zero in each other's pivot columns, as the
-        # reducer's rows must be.
-        red.rows, red.pivots = list(self.mat.rows), list(self.pivots)
+        red = RowReducer(self.field, self.ambient, self)
         return not all(red.add(v) for v in other.mat.rows)
 
     def coords_of(self, v):
         """Coefficients of v in the canonical basis, or None."""
         f = self.field
+        if f.packed:
+            # Each rref row is 0 at the others' pivots: coordinate i is v there.
+            if _clear_bits(pack(v), *(self._bits or self._packed())):
+                return None
+            return tuple(map(v.__getitem__, self.pivots))
         coords = [f.zero] * self.dim
         for i, (pc, row) in enumerate(zip(self.pivots, self.mat.rows)):
             c = v[pc]
@@ -534,6 +812,27 @@ class Subspace:
         if any(v):
             return None
         return tuple(coords)
+
+    def restrict(self, op: Matrix):
+        """The matrix of v -> v op on this subspace, in its canonical basis;
+        None when op does not map the subspace into itself."""
+        f = self.field
+        out = []
+        if f.packed:
+            rows, pbits = self._bits or self._packed()
+            bits, at = op._bits or op.bits(), self.pivots
+            for v in self.mat.rows:
+                x = reduce(xor, compress(bits, v), 0)
+                if reduce(xor, compress(rows, map(and_, repeat(x), pbits)), x):
+                    return None
+                out.append(tuple(map(unpack(x, self.ambient).__getitem__, at)))
+        else:
+            for v in self.mat.rows:
+                coords = self.coords_of(apply_vec(v, op))
+                if coords is None:
+                    return None
+                out.append(coords)
+        return Matrix.trusted(f, tuple(out), self.dim)
 
     def complement_coords(self):
         """Non-pivot columns: coordinates of the canonical complement."""
@@ -563,14 +862,14 @@ class Subspace:
 def common_left_kernel(field, n: int, mats: Iterable[Matrix]) -> Subspace:
     """{v in k^n : v m = 0 for every m}; all of k^n when there is no m.
 
-    v m = 0 says v is orthogonal to every column of m, so the answer is
-    the right kernel of the matrix whose rows are all the columns.
+    v m = 0 for every m says v m' = 0 for the matrix m' whose rows are
+    the rows of all the m side by side.
     """
-    cols = [c for m in mats for c in zip(*m.rows)]
-    if not cols:
+    rows = tuple(tuple(chain.from_iterable(r)) for r in zip(*(m.rows for m in mats)))
+    if not rows or not rows[0]:
         return Subspace.full(field, n)
-    return Subspace.from_vectors(field, n,
-                                 Matrix.trusted(field, tuple(cols), n).right_kernel().rows)
+    side_by_side = Matrix.trusted(field, rows, len(rows[0]))
+    return Subspace.from_vectors(field, n, side_by_side.left_kernel().rows)
 
 
 def spin(field, ambient: int, seeds: Iterable, operators: Sequence[Matrix]) -> Subspace:
@@ -583,14 +882,7 @@ def spin(field, ambient: int, seeds: Iterable, operators: Sequence[Matrix]) -> S
         if op.nrows != ambient or op.ncols != ambient:
             raise ValueError("operator of wrong dimension in spin")
     red = RowReducer(field, ambient)
-    work = []
     for s in seeds:
-        if red.add(s):
-            work.append(red.rows[-1])
-    while work:
-        v = work.pop()
-        for op in operators:
-            w = apply_vec(v, op)
-            if red.add(w):
-                work.append(red.rows[-1])
+        red.add(s)
+    red.close(operators)
     return red.subspace()

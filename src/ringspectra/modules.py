@@ -32,8 +32,9 @@ from .algebras import (FiniteDimAlgebra, jacobson_radical, semisimple_quotient,
                        wedderburn_blocks)
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .ideals import annihilator, is_prime
-from .linalg import (Matrix, Subspace, apply_vec, common_left_kernel, spin,
-                     vec_add, vec_is_zero, vec_scale, zero_vec)
+from .linalg import (Matrix, Subspace, apply_vec, combine_matrices,
+                     common_left_kernel, spin, vec_add, vec_is_zero, vec_scale,
+                     zero_vec)
 
 
 class RightModule:
@@ -79,13 +80,8 @@ class RightModule:
         return cls(algebra, [z] * algebra.dim, name="0", validate=False)
 
     def act_matrix(self, a_coords) -> Matrix:
-        """The action of sum_k a_k b_k, combined row by row."""
-        f = self.algebra.field
-        rows = [zero_vec(f, self.dim)] * self.dim
-        for c, m in zip(a_coords, self.action):
-            if c:
-                rows = [f.axpy(r, c, mr) for r, mr in zip(rows, m.rows)]
-        return Matrix.trusted(f, tuple(map(tuple, rows)), self.dim)
+        """The action of sum_k a_k b_k."""
+        return combine_matrices(self.algebra.field, self.dim, a_coords, self.action)
 
     def act(self, v, a_coords):
         return apply_vec(v, self.act_matrix(a_coords))
@@ -113,42 +109,33 @@ class RightModule:
     # -- submodules and quotients ---------------------------------------------
 
     def generator_action(self):
-        """The action matrices of the algebra's generators."""
+        """The action matrices of the algebra's generators.
+
+        A subspace stable under them (``Subspace.is_stable``) is a
+        submodule, because ``action`` is a representation: validated at
+        construction, or built from modules that are.
+        """
         return [self.action[g] for g in self.algebra.generators()]
 
     def spin_submodule(self, seeds) -> Subspace:
         return spin(self.algebra.field, self.dim, seeds, self.generator_action())
 
-    def is_submodule_space(self, s: Subspace) -> bool:
-        """Whether s is closed under the generators' action.
-
-        That is closure under the whole algebra because ``action`` is a
-        representation: validated at construction, or built from modules
-        that are.
-        """
-        ops = self.generator_action()
-        return all(s.contains_vector(apply_vec(v, m))
-                   for v in s.basis_rows() for m in ops)
-
     def submodule(self, space_or_seeds, name="L"):
         """(module on the subspace, inclusion map); seeds are spun closed."""
         if isinstance(space_or_seeds, Subspace):
             space = space_or_seeds
-            if not self.is_submodule_space(space):
+            if not space.is_stable(self.generator_action()):
                 raise ValidationError("subspace is not action-invariant")
         else:
             space = self.spin_submodule(list(space_or_seeds))
-        f = self.algebra.field
-        mats = [Matrix.trusted(f, tuple(space.coords_of(apply_vec(v, m))
-                                        for v in space.basis_rows()), space.dim)
-                for m in self.action]
+        mats = [space.restrict(m) for m in self.action]
         sub = RightModule(self.algebra, mats, name=name, validate=False)
         incl = ModuleMap(sub, self, space.mat)
         return sub, incl
 
     def quotient(self, space: Subspace, name="Q"):
         """(module on the complement coordinates, projection map)."""
-        if not self.is_submodule_space(space):
+        if not space.is_stable(self.generator_action()):
             raise ValidationError("cannot quotient by a non-submodule")
         f = self.algebra.field
         proj = space.complement_projection_matrix()

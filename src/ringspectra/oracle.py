@@ -127,15 +127,10 @@ def _all_multiplications(a: FiniteDimAlgebra):
     return a.right_mult_matrices() + a.left_mult_matrices()
 
 
-def _stable(s: Subspace, ops) -> bool:
-    return all(s.contains_vector(apply_vec(v, m))
-               for v in s.basis_rows() for m in ops)
-
-
 def enumerate_two_sided_ideals(a: FiniteDimAlgebra, budget: Budget = None):
     ops = _all_multiplications(a)
     return [s for s in enumerate_subspaces(a.field, a.dim, budget)
-            if _stable(s, ops)]
+            if s.is_stable(ops)]
 
 
 def enumerate_right_ideals(a: FiniteDimAlgebra, budget: Budget = None):
@@ -144,7 +139,7 @@ def enumerate_right_ideals(a: FiniteDimAlgebra, budget: Budget = None):
 
 def enumerate_submodules(m: RightModule, budget: Budget = None):
     return [s for s in enumerate_subspaces(m.algebra.field, m.dim, budget)
-            if _stable(s, m.action)]
+            if s.is_stable(m.action)]
 
 
 # -- definitional predicates ------------------------------------------------------

@@ -154,6 +154,7 @@ class ArtinianBackend:
     def __init__(self, algebra: FiniteDimAlgebra, label=None):
         self.algebra = algebra
         self.label = label or f"{algebra.name}/{field_name(algebra.field)}"
+        self._minimal_molecules = None
 
     # -- raw data (cached on the algebra's structure) ------------------------
 
@@ -185,9 +186,14 @@ class ArtinianBackend:
         return self.atoms()
 
     def minimal_molecules(self, window=None):
-        mols = self.molecules()
-        return [r for r in mols
+        """The molecules with no other molecule below them, found once:
+        the molecule spectrum and ``molecular_flags`` both read them."""
+        if self._minimal_molecules is None:
+            mols = self.molecules()
+            self._minimal_molecules = [
+                r for r in mols
                 if not any(s != r and self.molecule_leq(s, r) for s in mols)]
+        return list(self._minimal_molecules)
 
     def _prime_by_key(self, key):
         for w in self.primes():

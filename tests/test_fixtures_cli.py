@@ -273,6 +273,25 @@ def test_cli_module_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("argv", [["analyze", "z.alg", "--window", "2000"],
+                                  ["verify", "t2_f2.alg"], ["hasse", "t2_f2.alg"]],
+                         ids=["analyze", "verify", "hasse"])
+def test_cli_reader_gone_is_not_an_error(argv):
+    """Output into a pipe nobody reads any more: no traceback, and the
+    command's own exit code."""
+    import os
+    root = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    argv = [os.path.join(root, a) if a.endswith(".alg") else a for a in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)      # gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ringspectra.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_shipped_fixtures_all_verify(capsys):
     import glob
     import os
@@ -502,11 +521,22 @@ def test_cli_bad_symbolic_value_is_a_parse_error(tmp_path, capsys, text, where):
     (Z_FIXTURE + "[module M]\ndim = 1\naction 0 = 1\n", 6),
     (T2_FIXTURE + "[graded_module G]\nfree = 0\n", 8),
     (Z_FIXTURE + "[graded_module G]\nfree = 0\n", 6),
+    (T2_FIXTURE + "nmae = X\n", 8),
+    (QUIVER_FIXTURE.replace("nilpotency_bound", "nilpotency_bond"), 10),
+    (T2_FIXTURE.replace("n = 2", "n = 2\ndim = 4"), 7),
+    (Z_FIXTURE.replace("kind = int", "kind = int\nname = Z"), 3),
+    (Z_FIXTURE.replace("bound = 10", "bound = 10\nlo = 3\nhi = 5"), 6),
+    (Z_FIXTURE.replace("bound = 10", "lo = 3\nhi = 5\nbound = 10"), 5),
+    (Z_FIXTURE.replace("bound = 10", "bond = 10"), 5),
+    (GRADED_FIXTURE.replace("free = 0", "free = 0\nshift = 1"), 7),
 ], ids=["backend-twice", "key-twice", "window-twice", "window-key-twice",
         "module-twice", "action-twice", "action-same-index",
         "module-default-name-taken", "graded-twice",
         "misspelt-section", "module-on-symbolic", "graded-on-algebra",
-        "graded-on-int"])
+        "graded-on-int", "misspelt-backend-key", "misspelt-optional-key",
+        "key-of-another-source", "name-on-symbolic", "window-bound-and-range",
+        "window-range-and-bound", "misspelt-window-key",
+        "unknown-graded-module-key"])
 def test_cli_dropped_section_or_key_is_a_parse_error(tmp_path, capsys, text,
                                                      line):
     """A section or key the loader would ignore or overwrite is an error at

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, Subspace, apply_vec,
-                                common_left_kernel, spin, unit_vec)
+from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, RowReducer, Subspace,
+                                apply_vec, combine_matrices, common_left_kernel,
+                                pack, spin, unit_vec, unpack)
 
 
 def test_gf_arithmetic_exact():
@@ -278,3 +279,116 @@ def test_meets_agrees_with_intersection():
         assert s.meets(t) == want and t.meets(s) == want, (us, vs)
     with pytest.raises(ValueError):
         Subspace.zero(QQ, 2).meets(Subspace.zero(QQ, 3))
+
+
+# -- packed F_2 rows against the tuple kernels -------------------------------------
+
+# F_2 with the tuple kernels, the ones every other prime field runs: the
+# reference the packed kernels are compared with.  It equals F2, so
+# matrices and subspaces over the two compare equal when their rows do.
+F2_TUPLES = GF(2)
+F2_TUPLES.packed = False
+
+# (rows, ambient) shapes: ambient 0 and 1, rows that fill a machine word,
+# pass it (65) and reach T_16(F_2)'s dimension 136.
+PACKED_SHAPES = [(0, 0), (3, 0), (0, 1), (1, 1), (4, 1), (2, 2), (5, 3), (6, 8),
+                 (9, 9), (12, 10), (40, 64), (20, 65), (70, 65), (12, 136)]
+
+
+def _f2_rows(rng, r, n, density):
+    return [tuple(int(rng.random() < density) for _ in range(n)) for _ in range(r)]
+
+
+def _both(rows, n):
+    return Matrix(F2, rows, n), Matrix(F2_TUPLES, rows, n)
+
+
+def _packed_cases():
+    """(rows, ambient) over F_2: random at three densities, all zero, and
+    full rank (the identity and a random invertible matrix)."""
+    rng = random.Random(2024)
+    for r, n in PACKED_SHAPES:
+        for density in (0.1, 0.5, 0.9) if n <= 10 else (0.5,):
+            yield _f2_rows(rng, r, n, density), n
+        yield _f2_rows(rng, r, n, 0.0), n
+    for n in (1, 5, 65):
+        yield [unit_vec(F2, n, i) for i in range(n)], n
+        while True:
+            rows = _f2_rows(rng, n, n, 0.5)
+            if Matrix(F2_TUPLES, rows, n).rank() == n:
+                yield rows, n
+                break
+
+
+def test_pack_round_trip():
+    rng = random.Random(5)
+    for n in (0, 1, 7, 8, 9, 63, 64, 65, 136):
+        for v in [(0,) * n, (1,) * n] + _f2_rows(rng, 5, n, 0.5):
+            x = pack(v)
+            assert x == sum(1 << j for j, c in enumerate(v) if c)
+            assert unpack(x, n) == v and type(unpack(x, n)) is tuple
+
+
+def test_packed_matrix_kernels_agree_with_tuples():
+    rng = random.Random(7)
+    assert F2.packed and not F2_TUPLES.packed
+    for rows, n in _packed_cases():
+        m, t = _both(rows, n)
+        (rm, piv), (rt, pivt) = m.rref(), t.rref()
+        assert (rm.rows, piv) == (rt.rows, pivt) and rm._bits is not None
+        assert m.rank() == t.rank()
+        assert m.right_kernel().rows == t.right_kernel().rows
+        assert m.left_kernel().rows == t.left_kernel().rows
+        square, square_t = _both(_f2_rows(rng, n, n, 0.5), n)
+        assert (m * square).rows == (t * square_t).rows
+        for v in _f2_rows(rng, 3, len(rows), 0.5):
+            assert apply_vec(v, m) == apply_vec(v, t)
+            assert m.solve_left(apply_vec(v, m)) == t.solve_left(apply_vec(v, t))
+        if rows and len(rows) == n and t.rank() == n:
+            assert m.inverse().rows == t.inverse().rows
+        mats = [_both(_f2_rows(rng, n, n, 0.3), n) for _ in range(3)]
+        coeffs = _f2_rows(rng, 1, 3, 0.5)[0]
+        assert combine_matrices(F2, n, coeffs, [a for a, _b in mats]).rows == \
+            combine_matrices(F2_TUPLES, n, coeffs, [b for _a, b in mats]).rows
+
+
+def test_packed_subspace_kernels_agree_with_tuples():
+    rng = random.Random(11)
+    for rows, n in _packed_cases():
+        s, st = (Subspace.from_vectors(f, n, rows) for f in (F2, F2_TUPLES))
+        assert (s.basis_rows(), s.pivots) == (st.basis_rows(), st.pivots)
+        for v in _f2_rows(rng, 6, n, 0.5) + list(rows[:3]) + [(0,) * n]:
+            assert s.reduce(v) == st.reduce(v)
+            assert s.contains_vector(v) == st.contains_vector(v)
+            assert s.coords_of(v) == st.coords_of(v)
+        vecs = _f2_rows(rng, 3, n, 0.3)
+        other, other_t = (Subspace.from_vectors(f, n, vecs) for f in (F2, F2_TUPLES))
+        assert s.meets(other) == st.meets(other_t)
+        assert other.meets(s) == other_t.meets(st)
+        assert s.contains(other) == st.contains(other_t)
+        ops = [_both(_f2_rows(rng, n, n, 0.4), n) for _ in range(2)]
+        packed_ops, tuple_ops = [a for a, _b in ops], [b for _a, b in ops]
+        assert s.is_stable(packed_ops) == st.is_stable(tuple_ops)
+        for op, op_t in ops:
+            assert s.restrict(op) == st.restrict(op_t)
+        seeds = rows[:2]
+        spun = spin(F2, n, seeds, packed_ops)
+        spun_t = spin(F2_TUPLES, n, seeds, tuple_ops)
+        assert (spun.basis_rows(), spun.pivots) == (spun_t.basis_rows(), spun_t.pivots)
+        assert spun.is_stable(packed_ops) and spun_t.is_stable(tuple_ops)
+        assert spun.restrict(packed_ops[0]).rows == spun_t.restrict(tuple_ops[0]).rows
+        assert Subspace.full(F2, n).is_stable(packed_ops)
+        assert Subspace.zero(F2, n).is_stable(packed_ops)
+
+
+def test_packed_row_reducer_agrees_with_tuples():
+    rng = random.Random(13)
+    for n in (0, 1, 6, 65, 136):
+        red, red_t = RowReducer(F2, n), RowReducer(F2_TUPLES, n)
+        for v in _f2_rows(rng, 8, n, 0.3) + [(0,) * n]:
+            assert red.contains(v) == red_t.contains(v)
+            assert red.add(v) == red_t.add(v)
+        ops = [_both(_f2_rows(rng, n, n, 0.2), n) for _ in range(2)]
+        red.close([a for a, _b in ops])
+        red_t.close([b for _a, b in ops])
+        assert red.dim() == red_t.dim() and red.subspace() == red_t.subspace()

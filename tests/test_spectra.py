@@ -308,6 +308,27 @@ def test_verifier_reads_each_order_once():
     assert b.calls["molecule_leq"] <= n * n
 
 
+class _CountingArtinian(ArtinianBackend):
+    """Mod(Lambda), counting the molecule order queries."""
+
+    def __init__(self, algebra):
+        super().__init__(algebra)
+        self.calls = 0
+
+    def molecule_leq(self, r, s):
+        self.calls += 1
+        return super().molecule_leq(r, s)
+
+
+def test_artinian_minimal_molecules_found_once():
+    b = _CountingArtinian(upper_triangular_algebra(4, F2))
+    rep = verify_correspondence(b)
+    n = len(b.molecules())
+    assert n == 4 and rep.passed() and rep.molecular_flags["irreducible"] is False
+    # The up-sets and the minimal set ask each pair once; the flags reread.
+    assert b.calls <= 2 * n * n
+
+
 def test_verifier_catches_a_discrete_molecule_order():
     rep = verify_correspondence(_DiscreteMoleculesZ(), 13)
     failed = {r.name for r in rep.assertions if not (r.passed or r.skipped)}

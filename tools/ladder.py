@@ -6,7 +6,7 @@ Runs each rung once, in this order:
 
 - ``verify_correspondence(ArtinianBackend(a))`` with each algebra built
   fresh (its associativity check included in the time): T_n(F_2) for
-  n = 2..12, then M_3(F_3), M_4(F_2), M_2(Q) and T_4(Q);
+  n = 2..16 (dimension 3..136), then M_3(F_3), M_4(F_2), M_2(Q) and T_4(Q);
 - ``verify_correspondence`` on Z with windows 1000..6000 and on Q[x] with
   windows 150 and 300 (the backend built in the time);
 - ``ringspectra analyze fixtures/z.alg --window N --json TMP`` in-process,
@@ -130,7 +130,7 @@ def verify_exhaustive(name):
 # (label, run, arguments); labels ending in "(F2)" form the T_n ladder, and
 # their arguments hold n second.
 RUNGS = ([(f"T{n}(F2)", verify_algebra, (upper_triangular_algebra, n, F2))
-          for n in range(2, 13)]
+          for n in range(2, 17)]
          + [("M3(F3)", verify_algebra, (matrix_algebra, 3, F3)),
             ("M4(F2)", verify_algebra, (matrix_algebra, 4, F2)),
             ("M2(Q)", verify_algebra, (matrix_algebra, 2, QQ)),
