@@ -94,7 +94,6 @@ def _build_parser():
     p = sub.add_parser("oracle", help="expose the enumeration harness")
     p.add_argument("--corpus", action="store_true",
                    help="list the fixture corpus")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--subspaces", nargs=2, type=int, metavar=("DIM", "P"),
                    action=_SubspacesArgs,
                    help="count subspaces of F_p^dim against the formula")
@@ -396,7 +395,7 @@ def cmd_oracle(args) -> int:
              f"formula {expected}")
         return EXIT_OK if len(subs) == expected else EXIT_VERIFY_FAILED
     if args.corpus:
-        for name, alg in corpus(args.seed):
+        for name, alg in corpus():
             _out(f"{name}: dim {alg.dim}")
         return EXIT_OK
     print("nothing to do: pass --corpus or --subspaces", file=sys.stderr)

@@ -694,20 +694,6 @@ class GradedPolyBackend:
                    for _l, s in m.torsion)
         return out
 
-    def asupp(self, m: GradedModuleDescriptor, window):
-        """Atom support within the window; free parts are upward-infinite."""
-        out = set()
-        rng = self._window_range(window)
-        if m.free_shifts:
-            out.add(Atom(self.label, ("generic",), "k[x]"))
-            top = max(m.free_shifts)
-            out.update(Atom(self.label, ("shift", n), f"S({n})")
-                       for n in rng if n <= top)
-        for length, s in m.torsion:
-            out.update(Atom(self.label, ("shift", s + j), f"S({s + j})")
-                       for j in range(length) if (s + j) in rng)
-        return out
-
     def is_prime_object(self, m: GradedModuleDescriptor) -> bool:
         """Shift-isotypic semisimple descriptors only; free parts never.
 

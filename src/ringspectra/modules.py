@@ -8,12 +8,14 @@ action of the algebra's generators (``FiniteDimAlgebra.generators``): for
 a representation that is the action of every word in them, so of all of
 the algebra (docs/derivations.md, "Generating sets").
 
-The structural layers: socle and radical series, Jordan-Hoelder factors
-counted through block idempotents, simple modules realized as certified
-minimal right ideals of the semisimple quotient's blocks, injective
-envelopes as duals of projective covers over the opposite algebra.  Each
-block's minimal right ideal is searched once (``minimal_right_ideal``);
-the simple module and the primitive idempotent of the block both read it.
+The structural layers: socle and radical, simple modules realized as
+certified minimal right ideals of the semisimple quotient's blocks, one
+primitive idempotent e_t per simple S_t, composition multiplicities read
+off as [M : S_t] = dim M e_t / dim End(S_t), and injective envelopes as
+duals of projective covers over the opposite algebra.  Each block's
+minimal right ideal is searched once (``minimal_right_ideal``);
+``simple_modules`` reads it for both the simple module and e_t, and
+``primitive_idempotents`` and ``composition_factors`` read e_t there.
 
 Object-level predicates (monoform, compressible, prime) use the
 finite-length criteria recorded in ``docs/derivations.md``; the raw
@@ -165,44 +167,14 @@ class RightModule:
         """M J, the radical submodule."""
         if self._radical is None:
             rad = jacobson_radical(self.algebra)
-            vecs = [self.act(v, j) for j in rad.basis_rows()
-                    for v in Subspace.full(self.algebra.field, self.dim).basis_rows()]
+            # Row i of act_matrix(j) is v_i j for the i-th basis vector v_i
+            # of M, so these rows, over a basis of J, span MJ.
+            vecs = [row for j in rad.basis_rows() for row in self.act_matrix(j).rows]
             self._radical = Subspace.from_vectors(self.algebra.field, self.dim, vecs)
         return self._radical
 
     def is_semisimple(self):
         return self.socle_space().dim == self.dim
-
-    def socle_series(self):
-        """0 = S_0 < soc M < ... < M as subspaces."""
-        f = self.algebra.field
-        chain = [Subspace.zero(f, self.dim)]
-        while chain[-1].dim < self.dim:
-            quot, proj = self.quotient(chain[-1])
-            soc_q = quot.socle_space()
-            vecs = list(chain[-1].basis_rows())
-            for w in soc_q.basis_rows():
-                vecs.append(_any_preimage(proj.matrix, w))
-            nxt = Subspace.from_vectors(f, self.dim, vecs)
-            if nxt.dim == chain[-1].dim:
-                raise ValidationError("socle series stalled")
-            chain.append(nxt)
-        return chain
-
-    def radical_series(self):
-        """M > MJ > MJ^2 > ... > 0 as subspaces."""
-        f = self.algebra.field
-        rad = jacobson_radical(self.algebra)
-        chain = [Subspace.full(f, self.dim)]
-        while chain[-1].dim > 0:
-            prev = chain[-1]
-            vecs = [self.act(v, j) for v in prev.basis_rows()
-                    for j in rad.basis_rows()]
-            nxt = Subspace.from_vectors(f, self.dim, vecs)
-            if nxt.dim == prev.dim:
-                raise ValidationError("radical series stalled")
-            chain.append(nxt)
-        return chain
 
 
 def _any_preimage(proj_matrix: Matrix, w):
@@ -249,15 +221,18 @@ class ModuleMap:
 class SimpleClass:
     """Isomorphism class of a simple right module.
 
-    ``module`` is None exactly when the class sits over a rational block
-    whose division part could not be resolved at desk scale; consumers
-    needing the representative must call ``require_module``.
+    ``idempotent`` is a primitive idempotent e of the algebra with S the
+    top of eA.  ``module`` and ``idempotent`` are None exactly when the
+    class sits over a rational block whose division part could not be
+    resolved at desk scale; consumers needing the representative must
+    call ``require_module``.
     """
     label: str
     block_index: int
     module: RightModule | None
     end_dim: int | None
     dim: int | None
+    idempotent: tuple | None
 
     def require_module(self) -> RightModule:
         if self.module is None:
@@ -285,8 +260,8 @@ def minimal_right_ideal(block: FiniteDimAlgebra) -> Subspace:
 
 
 def _block_simple(block: FiniteDimAlgebra):
-    """(S, dim End(S)) for the simple right module S of a simple block, or
-    None when S is not certified.
+    """(S, dim End(S), e) for the simple right module S = eB of a simple
+    block B, or None when S is not certified.
 
     S is the block's minimal right ideal.  Over F_p the search certifies
     it; over Q a commutative block is a field, and otherwise the candidate
@@ -302,7 +277,7 @@ def _block_simple(block: FiniteDimAlgebra):
     simple = reg if is_field else reg.submodule(space, name=f"{block.name}.S")[0]
     end = len(hom_basis(simple, simple))
     if block.field.is_finite() or is_field or end == 1:
-        return simple, end
+        return simple, end, _idempotent_in_minimal_right_ideal(block, space)
     return None
 
 
@@ -342,18 +317,20 @@ def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
     The simple of block B is B's simple module, on which a acts through
     a -> a/J -> B.  So End_a(S) = End_B(S) (docs/derivations.md), and the
     End computed over B both certifies S over Q and gives ``end_dim``.
+    The idempotent generating S in B is lifted here to a primitive
+    idempotent of a, so every later reader finds it computed.
     """
     if a.structure.simples is not None:
         return a.structure.simples
-    quot, proj, _sec = semisimple_quotient(a)
+    quot, proj, section = semisimple_quotient(a)
     out = []
     for t, blk in enumerate(wedderburn_blocks(quot)):
         found = _block_simple(blk.algebra)
         label = f"S{t + 1}"
         if found is None:
-            out.append(SimpleClass(label, t, None, None, None))
+            out.append(SimpleClass(label, t, None, None, None, None))
             continue
-        simple_over_block, end = found
+        simple_over_block, end, ebar = found
         mats = []
         for i in range(a.dim):
             z = a.basis_coords(i) if proj is None else proj(a.basis_coords(i))
@@ -361,71 +338,40 @@ def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
             coords = blk.space.coords_of(zt)
             mats.append(simple_over_block.act_matrix(coords))
         mod = RightModule(a, mats, name=label, validate=False)
-        out.append(SimpleClass(label, t, mod, end, mod.dim))
+        # block coords -> quotient coords -> a coset representative, lifted
+        e_quot = apply_vec(ebar, blk.space.mat)
+        e = _newton_idempotent_lift(
+            a, e_quot if section is None else section(e_quot))
+        out.append(SimpleClass(label, t, mod, end, mod.dim, e))
     a.structure.simples = out
     return out
 
 
-def block_idempotent_lifts(a: FiniteDimAlgebra):
-    """Coset representatives in a of the central block idempotents of a/J.
+def composition_factors(m: RightModule):
+    """Multiset {simple label: multiplicity} of m's composition factors.
 
-    Not idempotents of a in general; they act correctly on any module
-    killed by J, which is all the isotypic bookkeeping needs.
+    With e_t the primitive idempotent of block t, m e_t = Hom(e_t A, m)
+    has dimension [m : S_t] dim End(S_t) (docs/derivations.md,
+    "Multiplicities from one idempotent per simple"), so each count is a
+    rank.  A remainder, or counts whose simples do not fill dim m, raise
+    ``ValidationError``.
     """
-    quot, _proj, section = semisimple_quotient(a)
-    return [blk.idempotent if section is None else section(blk.idempotent)
-            for blk in wedderburn_blocks(quot)]
-
-
-def semisimple_isotypic_dims(m: RightModule) -> list[int]:
-    """dim of each block-isotypic component of a module killed by J."""
-    a = m.algebra
-    lifts = block_idempotent_lifts(a)
-    out = []
-    for e in lifts:
-        img = Subspace.from_vectors(a.field, m.dim,
-                                    m.act_matrix(e).rows)
-        out.append(img.dim)
-    return out
-
-
-def composition_factors(m: RightModule, strategy="radical"):
-    """Multiset {simple label: multiplicity} from a composition series.
-
-    Two peeling strategies exist so Jordan-Hoelder independence is a
-    checkable property rather than an assumption.
-    """
-    a = m.algebra
-    simples = simple_modules(a)
-    for s in simples:
-        if s.dim is None:
+    counts = {}
+    total = 0
+    for s in simple_modules(m.algebra):
+        if s.idempotent is None:
             raise CapabilityError(
                 f"composition factors need all simples realized; {s.label} is not")
-    if strategy == "radical":
-        chain = m.radical_series()
-        pairs = [(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
-    elif strategy == "socle":
-        chain = m.socle_series()
-        pairs = [(chain[k + 1], chain[k]) for k in range(len(chain) - 1)]
-    else:
-        raise ValueError("strategy must be 'radical' or 'socle'")
-    counts = {s.label: 0 for s in simples}
-    for big, small in pairs:
-        layer = _layer_module(m, big, small)
-        dims = semisimple_isotypic_dims(layer)
-        for s, d in zip(simples, dims):
-            if d % s.dim != 0:
-                raise ValidationError("isotypic dimension not a multiple")
-            counts[s.label] += d // s.dim
-    return {k: v for k, v in counts.items() if v}
-
-
-def _layer_module(m: RightModule, big: Subspace, small: Subspace) -> RightModule:
-    sub, _ = m.submodule(big, name="layer+")
-    inner_vecs = [big.coords_of(v) for v in small.basis_rows()]
-    inner = Subspace.from_vectors(m.algebra.field, big.dim, inner_vecs)
-    quot, _ = sub.quotient(inner, name="layer")
-    return quot
+        mult, rest = divmod(m.act_matrix(s.idempotent).rank(), s.end_dim)
+        if rest:
+            raise ValidationError(f"dim M e for {s.label} is not a multiple "
+                                  "of dim End")
+        if mult:
+            counts[s.label] = mult
+        total += mult * s.dim
+    if total != m.dim:
+        raise ValidationError("composition factors do not add up to dim M")
+    return counts
 
 
 def module_length(m: RightModule) -> int:
@@ -557,21 +503,17 @@ class PrimitiveIdempotentData:
 
 
 def primitive_idempotents(a: FiniteDimAlgebra) -> list[PrimitiveIdempotentData]:
-    """One primitive idempotent per block, lifted from a/J."""
+    """One primitive idempotent per block, the one ``simple_modules``
+    lifted, with its projective eA."""
     if a.structure.primitive_idempotents is not None:
         return a.structure.primitive_idempotents
-    quot, _proj, section = semisimple_quotient(a)
     reg = RightModule.regular(a)
     out = []
-    for t, blk in enumerate(wedderburn_blocks(quot)):
-        ebar = _idempotent_in_minimal_right_ideal(blk.algebra)
-        if ebar is None:
+    for s in simple_modules(a):
+        t, e = s.block_index, s.idempotent
+        if e is None:
             raise CapabilityError(
                 f"block {t}: no primitive idempotent at desk scale (non-split over Q)")
-        # block coords -> quotient coords -> a lifted coset representative
-        e_quot = apply_vec(ebar, blk.space.mat)
-        e = e_quot if section is None else section(e_quot)
-        e = _newton_idempotent_lift(a, e)
         space = reg.spin_submodule([e])
         pmod, _ = reg.submodule(space, name=f"P{t + 1}")
         out.append(PrimitiveIdempotentData(t, e, pmod, space))
@@ -579,17 +521,14 @@ def primitive_idempotents(a: FiniteDimAlgebra) -> list[PrimitiveIdempotentData]:
     return out
 
 
-def _idempotent_in_minimal_right_ideal(block):
-    """Idempotent generating a minimal right ideal of a simple block.
+def _idempotent_in_minimal_right_ideal(block, space: Subspace):
+    """Idempotent generating the minimal right ideal ``space`` of a simple
+    block.
 
     For a minimal right ideal W with wW = W, the solution e in W of
     w e = w is idempotent: w(e^2 - e) = 0 and the left-annihilator of w
     inside W is a proper right subideal, hence zero.
     """
-    try:
-        space = minimal_right_ideal(block)
-    except CapabilityError:
-        return None
     f = block.field
     basis = space.basis_rows()
     for w in basis:

@@ -290,6 +290,33 @@ def brute_mass(m: RightModule, backend, budget: Budget = None):
     return {mol for mol in backend.molecules() if mol.key in out}
 
 
+def brute_composition_factors(m: RightModule, budget: Budget = None):
+    """{simple label: multiplicity} along one maximal chain of m's lattice.
+
+    Each step goes from c to a smallest member t of the lattice above it,
+    so t/c is simple; the layer is named by the simple class it is
+    isomorphic to.
+    """
+    from .modules import simple_modules
+    f = m.algebra.field
+    subs = enumerate_submodules(m, budget)
+    simples = [(s.label, s.require_module()) for s in simple_modules(m.algebra)]
+    counts = {}
+    c = Subspace.zero(f, m.dim)
+    while c.dim < m.dim:
+        t = min((t for t in subs if t.dim > c.dim and t.contains(c)),
+                key=lambda t: t.dim)
+        top, _ = m.submodule(t)
+        layer, _ = top.quotient(Subspace.from_vectors(
+            f, t.dim, [t.coords_of(v) for v in c.basis_rows()]))
+        names = [lbl for lbl, s in simples if _brute_isomorphic(layer, s)]
+        if len(names) != 1:
+            raise ValidationError(f"a layer matches {len(names)} simple classes")
+        counts[names[0]] = counts.get(names[0], 0) + 1
+        c = t
+    return counts
+
+
 # -- corpus -----------------------------------------------------------------------
 
 def _quiver_truncations():
@@ -334,8 +361,8 @@ def _quiver_truncations():
     return shapes
 
 
-def corpus(seed: int = 0):
-    """Deterministic list of (name, algebra) fixtures; seed reserved.
+def corpus():
+    """Deterministic list of (name, algebra) fixtures.
 
     Contains every named fixture the worked examples use plus systematic
     families: truncated path algebras on small quivers, triangular and

@@ -234,16 +234,6 @@ def test_graded_counterexample_fidelity():
     assert not g.is_prime_object(mixed)
 
 
-def test_graded_asupp_windowed():
-    g = GradedPolyBackend(F2)
-    kx = GradedModuleDescriptor.free(0)
-    supp = {a.label for a in g.asupp(kx, window=(-2, 2))}
-    assert supp == {"k[x]", "S(-2)", "S(-1)", "S(0)"}
-    tors = GradedModuleDescriptor((), ((2, 0),))   # factors S(0), S(1)
-    supp2 = {a.label for a in g.asupp(tors, window=(-2, 2))}
-    assert supp2 == {"S(0)", "S(1)"}
-
-
 def test_graded_psi_total_and_verification():
     g = GradedPolyBackend(F2)
     for m in g.molecules(window=2):

@@ -6,7 +6,7 @@ from ringspectra.algebras import (FiniteDimAlgebra, companion_algebra,
                                   cyclic_group_algebra, matrix_algebra,
                                   product_algebra, upper_triangular_algebra,
                                   wedderburn_blocks)
-from ringspectra.errors import CapabilityError, ValidationError
+from ringspectra.errors import BudgetExceeded, CapabilityError, ValidationError
 from ringspectra.linalg import F2, F3, QQ, Matrix, Subspace
 from ringspectra.modules import (RightModule, _minimal_right_ideal_space,
                                  are_isomorphic, composition_factors,
@@ -16,7 +16,8 @@ from ringspectra.modules import (RightModule, _minimal_right_ideal_space,
                                  is_simple_module, module_length,
                                  primitive_idempotents, projective_cover,
                                  simple_modules)
-from ringspectra.oracle import (brute_is_compressible, brute_is_monoform,
+from ringspectra.oracle import (brute_composition_factors,
+                                brute_is_compressible, brute_is_monoform,
                                 brute_is_prime_object, enumerate_submodules,
                                 standard_modules)
 
@@ -74,13 +75,90 @@ def test_composition_factors_t2():
     assert composition_factors(s.module) == {s.label: 1}
 
 
-def test_jordan_hoelder_independence(algebra_corpus):
+def _f_p_corpus_in_two_bases(algebra_corpus):
+    """Every F_p corpus algebra, in its natural and a seeded random basis."""
+    import random
+    from test_algebras import _in_random_basis
+    rng = random.Random(16)
     for name, a in algebra_corpus:
-        if not a.field.is_finite():
+        if a.field.is_finite():
+            yield name, a
+            yield f"{name}~", _in_random_basis(a, rng)
+
+
+def test_composition_factors_match_a_brute_maximal_chain(algebra_corpus):
+    from ringspectra.oracle import Budget
+    # 20,000 subspaces leaves out only the dimension-6 modules over F_3,
+    # which would double the test's time.
+    budget = Budget(max_count=20000)
+    compared = 0
+    for name, a in _f_p_corpus_in_two_bases(algebra_corpus):
+        for mname, m in standard_modules(a):
+            try:
+                brute = brute_composition_factors(m, budget)
+            except BudgetExceeded:
+                continue
+            assert composition_factors(m) == brute, (name, mname)
+            compared += 1
+    assert compared > 700
+
+
+def _rational_algebras():
+    return [matrix_algebra(2, QQ), matrix_algebra(3, QQ),
+            upper_triangular_algebra(3, QQ), cyclic_group_algebra(QQ, 3),
+            cyclic_group_algebra(QQ, 4), companion_algebra(QQ, [0, 0, 1])]
+
+
+def test_simple_u_is_moved_by_e_t_only_when_u_is_t(algebra_corpus):
+    """S_u e_t != 0 iff u = t, and each e_t is an idempotent of the algebra."""
+    algebras = [a for _n, a in algebra_corpus] + _rational_algebras()
+    for a in algebras:
+        simples = simple_modules(a)
+        for t in simples:
+            assert a.mul(t.idempotent, t.idempotent) == t.idempotent, a.name
+            for u in simples:
+                moved = not u.module.act_matrix(t.idempotent).is_zero()
+                assert moved == (u is t), (a.name, u.label, t.label)
+
+
+def test_primitive_idempotents_are_the_simples_idempotents(algebra_corpus):
+    for name, a in algebra_corpus:
+        assert [p.idempotent for p in primitive_idempotents(a)] == \
+            [s.idempotent for s in simple_modules(a)], name
+
+
+def test_zero_idempotent_is_refused(monkeypatch):
+    a = upper_triangular_algebra(2, F3)
+    s = simple_modules(a)[0]
+    monkeypatch.setattr(s, "idempotent", (F3.zero,) * a.dim)
+    with pytest.raises(ValidationError, match="do not add up"):
+        composition_factors(RightModule.regular(a))
+
+
+def test_module_questions_fill_no_algebra_cache():
+    """After the set-up a benchmark round starts from (the primes and the
+    module zoo), composition factors, MAss and monoformity leave what is
+    cached on the algebra and on its opposite as it was.  The algebras are
+    built afresh: the session corpus carries what earlier tests cached."""
+    from ringspectra.oracle import corpus
+    from ringspectra.spectra import ArtinianBackend
+
+    def cached(alg):
+        return {k: id(v) for k, v in vars(alg.structure).items()}
+
+    for name, a in corpus():
+        if a.dim > 4:
             continue
-        for mname, m in standard_modules(a, include_envelopes=False):
-            assert composition_factors(m, "radical") == \
-                composition_factors(m, "socle"), (name, mname)
+        b = ArtinianBackend(a)
+        b.primes()
+        zoo = standard_modules(a)
+        before = cached(a), cached(a.opposite())
+        for mname, m in zoo:
+            composition_factors(m)
+            b.mass(m)
+            if m.dim:
+                is_monoform(m)
+        assert (cached(a), cached(a.opposite())) == before, name
 
 
 def test_simple_modules_counts():

@@ -90,7 +90,7 @@ def test_corpus_contents(algebra_corpus, corpus_by_name):
     assert "t2_f2" in corpus_by_name
     assert "quiver.cycle.J2_f2" in corpus_by_name
     names = [n for n, _a in algebra_corpus]
-    assert names == [n for n, _a in corpus(0)]      # deterministic
+    assert names == [n for n, _a in corpus()]       # deterministic
 
 
 def test_standard_modules_cover_shapes(corpus_by_name):
