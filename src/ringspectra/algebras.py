@@ -55,8 +55,8 @@ class AlgebraStructure:
     """What is computed about one algebra, each field filled in on first use.
 
     ``mirror`` marks an algebra built by ``opposite()``: its generating
-    set, radical, semisimple quotient and Wedderburn blocks are read off
-    the algebra it is the opposite of.
+    set, radical, semisimple quotient, Wedderburn blocks and simple modules
+    are read off the algebra it is the opposite of.
     ``minimal_right_ideal`` holds the outcome of a simple block's one
     search (``modules.minimal_right_ideal``): the subspace, or the
     ``CapabilityError`` the search raised.
@@ -75,12 +75,15 @@ class FiniteDimAlgebra:
                  "_right_mats", "_left_mats", "_structure")
 
     def __init__(self, field, sc, unit=None, labels=None, name="A",
-                 validate=True):
+                 validate=True, coerce=True):
         dim = len(sc)
         if dim == 0:
             raise ValidationError("unital algebra needs dimension >= 1")
-        sc = tuple(tuple(tuple(map(field.scalar, row)) for row in plane)
-                   for plane in sc)
+        if coerce:
+            sc = tuple(tuple(tuple(map(field.scalar, row)) for row in plane)
+                       for plane in sc)
+        else:
+            sc = tuple(tuple(map(tuple, plane)) for plane in sc)
         if any(len(plane) != dim or any(len(row) != dim for row in plane)
                for plane in sc):
             raise ValidationError("structure constants must be dim^3")
@@ -97,9 +100,21 @@ class FiniteDimAlgebra:
         self._structure = None
         if unit is None:
             unit = self._solve_unit()
-        self.unit = tuple(field.scalar(x) for x in check_length(unit, dim, "unit"))
+        unit = check_length(unit, dim, "unit")
+        self.unit = tuple(map(field.scalar, unit)) if coerce else unit
         if validate:
             self._validate()
+
+    @classmethod
+    def trusted(cls, field, sc, unit, labels=None, name="A", validate=True):
+        """The algebra on constants and a unit that already hold scalars of
+        ``field``, taken as they are; ``validate`` as in the constructor.
+
+        For the algebras the package builds from a validated one (opposite,
+        quotient, subalgebra), whose entries come out of its arithmetic.
+        """
+        return cls(field, sc, unit=unit, labels=labels, name=name,
+                   validate=validate, coerce=False)
 
     # -- construction-time checks -------------------------------------------
 
@@ -288,9 +303,9 @@ class FiniteDimAlgebra:
         if st.opposite is None:
             d = self.dim
             sc = tuple(tuple(self.sc[j][i] for j in range(d)) for i in range(d))
-            op = FiniteDimAlgebra(self.field, sc, unit=self.unit,
-                                  labels=self.labels, name=self.name + "^op",
-                                  validate=False)
+            op = FiniteDimAlgebra.trusted(self.field, sc, self.unit,
+                                          labels=self.labels,
+                                          name=self.name + "^op", validate=False)
             op.structure.opposite, op.structure.mirror = self, True
             st.opposite = op
         return st.opposite
@@ -626,8 +641,8 @@ def quotient_algebra(a: FiniteDimAlgebra, ideal_space: Subspace,
     sc = [[project(a.mul(lift(unit_vec(f, d, i)), lift(unit_vec(f, d, j))))
            for j in range(d)] for i in range(d)]
     labels = [a.labels[j] + "~" for j in comp]
-    quot = FiniteDimAlgebra(f, sc, unit=project(a.unit), labels=labels,
-                            name=name or a.name + "/I")
+    quot = FiniteDimAlgebra.trusted(f, sc, project(a.unit), labels=labels,
+                                    name=name or a.name + "/I")
     proj = AlgebraMap(a, quot, Matrix(f, [project(a.basis_coords(i))
                                           for i in range(a.dim)], d))
     section = AlgebraMap(quot, a, Matrix(f, [lift(unit_vec(f, d, t))
@@ -752,13 +767,18 @@ def _shrink_charp(a, current: Subspace) -> Subspace:
     Step i keeps the x of the current ideal I with g_i(x b_j) = 0 for every
     j, where g_i(z) = tr(L_z^{p^i}) / p^i mod p on integer lifts.  g_i is
     linear on I (docs/derivations.md), so it is evaluated only on the basis
-    of I, and g_i(u b_j) is read off the coordinates of u b_j in I.  The
+    of I.  A vector of I has as its coordinates in that canonical basis its
+    entries at the pivots, so on I, g_i is v -> sum_t v[pivot_t] g_i(u_t);
+    once I is checked to be a right ideal, all g_i(u b_j) are one product
+    of I's basis with the matrix of these values on the b_k b_j.  The
     divisibility by p^i is checked, so a violated hypothesis fails loudly
     instead of corrupting the kernel.
     """
     f = a.field
     p = f.char
     d = a.dim
+    right = a.right_mult_matrices()
+    gens = [right[g] for g in a.generators()]
 
     level = 0
     while p ** level < d:
@@ -767,18 +787,17 @@ def _shrink_charp(a, current: Subspace) -> Subspace:
     for i in range(1, level + 1):
         if current.dim == 0:
             break
-        mats = [a.left_mult_matrix(u) for u in current.basis_rows()]
-        g = [_lifted_trace(m.rows, p, i) for m in mats]
-        cond = []
-        for m in mats:            # row j of L_u is u b_j
-            row = []
-            for v in m.rows:
-                coords = current.coords_of(v)
-                if coords is None:
-                    raise ValidationError("lifted-trace ideal is not a right ideal")
-                row.append(sum(c * gt for c, gt in zip(coords, g)))
-            cond.append(tuple(f.row_scale(f.one, row)))
-        kern = Matrix.trusted(f, tuple(cond), d).left_kernel()
+        if not current.is_stable(gens):
+            raise ValidationError("lifted-trace ideal is not a right ideal")
+        g = [0] * d
+        for pc, u in zip(current.pivots, current.basis_rows()):
+            g[pc] = _lifted_trace(a.left_mult_matrix(u).rows, p, i)
+        # Row k holds g_i(b_k b_j) for every j, the constants read through g.
+        values = Matrix.trusted(f, tuple(
+            tuple(f.row_scale(f.one, [sum(c * g[m] for m, c in row)
+                                      for row in plane]))
+            for plane in a._terms), d)
+        kern = (current.mat * values).left_kernel()
         vecs = [apply_vec(z, current.mat) for z in kern.rows]
         current = Subspace.from_vectors(f, d, vecs)
     return current
@@ -1076,4 +1095,4 @@ def _subalgebra_on(a, comp: Subspace, unit_elem, name):
         sc.append(plane)
     unit_coords = comp.coords_of(unit_elem)
     labels = [f"c{i}" for i in range(d)]
-    return FiniteDimAlgebra(f, sc, unit=unit_coords, labels=labels, name=name)
+    return FiniteDimAlgebra.trusted(f, sc, unit_coords, labels=labels, name=name)

@@ -184,7 +184,12 @@ def is_semiprime(a: FiniteDimAlgebra) -> bool:
 
 
 def annihilator(module) -> TwoSidedIdeal:
-    """{a : M*a = 0}; the zero module is annihilated by everything."""
+    """{a : M*a = 0}; the zero module is annihilated by everything.
+
+    The kernel of a representation is two-sided by construction
+    (docs/derivations.md, "Associated molecules"), so it is not checked
+    again.
+    """
     a = module.algebra
     f = a.field
     if module.dim == 0:
@@ -195,4 +200,4 @@ def annihilator(module) -> TwoSidedIdeal:
         rows.append(tuple(x for r in m.rows for x in r))
     big = Matrix.trusted(f, tuple(rows), module.dim * module.dim)
     space = Subspace.from_vectors(f, a.dim, big.left_kernel().rows)
-    return TwoSidedIdeal(a, space)
+    return TwoSidedIdeal(a, space, validate=False)

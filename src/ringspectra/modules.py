@@ -16,6 +16,10 @@ duals of projective covers over the opposite algebra.  Each block's
 minimal right ideal is searched once (``minimal_right_ideal``);
 ``simple_modules`` reads it for both the simple module and e_t, and
 ``primitive_idempotents`` and ``composition_factors`` read e_t there.
+The opposite algebra searches nothing: its simple for block t is the
+k-dual D(S_t), with the same End dimension, and e_t is primitive in it
+too, so ``simple_modules`` reads both off its partner (docs/derivations.md,
+"Simples and primitive idempotents of the opposite").
 
 Object-level predicates (monoform, compressible, prime) use the
 finite-length criteria recorded in ``docs/derivations.md``; the raw
@@ -27,7 +31,7 @@ enumeration over Q raise ``CapabilityError`` rather than guessing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebras import (FiniteDimAlgebra, jacobson_radical, semisimple_quotient,
@@ -319,9 +323,20 @@ def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
     End computed over B both certifies S over Q and gives ``end_dim``.
     The idempotent generating S in B is lifted here to a primitive
     idempotent of a, so every later reader finds it computed.
+
+    An algebra built by ``opposite()`` reads its classes off its partner:
+    block t has the simple D(S_t), the same End dimension and the same
+    primitive idempotent e_t, with D(S_t) the top of e_t a (the note
+    "Simples and primitive idempotents of the opposite").
     """
-    if a.structure.simples is not None:
-        return a.structure.simples
+    st = a.structure
+    if st.simples is not None:
+        return st.simples
+    if st.mirror:
+        st.simples = [s if s.module is None else
+                      replace(s, module=dual_module(s.module, a, name=s.label))
+                      for s in simple_modules(st.opposite)]
+        return st.simples
     quot, proj, section = semisimple_quotient(a)
     out = []
     for t, blk in enumerate(wedderburn_blocks(quot)):
@@ -343,7 +358,7 @@ def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
         e = _newton_idempotent_lift(
             a, e_quot if section is None else section(e_quot))
         out.append(SimpleClass(label, t, mod, end, mod.dim, e))
-    a.structure.simples = out
+    st.simples = out
     return out
 
 

@@ -26,6 +26,7 @@ the assertions.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol, runtime_checkable
@@ -331,16 +332,16 @@ def check_algebra_quotient_ring(a: FiniteDimAlgebra, rng, samples) -> dict:
     The embedding is the identity: each sample x is the fraction
     x * 1^-1 (fraction_form), distinct samples keep distinct images
     (injective), and each regular sample has a two-sided inverse
-    (regular_invertible).
+    (regular_invertible).  A sample drawn more than once is checked once
+    and counted as often as it was drawn.
     """
     one_inv = a.inverse_element(a.unit)
-    elements = [_sample_element(a, rng) for _ in range(samples)]
-    fractions = [a.mul(x, one_inv) for x in elements]
-    distinct = len(set(elements))
-    if len(set(fractions)) != distinct:
+    drawn = Counter(_sample_element(a, rng) for _ in range(samples))
+    fractions = {x: a.mul(x, one_inv) for x in drawn}
+    if len(set(fractions.values())) != len(drawn):
         raise ValidationError(f"the embedding of {a.name} identifies samples")
     regular = 0
-    for x, q in zip(elements, fractions):
+    for x, q in fractions.items():
         if q != x:
             raise ValidationError(f"{a.element_str(x)} is not x * 1^-1 in {a.name}")
         if a.is_regular_element(x):
@@ -348,9 +349,9 @@ def check_algebra_quotient_ring(a: FiniteDimAlgebra, rng, samples) -> dict:
             if a.mul(x, y) != a.unit or a.mul(y, x) != a.unit:
                 raise ValidationError(
                     f"regular {a.element_str(x)} of {a.name} was not inverted")
-            regular += 1
-    return {"injective": distinct, "regular_invertible": regular,
-            "fraction_form": len(elements)}
+            regular += drawn[x]
+    return {"injective": len(drawn), "regular_invertible": regular,
+            "fraction_form": samples}
 
 
 def _sample_element(a: FiniteDimAlgebra, rng):

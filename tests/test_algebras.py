@@ -343,7 +343,8 @@ def test_opposite_blocks_equal_a_fresh_decomposition(algebra_corpus):
 
 
 def test_center_runs_once_per_opposite_pair(monkeypatch):
-    """verify_correspondence decomposes A/J, never its opposite as well."""
+    """verify_correspondence decomposes A/J, never its opposite as well:
+    the opposite's simples are read off A's, so it is never decomposed."""
     from ringspectra.spectra import ArtinianBackend, verify_correspondence
     for a in (upper_triangular_algebra(4, F2), matrix_algebra(2, F3),
               cyclic_group_algebra(QQ, 3)):
@@ -359,7 +360,7 @@ def test_center_runs_once_per_opposite_pair(monkeypatch):
         monkeypatch.undo()
         assert all(r.passed or r.skipped for r in report.assertions)
         quot = semisimple_quotient(a)[0]
-        assert quot.opposite().structure.blocks is not None, a.name
+        assert quot.opposite().structure.blocks is None, a.name
         assert calls == [quot], (a.name, [c.name for c in calls])
 
 
