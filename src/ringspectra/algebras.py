@@ -21,15 +21,16 @@ holds what is computed about it once: a generating set of basis indices,
 the radical, the semisimple quotient
 ``(a/J, projection, section)`` (``(a, None, None)`` when J = 0), the
 Wedderburn blocks, the simple modules, the primitive idempotents, the
-minimal primes, the opposite algebra and, on a Wedderburn block, the
-minimal right ideal found for it.  The radical's self-check builds
-the quotient and proves its radical zero, so the quotient is stored with
-that zero radical recorded.  ``opposite()`` is built once and paired, so
+minimal primes and the opposite algebra.  A Wedderburn block is its
+central idempotent and its subspace of the semisimple algebra; no algebra
+is built on it.  The radical's self-check builds the quotient and proves
+its radical zero, so the quotient is stored with that zero radical
+recorded.  ``opposite()`` is built once and paired, so
 ``a.opposite().opposite() is a``; the pair shares one radical, since
-J(A^op) = J(A) (docs/derivations.md), and the opposite's semisimple
-quotient is the opposite of A/J.  The radical and its checks therefore run
-once per opposite pair, and the structure constants of the opposite, being
-those of a validated algebra transposed, are not validated again.
+J(A^op) = J(A) (docs/derivations.md).  The radical and its checks
+therefore run once per opposite pair, and the structure constants of the
+opposite, being those of a validated algebra transposed, are not validated
+again.
 
 The generating set S (``FiniteDimAlgebra.generators``) is what every check
 that quantifies over the algebra's action runs on: a subspace closed under
@@ -55,15 +56,11 @@ class AlgebraStructure:
     """What is computed about one algebra, each field filled in on first use.
 
     ``mirror`` marks an algebra built by ``opposite()``: its generating
-    set, radical, semisimple quotient, Wedderburn blocks and simple modules
-    are read off the algebra it is the opposite of.
-    ``minimal_right_ideal`` holds the outcome of a simple block's one
-    search (``modules.minimal_right_ideal``): the subspace, or the
-    ``CapabilityError`` the search raised.
+    set, radical and simple modules are read off the algebra it is the
+    opposite of.
     """
     generators = radical = quotient = blocks = simples = None
     primitive_idempotents = minimal_primes = opposite = None
-    minimal_right_ideal = None
     mirror = False
 
 
@@ -111,7 +108,7 @@ class FiniteDimAlgebra:
         ``field``, taken as they are; ``validate`` as in the constructor.
 
         For the algebras the package builds from a validated one (opposite,
-        quotient, subalgebra), whose entries come out of its arithmetic.
+        quotient), whose entries come out of its arithmetic.
         """
         return cls(field, sc, unit=unit, labels=labels, name=name,
                    validate=validate, coerce=False)
@@ -270,11 +267,6 @@ class FiniteDimAlgebra:
         if x is None or self.mul(x, a) != self.unit or self.mul(a, x) != self.unit:
             raise ValueError("element is not invertible")
         return x
-
-    def is_commutative(self):
-        d = self.dim
-        return all(self.sc[i][j] == self.sc[j][i]
-                   for i in range(d) for j in range(i + 1, d))
 
     def element_str(self, x):
         f = self.field
@@ -725,19 +717,13 @@ def jacobson_radical(a: FiniteDimAlgebra) -> Subspace:
 def semisimple_quotient(a: FiniteDimAlgebra):
     """(a/J, projection, section), or (a, None, None) when J = 0; built once.
 
-    The opposite of a pair gets the opposite of its partner's quotient,
-    with the same projection and section matrices.
+    The radical's self-check builds it; an opposite, which reads its
+    radical off its partner, builds it here.
     """
     st = a.structure
-    jacobson_radical(a)
+    rad = jacobson_radical(a)
     if st.quotient is None:
-        quot, proj, section = semisimple_quotient(st.opposite)
-        if proj is None:
-            st.quotient = (a, None, None)
-        else:
-            qop = quot.opposite()
-            st.quotient = (qop, AlgebraMap(a, qop, proj.matrix),
-                           AlgebraMap(qop, a, section.matrix))
+        st.quotient = (a, None, None) if rad.dim == 0 else quotient_algebra(a, rad)
     return st.quotient
 
 
@@ -850,27 +836,19 @@ def is_semisimple(a: FiniteDimAlgebra) -> bool:
 
 @dataclass
 class WedderburnBlock:
-    """One simple block B of a semisimple algebra.
-
-    What is computed about B itself, such as the minimal right ideal that
-    ``modules`` searches once per block, is kept on ``algebra.structure``.
-    """
-    algebra: FiniteDimAlgebra      # the block with its own unit
-    idempotent: tuple              # central idempotent in the parent
+    """One simple block B of a semisimple algebra: a two-sided ideal, and
+    a direct factor, of the parent."""
+    idempotent: tuple              # central idempotent in the parent, B's unit
     space: Subspace                # the block as a subspace of the parent
 
 
 def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
     """Central primitive idempotent decomposition of a semisimple algebra.
 
-    The opposite algebra of a pair reads its blocks off its partner: the
-    same subspaces and central idempotents in the same order, each block
-    algebra the opposite of the partner's block.
+    Each component is checked to be a two-sided ideal of a, its projection
+    of 1 a central idempotent, and the idempotents orthogonal.
     """
     st = a.structure
-    if st.blocks is None and st.mirror:
-        st.blocks = [WedderburnBlock(b.algebra.opposite(), b.idempotent, b.space)
-                     for b in wedderburn_blocks(st.opposite)]
     if st.blocks is not None:
         return st.blocks
     if not is_semisimple(a):
@@ -921,15 +899,17 @@ def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
         blocks.append((comp, e))
 
     out = []
-    for bi, (comp, e) in enumerate(blocks):
+    both_sides = generator_multiplications(a)
+    for comp, e in blocks:
+        if not comp.is_stable(both_sides):
+            raise ValidationError("component is not a two-sided ideal")
         if a.mul(e, e) != e:
             raise ValidationError("component projection of 1 is not idempotent")
         if not center.contains_vector(e):
             raise ValidationError("block idempotent is not central")
-        out.append(WedderburnBlock(
-            _subalgebra_on(a, comp, e, name=f"{a.name}.B{bi + 1}"), e, comp))
+        out.append(WedderburnBlock(e, comp))
 
-    total = sum(b.algebra.dim for b in out)
+    total = sum(b.space.dim for b in out)
     if total != a.dim:
         raise ValidationError("block dimensions do not sum to the algebra dimension")
     for i in range(len(out)):
@@ -1078,21 +1058,3 @@ def _eval_poly_matrix(f, poly, m: Matrix) -> Matrix:
         power = power * m
     return acc
 
-
-def _subalgebra_on(a, comp: Subspace, unit_elem, name):
-    f = a.field
-    d = comp.dim
-    basis = comp.basis_rows()
-    sc = []
-    for u in basis:
-        plane = []
-        for v in basis:
-            w = a.mul(u, v)
-            coords = comp.coords_of(w)
-            if coords is None:
-                raise ValidationError("component is not multiplicatively closed")
-            plane.append(coords)
-        sc.append(plane)
-    unit_coords = comp.coords_of(unit_elem)
-    labels = [f"c{i}" for i in range(d)]
-    return FiniteDimAlgebra.trusted(f, sc, unit_coords, labels=labels, name=name)

@@ -199,7 +199,7 @@ def load_fixture(text: str) -> LoadedFixture:
     if keys is not None:
         b.check_keys(keys)
     with _reported_at(fixture.section("window")):
-        window = _parse_window(fixture.section("window"))
+        window = _parse_window(fixture.section("window"), kind)
 
     _require_backend_kind(fixture, "graded_module", kind, "graded_poly")
     if kind == "algebra":
@@ -268,16 +268,21 @@ def _symbolic_backend(b: Section, kind):
     raise FixtureParseError(f"unknown backend kind {kind!r}", b.line)
 
 
-def _parse_window(section):
+def _parse_window(section, kind):
+    """``bound``, or the (lo, hi) shift range, which only the graded
+    backend reads; either error names the first 'lo' or 'hi' line."""
     if section is None:
         return None
     section.check_keys({"bound", "lo", "hi"})
+    ranged = [n for (k, _v), n in zip(section.entries, section.entry_lines)
+              if k in ("lo", "hi")]
+    if ranged and section.get("bound") is not None:
+        raise FixtureParseError("[window] gives both 'bound' and 'lo'/'hi'",
+                                ranged[0])
+    if ranged and kind != "graded_poly":
+        raise FixtureParseError("[window] 'lo'/'hi' are the shift range of "
+                                "'kind = graded_poly'; use 'bound'", ranged[0])
     if section.get("bound") is not None:
-        extra = [n for (k, _v), n in zip(section.entries, section.entry_lines)
-                 if k in ("lo", "hi")]
-        if extra:
-            raise FixtureParseError("[window] gives both 'bound' and 'lo'/'hi'",
-                                    extra[0])
         return section.parse("bound", int)
     if section.get("lo") is not None and section.get("hi") is not None:
         return (section.parse("lo", int), section.parse("hi", int))

@@ -118,7 +118,9 @@ def minimal_primes(a: FiniteDimAlgebra) -> list[PrimeWitness]:
     """All primes of a finite-dimensional algebra (they are maximal).
 
     Each is the preimage of the ideal killing one Wedderburn block of the
-    semisimple quotient; pairwise incomparable by construction.  Computed
+    semisimple quotient; pairwise incomparable by construction.  The
+    blocks are checked two-sided ideals of a/J, so their sums and the
+    preimages of those are ideals, and are not checked again.  Computed
     once per algebra and kept on its ``structure``.
     """
     if a.structure.minimal_primes is not None:
@@ -135,7 +137,7 @@ def minimal_primes(a: FiniteDimAlgebra) -> list[PrimeWitness]:
             space = kill_t
         else:
             space = _preimage(proj.matrix, kill_t, rad)
-        out.append(PrimeWitness(TwoSidedIdeal(a, space), t))
+        out.append(PrimeWitness(TwoSidedIdeal(a, space, validate=False), t))
     a.structure.minimal_primes = out
     return out
 
@@ -162,17 +164,17 @@ def primes_over(a: FiniteDimAlgebra, i: TwoSidedIdeal) -> list[PrimeWitness]:
 
 def prime_radical(i: TwoSidedIdeal) -> TwoSidedIdeal:
     """Intersection of all primes containing i."""
-    return intersect_primes(i.algebra, primes_over(i.algebra, i))
+    return intersect_primes(primes_over(i.algebra, i))
 
 
-def intersect_primes(a: FiniteDimAlgebra, ws: list[PrimeWitness]) -> TwoSidedIdeal:
-    """The intersection of the listed primes of a."""
+def intersect_primes(ws: list[PrimeWitness]) -> TwoSidedIdeal:
+    """The intersection of the listed primes, an ideal by construction."""
     if not ws:
         raise ValidationError("an artinian algebra has at least one prime")
     acc = ws[0].ideal
     for w in ws[1:]:
         acc = acc.intersect(w.ideal)
-    return TwoSidedIdeal(a, acc.space)
+    return acc
 
 
 def prime_radical_of_zero(a: FiniteDimAlgebra) -> TwoSidedIdeal:

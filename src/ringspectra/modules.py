@@ -9,17 +9,19 @@ a representation that is the action of every word in them, so of all of
 the algebra (docs/derivations.md, "Generating sets").
 
 The structural layers: socle and radical, simple modules realized as
-certified minimal right ideals of the semisimple quotient's blocks, one
-primitive idempotent e_t per simple S_t, composition multiplicities read
-off as [M : S_t] = dim M e_t / dim End(S_t), and injective envelopes as
-duals of projective covers over the opposite algebra.  Each block's
-minimal right ideal is searched once (``minimal_right_ideal``);
-``simple_modules`` reads it for both the simple module and e_t, and
-``primitive_idempotents`` and ``composition_factors`` read e_t there.
-The opposite algebra searches nothing: its simple for block t is the
-k-dual D(S_t), with the same End dimension, and e_t is primitive in it
-too, so ``simple_modules`` reads both off its partner (docs/derivations.md,
-"Simples and primitive idempotents of the opposite").
+certified minimal right ideals of the semisimple quotient A/J lying inside
+its blocks, one primitive idempotent e_t per simple S_t, composition
+multiplicities read off as [M : S_t] = dim M e_t / dim End(S_t), and
+injective envelopes as duals of projective covers over the opposite
+algebra.  The search, the End certification and the idempotent all run on
+A/J itself, inside the block's subspace (docs/derivations.md, "Simples
+inside the blocks of Lambda/J").  ``simple_modules`` is computed once per
+algebra, so each block is searched once, and ``primitive_idempotents`` and
+``composition_factors`` read e_t there.  The opposite algebra searches
+nothing: its simple for block t is the k-dual D(S_t), with the same End
+dimension, and e_t is primitive in it too, so ``simple_modules`` reads
+both off its partner (docs/derivations.md, "Simples and primitive
+idempotents of the opposite").
 
 Object-level predicates (monoform, compressible, prime) use the
 finite-length criteria recorded in ``docs/derivations.md``; the raw
@@ -245,59 +247,41 @@ class SimpleClass:
         return self.module
 
 
-def minimal_right_ideal(block: FiniteDimAlgebra) -> Subspace:
-    """A minimal right ideal of a simple block, searched once per block.
+def _block_simple(quot: FiniteDimAlgebra, block: Subspace):
+    """(S, dim End(S), e) for the simple right module S = e(A/J) inside
+    the block ``block`` of the semisimple ``quot``, or None when S is not
+    certified.
 
-    The outcome, the subspace or the ``CapabilityError`` the search
-    raised, is kept on ``block.structure``, and every later call returns
-    or raises it again.
-    """
-    st = block.structure
-    if st.minimal_right_ideal is None:
-        try:
-            st.minimal_right_ideal = _minimal_right_ideal_space(block)
-        except CapabilityError as exc:
-            st.minimal_right_ideal = exc
-    if isinstance(st.minimal_right_ideal, CapabilityError):
-        raise st.minimal_right_ideal
-    return st.minimal_right_ideal
-
-
-def _block_simple(block: FiniteDimAlgebra):
-    """(S, dim End(S), e) for the simple right module S = eB of a simple
-    block B, or None when S is not certified.
-
-    S is the block's minimal right ideal.  Over F_p the search certifies
-    it; over Q a commutative block is a field, and otherwise the candidate
-    is certified simple when its endomorphism ring is one-dimensional.
+    S is a minimal right ideal of quot inside the block.  Over F_p the
+    search certifies it; over Q a commutative block is a field, and
+    otherwise the candidate is certified simple when its endomorphism ring
+    is one-dimensional.
     """
     try:
-        space = minimal_right_ideal(block)
+        space = _minimal_right_ideal_space(quot, block)
     except CapabilityError:
         return None
-    reg = RightModule.regular(block)
-    # The search returns all of B only for a commutative block, a field.
+    simple = RightModule.regular(quot).submodule(space)[0]
+    # The search returns the whole block only for a commutative one, a field.
     is_field = space.dim == block.dim
-    simple = reg if is_field else reg.submodule(space, name=f"{block.name}.S")[0]
     end = len(hom_basis(simple, simple))
-    if block.field.is_finite() or is_field or end == 1:
-        return simple, end, _idempotent_in_minimal_right_ideal(block, space)
+    if quot.field.is_finite() or is_field or end == 1:
+        return simple, end, _idempotent_in_minimal_right_ideal(quot, space)
     return None
 
 
-def _rational_right_submodule_candidates(block):
-    """Right submodules of the regular module from kernels of f(L_z)."""
+def _rational_right_submodule_candidates(quot, block: Subspace):
+    """Right ideals of quot inside the block, from kernels of f(L_z) on it."""
     from .commutative import factor_polynomial
-    from .algebras import _minimal_polynomial, _eval_poly_matrix
-    f = block.field
+    from .algebras import (_eval_poly_matrix, _minimal_polynomial,
+                           _restrict_operator)
+    f = quot.field
     out = []
-    elements = [block.basis_coords(i) for i in range(block.dim)]
-    for i in range(block.dim):
-        for j in range(i + 1, block.dim):
-            elements.append(vec_add(f, block.basis_coords(i),
-                                    block.basis_coords(j)))
+    basis = block.basis_rows()
+    elements = list(basis) + [vec_add(f, u, v)
+                              for u, v in itertools.combinations(basis, 2)]
     for z in elements:
-        lz = block.left_mult_matrix(z)
+        lz = _restrict_operator(block, quot.left_mult_matrix(z))
         minpoly = _minimal_polynomial(f, lz)
         try:
             factors = factor_polynomial(f, minpoly)
@@ -305,7 +289,8 @@ def _rational_right_submodule_candidates(block):
             continue
         for fac, _m in factors:
             op = _eval_poly_matrix(f, fac, lz)
-            kern = Subspace.from_vectors(f, block.dim, op.left_kernel().rows)
+            kern = Subspace.from_vectors(f, quot.dim, [
+                apply_vec(c, block.mat) for c in op.left_kernel().rows])
             if 0 < kern.dim < block.dim:
                 out.append(kern)
     for s, t in itertools.combinations(out[:12], 2):
@@ -318,11 +303,12 @@ def _rational_right_submodule_candidates(block):
 def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
     """Complete irredundant list; one class per Wedderburn block of a/J.
 
-    The simple of block B is B's simple module, on which a acts through
-    a -> a/J -> B.  So End_a(S) = End_B(S) (docs/derivations.md), and the
-    End computed over B both certifies S over Q and gives ``end_dim``.
-    The idempotent generating S in B is lifted here to a primitive
-    idempotent of a, so every later reader finds it computed.
+    The simple of block B is a minimal right ideal S of a/J inside B, on
+    which a acts through the projection a -> a/J.  So End_a(S) = End_B(S)
+    (docs/derivations.md), and the End computed over a/J both certifies S
+    over Q and gives ``end_dim``.  The idempotent generating S in a/J is
+    lifted here to a primitive idempotent of a, so every later reader
+    finds it computed.
 
     An algebra built by ``opposite()`` reads its classes off its partner:
     block t has the simple D(S_t), the same End dimension and the same
@@ -340,21 +326,15 @@ def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
     quot, proj, section = semisimple_quotient(a)
     out = []
     for t, blk in enumerate(wedderburn_blocks(quot)):
-        found = _block_simple(blk.algebra)
+        found = _block_simple(quot, blk.space)
         label = f"S{t + 1}"
         if found is None:
             out.append(SimpleClass(label, t, None, None, None, None))
             continue
-        simple_over_block, end, ebar = found
-        mats = []
-        for i in range(a.dim):
-            z = a.basis_coords(i) if proj is None else proj(a.basis_coords(i))
-            zt = quot.mul(blk.idempotent, z)
-            coords = blk.space.coords_of(zt)
-            mats.append(simple_over_block.act_matrix(coords))
+        simple, end, e_quot = found
+        mats = simple.action if proj is None else \
+            [simple.act_matrix(z) for z in proj.matrix.rows]
         mod = RightModule(a, mats, name=label, validate=False)
-        # block coords -> quotient coords -> a coset representative, lifted
-        e_quot = apply_vec(ebar, blk.space.mat)
         e = _newton_idempotent_lift(
             a, e_quot if section is None else section(e_quot))
         out.append(SimpleClass(label, t, mod, end, mod.dim, e))
@@ -536,49 +516,53 @@ def primitive_idempotents(a: FiniteDimAlgebra) -> list[PrimitiveIdempotentData]:
     return out
 
 
-def _idempotent_in_minimal_right_ideal(block, space: Subspace):
-    """Idempotent generating the minimal right ideal ``space`` of a simple
-    block.
+def _idempotent_in_minimal_right_ideal(quot, space: Subspace):
+    """Idempotent generating ``space``, a minimal right ideal of the
+    semisimple ``quot``.
 
     For a minimal right ideal W with wW = W, the solution e in W of
     w e = w is idempotent: w(e^2 - e) = 0 and the left-annihilator of w
     inside W is a proper right subideal, hence zero.
     """
-    f = block.field
+    f = quot.field
     basis = space.basis_rows()
     for w in basis:
-        w_im = [block.mul(w, u) for u in basis]
-        if Subspace.from_vectors(f, block.dim, w_im).dim == space.dim:
-            mat = Matrix(f, w_im, block.dim)
+        w_im = [quot.mul(w, u) for u in basis]
+        if Subspace.from_vectors(f, quot.dim, w_im).dim == space.dim:
+            mat = Matrix(f, w_im, quot.dim)
             coeffs = mat.solve_left(w)
             if coeffs is None:
                 continue
-            e = zero_vec(f, block.dim)
+            e = zero_vec(f, quot.dim)
             for c, u in zip(coeffs, basis):
                 e = vec_add(f, e, vec_scale(f, c, u))
-            if block.mul(e, e) == e and not vec_is_zero(f, e):
+            if quot.mul(e, e) == e and not vec_is_zero(f, e):
                 return e
     raise ValidationError("no idempotent found in a minimal right ideal")
 
 
-def _minimal_right_ideal_space(block) -> Subspace:
-    """A minimal right ideal of a simple block; certified only over F_p.
+def _minimal_right_ideal_space(quot, block: Subspace) -> Subspace:
+    """A minimal right ideal of the semisimple ``quot`` inside its block
+    ``block``; certified only over F_p.
 
-    Finite fields: shrink to the first right ideal generated by a vector
-    of the current one that is smaller, until every nonzero vector
-    generates it all.  The vectors are walked lazily in the order of
-    ``Subspace.vectors``.  Over Q: the smallest proper candidate kernel,
-    which callers still have to certify simple.
+    The right ideals of quot inside a block are the block's own, since the
+    block is a direct factor.  Finite fields: shrink to the first right
+    ideal generated by a vector of the current one that is smaller, until
+    every nonzero vector generates it all.  The vectors are walked lazily
+    in the order of ``Subspace.vectors``.  Over Q: the smallest proper
+    candidate kernel, which callers still have to certify simple.
     """
-    f = block.field
-    if block.dim == 1 or block.is_commutative():
-        return Subspace.full(f, block.dim)
+    f = quot.field
+    # A block is commutative, so a field, iff its basis rows commute.
+    if all(quot.mul(u, v) == quot.mul(v, u)
+           for u, v in itertools.combinations(block.basis_rows(), 2)):
+        return block
     if f.is_finite():
-        right = block.right_mult_matrices()
-        ops = [right[g] for g in block.generators()]
-        space = Subspace.full(f, block.dim)
+        right = quot.right_mult_matrices()
+        ops = [right[g] for g in quot.generators()]
+        space = block
         while True:
-            gens = (spin(f, block.dim, [apply_vec(c, space.mat)], ops)
+            gens = (spin(f, quot.dim, [apply_vec(c, space.mat)], ops)
                     for c in itertools.product(f.elements(), repeat=space.dim)
                     if any(c))
             smaller = next((g for g in gens if g.dim < space.dim), None)
@@ -586,8 +570,8 @@ def _minimal_right_ideal_space(block) -> Subspace:
                 return space
             space = smaller
     best = None
-    for s in _rational_right_submodule_candidates(block):
-        if 0 < s.dim < block.dim and (best is None or s.dim < best.dim):
+    for s in _rational_right_submodule_candidates(quot, block):
+        if best is None or s.dim < best.dim:
             best = s
     if best is None:
         raise CapabilityError("minimal right ideal unresolved over Q")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .ideals import TwoSidedIdeal, minimal_primes
+from .ideals import TwoSidedIdeal, intersect_primes, minimal_primes
 from .modules import RightModule
 from .spectra import (ArtinianBackend, ArtinianizationDescriptor,
                       ReducedPartResult, SpectrumBackend, hasse_edges,
@@ -180,13 +180,8 @@ def radical_closed_descriptors(backend: ArtinianBackend):
     ws = minimal_primes(a)
     seen = {}
     for mask in range(2 ** len(ws)):
-        chosen = [w.ideal for i, w in enumerate(ws) if mask >> i & 1]
-        if not chosen:
-            ideal = TwoSidedIdeal.whole(a)
-        else:
-            ideal = chosen[0]
-            for nxt in chosen[1:]:
-                ideal = ideal.intersect(nxt)
+        chosen = [w for i, w in enumerate(ws) if mask >> i & 1]
+        ideal = intersect_primes(chosen) if chosen else TwoSidedIdeal.whole(a)
         seen[ideal.space] = ideal
     return [ClosedSubcatDescriptor(backend, ideal)
             for ideal in seen.values()]

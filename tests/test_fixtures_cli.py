@@ -547,6 +547,32 @@ def test_cli_dropped_section_or_key_is_a_parse_error(tmp_path, capsys, text,
     assert err.startswith("parse error: ") and err.endswith(f"(line {line})\n")
 
 
+POLY_FIXTURE = """\
+[backend]
+kind = poly
+field = F2
+
+[window]
+bound = 2
+"""
+
+
+@pytest.mark.parametrize("command", [["analyze", "--atoms"], ["verify"]])
+@pytest.mark.parametrize("text,line", [
+    (Z_FIXTURE.replace("bound = 10", "lo = 2\nhi = 5"), 5),
+    (POLY_FIXTURE.replace("bound = 2", "hi = 3\nlo = 1"), 6),
+], ids=["int", "poly"])
+def test_cli_shift_range_off_the_graded_backend_is_a_parse_error(
+        tmp_path, capsys, command, text, line):
+    """'lo'/'hi' are the graded backend's shift range; elsewhere they are
+    refused at the first of them, not met as a TypeError downstream."""
+    path = _write(tmp_path, "bad.alg", text)
+    assert cli_main([command[0], path] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: [window] ")
+    assert err.endswith(f"(line {line})\n") and "Traceback" not in err
+
+
 def test_repeatable_keys_stay_repeatable():
     backend = parse_fixture(QUIVER_FIXTURE).section("backend")
     assert len(backend.get_all("arrow")) == 2

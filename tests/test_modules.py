@@ -401,12 +401,12 @@ def test_monoform_respects_budget():
 
 # -- one minimal right ideal per block -------------------------------------------
 
-def _exhaustive_shrink(block):
-    """The reference search: list every vector of the current right ideal,
-    then spin them in that order until one generates a smaller one."""
-    f = block.field
-    reg = RightModule.regular(block)
-    space = Subspace.full(f, block.dim)
+def _exhaustive_shrink(a, block):
+    """The reference search: list every vector of the current right ideal
+    of a, starting from block, then spin them in that order until one
+    generates a smaller one."""
+    reg = RightModule.regular(a)
+    space = block
     shrunk = True
     while shrunk:
         shrunk = False
@@ -426,23 +426,27 @@ def test_lazy_shrink_matches_the_exhaustive_shrink():
               product_algebra(matrix_algebra(2, F2), matrix_algebra(1, F2)),
               _in_random_basis(matrix_algebra(2, F3), random.Random(9))]
     for a in inputs:
-        for b in [a] + [blk.algebra for blk in wedderburn_blocks(a)]:
-            if b.is_commutative():
+        whole = Subspace.full(a.field, a.dim)
+        for b in [whole] + [blk.space for blk in wedderburn_blocks(a)]:
+            rows = b.basis_rows()
+            if all(a.mul(u, v) == a.mul(v, u) for u in rows for v in rows):
                 continue
-            assert _minimal_right_ideal_space(b) == _exhaustive_shrink(b), b.name
+            assert _minimal_right_ideal_space(a, b) == _exhaustive_shrink(a, b), \
+                a.name
 
 
 @pytest.mark.parametrize("field", [F3, QQ])
 def test_one_minimal_right_ideal_search_per_block(monkeypatch, field):
-    """M_2(k) has one block, and so has its opposite: two searches."""
+    """M_2(k) has one block, and so has its opposite: at most two searches,
+    each on a different (algebra, block)."""
     from ringspectra import modules
     from ringspectra.spectra import ArtinianBackend, verify_correspondence
     calls = []
     search = modules._minimal_right_ideal_space
 
-    def counted(block, *rest):
-        calls.append(block.name)
-        return search(block, *rest)
+    def counted(quot, block):
+        calls.append((quot.name, block))
+        return search(quot, block)
 
     monkeypatch.setattr(modules, "_minimal_right_ideal_space", counted)
     report = verify_correspondence(ArtinianBackend(matrix_algebra(2, field)))
@@ -482,9 +486,9 @@ def test_unresolved_block_over_q_is_searched_once_and_refused(monkeypatch):
     calls = []
     search = modules._minimal_right_ideal_space
 
-    def counted(block, *rest):
-        calls.append(block.name)
-        return search(block, *rest)
+    def counted(quot, block):
+        calls.append((quot.name, block))
+        return search(quot, block)
 
     monkeypatch.setattr(modules, "_minimal_right_ideal_space", counted)
     h = _rational_quaternions()
@@ -494,4 +498,4 @@ def test_unresolved_block_over_q_is_searched_once_and_refused(monkeypatch):
         s.require_module()
     with pytest.raises(CapabilityError, match=r"block 0: no primitive idempotent"):
         primitive_idempotents(h)
-    assert calls == ["H(Q).B1"]
+    assert calls == [("H(Q)", Subspace.full(QQ, 4))]

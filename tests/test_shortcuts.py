@@ -7,8 +7,14 @@ against the computation they replace.
 - Annihilators are not checked to be ideals (docs/derivations.md,
   "Associated molecules").
 - ``check_algebra_quotient_ring`` checks each distinct sample once.
-- The opposite, quotient and block algebras take their entries
-  unconverted (``FiniteDimAlgebra.trusted``).
+- The opposite and quotient algebras take their entries unconverted
+  (``FiniteDimAlgebra.trusted``).
+- The primes and their intersections are not checked to be ideals
+  (docs/derivations.md, "The primes are the preimages of the
+  block-killing ideals of Lambda/J").
+- The simples are read inside the blocks of A/J, and no algebra is built
+  on a block (docs/derivations.md, "Simples inside the blocks of
+  Lambda/J").
 
 Each runs on every corpus algebra in its natural basis and in a seeded
 random basis, and on a few algebras over Q.
@@ -24,14 +30,20 @@ from ringspectra.algebras import (FiniteDimAlgebra, companion_algebra,
                                   product_algebra, quotient_algebra,
                                   semisimple_quotient,
                                   upper_triangular_algebra, wedderburn_blocks)
-from ringspectra.errors import ValidationError
+from ringspectra.errors import CapabilityError, ValidationError
 from ringspectra.ideals import annihilator, minimal_primes
-from ringspectra.linalg import F2, F3, QQ
-from ringspectra.modules import (RightModule, are_isomorphic, dual_module,
-                                 primitive_idempotents, simple_modules)
+from ringspectra.linalg import F2, F3, QQ, Subspace, apply_vec
+from ringspectra.modules import (RightModule, _idempotent_in_minimal_right_ideal,
+                                 _minimal_right_ideal_space,
+                                 _newton_idempotent_lift, are_isomorphic,
+                                 dual_module, hom_basis, primitive_idempotents,
+                                 simple_modules)
 from ringspectra.oracle import corpus, standard_modules
-from ringspectra.spectra import _sample_element, check_algebra_quotient_ring
+from ringspectra.spectra import (ArtinianBackend, _sample_element,
+                                 check_algebra_quotient_ring)
+from ringspectra.subcats import radical_closed_descriptors
 from test_algebras import _random_change_of_basis
+from test_modules import _exhaustive_shrink, _rational_quaternions
 
 RATIONAL = [("m2_q", matrix_algebra(2, QQ)),
             ("t3_q", upper_triangular_algebra(3, QQ)),
@@ -142,15 +154,14 @@ def test_quotient_ring_samples_repeat_on_small_algebras():
 
 
 def _derived_algebras(a):
-    """The algebras the package builds from a: its opposite, its quotient
-    by J and by each prime, and the Wedderburn blocks of a/J."""
+    """The algebras the package builds from a: its opposite and its
+    quotient by J and by each prime."""
     out = [a.opposite()]
     quot = semisimple_quotient(a)[0]
     if quot is not a:
         out.append(quot)
     out += [quotient_algebra(a, w.ideal.space)[0] for w in minimal_primes(a)
             if w.ideal.dim]
-    out += [b.algebra for b in wedderburn_blocks(quot)]
     return out
 
 
@@ -178,3 +189,95 @@ def test_trusted_keeps_validation_where_asked():
         FiniteDimAlgebra.trusted(F2, sc, a.unit)
     FiniteDimAlgebra.trusted(F2, a.sc, a.unit)
     assert FiniteDimAlgebra.trusted(F2, sc, a.unit, validate=False).dim == 3
+
+
+@pytest.mark.parametrize("name,a", WITH_RATIONAL,
+                         ids=[n for n, _ in WITH_RATIONAL])
+def test_primes_and_their_intersections_are_two_sided_ideals(name, a):
+    every = list(a.right_mult_matrices()) + list(a.left_mult_matrices())
+    for w in minimal_primes(a):
+        assert w.ideal.space.is_stable(every), (name, w.label)
+    for d in radical_closed_descriptors(ArtinianBackend(a)):
+        assert d.ideal.space.is_stable(every), (name, d.label)
+
+
+# -- the simples against the block algebras they replace -------------------------
+
+def _subalgebra_on(a, comp, unit_elem, name):
+    """The block as an algebra of its own, on the canonical basis of comp,
+    coerced and validated."""
+    sc = []
+    for u in comp.basis_rows():
+        plane = []
+        for v in comp.basis_rows():
+            coords = comp.coords_of(a.mul(u, v))
+            assert coords is not None, "component is not multiplicatively closed"
+            plane.append(coords)
+        sc.append(plane)
+    return FiniteDimAlgebra(a.field, sc, unit=comp.coords_of(unit_elem),
+                            name=name)
+
+
+def _block_algebra_simple(quot, blk, bi):
+    """The route through the block algebra B: B's minimal right ideal W,
+    the simple W over B with dim End_B, and B's idempotent generating W;
+    None where W is not certified.
+
+    Over F_p, W is the exhaustive reference search on B; over Q, the
+    candidate search run on B as the whole algebra."""
+    b = _subalgebra_on(quot, blk.space, blk.idempotent, f"{quot.name}.B{bi + 1}")
+    whole = Subspace.full(b.field, b.dim)
+    try:
+        w = _exhaustive_shrink(b, whole) if b.field.is_finite() \
+            else _minimal_right_ideal_space(b, whole)
+    except CapabilityError:
+        return None, None
+    reg = RightModule.regular(b)
+    is_field = w.dim == b.dim
+    simple = reg if is_field else reg.submodule(w)[0]
+    end = len(hom_basis(simple, simple))
+    if not (b.field.is_finite() or is_field or end == 1):
+        return w, None
+    return w, (simple, end, _idempotent_in_minimal_right_ideal(b, w))
+
+
+def _exact(rows):
+    """Entries with their types, so that 1 and Fraction(1) differ."""
+    return tuple(tuple((type(x), x) for x in r) for r in rows)
+
+
+REFERENCE_INPUTS = WITH_RATIONAL + [("qc4", cyclic_group_algebra(QQ, 4)),
+                                    ("h_q", _rational_quaternions())]
+
+
+@pytest.mark.parametrize("name,a", REFERENCE_INPUTS,
+                         ids=[n for n, _ in REFERENCE_INPUTS])
+def test_simples_inside_the_blocks_match_the_block_algebras(name, a):
+    quot, proj, section = semisimple_quotient(a)
+    simples = simple_modules(a)
+    for bi, (blk, s) in enumerate(zip(wedderburn_blocks(quot), simples)):
+        w_ref, found = _block_algebra_simple(quot, blk, bi)
+        if w_ref is None:
+            with pytest.raises(CapabilityError):
+                _minimal_right_ideal_space(quot, blk.space)
+        else:
+            w = _minimal_right_ideal_space(quot, blk.space)
+            # B's rref rows, mapped by B's matrix, are the rref rows of W.
+            assert tuple(apply_vec(r, blk.space.mat)
+                         for r in w_ref.basis_rows()) == w.basis_rows(), name
+        if found is None:
+            assert (s.module, s.end_dim, s.idempotent) == (None, None, None)
+            continue
+        simple, end, ebar = found
+        mats = []
+        for i in range(a.dim):
+            z = a.basis_coords(i) if proj is None else proj(a.basis_coords(i))
+            coords = blk.space.coords_of(quot.mul(blk.idempotent, z))
+            mats.append(simple.act_matrix(coords))
+        e_quot = apply_vec(ebar, blk.space.mat)
+        e = _newton_idempotent_lift(
+            a, e_quot if section is None else section(e_quot))
+        assert s.end_dim == end, (name, s.label)
+        assert _exact([s.idempotent]) == _exact([e]), (name, s.label)
+        assert [_exact(m.rows) for m in s.module.action] == \
+            [_exact(m.rows) for m in mats], (name, s.label)
