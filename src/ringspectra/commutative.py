@@ -4,10 +4,12 @@ Each implements the ``spectra.SpectrumBackend`` protocol.  For a
 commutative noetherian ring R both spectra are Spec R under containment,
 so ``CommutativeSpec`` implements the protocol once; the four ring
 backends only say how their primes are found and named.  Prime data
-comes from exact factorization: trial division over Z, irreducibility
-tables up to degree four over F_p (which certify factorizations up to
-degree nine), and the rational-root-plus-discriminant fragment over Q.
-Anything beyond raises ``CapabilityError`` instead of guessing.
+comes from exact factorization: over Z, Pollard-Brent rho under a fixed
+budget with every prime certified by deterministic Miller-Rabin below
+psi_13 (about 3.3 * 10^24); irreducibility tables up to degree four over
+F_p (which certify factorizations up to degree nine); and the
+rational-root-plus-discriminant fragment over Q.  Anything beyond raises
+``CapabilityError`` instead of guessing.
 
 The graded polynomial backend reproduces the boundary behavior of graded
 module categories over k[x]: every atom is minimal, the degree-shift
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -272,24 +275,151 @@ def _int_sqrt(n: int):
     return r if r * r == n else None
 
 
+# The primes divided out first; also the Miller-Rabin bases.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all 13 bases (Sorenson and Webster,
+# Math. Comp. 86, 2017): below it, passing every base certifies a prime.
+_PSI_13 = 3317044064679887385961981
+# Rho squarings one factor_integer call may spend before it refuses; a
+# squaring mod an m of more than 128 bits costs one per 64-bit word of m
+# past the first.  It runs out in 1 to 1.5 s on x86_64, Python 3.11.
+RHO_BUDGET = 3_000_000
+_RHO_BATCH = 128
+
+
 def factor_integer(n: int):
-    """[(prime, multiplicity)] by trial division; desk-scale inputs."""
+    """[(prime, multiplicity)] of |n|, sorted by prime; exact or refused.
+
+    The primes up to 41 are divided out.  Each cofactor is then certified
+    prime by deterministic Miller-Rabin to the bases 2..41, or it is a
+    proven composite: an exact perfect power is replaced by its root, and
+    anything else is split by Brent's rho, both parts going back on the
+    stack (docs/derivations.md, "Certified integer factorization").  A
+    cofactor of at least psi_13 that passes every base, and a search past
+    RHO_BUDGET squarings, raise ``CapabilityError``: no prime is reported
+    uncertified.  Nothing is cached between calls.
+    """
     n = abs(n)
     if n == 0:
         raise ValidationError("cannot factor zero")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            m = 0
-            while n % d == 0:
-                n //= d
-                m += 1
-            out.append((d, m))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
+    found = Counter()
+    m = n
+    for p in _SMALL_PRIMES:
+        while m % p == 0:
+            m //= p
+            found[p] += 1
+    budget = RHO_BUDGET
+    stack = [(m, 1)] if m > 1 else []
+    while stack:
+        m, mult = stack.pop()
+        if _is_certified_prime(m):
+            found[m] += mult
+            continue
+        root, k = _perfect_power(m)
+        if k > 1:
+            stack.append((root, mult * k))
+        else:
+            d, budget = _brent_split(m, budget)
+            stack += [(d, mult), (m // d, mult)]
+    out = sorted(found.items())
+    if math.prod(p ** e for p, e in out) != n:
+        raise ValidationError(f"the factors of {n} do not multiply back to it")
     return out
+
+
+def _is_certified_prime(m: int) -> bool:
+    """Whether m > 41, free of the primes up to 41, is prime.
+
+    A base that is a witness proves m composite; passing all 13 bases
+    proves m prime below psi_13, and above it is refused.
+    """
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    if m >= _PSI_13:
+        raise CapabilityError(
+            f"{m} passes Miller-Rabin to the bases 2..41 but is at least "
+            f"psi_13 = {_PSI_13}, so it is not certified prime")
+    return True
+
+
+def _perfect_power(m: int):
+    """(r, k) with r^k = m for the least prime k there is, else (m, 1).
+
+    m has no prime factor below 43 > 2^5, so k <= bits(m) / 5.
+    """
+    for k in range(2, m.bit_length() // 5 + 1):
+        if all(k % j for j in range(2, math.isqrt(k) + 1)):
+            r = _int_root(m, k)
+            if r ** k == m:
+                return r, k
+    return m, 1
+
+
+def _int_root(m: int, k: int) -> int:
+    """floor(m^(1/k)), by integer Newton steps down from 2^ceil(bits/k)."""
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _brent_split(m: int, budget: int):
+    """(a proper divisor of the composite m, the budget left).
+
+    Brent's rho with f(x) = x^2 + c for c = 1, 2, ..., from x = 2: the
+    x - y of a batch are multiplied into one gcd, and the batch is
+    replayed one step at a time when that gcd is m.  Refused before the
+    squarings would overrun ``budget``.
+    """
+    cost = max(1, (m.bit_length() - 1) // 64)
+
+    def spend(steps):
+        nonlocal budget
+        budget -= steps * cost
+        if budget < 0:
+            raise CapabilityError(
+                f"{m} is composite but not split within the budget of "
+                f"{RHO_BUDGET} rho squarings")
+
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            spend(r)
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(_RHO_BATCH, r - k)
+                spend(steps)
+                for _ in range(steps):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = math.gcd(q, m)
+                k += steps
+            r *= 2
+        if g == m:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(x - ys, m)
+        if g != m:
+            return g, budget
 
 
 def primes_up_to(bound: int):

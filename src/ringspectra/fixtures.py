@@ -104,6 +104,9 @@ SOURCE_KEYS = {"matrix": {"n"}, "triangular": {"n"}, "companion": {"poly"},
                "group": {"table"},
                "quiver": {"vertices", "arrow", "relation", "nilpotency_bound"},
                "structure_constants": {"dim", "c", "unit", "labels"}}
+# The kinds whose spectrum is finite and listed whole, so that no
+# [window] 'bound' is read for them.
+FINITE_SPECTRUM_KINDS = ("algebra", "int_mod", "poly_quot")
 
 
 def parse_fixture(text: str) -> FixtureFile:
@@ -269,20 +272,27 @@ def _symbolic_backend(b: Section, kind):
 
 
 def _parse_window(section, kind):
-    """``bound``, or the (lo, hi) shift range, which only the graded
-    backend reads; either error names the first 'lo' or 'hi' line."""
+    """``bound``, which only the backends with an infinite spectrum read,
+    or the (lo, hi) shift range, which only the graded backend reads; an
+    error names the first 'lo' or 'hi' line, or the 'bound' line."""
     if section is None:
         return None
     section.check_keys({"bound", "lo", "hi"})
     ranged = [n for (k, _v), n in zip(section.entries, section.entry_lines)
               if k in ("lo", "hi")]
-    if ranged and section.get("bound") is not None:
+    bounds = section.get_all("bound")
+    if ranged and bounds:
         raise FixtureParseError("[window] gives both 'bound' and 'lo'/'hi'",
                                 ranged[0])
     if ranged and kind != "graded_poly":
+        hint = "" if kind in FINITE_SPECTRUM_KINDS else "; use 'bound'"
         raise FixtureParseError("[window] 'lo'/'hi' are the shift range of "
-                                "'kind = graded_poly'; use 'bound'", ranged[0])
-    if section.get("bound") is not None:
+                                f"'kind = graded_poly'{hint}", ranged[0])
+    if bounds and kind in FINITE_SPECTRUM_KINDS:
+        raise FixtureParseError(
+            f"[window] 'bound' is not read: 'kind = {kind}' has a finite "
+            "spectrum, listed whole", bounds[0][1])
+    if bounds:
         return section.parse("bound", int)
     if section.get("lo") is not None and section.get("hi") is not None:
         return (section.parse("lo", int), section.parse("hi", int))

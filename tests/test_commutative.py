@@ -1,15 +1,18 @@
 """Symbolic backends: factorization, spectra, bridging, the graded case."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringspectra.commutative import (GradedModuleDescriptor,
                                      GradedPolyBackend, IntegerBackend,
                                      IntModBackend, PolyBackend,
-                                     PolyQuotBackend, factor_integer,
-                                     factor_polynomial, irreducible_polys,
-                                     poly_mul, primes_up_to)
+                                     PolyQuotBackend, _is_certified_prime,
+                                     factor_integer, factor_polynomial,
+                                     irreducible_polys, poly_mul,
+                                     primes_up_to)
 from ringspectra.algebras import ideal_closure
 from ringspectra.errors import CapabilityError, ValidationError
 from ringspectra.ideals import (TwoSidedIdeal, is_semiprime, minimal_primes,
@@ -21,8 +24,93 @@ from ringspectra.spectra import PhiUndefinedError, verify_correspondence
 def test_factor_integer_examples():
     assert factor_integer(12) == [(2, 2), (3, 1)]
     assert factor_integer(30) == [(2, 1), (3, 1), (5, 1)]
+    assert factor_integer(1) == factor_integer(-1) == []
     with pytest.raises(ValidationError):
         factor_integer(0)
+
+
+def trial_division(n):
+    """The reference: [(prime, multiplicity)] of |n| by trial division."""
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            m = 0
+            while n % d == 0:
+                n //= d
+                m += 1
+            out.append((d, m))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def test_factor_integer_equals_trial_division_up_to_20000():
+    for n in range(1, 20001):
+        assert factor_integer(n) == trial_division(n), n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=10 ** 12 - 1))
+def test_factor_integer_equals_trial_division_below_10_12(n):
+    assert factor_integer(n) == factor_integer(-n) == trial_division(n)
+
+
+# The two smallest primes, the largest divided out before rho and the
+# smallest after, 40 primes above 1000 and four near 10^9, so that products
+# mix sizes and repeat primes.
+SEEDED_PRIMES = ([2, 3, 41, 43]
+                 + [p for p in primes_up_to(2000) if p > 1000][:40]
+                 + [10 ** 9 + 7, 10 ** 9 + 9, 999999937, 2 ** 31 - 1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(SEEDED_PRIMES), min_size=1, max_size=5),
+       st.sampled_from([1, -1]))
+def test_factor_integer_of_products_of_seeded_primes(primes, sign):
+    expected = sorted({p: primes.count(p) for p in primes}.items())
+    assert factor_integer(sign * math.prod(primes)) == expected
+
+
+@pytest.mark.parametrize("n,expected", [
+    (561, [(3, 1), (11, 1), (17, 1)]),                          # Carmichael
+    (41041, [(7, 1), (11, 1), (13, 1), (41, 1)]),
+    (825265, [(5, 1), (7, 1), (17, 1), (19, 1), (73, 1)]),
+    # a strong pseudoprime to the bases 2..23 (and 29, 31)
+    (3825123056546413051, [(149491, 1), (747451, 1), (34233211, 1)]),
+    (999983 ** 2, [(999983, 2)]),
+    (1000003 ** 3, [(1000003, 3)]),
+    (6 * 999983 ** 3 * 1000003 ** 2, [(2, 1), (3, 1), (999983, 3),
+                                      (1000003, 2)]),
+    (2 ** 61 - 1, [(2 ** 61 - 1, 1)]),                          # a prime
+    ((2 ** 31 - 1) * (2 ** 61 - 1), [(2 ** 31 - 1, 1), (2 ** 61 - 1, 1)]),
+    (1000000016000000063, [(1000000007, 1), (1000000009, 1)]),
+], ids=["561", "41041", "825265", "spsp-2-to-23", "square", "cube",
+        "mixed-powers", "M61", "M31-M61", "two-primes-near-1e9"])
+def test_factor_integer_hard_cases(n, expected):
+    assert factor_integer(n) == expected
+
+
+def test_strong_pseudoprime_to_the_twelve_first_bases_is_rejected():
+    """psi_12 passes the bases 2..37; 41 witnesses that it is composite."""
+    assert not _is_certified_prime(318665857834031151167461)
+    assert _is_certified_prime(2 ** 61 - 1)
+    assert factor_integer(318665857834031151167461) == [
+        (399165290221, 1), (798330580441, 1)]
+
+
+def test_uncertifiable_prime_is_refused():
+    """2^89 - 1 is prime, but above psi_13 Miller-Rabin does not prove it."""
+    with pytest.raises(CapabilityError, match="psi_13"):
+        factor_integer(2 ** 89 - 1)
+
+
+def test_search_past_the_rho_budget_is_refused():
+    q, r = 10 ** 13 + 37, 10 ** 13 + 51                # primes above 10^13
+    with pytest.raises(CapabilityError, match=str(q * r)):
+        factor_integer(q * r)
 
 
 def test_factor_poly_f2():

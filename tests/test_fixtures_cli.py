@@ -580,3 +580,42 @@ def test_repeatable_keys_stay_repeatable():
     two_modules = (MODULE_FIXTURE.replace("[module M]", "[module]")
                    + "\n[module N]\ndim = 1\naction 0 = 1\naction 1 = 0\n")
     assert sorted(load_fixture(two_modules).modules) == ["M1", "N"]
+
+
+INT_MOD_FIXTURE = "[backend]\nkind = int_mod\nmodulus = {}\n"
+
+
+def test_cli_modulus_past_trial_division_is_factored(tmp_path, capsys):
+    """Two primes near 10^9: trial division would need about 5 * 10^8
+    steps, rho splits them at once."""
+    path = _write(tmp_path, "n.alg", INT_MOD_FIXTURE.format(1000000016000000063))
+    assert cli_main(["analyze", path, "--atoms"]) == 0
+    atoms = json.loads(capsys.readouterr().out)["atoms"]["elements"]
+    assert atoms == ["(1000000007)", "(1000000009)"]
+
+
+def test_cli_uncertifiable_modulus_is_a_capability_error(tmp_path, capsys):
+    """2^89 - 1 is a prime above psi_13, which Miller-Rabin to the bases
+    2..41 does not certify: refused with exit 3, not reported."""
+    path = _write(tmp_path, "m89.alg", INT_MOD_FIXTURE.format(2 ** 89 - 1))
+    assert cli_main(["analyze", path, "--atoms"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capability error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["analyze", "--atoms"], ["verify"]])
+@pytest.mark.parametrize("text,line", [
+    (T2_FIXTURE + "\n[window]\nbound = 5\n", 10),
+    (INT_MOD_FIXTURE.format(12) + "[window]\nbound = 13\n", 5),
+    ("[backend]\nkind = poly_quot\nfield = F2\nmodulus = 1 1 1\n\n"
+     "[window]\nbound = 3\n", 7),
+], ids=["algebra", "int_mod", "poly_quot"])
+def test_cli_bound_on_a_finite_spectrum_is_a_parse_error(
+        tmp_path, capsys, command, text, line):
+    """A finite spectrum is listed whole, so a [window] 'bound' there would
+    be silently ignored; it is refused at its line instead."""
+    path = _write(tmp_path, "bad.alg", text)
+    assert cli_main([command[0], path] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: [window] 'bound' is not read")
+    assert err.endswith(f"(line {line})\n") and "Traceback" not in err

@@ -9,6 +9,10 @@ Runs each rung once, in this order:
   n = 2..16 (dimension 3..136), then M_3(F_3), M_4(F_2), M_2(Q) and T_4(Q);
 - ``verify_correspondence`` on Z with windows 1000..6000 and on Q[x] with
   windows 150 and 300 (the backend built in the time);
+- ``verify_correspondence(IntModBackend(q * r))`` for q < r the two primes
+  just above 10^k, k = 4, 6, 8, 10, and one rung past the factorization
+  budget, k = 13, recorded as refused (the backend, and so the
+  factorization of q * r, built in the time);
 - ``ringspectra analyze fixtures/z.alg --window N --json TMP`` in-process,
   for N = 41, 43, 47 (14 to 16 molecules, up to the 2^16 subset budget);
 - ``ringspectra analyze T.alg --atoms --json TMP`` in-process on
@@ -45,7 +49,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from ringspectra.algebras import matrix_algebra, upper_triangular_algebra  # noqa: E402
 from ringspectra.cli import main as cli_main  # noqa: E402
-from ringspectra.commutative import IntegerBackend, PolyBackend  # noqa: E402
+from ringspectra.commutative import (IntegerBackend, IntModBackend,  # noqa: E402
+                                     PolyBackend)
+from ringspectra.errors import CapabilityError  # noqa: E402
 from ringspectra.linalg import F2, F3, QQ  # noqa: E402
 from ringspectra.modules import RightModule  # noqa: E402
 from ringspectra.oracle import (brute_is_prime_object, brute_mass,  # noqa: E402
@@ -68,6 +74,24 @@ def verify_window(backend_cls, args, window):
     report = verify_correspondence(backend_cls(*args), window)
     return time.perf_counter() - t0, {"points": len(report.atoms),
                                       "passed": report.passed()}
+
+
+def verify_int_mod(q, r):
+    """The verifier on Z/qr, the backend built in the time, or the time
+    to the refusal."""
+    t0 = time.perf_counter()
+    try:
+        report = verify_correspondence(IntModBackend(q * r))
+    except CapabilityError:
+        return time.perf_counter() - t0, {"refused": True}
+    return time.perf_counter() - t0, {"points": len(report.atoms),
+                                      "passed": report.passed()}
+
+
+# The two primes just above 10^k.
+INT_MOD_PRIMES = {4: (10007, 10009), 6: (1000003, 1000033),
+                  8: (100000007, 100000037), 10: (10000000019, 10000000033),
+                  13: (10000000000037, 10000000000051)}
 
 
 def analyze_z(window):
@@ -139,6 +163,8 @@ RUNGS = ([(f"T{n}(F2)", verify_algebra, (upper_triangular_algebra, n, F2))
             for w in range(1000, 7000, 1000)]
          + [(f"Q[x] window {w}", verify_window, (PolyBackend, (QQ,), w))
             for w in (150, 300)]
+         + [(f"Z/qr, q and r above 10^{k}", verify_int_mod, qr)
+            for k, qr in INT_MOD_PRIMES.items()]
          + [(f"analyze z.alg --window {w}", analyze_z, (w,))
             for w in (41, 43, 47)]
          + [(f"analyze --atoms T{n}(F2)", analyze_atoms, ("triangular", n, "F2"))
