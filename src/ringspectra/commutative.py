@@ -29,12 +29,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebras import FiniteDimAlgebra, companion_algebra
-from .errors import CapabilityError, ValidationError
+from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .linalg import GF, field_name
 from .spectra import (ArtinianizationDescriptor, Atom, Molecule,
                       PhiUndefinedError, QuotientRingDescriptor,
                       ReducedPartResult, check_algebra_quotient_ring,
-                      two_route_flags)
+                      discrete_up_sets, two_route_flags)
 
 
 # -- polynomial arithmetic (coefficients low-to-high) ---------------------------
@@ -280,11 +280,43 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The least strong pseudoprime to all 13 bases (Sorenson and Webster,
 # Math. Comp. 86, 2017): below it, passing every base certifies a prime.
 _PSI_13 = 3317044064679887385961981
-# Rho squarings one factor_integer call may spend before it refuses; a
-# squaring mod an m of more than 128 bits costs one per 64-bit word of m
-# past the first.  It runs out in 1 to 1.5 s on x86_64, Python 3.11.
+# Squarings one factor_integer call may spend before it refuses, weighted
+# by ``_squaring_cost``: the Miller-Rabin powers, the Newton steps of the
+# perfect-power roots and Brent's rho are all charged to it before they
+# run.  It runs out in about 1 to 1.5 s whatever the size of the modulus
+# (x86_64, Python 3.11).
 RHO_BUDGET = 3_000_000
 _RHO_BATCH = 128
+
+
+def _squaring_cost(m: int) -> int:
+    """The weight of one squaring mod m: 1 up to 128 bits, then one per
+    64-bit word of m past the first, and from 24 words on w^2 / 24 for w
+    words, since a Python square and remainder cost about w^2 there; the
+    budget then runs out in about the same time at every size."""
+    words = -(-m.bit_length() // 64)
+    return max(1, words - 1, words * words // 24)
+
+
+class _Budget:
+    """What one ``factor_integer`` call has left of RHO_BUDGET."""
+
+    def __init__(self):
+        self.left = RHO_BUDGET
+
+    def spend(self, m: int, units: int):
+        """Charge work on m worth ``units`` (squarings times
+        ``_squaring_cost(m)``), or refuse before it runs."""
+        self.left -= units
+        if self.left < 0:
+            raise CapabilityError(
+                f"{_shown(m)} is not factored within the budget of "
+                f"{RHO_BUDGET} squarings")
+
+
+def _shown(m: int) -> str:
+    """m in decimal, or its size when it is too long to print."""
+    return str(m) if m.bit_length() <= 256 else f"a {m.bit_length()}-bit number"
 
 
 def factor_integer(n: int):
@@ -295,9 +327,9 @@ def factor_integer(n: int):
     proven composite: an exact perfect power is replaced by its root, and
     anything else is split by Brent's rho, both parts going back on the
     stack (docs/derivations.md, "Certified integer factorization").  A
-    cofactor of at least psi_13 that passes every base, and a search past
-    RHO_BUDGET squarings, raise ``CapabilityError``: no prime is reported
-    uncertified.  Nothing is cached between calls.
+    cofactor of at least psi_13 that passes every base, and work past
+    RHO_BUDGET weighted squarings, raise ``CapabilityError``: no prime is
+    reported uncertified.  Nothing is cached between calls.
     """
     n = abs(n)
     if n == 0:
@@ -308,18 +340,18 @@ def factor_integer(n: int):
         while m % p == 0:
             m //= p
             found[p] += 1
-    budget = RHO_BUDGET
+    budget = _Budget()
     stack = [(m, 1)] if m > 1 else []
     while stack:
         m, mult = stack.pop()
-        if _is_certified_prime(m):
+        if _is_certified_prime(m, budget):
             found[m] += mult
             continue
-        root, k = _perfect_power(m)
+        root, k = _perfect_power(m, budget)
         if k > 1:
             stack.append((root, mult * k))
         else:
-            d, budget = _brent_split(m, budget)
+            d = _brent_split(m, budget)
             stack += [(d, mult), (m // d, mult)]
     out = sorted(found.items())
     if math.prod(p ** e for p, e in out) != n:
@@ -327,17 +359,20 @@ def factor_integer(n: int):
     return out
 
 
-def _is_certified_prime(m: int) -> bool:
+def _is_certified_prime(m: int, budget: _Budget) -> bool:
     """Whether m > 41, free of the primes up to 41, is prime.
 
     A base that is a witness proves m composite; passing all 13 bases
-    proves m prime below psi_13, and above it is refused.
+    proves m prime below psi_13, and above it is refused.  Each base is
+    charged its bits(m) squarings before it runs.
     """
     d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
+    per_base = m.bit_length() * _squaring_cost(m)
     for a in _SMALL_PRIMES:
+        budget.spend(m, per_base)
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -349,64 +384,67 @@ def _is_certified_prime(m: int) -> bool:
             return False
     if m >= _PSI_13:
         raise CapabilityError(
-            f"{m} passes Miller-Rabin to the bases 2..41 but is at least "
-            f"psi_13 = {_PSI_13}, so it is not certified prime")
+            f"{_shown(m)} passes Miller-Rabin to the bases 2..41 but is at "
+            f"least psi_13 = {_PSI_13}, so it is not certified prime")
     return True
 
 
-def _perfect_power(m: int):
+def _perfect_power(m: int, budget: _Budget):
     """(r, k) with r^k = m for the least prime k there is, else (m, 1).
 
     m has no prime factor below 43 > 2^5, so k <= bits(m) / 5.
     """
     for k in range(2, m.bit_length() // 5 + 1):
         if all(k % j for j in range(2, math.isqrt(k) + 1)):
-            r = _int_root(m, k)
+            r = _int_root(m, k, budget)
             if r ** k == m:
                 return r, k
     return m, 1
 
 
-def _int_root(m: int, k: int) -> int:
-    """floor(m^(1/k)), by integer Newton steps down from 2^ceil(bits/k)."""
-    r = 1 << -(-m.bit_length() // k)
+def _int_root(m: int, k: int, budget: _Budget) -> int:
+    """floor(m^(1/k)), by integer Newton steps, each charged as one
+    squaring mod m before it runs.
+
+    The steps start from the float estimate 2^(log2(m) / k), scaled by
+    2^shift so that its top 51 bits are kept, raised by 2^-30 and rounded
+    up: log2 is off by at most 2^-52 * bits(m), which moves the estimate
+    by far less than 2^-30, so the start is above the root, from where
+    integer Newton steps descend to the floor and stop.
+    """
+    e = math.log2(m) / k
+    shift = max(0, int(e) - 50)
+    r = (int(2 ** (e - shift) * (1 + 2 ** -30)) + 1) << shift
+    per_step = _squaring_cost(m)
     while True:
+        budget.spend(m, per_step)
         s = ((k - 1) * r + m // r ** (k - 1)) // k
         if s >= r:
             return r
         r = s
 
 
-def _brent_split(m: int, budget: int):
-    """(a proper divisor of the composite m, the budget left).
+def _brent_split(m: int, budget: _Budget) -> int:
+    """A proper divisor of the composite m.
 
     Brent's rho with f(x) = x^2 + c for c = 1, 2, ..., from x = 2: the
     x - y of a batch are multiplied into one gcd, and the batch is
     replayed one step at a time when that gcd is m.  Refused before the
     squarings would overrun ``budget``.
     """
-    cost = max(1, (m.bit_length() - 1) // 64)
-
-    def spend(steps):
-        nonlocal budget
-        budget -= steps * cost
-        if budget < 0:
-            raise CapabilityError(
-                f"{m} is composite but not split within the budget of "
-                f"{RHO_BUDGET} rho squarings")
-
+    cost = _squaring_cost(m)
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
-            spend(r)
+            budget.spend(m, r * cost)
             for _ in range(r):
                 y = (y * y + c) % m
             k = 0
             while k < r and g == 1:
                 ys = y
                 steps = min(_RHO_BATCH, r - k)
-                spend(steps)
+                budget.spend(m, steps * cost)
                 for _ in range(steps):
                     y = (y * y + c) % m
                     q = q * (x - y) % m
@@ -419,7 +457,7 @@ def _brent_split(m: int, budget: int):
                 ys = (ys * ys + c) % m
                 g = math.gcd(x - ys, m)
         if g != m:
-            return g, budget
+            return g
 
 
 def primes_up_to(bound: int):
@@ -435,9 +473,22 @@ def primes_up_to(bound: int):
 
 # -- the commutative spectra -------------------------------------------------------
 
+# The largest window a backend with an infinite spectrum lists: a bound
+# (primes up to it over Z, |c| up to it over Q, degree up to it over F_p,
+# shifts -bound..bound) or, for the graded backend, hi - lo.
+WINDOW_BUDGET = 100_000
+
+
 def _require_window(window):
+    """The window, checked against WINDOW_BUDGET before any point is listed."""
     if window is None:
         raise CapabilityError("window required for an infinite spectrum")
+    if isinstance(window, tuple):
+        what, extent = "window hi - lo", window[1] - window[0]
+    else:
+        what, extent = "window bound", abs(window)
+    if extent > WINDOW_BUDGET:
+        raise BudgetExceeded(what, extent, WINDOW_BUDGET)
     return window
 
 
@@ -488,10 +539,12 @@ class CommutativeSpec:
     def molecules(self, window=None):
         return [Molecule(self.label, k, lbl) for k, lbl in self._points(window)]
 
-    def atom_leq(self, a, b):
-        return a == b or a.key == ("zero",)
+    def atom_up_sets(self, atoms):
+        """(0) lies below every point, and the other points form an antichain."""
+        return [list(range(len(atoms))) if x.key == ("zero",) else [i]
+                for i, x in enumerate(atoms)]
 
-    molecule_leq = atom_leq
+    molecule_up_sets = atom_up_sets
 
     def minimal_atoms(self, window=None):
         return [Atom(self.label, k, lbl) for k, lbl in self._minimal_points()]
@@ -600,8 +653,8 @@ class IntModBackend(CommutativeSpec):
         if n < 2:
             raise ValidationError("modulus must be at least 2")
         self.n = n
-        self.label = self._quotient_label(n)
         self.factors = factor_integer(n)
+        self.label = self._quotient_label(n)
 
     def _point(self, p):
         return ("p", p), f"({p})"
@@ -762,11 +815,11 @@ class GradedPolyBackend:
         return [Molecule(self.label, ("shift", n), f"S({n})")
                 for n in self._window_range(window)]
 
-    def atom_leq(self, a, b):
-        return a == b
+    def atom_up_sets(self, atoms):
+        return discrete_up_sets(atoms)
 
-    def molecule_leq(self, r, s):
-        return r == s
+    def molecule_up_sets(self, molecules):
+        return discrete_up_sets(molecules)
 
     def minimal_atoms(self, window=None):
         return self.atoms(window)

@@ -1,10 +1,10 @@
 """Atom and molecule spectra, the maps between them, and verification.
 
 Backends implement the ``SpectrumBackend`` protocol: enumerate (or
-window) atoms and molecules, order predicates, phi and psi, minimality,
-property flags computed along two independent routes, and the
-ring-level answers (reduced part, artinianization, classical quotient
-ring and its sampled clauses), and ``algebra``, the finite-dimensional
+window) atoms and molecules, state each order once as up-sets, phi and
+psi, minimality, property flags computed along two independent routes,
+and the ring-level answers (reduced part, artinianization, classical
+quotient ring and its sampled clauses), and ``algebra``, the finite-dimensional
 algebra Lambda when the backend is Mod(Lambda) and ``None`` otherwise.
 The verifier and the CLI read ``algebra`` to decide whether the
 Lambda-level checks and sections (injective envelopes, localizing
@@ -95,8 +95,13 @@ class SpectrumBackend(Protocol):
     """What ``verify_correspondence`` and the CLI read off a backend.
 
     ``complete`` is false when only a window of an infinite spectrum is
-    listed; ``phi`` may raise ``PhiUndefinedError``; without a noetherian
-    generator the flags may raise ``CapabilityError``.  The ring-level
+    listed.  ``atom_up_sets(atoms)`` and ``molecule_up_sets(molecules)``
+    state each order once, for the listing they are given: entry i is
+    the ascending list of the indices j with x_i <= x_j, i included.  A
+    backend states its order this way only, so it can answer in the size
+    of the order, not in the number of pairs.  ``phi`` may raise
+    ``PhiUndefinedError``; without a noetherian generator the flags may
+    raise ``CapabilityError``.  The ring-level
     answers (reduced part, artinianization, classical quotient ring)
     raise ``CapabilityError`` where they are out of scope;
     ``check_quotient_ring`` runs the classical quotient ring's clauses on
@@ -116,9 +121,9 @@ class SpectrumBackend(Protocol):
 
     def molecules(self, window=None) -> list[Molecule]: ...
 
-    def atom_leq(self, a: Atom, b: Atom) -> bool: ...
+    def atom_up_sets(self, atoms: list[Atom]) -> list[list[int]]: ...
 
-    def molecule_leq(self, r: Molecule, s: Molecule) -> bool: ...
+    def molecule_up_sets(self, molecules: list[Molecule]) -> list[list[int]]: ...
 
     def minimal_atoms(self, window=None) -> list[Atom]: ...
 
@@ -175,13 +180,14 @@ class ArtinianBackend:
         return [Molecule(self.label, ("prime", w.block_index), w.label)
                 for w in self.primes()]
 
-    def atom_leq(self, a: Atom, b: Atom) -> bool:
-        return a == b
+    def atom_up_sets(self, atoms):
+        return discrete_up_sets(atoms)
 
-    def molecule_leq(self, r: Molecule, s: Molecule) -> bool:
-        wr = self._prime_by_key(r.key)
-        ws = self._prime_by_key(s.key)
-        return ws.ideal.contains(wr.ideal)
+    def molecule_up_sets(self, molecules):
+        """Ideal containment, one test per ordered pair of the listing."""
+        ideal = {("prime", w.block_index): w.ideal for w in self.primes()}
+        return up_sets([ideal[r.key] for r in molecules],
+                       lambda p, q: q.contains(p))
 
     def minimal_atoms(self, window=None):
         return self.atoms()
@@ -191,9 +197,10 @@ class ArtinianBackend:
         the molecule spectrum and ``molecular_flags`` both read them."""
         if self._minimal_molecules is None:
             mols = self.molecules()
-            self._minimal_molecules = [
-                r for r in mols
-                if not any(s != r and self.molecule_leq(s, r) for s in mols)]
+            above_another = {j for i, up in enumerate(self.molecule_up_sets(mols))
+                             for j in up if j != i}
+            self._minimal_molecules = [r for j, r in enumerate(mols)
+                                       if j not in above_another]
         return list(self._minimal_molecules)
 
     def _prime_by_key(self, key):
@@ -432,19 +439,20 @@ class Spectrum:
 
 def atom_spectrum(backend: SpectrumBackend, window=None) -> Spectrum:
     """The atoms, their order and the minimal atoms; nothing is verified."""
-    return _read_spectrum(backend.atoms(window), backend.atom_leq,
+    atoms = backend.atoms(window)
+    return _read_spectrum(atoms, backend.atom_up_sets(atoms),
                           backend.minimal_atoms(window))
 
 
 def molecule_spectrum(backend: SpectrumBackend, window=None) -> Spectrum:
     """The molecules, their order and the minimal molecules; nothing is
     verified."""
-    return _read_spectrum(backend.molecules(window), backend.molecule_leq,
+    mols = backend.molecules(window)
+    return _read_spectrum(mols, backend.molecule_up_sets(mols),
                           backend.minimal_molecules(window))
 
 
-def _read_spectrum(elements, leq, minimal) -> Spectrum:
-    up = up_sets(elements, leq)
+def _read_spectrum(elements, up, minimal) -> Spectrum:
     return Spectrum(elements, up, _strict_pairs(elements, up), minimal)
 
 
@@ -488,6 +496,9 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
     phi_index = {i: mol_index[phi_table[a.label]]
                  for i, a in enumerate(atoms) if a.label in phi_table}
     psi_index = [atom_index[psi_table[r.label]] for r in mols]
+    phi_preimage = [[] for _ in mols]
+    for i, fi in phi_index.items():
+        phi_preimage[fi].append(i)
 
     # Order preservation.
     bad = [(atoms[i].label, atoms[j].label)
@@ -502,9 +513,15 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
     rec("psi_order_preserving", not bad, f"violations: {bad}" if bad else "")
 
     # Adjunction: psi(rho) <= alpha iff rho <= phi(alpha), phi-defined pairs.
-    bad = [(atoms[i].label, r.label)
-           for i, fi in phi_index.items() for k, r in enumerate(mols)
-           if (i in atom_above[psi_index[k]]) != (fi in mol_above[k])]
+    # For each molecule k, the alpha with psi(k) <= alpha and the alpha with
+    # k <= phi(alpha) form two sets; a pair fails iff alpha lies in exactly
+    # one of them.  Violations are listed by (alpha, k), the pairwise order.
+    bad = []
+    for k, pk in enumerate(psi_index):
+        over_psi = {i for i in atom_up[pk] if i in phi_index}
+        phi_over = {i for l in mol_up[k] for i in phi_preimage[l]}
+        bad.extend((i, k) for i in over_psi ^ phi_over)
+    bad = [(atoms[i].label, mols[k].label) for i, k in sorted(bad)]
     rec("adjunction", not bad,
         f"violations: {bad}" if bad
         else f"checked {len(phi_index) * len(mols)} pairs")
@@ -562,28 +579,35 @@ def up_sets(elements, leq) -> list[list[int]]:
     """For each element x, the indices of the elements y with leq(x, y).
 
     Indices ascend, in listing order.  leq is called exactly once per
-    ordered pair, so an order is read off its backend once and every
-    order check runs on the result.
+    ordered pair: the route for an order that is only known pair by pair.
     """
     return [[j for j, y in enumerate(elements) if leq(x, y)] for x in elements]
+
+
+def discrete_up_sets(elements) -> list[list[int]]:
+    """The up-sets of the discrete order: each element is above itself only."""
+    return [[i] for i in range(len(elements))]
 
 
 def hasse_edges(up) -> list[tuple[int, int]]:
     """The covering pairs (i, j) of the order with up-sets ``up``.
 
-    (i, j) covers when j lies in up[i], j != i, and no third k in up[i]
-    has j in up[k].  Pairs come in the order of i, then of j within
-    up[i], so a caller that lists its elements sorted gets sorted edges.
+    j covers i when j lies in up[i], j != i, and j is above no third k in
+    up[i]: the covers are the strict up-set of i minus the strict up-sets
+    of its members.  Pairs come in the order of i, then of j within up[i],
+    so a caller that lists its elements sorted gets sorted edges.
     """
-    above = [set(u) for u in up]
-    return [(i, j) for i, u in enumerate(up) for j in u
-            if j != i and not any(k not in (i, j) and j in above[k] for k in u)]
+    edges = []
+    for i, u in enumerate(up):
+        above = {j for k in u if k != i for j in up[k] if j != k}
+        edges.extend((i, j) for j in u if j != i and j not in above)
+    return edges
 
 
 def _strict_pairs(elements, up) -> list:
     """Sorted label pairs (x, y) with x < y, read off the up-sets."""
     return sorted((x.label, elements[j].label) for i, x in enumerate(elements)
-                  for j in up[i] if x != elements[j])
+                  for j in up[i] if j != i)
 
 
 def _artinian_envelope_assertions(backend: ArtinianBackend, phi_table,

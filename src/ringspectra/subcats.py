@@ -149,16 +149,16 @@ class LocallyClosedLocalizingDescriptor:
 def classify_locally_closed_localizing(backend, window=None):
     """All upward-closed subsets of the (windowed) molecule order.
 
-    The order is read once, as one up-set bit mask per molecule; a subset
-    is upward closed iff it contains the up-set of each of its members,
-    that is the union of those up-sets.
+    The backend states the order once, as up-sets, each turned into a bit
+    mask; a subset is upward closed iff it contains the up-set of each of
+    its members, that is the union of those up-sets.
     """
     mols = backend.molecules(window)
     if len(mols) > 16:
         raise BudgetExceeded("locally closed classification", 2 ** len(mols),
                              2 ** 16)
     up = [sum(1 << j for j in above)
-          for above in up_sets(mols, backend.molecule_leq)]
+          for above in backend.molecule_up_sets(mols)]
     # reach[mask]: the union of the up-sets of the members of mask.
     reach = [0] * 2 ** len(mols)
     for mask in range(1, len(reach)):

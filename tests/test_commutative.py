@@ -6,15 +6,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringspectra import commutative
 from ringspectra.commutative import (GradedModuleDescriptor,
                                      GradedPolyBackend, IntegerBackend,
                                      IntModBackend, PolyBackend,
-                                     PolyQuotBackend, _is_certified_prime,
+                                     PolyQuotBackend, _Budget, _int_root,
+                                     _is_certified_prime, _squaring_cost,
                                      factor_integer, factor_polynomial,
                                      irreducible_polys, poly_mul,
                                      primes_up_to)
 from ringspectra.algebras import ideal_closure
-from ringspectra.errors import CapabilityError, ValidationError
+from ringspectra.errors import BudgetExceeded, CapabilityError, ValidationError
 from ringspectra.ideals import (TwoSidedIdeal, is_semiprime, minimal_primes,
                                 prime_radical_of_zero)
 from ringspectra.linalg import F2, F3, QQ
@@ -95,8 +97,8 @@ def test_factor_integer_hard_cases(n, expected):
 
 def test_strong_pseudoprime_to_the_twelve_first_bases_is_rejected():
     """psi_12 passes the bases 2..37; 41 witnesses that it is composite."""
-    assert not _is_certified_prime(318665857834031151167461)
-    assert _is_certified_prime(2 ** 61 - 1)
+    assert not _is_certified_prime(318665857834031151167461, _Budget())
+    assert _is_certified_prime(2 ** 61 - 1, _Budget())
     assert factor_integer(318665857834031151167461) == [
         (399165290221, 1), (798330580441, 1)]
 
@@ -111,6 +113,74 @@ def test_search_past_the_rho_budget_is_refused():
     q, r = 10 ** 13 + 37, 10 ** 13 + 51                # primes above 10^13
     with pytest.raises(CapabilityError, match=str(q * r)):
         factor_integer(q * r)
+
+
+def test_squaring_weight_is_unchanged_below_24_words():
+    """One per 64-bit word past the first up to 23 words, so every modulus
+    below 1473 bits is charged as before; from 24 words on w^2 / 24."""
+    for bits in range(1, 1473):
+        assert _squaring_cost(2 ** bits - 1) == max(1, (bits - 1) // 64)
+    assert _squaring_cost(2 ** 1536 - 1) == 24 > 23
+    assert _squaring_cost(2 ** 16000 - 1) == 250 ** 2 // 24
+
+
+@pytest.mark.parametrize("k", [1440, 2880], ids=["8000-bit", "16000-bit"])
+def test_huge_modulus_is_refused_before_any_power(monkeypatch, k):
+    """43 * 47^k has no prime factor up to 41, and one Miller-Rabin base
+    on it would overrun the budget, so it is refused before ``pow`` runs
+    (named by its size: its decimal form is too long to print)."""
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(commutative, "pow", counting_pow, raising=False)
+    n = 43 * 47 ** k
+    with pytest.raises(CapabilityError, match=f"a {n.bit_length()}-bit number"):
+        factor_integer(n)
+    assert calls == []
+
+
+def test_window_past_the_budget_is_refused_before_listing(monkeypatch):
+    """A bound, or the graded hi - lo, above WINDOW_BUDGET raises
+    ``BudgetExceeded`` before any point is listed; the budget itself is
+    accepted."""
+    listed = []
+    monkeypatch.setattr(commutative, "primes_up_to",
+                        lambda bound: listed.append(bound) or [])
+    budget = commutative.WINDOW_BUDGET
+    cases = [(IntegerBackend(), budget + 1), (IntegerBackend(), -budget - 1),
+             (PolyBackend(QQ), budget + 1), (PolyBackend(F3), budget + 1),
+             (GradedPolyBackend(F2), budget + 1),
+             (GradedPolyBackend(F2), (-1, budget))]
+    for backend, window in cases:
+        for read in (backend.atoms, backend.molecules,
+                     lambda w: verify_correspondence(backend, w)):
+            with pytest.raises(BudgetExceeded, match=f"budget allows {budget}"):
+                read(window)
+    assert listed == []
+    assert IntegerBackend().atoms(budget) == IntegerBackend().atoms(0)
+    assert listed == [budget, 0]
+
+
+def test_int_root_is_the_floor_root():
+    """The Newton steps from the float estimate give floor(m^(1/k)):
+    r^k <= m < (r + 1)^k, next to exact powers and at random sizes."""
+    rng = random.Random(11)
+    for _ in range(300):
+        k = rng.choice([2, 3, 5, 7, 13, 101])
+        r0 = rng.getrandbits(rng.randrange(1, 200)) + 2
+        for m in (r0 ** k - 1, r0 ** k, r0 ** k + 1,
+                  rng.getrandbits(rng.randrange(1, 3000)) + 1):
+            r = _int_root(m, k, _Budget())
+            assert r ** k <= m < (r + 1) ** k, (m, k)
+
+
+def test_large_perfect_power_is_factored_within_the_budget():
+    """A 3040-bit modulus is charged for its bases, roots and splits, and
+    still fits: 43^560 is found as 43 to the 560th."""
+    assert factor_integer(43 ** 560) == [(43, 560)]
 
 
 def test_factor_poly_f2():
@@ -170,8 +240,7 @@ def test_int_backend_order_and_maps():
     labels = [a.label for a in atoms]
     assert labels == ["(0)", "(2)", "(3)", "(5)"]
     zero, two, three = atoms[0], atoms[1], atoms[2]
-    assert z.atom_leq(zero, two) and z.atom_leq(zero, three)
-    assert not z.atom_leq(two, three) and not z.atom_leq(three, two)
+    assert z.atom_up_sets(atoms) == [[0, 1, 2, 3], [1], [2], [3]]
     assert z.phi(two).label == "(2)"
     assert z.psi(z.molecules(5)[0]).label == "(0)"
     assert [a.label for a in z.minimal_atoms()] == ["(0)"]
@@ -298,9 +367,7 @@ def test_graded_backend_behaviors():
     atoms = g.atoms(window=(-1, 1))
     assert [a.label for a in atoms] == ["k[x]", "S(-1)", "S(0)", "S(1)"]
     # Every atom is minimal: the order is discrete.
-    for x in atoms:
-        for y in atoms:
-            assert g.atom_leq(x, y) == (x == y)
+    assert g.atom_up_sets(atoms) == [[0], [1], [2], [3]]
     assert len(g.molecules(window=(-2, 2))) == 5
     assert [m.label for m in g.molecules(window=(-1, 1))] == \
         ["S(-1)", "S(0)", "S(1)"]

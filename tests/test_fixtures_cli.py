@@ -619,3 +619,32 @@ def test_cli_bound_on_a_finite_spectrum_is_a_parse_error(
     err = capsys.readouterr().err
     assert err.startswith("parse error: [window] 'bound' is not read")
     assert err.endswith(f"(line {line})\n") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["analyze", "--atoms"],
+                                     ["verify"], ["hasse"]])
+@pytest.mark.parametrize("text,args", [
+    ("[backend]\nkind = int\n", ["--window", "100000000"]),
+    ("[backend]\nkind = poly\nfield = Q\n\n[window]\nbound = 100001\n", []),
+    ("[backend]\nkind = graded_poly\nfield = F2\n\n[window]\n"
+     "lo = -60000\nhi = 60000\n", []),
+], ids=["int", "poly", "graded"])
+def test_cli_window_past_the_budget_is_refused(tmp_path, capsys, command,
+                                               text, args):
+    """A window above commutative.WINDOW_BUDGET ends in exit 3 before any
+    point is listed, with no traceback."""
+    path = _write(tmp_path, "w.alg", text)
+    assert cli_main([command[0], path, *command[1:], *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capability error: window") and "Traceback" not in err
+
+
+def test_cli_huge_modulus_is_refused_at_once(tmp_path, capsys):
+    """A 13,000-bit modulus with no prime factor up to 41 is refused
+    before its first Miller-Rabin base, and named by its size."""
+    n = 43 * 47 ** 2340
+    path = _write(tmp_path, "n.alg", INT_MOD_FIXTURE.format(n))
+    assert cli_main(["analyze", path, "--atoms"]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"capability error: a {n.bit_length()}-bit number is not "
+                   "factored within the budget of 3000000 squarings\n")

@@ -1,12 +1,15 @@
 """Atom/molecule spectra, phi and psi, and the correspondence sweep."""
 
+import ast
+import operator
 import random
 
 import pytest
 
 from ringspectra.algebras import upper_triangular_algebra
 from ringspectra.commutative import (GradedPolyBackend, IntegerBackend,
-                                     PolyBackend)
+                                     IntModBackend, PolyBackend,
+                                     PolyQuotBackend, poly_divmod)
 from ringspectra.ideals import annihilator
 from ringspectra.linalg import F2, GF, QQ
 from ringspectra.modules import (RightModule, injective_envelope,
@@ -24,9 +27,7 @@ def test_atom_spectrum_t2(corpus_by_name):
     b = _backend("t2_f2", corpus_by_name)
     atoms = b.atoms()
     assert len(atoms) == 2
-    for x in atoms:
-        for y in atoms:
-            assert b.atom_leq(x, y) == (x == y)    # artinian antichain
+    assert b.atom_up_sets(atoms) == [[0], [1]]     # artinian antichain
 
 
 def test_molecule_spectrum_examples(corpus_by_name):
@@ -84,10 +85,10 @@ def test_msupp_is_upward_closed_and_v_of_ann(algebra_corpus):
             expected = {r for r in b.molecules()
                         if b._prime_by_key(r.key).ideal.space.contains(ann.space)}
             assert msupp == expected, (name, mname)
-            for r in msupp:
-                for s in b.molecules():
-                    if b.molecule_leq(r, s):
-                        assert s in msupp, (name, mname)
+            mols = b.molecules()
+            for r, up in zip(mols, b.molecule_up_sets(mols)):
+                if r in msupp:
+                    assert all(mols[j] in msupp for j in up), (name, mname)
 
 
 def test_phi_psi_artinian(corpus_by_name):
@@ -224,8 +225,9 @@ class _CorruptedOrder(_CorruptedPhi):
     def phi(self, a):
         return self._inner.phi(a)
 
-    def molecule_leq(self, r, s):
-        return True                                 # everything comparable
+    def molecule_up_sets(self, molecules):
+        everything = list(range(len(molecules)))    # everything comparable
+        return [everything for _ in molecules]
 
 
 def test_verifier_catches_corrupted_phi(corpus_by_name):
@@ -244,17 +246,14 @@ def test_verifier_catches_corrupted_order(corpus_by_name):
 
 
 def test_order_query_helpers(corpus_by_name):
-    """The closure of an atom (all below it) and the atoms above it."""
-    from ringspectra.commutative import IntegerBackend
+    """The atoms above an atom, and those below it, read off the up-sets."""
     b = _backend("t2_f2", corpus_by_name)
-    a0 = b.atoms()[0]
-    assert [x for x in b.atoms() if b.atom_leq(x, a0)] == [a0]   # antichain
-    assert [x for x in b.atoms() if b.atom_leq(a0, x)] == [a0]
+    up = b.atom_up_sets(b.atoms())
+    assert up[0] == [0] and [i for i, u in enumerate(up) if 0 in u] == [0]
     z = IntegerBackend()
-    atoms = z.atoms(window=5)
-    generic = atoms[0]
-    assert len([x for x in atoms if z.atom_leq(generic, x)]) == 4  # everything
-    assert [x for x in atoms if z.atom_leq(x, generic)] == [generic]
+    up = z.atom_up_sets(z.atoms(window=5))
+    assert up[0] == [0, 1, 2, 3]                                  # everything
+    assert [i for i, u in enumerate(up) if 0 in u] == [0]
 
 
 def test_every_backend_satisfies_the_protocol(corpus_by_name):
@@ -278,25 +277,25 @@ def test_every_backend_satisfies_the_protocol(corpus_by_name):
 
 
 class _CountingZ(IntegerBackend):
-    """Z, counting the order queries each spectrum receives."""
+    """Z, counting the up-set reads each spectrum receives."""
 
     def __init__(self):
-        self.calls = {"atom_leq": 0, "molecule_leq": 0}
+        self.calls = {"atom_up_sets": 0, "molecule_up_sets": 0}
 
-    def atom_leq(self, a, b):
-        self.calls["atom_leq"] += 1
-        return super().atom_leq(a, b)
+    def atom_up_sets(self, atoms):
+        self.calls["atom_up_sets"] += 1
+        return super().atom_up_sets(atoms)
 
-    def molecule_leq(self, r, s):
-        self.calls["molecule_leq"] += 1
-        return super().molecule_leq(r, s)
+    def molecule_up_sets(self, molecules):
+        self.calls["molecule_up_sets"] += 1
+        return super().molecule_up_sets(molecules)
 
 
 class _DiscreteMoleculesZ(IntegerBackend):
     """Z with the generic molecule no longer below the closed ones."""
 
-    def molecule_leq(self, r, s):
-        return r == s
+    def molecule_up_sets(self, molecules):
+        return [[i] for i in range(len(molecules))]
 
 
 def test_verifier_reads_each_order_once():
@@ -304,20 +303,19 @@ def test_verifier_reads_each_order_once():
     rep = verify_correspondence(b, 200)
     n = len(b.atoms(200))
     assert n == 47 and rep.passed()
-    assert b.calls["atom_leq"] <= n * n
-    assert b.calls["molecule_leq"] <= n * n
+    assert b.calls == {"atom_up_sets": 1, "molecule_up_sets": 1}
 
 
 class _CountingArtinian(ArtinianBackend):
-    """Mod(Lambda), counting the molecule order queries."""
+    """Mod(Lambda), counting the molecule pairs whose containment is asked."""
 
     def __init__(self, algebra):
         super().__init__(algebra)
         self.calls = 0
 
-    def molecule_leq(self, r, s):
-        self.calls += 1
-        return super().molecule_leq(r, s)
+    def molecule_up_sets(self, molecules):
+        self.calls += len(molecules) ** 2
+        return super().molecule_up_sets(molecules)
 
 
 def test_artinian_minimal_molecules_found_once():
@@ -326,7 +324,7 @@ def test_artinian_minimal_molecules_found_once():
     n = len(b.molecules())
     assert n == 4 and rep.passed() and rep.molecular_flags["irreducible"] is False
     # The up-sets and the minimal set ask each pair once; the flags reread.
-    assert b.calls <= 2 * n * n
+    assert b.calls == 2 * n * n
 
 
 def test_verifier_catches_a_discrete_molecule_order():
@@ -354,7 +352,8 @@ def _pairwise_order_checks(backend, window):
     """The order assertions by their literal pairwise definitions.
 
     The reference for the up-set route in ``verify_correspondence``: every
-    pair is put to the backend, in listing order.
+    pair is tested, in listing order, against the order the backend
+    states.
     """
     atoms, mols = backend.atoms(window), backend.molecules(window)
     phi = {}
@@ -366,7 +365,8 @@ def _pairwise_order_checks(backend, window):
     psi = {r.label: backend.psi(r).label for r in mols}
     atom = {a.label: a for a in atoms}
     mol = {r.label: r for r in mols}
-    leq_a, leq_m = backend.atom_leq, backend.molecule_leq
+    leq_a = _pairwise(atoms, backend.atom_up_sets(atoms))
+    leq_m = _pairwise(mols, backend.molecule_up_sets(mols))
     phi_bad = [(a.label, b.label) for a in atoms for b in atoms
                if a.label in phi and b.label in phi and leq_a(a, b)
                and not leq_m(mol[phi[a.label]], mol[phi[b.label]])]
@@ -388,6 +388,13 @@ def _pairwise_order_checks(backend, window):
     }
 
 
+def _pairwise(elements, up):
+    """The order with up-sets ``up`` as a predicate on pairs."""
+    leq = {(elements[i].label, elements[j].label)
+           for i, u in enumerate(up) for j in u}
+    return lambda x, y: (x.label, y.label) in leq
+
+
 def test_order_checks_equal_their_pairwise_definitions(corpus_by_name):
     cases = [(IntegerBackend(), 13), (PolyBackend(QQ), 2),
              (PolyBackend(GF(3)), 2), (_backend("t3_f2", corpus_by_name), None),
@@ -401,3 +408,79 @@ def test_order_checks_equal_their_pairwise_definitions(corpus_by_name):
         got["molecule_order"] = rep.molecule_order
         want = _pairwise_order_checks(backend, window)
         assert {k: got[k] for k in want} == want, backend.label
+
+
+def test_long_adjunction_violation_list_comes_in_pairwise_order():
+    """A molecule order that makes everything comparable breaks the
+    adjunction at every (alpha, (p)) with alpha != (p): 46^2 violations on
+    Z up to 200, listed atom by atom, each atom's molecules in order."""
+    b = _CorruptedOrder(IntegerBackend())
+    rep = verify_correspondence(b, 200)
+    adj = next(r for r in rep.assertions if r.name == "adjunction")
+    assert not adj.passed
+    assert adj.detail == _pairwise_order_checks(b, 200)["adjunction"]
+    atom_at = {a.label: i for i, a in enumerate(rep.atoms)}
+    mol_at = {r.label: k for k, r in enumerate(rep.molecules)}
+    pairs = [(atom_at[a], mol_at[r]) for a, r in
+             ast.literal_eval(adj.detail.removeprefix("violations: "))]
+    n = len(rep.atoms)
+    assert n == 47
+    assert pairs == sorted(pairs) == [(i, k) for i in range(n)
+                                      for k in range(1, n) if i != k]
+
+
+def _literal_order(backend):
+    """(x <= y for atoms, for molecules) as containment of the ideals the
+    points stand for, written out for each backend: the reference for the
+    up-sets the backends state.
+
+    Over Z, (a) is inside (b) iff b divides a, and (0) is generated by 0;
+    over k[x] the same with polynomial division.  Mod(Lambda) compares its
+    primes by ``contains`` and its simple classes by equality; the graded
+    backend's orders are equality.
+    """
+    if isinstance(backend, ArtinianBackend):
+        ideal = {("prime", w.block_index): w.ideal for w in backend.primes()}
+        return operator.eq, lambda r, s: ideal[s.key].contains(ideal[r.key])
+    if isinstance(backend, GradedPolyBackend):
+        return operator.eq, operator.eq
+    if isinstance(backend, (IntegerBackend, IntModBackend)):
+        zero = 0
+
+        def divides(b, a):
+            return a % b == 0
+    else:
+        zero = ()
+
+        def divides(b, a):
+            return poly_divmod(backend.field, a, b)[1] == ()
+
+    def contained(x, y):
+        a = zero if x.key == ("zero",) else x.key[1]
+        b = zero if y.key == ("zero",) else y.key[1]
+        return a == zero if b == zero else divides(b, a)
+
+    return contained, contained
+
+
+def _literal_up_sets(elements, leq):
+    return [[j for j, y in enumerate(elements) if leq(x, y)] for x in elements]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_up_sets_equal_ideal_containment(algebra_corpus, reverse):
+    """Each backend's up-sets, for its listing and for the reversed one,
+    are those of the literal containment order."""
+    cases = [(IntegerBackend(), 60), (PolyBackend(QQ), 4),
+             (PolyBackend(GF(3)), 2), (IntModBackend(360), None),
+             (PolyQuotBackend(F2, [0, 0, 1, 1]), None),
+             (GradedPolyBackend(F2), (-3, 3))]
+    cases += [(ArtinianBackend(a), None) for _name, a in algebra_corpus]
+    for backend, window in cases:
+        leq_a, leq_m = _literal_order(backend)
+        atoms, mols = backend.atoms(window), backend.molecules(window)
+        if reverse:
+            atoms, mols = atoms[::-1], mols[::-1]
+        assert backend.atom_up_sets(atoms) == _literal_up_sets(atoms, leq_a)
+        assert (backend.molecule_up_sets(mols)
+                == _literal_up_sets(mols, leq_m)), backend.label

@@ -15,6 +15,7 @@ from ringspectra.spectra import ArtinianBackend
 from ringspectra.subcats import (ClosedSubcatDescriptor, classify_localizing,
                                  classify_locally_closed_localizing,
                                  reduced_part, artinianization)
+from test_spectra import _literal_order
 
 
 def _backend(name, corpus_by_name):
@@ -140,20 +141,20 @@ def test_classify_locally_closed_counts(corpus_by_name):
 
 
 class _CountingZ(IntegerBackend):
-    """Z, counting the molecule order queries."""
+    """Z, counting the molecule up-set reads."""
 
     calls = 0
 
-    def molecule_leq(self, r, s):
+    def molecule_up_sets(self, molecules):
         self.calls += 1
-        return super().molecule_leq(r, s)
+        return super().molecule_up_sets(molecules)
 
 
 def test_locally_closed_classification_reads_the_order_once():
     b = _CountingZ()
     n = len(b.molecules(47))               # 16 molecules: the subset budget
     assert len(classify_locally_closed_localizing(b, window=47)) == 2 ** 15 + 1
-    assert n == 16 and b.calls <= n * n
+    assert n == 16 and b.calls == 1
 
 
 class _ReversedZ(IntegerBackend):
@@ -164,13 +165,14 @@ class _ReversedZ(IntegerBackend):
 
 
 def _upward_closed_subsets(backend, window):
-    """Every subset of the molecules, kept iff r <= s, r in it puts s in it."""
+    """Every subset of the molecules, kept iff r <= s, r in it puts s in it,
+    for the literal containment order."""
     mols = backend.molecules(window)
+    _leq_a, leq = _literal_order(backend)
     out = []
     for mask in range(2 ** len(mols)):
         chosen = {m for i, m in enumerate(mols) if mask >> i & 1}
-        if all(s in chosen for r in chosen for s in mols
-               if backend.molecule_leq(r, s)):
+        if all(s in chosen for r in chosen for s in mols if leq(r, s)):
             out.append(frozenset(chosen))
     return out
 

@@ -7,8 +7,11 @@ Runs each rung once, in this order:
 - ``verify_correspondence(ArtinianBackend(a))`` with each algebra built
   fresh (its associativity check included in the time): T_n(F_2) for
   n = 2..16 (dimension 3..136), then M_3(F_3), M_4(F_2), M_2(Q) and T_4(Q);
-- ``verify_correspondence`` on Z with windows 1000..6000 and on Q[x] with
-  windows 150 and 300 (the backend built in the time);
+- ``verify_correspondence`` on Z with windows 1000..6000, 20000 and
+  100000 and on Q[x] with windows 150, 300 and 1000 (the backend built in
+  the time);
+- ``ringspectra hasse fixtures/z.alg --window 20000 --dot TMP``
+  in-process (the verification and the diagram of 2,263 points);
 - ``verify_correspondence(IntModBackend(q * r))`` for q < r the two primes
   just above 10^k, k = 4, 6, 8, 10, and one rung past the factorization
   budget, k = 13, recorded as refused (the backend, and so the
@@ -74,6 +77,18 @@ def verify_window(backend_cls, args, window):
     report = verify_correspondence(backend_cls(*args), window)
     return time.perf_counter() - t0, {"points": len(report.atoms),
                                       "passed": report.passed()}
+
+
+def hasse_z(window):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "z.dot"
+        argv = ["hasse", str(ROOT / "fixtures" / "z.alg"),
+                "--window", str(window), "--dot", str(out)]
+        t0 = time.perf_counter()
+        code = cli_main(argv)
+        seconds = time.perf_counter() - t0
+        arrows = out.read_text().count(" -> ") if code == 0 else None
+    return seconds, {"exit": code, "arrows": arrows}
 
 
 def verify_int_mod(q, r):
@@ -160,9 +175,10 @@ RUNGS = ([(f"T{n}(F2)", verify_algebra, (upper_triangular_algebra, n, F2))
             ("M2(Q)", verify_algebra, (matrix_algebra, 2, QQ)),
             ("T4(Q)", verify_algebra, (upper_triangular_algebra, 4, QQ))]
          + [(f"Z window {w}", verify_window, (IntegerBackend, (), w))
-            for w in range(1000, 7000, 1000)]
+            for w in [*range(1000, 7000, 1000), 20000, 100000]]
          + [(f"Q[x] window {w}", verify_window, (PolyBackend, (QQ,), w))
-            for w in (150, 300)]
+            for w in (150, 300, 1000)]
+         + [("hasse z.alg --window 20000", hasse_z, (20000,))]
          + [(f"Z/qr, q and r above 10^{k}", verify_int_mod, qr)
             for k, qr in INT_MOD_PRIMES.items()]
          + [(f"analyze z.alg --window {w}", analyze_z, (w,))
