@@ -1,15 +1,20 @@
 """Finite-dimensional associative unital algebras by structure constants.
 
-An algebra is given by a field, a basis b_0..b_{d-1}, and constants
-c[i][j][k] with b_i * b_j = sum_k c[i][j][k] b_k.  Construction validates
-associativity on all basis triples and solves for (or checks) the unit, so
-an invalid table cannot circulate.  Elements are coordinate row vectors.
+An algebra is given by a field, a basis b_0..b_{d-1}, and constants c_ijk
+with b_i * b_j = sum_k c_ijk b_k.  They are stored once, as sparse rows:
+``rows[i][j]`` holds the nonzero pairs (k, c_ijk), ascending in k.  Every
+constructor builds these rows directly, so no d^3 table is allocated for
+an algebra with few nonzero constants; ``sc``, the dense c[i][j][k], is a
+view built on each access.  Construction validates associativity on all
+basis triples and solves for (or checks) the unit, so an invalid table
+cannot circulate.  Elements are coordinate row vectors.
 
 Constructors cover the concrete sources used throughout: matrix algebras,
 upper triangular algebras, group algebras, k[x]/(f) by companion
 multiplication, direct products, and bound quiver algebras (path algebras
 modulo length-homogeneous relations, truncated once finite-dimensionality
-is witnessed).
+is witnessed).  Each refuses, before it allocates anything, an algebra
+larger than ``SIZE_BUDGET``.
 
 The two structure computations that everything else leans on live here as
 well: the Jacobson radical (trace bilinear form in characteristic zero,
@@ -46,7 +51,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CapabilityError, ValidationError
+from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .linalg import (Matrix, RowReducer, Subspace, apply_vec,
                      combine_matrices, common_left_kernel, field_name, spin,
                      unit_vec, vec_add, vec_is_zero, vec_scale, zero_vec)
@@ -64,73 +69,79 @@ class AlgebraStructure:
     mirror = False
 
 
-class FiniteDimAlgebra:
-    """``sc`` holds the dense constants; ``_terms[i][j]`` the nonzero
-    ``(k, c[i][j][k])`` pairs of b_i * b_j, which the arithmetic reads."""
+class _Rows(tuple):
+    """Structure constants in the stored form (``FiniteDimAlgebra.rows``),
+    which the constructor takes as they are."""
+    __slots__ = ()
 
-    __slots__ = ("field", "dim", "sc", "_terms", "unit", "labels", "name",
+
+class FiniteDimAlgebra:
+    """``rows[i][j]`` holds the nonzero ``(k, c_ijk)`` pairs of b_i * b_j,
+    ascending in k, with c a scalar of ``field``: the one stored form of
+    the structure constants, which the arithmetic reads."""
+
+    __slots__ = ("field", "dim", "rows", "unit", "labels", "name",
                  "_right_mats", "_left_mats", "_structure")
 
     def __init__(self, field, sc, unit=None, labels=None, name="A",
-                 validate=True, coerce=True):
-        dim = len(sc)
+                 validate=True):
+        """``sc`` holds dense constants c[i][j][k], coerced into ``field``
+        and shape-checked here; ``trusted`` hands over rows instead."""
+        self.rows = sc if isinstance(sc, _Rows) else _rows_of(field, sc)
+        dim = len(self.rows)
         if dim == 0:
             raise ValidationError("unital algebra needs dimension >= 1")
-        if coerce:
-            sc = tuple(tuple(tuple(map(field.scalar, row)) for row in plane)
-                       for plane in sc)
-        else:
-            sc = tuple(tuple(map(tuple, plane)) for plane in sc)
-        if any(len(plane) != dim or any(len(row) != dim for row in plane)
-               for plane in sc):
-            raise ValidationError("structure constants must be dim^3")
         self.field = field
         self.dim = dim
-        self.sc = sc
-        self._terms = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
-                                  for row in plane) for plane in sc)
         self.labels = check_length(labels, dim, "labels") if labels \
             else tuple(f"b{i}" for i in range(dim))
         self.name = name
-        self._right_mats = None
-        self._left_mats = None
+        self._right_mats = {}
+        self._left_mats = {}
         self._structure = None
         if unit is None:
             unit = self._solve_unit()
-        unit = check_length(unit, dim, "unit")
-        self.unit = tuple(map(field.scalar, unit)) if coerce else unit
+        self.unit = tuple(map(field.scalar, check_length(unit, dim, "unit")))
         if validate:
             self._validate()
 
     @classmethod
-    def trusted(cls, field, sc, unit, labels=None, name="A", validate=True):
-        """The algebra on constants and a unit that already hold scalars of
-        ``field``, taken as they are; ``validate`` as in the constructor.
+    def trusted(cls, field, rows, unit=None, labels=None, name="A",
+                validate=True):
+        """The algebra on ``rows`` in the stored form, whose constants
+        already are scalars of ``field``, taken as they are; ``validate`` as
+        in the constructor.
 
-        For the algebras the package builds from a validated one (opposite,
-        quotient), whose entries come out of its arithmetic.
+        For the algebras the package builds: no dense constants are made.
         """
-        return cls(field, sc, unit=unit, labels=labels, name=name,
-                   validate=validate, coerce=False)
+        return cls(field, _Rows(tuple(map(tuple, plane)) for plane in rows),
+                   unit=unit, labels=labels, name=name, validate=validate)
+
+    @property
+    def sc(self):
+        """The dense constants c[i][j][k], built on each access."""
+        return tuple(tuple(map(self._dense, plane)) for plane in self.rows)
 
     # -- construction-time checks -------------------------------------------
 
     def _solve_unit(self):
-        # u with u*b_j = b_j for all j and b_j*u = b_j: one linear system.
+        """u with u b_j = b_j and b_j u = b_j for all j: one linear system.
+
+        Its equations are the coordinates k of u b_j (sum_i u_i c_ijk) and
+        of b_i u (sum_j u_j c_ijk).  Only those with a constant in them or a
+        1 on the right are formed; the others read 0 = 0.
+        """
         f = self.field
-        d = self.dim
-        cols = []
-        rhs = []
-        for j in range(d):
-            for k in range(d):
-                cols.append(tuple(self.sc[i][j][k] for i in range(d)))
-                rhs.append(f.one if j == k else f.zero)
-        for i in range(d):
-            for k in range(d):
-                cols.append(tuple(self.sc[i][j][k] for j in range(d)))
-                rhs.append(f.one if i == k else f.zero)
-        m = Matrix(f, cols, d).transpose()
-        u = m.solve_left(tuple(rhs))
+        eqs = {(side, j, j): {} for side in (0, 1) for j in range(self.dim)}
+        for i, plane in enumerate(self.rows):
+            for j, row in enumerate(plane):
+                for k, c in row:
+                    eqs.setdefault((0, j, k), {})[i] = c
+                    eqs.setdefault((1, i, k), {})[j] = c
+        keys = sorted(eqs)
+        m = Matrix.trusted(f, tuple(self._dense(eqs[key].items()) for key in keys),
+                           self.dim).transpose()
+        u = m.solve_left(tuple(f.one if j == k else f.zero for _s, j, k in keys))
         if u is None:
             raise ValidationError("no unit solves the unit law")
         return u
@@ -141,23 +152,37 @@ class FiniteDimAlgebra:
 
         The y with (x y) z = x (y z) for all x, z form a subalgebra, which
         holds 1 by the unit law; so it is all of A once it holds S
-        (docs/derivations.md, "Generating sets").
+        (docs/derivations.md, "Generating sets").  A triple with
+        b_i b_g = 0 is only visited at the k with b_g b_k != 0, so the test
+        costs what the nonzero constants it reads cost.
         """
         d = self.dim
         for i in range(d):
             b = self.basis_coords(i)
             if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
                 raise ValidationError(f"unit law fails at basis element {i}")
-        terms = self._terms
-        for i, j, k in itertools.product(range(d), self.generators(), range(d)):
-            # (b_i b_j) b_k = sum_m c_ijm b_m b_k and b_i (b_j b_k) = sum_m c_jkm b_i b_m
-            if not (terms[i][j] or terms[j][k]):
-                continue
-            lhs = self._combine((c, m, k) for m, c in terms[i][j])
-            rhs = self._combine((c, i, m) for m, c in terms[j][k])
-            if lhs != rhs:
-                raise ValidationError(
-                    f"associativity fails at basis triple ({i},{j},{k})")
+        rows = self.rows
+        gens = self.generators()
+        reached = {g: [k for k in range(d) if rows[g][k]] for g in gens}
+        for i, j in itertools.product(range(d), gens):
+            for k in range(d) if rows[i][j] else reached[j]:
+                if not self._associates(i, j, k):
+                    raise ValidationError(
+                        f"associativity fails at basis triple ({i},{j},{k})")
+
+    def _associates(self, i, j, k) -> bool:
+        """(b_i b_j) b_k = b_i (b_j b_k), as one sum over the nonzero
+        constants: sum_m c_ijm b_m b_k - sum_m c_jkm b_i b_m = 0."""
+        rows = self.rows
+        acc = {}
+        for m, c in rows[i][j]:
+            for t, e in rows[m][k]:
+                acc[t] = acc.get(t, 0) + c * e
+        for m, c in rows[j][k]:
+            for t, e in rows[i][m]:
+                acc[t] = acc.get(t, 0) - c * e
+        f = self.field
+        return not any(f.row_scale(f.one, acc.values()))
 
     def generators(self) -> tuple:
         """Basis indices S with 1 and the b_g, g in S, generating the algebra.
@@ -184,10 +209,9 @@ class FiniteDimAlgebra:
         which it does under the unit law; anything short of that is refused.
         """
         d = self.dim
-        products = {row[0][0] for j, plane in enumerate(self._terms)
+        products = {row[0][0] for j, plane in enumerate(self.rows)
                     for k, row in enumerate(plane)
                     if len(row) == 1 and row[0][0] not in (j, k)}
-        right = self.right_mult_matrices()
         red = RowReducer(self.field, d)
         red.add(self.unit)
         gens, ops = [], ()
@@ -195,8 +219,8 @@ class FiniteDimAlgebra:
             if red.contains(self.basis_coords(i)):
                 continue
             gens.append(i)
-            ops += (right[i],)
-            red.close(ops, fresh=(right[i],))
+            ops += (self.right_mult_by(i),)
+            red.close(ops, fresh=ops[-1:])
         if red.dim() != d:
             raise ValidationError(
                 f"the words in the generators span {red.dim()} of {d} dimensions")
@@ -207,6 +231,17 @@ class FiniteDimAlgebra:
     def basis_coords(self, i):
         return unit_vec(self.field, self.dim, i)
 
+    def basis_product(self, i, j):
+        """b_i b_j as coordinates."""
+        return self._dense(self.rows[i][j])
+
+    def _dense(self, pairs):
+        """The coordinates with the entries (k, c) and zeros elsewhere."""
+        out = [self.field.zero] * self.dim
+        for k, c in pairs:
+            out[k] = c
+        return tuple(out)
+
     def _combine(self, terms):
         """sum of c * b_i * b_j over the triples (c, i, j), as coordinates.
 
@@ -216,7 +251,7 @@ class FiniteDimAlgebra:
         f = self.field
         out = [f.zero] * self.dim
         for c, i, j in terms:
-            for k, e in self._terms[i][j]:
+            for k, e in self.rows[i][j]:
                 out[k] += c * e
         return tuple(f.row_scale(f.one, out))
 
@@ -231,29 +266,41 @@ class FiniteDimAlgebra:
             acc = self.mul(acc, x)
         return acc
 
-    def right_mult_matrix(self, a) -> Matrix:
-        """Matrix of x -> x*a on row vectors: sum_j a_j R_{b_j}."""
-        return combine_matrices(self.field, self.dim, a, self.right_mult_matrices())
+    def right_mult_by(self, j) -> Matrix:
+        """R_j, the matrix of x -> x b_j on row vectors: row i is b_i b_j.
+        Built on first use."""
+        if j not in self._right_mats:
+            self._right_mats[j] = Matrix.trusted(self.field, tuple(
+                self._dense(plane[j]) for plane in self.rows), self.dim)
+        return self._right_mats[j]
 
-    def left_mult_matrix(self, a) -> Matrix:
-        """Matrix of x -> a*x on row vectors: sum_j a_j L_{b_j}."""
-        return combine_matrices(self.field, self.dim, a, self.left_mult_matrices())
+    def left_mult_by(self, j) -> Matrix:
+        """L_j, the matrix of x -> b_j x: row i is b_j b_i.  Built on first use."""
+        if j not in self._left_mats:
+            self._left_mats[j] = Matrix.trusted(
+                self.field, tuple(map(self._dense, self.rows[j])), self.dim)
+        return self._left_mats[j]
 
     def right_mult_matrices(self):
-        """Right multiplication by every basis element (the regular action);
-        row i of the j-th is b_i b_j, the constants sc[i][j]."""
-        if self._right_mats is None:
-            self._right_mats = tuple(
-                Matrix.trusted(self.field, tuple(plane[j] for plane in self.sc),
-                               self.dim) for j in range(self.dim))
-        return self._right_mats
+        """R_j for every basis element j: the regular action."""
+        return tuple(map(self.right_mult_by, range(self.dim)))
 
     def left_mult_matrices(self):
-        """Left multiplication by every basis element: the j-th is sc[j]."""
-        if self._left_mats is None:
-            self._left_mats = tuple(Matrix.trusted(self.field, plane, self.dim)
-                                    for plane in self.sc)
-        return self._left_mats
+        """L_j for every basis element j."""
+        return tuple(map(self.left_mult_by, range(self.dim)))
+
+    def right_mult_matrix(self, a) -> Matrix:
+        """Matrix of x -> x*a on row vectors: sum_j a_j R_j."""
+        return self._mult_matrix(a, self.right_mult_by)
+
+    def left_mult_matrix(self, a) -> Matrix:
+        """Matrix of x -> a*x on row vectors: sum_j a_j L_j."""
+        return self._mult_matrix(a, self.left_mult_by)
+
+    def _mult_matrix(self, a, by):
+        nz = [j for j, aj in enumerate(a) if aj]
+        return combine_matrices(self.field, self.dim, [a[j] for j in nz],
+                                list(map(by, nz)))
 
     def is_regular_element(self, a):
         """No left or right zero divisor: both multiplication maps injective."""
@@ -275,8 +322,8 @@ class FiniteDimAlgebra:
         return " + ".join(terms) if terms else "0"
 
     def structurally_equal(self, other: "FiniteDimAlgebra"):
-        return (self.field == other.field and self.dim == other.dim
-                and self.sc == other.sc and self.unit == other.unit)
+        return (self.field == other.field and self.rows == other.rows
+                and self.unit == other.unit)
 
     def __repr__(self):
         return f"FiniteDimAlgebra({self.name}, dim {self.dim} over {field_name(self.field)})"
@@ -293,9 +340,8 @@ class FiniteDimAlgebra:
         """The opposite algebra, built once: ``a.opposite().opposite() is a``."""
         st = self.structure
         if st.opposite is None:
-            d = self.dim
-            sc = tuple(tuple(self.sc[j][i] for j in range(d)) for i in range(d))
-            op = FiniteDimAlgebra.trusted(self.field, sc, self.unit,
+            # b_i * b_j in the opposite is b_j b_i: the rows transposed.
+            op = FiniteDimAlgebra.trusted(self.field, zip(*self.rows), self.unit,
                                           labels=self.labels,
                                           name=self.name + "^op", validate=False)
             op.structure.opposite, op.structure.mirror = self, True
@@ -305,12 +351,25 @@ class FiniteDimAlgebra:
     def center(self) -> Subspace:
         """x is central iff x (R_g - L_g) = 0 for every generator g: what
         commutes with each b_g commutes with their products."""
-        right, left = self.right_mult_matrices(), self.left_mult_matrices()
         return common_left_kernel(self.field, self.dim,
-                                  [right[g] - left[g] for g in self.generators()])
+                                  [self.right_mult_by(g) - self.left_mult_by(g)
+                                   for g in self.generators()])
 
 
 # -- constructors ------------------------------------------------------------
+
+# The largest algebra built: its dimension, and the number of paths a bound
+# quiver lists on the way to it.  T_24 has dimension 300.
+SIZE_BUDGET = 400
+
+
+def check_size(what: str, size: int) -> int:
+    """The size, once it is within SIZE_BUDGET; checked before anything of
+    that size is allocated."""
+    if size > SIZE_BUDGET:
+        raise BudgetExceeded(what, size, SIZE_BUDGET)
+    return size
+
 
 def check_length(values, dim: int, what: str):
     """The values themselves, once there are exactly dim of them."""
@@ -320,40 +379,48 @@ def check_length(values, dim: int, what: str):
     return values
 
 
-def algebra_from_structure_constants(field, sc, unit=None, labels=None, name="A"):
-    return FiniteDimAlgebra(field, sc, unit=unit, labels=labels, name=name)
+def _sparse(vec):
+    """The nonzero (k, c) entries of a coordinate vector, ascending in k."""
+    return tuple((k, c) for k, c in enumerate(vec) if c)
+
+
+def _rows_of(field, sc):
+    """The rows of dense constants c[i][j][k], each coerced into field."""
+    d = len(sc)
+    if any(len(plane) != d or any(len(row) != d for row in plane)
+           for plane in sc):
+        raise ValidationError("structure constants must be dim^3")
+    return _Rows(tuple(_sparse(map(field.scalar, row)) for row in plane)
+                 for plane in sc)
 
 
 def _matrix_unit_algebra(field, pairs, name) -> FiniteDimAlgebra:
     """The span of the matrix units e_{rc}, (r, c) in pairs, in that order;
     pairs must be closed under e_{rc} e_{cs} = e_{rs} and hold every e_{rr}."""
     idx = {p: i for i, p in enumerate(pairs)}
-    d = len(pairs)
-    zero = zero_vec(field, d)
-    sc = [[list(zero) for _ in range(d)] for _ in range(d)]
-    for (r1, c1), i in idx.items():
-        for (r2, c2), j in idx.items():
-            if c1 == r2:
-                sc[i][j][idx[(r1, c2)]] = field.one
+    rows = [[((idx[(r1, c2)], field.one),) if c1 == r2 else ()
+             for r2, c2 in pairs] for r1, c1 in pairs]
     labels = [f"e{r + 1}{c + 1}" for r, c in pairs]
     unit = [field.one if r == c else field.zero for r, c in pairs]
-    return FiniteDimAlgebra(field, sc, unit=unit, labels=labels, name=name)
+    return FiniteDimAlgebra.trusted(field, rows, unit, labels=labels, name=name)
 
 
 def matrix_algebra(n: int, field, name=None) -> FiniteDimAlgebra:
     """Full matrix algebra with basis the matrix units e_{rc}."""
+    check_size("matrix algebra dimension", n * n)
     return _matrix_unit_algebra(field, [(r, c) for r in range(n) for c in range(n)],
                                 name or f"M{n}({field_name(field)})")
 
 
 def upper_triangular_algebra(n: int, field, name=None) -> FiniteDimAlgebra:
+    check_size("triangular algebra dimension", n * (n + 1) // 2)
     return _matrix_unit_algebra(field, [(r, c) for r in range(n) for c in range(r, n)],
                                 name or f"T{n}({field_name(field)})")
 
 
 def check_group_table(table: Sequence[Sequence[int]]):
     """The table itself, once it is square with entries in 0..len(table)-1."""
-    d = len(table)
+    d = check_size("group algebra dimension", len(table))
     if any(len(row) != d for row in table):
         raise ValidationError(f"group table of {d} rows must be {d} x {d}, "
                               f"got row lengths {[len(row) for row in table]}")
@@ -364,13 +431,8 @@ def check_group_table(table: Sequence[Sequence[int]]):
 
 def group_algebra(field, table: Sequence[Sequence[int]], labels=None, name="kG"):
     """Group algebra from a multiplication table table[i][j] = index of g_i g_j."""
-    d = len(check_group_table(table))
-    zero = zero_vec(field, d)
-    sc = [[list(zero) for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            sc[i][j][table[i][j]] = field.one
-    return FiniteDimAlgebra(field, sc, labels=labels, name=name)
+    rows = [[((t, field.one),) for t in row] for row in check_group_table(table)]
+    return FiniteDimAlgebra.trusted(field, rows, labels=labels, name=name)
 
 
 def cyclic_group_algebra(field, n: int, name=None):
@@ -387,50 +449,36 @@ def companion_algebra(field, poly: Sequence, name=None) -> FiniteDimAlgebra:
         coeffs.pop()
     if len(coeffs) < 2:
         raise ValidationError("companion polynomial must have degree >= 1")
+    d = check_size("companion algebra dimension", len(coeffs) - 1)
     lead = coeffs[-1]
     if lead != field.one:
         inv = field.inv(lead)
         coeffs = [field.mul(inv, c) for c in coeffs]
-    d = len(coeffs) - 1
     # x^d = -(c_0 + c_1 x + ... + c_{d-1} x^{d-1})
     top = [field.neg(c) for c in coeffs[:d]]
     powers = [unit_vec(field, d, i) for i in range(d)]
-    cur = list(powers[d - 1])
-    for _ in range(d):   # x^d .. x^{2d-1}
-        new = [field.zero] * d
-        carry = cur[d - 1]
-        for k in range(d - 1, 0, -1):
-            new[k] = cur[k - 1]
-        new[0] = field.zero
-        if carry != field.zero:
-            new = [field.add(a, field.mul(carry, t)) for a, t in zip(new, top)]
-        powers.append(tuple(new))
-        cur = new
-    sc = [[list(powers[i + j]) for j in range(d)] for i in range(d)]
+    for _ in range(d):   # x^d .. x^{2d-1}: x^m shifted up, its top reduced
+        cur = powers[-1]
+        powers.append(tuple(field.add(s, field.mul(cur[-1], t))
+                            for s, t in zip((field.zero,) + cur[:-1], top)))
+    powers = [_sparse(x) for x in powers]
+    rows = [powers[i:i + d] for i in range(d)]
     labels = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, d)]
-    return FiniteDimAlgebra(field, sc, unit=unit_vec(field, d, 0), labels=labels,
-                            name=name or f"{field_name(field)}[x]/(f)")
+    return FiniteDimAlgebra.trusted(field, rows, unit_vec(field, d, 0),
+                                    labels=labels,
+                                    name=name or f"{field_name(field)}[x]/(f)")
 
 
 def product_algebra(a: FiniteDimAlgebra, b: FiniteDimAlgebra, name=None):
     if a.field != b.field:
         raise ValidationError("product factors must share the field")
-    f = a.field
-    d = a.dim + b.dim
-    zero = zero_vec(f, d)
-    sc = [[list(zero) for _ in range(d)] for _ in range(d)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                sc[i][j][k] = a.sc[i][j][k]
-    for i in range(b.dim):
-        for j in range(b.dim):
-            for k in range(b.dim):
-                sc[a.dim + i][a.dim + j][a.dim + k] = b.sc[i][j][k]
-    unit = tuple(a.unit) + tuple(b.unit)
+    shift = a.dim
+    rows = ([plane + ((),) * b.dim for plane in a.rows]
+            + [((),) * shift + tuple(tuple((shift + k, c) for k, c in row)
+                                     for row in plane) for plane in b.rows])
     labels = [f"l.{s}" for s in a.labels] + [f"r.{s}" for s in b.labels]
-    return FiniteDimAlgebra(f, sc, unit=unit, labels=labels,
-                            name=name or f"{a.name}x{b.name}")
+    return FiniteDimAlgebra.trusted(a.field, rows, a.unit + b.unit, labels=labels,
+                                    name=name or f"{a.name}x{b.name}")
 
 
 # -- bound quivers -----------------------------------------------------------
@@ -451,7 +499,8 @@ class BoundQuiver:
 
 
 def _quiver_paths_up_to(q: BoundQuiver, max_len: int):
-    """All paths of length <= max_len as (source, target, arrows-tuple)."""
+    """All paths of length <= max_len as (source, target, arrows-tuple);
+    refused once they number more than SIZE_BUDGET."""
     paths = [(v, v, ()) for v in range(q.vertices)]
     frontier = list(paths)
     for _ in range(max_len):
@@ -461,6 +510,7 @@ def _quiver_paths_up_to(q: BoundQuiver, max_len: int):
                 if a_s == t:
                     nxt.append((s, a_t, arr + (ai,)))
         paths.extend(nxt)
+        check_size("bound quiver paths", len(paths))
         frontier = nxt
         if not frontier:
             break
@@ -546,35 +596,28 @@ def _truncated_quotient_basis(field, q: BoundQuiver, horizon: int):
 def _algebra_from_path_basis(field, q, horizon, name):
     basis_paths, (paths, index, ideal) = _truncated_quotient_basis(field, q, horizon)
     n = len(paths)
-    d = len(basis_paths)
     comp = ideal.complement_coords()
-    comp_pos = {j: t for t, j in enumerate(comp)}
 
     def project(vec):
         red = ideal.reduce(vec)
         return tuple(red[j] for j in comp)
 
-    sc = []
+    rows = []
     for (s1, t1, p1) in basis_paths:
         plane = []
         for (s2, t2, p2) in basis_paths:
-            if t1 != s2:
-                plane.append(zero_vec(field, d))
-                continue
             full = p1 + p2
-            if len(full) >= horizon:
-                # Arrow ideal power inside the relation ideal at this horizon.
-                plane.append(zero_vec(field, d))
+            # 0 where the paths do not compose, and past the horizon, where
+            # the arrow ideal power lies inside the relation ideal.
+            if t1 != s2 or len(full) >= horizon:
+                plane.append(())
                 continue
             vec = [field.zero] * n
             vec[index[(s1, full)]] = field.one
-            plane.append(project(tuple(vec)))
-        sc.append(plane)
+            plane.append(_sparse(project(tuple(vec))))
+        rows.append(plane)
 
-    unit = [field.zero] * d
-    for t, (s, tt, p) in enumerate(basis_paths):
-        if len(p) == 0:
-            unit[t] = field.one
+    unit = [field.zero if arr else field.one for _s, _t, arr in basis_paths]
 
     def path_label(p):
         s, t, arr = p
@@ -583,8 +626,8 @@ def _algebra_from_path_basis(field, q, horizon, name):
         return ".".join(q.arrows[a][0] for a in arr)
 
     labels = [path_label(p) for p in basis_paths]
-    return FiniteDimAlgebra(field, sc, unit=tuple(unit), labels=labels,
-                            name=name or "kQ/I")
+    return FiniteDimAlgebra.trusted(field, rows, unit, labels=labels,
+                                    name=name or "kQ/I")
 
 
 # -- quotients ---------------------------------------------------------------
@@ -624,21 +667,14 @@ def quotient_algebra(a: FiniteDimAlgebra, ideal_space: Subspace,
         red = ideal_space.reduce(vec)
         return tuple(red[j] for j in comp)
 
-    def lift(coords):
-        out = [f.zero] * a.dim
-        for t, j in enumerate(comp):
-            out[j] = coords[t]
-        return tuple(out)
-
-    sc = [[project(a.mul(lift(unit_vec(f, d, i)), lift(unit_vec(f, d, j))))
-           for j in range(d)] for i in range(d)]
+    rows = [[_sparse(project(a.basis_product(i, j))) for j in comp] for i in comp]
     labels = [a.labels[j] + "~" for j in comp]
-    quot = FiniteDimAlgebra.trusted(f, sc, project(a.unit), labels=labels,
+    quot = FiniteDimAlgebra.trusted(f, rows, project(a.unit), labels=labels,
                                     name=name or a.name + "/I")
     proj = AlgebraMap(a, quot, Matrix(f, [project(a.basis_coords(i))
                                           for i in range(a.dim)], d))
-    section = AlgebraMap(quot, a, Matrix(f, [lift(unit_vec(f, d, t))
-                                             for t in range(d)], a.dim))
+    section = AlgebraMap(quot, a, Matrix(f, [a.basis_coords(j) for j in comp],
+                                         a.dim))
     return quot, proj, section
 
 
@@ -650,9 +686,8 @@ def generator_multiplications(a: FiniteDimAlgebra):
     same holds on the left.  So V is a two-sided ideal exactly when
     ``V.is_stable(generator_multiplications(a))``.
     """
-    right, left = a.right_mult_matrices(), a.left_mult_matrices()
     gens = a.generators()
-    return [right[g] for g in gens] + [left[g] for g in gens]
+    return [a.right_mult_by(g) for g in gens] + [a.left_mult_by(g) for g in gens]
 
 
 def ideal_closure(a: FiniteDimAlgebra, seeds) -> Subspace:
@@ -735,12 +770,12 @@ def _radical_space(a: FiniteDimAlgebra) -> Subspace:
     """
     f = a.field
     d = a.dim
-    terms = a._terms
-    tr = [sum((a.sc[k][r][r] for r in range(d)), f.zero) for k in range(d)]
+    tr = [sum((c for r, row in enumerate(plane) for m, c in row if m == r), f.zero)
+          for plane in a.rows]
     gram = Matrix.trusted(f, tuple(
-        tuple(f.row_scale(f.one, [sum((c * tr[k] for k, c in terms[i][j]), f.zero)
-                                  for j in range(d)]))
-        for i in range(d)), d)
+        tuple(f.row_scale(f.one, [sum((c * tr[k] for k, c in row), f.zero)
+                                  for row in plane]))
+        for plane in a.rows), d)
     base = Subspace.from_vectors(f, d, gram.left_kernel().rows)
     if f.char == 0:
         return base
@@ -763,8 +798,7 @@ def _shrink_charp(a, current: Subspace) -> Subspace:
     f = a.field
     p = f.char
     d = a.dim
-    right = a.right_mult_matrices()
-    gens = [right[g] for g in a.generators()]
+    gens = [a.right_mult_by(g) for g in a.generators()]
 
     level = 0
     while p ** level < d:
@@ -782,7 +816,7 @@ def _shrink_charp(a, current: Subspace) -> Subspace:
         values = Matrix.trusted(f, tuple(
             tuple(f.row_scale(f.one, [sum(c * g[m] for m, c in row)
                                       for row in plane]))
-            for plane in a._terms), d)
+            for plane in a.rows), d)
         kern = (current.mat * values).left_kernel()
         vecs = [apply_vec(z, current.mat) for z in kern.rows]
         current = Subspace.from_vectors(f, d, vecs)

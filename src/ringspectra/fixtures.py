@@ -16,10 +16,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .algebras import (BoundQuiver, FiniteDimAlgebra,
-                       algebra_from_structure_constants, bound_quiver_algebra,
-                       check_group_table, check_length, companion_algebra,
-                       group_algebra, matrix_algebra, upper_triangular_algebra)
+from .algebras import (BoundQuiver, FiniteDimAlgebra, bound_quiver_algebra,
+                       check_group_table, check_length, check_size,
+                       companion_algebra, group_algebra, matrix_algebra,
+                       upper_triangular_algebra)
 from .commutative import (GradedModuleDescriptor, GradedPolyBackend,
                           IntegerBackend, IntModBackend, PolyBackend,
                           PolyQuotBackend)
@@ -317,9 +317,8 @@ def _build_algebra(b: Section) -> FiniteDimAlgebra:
     if source == "quiver":
         return bound_quiver_algebra(fld, _build_quiver(b), name=name)
     if source == "structure_constants":
-        dim = b.parse("dim", int)
-        zero = fld.zero
-        sc = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+        dim = check_size("structure constants dimension", b.parse("dim", int))
+        rows = [[{} for _ in range(dim)] for _ in range(dim)]
         for line, lineno in b.get_all("c"):
             parts = line.replace(",", " ").split()
             if len(parts) != 4:
@@ -329,11 +328,15 @@ def _build_algebra(b: Section) -> FiniteDimAlgebra:
                 i, j, k = (int(p) for p in parts[:3])
                 if not all(0 <= t < dim for t in (i, j, k)):
                     raise ValueError(f"index outside 0..{dim - 1} in {line!r}")
-                sc[i][j][k] = _scalar(fld, parts[3])
+                if k in rows[i][j]:
+                    raise ValueError(
+                        f"a second constant c[{i}][{j}][{k}] in {line!r}")
+                rows[i][j][k] = _scalar(fld, parts[3])
         unit = b.get("unit")
         labels = b.get("labels")
-        return algebra_from_structure_constants(
-            fld, sc,
+        return FiniteDimAlgebra.trusted(
+            fld, ([sorted((k, c) for k, c in row.items() if c) for row in plane]
+                  for plane in rows),
             unit=b.parse("unit", lambda v: check_length(
                 _scalar_list(fld, v), dim, "unit")) if unit else None,
             labels=b.parse("labels", lambda v: check_length(

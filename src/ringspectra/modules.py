@@ -71,7 +71,8 @@ class RightModule:
         if self.act_matrix(a.unit) != Matrix.identity(a.field, self.dim):
             raise ValidationError("unit must act as the identity")
         for i, g in itertools.product(range(a.dim), a.generators()):
-            if self.action[i] * self.action[g] != self.act_matrix(a.sc[i][g]):
+            want = self.act_matrix(a.basis_product(i, g))
+            if self.action[i] * self.action[g] != want:
                 raise ValidationError(
                     f"action breaks structure constants at ({i},{g})")
 
@@ -558,8 +559,7 @@ def _minimal_right_ideal_space(quot, block: Subspace) -> Subspace:
            for u, v in itertools.combinations(block.basis_rows(), 2)):
         return block
     if f.is_finite():
-        right = quot.right_mult_matrices()
-        ops = [right[g] for g in quot.generators()]
+        ops = [quot.right_mult_by(g) for g in quot.generators()]
         space = block
         while True:
             gens = (spin(f, quot.dim, [apply_vec(c, space.mat)], ops)

@@ -1,6 +1,8 @@
 """Algebra construction, validation, radicals, Wedderburn blocks."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -51,6 +53,7 @@ def test_matrix_unit_algebras_in_full(field):
                 (matrix_algebra, full, f"M{n}"),
                 (upper_triangular_algebra, [(r, c) for r, c in full if r <= c], f"T{n}")]:
             a = build(n, field)
+            sc = a.sc
             assert a.name == f"{name}({'Q' if field is QQ else f'F{field.p}'})"
             assert build(n, field, name="X").name == "X"
             assert a.labels == tuple(f"e{r + 1}{c + 1}" for r, c in pairs)
@@ -60,7 +63,7 @@ def test_matrix_unit_algebras_in_full(field):
                 for j, (r2, c2) in enumerate(pairs):
                     want = a.basis_coords(pairs.index((r1, c2))) if c1 == r2 \
                         else zero_vec(a.field, a.dim)
-                    assert a.sc[i][j] == want, (a.name, i, j)
+                    assert sc[i][j] == want, (a.name, i, j)
 
 
 def test_cycle_quiver_with_zero_relations():
@@ -426,6 +429,86 @@ def test_inverse_element_is_two_sided(corpus_by_name, name):
             assert a.mul(y, x) == a.unit == a.mul(x, y)
             units += 1
         assert units > 0
+
+
+# -- the stored rows against a dense reference -------------------------------------
+
+def _dense_table(a):
+    """The reference constants of a in its natural basis: b_i b_j by ``mul``."""
+    return tuple(tuple(a.mul(a.basis_coords(i), a.basis_coords(j))
+                       for j in range(a.dim)) for i in range(a.dim))
+
+
+def _dense_mul(f, table, x, y):
+    """x y from dense constants: the sum of x_i y_j c[i][j] over all i, j."""
+    out = [f.zero] * len(table)
+    for (i, xi), (j, yj) in itertools.product(enumerate(x), enumerate(y)):
+        if xi and yj:
+            xy = f.mul(xi, yj)
+            out = [f.add(o, f.mul(xy, c)) for o, c in zip(out, table[i][j])]
+    return tuple(out)
+
+
+def _assert_matches_dense(a, table, unit):
+    """The rows, the ``sc`` view, products of basis elements and every
+    multiplication matrix of a against the dense constants ``table``."""
+    f, d = a.field, a.dim
+    scalar = Fraction if f is QQ else int
+    assert a.unit == unit and a.sc == table, a.name
+    for i, j in itertools.product(range(d), repeat=2):
+        assert a.rows[i][j] == tuple((k, c) for k, c in enumerate(table[i][j]) if c)
+        assert all(type(c) is scalar for _k, c in a.rows[i][j])
+        assert a.mul(a.basis_coords(i), a.basis_coords(j)) == table[i][j]
+    right, left = a.right_mult_matrices(), a.left_mult_matrices()
+    for j in range(d):
+        assert right[j].rows == tuple(plane[j] for plane in table), (a.name, j)
+        assert left[j].rows == table[j], (a.name, j)
+
+
+def _assert_derived_match_dense(a, table, unit):
+    """a, its opposite, a x a and a/J against dense constants built here."""
+    f, d = a.field, a.dim
+    _assert_matches_dense(a, table, unit)
+    _assert_matches_dense(a.opposite(), tuple(zip(*table)), unit)
+    zero = tuple(zero_vec(f, d))
+    double = tuple(tuple(row + zero for row in plane) + (zero + zero,) * d
+                   for plane in table) \
+        + tuple((zero + zero,) * d + tuple(zero + row for row in plane)
+                for plane in table)
+    _assert_matches_dense(product_algebra(a, a), double, unit + unit)
+    rad = jacobson_radical(a)
+    comp = rad.complement_coords()
+
+    def project(v):
+        red = rad.reduce(v)
+        return tuple(red[c] for c in comp)
+
+    _assert_matches_dense(quotient_algebra(a, rad)[0],
+                          tuple(tuple(project(table[i][j]) for j in comp)
+                                for i in comp), project(unit))
+
+
+RATIONAL_EXTRAS = [matrix_algebra(2, QQ), upper_triangular_algebra(3, QQ),
+                   cyclic_group_algebra(QQ, 3)]
+
+
+def test_stored_rows_match_a_dense_reference(algebra_corpus):
+    """Every corpus algebra in its natural basis and in a seeded random
+    basis, and three over Q in their natural basis.  The random basis is
+    built by the public constructor from dense constants and its unit is
+    solved, and its reference is computed here from the natural one by
+    dense arithmetic alone."""
+    rng = random.Random(64)
+    for a in [a for _name, a in algebra_corpus] + RATIONAL_EXTRAS:
+        table = _dense_table(a)
+        _assert_derived_match_dense(a, table, a.unit)
+        if a.field is QQ:
+            continue
+        b, change = _random_change_of_basis(a, rng)
+        f, u = a.field, change.rows
+        b_table = tuple(tuple(change.solve_left(_dense_mul(f, table, x, y))
+                              for y in u) for x in u)
+        _assert_derived_match_dense(b, b_table, change.solve_left(a.unit))
 
 
 # -- the radical against the dense reference route ------------------------------

@@ -120,6 +120,9 @@ def test_bad_module_action_rejected():
         load_fixture(bad)
 
 
+ALGEBRA_FIXTURE = "[backend]\nkind = algebra\nfield = F2\nsource = {}\n{}\n"
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -529,6 +532,8 @@ def test_cli_bad_symbolic_value_is_a_parse_error(tmp_path, capsys, text, where):
     (Z_FIXTURE.replace("bound = 10", "lo = 3\nhi = 5\nbound = 10"), 5),
     (Z_FIXTURE.replace("bound = 10", "bond = 10"), 5),
     (GRADED_FIXTURE.replace("free = 0", "free = 0\nshift = 1"), 7),
+    (ALGEBRA_FIXTURE.format("structure_constants", "dim = 1\nc = 0 0 0 0\n"
+                            "c = 0 0 0 1"), 7),
 ], ids=["backend-twice", "key-twice", "window-twice", "window-key-twice",
         "module-twice", "action-twice", "action-same-index",
         "module-default-name-taken", "graded-twice",
@@ -536,7 +541,7 @@ def test_cli_bad_symbolic_value_is_a_parse_error(tmp_path, capsys, text, where):
         "graded-on-int", "misspelt-backend-key", "misspelt-optional-key",
         "key-of-another-source", "name-on-symbolic", "window-bound-and-range",
         "window-range-and-bound", "misspelt-window-key",
-        "unknown-graded-module-key"])
+        "unknown-graded-module-key", "constant-twice"])
 def test_cli_dropped_section_or_key_is_a_parse_error(tmp_path, capsys, text,
                                                      line):
     """A section or key the loader would ignore or overwrite is an error at
@@ -648,3 +653,35 @@ def test_cli_huge_modulus_is_refused_at_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"capability error: a {n.bit_length()}-bit number is not "
                    "factored within the budget of 3000000 squarings\n")
+
+
+@pytest.mark.parametrize("command", [["analyze", "--atoms"], ["verify"]])
+@pytest.mark.parametrize("source,keys,refusal", [
+    ("matrix", "n = 40", "matrix algebra dimension: needs 1600"),
+    ("triangular", "n = 28", "triangular algebra dimension: needs 406"),
+    ("companion", "poly = " + "0 " * 401 + "1",
+     "companion algebra dimension: needs 401"),
+    ("group", "table = " + "; ".join(
+        " ".join(str((i + j) % 401) for j in range(401)) for i in range(401)),
+     "group algebra dimension: needs 401"),
+    ("structure_constants", "dim = 1000000",
+     "structure constants dimension: needs 1000000"),
+    ("quiver", "vertices = 1\narrow = x 1 1\narrow = y 1 1",
+     "bound quiver paths: needs 511"),
+], ids=["matrix", "triangular", "companion", "group", "structure-constants",
+        "quiver"])
+def test_cli_algebra_past_the_size_budget_is_refused(tmp_path, capsys, command,
+                                                     source, keys, refusal):
+    """An algebra above algebras.SIZE_BUDGET = 400, in dimension or in the
+    paths a quiver lists, ends in exit 3 before it is built: the matrix
+    algebra M_40 and a million-dimensional table are not allocated."""
+    path = _write(tmp_path, "big.alg", ALGEBRA_FIXTURE.format(source, keys))
+    assert cli_main([command[0], path, *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err == f"capability error: {refusal}, budget allows 400\n"
+
+
+def test_the_size_budget_admits_its_bound():
+    """Dimension 400 is built; T_24(F_2), dimension 300, is below it."""
+    text = ALGEBRA_FIXTURE.format("companion", "poly = " + "0 " * 400 + "1")
+    assert load_fixture(text).backend.algebra.dim == 400

@@ -54,8 +54,9 @@ def _reference_is_algebra(a):
 def _reference_is_representation(a, action):
     """rho(1) = I and rho(b_i) rho(b_j) = rho(b_i b_j) for every pair."""
     m = RightModule(a, action, validate=False)
+    sc = a.sc
     return m.act_matrix(a.unit) == Matrix.identity(a.field, m.dim) and all(
-        action[i] * action[j] == m.act_matrix(a.sc[i][j])
+        action[i] * action[j] == m.act_matrix(sc[i][j])
         for i, j in itertools.product(range(a.dim), repeat=2))
 
 

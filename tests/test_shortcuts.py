@@ -183,12 +183,12 @@ def test_derived_algebras_hold_field_scalars(name, a):
 
 def test_trusted_keeps_validation_where_asked():
     a = upper_triangular_algebra(2, F2)
-    sc = [[list(row) for row in plane] for plane in a.sc]
-    sc[1][1][1] = 1 - sc[1][1][1]
+    rows = [list(plane) for plane in a.rows]
+    rows[1][1] = () if rows[1][1] else ((1, 1),)
     with pytest.raises(ValidationError):
-        FiniteDimAlgebra.trusted(F2, sc, a.unit)
-    FiniteDimAlgebra.trusted(F2, a.sc, a.unit)
-    assert FiniteDimAlgebra.trusted(F2, sc, a.unit, validate=False).dim == 3
+        FiniteDimAlgebra.trusted(F2, rows, a.unit)
+    FiniteDimAlgebra.trusted(F2, a.rows, a.unit)
+    assert FiniteDimAlgebra.trusted(F2, rows, a.unit, validate=False).dim == 3
 
 
 @pytest.mark.parametrize("name,a", WITH_RATIONAL,

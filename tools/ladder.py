@@ -4,6 +4,9 @@ Usage: python tools/ladder.py [OUT.json]      (default BENCH_ladder.json)
 
 Runs each rung once, in this order:
 
+- ``upper_triangular_algebra(n, F2)`` alone for n = 16, 20 and 24
+  (dimension 136, 210 and 300), each in a fresh interpreter: the build's
+  seconds and the rise in max RSS it causes;
 - ``verify_correspondence(ArtinianBackend(a))`` with each algebra built
   fresh (its associativity check included in the time): T_n(F_2) for
   n = 2..16 (dimension 3..136), then M_3(F_3), M_4(F_2), M_2(Q) and T_4(Q);
@@ -42,6 +45,7 @@ import contextlib
 import io
 import json
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -63,6 +67,29 @@ from ringspectra.spectra import ArtinianBackend, verify_correspondence  # noqa: 
 from ringspectra.subcats import classify_locally_closed_localizing  # noqa: E402
 
 SKIP_AFTER_S = 300.0
+
+
+BUILD_ONLY = """\
+import resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from ringspectra.algebras import upper_triangular_algebra
+from ringspectra.linalg import F2
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+t0 = time.perf_counter()
+a = upper_triangular_algebra(int(sys.argv[2]), F2)
+seconds = time.perf_counter() - t0
+print(seconds, a.dim, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def build_only(n):
+    """Build T_n(F_2) in a fresh interpreter, whose max RSS then rises by
+    what the build holds at its peak (ru_maxrss is in kB on Linux)."""
+    out = subprocess.run([sys.executable, "-c", BUILD_ONLY, str(ROOT / "src"),
+                          str(n)], capture_output=True, text=True, check=True)
+    seconds, dim, rise = out.stdout.split()
+    return float(seconds), {"dim": int(dim),
+                            "max_rss_rise_mb": round(int(rise) / 1024, 1)}
 
 
 def verify_algebra(build, n, field):
@@ -168,8 +195,9 @@ def verify_exhaustive(name):
 
 # (label, run, arguments); labels ending in "(F2)" form the T_n ladder, and
 # their arguments hold n second.
-RUNGS = ([(f"T{n}(F2)", verify_algebra, (upper_triangular_algebra, n, F2))
-          for n in range(2, 17)]
+RUNGS = ([(f"T{n}(F2) build", build_only, (n,)) for n in (16, 20, 24)]
+         + [(f"T{n}(F2)", verify_algebra, (upper_triangular_algebra, n, F2))
+            for n in range(2, 17)]
          + [("M3(F3)", verify_algebra, (matrix_algebra, 3, F3)),
             ("M4(F2)", verify_algebra, (matrix_algebra, 4, F2)),
             ("M2(Q)", verify_algebra, (matrix_algebra, 2, QQ)),
