@@ -498,134 +498,100 @@ class BoundQuiver:
     nilpotency_bound: int = 16
 
 
-def _quiver_paths_up_to(q: BoundQuiver, max_len: int):
-    """All paths of length <= max_len as (source, target, arrows-tuple);
-    refused once they number more than SIZE_BUDGET."""
-    paths = [(v, v, ()) for v in range(q.vertices)]
-    frontier = list(paths)
-    for _ in range(max_len):
-        nxt = []
-        for (s, t, arr) in frontier:
-            for ai, (_lbl, a_s, a_t) in enumerate(q.arrows):
-                if a_s == t:
-                    nxt.append((s, a_t, arr + (ai,)))
-        paths.extend(nxt)
-        check_size("bound quiver paths", len(paths))
-        frontier = nxt
-        if not frontier:
-            break
-    return paths
+def check_arrow(vertices: int, arrow):
+    """The arrow (label, source, target) itself, once both ends are vertices."""
+    label, s, t = arrow
+    if not (0 <= s < vertices and 0 <= t < vertices):
+        raise ValidationError(f"arrow {label} ends outside the {vertices} vertices")
+    return arrow
+
+
+def check_relation(arrows, rel):
+    """The relation itself, once its paths compose and share one length of
+    at least 2, one source and one target."""
+    if not rel:
+        raise ValidationError("empty relation")
+    lens = {len(p) for _c, p in rel}
+    if len(lens) != 1 or min(lens) < 2:
+        raise ValidationError(
+            "relations must be length-homogeneous of length >= 2")
+    ends = set()
+    for _c, p in rel:
+        if not all(0 <= ai < len(arrows) for ai in p):
+            raise ValidationError("relation uses unknown arrow")
+        if any(arrows[x][2] != arrows[y][1] for x, y in zip(p, p[1:])):
+            raise ValidationError(f"relation path "
+                                  f"{'.'.join(arrows[ai][0] for ai in p)} "
+                                  "does not compose")
+        ends.add((arrows[p[0]][1], arrows[p[-1]][2]))
+    if len(ends) != 1:
+        raise ValidationError("relation mixes source/target pairs")
+    return rel
 
 
 def bound_quiver_algebra(field, q: BoundQuiver, name=None) -> FiniteDimAlgebra:
-    """Path algebra of q modulo its relations.
+    """Path algebra of q modulo its relations, built one path length at a time.
 
-    Relations must be length-homogeneous; this makes the truncated
-    dimension count stabilize exactly when the arrow ideal dies in the
-    quotient, so finite-dimensionality is decidable within the bound.
+    The relations are length-homogeneous, so the ideal I they generate is
+    the sum of its parts I_l, one per path length, with I_l = Q_1 I_{l-1} +
+    I_{l-1} Q_1 + R_l for R_l the relations of length l.  Each length is
+    listed once and reduced modulo its I_l.  The first length L whose paths
+    all lie in I_L ends the quotient, since every longer path runs through
+    one of length L; L must not exceed the nilpotency bound.  The basis is
+    the paths of each length below L off the pivots of its I_l, and a
+    product of length L or more is zero (docs/derivations.md, "Bound
+    quivers one length at a time").
     """
-    for rel in q.relations:
-        if not rel:
-            raise ValidationError("empty relation")
-        lens = {len(p) for _c, p in rel}
-        if len(lens) != 1 or min(lens) < 2:
-            raise ValidationError(
-                "relations must be length-homogeneous of length >= 2")
-        ends = set()
-        for _c, p in rel:
-            for ai in p:
-                if ai >= len(q.arrows):
-                    raise ValidationError("relation uses unknown arrow")
-            ends.add((_path_source(q, p), _path_target(q, p)))
-        if len(ends) != 1:
-            raise ValidationError("relation mixes source/target pairs")
+    arrows = [check_arrow(q.vertices, arrow) for arrow in q.arrows]
+    rels = [[(field.scalar(c), p) for c, p in check_relation(arrows, rel)]
+            for rel in q.relations]
+    # A path is (source, target, arrows); each length lists the extensions
+    # of the one below, by source first and then by arrow.
+    layer = sorted(((s, t, (ai,)) for ai, (_l, s, t) in enumerate(arrows)),
+                   key=lambda path: path[0])
+    listed = q.vertices
+    lower = []      # the canonical rows of I_{l-1}, as (coefficient, path)
+    basis = []      # the basis paths of length >= 1
+    forms = {}      # (source, arrows) of a path below L: its coordinates
+    for length in range(1, q.nilpotency_bound + 1):
+        listed = check_size("bound quiver paths", listed + len(layer))
+        index = {p: i for i, (_s, _t, p) in enumerate(layer)}
+        gens = [rel for rel in rels if len(rel[0][1]) == length]
+        for terms in lower:
+            for ai, (_l, a_s, a_t) in enumerate(arrows):
+                gens.append([(c, (ai,) + p) for c, (s, _t, p) in terms if s == a_t])
+                gens.append([(c, p + (ai,)) for c, (_s, t, p) in terms if t == a_s])
+        vectors = []
+        for terms in filter(None, gens):
+            vec = [field.zero] * len(layer)
+            for c, p in terms:
+                vec[index[p]] = field.add(vec[index[p]], c)
+            vectors.append(vec)
+        ideal = Subspace.from_vectors(field, len(layer), vectors)
+        if ideal.dim == len(layer):
+            break
+        comp = ideal.complement_coords()
+        position = {j: q.vertices + len(basis) + i for i, j in enumerate(comp)}
+        for j, (s, _t, p) in enumerate(layer):
+            red = ideal.reduce(unit_vec(field, len(layer), j))
+            forms[(s, p)] = tuple((position[k], red[k]) for k in comp if red[k])
+        basis.extend(layer[j] for j in comp)
+        lower = [[(c, layer[j]) for j, c in enumerate(row) if c]
+                 for row in ideal.basis_rows()]
+        layer = [(s, a_t, p + (ai,)) for s, t, p in layer
+                 for ai, (_l, a_s, a_t) in enumerate(arrows) if a_s == t]
+    else:
+        raise ValidationError(
+            f"arrow ideal not nilpotent within bound {q.nilpotency_bound}: "
+            "quotient not witnessed finite-dimensional")
 
-    prev = None
-    for horizon in range(1, q.nilpotency_bound + 2):
-        basis, _ = _truncated_quotient_basis(field, q, horizon)
-        if prev is not None and len(basis) == len(prev):
-            return _algebra_from_path_basis(field, q, horizon, name)
-        prev = basis
-    raise ValidationError(
-        f"arrow ideal not nilpotent within bound {q.nilpotency_bound}: "
-        "quotient not witnessed finite-dimensional")
-
-
-def _path_source(q, p):
-    return q.arrows[p[0]][1]
-
-def _path_target(q, p):
-    return q.arrows[p[-1]][2]
-
-
-def _truncated_quotient_basis(field, q: BoundQuiver, horizon: int):
-    """Basis paths of kQ/(relations + paths of length >= horizon).
-
-    Paths are keyed by (source, arrow tuple): the arrows determine the
-    endpoints except for the vertex paths, which only the source tells
-    apart.
-    """
-    paths = [p for p in _quiver_paths_up_to(q, horizon - 1)]
-    index = {(p[0], p[2]): i for i, p in enumerate(paths)}
-    n = len(paths)
-    ideal_rows = []
-    for rel in q.relations:
-        rel_len = len(rel[0][1])
-        rel_src = _path_source(q, rel[0][1])
-        rel_tgt = _path_target(q, rel[0][1])
-        for (ls, lt, lp) in paths:
-            if lt != rel_src:
-                continue
-            for (rs, rt, rp) in paths:
-                if rs != rel_tgt:
-                    continue
-                total = len(lp) + rel_len + len(rp)
-                if total >= horizon:
-                    continue
-                row = [field.zero] * n
-                for coeff, mid in rel:
-                    key = (ls, lp + mid + rp)
-                    row[index[key]] = field.add(row[index[key]],
-                                                field.scalar(coeff))
-                ideal_rows.append(row)
-    ideal = Subspace.from_vectors(field, n, ideal_rows)
-    basis_paths = [paths[j] for j in ideal.complement_coords()]
-    return basis_paths, (paths, index, ideal)
-
-
-def _algebra_from_path_basis(field, q, horizon, name):
-    basis_paths, (paths, index, ideal) = _truncated_quotient_basis(field, q, horizon)
-    n = len(paths)
-    comp = ideal.complement_coords()
-
-    def project(vec):
-        red = ideal.reduce(vec)
-        return tuple(red[j] for j in comp)
-
-    rows = []
-    for (s1, t1, p1) in basis_paths:
-        plane = []
-        for (s2, t2, p2) in basis_paths:
-            full = p1 + p2
-            # 0 where the paths do not compose, and past the horizon, where
-            # the arrow ideal power lies inside the relation ideal.
-            if t1 != s2 or len(full) >= horizon:
-                plane.append(())
-                continue
-            vec = [field.zero] * n
-            vec[index[(s1, full)]] = field.one
-            plane.append(_sparse(project(tuple(vec))))
-        rows.append(plane)
-
-    unit = [field.zero if arr else field.one for _s, _t, arr in basis_paths]
-
-    def path_label(p):
-        s, t, arr = p
-        if not arr:
-            return f"e{s + 1}"
-        return ".".join(q.arrows[a][0] for a in arr)
-
-    labels = [path_label(p) for p in basis_paths]
+    basis[:0] = [(v, v, ()) for v in range(q.vertices)]
+    forms.update(((v, ()), ((v, field.one),)) for v in range(q.vertices))
+    rows = [[forms.get((s1, p1 + p2), ()) if t1 == s2 else ()
+             for s2, _t2, p2 in basis] for s1, t1, p1 in basis]
+    unit = [field.zero if p else field.one for _s, _t, p in basis]
+    labels = [".".join(arrows[ai][0] for ai in p) if p else f"e{s + 1}"
+              for s, _t, p in basis]
     return FiniteDimAlgebra.trusted(field, rows, unit, labels=labels,
                                     name=name or "kQ/I")
 
@@ -904,8 +870,10 @@ def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
             if comp.dim <= 1:
                 new_components.append(comp)
                 continue
-            pieces = _split_by_operator(a, comp, lz)
-            new_components.extend(pieces)
+            # An unfactored polynomial defers to the rational refinement.
+            _deg, factors, pieces = factor_minimal_polynomial(comp, lz)
+            new_components.extend(_filling(comp, pieces)
+                                  if factors and len(factors) > 1 else [comp])
         components = new_components
 
     if f.is_finite():
@@ -981,7 +949,6 @@ def _try_split_rational_component(a, comp, zc):
     deterministic combinations of the central basis either exhibit a
     reducible minimal polynomial (split) or reach full degree (field).
     """
-    from .commutative import factor_polynomial
     f = a.field
     basis = list(zc.basis_rows())
     candidates = list(basis)
@@ -996,18 +963,14 @@ def _try_split_rational_component(a, comp, zc):
             mult = f.mul(mult, f.scalar(w))
         candidates.append(v)
     for z in candidates:
-        restricted = _restrict_operator(comp, a.left_mult_matrix(z))
-        minpoly = _minimal_polynomial(f, restricted)
-        deg = len(minpoly) - 1
-        try:
-            factors = factor_polynomial(f, minpoly)
-        except CapabilityError:
+        deg, factors, pieces = factor_minimal_polynomial(
+            comp, a.left_mult_matrix(z))
+        if factors is None:
             continue
         if any(m > 1 for _fac, m in factors):
             raise ValidationError("central element acts non-semisimply in a block")
         if len(factors) > 1:
-            return _kernel_pieces(a, comp, restricted,
-                                  [fac for fac, _m in factors])
+            return _filling(comp, pieces)
         if deg == zc.dim:
             return None
     raise CapabilityError(
@@ -1027,42 +990,42 @@ def _frobenius_fixed_center_basis(a, center):
     return [apply_vec(c, center.mat) for c in kern.rows]
 
 
-def _split_by_operator(a, comp, lz):
-    """Decompose an ideal subspace by the action lz of a central element."""
-    from .commutative import factor_polynomial
-    f = a.field
-    restricted = _restrict_operator(comp, lz)
-    try:
-        factors = factor_polynomial(f, _minimal_polynomial(f, restricted))
-    except CapabilityError:
-        # Undecidable factorization: defer to the rational refinement pass.
-        return [comp]
-    if len(factors) == 1:
-        return [comp]
-    return _kernel_pieces(a, comp, restricted, [fac for fac, _m in factors])
+def factor_minimal_polynomial(space: Subspace, op: Matrix):
+    """The minimal polynomial of op on the op-stable space, factored.
 
-
-def _kernel_pieces(a, comp, restricted, factors):
-    """comp split into the kernels of fac(restricted), one per factor.
-
-    The factors are coprime, so the pieces must fill comp exactly.
+    Returns (degree, factors, pieces): factors are the (irreducible,
+    multiplicity) pairs, or None where the polynomial cannot be factored;
+    pieces yields lazily, factor by factor, the kernel of factor(op) in
+    space, which is space itself, taken without computing, when the
+    polynomial is one irreducible factor.
     """
-    f = a.field
-    pieces = []
-    for fac in factors:
-        kern = _eval_poly_matrix(f, fac, restricted).left_kernel()
-        vecs = [apply_vec(c, comp.mat) for c in kern.rows]
-        pieces.append(Subspace.from_vectors(f, a.dim, vecs))
-    if sum(p.dim for p in pieces) != comp.dim:
-        raise ValidationError("block splitting lost dimensions")
-    return pieces
-
-
-def _restrict_operator(space: Subspace, op: Matrix) -> Matrix:
+    from .commutative import factor_polynomial
+    f = space.field
     restricted = space.restrict(op)
     if restricted is None:
         raise ValidationError("operator does not preserve the subspace")
-    return restricted
+    minpoly = _minimal_polynomial(f, restricted)
+    try:
+        factors = factor_polynomial(f, minpoly)
+    except CapabilityError:
+        return len(minpoly) - 1, None, ()
+
+    def kernel(fac):
+        kern = _eval_poly_matrix(f, fac, restricted).left_kernel()
+        return Subspace.from_vectors(f, space.ambient,
+                                     [apply_vec(c, space.mat) for c in kern.rows])
+
+    whole = len(factors) == 1 and factors[0][1] == 1
+    return len(minpoly) - 1, factors, (space if whole else kernel(fac)
+                                       for fac, _m in factors)
+
+
+def _filling(comp, pieces):
+    """The kernels of coprime factors, which must fill comp exactly."""
+    pieces = list(pieces)
+    if sum(p.dim for p in pieces) != comp.dim:
+        raise ValidationError("block splitting lost dimensions")
+    return pieces
 
 
 def _minimal_polynomial(f, m: Matrix):

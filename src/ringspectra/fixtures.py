@@ -17,8 +17,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .algebras import (BoundQuiver, FiniteDimAlgebra, bound_quiver_algebra,
-                       check_group_table, check_length, check_size,
-                       companion_algebra, group_algebra, matrix_algebra,
+                       check_arrow, check_group_table, check_length,
+                       check_relation, check_size, companion_algebra,
+                       group_algebra, matrix_algebra,
                        upper_triangular_algebra)
 from .commutative import (GradedModuleDescriptor, GradedPolyBackend,
                           IntegerBackend, IntModBackend, PolyBackend,
@@ -353,13 +354,14 @@ def _build_quiver(b: Section) -> BoundQuiver:
             raise FixtureParseError(
                 f"'arrow = label source target' expected, got {spec!r}", lineno)
         with _reported_at(b, lineno):
-            label, s, t = parts[0], int(parts[1]), int(parts[2])
-        arrows.append((label, s - 1, t - 1))
+            arrows.append(check_arrow(vertices, (parts[0], int(parts[1]) - 1,
+                                                 int(parts[2]) - 1)))
     arrow_index = {a[0]: i for i, a in enumerate(arrows)}
     relations = []
     for spec, lineno in b.get_all("relation"):
         with _reported_at(b, lineno):
-            relations.append(_parse_relation(spec, arrow_index, lineno))
+            relations.append(check_relation(
+                arrows, _parse_relation(spec, arrow_index, lineno)))
     bound = b.parse("nilpotency_bound", int, "16")
     return BoundQuiver(vertices, tuple(arrows), tuple(relations), bound)
 

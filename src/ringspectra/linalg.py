@@ -313,9 +313,6 @@ class Matrix:
         f = self.field
         return all(vec_is_zero(f, r) for r in self.rows)
 
-    def is_square(self):
-        return self.nrows == self.ncols
-
     def __add__(self, other):
         f = self.field
         return Matrix.trusted(f, tuple(vec_add(f, a, b)
@@ -472,53 +469,6 @@ class Matrix:
         for i, pc in enumerate(pivots):
             x[pc] = r.rows[i][-1]
         return tuple(x)
-
-    def det(self):
-        if not self.is_square():
-            raise ValueError("determinant of non-square matrix")
-        f = self.field
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
-        det = f.one
-        for c in range(n):
-            piv = None
-            for r in range(c, n):
-                if rows[r][c] != f.zero:
-                    piv = r
-                    break
-            if piv is None:
-                return f.zero
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                det = f.neg(det)
-            det = f.mul(det, rows[c][c])
-            inv = f.inv(rows[c][c])
-            for r in range(c + 1, n):
-                if rows[r][c]:
-                    rows[r] = f.axpy(rows[r], f.neg(f.mul(rows[r][c], inv)), rows[c])
-        return det
-
-    def is_invertible(self):
-        return self.is_square() and self.rank() == self.nrows
-
-    def inverse(self):
-        if not self.is_square():
-            raise ValueError("inverse of non-square matrix")
-        f = self.field
-        n = self.nrows
-        aug = Matrix.trusted(f, tuple(r + unit_vec(f, n, i)
-                                      for i, r in enumerate(self.rows)), 2 * n)
-        r, pivots = aug.rref()
-        if tuple(pivots) != tuple(range(n)):
-            raise ValueError("matrix not invertible")
-        return Matrix.trusted(f, tuple(row[n:] for row in r.rows), n)
-
-    def trace(self):
-        f = self.field
-        t = f.zero
-        for i in range(min(self.nrows, self.ncols)):
-            t = f.add(t, self.rows[i][i])
-        return t
 
 
 def apply_vec(v, m: Matrix):

@@ -36,8 +36,8 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebras import (FiniteDimAlgebra, jacobson_radical, semisimple_quotient,
-                       wedderburn_blocks)
+from .algebras import (FiniteDimAlgebra, factor_minimal_polynomial,
+                       jacobson_radical, semisimple_quotient, wedderburn_blocks)
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .ideals import annihilator, is_prime
 from .linalg import (Matrix, Subspace, apply_vec, combine_matrices,
@@ -273,27 +273,15 @@ def _block_simple(quot: FiniteDimAlgebra, block: Subspace):
 
 def _rational_right_submodule_candidates(quot, block: Subspace):
     """Right ideals of quot inside the block, from kernels of f(L_z) on it."""
-    from .commutative import factor_polynomial
-    from .algebras import (_eval_poly_matrix, _minimal_polynomial,
-                           _restrict_operator)
     f = quot.field
     out = []
     basis = block.basis_rows()
     elements = list(basis) + [vec_add(f, u, v)
                               for u, v in itertools.combinations(basis, 2)]
     for z in elements:
-        lz = _restrict_operator(block, quot.left_mult_matrix(z))
-        minpoly = _minimal_polynomial(f, lz)
-        try:
-            factors = factor_polynomial(f, minpoly)
-        except CapabilityError:
-            continue
-        for fac, _m in factors:
-            op = _eval_poly_matrix(f, fac, lz)
-            kern = Subspace.from_vectors(f, quot.dim, [
-                apply_vec(c, block.mat) for c in op.left_kernel().rows])
-            if 0 < kern.dim < block.dim:
-                out.append(kern)
+        _deg, _factors, pieces = factor_minimal_polynomial(
+            block, quot.left_mult_matrix(z))
+        out.extend(p for p in pieces if 0 < p.dim < block.dim)
     for s, t in itertools.combinations(out[:12], 2):
         meet = s.intersect(t)
         if meet.dim > 0:

@@ -3,10 +3,10 @@
 Subcategories are never materialized: a closed subcategory is its
 two-sided ideal, a localizing subcategory its atom support, a locally
 closed localizing subcategory its upward-closed molecule support.  The
-localizing descriptors carry the membership predicate their
-classification theorem dictates, and the tests confirm against
-enumerated modules that the predicates behave like the subcategory they
-name.
+membership predicates their classification theorems dictate (every
+composition factor in the atom support; V(Ann M) inside the molecule
+support) live with the tests, which confirm against enumerated modules
+that they behave like the subcategories they name.
 
 The inclusion order on closed descriptors reverses the ideal order; the
 reversal is applied here and nowhere else.
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 from .ideals import TwoSidedIdeal, intersect_primes, minimal_primes
-from .modules import RightModule
 from .spectra import (ArtinianBackend, ArtinianizationDescriptor,
                       ReducedPartResult, SpectrumBackend, hasse_edges,
                       up_sets)
@@ -91,12 +90,6 @@ class LocalizingSubcatDescriptor:
             return "0"
         return "loc{" + ",".join(sorted(a.label for a in self.atom_support)) + "}"
 
-    def contains_module(self, m: RightModule) -> bool:
-        """Membership: every composition factor supported in the set."""
-        if m.dim == 0:
-            return True
-        return self.backend.asupp(m) <= self.atom_support
-
     def leq(self, other):
         return self.atom_support <= other.atom_support
 
@@ -140,10 +133,6 @@ class LocallyClosedLocalizingDescriptor:
         if not self.molecule_support:
             return "0"
         return "lcl{" + ",".join(sorted(m.label for m in self.molecule_support)) + "}"
-
-    def contains_module(self, m: RightModule) -> bool:
-        """Membership: V(Ann M) inside the support."""
-        return self.backend.msupp(m) <= self.molecule_support
 
 
 def classify_locally_closed_localizing(backend, window=None):

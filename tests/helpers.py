@@ -1,0 +1,67 @@
+"""Matrix and subcategory facts that only the tests read.
+
+The package never inverts a matrix, takes a determinant or a trace, or
+asks whether a module lies in a localizing subcategory, so these live
+here, beside the tests that use them as references.
+"""
+
+from ringspectra.linalg import Matrix, unit_vec
+from ringspectra.subcats import LocalizingSubcatDescriptor
+
+
+def det(m: Matrix):
+    """The determinant, by elimination with row swaps."""
+    if not m.nrows == m.ncols:
+        raise ValueError("determinant of non-square matrix")
+    f = m.field
+    rows = [list(r) for r in m.rows]
+    n = m.nrows
+    out = f.one
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c] != f.zero), None)
+        if piv is None:
+            return f.zero
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            out = f.neg(out)
+        out = f.mul(out, rows[c][c])
+        inv = f.inv(rows[c][c])
+        for r in range(c + 1, n):
+            if rows[r][c]:
+                rows[r] = f.axpy(rows[r], f.neg(f.mul(rows[r][c], inv)), rows[c])
+    return out
+
+
+def is_invertible(m: Matrix) -> bool:
+    return m.nrows == m.ncols and m.rank() == m.nrows
+
+
+def inverse(m: Matrix) -> Matrix:
+    """The inverse, read off the rref of [m | 1]."""
+    if not m.nrows == m.ncols:
+        raise ValueError("inverse of non-square matrix")
+    f = m.field
+    n = m.nrows
+    aug = Matrix.trusted(f, tuple(r + unit_vec(f, n, i)
+                                  for i, r in enumerate(m.rows)), 2 * n)
+    r, pivots = aug.rref()
+    if tuple(pivots) != tuple(range(n)):
+        raise ValueError("matrix not invertible")
+    return Matrix.trusted(f, tuple(row[n:] for row in r.rows), n)
+
+
+def trace(m: Matrix):
+    f = m.field
+    t = f.zero
+    for i in range(min(m.nrows, m.ncols)):
+        t = f.add(t, m.rows[i][i])
+    return t
+
+
+def contains_module(descriptor, m) -> bool:
+    """Membership of the right module m in a localizing subcategory (every
+    composition factor supported in its atom set) or in a locally closed
+    one (V(Ann m) inside its molecule set)."""
+    if isinstance(descriptor, LocalizingSubcatDescriptor):
+        return m.dim == 0 or descriptor.backend.asupp(m) <= descriptor.atom_support
+    return descriptor.backend.msupp(m) <= descriptor.molecule_support

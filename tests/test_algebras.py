@@ -14,10 +14,11 @@ from ringspectra.algebras import (BoundQuiver, FiniteDimAlgebra,
                                   product_algebra, quotient_algebra,
                                   semisimple_quotient, subspace_product,
                                   upper_triangular_algebra, wedderburn_blocks)
-from ringspectra.errors import ValidationError
+from ringspectra.errors import BudgetExceeded, ValidationError
 from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, Subspace, apply_vec,
-                               zero_vec)
-from ringspectra.oracle import brute_largest_nilpotent_ideal
+                               unit_vec, zero_vec)
+from ringspectra.oracle import _quiver_truncations, brute_largest_nilpotent_ideal
+from helpers import inverse, is_invertible, trace
 
 
 def _is_algebra_hom(m):
@@ -88,6 +89,170 @@ def test_inhomogeneous_relation_rejected():
     q = BoundQuiver(1, (("x", 0, 0),), (((1, (0, 0)), (-1, (0, 0, 0))),), 6)
     with pytest.raises(ValidationError):
         bound_quiver_algebra(QQ, q)
+
+
+# -- bound quivers against the horizon construction ---------------------------
+
+def _horizon_paths(q, max_len):
+    """All paths of length <= max_len as (source, target, arrows)."""
+    paths = [(v, v, ()) for v in range(q.vertices)]
+    frontier = list(paths)
+    for _ in range(max_len):
+        frontier = [(s, a_t, arr + (ai,)) for s, t, arr in frontier
+                    for ai, (_l, a_s, a_t) in enumerate(q.arrows) if a_s == t]
+        paths.extend(frontier)
+        algebras.check_size("bound quiver paths", len(paths))
+        if not frontier:
+            break
+    return paths
+
+
+def _horizon_quotient(field, q, horizon):
+    """Basis paths of kQ/(relations + paths of length >= horizon), with the
+    paths below the horizon, their index and the truncated ideal."""
+    paths = _horizon_paths(q, horizon - 1)
+    index = {(s, arr): i for i, (s, _t, arr) in enumerate(paths)}
+    rows = []
+    for rel in q.relations:
+        mid_len = len(rel[0][1])
+        src, tgt = q.arrows[rel[0][1][0]][1], q.arrows[rel[0][1][-1]][2]
+        for ls, lt, lp in paths:
+            for rs, _rt, rp in paths:
+                if lt != src or rs != tgt \
+                        or len(lp) + mid_len + len(rp) >= horizon:
+                    continue
+                row = [field.zero] * len(paths)
+                for coeff, mid in rel:
+                    k = index[(ls, lp + mid + rp)]
+                    row[k] = field.add(row[k], field.scalar(coeff))
+                rows.append(row)
+    ideal = Subspace.from_vectors(field, len(paths), rows)
+    return [paths[j] for j in ideal.complement_coords()], paths, index, ideal
+
+
+def _horizon_reference(field, q):
+    """bound_quiver_algebra as it stood before it went one length at a
+    time: every horizon h = 1, 2, ... rebuilds all paths below h and the
+    whole truncated ideal, until the dimension stops growing, and then the
+    last horizon is built once more."""
+    for rel in q.relations:
+        if not rel:
+            raise ValidationError("empty relation")
+        lens = {len(p) for _c, p in rel}
+        if len(lens) != 1 or min(lens) < 2:
+            raise ValidationError(
+                "relations must be length-homogeneous of length >= 2")
+        if any(ai >= len(q.arrows) for _c, p in rel for ai in p):
+            raise ValidationError("relation uses unknown arrow")
+        if len({(q.arrows[p[0]][1], q.arrows[p[-1]][2]) for _c, p in rel}) != 1:
+            raise ValidationError("relation mixes source/target pairs")
+    prev = None
+    for horizon in range(1, q.nilpotency_bound + 2):
+        basis = _horizon_quotient(field, q, horizon)[0]
+        if prev is not None and len(basis) == len(prev):
+            break
+        prev = basis
+    else:
+        raise ValidationError(
+            f"arrow ideal not nilpotent within bound {q.nilpotency_bound}: "
+            "quotient not witnessed finite-dimensional")
+    basis, paths, index, ideal = _horizon_quotient(field, q, horizon)
+    comp = ideal.complement_coords()
+    rows = []
+    for s1, t1, p1 in basis:
+        plane = []
+        for s2, _t2, p2 in basis:
+            if t1 != s2 or len(p1 + p2) >= horizon:
+                plane.append(())
+                continue
+            red = ideal.reduce(unit_vec(field, len(paths), index[(s1, p1 + p2)]))
+            plane.append(tuple((i, red[j]) for i, j in enumerate(comp) if red[j]))
+        rows.append(tuple(plane))
+    unit = tuple(field.zero if arr else field.one for _s, _t, arr in basis)
+    labels = tuple(".".join(q.arrows[ai][0] for ai in arr) if arr else f"e{s + 1}"
+                   for s, _t, arr in basis)
+    return tuple(rows), unit, labels
+
+
+def _random_bound_quiver(rng):
+    """At most 3 vertices and 4 arrows; up to 8 relations of length 2 or 3,
+    each 1 to 3 terms on paths with one source and one target; bound 2..7."""
+    v = rng.randint(1, 3)
+    arrows = tuple((f"a{i}", rng.randrange(v), rng.randrange(v))
+                   for i in range(rng.randint(0, 4)))
+
+    def paths(length):
+        out = [(ai,) for ai in range(len(arrows))]
+        for _ in range(length - 1):
+            out = [p + (ai,) for p in out for ai in range(len(arrows))
+                   if arrows[p[-1]][2] == arrows[ai][1]]
+        return out
+
+    rels = []
+    for _ in range(rng.randint(0, 8)):
+        candidates = paths(rng.randint(2, 3))
+        if not candidates:
+            continue
+        first = rng.choice(candidates)
+        ends = (arrows[first[0]][1], arrows[first[-1]][2])
+        alike = [p for p in candidates
+                 if (arrows[p[0]][1], arrows[p[-1]][2]) == ends]
+        rels.append(tuple((rng.choice([1, -1, 2]), rng.choice(alike))
+                          for _ in range(rng.randint(1, 3))))
+    return BoundQuiver(v, arrows, tuple(rels), rng.randint(2, 7))
+
+
+def _built_or_refused(build, field, q):
+    try:
+        return build(field, q)
+    except (ValidationError, BudgetExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _one_length_at_a_time(field, q):
+    a = bound_quiver_algebra(field, q)
+    return tuple(map(tuple, a.rows)), a.unit, a.labels
+
+
+def test_bound_quivers_match_the_horizon_construction():
+    """The rows, unit and labels, or the refusal, of every corpus quiver
+    shape and of seeded random homogeneous quivers, over F_2, F_3 and Q."""
+    rng = random.Random(22)
+    quivers = [q for _name, q in _quiver_truncations()] \
+        + [_random_bound_quiver(rng) for _ in range(60)]
+    outcomes = set()
+    for q in quivers:
+        for field in (F2, F3, QQ):
+            want = _built_or_refused(_horizon_reference, field, q)
+            assert _built_or_refused(_one_length_at_a_time, field, q) == want, q
+            outcomes.add(want[0] if isinstance(want[0], str) else "built")
+    assert outcomes == {"built", "ValidationError", "BudgetExceeded"}
+
+
+def test_nineteen_loops_with_every_product_zero():
+    """381 paths through length two, all of length two in the ideal."""
+    loops = tuple((f"x{i}", 0, 0) for i in range(19))
+    rels = tuple(((1, (i, j)),) for i in range(19) for j in range(19))
+    for field in (F2, QQ):
+        a = bound_quiver_algebra(field, BoundQuiver(1, loops, rels))
+        assert a.dim == 20 and a.labels[1:] == tuple(l for l, _s, _t in loops)
+        zero = zero_vec(field, a.dim)
+        assert all(a.mul(a.basis_coords(i), a.basis_coords(j)) == zero
+                   for i in range(1, 20) for j in range(1, 20))
+
+
+@pytest.mark.parametrize("arrows, relation, message", [
+    ((("a", 0, 1),), None, "arrow a ends outside the 1 vertices"),
+    ((("a", -1, 0),), None, "arrow a ends outside the 1 vertices"),
+    ((("a", 0, 1), ("b", 0, 1)), ((1, (0, 1)),),
+     "relation path a.b does not compose"),
+    ((("a", 0, 0),), ((1, (0, 1)),), "relation uses unknown arrow"),
+])
+def test_quiver_arrows_and_relations_are_checked(arrows, relation, message):
+    vertices = 1 if relation is None else 2
+    q = BoundQuiver(vertices, arrows, (relation,) if relation else ())
+    with pytest.raises(ValidationError, match=message):
+        bound_quiver_algebra(F2, q)
 
 
 def test_validation_rejects_mutations():
@@ -260,6 +425,28 @@ def test_subspace_product_matches_hand_computation():
     assert sq.dim == 2                           # (x^2) = span{x^2, x^3}
 
 
+def test_minimal_polynomial_pieces_on_m2_q():
+    """L_z on M_2(Q): e_11 has x(x - 1), whose kernels are the right
+    ideals e_11 A and e_22 A; e_12 has x^2, whose one factor x has the
+    right annihilator of e_12 as kernel; 1 has x - 1, whose piece is the
+    space itself, taken as it is."""
+    a = matrix_algebra(2, QQ)
+    full = Subspace.full(QQ, 4)
+
+    def span(*indices):
+        return Subspace.from_vectors(QQ, 4, [a.basis_coords(i) for i in indices])
+
+    def split(z):
+        deg, factors, pieces = algebras.factor_minimal_polynomial(
+            full, a.left_mult_matrix(z))
+        return deg, [m for _fac, m in factors], list(pieces)
+
+    assert split(a.basis_coords(0)) == (2, [1, 1], [span(0, 1), span(2, 3)])
+    assert split(a.basis_coords(1)) == (2, [2], [span(0, 1)])
+    deg, mults, [piece] = split(a.unit)
+    assert (deg, mults) == (1, [1]) and piece is full
+
+
 def test_rational_blocks_with_unfactorable_generator():
     """x has a rootless quartic minimal polynomial, but x^2 splits the
     center, so the two quadratic field blocks are still found."""
@@ -401,7 +588,7 @@ def _random_change_of_basis(a, rng):
     while True:
         change = Matrix(f, [[f.scalar(rng.randrange(f.p)) for _ in range(d)]
                             for _ in range(d)], d)
-        if change.is_invertible():
+        if is_invertible(change):
             break
     rows = change.rows
     sc = [[change.solve_left(a.mul(u, v)) for v in rows]
@@ -522,7 +709,7 @@ def _reference_radical_space(a):
     ``test_lifted_trace_matches_plain_integer_power`` checks."""
     f, d = a.field, a.dim
     lm = [a.left_mult_matrix(a.basis_coords(i)) for i in range(d)]
-    gram = Matrix(f, [[(lm[i] * lm[j]).trace() for j in range(d)]
+    gram = Matrix(f, [[trace(lm[i] * lm[j]) for j in range(d)]
                       for i in range(d)], d)
     current = Subspace.from_vectors(f, d, gram.left_kernel().rows)
     if f.char == 0:
@@ -608,7 +795,7 @@ def test_radical_route_matches_dense_reference():
         if a.dim < 27:
             want = _reference_radical_space(b)
         else:
-            back = change.inverse()
+            back = inverse(change)
             want = Subspace.from_vectors(a.field, a.dim,
                                          [apply_vec(v, back) for v in want.basis_rows()])
         assert algebras._radical_space(b) == want, a.name

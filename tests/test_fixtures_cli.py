@@ -552,6 +552,24 @@ def test_cli_dropped_section_or_key_is_a_parse_error(tmp_path, capsys, text,
     assert err.startswith("parse error: ") and err.endswith(f"(line {line})\n")
 
 
+@pytest.mark.parametrize("command", [["analyze", "--atoms"], ["verify"]])
+@pytest.mark.parametrize("quiver,message,line", [
+    ("arrow = a 0 1", "arrow a ends outside the 2 vertices", 6),
+    ("arrow = a 1 3", "arrow a ends outside the 2 vertices", 6),
+    ("arrow = a 1 2\narrow = b 1 2\nrelation = a.b",
+     "relation path a.b does not compose", 8),
+], ids=["arrow-from-vertex-0", "arrow-to-vertex-3", "relation-not-composing"])
+def test_cli_quiver_off_its_vertices_is_a_parse_error(tmp_path, capsys, command,
+                                                      quiver, message, line):
+    """Neither dropped nor reported elsewhere: the arrow or relation at
+    fault is a parse error at its own line."""
+    path = _write(tmp_path, "bad.alg", ALGEBRA_FIXTURE.format(
+        "quiver", "vertices = 2\n" + quiver))
+    assert cli_main([command[0], path, *command[1:]]) == 2
+    assert capsys.readouterr().err == \
+        f"parse error: [backend] {message} (line {line})\n"
+
+
 POLY_FIXTURE = """\
 [backend]
 kind = poly

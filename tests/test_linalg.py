@@ -9,6 +9,7 @@ import pytest
 from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, RowReducer, Subspace,
                                 apply_vec, combine_matrices, common_left_kernel,
                                 pack, spin, unit_vec, unpack)
+from helpers import det, inverse
 
 
 def test_gf_arithmetic_exact():
@@ -125,7 +126,7 @@ def _minor_rank(m):
             for cols in itertools.combinations(range(m.ncols), k):
                 sub = Matrix(m.field, [[m.rows[i][j] for j in cols]
                                        for i in rows])
-                if sub.det() != m.field.zero:
+                if det(sub) != m.field.zero:
                     best = k
                     break
             else:
@@ -171,7 +172,7 @@ def test_common_left_kernel_meets_the_left_kernels():
 
 def test_inverse():
     m = Matrix(F3, [[1, 1], [0, 1]])
-    assert m * m.inverse() == Matrix.identity(F3, 2)
+    assert m * inverse(m) == Matrix.identity(F3, 2)
 
 
 def test_subspace_identity_cases():
@@ -345,7 +346,7 @@ def test_packed_matrix_kernels_agree_with_tuples():
             assert apply_vec(v, m) == apply_vec(v, t)
             assert m.solve_left(apply_vec(v, m)) == t.solve_left(apply_vec(v, t))
         if rows and len(rows) == n and t.rank() == n:
-            assert m.inverse().rows == t.inverse().rows
+            assert inverse(m).rows == inverse(t).rows
         mats = [_both(_f2_rows(rng, n, n, 0.3), n) for _ in range(3)]
         coeffs = _f2_rows(rng, 1, 3, 0.5)[0]
         assert combine_matrices(F2, n, coeffs, [a for a, _b in mats]).rows == \

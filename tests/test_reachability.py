@@ -16,14 +16,6 @@ MODULES = [p for p in sorted((ROOT / "src" / "ringspectra").glob("*.py"))
 
 EXEMPT = {
     "oracle": "brute-force references, whose callers are tests by design",
-    "subcats.LocalizingSubcatDescriptor.contains_module":
-        "test_subcats checks the emitted classification against it",
-    "subcats.LocallyClosedLocalizingDescriptor.contains_module":
-        "test_subcats checks the emitted classification against it",
-    "linalg.Matrix.inverse": "the tests' random change of basis uses it",
-    "linalg.Matrix.is_invertible": "the tests' random change of basis uses it",
-    "linalg.Matrix.det": "the tests' minor-expansion rank oracle",
-    "linalg.Matrix.trace": "the dense radical reference",
     "goldie.regular_element_in": "acceptance criterion 6 tests it",
     "algebras.ideal_closure":
         "acceptance criterion 9 builds ideals with it; the oracle's closure "

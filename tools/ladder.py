@@ -7,6 +7,9 @@ Runs each rung once, in this order:
 - ``upper_triangular_algebra(n, F2)`` alone for n = 16, 20 and 24
   (dimension 136, 210 and 300), each in a fresh interpreter: the build's
   seconds and the rise in max RSS it causes;
+- ``bound_quiver_algebra`` over F_2 alone, in the same way, on one vertex
+  with k loops and all k^2 products of two loops zero, for k = 5, 10 and
+  19 (dimension k + 1, and 1 + k + k^2 paths listed: 381 for k = 19);
 - ``verify_correspondence(ArtinianBackend(a))`` with each algebra built
   fresh (its associativity check included in the time): T_n(F_2) for
   n = 2..16 (dimension 3..136), then M_3(F_3), M_4(F_2), M_2(Q) and T_4(Q);
@@ -72,21 +75,30 @@ SKIP_AFTER_S = 300.0
 BUILD_ONLY = """\
 import resource, sys, time
 sys.path.insert(0, sys.argv[1])
-from ringspectra.algebras import upper_triangular_algebra
+from ringspectra.algebras import (BoundQuiver, bound_quiver_algebra,
+                                  upper_triangular_algebra)
 from ringspectra.linalg import F2
+k = int(sys.argv[3])
+loops = tuple((f"x{i}", 0, 0) for i in range(k))
+zero = tuple(((1, (i, j)),) for i in range(k) for j in range(k))
+build = {"triangular": lambda: upper_triangular_algebra(k, F2),
+         "loops": lambda: bound_quiver_algebra(F2, BoundQuiver(1, loops, zero))}
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 t0 = time.perf_counter()
-a = upper_triangular_algebra(int(sys.argv[2]), F2)
+a = build[sys.argv[2]]()
 seconds = time.perf_counter() - t0
 print(seconds, a.dim, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
 
-def build_only(n):
-    """Build T_n(F_2) in a fresh interpreter, whose max RSS then rises by
-    what the build holds at its peak (ru_maxrss is in kB on Linux)."""
+def build_only(source, n):
+    """Build T_n(F_2) (source "triangular"), or the n-loop quiver with every
+    product of two loops zero ("loops"), in a fresh interpreter, whose max
+    RSS then rises by what the build holds at its peak (ru_maxrss is in kB
+    on Linux)."""
     out = subprocess.run([sys.executable, "-c", BUILD_ONLY, str(ROOT / "src"),
-                          str(n)], capture_output=True, text=True, check=True)
+                          source, str(n)], capture_output=True, text=True,
+                         check=True)
     seconds, dim, rise = out.stdout.split()
     return float(seconds), {"dim": int(dim),
                             "max_rss_rise_mb": round(int(rise) / 1024, 1)}
@@ -195,7 +207,10 @@ def verify_exhaustive(name):
 
 # (label, run, arguments); labels ending in "(F2)" form the T_n ladder, and
 # their arguments hold n second.
-RUNGS = ([(f"T{n}(F2) build", build_only, (n,)) for n in (16, 20, 24)]
+RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
+          for n in (16, 20, 24)]
+         + [(f"{k} loops, products zero, build", build_only, ("loops", k))
+            for k in (5, 10, 19)]
          + [(f"T{n}(F2)", verify_algebra, (upper_triangular_algebra, n, F2))
             for n in range(2, 17)]
          + [("M3(F3)", verify_algebra, (matrix_algebra, 3, F3)),
