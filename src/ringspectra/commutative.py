@@ -275,8 +275,12 @@ def _int_sqrt(n: int):
     return r if r * r == n else None
 
 
-# The primes divided out first; also the Miller-Rabin bases.
+# The Miller-Rabin bases.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The primes below TRIAL_BOUND are divided out first, found by one gcd
+# with their product; ``_TRIAL_PRIMES`` and ``_TRIAL_PRODUCT`` are built
+# once, when the module is imported, below ``primes_up_to``.
+TRIAL_BOUND = 10_000
 # The least strong pseudoprime to all 13 bases (Sorenson and Webster,
 # Math. Comp. 86, 2017): below it, passing every base certifies a prime.
 _PSI_13 = 3317044064679887385961981
@@ -322,24 +326,30 @@ def _shown(m: int) -> str:
 def factor_integer(n: int):
     """[(prime, multiplicity)] of |n|, sorted by prime; exact or refused.
 
-    The primes up to 41 are divided out.  Each cofactor is then certified
-    prime by deterministic Miller-Rabin to the bases 2..41, or it is a
-    proven composite: an exact perfect power is replaced by its root, and
-    anything else is split by Brent's rho, both parts going back on the
-    stack (docs/derivations.md, "Certified integer factorization").  A
-    cofactor of at least psi_13 that passes every base, and work past
-    RHO_BUDGET weighted squarings, raise ``CapabilityError``: no prime is
-    reported uncertified.  Nothing is cached between calls.
+    The primes below TRIAL_BOUND are divided out, found by one gcd with
+    their product.  Each cofactor is then certified prime by deterministic
+    Miller-Rabin to the bases 2..41, or it is a proven composite: an exact
+    perfect power is replaced by its root, and anything else is split by
+    Brent's rho, both parts going back on the stack (docs/derivations.md,
+    "Certified integer factorization").  A cofactor of at least psi_13
+    that passes every base, and work past RHO_BUDGET weighted squarings,
+    raise ``CapabilityError``: no prime is reported uncertified.  Nothing
+    is cached between calls.
     """
     n = abs(n)
     if n == 0:
         raise ValidationError("cannot factor zero")
     found = Counter()
     m = n
-    for p in _SMALL_PRIMES:
-        while m % p == 0:
-            m //= p
-            found[p] += 1
+    g = math.gcd(m, _TRIAL_PRODUCT)
+    for p in _TRIAL_PRIMES:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            while m % p == 0:
+                m //= p
+                found[p] += 1
     budget = _Budget()
     stack = [(m, 1)] if m > 1 else []
     while stack:
@@ -360,7 +370,7 @@ def factor_integer(n: int):
 
 
 def _is_certified_prime(m: int, budget: _Budget) -> bool:
-    """Whether m > 41, free of the primes up to 41, is prime.
+    """Whether m, free of the primes below TRIAL_BOUND, is prime.
 
     A base that is a witness proves m composite; passing all 13 bases
     proves m prime below psi_13, and above it is refused.  Each base is
@@ -392,9 +402,10 @@ def _is_certified_prime(m: int, budget: _Budget) -> bool:
 def _perfect_power(m: int, budget: _Budget):
     """(r, k) with r^k = m for the least prime k there is, else (m, 1).
 
-    m has no prime factor below 43 > 2^5, so k <= bits(m) / 5.
+    m has no prime factor below TRIAL_BOUND = 10^4 > 2^13, so a root r
+    has r > 2^13 and k <= bits(m) / 13.
     """
-    for k in range(2, m.bit_length() // 5 + 1):
+    for k in range(2, m.bit_length() // 13 + 1):
         if all(k % j for j in range(2, math.isqrt(k) + 1)):
             r = _int_root(m, k, budget)
             if r ** k == m:
@@ -469,6 +480,10 @@ def primes_up_to(bound: int):
             for m in range(p * p, bound + 1, p):
                 sieve[m] = False
     return out
+
+
+_TRIAL_PRIMES = tuple(primes_up_to(TRIAL_BOUND))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 # -- the commutative spectra -------------------------------------------------------

@@ -15,6 +15,7 @@ reversal is applied here and nowhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceeded
 from .ideals import TwoSidedIdeal, intersect_primes, minimal_primes
@@ -77,24 +78,46 @@ def artinianization(backend: SpectrumBackend) -> ArtinianizationDescriptor:
 
 # -- localizing subcategories ------------------------------------------------------
 
-@dataclass
+class Listing(NamedTuple):
+    """The listed atoms or molecules that a descriptor's bit mask reads:
+    bit i stands for ``elements[i]``.  ``by_label`` holds each element's
+    (bit, label), sorted by label once for all the descriptors of a call."""
+
+    elements: tuple
+    by_label: tuple
+
+
+def _listing(elements) -> Listing:
+    pairs = sorted(((1 << i, x.label) for i, x in enumerate(elements)),
+                   key=lambda pair: pair[1])
+    return Listing(tuple(elements), tuple(pairs))
+
+
+def _mask_label(prefix, listing, mask):
+    """prefix{the member labels, sorted, comma-joined}, or "0" for no member:
+    by_label is in label order, so the members come out sorted."""
+    if not mask:
+        return "0"
+    return prefix + "{" + ",".join(
+        [label for bit, label in listing.by_label if mask & bit]) + "}"
+
+
+@dataclass(slots=True)
 class LocalizingSubcatDescriptor:
-    """Localizing subcategory of an artinian backend: an atom support set."""
+    """Localizing subcategory of an artinian backend: an atom support,
+    kept as a bit mask over ``listing``."""
 
     backend: ArtinianBackend
-    atom_support: frozenset
+    listing: Listing
+    mask: int
 
     @property
     def label(self):
-        if not self.atom_support:
-            return "0"
-        return "loc{" + ",".join(sorted(a.label for a in self.atom_support)) + "}"
-
-    def leq(self, other):
-        return self.atom_support <= other.atom_support
+        return _mask_label("loc", self.listing, self.mask)
 
 
 LOCALIZING_MAX_ATOMS = 8   # atoms whose 2^n subsets classify_localizing lists
+LOCALLY_CLOSED_MAX_MOLECULES = 16   # molecules whose 2^n subsets are searched
 
 
 def classify_localizing(backend: ArtinianBackend):
@@ -108,31 +131,30 @@ def classify_localizing(backend: ArtinianBackend):
     if len(atoms) > LOCALIZING_MAX_ATOMS:
         raise BudgetExceeded("localizing classification", 2 ** len(atoms),
                              2 ** LOCALIZING_MAX_ATOMS)
-    universe = frozenset(atoms)
-    descriptors = []
-    for mask in range(2 ** len(atoms)):
-        chosen = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-        descriptors.append(LocalizingSubcatDescriptor(backend, chosen))
-    complements = {frozenset(universe - {a}) for a in atoms}
-    prime_ones = [d for d in descriptors if d.atom_support in complements]
+    listing = _listing(atoms)
+    full = 2 ** len(atoms) - 1
+    descriptors = [LocalizingSubcatDescriptor(backend, listing, mask)
+                   for mask in range(full + 1)]
     amin = set(backend.minimal_atoms())
-    max_proper = [d for d in descriptors
-                  if d.atom_support in {frozenset(universe - {a}) for a in amin}]
+    complements = {full ^ (1 << i) for i in range(len(atoms))}
+    max_masks = {full ^ (1 << i) for i, a in enumerate(atoms) if a in amin}
+    prime_ones = [d for d in descriptors if d.mask in complements]
+    max_proper = [d for d in descriptors if d.mask in max_masks]
     return descriptors, prime_ones, max_proper
 
 
-@dataclass
+@dataclass(slots=True)
 class LocallyClosedLocalizingDescriptor:
-    """Locally closed localizing subcategory: upward-closed molecule set."""
+    """Locally closed localizing subcategory: an upward-closed molecule
+    support, kept as a bit mask over ``listing``."""
 
     backend: object
-    molecule_support: frozenset
+    listing: Listing
+    mask: int
 
     @property
     def label(self):
-        if not self.molecule_support:
-            return "0"
-        return "lcl{" + ",".join(sorted(m.label for m in self.molecule_support)) + "}"
+        return _mask_label("lcl", self.listing, self.mask)
 
 
 def classify_locally_closed_localizing(backend, window=None):
@@ -143,9 +165,9 @@ def classify_locally_closed_localizing(backend, window=None):
     its members, that is the union of those up-sets.
     """
     mols = backend.molecules(window)
-    if len(mols) > 16:
+    if len(mols) > LOCALLY_CLOSED_MAX_MOLECULES:
         raise BudgetExceeded("locally closed classification", 2 ** len(mols),
-                             2 ** 16)
+                             2 ** LOCALLY_CLOSED_MAX_MOLECULES)
     up = [sum(1 << j for j in above)
           for above in backend.molecule_up_sets(mols)]
     # reach[mask]: the union of the up-sets of the members of mask.
@@ -153,8 +175,8 @@ def classify_locally_closed_localizing(backend, window=None):
     for mask in range(1, len(reach)):
         low = mask & -mask
         reach[mask] = reach[mask ^ low] | up[low.bit_length() - 1]
-    return [LocallyClosedLocalizingDescriptor(
-                backend, frozenset(m for i, m in enumerate(mols) if mask >> i & 1))
+    listing = _listing(mols)
+    return [LocallyClosedLocalizingDescriptor(backend, listing, mask)
             for mask, r in enumerate(reach) if r | mask == mask]
 
 

@@ -58,10 +58,16 @@ def trace(m: Matrix):
     return t
 
 
+def support(descriptor) -> frozenset:
+    """The atoms or molecules a subcategory descriptor's bit mask selects."""
+    return frozenset(x for i, x in enumerate(descriptor.listing.elements)
+                     if descriptor.mask >> i & 1)
+
+
 def contains_module(descriptor, m) -> bool:
     """Membership of the right module m in a localizing subcategory (every
     composition factor supported in its atom set) or in a locally closed
     one (V(Ann m) inside its molecule set)."""
     if isinstance(descriptor, LocalizingSubcatDescriptor):
-        return m.dim == 0 or descriptor.backend.asupp(m) <= descriptor.atom_support
-    return descriptor.backend.msupp(m) <= descriptor.molecule_support
+        return m.dim == 0 or descriptor.backend.asupp(m) <= support(descriptor)
+    return descriptor.backend.msupp(m) <= support(descriptor)

@@ -60,10 +60,10 @@ def test_factor_integer_equals_trial_division_below_10_12(n):
     assert factor_integer(n) == factor_integer(-n) == trial_division(n)
 
 
-# The two smallest primes, the largest divided out before rho and the
-# smallest after, 40 primes above 1000 and four near 10^9, so that products
-# mix sizes and repeat primes.
-SEEDED_PRIMES = ([2, 3, 41, 43]
+# The two smallest primes, 41 and 43, the largest prime divided out before
+# rho and the smallest after, 40 primes above 1000 and four near 10^9, so
+# that products mix sizes and repeat primes.
+SEEDED_PRIMES = ([2, 3, 41, 43, 9973, 10007]
                  + [p for p in primes_up_to(2000) if p > 1000][:40]
                  + [10 ** 9 + 7, 10 ** 9 + 9, 999999937, 2 ** 31 - 1])
 
@@ -124,11 +124,12 @@ def test_squaring_weight_is_unchanged_below_24_words():
     assert _squaring_cost(2 ** 16000 - 1) == 250 ** 2 // 24
 
 
-@pytest.mark.parametrize("k", [1440, 2880], ids=["8000-bit", "16000-bit"])
+@pytest.mark.parametrize("k", [600, 1200], ids=["8000-bit", "16000-bit"])
 def test_huge_modulus_is_refused_before_any_power(monkeypatch, k):
-    """43 * 47^k has no prime factor up to 41, and one Miller-Rabin base
-    on it would overrun the budget, so it is refused before ``pow`` runs
-    (named by its size: its decimal form is too long to print)."""
+    """10007 * 10009^k has no prime factor below TRIAL_BOUND, and one
+    Miller-Rabin base on it would overrun the budget, so it is refused
+    before ``pow`` runs (named by its size: its decimal form is too long
+    to print)."""
     calls = []
 
     def counting_pow(*args):
@@ -136,7 +137,7 @@ def test_huge_modulus_is_refused_before_any_power(monkeypatch, k):
         return pow(*args)
 
     monkeypatch.setattr(commutative, "pow", counting_pow, raising=False)
-    n = 43 * 47 ** k
+    n = 10007 * 10009 ** k
     with pytest.raises(CapabilityError, match=f"a {n.bit_length()}-bit number"):
         factor_integer(n)
     assert calls == []
@@ -178,9 +179,27 @@ def test_int_root_is_the_floor_root():
 
 
 def test_large_perfect_power_is_factored_within_the_budget():
-    """A 3040-bit modulus is charged for its bases, roots and splits, and
-    still fits: 43^560 is found as 43 to the 560th."""
+    """A 3190-bit modulus with no prime factor below TRIAL_BOUND is
+    charged for its bases, roots and splits, and still fits: 10007^240 is
+    found as 10007 to the 240th.  43^560 is divided out by the gcd."""
+    assert factor_integer(10007 ** 240) == [(10007, 240)]
     assert factor_integer(43 ** 560) == [(43, 560)]
+
+
+@pytest.mark.parametrize("n,expected", [
+    (43 * 47 ** 1080, [(43, 1), (47, 1080)]),
+    (9967 * 9973 * (10 ** 12 + 39), [(9967, 1), (9973, 1), (10 ** 12 + 39, 1)]),
+    (10007 * 10009 * (10 ** 12 + 39),
+     [(10007, 1), (10009, 1), (10 ** 12 + 39, 1)]),
+], ids=["43-47^1080", "two-below-1e4-one-above-1e12", "none-below-1e4"])
+def test_factor_integer_past_the_trial_primes(n, expected):
+    """The primes below TRIAL_BOUND are found by one gcd with their
+    product, whatever the size of the rest (43 * 47^1080 has 6,005 bits);
+    a modulus with none of them goes to Miller-Rabin and rho.  The factors
+    multiply back to n."""
+    factors = factor_integer(n)
+    assert factors == expected
+    assert math.prod(p ** e for p, e in factors) == n
 
 
 def test_factor_poly_f2():

@@ -663,9 +663,9 @@ def test_cli_window_past_the_budget_is_refused(tmp_path, capsys, command,
 
 
 def test_cli_huge_modulus_is_refused_at_once(tmp_path, capsys):
-    """A 13,000-bit modulus with no prime factor up to 41 is refused
+    """A 13,000-bit modulus with no prime factor below 10^4 is refused
     before its first Miller-Rabin base, and named by its size."""
-    n = 43 * 47 ** 2340
+    n = 10007 * 10009 ** 977
     path = _write(tmp_path, "n.alg", INT_MOD_FIXTURE.format(n))
     assert cli_main(["analyze", path, "--atoms"]) == 3
     err = capsys.readouterr().err

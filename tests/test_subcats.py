@@ -1,22 +1,33 @@
 """Closed/localizing/locally closed descriptors and their classifications."""
 
+import contextlib
+import hashlib
+import io
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from ringspectra.algebras import ideal_closure, jacobson_radical
+from ringspectra.cli import main as cli_main
 from ringspectra.ideals import TwoSidedIdeal
 from ringspectra.commutative import IntModBackend, IntegerBackend, PolyBackend
-from ringspectra.errors import ValidationError
+from ringspectra.errors import BudgetExceeded, ValidationError
 from ringspectra.linalg import GF, QQ
 from ringspectra.modules import RightModule
 from ringspectra.oracle import enumerate_submodules, enumerate_two_sided_ideals
 from ringspectra.spectra import ArtinianBackend
-from ringspectra.subcats import (ClosedSubcatDescriptor, classify_localizing,
+from ringspectra.subcats import (LOCALIZING_MAX_ATOMS,
+                                 LOCALLY_CLOSED_MAX_MOLECULES,
+                                 ClosedSubcatDescriptor, classify_localizing,
                                  classify_locally_closed_localizing,
                                  reduced_part, artinianization)
 from test_spectra import _literal_order
-from helpers import contains_module
+from helpers import contains_module, support
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def _backend(name, corpus_by_name):
@@ -99,7 +110,6 @@ def test_classify_localizing_counts(corpus_by_name):
 def test_classify_localizing_refuses_more_than_eight_atoms():
     """Q^9 as Q[x]/((x)(x-1)...(x-8)): nine atoms, 512 subsets."""
     from ringspectra.algebras import companion_algebra
-    from ringspectra.errors import BudgetExceeded
     poly = [1]
     for c in range(9):              # multiply by (x - c), low-to-high
         poly = [u - c * t for t, u in zip(poly + [0], [0] + poly)]
@@ -166,35 +176,96 @@ class _ReversedZ(IntegerBackend):
 
 
 def _upward_closed_subsets(backend, window):
-    """Every subset of the molecules, kept iff r <= s, r in it puts s in it,
-    for the literal containment order."""
+    """(support, label) of every subset of the molecules that is upward
+    closed for the literal containment order (r <= s, r in it puts s in
+    it, read pair by pair), in the order of its bit mask, with the label
+    its sorted member labels give."""
     mols = backend.molecules(window)
     _leq_a, leq = _literal_order(backend)
+    above = [[j for j, s in enumerate(mols) if leq(r, s)] for r in mols]
     out = []
     for mask in range(2 ** len(mols)):
-        chosen = {m for i, m in enumerate(mols) if mask >> i & 1}
-        if all(s in chosen for r in chosen for s in mols if leq(r, s)):
-            out.append(frozenset(chosen))
+        members = [i for i in range(len(mols)) if mask >> i & 1]
+        if all(mask >> j & 1 for i in members for j in above[i]):
+            chosen = frozenset(mols[i] for i in members)
+            label = ("lcl{" + ",".join(sorted(m.label for m in chosen)) + "}"
+                     if chosen else "0")
+            out.append((chosen, label))
     return out
 
 
 def test_locally_closed_classification_equals_pairwise_definition(
         corpus_by_name):
-    cases = [(IntegerBackend(), 13), (PolyBackend(QQ), 2),
+    """Each descriptor's support, read off its bit mask, and its label
+    against the reference, up to the 16-molecule budget (Z window 47)."""
+    cases = [(IntegerBackend(), 13), (IntegerBackend(), 41),
+             (IntegerBackend(), 47), (PolyBackend(QQ), 2),
              (PolyBackend(GF(3)), 2), (_backend("t3_f2", corpus_by_name), None),
              (_ReversedZ(), 13)]
     for backend, window in cases:
-        got = [d.molecule_support
+        got = [(support(d), d.label)
                for d in classify_locally_closed_localizing(backend, window)]
         assert got == _upward_closed_subsets(backend, window), backend.label
+
+
+def test_locally_closed_classification_refuses_past_16_molecules():
+    """Z window 53 lists 17 molecules: refused before any subset is
+    searched, and analyze reports the count as unavailable."""
+    assert LOCALLY_CLOSED_MAX_MOLECULES == 16
+    with pytest.raises(BudgetExceeded) as exc:
+        classify_locally_closed_localizing(IntegerBackend(), window=53)
+    message = "locally closed classification: needs 131072, budget allows 65536"
+    assert str(exc.value) == message
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["analyze", str(FIXTURES / "z.alg"),
+                         "--window", "53", "--subcats"]) == 0
+    section = json.loads(out.getvalue())["subcategories"]
+    assert section["locally_closed_localizing_count"] == "unavailable: " + message
+    assert "locally_closed_localizing" not in section
+
+
+def test_analyze_z_window_41_output_is_pinned():
+    """The stdout of ``analyze fixtures/z.alg --window 41`` (8,193 locally
+    closed labels) is byte for byte what it was when each descriptor kept
+    its support as a frozenset and sorted its labels itself."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["analyze", str(FIXTURES / "z.alg"),
+                         "--window", "41"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "592ab5674a177c8083e0cc3cc04424fb061952d36c61d7933b900d74114a68f0")
+
+
+def test_localizing_classification_equals_subsets(algebra_corpus):
+    """Every atom subset in mask order, with its sorted-join label; the
+    prime ones miss one atom, the maximal proper ones one minimal atom."""
+    for name, a in algebra_corpus:
+        b = ArtinianBackend(a)
+        atoms = b.atoms()
+        if len(atoms) > LOCALIZING_MAX_ATOMS:
+            continue
+        descs, primes, maxp = classify_localizing(b)
+        subsets = [frozenset(x for i, x in enumerate(atoms) if mask >> i & 1)
+                   for mask in range(2 ** len(atoms))]
+        assert [support(d) for d in descs] == subsets, name
+        assert [d.label for d in descs] == [
+            "loc{" + ",".join(sorted(x.label for x in s)) + "}" if s else "0"
+            for s in subsets], name
+        missing = [frozenset(atoms) - s for s in subsets]
+        assert [support(d) for d in primes] == [
+            s for s, m in zip(subsets, missing) if len(m) == 1], name
+        amin = set(b.minimal_atoms())
+        assert [support(d) for d in maxp] == [
+            s for s, m in zip(subsets, missing) if len(m) == 1 and m <= amin], name
 
 
 def test_locally_closed_membership(corpus_by_name):
     b = _backend("t2_f2", corpus_by_name)
     descs = classify_locally_closed_localizing(b)
     reg = RightModule.regular(b.algebra)
-    full = [d for d in descs if len(d.molecule_support) == 2]
-    empty = [d for d in descs if not d.molecule_support]
+    full = [d for d in descs if len(support(d)) == 2]
+    empty = [d for d in descs if not support(d)]
     assert contains_module(full[0], reg)
     assert not contains_module(empty[0], reg)
     assert contains_module(empty[0], RightModule.zero(b.algebra))

@@ -6,7 +6,7 @@ Runs each rung once, in this order:
 
 - ``upper_triangular_algebra(n, F2)`` alone for n = 16, 20 and 24
   (dimension 136, 210 and 300), each in a fresh interpreter: the build's
-  seconds and the rise in max RSS it causes;
+  seconds and the rise in peak RSS it causes;
 - ``bound_quiver_algebra`` over F_2 alone, in the same way, on one vertex
   with k loops and all k^2 products of two loops zero, for k = 5, 10 and
   19 (dimension k + 1, and 1 + k + k^2 paths listed: 381 for k = 19);
@@ -22,8 +22,9 @@ Runs each rung once, in this order:
   just above 10^k, k = 4, 6, 8, 10, and one rung past the factorization
   budget, k = 13, recorded as refused (the backend, and so the
   factorization of q * r, built in the time);
-- ``ringspectra analyze fixtures/z.alg --window N --json TMP`` in-process,
-  for N = 41, 43, 47 (14 to 16 molecules, up to the 2^16 subset budget);
+- ``ringspectra analyze fixtures/z.alg --window N --json TMP`` for
+  N = 41, 43, 47 (14 to 16 molecules, up to the 2^16 subset budget), each
+  in a fresh interpreter: its seconds and the rise in peak RSS it causes;
 - ``ringspectra analyze T.alg --atoms --json TMP`` in-process on
   ``source = triangular`` fixtures for T_9(F_2) and T_12(F_2) (a listing:
   the algebra, its radical and its simples, no verification suite);
@@ -72,8 +73,19 @@ from ringspectra.subcats import classify_locally_closed_localizing  # noqa: E402
 SKIP_AFTER_S = 300.0
 
 
-BUILD_ONLY = """\
-import resource, sys, time
+# The peak RSS of the fresh interpreter, in kB: VmHWM starts afresh at
+# exec, whereas ru_maxrss keeps the peak of the process it was forked
+# from, the ladder itself, which hides every rise below that (Linux).
+PEAK_KB = """\
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+"""
+
+
+BUILD_ONLY = PEAK_KB + """\
+import sys, time
 sys.path.insert(0, sys.argv[1])
 from ringspectra.algebras import (BoundQuiver, bound_quiver_algebra,
                                   upper_triangular_algebra)
@@ -83,19 +95,18 @@ loops = tuple((f"x{i}", 0, 0) for i in range(k))
 zero = tuple(((1, (i, j)),) for i in range(k) for j in range(k))
 build = {"triangular": lambda: upper_triangular_algebra(k, F2),
          "loops": lambda: bound_quiver_algebra(F2, BoundQuiver(1, loops, zero))}
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kb()
 t0 = time.perf_counter()
 a = build[sys.argv[2]]()
 seconds = time.perf_counter() - t0
-print(seconds, a.dim, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(seconds, a.dim, peak_kb() - before)
 """
 
 
 def build_only(source, n):
     """Build T_n(F_2) (source "triangular"), or the n-loop quiver with every
-    product of two loops zero ("loops"), in a fresh interpreter, whose max
-    RSS then rises by what the build holds at its peak (ru_maxrss is in kB
-    on Linux)."""
+    product of two loops zero ("loops"), in a fresh interpreter, whose
+    peak RSS then rises by what the build holds at its peak."""
     out = subprocess.run([sys.executable, "-c", BUILD_ONLY, str(ROOT / "src"),
                           source, str(n)], capture_output=True, text=True,
                          check=True)
@@ -148,17 +159,33 @@ INT_MOD_PRIMES = {4: (10007, 10009), 6: (1000003, 1000033),
                   13: (10000000000037, 10000000000051)}
 
 
+ANALYZE_Z = PEAK_KB + """\
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from ringspectra.cli import main
+out = sys.argv[4]
+before = peak_kb()
+t0 = time.perf_counter()
+code = main(["analyze", sys.argv[2], "--window", sys.argv[3], "--json", out])
+seconds = time.perf_counter() - t0
+rise = peak_kb() - before
+with open(out) as fh:
+    count = json.load(fh)["subcategories"]["locally_closed_localizing_count"]
+print(json.dumps([seconds, code, count, rise]))
+"""
+
+
 def analyze_z(window):
+    """``analyze z.alg --window N`` in a fresh interpreter, whose peak
+    RSS then rises by what the run holds at its peak."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "z.json"
-        argv = ["analyze", str(ROOT / "fixtures" / "z.alg"),
-                "--window", str(window), "--json", str(out)]
-        t0 = time.perf_counter()
-        code = cli_main(argv)
-        seconds = time.perf_counter() - t0
-        subcats = json.loads(out.read_text())["subcategories"]
-    return seconds, {"exit": code,
-                     "locally_closed": subcats["locally_closed_localizing_count"]}
+        out = subprocess.run([sys.executable, "-c", ANALYZE_Z,
+                              str(ROOT / "src"), str(ROOT / "fixtures" / "z.alg"),
+                              str(window), str(Path(tmp) / "z.json")],
+                             capture_output=True, text=True, check=True)
+    seconds, code, count, rise = json.loads(out.stdout)
+    return seconds, {"exit": code, "locally_closed": count,
+                     "max_rss_rise_mb": round(rise / 1024, 1)}
 
 
 def analyze_atoms(source, n, field):
