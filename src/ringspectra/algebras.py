@@ -54,7 +54,7 @@ from typing import Sequence
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .linalg import (Matrix, RowReducer, Subspace, apply_vec,
                      combine_matrices, common_left_kernel, field_name, spin,
-                     unit_vec, vec_add, vec_is_zero, vec_scale, zero_vec)
+                     unit_vec, vec_add, vec_is_zero, vec_scale)
 
 
 class AlgebraStructure:
@@ -893,12 +893,9 @@ def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
         raise ValidationError("unit does not decompose along components")
     offset = 0
     for comp in components:
-        e = zero_vec(f, d)
-        for t in range(comp.dim):
-            e = vec_add(f, e, vec_scale(f, coeffs[offset + t],
-                                        comp.basis_rows()[t]))
+        blocks.append((comp, apply_vec(coeffs[offset:offset + comp.dim],
+                                       comp.mat)))
         offset += comp.dim
-        blocks.append((comp, e))
 
     out = []
     both_sides = generator_multiplications(a)
@@ -956,12 +953,8 @@ def _try_split_rational_component(a, comp, zc):
         for j in range(i + 1, len(basis)):
             candidates.append(vec_add(f, basis[i], basis[j]))
     for w in range(2, 9):
-        v = zero_vec(f, a.dim)
-        mult = f.one
-        for b in basis:
-            v = vec_add(f, v, vec_scale(f, mult, b))
-            mult = f.mul(mult, f.scalar(w))
-        candidates.append(v)
+        weights = [f.scalar(w ** i) for i in range(len(basis))]
+        candidates.append(apply_vec(weights, zc.mat))
     for z in candidates:
         deg, factors, pieces = factor_minimal_polynomial(
             comp, a.left_mult_matrix(z))
@@ -997,27 +990,39 @@ def factor_minimal_polynomial(space: Subspace, op: Matrix):
     multiplicity) pairs, or None where the polynomial cannot be factored;
     pieces yields lazily, factor by factor, the kernel of factor(op) in
     space, which is space itself, taken without computing, when the
-    polynomial is one irreducible factor.
+    polynomial is one irreducible factor.  The powers of op are computed
+    once: the first row of the left kernel of their flattened stack is the
+    first power that depends on those before it, which gives the monic
+    minimal polynomial, and each factor of op is combined from them
+    (docs/derivations.md, "The minimal polynomial from one kernel").
     """
     from .commutative import factor_polynomial
     f = space.field
     restricted = space.restrict(op)
     if restricted is None:
         raise ValidationError("operator does not preserve the subspace")
-    minpoly = _minimal_polynomial(f, restricted)
+    n = restricted.nrows
+    powers = [Matrix.identity(f, n)]
+    for _ in range(n):
+        powers.append(powers[-1] * restricted)
+    flat = Matrix.trusted(f, tuple(tuple(x for row in p.rows for x in row)
+                                   for p in powers), n * n)
+    relation = flat.left_kernel().rows[0]
+    deg = max(i for i, c in enumerate(relation) if c)
+    minpoly = relation[:deg + 1]
     try:
         factors = factor_polynomial(f, minpoly)
     except CapabilityError:
-        return len(minpoly) - 1, None, ()
+        return deg, None, ()
 
     def kernel(fac):
-        kern = _eval_poly_matrix(f, fac, restricted).left_kernel()
+        kern = combine_matrices(f, n, fac, powers).left_kernel()
         return Subspace.from_vectors(f, space.ambient,
                                      [apply_vec(c, space.mat) for c in kern.rows])
 
     whole = len(factors) == 1 and factors[0][1] == 1
-    return len(minpoly) - 1, factors, (space if whole else kernel(fac)
-                                       for fac, _m in factors)
+    return deg, factors, (space if whole else kernel(fac)
+                          for fac, _m in factors)
 
 
 def _filling(comp, pieces):
@@ -1026,32 +1031,3 @@ def _filling(comp, pieces):
     if sum(p.dim for p in pieces) != comp.dim:
         raise ValidationError("block splitting lost dimensions")
     return pieces
-
-
-def _minimal_polynomial(f, m: Matrix):
-    """Monic minimal polynomial of a square matrix, low-to-high coefficients."""
-    n = m.nrows
-    if n == 0:
-        return (f.one,)
-    powers = [Matrix.identity(f, n)]
-    for _ in range(n):
-        powers.append(powers[-1] * m)
-    flat = [tuple(x for row in p.rows for x in row) for p in powers]
-    for deg in range(1, n + 1):
-        mat = Matrix(f, flat[:deg], n * n)
-        sol = mat.solve_left(flat[deg])
-        if sol is not None:
-            return tuple(f.neg(c) for c in sol) + (f.one,)
-    raise ValidationError("minimal polynomial not found within dimension")
-
-
-def _eval_poly_matrix(f, poly, m: Matrix) -> Matrix:
-    n = m.nrows
-    acc = Matrix.zero(f, n, n)
-    power = Matrix.identity(f, n)
-    for c in poly:
-        if c != f.zero:
-            acc = acc + power.scale(c)
-        power = power * m
-    return acc
-

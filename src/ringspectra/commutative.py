@@ -7,8 +7,9 @@ backends only say how their primes are found and named.  Prime data
 comes from exact factorization: over Z, Pollard-Brent rho under a fixed
 budget with every prime certified by deterministic Miller-Rabin below
 psi_13 (about 3.3 * 10^24); irreducibility tables up to degree four over
-F_p (which certify factorizations up to degree nine); and the
-rational-root-plus-discriminant fragment over Q.  Anything beyond raises
+F_p (which certify factorizations up to degree nine); and over Q the
+rational roots, from the certified divisors of two coefficients, with a
+remainder of degree at most three.  Anything beyond raises
 ``CapabilityError`` instead of guessing.
 
 The graded polynomial backend reproduces the boundary behavior of graded
@@ -144,46 +145,58 @@ def irreducible_polys(p: int, max_deg: int):
 _GF_TABLE_DEG = 4
 
 
-def _rational_root_candidates(poly):
-    """Rational root candidates of an integer-normalized polynomial."""
+# The rational-root candidates one factorization over Q may try.  They
+# are counted from two certified factorizations before any is listed, and
+# refused past this: x^2 + 2 * 3 * ... * 71 has 2^21.  Just under it the
+# search takes about 2.5 s (x86_64, Python 3.11).
+ROOT_CANDIDATE_BUDGET = 2_000_000
+
+
+def _rational_roots(poly):
+    """The rational roots of poly, each once.
+
+    Zero, and each +-p/q in lowest terms with p dividing the lowest nonzero
+    and q the leading coefficient of poly made integral: every rational
+    root is among them (docs/derivations.md, "Rational roots from certified
+    divisors").  A prime of both coefficients goes to p or to q, so its
+    exponents e and f give e + f + 1 ways.  The +-p/q are counted, and
+    refused past ROOT_CANDIDATE_BUDGET, before any is tried; each is tried
+    in integers, as sum c_i p^i q^(n-i) = 0.
+    """
     denom_lcm = math.lcm(*(c.denominator for c in poly))
     ints = [int(c * denom_lcm) for c in poly]
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    if not ints:
-        return []
-    a0, an = abs(ints[0]), abs(ints[-1])
-    ps = _divisors(a0)
-    qs = _divisors(an)
-    cands = {Fraction(0)}
-    for p in ps:
-        for q in qs:
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    return sorted(cands)
-
-
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    zeros = next(i for i, c in enumerate(ints) if c)
+    if zeros:
+        yield Fraction(0)
+    ints = ints[zeros:]
+    low, lead = dict(factor_integer(ints[0])), dict(factor_integer(ints[-1]))
+    ways = [[(r ** i, 1) for i in range(low.get(r, 0) + 1)]
+            + [(1, r ** j) for j in range(1, lead.get(r, 0) + 1)]
+            for r in sorted(low.keys() | lead.keys())]
+    count = 2 * math.prod(map(len, ways))
+    if count > ROOT_CANDIDATE_BUDGET:
+        raise CapabilityError(f"rational root candidates: needs {count}, "
+                              f"budget allows {ROOT_CANDIDATE_BUDGET}")
+    for split in itertools.product(*ways):
+        p = q = 1
+        for s, t in split:
+            p, q = p * s, q * t
+        for num in (p, -p):
+            acc, power = 0, 1
+            for c in ints:
+                acc, power = acc * q + c * power, power * num
+            if acc == 0:
+                yield Fraction(num, q)
 
 
 def factor_polynomial(field, poly):
     """Complete factorization into monic irreducibles: [(factor, mult)].
 
     F_p: trial division against the degree-four table certifies any input
-    of degree at most nine.  Q: rational roots are peeled; what remains is
-    finished for degree <= 2 by the discriminant and certified irreducible
-    for degree 3; an unresolved quartic raises CapabilityError.
+    of degree at most nine.  Q: the rational roots are peeled, each with
+    its multiplicity, in one pass over the candidates of the input; a
+    remainder of degree at most three is then irreducible, and one of
+    degree four or more raises CapabilityError.
     """
     poly = poly_monic(field, poly_trim(field, poly))
     d = poly_deg(poly)
@@ -219,60 +232,25 @@ def factor_polynomial(field, poly):
             push(rest)
         return sorted(out.items())
 
+    # A linear polynomial is its own factor, with no search.
     rest = poly
-    changed = True
-    while changed and poly_deg(rest) > 0:
-        changed = False
-        for r in _rational_root_candidates(rest):
-            if poly_eval(field, rest, r) == field.zero:
-                lin = (field.neg(r), field.one)
-                rest = poly_divmod(field, rest, lin)[0]
-                push(lin)
-                changed = True
-                break
+    for r in _rational_roots(poly) if d > 1 else ():
+        lin = (field.neg(r), field.one)
+        while poly_eval(field, rest, r) == field.zero:
+            rest = poly_divmod(field, rest, lin)[0]
+            push(lin)
+        if poly_deg(rest) < 2:
+            break
     dr = poly_deg(rest)
-    if dr == 0:
-        return sorted(out.items())
-    if dr == 1:
+    if dr > 3:
+        raise CapabilityError(
+            "factorization over Q beyond rational roots and quadratics "
+            f"is out of desk scope (degree {dr} remainder)")
+    if dr > 0:
+        # Without a rational root, a factor of degree 1 to 3 has no proper
+        # factor: one of them would be linear.
         push(rest)
-        return sorted(out.items())
-    if dr == 2:
-        b, a = rest[1], rest[2]
-        c = rest[0]
-        disc = b * b - 4 * a * c
-        root = _rational_sqrt(disc)
-        if root is None:
-            push(rest)
-            return sorted(out.items())
-        r1 = (-b + root) / 2
-        r2 = (-b - root) / 2
-        push((field.neg(r1), field.one))
-        push((field.neg(r2), field.one))
-        return sorted(out.items())
-    if dr == 3:
-        # A cubic without rational roots is irreducible over Q.
-        push(rest)
-        return sorted(out.items())
-    raise CapabilityError(
-        "factorization over Q beyond rational roots and quadratics "
-        f"is out of desk scope (degree {dr} remainder)")
-
-
-def _rational_sqrt(x: Fraction):
-    if x < 0:
-        return None
-    num = _int_sqrt(x.numerator)
-    den = _int_sqrt(x.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _int_sqrt(n: int):
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
+    return sorted(out.items())
 
 
 # The Miller-Rabin bases.

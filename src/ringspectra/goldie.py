@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .algebras import FiniteDimAlgebra
 from .errors import CapabilityError, ValidationError
 from .ideals import TwoSidedIdeal, ideal_product, is_semiprime
-from .linalg import Subspace, vec_add, vec_is_zero, vec_scale, zero_vec
+from .linalg import Subspace, apply_vec, vec_is_zero
 from .modules import RightModule
 from .spectra import ArtinianBackend, QuotientRingDescriptor, SpectrumBackend
 
@@ -177,9 +177,7 @@ def regular_element_in(a: FiniteDimAlgebra, space: Subspace) -> tuple:
                                         repeat=len(basis)):
             if all(c == 0 for c in coeffs):
                 continue
-            v = zero_vec(f, a.dim)
-            for c, b in zip(coeffs, basis):
-                v = vec_add(f, v, vec_scale(f, f.scalar(c), b))
+            v = apply_vec([f.scalar(c) for c in coeffs], space.mat)
             if a.is_regular_element(v):
                 return v
     raise CapabilityError("regular element search budget exhausted over Q")

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import (FiniteDimAlgebra, generator_multiplications,
-                       jacobson_radical, quotient_algebra,
-                       semisimple_quotient, subspace_product,
-                       wedderburn_blocks)
+                       jacobson_radical, semisimple_quotient,
+                       subspace_product, wedderburn_blocks)
 from .errors import ValidationError
 from .linalg import Matrix, Subspace
 
@@ -71,18 +70,10 @@ class TwoSidedIdeal:
             if not other.algebra.structurally_equal(self.algebra):
                 raise ValidationError("ideals belong to different algebras")
 
-    def sum(self, other: "TwoSidedIdeal"):
-        self._check_parent(other)
-        return TwoSidedIdeal(self.algebra, self.space.sum(other.space),
-                             validate=False)
-
     def intersect(self, other: "TwoSidedIdeal"):
         self._check_parent(other)
         return TwoSidedIdeal(self.algebra, self.space.intersect(other.space),
                              validate=False)
-
-    def quotient(self, name=None):
-        return quotient_algebra(self.algebra, self.space, name=name)
 
 
 def ideal_product(i: TwoSidedIdeal, j: TwoSidedIdeal) -> TwoSidedIdeal:

@@ -325,9 +325,6 @@ class Matrix:
                                        for a, b in zip(self.rows, other.rows)),
                               self.ncols)
 
-    def __neg__(self):
-        return self.scale(self.field.neg(self.field.one))
-
     def scale(self, c):
         f = self.field
         c = f.scalar(c)

@@ -180,9 +180,6 @@ class RightModule:
             self._radical = Subspace.from_vectors(self.algebra.field, self.dim, vecs)
         return self._radical
 
-    def is_semisimple(self):
-        return self.socle_space().dim == self.dim
-
 
 def _any_preimage(proj_matrix: Matrix, w):
     x = proj_matrix.solve_left(w)
@@ -522,9 +519,7 @@ def _idempotent_in_minimal_right_ideal(quot, space: Subspace):
             coeffs = mat.solve_left(w)
             if coeffs is None:
                 continue
-            e = zero_vec(f, quot.dim)
-            for c, u in zip(coeffs, basis):
-                e = vec_add(f, e, vec_scale(f, c, u))
+            e = apply_vec(coeffs, space.mat)
             if quot.mul(e, e) == e and not vec_is_zero(f, e):
                 return e
     raise ValidationError("no idempotent found in a minimal right ideal")

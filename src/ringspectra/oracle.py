@@ -23,7 +23,8 @@ from .algebras import (BoundQuiver, FiniteDimAlgebra, bound_quiver_algebra,
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .ideals import TwoSidedIdeal, annihilator
 from .linalg import F2, F3, Matrix, Subspace, apply_vec, spin
-from .modules import RightModule, embeds_in
+from .modules import (RightModule, are_isomorphic, embeds_in,
+                      injective_envelope, simple_modules)
 
 
 @dataclass
@@ -233,14 +234,9 @@ def brute_is_monoform(m: RightModule, budget: Budget = None) -> bool:
                   for t in subs if t.dim > l_space.dim and t.contains(l_space)]
         for x in sub_modules:
             for y in q_subs:
-                if x.dim == y.dim and _brute_isomorphic(x, y):
+                if x.dim == y.dim and are_isomorphic(x, y):
                     return False
     return True
-
-
-def _brute_isomorphic(x: RightModule, y: RightModule) -> bool:
-    from .modules import are_isomorphic
-    return are_isomorphic(x, y)
 
 
 def brute_is_compressible(m: RightModule, budget: Budget = None) -> bool:
@@ -297,7 +293,6 @@ def brute_composition_factors(m: RightModule, budget: Budget = None):
     so t/c is simple; the layer is named by the simple class it is
     isomorphic to.
     """
-    from .modules import simple_modules
     f = m.algebra.field
     subs = enumerate_submodules(m, budget)
     simples = [(s.label, s.require_module()) for s in simple_modules(m.algebra)]
@@ -309,7 +304,7 @@ def brute_composition_factors(m: RightModule, budget: Budget = None):
         top, _ = m.submodule(t)
         layer, _ = top.quotient(Subspace.from_vectors(
             f, t.dim, [t.coords_of(v) for v in c.basis_rows()]))
-        names = [lbl for lbl, s in simples if _brute_isomorphic(layer, s)]
+        names = [lbl for lbl, s in simples if are_isomorphic(layer, s)]
         if len(names) != 1:
             raise ValidationError(f"a layer matches {len(names)} simple classes")
         counts[names[0]] = counts.get(names[0], 0) + 1
@@ -416,7 +411,6 @@ def _xpow(field, n):
 
 def standard_modules(a: FiniteDimAlgebra, include_envelopes=True):
     """Deterministic small module zoo for one algebra."""
-    from .modules import injective_envelope, simple_modules
     out = []
     reg = RightModule.regular(a, name="reg")
     out.append(("reg", reg))

@@ -1,10 +1,12 @@
-"""Matrix and subcategory facts that only the tests read.
+"""Matrix, module, ideal and subcategory facts that only the tests read.
 
-The package never inverts a matrix, takes a determinant or a trace, or
-asks whether a module lies in a localizing subcategory, so these live
-here, beside the tests that use them as references.
+The package never inverts a matrix, takes a determinant or a trace, asks
+whether a module is semisimple, adds two ideals, or asks whether a module
+lies in a localizing subcategory, so these live here, beside the tests
+that use them as references.
 """
 
+from ringspectra.ideals import TwoSidedIdeal
 from ringspectra.linalg import Matrix, unit_vec
 from ringspectra.subcats import LocalizingSubcatDescriptor
 
@@ -56,6 +58,17 @@ def trace(m: Matrix):
     for i in range(min(m.nrows, m.ncols)):
         t = f.add(t, m.rows[i][i])
     return t
+
+
+def is_semisimple_module(m) -> bool:
+    """Whether the right module m is its own socle."""
+    return m.socle_space().dim == m.dim
+
+
+def ideal_sum(i: TwoSidedIdeal, j: TwoSidedIdeal) -> TwoSidedIdeal:
+    """i + j, two-sided because both are."""
+    i._check_parent(j)
+    return TwoSidedIdeal(i.algebra, i.space.sum(j.space), validate=False)
 
 
 def support(descriptor) -> frozenset:

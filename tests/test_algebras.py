@@ -447,6 +447,62 @@ def test_minimal_polynomial_pieces_on_m2_q():
     assert (deg, mults) == (1, [1]) and piece is full
 
 
+def _minimal_polynomial_by_solves(f, m):
+    """Reference: the monic minimal polynomial of m, low to high, from one
+    solve of power k against the powers below it, for k = 1, 2, ..."""
+    n = m.nrows
+    powers = [Matrix.identity(f, n)]
+    for _ in range(n):
+        powers.append(powers[-1] * m)
+    flat = [tuple(x for row in p.rows for x in row) for p in powers]
+    for deg in range(n + 1):
+        sol = Matrix(f, flat[:deg], n * n).solve_left(flat[deg])
+        if sol is not None:
+            return tuple(f.neg(c) for c in sol) + (f.one,)
+    raise AssertionError("no minimal polynomial within the dimension")
+
+
+def _poly_of_matrix_by_products(f, poly, m):
+    """Reference: poly(m), by its own round of matrix products."""
+    acc = Matrix.zero(f, m.nrows, m.nrows)
+    power = Matrix.identity(f, m.nrows)
+    for c in poly:
+        acc = acc + power.scale(c)
+        power = power * m
+    return acc
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["corpus", "named"])
+def test_minimal_polynomial_equals_the_solve_per_degree(algebra_corpus, extra):
+    """On L_z and R_z for seeded random z, the one-kernel minimal polynomial
+    and the kernel of each factor equal those from one solve per degree and
+    a second round of products: on every corpus algebra, and on M_2(Q),
+    T_3(Q), Q[C_6] and F_5[C_4]."""
+    from ringspectra.commutative import factor_polynomial
+    from ringspectra.errors import CapabilityError
+    algs = ([matrix_algebra(2, QQ), upper_triangular_algebra(3, QQ),
+             cyclic_group_algebra(QQ, 6), cyclic_group_algebra(GF(5), 4)]
+            if extra else [a for _name, a in algebra_corpus])
+    rng = random.Random(24)
+    for a in algs:
+        f = a.field
+        full = Subspace.full(f, a.dim)
+        for _ in range(3):
+            z = tuple(f.scalar(rng.randint(-2, 2)) for _ in range(a.dim))
+            for op in (a.left_mult_matrix(z), a.right_mult_matrix(z)):
+                minpoly = _minimal_polynomial_by_solves(f, op)
+                deg, factors, pieces = algebras.factor_minimal_polynomial(full, op)
+                assert deg == len(minpoly) - 1, a.name
+                try:
+                    assert factors == factor_polynomial(f, minpoly), a.name
+                except CapabilityError:
+                    assert (factors, tuple(pieces)) == (None, ()), a.name
+                    continue
+                for (fac, _m), piece in zip(factors, pieces, strict=True):
+                    kern = _poly_of_matrix_by_products(f, fac, op).left_kernel()
+                    assert piece == Subspace.from_vectors(f, a.dim, kern.rows)
+
+
 def test_rational_blocks_with_unfactorable_generator():
     """x has a rootless quartic minimal polynomial, but x^2 splits the
     center, so the two quadratic field blocks are still found."""

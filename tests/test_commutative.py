@@ -2,6 +2,8 @@
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,9 @@ from ringspectra.commutative import (GradedModuleDescriptor,
                                      PolyQuotBackend, _Budget, _int_root,
                                      _is_certified_prime, _squaring_cost,
                                      factor_integer, factor_polynomial,
-                                     irreducible_polys, poly_mul,
-                                     primes_up_to)
+                                     irreducible_polys, poly_deg,
+                                     poly_divmod, poly_eval, poly_monic,
+                                     poly_mul, poly_trim, primes_up_to)
 from ringspectra.algebras import ideal_closure
 from ringspectra.errors import BudgetExceeded, CapabilityError, ValidationError
 from ringspectra.ideals import (TwoSidedIdeal, is_semiprime, minimal_primes,
@@ -242,6 +245,120 @@ def test_factor_poly_q():
     # Rootless quartic is out of desk scope.
     with pytest.raises(CapabilityError):
         factor_polynomial(q, [1, 0, 0, 0, 1])       # x^4 + 1
+
+
+def _trial_divisors(n):
+    """The positive divisors of |n| by trial division up to sqrt(n); [1] for 0."""
+    n = abs(n)
+    if n == 0:
+        return [1]
+    return sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0
+                   for d in (k, n // k)})
+
+
+def _trial_division_factor_q(coeffs):
+    """The reference factorization over Q: the candidates recomputed from
+    each deflated remainder by trial division, one root peeled per pass,
+    and a quadratic remainder split by a rational square root of its
+    discriminant."""
+    q = QQ
+    rest = poly_monic(q, poly_trim(q, coeffs))
+    out = Counter()
+    while poly_deg(rest) > 0:
+        lcm = math.lcm(*(c.denominator for c in rest))
+        ints = [int(c * lcm) for c in rest]
+        ints = ints[next(i for i, c in enumerate(ints) if c):]
+        cands = {Fraction(0)} | {Fraction(s * p, d)
+                                 for p in _trial_divisors(ints[0])
+                                 for d in _trial_divisors(ints[-1])
+                                 for s in (1, -1)}
+        root = next((r for r in sorted(cands) if poly_eval(q, rest, r) == 0),
+                    None)
+        if root is None:
+            break
+        rest = poly_divmod(q, rest, (-root, q.one))[0]
+        out[(-root, q.one)] += 1
+    if poly_deg(rest) == 2:
+        c, b, _one = rest
+        disc = b * b - 4 * c
+        sqrt = Fraction(math.isqrt(max(disc.numerator, 0)),
+                        math.isqrt(disc.denominator))
+        if sqrt * sqrt == disc:
+            for root in ((-b + sqrt) / 2, (-b - sqrt) / 2):
+                out[(-root, q.one)] += 1
+            return sorted(out.items())
+    if poly_deg(rest) > 3:
+        raise CapabilityError(
+            "factorization over Q beyond rational roots and quadratics "
+            f"is out of desk scope (degree {poly_deg(rest)} remainder)")
+    if poly_deg(rest) > 0:
+        out[rest] += 1
+    return sorted(out.items())
+
+
+def _random_rational_factor(rng):
+    """A seeded factor of degree 1 to 3 with small rational coefficients."""
+    deg = rng.choice((1, 1, 2, 2, 3))
+    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(deg)]
+    return coeffs + [Fraction(rng.randint(1, 3))]
+
+
+def test_factor_q_equals_the_trial_division_route():
+    """Seeded products of up to four rational factors of degree <= 3 get
+    the reference's factors or its refusal, word for word."""
+    rng = random.Random(24)
+    answers = refusals = 0
+    for _ in range(400):
+        poly = (QQ.one,)
+        for _ in range(rng.randint(1, 4)):
+            poly = poly_mul(QQ, poly, _random_rational_factor(rng))
+        try:
+            expected = _trial_division_factor_q(poly)
+        except CapabilityError as exc:
+            with pytest.raises(CapabilityError) as got:
+                factor_polynomial(QQ, poly)
+            assert str(got.value) == str(exc), poly
+            refusals += 1
+        else:
+            assert factor_polynomial(QQ, poly) == expected, poly
+            answers += 1
+    assert answers > 100 and refusals > 50
+
+
+FIRST_20_PRIMES = math.prod(primes_up_to(71))
+
+
+@pytest.mark.parametrize("coeffs,expected", [
+    ([10 ** 30, 0, 1], [((10 ** 30, 0, 1), 1)]),
+    ([-10 ** 30, 0, 1], [((-10 ** 15, 1), 1), ((10 ** 15, 1), 1)]),
+    ([0, 0, 0, 1], [((0, 1), 3)]),
+    ([-1, 3, -3, 1], [((-1, 1), 3)]),
+    ([Fraction(-1, 6), Fraction(1, 6), 1],
+     [((Fraction(-1, 3), 1), 1), ((Fraction(1, 2), 1), 1)]),
+    ([0, 2, 0, 1], [((0, 1), 1), ((2, 0, 1), 1)]),
+    ([FIRST_20_PRIMES, 1], [((FIRST_20_PRIMES, 1), 1)]),
+], ids=["x2+10^30", "x2-10^30", "x^3", "(x-1)^3", "denominators",
+        "x(x2+2)", "linear-past-the-budget"])
+def test_factor_q_from_certified_divisors(coeffs, expected):
+    """Roots come with their multiplicities, a rootless quadratic is
+    irreducible, and a linear polynomial is its own factor, unsearched."""
+    assert factor_polynomial(QQ, coeffs) == expected
+
+
+def test_factor_q_candidate_budget():
+    """x^2 + 2*3*...*71 has 2 * 2^20 candidates, past the budget: refused
+    before any is tried.  The count takes e + f + 1 ways for a prime of
+    both coefficients, so N x^2 + x + N for N = 30030^3 (7^6 = 117,649
+    ways, against 4^12 divisor pairs) is searched, and has no rational
+    root."""
+    assert commutative.ROOT_CANDIDATE_BUDGET == 2_000_000
+    with pytest.raises(CapabilityError) as exc:
+        factor_polynomial(QQ, [FIRST_20_PRIMES, 0, 1])
+    assert str(exc.value) == ("rational root candidates: needs 2097152, "
+                              "budget allows 2000000")
+    n = 30030 ** 3
+    assert factor_polynomial(QQ, [1, Fraction(1, n), 1]) == [
+        ((1, Fraction(1, n), 1), 1)]
 
 
 def test_irreducible_table_counts():

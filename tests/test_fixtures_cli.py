@@ -1,6 +1,7 @@
 """Fixture parsing and the CLI contract."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -671,6 +672,43 @@ def test_cli_huge_modulus_is_refused_at_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"capability error: a {n.bit_length()}-bit number is not "
                    "factored within the budget of 3000000 squarings\n")
+
+
+HUGE_ROOTLESS = "1000000000000000000000000000000 0 1"     # x^2 + 10^30
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("text", [
+    f"[backend]\nkind = poly_quot\nfield = Q\nmodulus = {HUGE_ROOTLESS}\n",
+    f"[backend]\nkind = algebra\nfield = Q\nsource = companion\n"
+    f"poly = {HUGE_ROOTLESS}\n",
+], ids=["poly_quot", "companion"])
+def test_cli_rootless_quadratic_with_a_huge_constant(tmp_path, capsys,
+                                                     command, text):
+    """Q[x]/(x^2 + 10^30) is a field: one atom.  Its rational root
+    candidates come from the certified divisors of 10^30 = 2^30 5^30, 1,922
+    of them, not from trial division up to 10^15."""
+    path = _write(tmp_path, "q.alg", text)
+    assert cli_main([command, path]) == 0
+    out = capsys.readouterr().out
+    if command == "analyze":
+        assert len(json.loads(out)["atoms"]["elements"]) == 1
+    else:
+        assert "[|AMin| = 1, |MMin| = 1]" in out
+
+
+def test_cli_too_many_rational_root_candidates_is_refused(tmp_path):
+    """x^2 + 2*3*...*71 has 2^21 rational root candidates, past
+    commutative.ROOT_CANDIDATE_BUDGET: exit 3 and one line, at once."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+              59, 61, 67, 71]
+    path = _write(tmp_path, "q.alg", "[backend]\nkind = poly_quot\nfield = Q\n"
+                  f"modulus = {math.prod(primes)} 0 1\n")
+    proc = subprocess.run([sys.executable, "-m", "ringspectra.cli", "analyze",
+                           path], capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("capability error: rational root candidates: "
+                           "needs 2097152, budget allows 2000000\n")
 
 
 @pytest.mark.parametrize("command", [["analyze", "--atoms"], ["verify"]])

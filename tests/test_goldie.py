@@ -24,6 +24,7 @@ from ringspectra.oracle import (brute_is_essential, brute_singular_subspace,
                                 enumerate_right_ideals, enumerate_submodules,
                                 standard_modules)
 from ringspectra.spectra import ArtinianBackend
+from helpers import is_semisimple_module
 
 
 def test_essential_self_and_socle():
@@ -120,24 +121,24 @@ def test_nonsingular_module_has_compressible_submodule(small_f2_corpus):
 
 
 # Essentially compressible, finite length: equivalent to semisimple
-# (docs/derivations.md), so ``RightModule.is_semisimple`` decides it.
+# (docs/derivations.md), so ``is_semisimple_module`` decides it.
 
 def test_essentially_compressible(corpus_by_name):
     ff = corpus_by_name["f2xf2"]
-    assert RightModule.regular(ff).is_semisimple()
+    assert is_semisimple_module(RightModule.regular(ff))
     tr2 = corpus_by_name["trunc2_f2"]
     s = simple_modules(tr2)[0].module
-    assert not RightModule.regular(tr2).is_semisimple()
-    assert s.is_semisimple()                       # simple is semisimple
+    assert not is_semisimple_module(RightModule.regular(tr2))
+    assert is_semisimple_module(s)                     # simple is semisimple
 
 
 def test_essentially_compressible_over_q():
     """The finite-length criterion needs no enumeration, so Q works too."""
     from ringspectra.algebras import companion_algebra, matrix_algebra
     from ringspectra.linalg import QQ
-    assert RightModule.regular(matrix_algebra(2, QQ)).is_semisimple()
-    assert not RightModule.regular(
-        companion_algebra(QQ, [0, 0, 1])).is_semisimple()
+    assert is_semisimple_module(RightModule.regular(matrix_algebra(2, QQ)))
+    assert not is_semisimple_module(RightModule.regular(
+        companion_algebra(QQ, [0, 0, 1])))
 
 
 def test_essentially_compressible_definitional(small_f2_corpus):
@@ -155,7 +156,7 @@ def test_essentially_compressible_definitional(small_f2_corpus):
                 if not embeds_in(m, sub):
                     brute = False
                     break
-            assert m.is_semisimple() == brute, (name, mname)
+            assert is_semisimple_module(m) == brute, (name, mname)
 
 
 def test_regular_element_lemma_exhaustive(small_f2_corpus):

@@ -24,7 +24,7 @@ from ringspectra.subcats import (LOCALIZING_MAX_ATOMS,
                                  classify_locally_closed_localizing,
                                  reduced_part, artinianization)
 from test_spectra import _literal_order
-from helpers import contains_module, support
+from helpers import contains_module, ideal_sum, support
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -286,7 +286,7 @@ def test_dcc_random_descending_chains(corpus_by_name):
             strict_steps = 0
             for _ in range(3 * a.dim):
                 gen = tuple(rng.randrange(2) for _ in range(a.dim))
-                nxt_ideal = current.ideal.sum(TwoSidedIdeal(
+                nxt_ideal = ideal_sum(current.ideal, TwoSidedIdeal(
                     a, ideal_closure(a, [gen]), validate=False))
                 nxt = ClosedSubcatDescriptor(b, nxt_ideal)
                 assert nxt.leq(current)

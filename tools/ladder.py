@@ -22,6 +22,10 @@ Runs each rung once, in this order:
   just above 10^k, k = 4, 6, 8, 10, and one rung past the factorization
   budget, k = 13, recorded as refused (the backend, and so the
   factorization of q * r, built in the time);
+- ``ringspectra verify`` on x^2 + 10^k over Q for k = 12, 14, 16, as a
+  ``kind = poly_quot`` fixture and as a ``source = companion`` algebra,
+  each in a fresh interpreter (a rational root search whose candidates
+  come from the divisors of 10^k);
 - ``ringspectra analyze fixtures/z.alg --window N --json TMP`` for
   N = 41, 43, 47 (14 to 16 molecules, up to the 2^16 subset budget), each
   in a fresh interpreter: its seconds and the rise in peak RSS it causes;
@@ -159,6 +163,37 @@ INT_MOD_PRIMES = {4: (10007, 10009), 6: (1000003, 1000033),
                   13: (10000000000037, 10000000000051)}
 
 
+VERIFY = """\
+import contextlib, io, json, sys, time
+sys.path.insert(0, sys.argv[1])
+from ringspectra.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    t0 = time.perf_counter()
+    code = main(["verify", sys.argv[2]])
+    seconds = time.perf_counter() - t0
+print(json.dumps([seconds, code]))
+"""
+
+# x^2 + 10^k over Q, as a symbolic backend and as a finite-dimensional algebra.
+ROOTLESS = {
+    "poly_quot": "[backend]\nkind = poly_quot\nfield = Q\nmodulus = {} 0 1\n",
+    "companion": ("[backend]\nkind = algebra\nfield = Q\nsource = companion\n"
+                  "poly = {} 0 1\n"),
+}
+
+
+def verify_rootless(kind, k):
+    """``verify`` on x^2 + 10^k over Q as ``kind``, in a fresh interpreter."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fixture = Path(tmp) / "q.alg"
+        fixture.write_text(ROOTLESS[kind].format(10 ** k))
+        out = subprocess.run([sys.executable, "-c", VERIFY, str(ROOT / "src"),
+                              str(fixture)], capture_output=True, text=True,
+                             check=True)
+    seconds, code = json.loads(out.stdout)
+    return seconds, {"exit": code}
+
+
 ANALYZE_Z = PEAK_KB + """\
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -251,6 +286,8 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
          + [("hasse z.alg --window 20000", hasse_z, (20000,))]
          + [(f"Z/qr, q and r above 10^{k}", verify_int_mod, qr)
             for k, qr in INT_MOD_PRIMES.items()]
+         + [(f"verify {kind} x^2+10^{k} over Q", verify_rootless, (kind, k))
+            for kind in ROOTLESS for k in (12, 14, 16)]
          + [(f"analyze z.alg --window {w}", analyze_z, (w,))
             for w in (41, 43, 47)]
          + [(f"analyze --atoms T{n}(F2)", analyze_atoms, ("triangular", n, "F2"))
