@@ -261,9 +261,13 @@ class FiniteDimAlgebra:
                              for j, yj in nz)
 
     def power(self, x, n: int):
+        """x^n by square-and-multiply over the bits of n, high to low: at
+        most 2 log2(n) + 2 products."""
         acc = self.unit
-        for _ in range(n):
-            acc = self.mul(acc, x)
+        for bit in bin(n)[2:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, x)
         return acc
 
     def right_mult_by(self, j) -> Matrix:
@@ -840,6 +844,7 @@ class WedderburnBlock:
     a direct factor, of the parent."""
     idempotent: tuple              # central idempotent in the parent, B's unit
     space: Subspace                # the block as a subspace of the parent
+    center: Subspace               # Z(B), the block's meet with Z(parent)
 
 
 def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
@@ -881,32 +886,29 @@ def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
         # indicates a broken semisimplicity assumption upstream.
         if len(components) != len(splitters):
             raise ValidationError("finite-field block splitting incomplete")
+        components = [(comp, _block_center(comp, center)) for comp in components]
     else:
         components = _refine_rational_components(a, components, center)
-    components.sort(key=lambda c: (c.dim, c.mat.rows))
+    components.sort(key=lambda c: (c[0].dim, c[0].mat.rows))
 
     # The unit decomposes along the components into the block idempotents.
-    blocks = []
-    stacked = Matrix(f, [r for c in components for r in c.basis_rows()], d)
+    stacked = Matrix(f, [r for c, _z in components for r in c.basis_rows()], d)
     coeffs = stacked.solve_left(a.unit)
     if coeffs is None:
         raise ValidationError("unit does not decompose along components")
-    offset = 0
-    for comp in components:
-        blocks.append((comp, apply_vec(coeffs[offset:offset + comp.dim],
-                                       comp.mat)))
-        offset += comp.dim
-
     out = []
+    offset = 0
     both_sides = generator_multiplications(a)
-    for comp, e in blocks:
+    for comp, zc in components:
+        e = apply_vec(coeffs[offset:offset + comp.dim], comp.mat)
+        offset += comp.dim
         if not comp.is_stable(both_sides):
             raise ValidationError("component is not a two-sided ideal")
         if a.mul(e, e) != e:
             raise ValidationError("component projection of 1 is not idempotent")
         if not center.contains_vector(e):
             raise ValidationError("block idempotent is not central")
-        out.append(WedderburnBlock(e, comp))
+        out.append(WedderburnBlock(e, comp, zc))
 
     total = sum(b.space.dim for b in out)
     if total != a.dim:
@@ -919,21 +921,26 @@ def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
     return out
 
 
+def _block_center(comp, center):
+    """Z(B) = B meet Z(A) for a block B of A: B is a direct factor, so what
+    commutes with B commutes with A.  A one-dimensional block is its own."""
+    return comp if comp.dim == 1 else comp.intersect(center)
+
+
 def _refine_rational_components(a, components, center):
-    """Split or certify rational components whose center might not be a field."""
+    """Split or certify rational components whose center might not be a
+    field: (block, its center) pairs."""
     out = []
     queue = list(components)
     while queue:
         comp = queue.pop()
         if comp.dim == 0:
             continue
-        zc = comp.intersect(center)
-        if zc.dim <= 1:
-            out.append(comp)
-            continue
-        pieces = _try_split_rational_component(a, comp, zc)
+        zc = _block_center(comp, center)
+        pieces = None if zc.dim <= 1 else \
+            _try_split_rational_component(a, comp, zc)
         if pieces is None:
-            out.append(comp)
+            out.append((comp, zc))
         else:
             queue.extend(pieces)
     return out

@@ -6,10 +6,11 @@ so ``CommutativeSpec`` implements the protocol once; the four ring
 backends only say how their primes are found and named.  Prime data
 comes from exact factorization: over Z, Pollard-Brent rho under a fixed
 budget with every prime certified by deterministic Miller-Rabin below
-psi_13 (about 3.3 * 10^24); irreducibility tables up to degree four over
-F_p (which certify factorizations up to degree nine); and over Q the
-rational roots, from the certified divisors of two coefficients, with a
-remainder of degree at most three.  Anything beyond raises
+psi_13 (about 3.3 * 10^24); irreducibility tables over F_p to half the
+degree, so at most to degree four (which certify factorizations up to
+degree nine); and over Q the rational roots, from the certified divisors
+of two coefficients, with a remainder of degree at most three.  Anything
+beyond raises
 ``CapabilityError`` instead of guessing.
 
 The graded polynomial backend reproduces the boundary behavior of graded
@@ -134,10 +135,11 @@ def irreducible_polys(p: int, max_deg: int):
     f = GF(p)
     irr = []
     for deg in range(1, max_deg + 1):
+        # A reducible candidate has a factor of degree at most deg / 2.
+        divisors = [q for q in irr if poly_deg(q) <= deg // 2]
         for tail in itertools.product(range(p), repeat=deg):
             poly = tuple(f.scalar(c) for c in tail) + (f.one,)
-            if not any(poly_mod(f, poly, q) == () for q in irr
-                       if poly_deg(q) <= deg // 2):
+            if not any(poly_mod(f, poly, q) == () for q in divisors):
                 irr.append(poly)
     return tuple(irr)
 
@@ -192,9 +194,11 @@ def _rational_roots(poly):
 def factor_polynomial(field, poly):
     """Complete factorization into monic irreducibles: [(factor, mult)].
 
-    F_p: trial division against the degree-four table certifies any input
-    of degree at most nine.  Q: the rational roots are peeled, each with
-    its multiplicity, in one pass over the candidates of the input; a
+    F_p: trial division against the table to half the input's degree
+    certifies the input, of degree at most nine, so the table goes to
+    degree four at most (docs/derivations.md, "Factor tables to half the
+    degree").  Q: the rational roots are peeled, each with its
+    multiplicity, in one pass over the candidates of the input; a
     remainder of degree at most three is then irreducible, and one of
     degree four or more raises CapabilityError.
     """
@@ -216,19 +220,18 @@ def factor_polynomial(field, poly):
                 f"factorization over F_{field.p} supported up to degree "
                 f"{2 * _GF_TABLE_DEG + 1}")
         rest = poly
-        for q in irreducible_polys(field.p, _GF_TABLE_DEG):
+        for q in irreducible_polys(field.p, d // 2):
+            if 2 * poly_deg(q) > poly_deg(rest):
+                break
             while poly_deg(rest) >= poly_deg(q):
                 quo, rem = poly_divmod(field, rest, q)
-                if rem == ():
-                    push(q)
-                    rest = quo
-                else:
+                if rem != ():
                     break
-            if poly_deg(rest) <= 0:
-                break
+                push(q)
+                rest = quo
         if poly_deg(rest) > 0:
-            # No factor of degree <= 4 exists, and deg rest <= 9: any proper
-            # factorization would contain one of degree <= 4.  Irreducible.
+            # rest has no factor of degree up to half its own, which a
+            # proper factorization would contain: it is irreducible.
             push(rest)
         return sorted(out.items())
 
@@ -759,14 +762,6 @@ class GradedModuleDescriptor:
     """
     free_shifts: tuple = ()
     torsion: tuple = ()
-
-    @staticmethod
-    def free(*shifts):
-        return GradedModuleDescriptor(tuple(sorted(shifts)), ())
-
-    @staticmethod
-    def simple(shift):
-        return GradedModuleDescriptor((), ((1, shift),))
 
     def is_zero(self):
         return not self.free_shifts and not self.torsion

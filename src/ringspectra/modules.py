@@ -13,9 +13,11 @@ certified minimal right ideals of the semisimple quotient A/J lying inside
 its blocks, one primitive idempotent e_t per simple S_t, composition
 multiplicities read off as [M : S_t] = dim M e_t / dim End(S_t), and
 injective envelopes as duals of projective covers over the opposite
-algebra.  The search, the End certification and the idempotent all run on
-A/J itself, inside the block's subspace (docs/derivations.md, "Simples
-inside the blocks of Lambda/J").  ``simple_modules`` is computed once per
+algebra.  The search and the idempotent run on A/J itself, inside the
+block's subspace (docs/derivations.md, "Simples inside the blocks of
+Lambda/J"), and the block's centre gives both the dimension that
+certifies the simple and End(S) (docs/derivations.md, "Simples read off
+the block's centre").  ``simple_modules`` is computed once per
 algebra, so each block is searched once, and ``primitive_idempotents`` and
 ``composition_factors`` read e_t there.  The opposite algebra searches
 nothing: its simple for block t is the k-dual D(S_t), with the same End
@@ -33,11 +35,13 @@ enumeration over Q raise ``CapabilityError`` rather than guessing.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebras import (FiniteDimAlgebra, factor_minimal_polynomial,
-                       jacobson_radical, semisimple_quotient, wedderburn_blocks)
+from .algebras import (FiniteDimAlgebra, WedderburnBlock,
+                       factor_minimal_polynomial, jacobson_radical,
+                       semisimple_quotient, wedderburn_blocks)
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .ideals import annihilator, is_prime
 from .linalg import (Matrix, Subspace, apply_vec, combine_matrices,
@@ -245,27 +249,22 @@ class SimpleClass:
         return self.module
 
 
-def _block_simple(quot: FiniteDimAlgebra, block: Subspace):
+def _block_simple(quot: FiniteDimAlgebra, block: WedderburnBlock):
     """(S, dim End(S), e) for the simple right module S = e(A/J) inside
     the block ``block`` of the semisimple ``quot``, or None when S is not
     certified.
 
-    S is a minimal right ideal of quot inside the block.  Over F_p the
-    search certifies it; over Q a commutative block is a field, and
-    otherwise the candidate is certified simple when its endomorphism ring
-    is one-dimensional.
+    S is a minimal right ideal of quot inside the block, and End(S) is
+    the block's center (docs/derivations.md, "Simples read off the
+    block's centre").
     """
     try:
         space = _minimal_right_ideal_space(quot, block)
     except CapabilityError:
         return None
     simple = RightModule.regular(quot).submodule(space)[0]
-    # The search returns the whole block only for a commutative one, a field.
-    is_field = space.dim == block.dim
-    end = len(hom_basis(simple, simple))
-    if quot.field.is_finite() or is_field or end == 1:
-        return simple, end, _idempotent_in_minimal_right_ideal(quot, space)
-    return None
+    return (simple, block.center.dim,
+            _idempotent_in_minimal_right_ideal(quot, space))
 
 
 def _rational_right_submodule_candidates(quot, block: Subspace):
@@ -291,8 +290,8 @@ def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
 
     The simple of block B is a minimal right ideal S of a/J inside B, on
     which a acts through the projection a -> a/J.  So End_a(S) = End_B(S)
-    (docs/derivations.md), and the End computed over a/J both certifies S
-    over Q and gives ``end_dim``.  The idempotent generating S in a/J is
+    (docs/derivations.md), which is Z(B) once S is certified, and
+    ``end_dim`` is dim Z(B).  The idempotent generating S in a/J is
     lifted here to a primitive idempotent of a, so every later reader
     finds it computed.
 
@@ -312,7 +311,7 @@ def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
     quot, proj, section = semisimple_quotient(a)
     out = []
     for t, blk in enumerate(wedderburn_blocks(quot)):
-        found = _block_simple(quot, blk.space)
+        found = _block_simple(quot, blk)
         label = f"S{t + 1}"
         if found is None:
             out.append(SimpleClass(label, t, None, None, None, None))
@@ -525,40 +524,39 @@ def _idempotent_in_minimal_right_ideal(quot, space: Subspace):
     raise ValidationError("no idempotent found in a minimal right ideal")
 
 
-def _minimal_right_ideal_space(quot, block: Subspace) -> Subspace:
-    """A minimal right ideal of the semisimple ``quot`` inside its block
-    ``block``; certified only over F_p.
+def _minimal_right_ideal_space(quot, block: WedderburnBlock) -> Subspace:
+    """A minimal right ideal of the semisimple ``quot`` inside its block,
+    certified by its dimension.
 
-    The right ideals of quot inside a block are the block's own, since the
-    block is a direct factor.  Finite fields: shrink to the first right
-    ideal generated by a vector of the current one that is smaller, until
-    every nonzero vector generates it all.  The vectors are walked lazily
-    in the order of ``Subspace.vectors``.  Over Q: the smallest proper
-    candidate kernel, which callers still have to certify simple.
+    With B = M_n(D) and K = Z(B), every right ideal of B has dimension
+    m n dim D, and one of dimension sqrt(dim B dim K) exists exactly when
+    D = K; it is then minimal (docs/derivations.md, "Simples read off the
+    block's centre").  Over F_p D = K always, and the search shrinks to
+    the first right ideal generated by a vector of the current one that
+    is smaller, walking the vectors lazily in the order of
+    ``Subspace.vectors``, until the target dimension.  Over Q the smallest
+    candidate kernel is certified iff it has that dimension; a
+    commutative block, a field, is its own target.
     """
     f = quot.field
-    # A block is commutative, so a field, iff its basis rows commute.
-    if all(quot.mul(u, v) == quot.mul(v, u)
-           for u, v in itertools.combinations(block.basis_rows(), 2)):
-        return block
-    if f.is_finite():
-        ops = [quot.right_mult_by(g) for g in quot.generators()]
-        space = block
-        while True:
-            gens = (spin(f, quot.dim, [apply_vec(c, space.mat)], ops)
-                    for c in itertools.product(f.elements(), repeat=space.dim)
-                    if any(c))
-            smaller = next((g for g in gens if g.dim < space.dim), None)
-            if smaller is None:
-                return space
-            space = smaller
-    best = None
-    for s in _rational_right_submodule_candidates(quot, block):
-        if best is None or s.dim < best.dim:
-            best = s
-    if best is None:
-        raise CapabilityError("minimal right ideal unresolved over Q")
-    return best
+    space = block.space
+    target = math.isqrt(space.dim * block.center.dim)
+    if not f.is_finite():
+        if space.dim > target:
+            space = min(_rational_right_submodule_candidates(quot, space),
+                        key=lambda s: s.dim, default=space)
+        if space.dim != target:
+            raise CapabilityError("minimal right ideal unresolved over Q")
+        return space
+    ops = [quot.right_mult_by(g) for g in quot.generators()]
+    while space.dim > target:
+        gens = (spin(f, quot.dim, [apply_vec(c, space.mat)], ops)
+                for c in itertools.product(f.elements(), repeat=space.dim)
+                if any(c))
+        space = next((g for g in gens if g.dim < space.dim), None)
+        if space is None:
+            raise ValidationError("no right ideal of the target dimension")
+    return space
 
 
 def _newton_idempotent_lift(a: FiniteDimAlgebra, e):

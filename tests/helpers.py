@@ -1,11 +1,16 @@
 """Matrix, module, ideal and subcategory facts that only the tests read.
 
 The package never inverts a matrix, takes a determinant or a trace, asks
-whether a module is semisimple, adds two ideals, or asks whether a module
-lies in a localizing subcategory, so these live here, beside the tests
-that use them as references.
+whether a module is semisimple, adds two ideals, asks whether a module
+lies in a localizing subcategory, builds a tensor product of algebras or
+names a free or simple graded module by its shifts, so these live here,
+beside the tests that use them as references.
 """
 
+import itertools
+
+from ringspectra.algebras import FiniteDimAlgebra, group_algebra
+from ringspectra.commutative import GradedModuleDescriptor
 from ringspectra.ideals import TwoSidedIdeal
 from ringspectra.linalg import Matrix, unit_vec
 from ringspectra.subcats import LocalizingSubcatDescriptor
@@ -84,3 +89,37 @@ def contains_module(descriptor, m) -> bool:
     if isinstance(descriptor, LocalizingSubcatDescriptor):
         return m.dim == 0 or descriptor.backend.asupp(m) <= support(descriptor)
     return descriptor.backend.msupp(m) <= support(descriptor)
+
+
+def graded_free(*shifts) -> GradedModuleDescriptor:
+    """The free graded module k[x](m_1) + ... + k[x](m_r)."""
+    return GradedModuleDescriptor(tuple(sorted(shifts)), ())
+
+
+def graded_simple(shift) -> GradedModuleDescriptor:
+    """The simple graded module k(shift), of length one."""
+    return GradedModuleDescriptor((), ((1, shift),))
+
+
+def tensor_algebra(a, b, name=None) -> FiniteDimAlgebra:
+    """a (x) b over their common field, on the basis b_i (x) c_j in
+    lexicographic order: (b_i c_j)(b_k c_l) = b_i b_k (x) c_j c_l."""
+    f = a.field
+    d = a.dim * b.dim
+    sc = [[[f.zero] * d for _ in range(d)] for _ in range(d)]
+    for (i, j), (k, l) in itertools.product(
+            itertools.product(range(a.dim), range(b.dim)), repeat=2):
+        out = sc[i * b.dim + j][k * b.dim + l]
+        for m, x in a.rows[i][k]:
+            for n, y in b.rows[j][l]:
+                out[m * b.dim + n] = f.add(out[m * b.dim + n], f.mul(x, y))
+    return FiniteDimAlgebra(f, sc, name=name or f"{a.name}(x){b.name}")
+
+
+def s3_group_algebra(field) -> FiniteDimAlgebra:
+    """k[S_3], on the permutations of (0, 1, 2) in lexicographic order,
+    composed as (g h)(x) = g(h(x))."""
+    perms = list(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(g[h[x]] for x in range(3))) for h in perms]
+             for g in perms]
+    return group_algebra(field, table, name="kS3")

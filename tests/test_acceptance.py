@@ -11,8 +11,7 @@ import time
 import pytest
 
 from ringspectra.algebras import ideal_closure, jacobson_radical
-from ringspectra.commutative import (GradedModuleDescriptor,
-                                     GradedPolyBackend, IntegerBackend,
+from ringspectra.commutative import (GradedPolyBackend, IntegerBackend,
                                      IntModBackend, PolyBackend,
                                      PolyQuotBackend)
 from ringspectra.errors import CapabilityError
@@ -37,6 +36,7 @@ from ringspectra.spectra import (ArtinianBackend, PhiUndefinedError,
 from ringspectra.subcats import (classify_localizing,
                                  classify_locally_closed_localizing,
                                  reduced_part)
+from helpers import graded_free
 
 
 def _report(n, label, detail):
@@ -223,7 +223,7 @@ def test_criterion_7_classification_counts(corpus_by_name):
 
 def test_criterion_8_counterexample_fidelity():
     g = GradedPolyBackend(F2)
-    kx = GradedModuleDescriptor.free(0)
+    kx = graded_free(0)
     assert g.mass(kx) == set()
     generic = [a for a in g.atoms(window=1) if a.key == ("generic",)][0]
     with pytest.raises(PhiUndefinedError):

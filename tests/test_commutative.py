@@ -1,5 +1,6 @@
 """Symbolic backends: factorization, spectra, bridging, the graded case."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -22,8 +23,9 @@ from ringspectra.algebras import ideal_closure
 from ringspectra.errors import BudgetExceeded, CapabilityError, ValidationError
 from ringspectra.ideals import (TwoSidedIdeal, is_semiprime, minimal_primes,
                                 prime_radical_of_zero)
-from ringspectra.linalg import F2, F3, QQ
+from ringspectra.linalg import F2, F3, GF, QQ
 from ringspectra.spectra import PhiUndefinedError, verify_correspondence
+from helpers import graded_free, graded_simple
 
 
 def test_factor_integer_examples():
@@ -219,6 +221,73 @@ def test_factor_poly_f3():
     # x^2 - 1 = (x+1)(x+2)
     facs = factor_polynomial(F3, [2, 0, 1])
     assert len(facs) == 2 and all(m == 1 for _f, m in facs)
+
+
+def _full_table_factor_fp(field, poly, multiples):
+    """The reference factorization over F_p: the walk over the whole
+    degree-four table of irreducibles, whatever the input's degree, with
+    inputs past degree nine refused.  A division by q is read off
+    ``multiples[q]``, which maps each product q m to m."""
+    poly = poly_monic(field, poly_trim(field, poly))
+    if poly_deg(poly) > 9:
+        raise CapabilityError(
+            f"factorization over F_{field.p} supported up to degree 9")
+    out = Counter()
+    rest = poly
+    for q in irreducible_polys(field.p, 4):
+        if len(q) > len(rest):
+            break                   # the table ascends in degree
+        while rest in multiples[q]:
+            out[q] += 1
+            rest = multiples[q][rest]
+    if poly_deg(rest) > 0:
+        out[rest] += 1
+    return sorted(out.items())
+
+
+def _monic_polys(p, max_deg):
+    """The monic polynomials over F_p up to max_deg, ascending in degree."""
+    return [tail + (1,) for deg in range(max_deg + 1)
+            for tail in itertools.product(range(p), repeat=deg)]
+
+
+def _outcome(factor, *args):
+    try:
+        return factor(*args)
+    except CapabilityError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p, max_deg", [(2, 6), (3, 6), (5, 5), (7, 5)])
+def test_half_degree_tables_match_the_full_table(p, max_deg):
+    """Every monic polynomial up to max_deg over F_p, and two past the
+    degree-nine refusal, get the full-table walk's factors or refusal."""
+    field = GF(p)
+    multiples = {q: {poly_mul(field, q, m): m
+                     for m in _monic_polys(p, max_deg - poly_deg(q))}
+                 for q in irreducible_polys(p, 4) if poly_deg(q) <= max_deg}
+    for poly in _monic_polys(p, max_deg) + [(1,) * 11, (0,) * 10 + (1,)]:
+        assert _outcome(factor_polynomial, field, poly) == \
+            _outcome(_full_table_factor_fp, field, poly, multiples), poly
+
+
+def _gauss_count(p, n):
+    """The number of monic irreducibles of degree n over F_p:
+    (1/n) sum over d | n of mu(d) p^(n/d)."""
+    def mu(d):
+        primes = factor_integer(d)
+        return 0 if any(e > 1 for _q, e in primes) else (-1) ** len(primes)
+    return sum(mu(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_irreducible_table_counts_follow_gauss(p):
+    table = irreducible_polys(p, 4)
+    assert Counter(poly_deg(q) for q in table) == \
+        {n: _gauss_count(p, n) for n in range(1, 5)}
+    for k in range(1, 4):
+        assert irreducible_polys(p, k) == \
+            tuple(q for q in table if poly_deg(q) <= k)
 
 
 def test_factor_reassembles(small_f2_corpus):
@@ -511,14 +580,14 @@ def test_graded_backend_behaviors():
 
 def test_graded_counterexample_fidelity():
     g = GradedPolyBackend(F2)
-    kx = GradedModuleDescriptor.free(0)
+    kx = graded_free(0)
     assert g.mass(kx) == set()                     # no prime subobject
     with pytest.raises(PhiUndefinedError):
         g.phi(g.atoms(window=1)[0])                # generic atom
     with pytest.raises(CapabilityError):
         g.artinianization()                        # no artinian generator
-    assert g.is_prime_object(GradedModuleDescriptor.simple(3))
-    assert not g.is_prime_object(GradedModuleDescriptor.free(-2))
+    assert g.is_prime_object(graded_simple(3))
+    assert not g.is_prime_object(graded_free(-2))
     mixed = GradedModuleDescriptor((0,), ((1, 2),))
     assert g.mass(mixed) == {m for m in g.molecules(window=3)
                              if m.key == ("shift", 2)}

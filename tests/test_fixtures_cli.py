@@ -711,6 +711,21 @@ def test_cli_too_many_rational_root_candidates_is_refused(tmp_path):
                            "needs 2097152, budget allows 2000000\n")
 
 
+@pytest.mark.parametrize("field,source,keys", [
+    ("F31", "group", "table = 0 1 2; 1 2 0; 2 0 1"),
+    ("F101", "matrix", "n = 2"),
+], ids=["F31[C3]", "M2(F101)"])
+def test_cli_verify_over_a_large_prime_ends(tmp_path, field, source, keys):
+    """``verify`` on F_31[C_3] and M_2(F_101) exits 0 within 30 s: the
+    factor table goes only to half the degree, and the simple search stops
+    at the dimension the block's centre gives."""
+    text = ALGEBRA_FIXTURE.format(source, keys).replace("F2", field)
+    path = _write(tmp_path, "p.alg", text)
+    proc = subprocess.run([sys.executable, "-m", "ringspectra.cli", "verify",
+                           path], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("command", [["analyze", "--atoms"], ["verify"]])
 @pytest.mark.parametrize("source,keys,refusal", [
     ("matrix", "n = 40", "matrix algebra dimension: needs 1600"),

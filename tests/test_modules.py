@@ -7,7 +7,7 @@ from ringspectra.algebras import (FiniteDimAlgebra, companion_algebra,
                                   product_algebra, upper_triangular_algebra,
                                   wedderburn_blocks)
 from ringspectra.errors import BudgetExceeded, CapabilityError, ValidationError
-from ringspectra.linalg import F2, F3, QQ, Matrix, Subspace
+from ringspectra.linalg import F2, F3, GF, QQ, Matrix, Subspace
 from ringspectra.modules import (RightModule, _minimal_right_ideal_space,
                                  are_isomorphic, composition_factors,
                                  hom_basis, hom_dim,
@@ -20,7 +20,7 @@ from ringspectra.oracle import (brute_composition_factors,
                                 brute_is_compressible, brute_is_monoform,
                                 brute_is_prime_object, enumerate_submodules,
                                 standard_modules)
-from helpers import inverse
+from helpers import inverse, s3_group_algebra, tensor_algebra
 
 
 def test_module_validation_catches_bad_action():
@@ -420,20 +420,32 @@ def _exhaustive_shrink(a, block):
     return space
 
 
+def _tensor_quadratic_field(n, field):
+    """M_n(k) (x) K for the quadratic field K = F_4 over F_2, Q(i) over Q:
+    one block, split, of dimension 2 n^2, whose centre K has dimension 2."""
+    poly = [1, 1, 1] if field == F2 else [1, 0, 1]
+    return tensor_algebra(matrix_algebra(n, field), companion_algebra(field, poly),
+                          name=f"M{n}({'F4' if field == F2 else 'Q(i)'})")
+
+
+def _s3_group(_n, field):
+    return s3_group_algebra(field)
+
+
 def test_lazy_shrink_matches_the_exhaustive_shrink():
+    """The search stops at the target dimension, and so finds the ideal
+    the exhaustive walk on every vector finds, block by block."""
     import random
     from test_algebras import _in_random_basis
     inputs = [matrix_algebra(2, F2), matrix_algebra(2, F3), matrix_algebra(3, F2),
               product_algebra(matrix_algebra(2, F2), matrix_algebra(1, F2)),
-              _in_random_basis(matrix_algebra(2, F3), random.Random(9))]
+              _in_random_basis(matrix_algebra(2, F3), random.Random(9)),
+              matrix_algebra(2, GF(5)), s3_group_algebra(GF(5)),
+              _tensor_quadratic_field(2, F2)]
     for a in inputs:
-        whole = Subspace.full(a.field, a.dim)
-        for b in [whole] + [blk.space for blk in wedderburn_blocks(a)]:
-            rows = b.basis_rows()
-            if all(a.mul(u, v) == a.mul(v, u) for u in rows for v in rows):
-                continue
-            assert _minimal_right_ideal_space(a, b) == _exhaustive_shrink(a, b), \
-                a.name
+        for blk in wedderburn_blocks(a):
+            assert _minimal_right_ideal_space(a, blk) == \
+                _exhaustive_shrink(a, blk.space), a.name
 
 
 @pytest.mark.parametrize("field", [F3, QQ])
@@ -446,7 +458,7 @@ def test_one_minimal_right_ideal_search_per_block(monkeypatch, field):
     search = modules._minimal_right_ideal_space
 
     def counted(quot, block):
-        calls.append((quot.name, block))
+        calls.append((quot.name, block.space))
         return search(quot, block)
 
     monkeypatch.setattr(modules, "_minimal_right_ideal_space", counted)
@@ -460,6 +472,10 @@ def test_one_minimal_right_ideal_search_per_block(monkeypatch, field):
     (matrix_algebra, F3, [1]),
     (cyclic_group_algebra, QQ, [1, 2]),     # Q x Q(omega)
     (matrix_algebra, QQ, [1]),
+    (matrix_algebra, GF(5), [1]),
+    (_s3_group, GF(5), [1, 1, 1]),          # F_5 x F_5 x M_2(F_5)
+    (_tensor_quadratic_field, F2, [2]),     # M_2(F_4) over F_2
+    (_tensor_quadratic_field, QQ, [2]),     # M_2(Q(i))
 ])
 def test_end_dim_is_the_dimension_of_end(build, field, end_dims):
     simples = simple_modules(build(field, 3) if build is cyclic_group_algebra
@@ -488,7 +504,7 @@ def test_unresolved_block_over_q_is_searched_once_and_refused(monkeypatch):
     search = modules._minimal_right_ideal_space
 
     def counted(quot, block):
-        calls.append((quot.name, block))
+        calls.append((quot.name, block.space))
         return search(quot, block)
 
     monkeypatch.setattr(modules, "_minimal_right_ideal_space", counted)

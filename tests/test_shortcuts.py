@@ -25,7 +25,8 @@ from fractions import Fraction
 
 import pytest
 
-from ringspectra.algebras import (FiniteDimAlgebra, companion_algebra,
+from ringspectra.algebras import (FiniteDimAlgebra, WedderburnBlock,
+                                  companion_algebra,
                                   cyclic_group_algebra, matrix_algebra,
                                   product_algebra, quotient_algebra,
                                   semisimple_quotient,
@@ -229,7 +230,8 @@ def _block_algebra_simple(quot, blk, bi):
     whole = Subspace.full(b.field, b.dim)
     try:
         w = _exhaustive_shrink(b, whole) if b.field.is_finite() \
-            else _minimal_right_ideal_space(b, whole)
+            else _minimal_right_ideal_space(
+                b, WedderburnBlock(b.unit, whole, b.center()))
     except CapabilityError:
         return None, None
     reg = RightModule.regular(b)
@@ -259,9 +261,9 @@ def test_simples_inside_the_blocks_match_the_block_algebras(name, a):
         w_ref, found = _block_algebra_simple(quot, blk, bi)
         if w_ref is None:
             with pytest.raises(CapabilityError):
-                _minimal_right_ideal_space(quot, blk.space)
+                _minimal_right_ideal_space(quot, blk)
         else:
-            w = _minimal_right_ideal_space(quot, blk.space)
+            w = _minimal_right_ideal_space(quot, blk)
             # B's rref rows, mapped by B's matrix, are the rref rows of W.
             assert tuple(apply_vec(r, blk.space.mat)
                          for r in w_ref.basis_rows()) == w.basis_rows(), name

@@ -26,6 +26,11 @@ Runs each rung once, in this order:
   ``kind = poly_quot`` fixture and as a ``source = companion`` algebra,
   each in a fresh interpreter (a rational root search whose candidates
   come from the divisors of 10^k);
+- ``ringspectra verify`` in a fresh interpreter on F_31[C_3], F_11[C_10],
+  M_2(F_p) for p = 31, 101, 1009, M_3(F_31), F_10007[C_2], F_100003[C_2]
+  and M_2(Q(i)) (on its structure constants): large primes, where the
+  Wedderburn split factors over F_p and the simple search shrinks right
+  ideals over F_p;
 - ``ringspectra analyze fixtures/z.alg --window N --json TMP`` for
   N = 41, 43, 47 (14 to 16 molecules, up to the 2^16 subset budget), each
   in a fresh interpreter: its seconds and the rise in peak RSS it causes;
@@ -43,8 +48,11 @@ ringspectra is imported from the ``src`` directory of the checkout this
 file sits in, so a copy of the file times the checkout it is copied into.
 Stdlib only.
 
-Once a T_n(F_2) rung takes longer than SKIP_AFTER_S, the higher T_n rungs,
-the ``analyze --atoms`` ones included, are recorded with ``seconds: null`` instead of being run: verification
+A ``verify`` in a fresh interpreter that has not ended after
+VERIFY_TIMEOUT_S is stopped and recorded with ``seconds: null`` as
+"did not finish".  Once a T_n(F_2) rung takes longer than SKIP_AFTER_S,
+the higher T_n rungs, the ``analyze --atoms`` ones included, are
+recorded with ``seconds: null`` instead of being run: verification
 grows several-fold with each step in n.  Single runs on a shared host; read
 the figures as sizes, not as gates.
 """
@@ -75,6 +83,7 @@ from ringspectra.spectra import ArtinianBackend, verify_correspondence  # noqa: 
 from ringspectra.subcats import classify_locally_closed_localizing  # noqa: E402
 
 SKIP_AFTER_S = 300.0
+VERIFY_TIMEOUT_S = 30.0
 
 
 # The peak RSS of the fresh interpreter, in kB: VmHWM starts afresh at
@@ -182,16 +191,44 @@ ROOTLESS = {
 }
 
 
-def verify_rootless(kind, k):
-    """``verify`` on x^2 + 10^k over Q as ``kind``, in a fresh interpreter."""
+def verify_fixture(text):
+    """``verify`` on the fixture ``text`` in a fresh interpreter, stopped
+    after VERIFY_TIMEOUT_S."""
     with tempfile.TemporaryDirectory() as tmp:
-        fixture = Path(tmp) / "q.alg"
-        fixture.write_text(ROOTLESS[kind].format(10 ** k))
-        out = subprocess.run([sys.executable, "-c", VERIFY, str(ROOT / "src"),
-                              str(fixture)], capture_output=True, text=True,
-                             check=True)
+        fixture = Path(tmp) / "a.alg"
+        fixture.write_text(text)
+        try:
+            out = subprocess.run([sys.executable, "-c", VERIFY, str(ROOT / "src"),
+                                  str(fixture)], capture_output=True, text=True,
+                                 check=True, timeout=VERIFY_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return None, {"note": "did not finish within "
+                                  f"{VERIFY_TIMEOUT_S:.0f} s"}
     seconds, code = json.loads(out.stdout)
     return seconds, {"exit": code}
+
+
+def cyclic_fixture(p, n):
+    """F_p[C_n], given by its group table."""
+    table = "; ".join(" ".join(str((i + j) % n) for j in range(n))
+                      for i in range(n))
+    return (f"[backend]\nkind = algebra\nfield = F{p}\nsource = group\n"
+            f"table = {table}\n")
+
+
+def matrix_fixture(p, n):
+    return f"[backend]\nkind = algebra\nfield = F{p}\nsource = matrix\nn = {n}\n"
+
+
+def gaussian_matrix_fixture():
+    """M_2(Q(i)) on e_rc (x) 1 and e_rc (x) i, the basis element of index
+    2 (2r + c) + t for t = 0, 1: e_rc e_cd = e_rd, and i i = -1."""
+    lines = [f"c = {2 * (2 * r + c) + s} {2 * (2 * c + d) + t} "
+             f"{2 * (2 * r + d) + (s ^ t)} {-1 if s and t else 1}"
+             for r in range(2) for c in range(2) for d in range(2)
+             for s in range(2) for t in range(2)]
+    return ("[backend]\nkind = algebra\nfield = Q\n"
+            "source = structure_constants\ndim = 8\n" + "\n".join(lines) + "\n")
 
 
 ANALYZE_Z = PEAK_KB + """\
@@ -286,8 +323,14 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
          + [("hasse z.alg --window 20000", hasse_z, (20000,))]
          + [(f"Z/qr, q and r above 10^{k}", verify_int_mod, qr)
             for k, qr in INT_MOD_PRIMES.items()]
-         + [(f"verify {kind} x^2+10^{k} over Q", verify_rootless, (kind, k))
+         + [(f"verify {kind} x^2+10^{k} over Q", verify_fixture,
+             (ROOTLESS[kind].format(10 ** k),))
             for kind in ROOTLESS for k in (12, 14, 16)]
+         + [(f"verify F{p}[C{n}]", verify_fixture, (cyclic_fixture(p, n),))
+            for p, n in ((31, 3), (11, 10), (10007, 2), (100003, 2))]
+         + [(f"verify M{n}(F{p})", verify_fixture, (matrix_fixture(p, n),))
+            for p, n in ((31, 2), (101, 2), (1009, 2), (31, 3))]
+         + [("verify M2(Q(i))", verify_fixture, (gaussian_matrix_fixture(),))]
          + [(f"analyze z.alg --window {w}", analyze_z, (w,))
             for w in (41, 43, 47)]
          + [(f"analyze --atoms T{n}(F2)", analyze_atoms, ("triangular", n, "F2"))
@@ -318,10 +361,12 @@ def main(argv) -> int:
             print(f"{label:38s} not run", flush=True)
             continue
         seconds, facts = run(*args)
-        too_slow = too_slow or (ladder and seconds > SKIP_AFTER_S)
-        rows.append({"input": label, "seconds": round(seconds, 3), **facts})
+        if seconds is not None:
+            too_slow = too_slow or (ladder and seconds > SKIP_AFTER_S)
+            seconds = round(seconds, 3)
+        rows.append({"input": label, "seconds": seconds, **facts})
         shown = "  ".join(f"{k}={v}" for k, v in facts.items())
-        print(f"{label:38s} {seconds:8.2f} s  {shown}", flush=True)
+        print(f"{label:38s} {seconds} s  {shown}", flush=True)
     doc = {"tool": "tools/ladder.py", "python": platform.python_version(),
            "machine": platform.machine(), "rungs": rows}
     out.write_text(json.dumps(doc, indent=2) + "\n")
