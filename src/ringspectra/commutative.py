@@ -70,24 +70,26 @@ def poly_mul(field, a, b):
 
 
 def poly_divmod(field, a, b):
+    """(quotient, remainder) of a by b != 0: both inputs are trimmed once,
+    then each quotient term, from the top degree down, clears the leading
+    coefficient of what is left with one ``field.axpy``."""
     a = list(poly_trim(field, a))
     b = poly_trim(field, b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
+    width = len(b)
+    q = [field.zero] * max(0, len(a) - width + 1)
     inv_lead = field.inv(b[-1])
-    while len(a) >= len(b) and any(c != field.zero for c in a):
-        if a[-1] == field.zero:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        coeff = field.mul(a[-1], inv_lead)
-        q[shift] = coeff
-        for i, c in enumerate(b):
-            a[shift + i] = field.sub(a[shift + i], field.mul(coeff, c))
-        while a and a[-1] == field.zero:
-            a.pop()
-    return poly_trim(field, q), poly_trim(field, a)
+    for shift in range(len(q) - 1, -1, -1):
+        top = a[shift + width - 1]
+        if top != field.zero:
+            q[shift] = coeff = field.mul(top, inv_lead)
+            a[shift:shift + width] = field.axpy(a[shift:shift + width],
+                                                field.neg(coeff), b)
+    del a[width - 1:]
+    while a and a[-1] == field.zero:
+        a.pop()
+    return tuple(q), tuple(a)
 
 
 def poly_mod(field, a, b):
@@ -453,14 +455,17 @@ def _brent_split(m: int, budget: _Budget) -> int:
 
 
 def primes_up_to(bound: int):
-    sieve = [True] * (bound + 1)
-    out = []
-    for p in range(2, bound + 1):
+    """The primes up to bound, ascending: a sieve on a bytearray, in which
+    each prime p up to isqrt(bound) strikes its multiples from p^2 on in
+    one slice assignment."""
+    if bound < 2:
+        return []
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
-            out.append(p)
-            for m in range(p * p, bound + 1, p):
-                sieve[m] = False
-    return out
+            sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+    return list(itertools.compress(range(bound + 1), sieve))
 
 
 _TRIAL_PRIMES = tuple(primes_up_to(TRIAL_BOUND))
@@ -515,16 +520,30 @@ class CommutativeSpec:
     algebra = None
     factors = ()
     fraction_field = None
+    _listed = None       # (window, points) of the last window listed
 
     @property
     def complete(self):
         return self.fraction_field is None
 
     def _points(self, window):
-        if self.complete:
-            return [self._point(g) for g, _m in self.factors]
-        closed = self._closed_points(_require_window(window))
-        return [_GENERIC_POINT] + [self._point(g) for g in closed]
+        """The (key, label) of each listed point, listed once per window.
+
+        The list of the last window asked for is kept on this backend, so
+        the atoms, the molecules, the minimal sets and the classifications
+        of one window all read one list; a finite spectrum ignores the
+        window.  An infinite spectrum's window is checked against
+        WINDOW_BUDGET before anything is listed.
+        """
+        window = None if self.complete else _require_window(window)
+        if self._listed is None or self._listed[0] != window:
+            if self.complete:
+                points = [self._point(g) for g, _m in self.factors]
+            else:
+                points = [_GENERIC_POINT] + [self._point(g)
+                                             for g in self._closed_points(window)]
+            self._listed = (window, points)
+        return self._listed[1]
 
     def _minimal_points(self):
         return self._points(None) if self.complete else [_GENERIC_POINT]

@@ -268,21 +268,26 @@ def _block_simple(quot: FiniteDimAlgebra, block: WedderburnBlock):
 
 
 def _rational_right_submodule_candidates(quot, block: Subspace):
-    """Right ideals of quot inside the block, from kernels of f(L_z) on it."""
+    """Right ideals of quot inside the block, from kernels of f(L_z) on it,
+    yielded as found: the pieces of each z in turn, then the nonzero
+    meets of pairs among the first twelve pieces."""
     f = quot.field
-    out = []
+    first = []
     basis = block.basis_rows()
     elements = list(basis) + [vec_add(f, u, v)
                               for u, v in itertools.combinations(basis, 2)]
     for z in elements:
         _deg, _factors, pieces = factor_minimal_polynomial(
             block, quot.left_mult_matrix(z))
-        out.extend(p for p in pieces if 0 < p.dim < block.dim)
-    for s, t in itertools.combinations(out[:12], 2):
+        for p in pieces:
+            if 0 < p.dim < block.dim:
+                if len(first) < 12:
+                    first.append(p)
+                yield p
+    for s, t in itertools.combinations(first, 2):
         meet = s.intersect(t)
         if meet.dim > 0:
-            out.append(meet)
-    return out
+            yield meet
 
 
 def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
@@ -535,16 +540,18 @@ def _minimal_right_ideal_space(quot, block: WedderburnBlock) -> Subspace:
     the first right ideal generated by a vector of the current one that
     is smaller, walking the vectors lazily in the order of
     ``Subspace.vectors``, until the target dimension.  Over Q the smallest
-    candidate kernel is certified iff it has that dimension; a
-    commutative block, a field, is its own target.
+    candidate kernel is certified iff it has that dimension, and the
+    search stops at the first candidate of the target dimension: each is
+    a nonzero right ideal of the block, so none is smaller.  A commutative
+    block, a field, is its own target.
     """
     f = quot.field
     space = block.space
     target = math.isqrt(space.dim * block.center.dim)
     if not f.is_finite():
         if space.dim > target:
-            space = min(_rational_right_submodule_candidates(quot, space),
-                        key=lambda s: s.dim, default=space)
+            space = next((s for s in _rational_right_submodule_candidates(
+                quot, space) if s.dim == target), space)
         if space.dim != target:
             raise CapabilityError("minimal right ideal unresolved over Q")
         return space

@@ -79,27 +79,66 @@ def artinianization(backend: SpectrumBackend) -> ArtinianizationDescriptor:
 # -- localizing subcategories ------------------------------------------------------
 
 class Listing(NamedTuple):
-    """The listed atoms or molecules that a descriptor's bit mask reads:
-    bit i stands for ``elements[i]``.  ``by_label`` holds each element's
-    (bit, label), sorted by label once for all the descriptors of a call."""
+    """The listed atoms or molecules that a descriptor's bit mask reads,
+    in the backend's listing order: bit i stands for ``elements[i]``.
+
+    A label is read off four tables, built once for all the descriptors
+    of a call.  An element's rank is its place in label order; the bits
+    and the ranks below ``split`` are the low half, the others the high
+    half.  ``low_ranks`` and ``high_ranks`` map each half of a mask to
+    the rank mask of its members, and ``low_joined`` and ``high_joined``
+    map each half of a rank mask to its members' labels, comma-joined in
+    rank order (docs/derivations.md, "Labels from masks")."""
 
     elements: tuple
-    by_label: tuple
+    split: int
+    low_ranks: tuple
+    high_ranks: tuple
+    low_joined: tuple
+    high_joined: tuple
+
+
+def _subset_table(items, combine, empty):
+    """Entry m combines the items whose bit is set in m, in item order."""
+    table = [empty]
+    for item in items:
+        table += [combine(t, item) for t in table]
+    return tuple(table)
+
+
+def _join(joined, label):
+    return joined + "," + label if joined else label
 
 
 def _listing(elements) -> Listing:
-    pairs = sorted(((1 << i, x.label) for i, x in enumerate(elements)),
-                   key=lambda pair: pair[1])
-    return Listing(tuple(elements), tuple(pairs))
+    elements = tuple(elements)
+    order = sorted(range(len(elements)), key=lambda i: elements[i].label)
+    rank_bits = [0] * len(elements)
+    for r, i in enumerate(order):
+        rank_bits[i] = 1 << r
+    labels = [elements[i].label for i in order]
+    split = (len(elements) + 1) // 2
+    return Listing(elements, split,
+                   _subset_table(rank_bits[:split], int.__or__, 0),
+                   _subset_table(rank_bits[split:], int.__or__, 0),
+                   _subset_table(labels[:split], _join, ""),
+                   _subset_table(labels[split:], _join, ""))
 
 
 def _mask_label(prefix, listing, mask):
-    """prefix{the member labels, sorted, comma-joined}, or "0" for no member:
-    by_label is in label order, so the members come out sorted."""
+    """prefix{the member labels, sorted, comma-joined}, or "0" for no
+    member: the rank tables turn the mask into a rank mask, and the
+    joined-label tables read the labels of its two halves in rank order."""
     if not mask:
         return "0"
-    return prefix + "{" + ",".join(
-        [label for bit, label in listing.by_label if mask & bit]) + "}"
+    split = listing.split
+    low = (1 << split) - 1
+    ranks = listing.low_ranks[mask & low] | listing.high_ranks[mask >> split]
+    head = listing.low_joined[ranks & low]
+    tail = listing.high_joined[ranks >> split]
+    if head and tail:
+        return f"{prefix}{{{head},{tail}}}"
+    return f"{prefix}{{{head or tail}}}"
 
 
 @dataclass(slots=True)
@@ -171,10 +210,9 @@ def classify_locally_closed_localizing(backend, window=None):
     up = [sum(1 << j for j in above)
           for above in backend.molecule_up_sets(mols)]
     # reach[mask]: the union of the up-sets of the members of mask.
-    reach = [0] * 2 ** len(mols)
-    for mask in range(1, len(reach)):
-        low = mask & -mask
-        reach[mask] = reach[mask ^ low] | up[low.bit_length() - 1]
+    reach = [0]
+    for u in up:
+        reach += [r | u for r in reach]
     listing = _listing(mols)
     return [LocallyClosedLocalizingDescriptor(backend, listing, mask)
             for mask, r in enumerate(reach) if r | mask == mask]

@@ -10,7 +10,7 @@ beside the tests that use them as references.
 import itertools
 
 from ringspectra.algebras import FiniteDimAlgebra, group_algebra
-from ringspectra.commutative import GradedModuleDescriptor
+from ringspectra.commutative import GradedModuleDescriptor, poly_trim
 from ringspectra.ideals import TwoSidedIdeal
 from ringspectra.linalg import Matrix, unit_vec
 from ringspectra.subcats import LocalizingSubcatDescriptor
@@ -89,6 +89,29 @@ def contains_module(descriptor, m) -> bool:
     if isinstance(descriptor, LocalizingSubcatDescriptor):
         return m.dim == 0 or descriptor.backend.asupp(m) <= support(descriptor)
     return descriptor.backend.msupp(m) <= support(descriptor)
+
+
+def reference_poly_divmod(field, a, b):
+    """(quotient, remainder) by schoolbook division, one scalar at a time,
+    rescanning the dividend at every step."""
+    a = list(poly_trim(field, a))
+    b = poly_trim(field, b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [field.zero] * max(0, len(a) - len(b) + 1)
+    inv_lead = field.inv(b[-1])
+    while len(a) >= len(b) and any(c != field.zero for c in a):
+        if a[-1] == field.zero:
+            a.pop()
+            continue
+        shift = len(a) - len(b)
+        coeff = field.mul(a[-1], inv_lead)
+        q[shift] = coeff
+        for i, c in enumerate(b):
+            a[shift + i] = field.sub(a[shift + i], field.mul(coeff, c))
+        while a and a[-1] == field.zero:
+            a.pop()
+    return poly_trim(field, q), poly_trim(field, a)
 
 
 def graded_free(*shifts) -> GradedModuleDescriptor:

@@ -25,7 +25,7 @@ from ringspectra.ideals import (TwoSidedIdeal, is_semiprime, minimal_primes,
                                 prime_radical_of_zero)
 from ringspectra.linalg import F2, F3, GF, QQ
 from ringspectra.spectra import PhiUndefinedError, verify_correspondence
-from helpers import graded_free, graded_simple
+from helpers import graded_free, graded_simple, reference_poly_divmod
 
 
 def test_factor_integer_examples():
@@ -604,5 +604,72 @@ def test_graded_psi_total_and_verification():
 
 
 def test_primes_up_to():
+    """Against trial division, for every bound up to 3000."""
     assert primes_up_to(29) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(29)) == 10
+    primes = []
+    for bound in range(3001):
+        if bound > 1 and all(bound % p for p in primes
+                             if p * p <= bound):
+            primes.append(bound)
+        assert primes_up_to(bound) == primes, bound
+    assert primes_up_to(-7) == []
+
+
+def _divmod_cases(field, rng):
+    """Zero dividends, deg a < deg b, non-monic divisors and raw
+    coefficients: out of [0, p), negative, and Fractions over Q."""
+    def raw():
+        if field.is_finite():
+            return rng.randint(-3 * field.p, 3 * field.p)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    cases = [((), (1,)), ((0, 0), (2, 3)), ((5,), (0, 0, 7)),
+             ((1, 2), (1, 1, 1)), ((-4, 0, 9, -1), (3, -2)),
+             ((1, 0, 0, 0, 0, 0, 1), (0, 0, 3))]
+    for _ in range(300):
+        a = [raw() for _ in range(rng.randint(0, 8))]
+        b = [raw() for _ in range(rng.randint(1, 5))] + [rng.choice((1, 2, -3))]
+        cases.append((a, b))
+    return cases
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(7), QQ], ids=repr)
+def test_poly_divmod_equals_the_schoolbook_reference(field):
+    rng = random.Random(field.char)
+    for a, b in _divmod_cases(field, rng):
+        if not poly_trim(field, b):
+            continue
+        got = poly_divmod(field, a, b)
+        assert got == reference_poly_divmod(field, a, b), (a, b)
+        _quo, rem = got
+        assert poly_deg(rem) < poly_deg(poly_trim(field, b))
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(field, (1, 2), (0,))
+
+
+@pytest.mark.parametrize("backend", [IntegerBackend, lambda: PolyBackend(QQ)],
+                         ids=["Z", "Q[x]"])
+def test_a_window_is_listed_once_per_backend(backend, monkeypatch):
+    """A verification and the locally closed classification of one
+    window list its closed points once; another window lists again."""
+    from ringspectra.subcats import classify_locally_closed_localizing
+    calls = []
+
+    def counted(original):
+        def closed_points(self, window):
+            calls.append((id(self), window))
+            return original(self, window)
+        return closed_points
+
+    for cls in (IntegerBackend, PolyBackend):
+        monkeypatch.setattr(cls, "_closed_points",
+                            counted(cls._closed_points))
+    b = backend()
+    assert verify_correspondence(b, 5).passed()
+    classify_locally_closed_localizing(b, 5)
+    assert calls == [(id(b), 5)]
+    other = backend()
+    verify_correspondence(other, 5)
+    verify_correspondence(other, 2)
+    assert calls == [(id(b), 5), (id(other), 5), (id(other), 2)]

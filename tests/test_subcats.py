@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 from pathlib import Path
@@ -237,11 +238,24 @@ def test_analyze_z_window_41_output_is_pinned():
         "592ab5674a177c8083e0cc3cc04424fb061952d36c61d7933b900d74114a68f0")
 
 
+def _atoms_listed(order):
+    """Mod(Lambda) with its atom listing rearranged by ``order``."""
+
+    class Rearranged(ArtinianBackend):
+        def atoms(self, window=None):
+            return order(super().atoms(window))
+
+    return Rearranged
+
+
 def test_localizing_classification_equals_subsets(algebra_corpus):
     """Every atom subset in mask order, with its sorted-join label; the
-    prime ones miss one atom, the maximal proper ones one minimal atom."""
-    for name, a in algebra_corpus:
-        b = ArtinianBackend(a)
+    prime ones miss one atom, the maximal proper ones one minimal atom.
+    The atoms are taken as the backend lists them, reversed and rotated
+    by one, so that label order and listing order differ."""
+    orders = (lambda xs: xs, lambda xs: xs[::-1], lambda xs: xs[1:] + xs[:1])
+    for (name, a), order in itertools.product(algebra_corpus, orders):
+        b = _atoms_listed(order)(a)
         atoms = b.atoms()
         if len(atoms) > LOCALIZING_MAX_ATOMS:
             continue

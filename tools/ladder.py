@@ -15,7 +15,8 @@ Runs each rung once, in this order:
   n = 2..16 (dimension 3..136), then M_3(F_3), M_4(F_2), M_2(Q) and T_4(Q);
 - ``verify_correspondence`` on Z with windows 1000..6000, 20000 and
   100000 and on Q[x] with windows 150, 300 and 1000 (the backend built in
-  the time);
+  the time), and on Q[x] window 20000 alone in a fresh interpreter: its
+  seconds and the rise in peak RSS it causes;
 - ``ringspectra hasse fixtures/z.alg --window 20000 --dot TMP``
   in-process (the verification and the diagram of 2,263 points);
 - ``verify_correspondence(IntModBackend(q * r))`` for q < r the two primes
@@ -140,6 +141,33 @@ def verify_window(backend_cls, args, window):
     report = verify_correspondence(backend_cls(*args), window)
     return time.perf_counter() - t0, {"points": len(report.atoms),
                                       "passed": report.passed()}
+
+
+VERIFY_WINDOW = PEAK_KB + """\
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from ringspectra.commutative import PolyBackend
+from ringspectra.linalg import QQ
+from ringspectra.spectra import verify_correspondence
+before = peak_kb()
+t0 = time.perf_counter()
+report = verify_correspondence(PolyBackend(QQ), int(sys.argv[2]))
+seconds = time.perf_counter() - t0
+print(json.dumps([seconds, len(report.atoms), report.passed(),
+                  peak_kb() - before]))
+"""
+
+
+def verify_qx_window_alone(window):
+    """``verify_correspondence`` on Q[x] with ``window`` in a fresh
+    interpreter, whose peak RSS then rises by what the run holds at its
+    peak."""
+    out = subprocess.run([sys.executable, "-c", VERIFY_WINDOW,
+                          str(ROOT / "src"), str(window)],
+                         capture_output=True, text=True, check=True)
+    seconds, points, passed, rise = json.loads(out.stdout)
+    return seconds, {"points": points, "passed": passed,
+                     "max_rss_rise_mb": round(rise / 1024, 1)}
 
 
 def hasse_z(window):
@@ -320,6 +348,8 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
             for w in [*range(1000, 7000, 1000), 20000, 100000]]
          + [(f"Q[x] window {w}", verify_window, (PolyBackend, (QQ,), w))
             for w in (150, 300, 1000)]
+         + [("Q[x] window 20000, fresh interpreter", verify_qx_window_alone,
+             (20000,))]
          + [("hasse z.alg --window 20000", hasse_z, (20000,))]
          + [(f"Z/qr, q and r above 10^{k}", verify_int_mod, qr)
             for k, qr in INT_MOD_PRIMES.items()]
