@@ -3,7 +3,8 @@
 Reports are JSON with a versioned schema and deterministic key order, so
 identical inputs produce byte-identical output.  Exit codes: 0 success,
 1 failed verification (an assertion that fails, or a self-check that
-raises ``ValidationError``), 2 fixture parse error or usage error,
+raises ``ValidationError``), 2 fixture parse error or usage error (a
+fixture path that cannot be read, a negative ``--window``),
 3 capability or budget error.  The Lambda-level sections and checks run
 where the backend declares an ``algebra``.  An ``analyze`` listing (only
 ``--atoms`` and/or ``--molecules``, no ``--dot``) runs no assertions,
@@ -36,12 +37,19 @@ EXIT_PARSE = 2
 EXIT_CAPABILITY = 3
 
 
+class UsageError(Exception):
+    """A command line that names no readable fixture or a negative window."""
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FixtureParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (CapabilityError, BudgetExceeded) as exc:
         print(f"capability error: {exc}", file=sys.stderr)
@@ -116,11 +124,26 @@ class _SubspacesArgs(argparse.Action):
 
 
 def _load(args):
-    with open(args.path, encoding="utf-8") as fh:
-        text = fh.read()
+    """The fixture at ``args.path``, with ``--window`` in place of its
+    [window].  A path that cannot be read and a negative ``--window`` are
+    usage errors; a byte that is not UTF-8 is a parse error at its line."""
+    window = getattr(args, "window", None)
+    if window is not None and window < 0:
+        raise UsageError(f"--window must be non-negative, got {window}")
+    try:
+        with open(args.path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.path}: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FixtureParseError(
+            f"byte {data[exc.start]:#04x} is not UTF-8",
+            data.count(b"\n", 0, exc.start) + 1) from None
     loaded = load_fixture(text)
-    if getattr(args, "window", None) is not None:
-        loaded.window = args.window
+    if window is not None:
+        loaded.window = window
     return loaded
 
 

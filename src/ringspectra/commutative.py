@@ -146,6 +146,17 @@ def irreducible_polys(p: int, max_deg: int):
     return tuple(irr)
 
 
+def irreducible_counts(p: int, max_deg: int) -> list[int]:
+    """The number of monic irreducibles over F_p of each degree 1..max_deg,
+    by Gauss's formula p^d = sum over e | d of e * N(e), solved for N(d)
+    degree by degree; nothing is listed."""
+    counts = [0]
+    for d in range(1, max_deg + 1):
+        below = sum(e * counts[e] for e in range(1, d) if d % e == 0)
+        counts.append((p ** d - below) // d)
+    return counts[1:]
+
+
 _GF_TABLE_DEG = 4
 
 
@@ -481,15 +492,25 @@ WINDOW_BUDGET = 100_000
 
 
 def _require_window(window):
-    """The window, checked against WINDOW_BUDGET before any point is listed."""
+    """The window, checked against WINDOW_BUDGET before any point is listed.
+
+    A negative bound and a range with hi < lo raise ``ValidationError``:
+    neither names a window.
+    """
     if window is None:
         raise CapabilityError("window required for an infinite spectrum")
     if isinstance(window, tuple):
-        what, extent = "window hi - lo", window[1] - window[0]
+        lo, hi = window
+        what, extent = "window hi - lo", hi - lo
+        fault = f"window hi = {hi} is below lo = {lo}" if hi < lo else None
     else:
         what, extent = "window bound", abs(window)
+        fault = (f"window bound must be non-negative, got {window}"
+                 if window < 0 else None)
     if extent > WINDOW_BUDGET:
         raise BudgetExceeded(what, extent, WINDOW_BUDGET)
+    if fault:
+        raise ValidationError(fault)
     return window
 
 
@@ -530,10 +551,10 @@ class CommutativeSpec:
         """The (key, label) of each listed point, listed once per window.
 
         The list of the last window asked for is kept on this backend, so
-        the atoms, the molecules, the minimal sets and the classifications
-        of one window all read one list; a finite spectrum ignores the
-        window.  An infinite spectrum's window is checked against
-        WINDOW_BUDGET before anything is listed.
+        the atoms, the molecules and the classifications of one window all
+        read one list; a finite spectrum ignores the window.  An infinite
+        spectrum's window is checked against WINDOW_BUDGET before anything
+        is listed.
         """
         window = None if self.complete else _require_window(window)
         if self._listed is None or self._listed[0] != window:
@@ -546,6 +567,8 @@ class CommutativeSpec:
         return self._listed[1]
 
     def _minimal_points(self):
+        """The minimal points of the whole spectrum, for the flags and the
+        artinianization, which take no window."""
         return self._points(None) if self.complete else [_GENERIC_POINT]
 
     def atoms(self, window=None):
@@ -560,12 +583,6 @@ class CommutativeSpec:
                 for i, x in enumerate(atoms)]
 
     molecule_up_sets = atom_up_sets
-
-    def minimal_atoms(self, window=None):
-        return [Atom(self.label, k, lbl) for k, lbl in self._minimal_points()]
-
-    def minimal_molecules(self, window=None):
-        return [Molecule(self.label, k, lbl) for k, lbl in self._minimal_points()]
 
     def phi(self, a):
         return Molecule(self.label, a.key, a.label)
@@ -728,9 +745,18 @@ class PolyBackend(CommutativeSpec):
         return poly_divmod(self.field, a, b)
 
     def _closed_points(self, window):
+        """Over F_p the irreducibles up to degree min(window, 4), refused
+        before any is listed when Gauss's formula counts more than
+        WINDOW_BUDGET of them; over Q the x - c with |c| <= window."""
         f = self.field
         if f.is_finite():
-            return irreducible_polys(f.p, min(window, _GF_TABLE_DEG))
+            deg = min(window, _GF_TABLE_DEG)
+            count = sum(irreducible_counts(f.p, deg))
+            if count > WINDOW_BUDGET:
+                raise BudgetExceeded(
+                    f"window points of {self.label} up to degree {deg}",
+                    count, WINDOW_BUDGET)
+            return irreducible_polys(f.p, deg)
         return [(f.scalar(-sign * c), f.one)
                 for c in range(window + 1) for sign in ((1, -1) if c else (1,))]
 
@@ -806,10 +832,7 @@ class GradedPolyBackend:
     @staticmethod
     def _window_range(window):
         w = _require_window(window)
-        if isinstance(w, tuple):
-            lo, hi = w
-        else:
-            lo, hi = -abs(w), abs(w)
+        lo, hi = w if isinstance(w, tuple) else (-w, w)
         return range(lo, hi + 1)
 
     def atoms(self, window=None):
@@ -827,12 +850,6 @@ class GradedPolyBackend:
 
     def molecule_up_sets(self, molecules):
         return discrete_up_sets(molecules)
-
-    def minimal_atoms(self, window=None):
-        return self.atoms(window)
-
-    def minimal_molecules(self, window=None):
-        return self.molecules(window)
 
     def phi(self, a):
         if a.key == ("generic",):

@@ -275,7 +275,8 @@ def _symbolic_backend(b: Section, kind):
 def _parse_window(section, kind):
     """``bound``, which only the backends with an infinite spectrum read,
     or the (lo, hi) shift range, which only the graded backend reads; an
-    error names the first 'lo' or 'hi' line, or the 'bound' line."""
+    error names the first 'lo' or 'hi' line, or the 'bound' line.  A
+    negative bound is refused at its line, and hi < lo at the 'hi' line."""
     if section is None:
         return None
     section.check_keys({"bound", "lo", "hi"})
@@ -294,9 +295,19 @@ def _parse_window(section, kind):
             f"[window] 'bound' is not read: 'kind = {kind}' has a finite "
             "spectrum, listed whole", bounds[0][1])
     if bounds:
-        return section.parse("bound", int)
+        bound = section.parse("bound", int)
+        if bound < 0:
+            raise FixtureParseError(
+                f"[window] 'bound' must be non-negative, got {bound}",
+                bounds[0][1])
+        return bound
     if section.get("lo") is not None and section.get("hi") is not None:
-        return (section.parse("lo", int), section.parse("hi", int))
+        lo, hi = section.parse("lo", int), section.parse("hi", int)
+        if hi < lo:
+            raise FixtureParseError(
+                f"[window] 'hi' = {hi} is below 'lo' = {lo}",
+                section.get_all("hi")[0][1])
+        return lo, hi
     raise FixtureParseError("[window] needs 'bound' or 'lo'/'hi'", section.line)
 
 

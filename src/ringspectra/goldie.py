@@ -24,7 +24,8 @@ from .errors import CapabilityError, ValidationError
 from .ideals import TwoSidedIdeal, ideal_product, is_semiprime
 from .linalg import Subspace, apply_vec, vec_is_zero
 from .modules import RightModule
-from .spectra import ArtinianBackend, QuotientRingDescriptor, SpectrumBackend
+from .spectra import (ArtinianBackend, QuotientRingDescriptor, SpectrumBackend,
+                      atom_spectrum)
 
 
 def regular_socle_ideal(a: FiniteDimAlgebra) -> TwoSidedIdeal:
@@ -103,7 +104,7 @@ def goldie_localizing(backend: ArtinianBackend) -> GoldieAnalysis:
             # The quotient is semisimple: one skew-field block per
             # surviving simple, of degree End(S).
             blocks.append((s.label, s.end_dim))
-    amin = {at.label for at in backend.minimal_atoms()}
+    amin = {at.label for at in atom_spectrum(backend).minimal}
     notes = []
     semiprime = is_semiprime(a)
     gol_is_artin = set(surviving) == amin

@@ -2,7 +2,7 @@
 
 Backends implement the ``SpectrumBackend`` protocol: enumerate (or
 window) atoms and molecules, state each order once as up-sets, phi and
-psi, minimality, property flags computed along two independent routes,
+psi, property flags computed along two independent routes,
 and the ring-level answers (reduced part, artinianization, classical
 quotient ring and its sampled clauses), and ``algebra``, the finite-dimensional
 algebra Lambda when the backend is Mod(Lambda) and ``None`` otherwise.
@@ -20,7 +20,9 @@ one pass/fail record per claim; hypothesis failures (no noetherian
 generator) are recorded as skips with a reason, never silently dropped.
 It reads each spectrum through ``atom_spectrum`` and
 ``molecule_spectrum``, which a listing also calls on its own, without
-the assertions.
+the assertions.  Those two read the minimal elements off the up-sets,
+for every backend in one place: an element is minimal when its index
+lies in no other element's up-set.
 """
 
 from __future__ import annotations
@@ -99,7 +101,9 @@ class SpectrumBackend(Protocol):
     state each order once, for the listing they are given: entry i is
     the ascending list of the indices j with x_i <= x_j, i included.  A
     backend states its order this way only, so it can answer in the size
-    of the order, not in the number of pairs.  ``phi`` may raise
+    of the order, not in the number of pairs; the minimal elements are
+    read off these up-sets (``atom_spectrum``, ``molecule_spectrum``), so
+    a backend does not state them.  ``phi`` may raise
     ``PhiUndefinedError``; without a noetherian generator the flags may
     raise ``CapabilityError``.  The ring-level
     answers (reduced part, artinianization, classical quotient ring)
@@ -124,10 +128,6 @@ class SpectrumBackend(Protocol):
     def atom_up_sets(self, atoms: list[Atom]) -> list[list[int]]: ...
 
     def molecule_up_sets(self, molecules: list[Molecule]) -> list[list[int]]: ...
-
-    def minimal_atoms(self, window=None) -> list[Atom]: ...
-
-    def minimal_molecules(self, window=None) -> list[Molecule]: ...
 
     def phi(self, a: Atom) -> Molecule: ...
 
@@ -160,7 +160,6 @@ class ArtinianBackend:
     def __init__(self, algebra: FiniteDimAlgebra, label=None):
         self.algebra = algebra
         self.label = label or f"{algebra.name}/{field_name(algebra.field)}"
-        self._minimal_molecules = None
 
     # -- raw data (cached on the algebra's structure) ------------------------
 
@@ -188,20 +187,6 @@ class ArtinianBackend:
         ideal = {("prime", w.block_index): w.ideal for w in self.primes()}
         return up_sets([ideal[r.key] for r in molecules],
                        lambda p, q: q.contains(p))
-
-    def minimal_atoms(self, window=None):
-        return self.atoms()
-
-    def minimal_molecules(self, window=None):
-        """The molecules with no other molecule below them, found once:
-        the molecule spectrum and ``molecular_flags`` both read them."""
-        if self._minimal_molecules is None:
-            mols = self.molecules()
-            above_another = {j for i, up in enumerate(self.molecule_up_sets(mols))
-                             for j in up if j != i}
-            self._minimal_molecules = [r for j, r in enumerate(mols)
-                                       if j not in above_another]
-        return list(self._minimal_molecules)
 
     def _prime_by_key(self, key):
         for w in self.primes():
@@ -290,14 +275,14 @@ class ArtinianBackend:
     def atomic_flags(self):
         """reduced/irreducible/integral through the atom route (J and AMin)."""
         reduced = jacobson_radical(self.algebra).dim == 0
-        irreducible = len(self.minimal_atoms()) == 1
+        irreducible = len(atom_spectrum(self).minimal) == 1
         return {"reduced": reduced, "irreducible": irreducible,
                 "integral": reduced and irreducible}
 
     def molecular_flags(self):
         """Same flags through the molecule route (prime radical and MMin)."""
         reduced = is_semiprime(self.algebra)
-        irreducible = len(self.minimal_molecules()) == 1
+        irreducible = len(molecule_spectrum(self).minimal) == 1
         return {"reduced": reduced, "irreducible": irreducible,
                 "integral": reduced and irreducible}
 
@@ -319,7 +304,8 @@ class ArtinianBackend:
     def artinianization(self):
         """An artinian category is its own artinianization."""
         return ArtinianizationDescriptor(
-            "identity", self.label, [a.label for a in self.minimal_atoms()])
+            "identity", self.label,
+            [a.label for a in atom_spectrum(self).minimal])
 
     def quotient_ring_descriptor(self):
         """A semiprime artinian ring is its own classical quotient ring."""
@@ -427,8 +413,8 @@ class Spectrum:
     """One spectrum as read off a backend.
 
     ``up`` holds each element's up-set (``up_sets``), ``order`` the strict
-    order as sorted label pairs and ``minimal`` the backend's minimal
-    elements.
+    order as sorted label pairs and ``minimal`` the minimal elements, in
+    listing order.
     """
 
     elements: list
@@ -440,19 +426,22 @@ class Spectrum:
 def atom_spectrum(backend: SpectrumBackend, window=None) -> Spectrum:
     """The atoms, their order and the minimal atoms; nothing is verified."""
     atoms = backend.atoms(window)
-    return _read_spectrum(atoms, backend.atom_up_sets(atoms),
-                          backend.minimal_atoms(window))
+    return _read_spectrum(atoms, backend.atom_up_sets(atoms))
 
 
 def molecule_spectrum(backend: SpectrumBackend, window=None) -> Spectrum:
     """The molecules, their order and the minimal molecules; nothing is
     verified."""
     mols = backend.molecules(window)
-    return _read_spectrum(mols, backend.molecule_up_sets(mols),
-                          backend.minimal_molecules(window))
+    return _read_spectrum(mols, backend.molecule_up_sets(mols))
 
 
-def _read_spectrum(elements, up, minimal) -> Spectrum:
+def _read_spectrum(elements, up) -> Spectrum:
+    """The spectrum with up-sets ``up``; x_j is minimal iff j lies in no
+    up-set U(i) with i != j (docs/derivations.md, "Order checks on
+    up-sets")."""
+    above_another = {j for i, u in enumerate(up) for j in u if j != i}
+    minimal = [x for j, x in enumerate(elements) if j not in above_another]
     return Spectrum(elements, up, _strict_pairs(elements, up), minimal)
 
 
@@ -469,12 +458,10 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
         notes.append("infinite spectrum verified on a finite window only")
 
     phi_table = {}
-    phi_undefined = []
     for a in atoms:
         try:
             phi_table[a.label] = backend.phi(a).label
         except PhiUndefinedError as exc:
-            phi_undefined.append(a)
             notes.append(f"phi partial: {a.label}: {exc}")
     psi_table = {r.label: backend.psi(r).label for r in mols}
 

@@ -20,8 +20,8 @@ from typing import NamedTuple
 from .errors import BudgetExceeded
 from .ideals import TwoSidedIdeal, intersect_primes, minimal_primes
 from .spectra import (ArtinianBackend, ArtinianizationDescriptor,
-                      ReducedPartResult, SpectrumBackend, hasse_edges,
-                      up_sets)
+                      ReducedPartResult, SpectrumBackend, atom_spectrum,
+                      hasse_edges, up_sets)
 
 
 @dataclass
@@ -166,7 +166,8 @@ def classify_localizing(backend: ArtinianBackend):
     localizing subcategories are the complements of single-atom closures;
     maximal proper ones correspond to minimal atoms.
     """
-    atoms = backend.atoms()
+    aspec = atom_spectrum(backend)
+    atoms = aspec.elements
     if len(atoms) > LOCALIZING_MAX_ATOMS:
         raise BudgetExceeded("localizing classification", 2 ** len(atoms),
                              2 ** LOCALIZING_MAX_ATOMS)
@@ -174,7 +175,7 @@ def classify_localizing(backend: ArtinianBackend):
     full = 2 ** len(atoms) - 1
     descriptors = [LocalizingSubcatDescriptor(backend, listing, mask)
                    for mask in range(full + 1)]
-    amin = set(backend.minimal_atoms())
+    amin = set(aspec.minimal)
     complements = {full ^ (1 << i) for i in range(len(atoms))}
     max_masks = {full ^ (1 << i) for i, a in enumerate(atoms) if a in amin}
     prime_ones = [d for d in descriptors if d.mask in complements]

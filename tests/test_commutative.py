@@ -24,7 +24,8 @@ from ringspectra.errors import BudgetExceeded, CapabilityError, ValidationError
 from ringspectra.ideals import (TwoSidedIdeal, is_semiprime, minimal_primes,
                                 prime_radical_of_zero)
 from ringspectra.linalg import F2, F3, GF, QQ
-from ringspectra.spectra import PhiUndefinedError, verify_correspondence
+from ringspectra.spectra import (PhiUndefinedError, atom_spectrum,
+                                 verify_correspondence)
 from helpers import graded_free, graded_simple, reference_poly_divmod
 
 
@@ -170,6 +171,28 @@ def test_window_past_the_budget_is_refused_before_listing(monkeypatch):
     assert listed == [budget, 0]
 
 
+def test_negative_or_reversed_window_is_refused_before_listing(monkeypatch):
+    """A negative bound, and a graded range with hi < lo, raise
+    ``ValidationError`` before any point is listed; 0 and lo = hi are
+    windows."""
+    listed = []
+    monkeypatch.setattr(commutative, "primes_up_to",
+                        lambda bound: listed.append(bound) or [])
+    cases = [(IntegerBackend(), -1, "bound must be non-negative, got -1"),
+             (PolyBackend(QQ), -5, "got -5"), (PolyBackend(F3), -2, "got -2"),
+             (GradedPolyBackend(F2), -1, "got -1"),
+             (GradedPolyBackend(F2), (3, -2), "hi = -2 is below lo = 3")]
+    for backend, window, message in cases:
+        for read in (backend.atoms, backend.molecules,
+                     lambda w: verify_correspondence(backend, w)):
+            with pytest.raises(ValidationError, match=message):
+                read(window)
+    assert listed == []
+    assert [a.label for a in PolyBackend(QQ).atoms(0)] == ["(0)", "(x)"]
+    assert [a.label for a in GradedPolyBackend(F2).atoms((3, 3))] == \
+        ["k[x]", "S(3)"]
+
+
 def test_int_root_is_the_floor_root():
     """The Newton steps from the float estimate give floor(m^(1/k)):
     r^k <= m < (r + 1)^k, next to exact powers and at random sizes."""
@@ -285,9 +308,28 @@ def test_irreducible_table_counts_follow_gauss(p):
     table = irreducible_polys(p, 4)
     assert Counter(poly_deg(q) for q in table) == \
         {n: _gauss_count(p, n) for n in range(1, 5)}
+    assert commutative.irreducible_counts(p, 4) == \
+        [_gauss_count(p, n) for n in range(1, 5)]
     for k in range(1, 4):
         assert irreducible_polys(p, k) == \
             tuple(q for q in table if poly_deg(q) <= k)
+
+
+def test_fp_window_past_the_budget_is_refused_before_listing(monkeypatch):
+    """F_101[x] up to degree 3 has 101 + 5,050 + 343,400 closed points, more
+    than WINDOW_BUDGET: refused before ``irreducible_polys`` runs.  F_7 up
+    to degree 4 (7 + 21 + 112 + 588 points) is listed."""
+    tables = []
+    real = commutative.irreducible_polys
+    monkeypatch.setattr(commutative, "irreducible_polys",
+                        lambda p, d: tables.append((p, d)) or real(p, d))
+    for read in (lambda b: b.atoms(3), lambda b: verify_correspondence(b, 3)):
+        with pytest.raises(BudgetExceeded,
+                           match="needs 348551, budget allows 100000"):
+            read(PolyBackend(GF(101)))
+    assert tables == []
+    assert len(PolyBackend(GF(7)).atoms(9)) == 1 + 7 + 21 + 112 + 588
+    assert tables == [(7, 4)]
 
 
 def test_factor_reassembles(small_f2_corpus):
@@ -448,7 +490,7 @@ def test_int_backend_order_and_maps():
     assert z.atom_up_sets(atoms) == [[0, 1, 2, 3], [1], [2], [3]]
     assert z.phi(two).label == "(2)"
     assert z.psi(z.molecules(5)[0]).label == "(0)"
-    assert [a.label for a in z.minimal_atoms()] == ["(0)"]
+    assert [a.label for a in atom_spectrum(z, 5).minimal] == ["(0)"]
     assert z.atomic_flags()["integral"] is True
 
 

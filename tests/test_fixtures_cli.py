@@ -756,3 +756,86 @@ def test_the_size_budget_admits_its_bound():
     """Dimension 400 is built; T_24(F_2), dimension 300, is below it."""
     text = ALGEBRA_FIXTURE.format("companion", "poly = " + "0 " * 400 + "1")
     assert load_fixture(text).backend.algebra.dim == 400
+
+
+def _run_cli(*argv):
+    return subprocess.run([sys.executable, "-m", "ringspectra.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+
+
+def _write_bytes(tmp_path, data):
+    p = tmp_path / "bytes.alg"
+    p.write_bytes(data)
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "hasse"])
+@pytest.mark.parametrize("make,message", [
+    (lambda tmp: str(tmp / "missing.alg"),
+     "usage error: cannot read {}: No such file or directory\n"),
+    (lambda tmp: str(tmp),
+     "usage error: cannot read {}: Is a directory\n"),
+    (lambda tmp: _write_bytes(tmp, b"[backend]\nkind = int\n# caf\xe9\n"),
+     "parse error: byte 0xe9 is not UTF-8 (line 3)\n"),
+], ids=["missing", "directory", "not-utf8"])
+def test_cli_unreadable_fixture_exits_2(tmp_path, command, make, message):
+    """A path that names no readable file, and a fixture that is not
+    UTF-8, end in exit 2 with one stderr line and no traceback."""
+    path = make(tmp_path)
+    proc = _run_cli(command, path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == message.format(path)
+
+
+@pytest.mark.parametrize("command", [["analyze", "--atoms"], ["verify"]])
+@pytest.mark.parametrize("text,message,line", [
+    (Z_FIXTURE.replace("bound = 10", "bound = -3"),
+     "'bound' must be non-negative, got -3", 5),
+    (POLY_FIXTURE.replace("bound = 2", "bound = -1"),
+     "'bound' must be non-negative, got -1", 6),
+    (GRADED_FIXTURE.replace("lo = -1\nhi = 1", "lo = 3\nhi = -2"),
+     "'hi' = -2 is below 'lo' = 3", 10),
+    (GRADED_FIXTURE.replace("lo = -1\nhi = 1", "hi = 0\nlo = 1"),
+     "'hi' = 0 is below 'lo' = 1", 9),
+    (GRADED_FIXTURE.replace("lo = -1\nhi = 1", "bound = -2"),
+     "'bound' must be non-negative, got -2", 9),
+], ids=["int", "poly", "graded-reversed", "graded-hi-first", "graded-bound"])
+def test_cli_negative_or_reversed_window_is_a_parse_error(
+        tmp_path, capsys, command, text, message, line):
+    """A negative bound, or a shift range with hi < lo, names no window: it
+    is refused at its own line instead of listing only (0), or -n..n, or
+    nothing."""
+    path = _write(tmp_path, "w.alg", text)
+    assert cli_main([command[0], path, *command[1:]]) == 2
+    assert capsys.readouterr().err == \
+        f"parse error: [window] {message} (line {line})\n"
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["analyze", "--atoms"],
+                                     ["verify"], ["hasse"]])
+@pytest.mark.parametrize("text", [Z_FIXTURE, GRADED_FIXTURE, T2_FIXTURE],
+                         ids=["int", "graded", "algebra"])
+def test_cli_negative_window_flag_is_a_usage_error(tmp_path, capsys, command,
+                                                   text):
+    path = _write(tmp_path, "w.alg", text)
+    assert cli_main([command[0], path, *command[1:], "--window", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "usage error: --window must be non-negative, "
+                              "got -3\n")
+
+
+def test_cli_window_flag_zero_is_accepted(tmp_path, capsys):
+    path = _write(tmp_path, "z.alg", Z_FIXTURE)
+    assert cli_main(["analyze", path, "--atoms", "--window", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["atoms"]["elements"] == ["(0)"]
+
+
+def test_cli_large_fp_window_is_refused_at_once(tmp_path):
+    """F_101[x] up to degree 3 has 348,551 closed points by Gauss's
+    formula: refused with exit 3 before any irreducible is listed."""
+    path = _write(tmp_path, "f.alg", POLY_FIXTURE.replace("F2", "F101")
+                  .replace("bound = 2", "bound = 3"))
+    proc = _run_cli("analyze", path)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("capability error: window points of F101[x] up to "
+                           "degree 3: needs 348551, budget allows 100000\n")

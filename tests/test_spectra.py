@@ -16,7 +16,8 @@ from ringspectra.modules import (RightModule, injective_envelope,
                                  composition_factors, simple_modules)
 from ringspectra.oracle import brute_mass, enumerate_submodules, standard_modules
 from ringspectra.spectra import (ArtinianBackend, Molecule,
-                                 PhiUndefinedError, verify_correspondence)
+                                 PhiUndefinedError, atom_spectrum,
+                                 molecule_spectrum, verify_correspondence)
 
 
 def _backend(name, corpus_by_name):
@@ -323,8 +324,19 @@ def test_artinian_minimal_molecules_found_once():
     rep = verify_correspondence(b)
     n = len(b.molecules())
     assert n == 4 and rep.passed() and rep.molecular_flags["irreducible"] is False
-    # The up-sets and the minimal set ask each pair once; the flags reread.
+    # The molecule spectrum, and with it the minimal set, asks each pair
+    # once; molecular_flags reads the spectrum again.
     assert b.calls == 2 * n * n
+
+
+def test_graded_backend_lists_its_window_once_per_spectrum(monkeypatch):
+    calls = []
+    window_range = GradedPolyBackend._window_range
+    monkeypatch.setattr(GradedPolyBackend, "_window_range", staticmethod(
+        lambda window: calls.append(window) or window_range(window)))
+    rep = verify_correspondence(GradedPolyBackend(F2), 20)
+    assert rep.passed() and len(rep.minimal_atoms) == 42
+    assert calls == [20, 20]
 
 
 def test_verifier_catches_a_discrete_molecule_order():
@@ -385,7 +397,16 @@ def _pairwise_order_checks(backend, window):
                              if a != b and leq_a(a, b)),
         "molecule_order": sorted((r.label, s.label) for r in mols for s in mols
                                  if r != s and leq_m(r, s)),
+        "minimal_atoms": _pairwise_minimal(atoms, leq_a),
+        "minimal_molecules": _pairwise_minimal(mols, leq_m),
     }
+
+
+def _pairwise_minimal(elements, leq):
+    """The labels of the elements with no other element below them, in
+    listing order."""
+    return [x.label for x in elements
+            if not any(y != x and leq(y, x) for y in elements)]
 
 
 def _pairwise(elements, up):
@@ -406,6 +427,8 @@ def test_order_checks_equal_their_pairwise_definitions(corpus_by_name):
         got = {r.name: r.detail for r in rep.assertions}
         got["atom_order"] = rep.atom_order
         got["molecule_order"] = rep.molecule_order
+        got["minimal_atoms"] = [a.label for a in rep.minimal_atoms]
+        got["minimal_molecules"] = [r.label for r in rep.minimal_molecules]
         want = _pairwise_order_checks(backend, window)
         assert {k: got[k] for k in want} == want, backend.label
 
@@ -467,20 +490,38 @@ def _literal_up_sets(elements, leq):
     return [[j for j, y in enumerate(elements) if leq(x, y)] for x in elements]
 
 
+class _Reversed:
+    """A backend that lists its atoms and molecules in reverse."""
+
+    def __init__(self, backend):
+        self.backend = backend
+
+    def atoms(self, window=None):
+        return self.backend.atoms(window)[::-1]
+
+    def molecules(self, window=None):
+        return self.backend.molecules(window)[::-1]
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_up_sets_equal_ideal_containment(algebra_corpus, reverse):
     """Each backend's up-sets, for its listing and for the reversed one,
-    are those of the literal containment order."""
+    are those of the literal containment order, and the minimal elements
+    read off them are those with no other element below, in listing
+    order."""
     cases = [(IntegerBackend(), 60), (PolyBackend(QQ), 4),
              (PolyBackend(GF(3)), 2), (IntModBackend(360), None),
              (PolyQuotBackend(F2, [0, 0, 1, 1]), None),
-             (GradedPolyBackend(F2), (-3, 3))]
+             (GradedPolyBackend(F2), (-3, 3)), (GradedPolyBackend(F2), 2)]
     cases += [(ArtinianBackend(a), None) for _name, a in algebra_corpus]
     for backend, window in cases:
         leq_a, leq_m = _literal_order(backend)
-        atoms, mols = backend.atoms(window), backend.molecules(window)
-        if reverse:
-            atoms, mols = atoms[::-1], mols[::-1]
-        assert backend.atom_up_sets(atoms) == _literal_up_sets(atoms, leq_a)
-        assert (backend.molecule_up_sets(mols)
-                == _literal_up_sets(mols, leq_m)), backend.label
+        listed = _Reversed(backend) if reverse else backend
+        for spectrum, leq in ((atom_spectrum, leq_a), (molecule_spectrum, leq_m)):
+            spec = spectrum(listed, window)
+            assert spec.up == _literal_up_sets(spec.elements, leq), backend.label
+            assert ([x.label for x in spec.minimal]
+                    == _pairwise_minimal(spec.elements, leq)), backend.label

@@ -18,7 +18,7 @@ from ringspectra.errors import BudgetExceeded, ValidationError
 from ringspectra.linalg import GF, QQ
 from ringspectra.modules import RightModule
 from ringspectra.oracle import enumerate_submodules, enumerate_two_sided_ideals
-from ringspectra.spectra import ArtinianBackend
+from ringspectra.spectra import ArtinianBackend, atom_spectrum
 from ringspectra.subcats import (LOCALIZING_MAX_ATOMS,
                                  LOCALLY_CLOSED_MAX_MOLECULES,
                                  ClosedSubcatDescriptor, classify_localizing,
@@ -105,7 +105,7 @@ def test_classify_localizing_counts(corpus_by_name):
         n = expected_atoms
         assert len(descs) == 2 ** n, name
         assert len(primes) == n, name
-        assert len(maxp) == len(b.minimal_atoms()), name
+        assert len(maxp) == len(atom_spectrum(b).minimal), name
 
 
 def test_classify_localizing_refuses_more_than_eight_atoms():
@@ -269,7 +269,7 @@ def test_localizing_classification_equals_subsets(algebra_corpus):
         missing = [frozenset(atoms) - s for s in subsets]
         assert [support(d) for d in primes] == [
             s for s, m in zip(subsets, missing) if len(m) == 1], name
-        amin = set(b.minimal_atoms())
+        amin = set(atom_spectrum(b).minimal)
         assert [support(d) for d in maxp] == [
             s for s, m in zip(subsets, missing) if len(m) == 1 and m <= amin], name
 
