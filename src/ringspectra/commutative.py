@@ -16,8 +16,9 @@ beyond raises
 The graded polynomial backend reproduces the boundary behavior of graded
 module categories over k[x]: every atom is minimal, the degree-shift
 simples are the only molecules, the free module has no prime subobject,
-phi has no value on the generic atom, and artinianization and the flags
-are refused because no noetherian (let alone artinian) generator exists.
+phi has no value on the generic atom, and artinianization and the
+reduced part are refused because no noetherian (let alone artinian)
+generator exists.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .linalg import GF, field_name
 from .spectra import (ArtinianizationDescriptor, Atom, Molecule,
                       PhiUndefinedError, QuotientRingDescriptor,
                       ReducedPartResult, check_algebra_quotient_ring,
-                      discrete_up_sets, two_route_flags)
+                      discrete_up_sets)
 
 
 # -- polynomial arithmetic (coefficients low-to-high) ---------------------------
@@ -566,11 +567,6 @@ class CommutativeSpec:
             self._listed = (window, points)
         return self._listed[1]
 
-    def _minimal_points(self):
-        """The minimal points of the whole spectrum, for the flags and the
-        artinianization, which take no window."""
-        return self._points(None) if self.complete else [_GENERIC_POINT]
-
     def atoms(self, window=None):
         return [Atom(self.label, k, lbl) for k, lbl in self._points(window)]
 
@@ -593,14 +589,6 @@ class CommutativeSpec:
     def is_semiprime(self):
         return all(m == 1 for _g, m in self.factors)
 
-    def atomic_flags(self):
-        reduced = self.is_semiprime()
-        irreducible = len(self._minimal_points()) == 1
-        return {"reduced": reduced, "irreducible": irreducible,
-                "integral": reduced and irreducible}
-
-    molecular_flags = atomic_flags
-
     def reduced_ring_label(self):
         if not self.complete:
             return self.label
@@ -609,16 +597,18 @@ class CommutativeSpec:
     def reduced_part(self):
         """R_red along both routes: each names the same reduced ring."""
         label = self.reduced_ring_label()
-        return ReducedPartResult(None, two_route_flags(self), label, label)
+        return ReducedPartResult(None, self.is_semiprime(), label, label)
 
     def artinianization(self):
-        atoms = [lbl for _k, lbl in self._minimal_points()]
+        """Supported on the minimal points: every point of an artinian R,
+        (0) of a domain."""
         if self.complete:
-            return ArtinianizationDescriptor("identity", self.label, atoms)
+            return ArtinianizationDescriptor(
+                "identity", self.label, [lbl for _k, lbl in self._points(None)])
         return ArtinianizationDescriptor(
             "module-category",
             f"Mod {self.fraction_field[0]} (localization at the generic point)",
-            atoms)
+            [_GENERIC_POINT[1]])
 
     def quotient_ring_descriptor(self):
         if not self.complete:
@@ -867,7 +857,6 @@ class GradedPolyBackend:
             "no artinian generator: artinianization undefined for this backend")
 
     def reduced_part(self):
-        # The flags are undefined, as verify_correspondence records.
         raise CapabilityError(
             "reduced part needs a noetherian generator, which this backend lacks")
 
@@ -879,21 +868,14 @@ class GradedPolyBackend:
         raise CapabilityError(
             "classical quotient ring out of scope for the graded backend")
 
-    def atomic_flags(self):
-        raise CapabilityError(
-            "reduced/irreducible/integral flags need a noetherian generator, "
-            "which this backend lacks")
-
-    molecular_flags = atomic_flags
-
     # -- descriptor-level module operations --------------------------------------
 
-    def mass(self, m: GradedModuleDescriptor, window=None):
+    def mass(self, m: GradedModuleDescriptor):
         """Associated molecules: socle shifts of torsion parts; free parts none."""
         return {Molecule(self.label, ("shift", s), f"S({s})")
                 for _l, s in m.torsion}
 
-    def ass_atoms(self, m: GradedModuleDescriptor, window=None):
+    def ass_atoms(self, m: GradedModuleDescriptor):
         out = set()
         if m.free_shifts:
             out.add(Atom(self.label, ("generic",), "k[x]"))

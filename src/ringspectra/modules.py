@@ -639,12 +639,12 @@ def injective_envelope(m: RightModule):
         raise ValidationError("injective envelope embedding is not injective")
     if not embed.is_module_map():
         raise ValidationError("injective envelope embedding is not a module map")
-    if not _is_essential_image(m, embed, e_mod):
+    if not _is_essential_image(embed, e_mod):
         raise ValidationError("injective envelope embedding is not essential")
     return e_mod, embed
 
 
-def _is_essential_image(m, embed, e_mod):
+def _is_essential_image(embed, e_mod):
     img = embed.image_space()
     return img.contains(e_mod.socle_space())
 

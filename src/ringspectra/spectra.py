@@ -2,8 +2,7 @@
 
 Backends implement the ``SpectrumBackend`` protocol: enumerate (or
 window) atoms and molecules, state each order once as up-sets, phi and
-psi, property flags computed along two independent routes,
-and the ring-level answers (reduced part, artinianization, classical
+psi, the ring-level answers (reduced part, artinianization, classical
 quotient ring and its sampled clauses), and ``algebra``, the finite-dimensional
 algebra Lambda when the backend is Mod(Lambda) and ``None`` otherwise.
 The verifier and the CLI read ``algebra`` to decide whether the
@@ -22,7 +21,9 @@ It reads each spectrum through ``atom_spectrum`` and
 ``molecule_spectrum``, which a listing also calls on its own, without
 the assertions.  Those two read the minimal elements off the up-sets,
 for every backend in one place: an element is minimal when its index
-lies in no other element's up-set.
+lies in no other element's up-set.  The reduced/irreducible/integral
+flags are read in the verifier only, off both spectra and the reduced
+part's ``reduced``.
 """
 
 from __future__ import annotations
@@ -76,20 +77,13 @@ class ArtinianizationDescriptor:
 
 @dataclass
 class ReducedPartResult:
-    """The reduced part, as each route computed it, and the flags."""
+    """The reduced part, as each route computed it, and whether the ring
+    is reduced (the two routes already agree)."""
 
     descriptor: object      # a subcats.ClosedSubcatDescriptor; None if symbolic
-    flags: dict
+    reduced: bool
     atomic_route_ideal: object
     molecular_route_ideal: object
-
-
-def two_route_flags(backend) -> dict:
-    """The reduced/irreducible/integral flags, equal along both routes."""
-    aflags = backend.atomic_flags()
-    if aflags != backend.molecular_flags():
-        raise ValidationError("atomic and molecular flags disagree")
-    return dict(aflags)
 
 
 @runtime_checkable
@@ -104,8 +98,7 @@ class SpectrumBackend(Protocol):
     of the order, not in the number of pairs; the minimal elements are
     read off these up-sets (``atom_spectrum``, ``molecule_spectrum``), so
     a backend does not state them.  ``phi`` may raise
-    ``PhiUndefinedError``; without a noetherian generator the flags may
-    raise ``CapabilityError``.  The ring-level
+    ``PhiUndefinedError``.  The ring-level
     answers (reduced part, artinianization, classical quotient ring)
     raise ``CapabilityError`` where they are out of scope;
     ``check_quotient_ring`` runs the classical quotient ring's clauses on
@@ -132,10 +125,6 @@ class SpectrumBackend(Protocol):
     def phi(self, a: Atom) -> Molecule: ...
 
     def psi(self, r: Molecule) -> Atom: ...
-
-    def atomic_flags(self) -> dict: ...
-
-    def molecular_flags(self) -> dict: ...
 
     def reduced_part(self) -> ReducedPartResult: ...
 
@@ -270,22 +259,6 @@ class ArtinianBackend:
         return {Molecule(self.label, ("prime", w.block_index), w.label)
                 for w in self.primes() if w.ideal.space.contains(ann.space)}
 
-    # -- property flags --------------------------------------------------------------
-
-    def atomic_flags(self):
-        """reduced/irreducible/integral through the atom route (J and AMin)."""
-        reduced = jacobson_radical(self.algebra).dim == 0
-        irreducible = len(atom_spectrum(self).minimal) == 1
-        return {"reduced": reduced, "irreducible": irreducible,
-                "integral": reduced and irreducible}
-
-    def molecular_flags(self):
-        """Same flags through the molecule route (prime radical and MMin)."""
-        reduced = is_semiprime(self.algebra)
-        irreducible = len(molecule_spectrum(self).minimal) == 1
-        return {"reduced": reduced, "irreducible": irreducible,
-                "integral": reduced and irreducible}
-
     # -- ring-level answers ------------------------------------------------------------
 
     def reduced_part(self):
@@ -299,7 +272,7 @@ class ArtinianBackend:
                 "atomically and molecularly reduced parts disagree: "
                 "this violates the correspondence and indicates a bug")
         return ReducedPartResult(ClosedSubcatDescriptor(self, atomic),
-                                 two_route_flags(self), atomic, molecular)
+                                 atomic.is_zero(), atomic, molecular)
 
     def artinianization(self):
         """An artinian category is its own artinianization."""
@@ -536,11 +509,13 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
         len(amin) < float("inf") and len(mmin) < float("inf"),
         f"|AMin| = {len(amin)}, |MMin| = {len(mmin)}")
 
-    # Property flags along both routes.
+    # Property flags along both routes: the reduced part's two-route check
+    # runs once, and each spectrum gives its own irreducible flag.
     aflags = mflags = None
     if backend.has_noetherian_generator:
-        aflags = backend.atomic_flags()
-        mflags = backend.molecular_flags()
+        reduced = backend.reduced_part().reduced
+        aflags = _integrality_flags(reduced, amin)
+        mflags = _integrality_flags(reduced, mmin)
         rec("atomic_flags_equal_molecular_flags", aflags == mflags,
             f"atomic {aflags} vs molecular {mflags}")
     else:
@@ -560,6 +535,14 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
         minimal_atoms=amin, minimal_molecules=mmin,
         assertions=records, atomic_flags=aflags, molecular_flags=mflags,
         notes=notes)
+
+
+def _integrality_flags(reduced, minimal) -> dict:
+    """reduced/irreducible/integral: irreducible is exactly one minimal
+    element, integral is reduced and irreducible."""
+    irreducible = len(minimal) == 1
+    return {"reduced": reduced, "irreducible": irreducible,
+            "integral": reduced and irreducible}
 
 
 def up_sets(elements, leq) -> list[list[int]]:

@@ -60,8 +60,9 @@ def reduced_part(backend: SpectrumBackend) -> ReducedPartResult:
     atomically reduced part of an artinian category).  Molecular route:
     the prime radical.  They must agree; disagreement is a bug by the
     correspondence theorem, so the backend raises.  The symbolic backends
-    name their reduced ring; the graded backend refuses (its flags need a
-    noetherian generator).
+    name their reduced ring; the graded backend refuses (it has no
+    noetherian generator).  ``verify_correspondence`` reads ``reduced``
+    off this result for the integrality flags.
     """
     return backend.reduced_part()
 

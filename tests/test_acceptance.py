@@ -88,13 +88,15 @@ def test_criterion_2_ared_equals_mred(algebra_corpus):
 
 
 def test_criterion_3_atomic_iff_molecular_flags(algebra_corpus):
-    backends = [ArtinianBackend(a) for _n, a in algebra_corpus]
-    backends += [IntegerBackend(), IntModBackend(12), IntModBackend(30),
-                 PolyBackend(F2), PolyQuotBackend(F2, [0, 0, 1, 1]),
-                 PolyQuotBackend(F3, [1, 0, 1])]
+    backends = [(ArtinianBackend(a), None) for _n, a in algebra_corpus]
+    backends += [(IntegerBackend(), 13), (IntModBackend(12), None),
+                 (IntModBackend(30), None), (PolyBackend(F2), 2),
+                 (PolyQuotBackend(F2, [0, 0, 1, 1]), None),
+                 (PolyQuotBackend(F3, [1, 0, 1]), None)]
     disagreements = []
-    for b in backends:
-        if b.atomic_flags() != b.molecular_flags():
+    for b, window in backends:
+        rep = verify_correspondence(b, window)
+        if rep.atomic_flags != rep.molecular_flags:
             disagreements.append(b.label)
     assert not disagreements, disagreements
     _report(3, "atomic flags = molecular flags",

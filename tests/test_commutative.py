@@ -491,7 +491,7 @@ def test_int_backend_order_and_maps():
     assert z.phi(two).label == "(2)"
     assert z.psi(z.molecules(5)[0]).label == "(0)"
     assert [a.label for a in atom_spectrum(z, 5).minimal] == ["(0)"]
-    assert z.atomic_flags()["integral"] is True
+    assert verify_correspondence(z, 5).atomic_flags["integral"] is True
 
 
 def test_int_backend_requires_window():
@@ -517,7 +517,8 @@ def test_poly_quot_backend():
     assert b.reduced_ring_label() == "F2[x]/(x^2+x)"
     b2 = PolyQuotBackend(F3, [1, 0, 1])            # irreducible: field F9
     assert len(b2.molecules()) == 1
-    assert b2.is_semiprime() and b2.atomic_flags()["integral"]
+    assert b2.is_semiprime()
+    assert verify_correspondence(b2).atomic_flags["integral"] is True
 
 
 def test_poly_backend_windowed():

@@ -230,6 +230,12 @@ def test_cli_oracle_subcommands(capsys):
     assert "16" in capsys.readouterr().out
 
 
+def test_cli_bare_oracle_is_a_usage_error(capsys):
+    assert cli_main(["oracle"]) == 2
+    assert capsys.readouterr() == (
+        "", "usage error: oracle needs --corpus or --subspaces DIM P\n")
+
+
 @pytest.mark.parametrize("dim_p, message", [
     (("3", "4"), "P: modulus 4 is not prime"),
     (("3", "1"), "P: modulus 1 is not prime"),
@@ -839,3 +845,57 @@ def test_cli_large_fp_window_is_refused_at_once(tmp_path):
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == ("capability error: window points of F101[x] up to "
                            "degree 3: needs 348551, budget allows 100000\n")
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--json"], ["analyze", "--dot"],
+                                  ["hasse", "--dot"]],
+                         ids=["analyze-json", "analyze-dot", "hasse-dot"])
+@pytest.mark.parametrize("make,reason", [
+    (lambda tmp: str(tmp / "missing" / "out.txt"), "No such file or directory"),
+    (lambda tmp: str(tmp), "Is a directory"),
+], ids=["missing-dir", "directory"])
+def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, make,
+                                                reason):
+    """An output path that cannot be opened for writing ends in exit 2
+    with one stderr line, as an unreadable fixture does."""
+    path = _write(tmp_path, "t2.alg", T2_FIXTURE)
+    out_path = make(tmp_path)
+    assert cli_main([argv[0], path, argv[1], out_path]) == 2
+    assert capsys.readouterr() == (
+        "", f"usage error: cannot write {out_path}: {reason}\n")
+
+
+def _shipped(name):
+    import os
+    return os.path.join(os.path.dirname(__file__), "..", "fixtures", name)
+
+
+def _count_calls(monkeypatch, cls, names):
+    """Count the calls to each named method of ``cls``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(self, *args, _real=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_cli_verify_reads_the_molecule_order_and_reduced_part_once(
+        monkeypatch, capsys):
+    from ringspectra.spectra import ArtinianBackend
+    calls = _count_calls(monkeypatch, ArtinianBackend,
+                         ["molecule_up_sets", "reduced_part"])
+    assert cli_main(["verify", _shipped("t2_f2.alg")]) == 0
+    capsys.readouterr()
+    assert calls == {"molecule_up_sets": 1, "reduced_part": 1}
+
+
+def test_cli_analyze_reads_the_molecule_order_twice(monkeypatch, capsys):
+    """Once for the spectra and their flags, once for the locally closed
+    localizing subcategories."""
+    from ringspectra.spectra import ArtinianBackend
+    calls = _count_calls(monkeypatch, ArtinianBackend, ["molecule_up_sets"])
+    assert cli_main(["analyze", _shipped("t2_f2.alg")]) == 0
+    capsys.readouterr()
+    assert calls == {"molecule_up_sets": 2}

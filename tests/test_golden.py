@@ -85,15 +85,16 @@ def symbolic_output(name: str) -> str:
     """Sorted JSON of the spectrum report and the ring-level answers."""
     cls, args, window = SYMBOLIC[name]
     backend = cls(*args)
+    report = verify_correspondence(backend, window)
 
     def reduced():
         red = reduced_part(backend)
-        return {"flags": red.flags,
+        return {"flags": report.atomic_flags,
                 "atomic_route": str(red.atomic_route_ideal),
                 "molecular_route": str(red.molecular_route_ideal)}
 
     payload = {
-        "verify_correspondence": verify_correspondence(backend, window).as_dict(),
+        "verify_correspondence": report.as_dict(),
         "reduced_part": _or_unavailable(reduced),
         "artinianization": _or_unavailable(lambda: vars(artinianization(backend))),
         "classical_quotient_ring": _or_unavailable(

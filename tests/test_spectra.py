@@ -273,7 +273,7 @@ def test_every_backend_satisfies_the_protocol(corpus_by_name):
     assert backends[0].algebra is corpus_by_name["t2_f2"]
     assert all(b.algebra is None for b in backends[1:])
     with pytest.raises(CapabilityError):            # no noetherian generator
-        backends[-1].atomic_flags()
+        backends[-1].reduced_part()
 
 
 
@@ -324,9 +324,9 @@ def test_artinian_minimal_molecules_found_once():
     rep = verify_correspondence(b)
     n = len(b.molecules())
     assert n == 4 and rep.passed() and rep.molecular_flags["irreducible"] is False
-    # The molecule spectrum, and with it the minimal set, asks each pair
-    # once; molecular_flags reads the spectrum again.
-    assert b.calls == 2 * n * n
+    # The molecule spectrum asks each pair once; the minimal set and the
+    # molecular flags are read off it.
+    assert b.calls == n * n
 
 
 def test_graded_backend_lists_its_window_once_per_spectrum(monkeypatch):
@@ -343,6 +343,30 @@ def test_verifier_catches_a_discrete_molecule_order():
     rep = verify_correspondence(_DiscreteMoleculesZ(), 13)
     failed = {r.name for r in rep.assertions if not (r.passed or r.skipped)}
     assert {"phi_order_preserving", "adjunction"} <= failed
+
+
+class _P1BelowP2(ArtinianBackend):
+    """Mod T_2(F_2) with the prime P1 stated below the prime P2."""
+
+    def molecule_up_sets(self, molecules):
+        assert [r.label for r in molecules] == ["P1", "P2"]
+        return [[0, 1], [1]]
+
+
+def test_verifier_refuses_disagreeing_flags(corpus_by_name):
+    """Each spectrum gives its own irreducible flag: Z with a discrete
+    molecule order has one minimal atom and seven minimal molecules in
+    window 13, and T_2(F_2) with P1 below P2 has two minimal atoms and one
+    minimal molecule."""
+    cases = [(_DiscreteMoleculesZ(), 13, True),
+             (_P1BelowP2(corpus_by_name["t2_f2"]), None, False)]
+    for backend, window, atom_irreducible in cases:
+        rep = verify_correspondence(backend, window)
+        flags = {r.name: r for r in rep.assertions}[
+            "atomic_flags_equal_molecular_flags"]
+        assert not (flags.passed or flags.skipped), backend.label
+        assert rep.atomic_flags["irreducible"] is atom_irreducible
+        assert rep.molecular_flags["irreducible"] is not atom_irreducible
 
 
 def test_envelope_of_each_simple_computed_once(monkeypatch):

@@ -13,12 +13,13 @@ import pytest
 from ringspectra.algebras import ideal_closure, jacobson_radical
 from ringspectra.cli import main as cli_main
 from ringspectra.ideals import TwoSidedIdeal
-from ringspectra.commutative import IntModBackend, IntegerBackend, PolyBackend
-from ringspectra.errors import BudgetExceeded, ValidationError
+from ringspectra.commutative import IntegerBackend, PolyBackend
+from ringspectra.errors import BudgetExceeded
 from ringspectra.linalg import GF, QQ
 from ringspectra.modules import RightModule
 from ringspectra.oracle import enumerate_submodules, enumerate_two_sided_ideals
-from ringspectra.spectra import ArtinianBackend, atom_spectrum
+from ringspectra.spectra import (ArtinianBackend, atom_spectrum,
+                                 verify_correspondence)
 from ringspectra.subcats import (LOCALIZING_MAX_ATOMS,
                                  LOCALLY_CLOSED_MAX_MOLECULES,
                                  ClosedSubcatDescriptor, classify_localizing,
@@ -51,18 +52,20 @@ def test_reduced_part_examples(corpus_by_name):
     b = _backend("t2_f2", corpus_by_name)
     red = reduced_part(b)
     assert red.descriptor.ideal.space == jacobson_radical(b.algebra)
-    assert red.flags == {"reduced": False, "irreducible": False,
-                         "integral": False}
+    assert red.reduced is False
+    assert verify_correspondence(b).atomic_flags == {
+        "reduced": False, "irreducible": False, "integral": False}
 
     b2 = _backend("m2_f3", corpus_by_name)
     red2 = reduced_part(b2)
-    assert red2.descriptor.ideal.is_zero()
-    assert red2.flags["integral"] is True
+    assert red2.descriptor.ideal.is_zero() and red2.reduced is True
+    assert verify_correspondence(b2).atomic_flags["integral"] is True
 
     b3 = _backend("trunc2_f2", corpus_by_name)
     red3 = reduced_part(b3)
-    assert red3.flags == {"reduced": False, "irreducible": True,
-                          "integral": False}
+    assert red3.reduced is False
+    assert verify_correspondence(b3).atomic_flags == {
+        "reduced": False, "irreducible": True, "integral": False}
 
 
 def test_reduced_part_routes_agree_corpus(algebra_corpus):
@@ -70,23 +73,6 @@ def test_reduced_part_routes_agree_corpus(algebra_corpus):
         red = reduced_part(ArtinianBackend(a))
         assert red.atomic_route_ideal.space == \
             red.molecular_route_ideal.space, name
-
-
-class _DisagreeingZ12(IntModBackend):
-    def molecular_flags(self):
-        return dict(super().molecular_flags(), irreducible=None)
-
-
-class _DisagreeingArtinian(ArtinianBackend):
-    def molecular_flags(self):
-        return dict(super().molecular_flags(), irreducible=None)
-
-
-def test_reduced_part_refuses_disagreeing_flags(corpus_by_name):
-    for b in (_DisagreeingZ12(12),
-              _DisagreeingArtinian(corpus_by_name["t2_f2"])):
-        with pytest.raises(ValidationError, match="flags disagree"):
-            reduced_part(b)
 
 
 def test_artinianization_descriptors(corpus_by_name):
