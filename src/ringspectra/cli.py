@@ -159,22 +159,24 @@ def _out(text: str):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _write(path, text):
-    """Write ``text`` to the file at ``path``; a path that cannot be
-    written is a usage error."""
+def _write(outputs):
+    """Write each (path, text) pair.  Every path is first opened to append,
+    which changes no file, so a path that cannot be written is a usage
+    error before any is written; the files made on the way are removed."""
+    made = []
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        for path, _text in outputs:
+            existed = os.path.lexists(path)
+            open(path, "a").close()
+            if not existed:
+                made.append(path)
+        for path, text in outputs:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
+        for p in made:
+            os.remove(p)
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
-
-
-def _emit(args, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
-    if getattr(args, "json_path", None):
-        _write(args.json_path, text + "\n")
-    else:
-        _out(text)
 
 
 def cmd_analyze(args) -> int:
@@ -216,7 +218,7 @@ def cmd_analyze(args) -> int:
         payload["flags"] = {"atomic": report.atomic_flags,
                             "molecular": report.molecular_flags}
         try:
-            red = reduced_part(backend)
+            red = report.reduced_part or reduced_part(backend)
             payload["reduced_part"] = (red.descriptor.label
                                        if red.descriptor is not None
                                        else str(red.atomic_route_ideal))
@@ -253,13 +255,17 @@ def cmd_analyze(args) -> int:
                    "mass": sorted(r.label for r in backend.mass(mod)),
                    "msupp": sorted(r.label for r in backend.msupp(mod))}
             for name, mod in loaded.modules.items()}
+    outputs = []
     if args.dot_path:
-        if args.subcats and backend.algebra is not None:
-            dot = radical_lattice_dot(backend)
-        else:
-            dot = render_hasse_dot(report)
-        _write(args.dot_path, dot)
-    _emit(args, payload)
+        outputs.append((args.dot_path, radical_lattice_dot(backend)
+                        if args.subcats and backend.algebra is not None
+                        else render_hasse_dot(report)))
+    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    if args.json_path:
+        outputs.append((args.json_path, text + "\n"))
+    _write(outputs)
+    if not args.json_path:
+        _out(text)
     return EXIT_OK if report is None or report.passed() else EXIT_VERIFY_FAILED
 
 
@@ -375,7 +381,7 @@ def cmd_hasse(args) -> int:
     report = verify_correspondence(loaded.backend, loaded.window)
     dot = render_hasse_dot(report)
     if args.dot_path:
-        _write(args.dot_path, dot)
+        _write([(args.dot_path, dot)])
     else:
         _out(dot)
     return EXIT_OK

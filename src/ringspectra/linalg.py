@@ -2,9 +2,13 @@
 
 Everything downstream (algebras, ideals, modules, spectra) reduces to the
 three primitives here: reduced row echelon form, canonical subspaces, and
-closure of a set of vectors under linear operators (``spin``).  All values
-are immutable and all operations are pure, so results can be hashed and
-deduplicated; two equal subspaces have identical representations.
+closure of a set of vectors under linear operators (``spin``).  All three
+come from one echelon routine, the incremental ``RowReducer``, whose rows
+are kept fully reduced: ``Matrix.rref`` and ``rank``,
+``Subspace.from_vectors`` and ``spin`` read it, in both row formats.  All
+values are immutable and all operations are pure, so results can be
+hashed and deduplicated; two equal subspaces have identical
+representations.
 
 Vectors are tuples of scalars, acting as row vectors: a matrix acts on the
 right, ``w = apply_vec(v, m)``.  Scalars are ``fractions.Fraction`` over Q
@@ -232,19 +236,14 @@ def _append_bits(x: int, rows: list, pbits: list):
     pbits.append(b)
 
 
-def _insert_bits(x: int, rows: list, pbits: list) -> int:
-    """Clear x by the fully reduced rows and append what is left; the row
-    added, or 0."""
-    x = _clear_bits(x, rows, pbits)
-    if x:
-        _append_bits(x, rows, pbits)
-    return x
-
-
-def _echelon_bits(rows, pbits):
-    """The fully reduced rows in order of their pivots, and the pivot columns."""
-    pairs = sorted(zip(pbits, rows))
-    return [x for _b, x in pairs], tuple(b.bit_length() - 1 for b, _x in pairs)
+def _clear(field, v, pivots, rows) -> tuple:
+    """v with every pivot entry cleared by its row, ``_clear_bits`` for
+    tuple rows: the rows are fully reduced, so none refills a pivot."""
+    for pc, row in zip(pivots, rows):
+        c = v[pc]
+        if c:
+            v = field.axpy(v, field.neg(c), row)
+    return tuple(v)
 
 
 class Matrix:
@@ -355,40 +354,9 @@ class Matrix:
         return Matrix.trusted(self.field, self.rows + other.rows, self.ncols)
 
     def rref(self):
-        """Unique reduced row echelon form: (matrix, pivot columns)."""
-        f = self.field
-        if f.packed:
-            bits, pivots = _echelon_bits(*self._echelon())
-            bits += [0] * (self.nrows - len(bits))
-            return Matrix._from_bits(f, bits, self.ncols), pivots
-        rows = [list(r) for r in self.rows]
-        n = len(rows)
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            if pr == n:
-                break
-            for r in range(pr, n):
-                if rows[r][pc]:
-                    break
-            else:
-                continue
-            rows[pr], rows[r] = rows[r], rows[pr]
-            prow = rows[pr] = f.row_scale(f.inv(rows[pr][pc]), rows[pr])
-            for r in range(n):
-                c = rows[r][pc]
-                if c and r != pr:
-                    rows[r] = f.axpy(rows[r], f.neg(c), prow)
-            pivots.append(pc)
-            pr += 1
-        return Matrix.trusted(f, tuple(map(tuple, rows)), self.ncols), tuple(pivots)
-
-    def _echelon(self):
-        """The packed rows fully reduced: (rows, their pivot bits), F_2 only."""
-        rows, pbits = [], []
-        for x in self._bits or self.bits():
-            _insert_bits(x, rows, pbits)
-        return rows, pbits
+        """Unique reduced row echelon form: (matrix, pivot columns), read
+        off a ``RowReducer`` of the rows and padded with zero rows."""
+        return RowReducer(self.field, self.ncols).extend(self).echelon(self.nrows)
 
     def _tagged_echelon(self):
         """Over F_2, row i packed as [row i | e_i] and reduced in order.
@@ -408,20 +376,13 @@ class Matrix:
         return rows, pbits, dependent
 
     def rank(self):
-        if self.field.packed:
-            return len(self._echelon()[0])
-        return len(self.rref()[1])
+        return RowReducer(self.field, self.ncols).extend(self).dim()
 
     def right_kernel(self):
         """Basis (as rows) of {x : self @ x^T = 0}, i.e. column relations."""
         f = self.field
         r, pivots = self.rref()
         free = [j for j in range(self.ncols) if j not in pivots]
-        if f.packed:
-            # Free column j: bit j, plus the pivot bit of each row with a 1 at j.
-            rows, pbits = r.bits(), [1 << pc for pc in pivots]
-            return Matrix._from_bits(f, [(1 << j) | sum(compress(pbits, map(
-                and_, repeat(1 << j), rows))) for j in free], self.ncols)
         basis = []
         for j in free:
             v = [f.zero] * self.ncols
@@ -496,10 +457,14 @@ def combine_matrices(field, n: int, coeffs, mats: Sequence[Matrix]) -> Matrix:
 
 
 class RowReducer:
-    """Incremental echelon accumulator used by spin and enumerations.
+    """Incremental echelon accumulator behind rref, rank, spans and spin.
 
-    Over F_2 it is a ``_BitReducer``.  Given ``start``, a subspace, it
-    begins with that subspace's canonical rows.
+    Its rows are fully reduced: each has 1 at its pivot and 0 at the other
+    rows' pivots, so a vector is reduced by reading its entries at the
+    pivots, and the rows in order of their pivots are the reduced row
+    echelon form of their span.  Over F_2 it is a ``_BitReducer``, on
+    packed rows.  Given ``start``, a subspace, it begins with that
+    subspace's canonical rows.
     """
 
     def __new__(cls, field, ambient: int, start: "Subspace" = None):
@@ -510,39 +475,30 @@ class RowReducer:
     def __init__(self, field, ambient: int, start: "Subspace" = None):
         self.field = field
         self.ambient = ambient
-        # Echelon rows, pivot normalized to 1, and the pivot column of each;
-        # canonical rows are zero in each other's pivot columns, as these are.
         self._rows = list(start.mat.rows) if start else []
         self._pivots = list(start.pivots) if start else []
 
-    def _reduce(self, v):
-        """Normal form of v: zero in every pivot column.
-
-        A row is zero in the pivot columns of the rows inserted before it,
-        so clearing the pivots in insertion order never refills one.
-        """
-        f = self.field
-        for pc, row in zip(self._pivots, self._rows):
-            c = v[pc]
-            if c:
-                v = f.axpy(v, f.neg(c), row)
-        return tuple(v)
-
     def _insert(self, v):
-        """Insert v; the echelon row it adds, or None."""
+        """Insert v; the row it adds, after clearing the new pivot from the
+        other rows, or None."""
         f = self.field
-        v = self._reduce(v)
+        v = _clear(f, v, self._pivots, self._rows)
         for pc, x in enumerate(v):
             if x:
                 row = tuple(f.row_scale(f.inv(x), v))
+                self._rows = [tuple(f.axpy(r, f.neg(r[pc]), row)) if r[pc] else r
+                              for r in self._rows]
                 self._pivots.append(pc)
                 self._rows.append(row)
                 return row
         return None
 
-    # How close() reads rows and operators: here rows and matrices as they are.
+    # How the reducer reads rows, matrices and operators: here as they are.
     def _row(self, row):
         return row
+
+    def _rows_of(self, m: Matrix):
+        return m.rows
 
     def _operators(self, mats):
         return mats
@@ -554,8 +510,14 @@ class RowReducer:
         """Insert v; True if it enlarged the span."""
         return bool(self._insert(v))
 
+    def extend(self, m: Matrix) -> "RowReducer":
+        """Insert every row of m; the reducer."""
+        for x in self._rows_of(m):
+            self._insert(x)
+        return self
+
     def contains(self, v) -> bool:
-        return vec_is_zero(self.field, self._reduce(v))
+        return vec_is_zero(self.field, _clear(self.field, v, self._pivots, self._rows))
 
     def dim(self):
         return len(self._rows)
@@ -576,13 +538,22 @@ class RowReducer:
                 if w:
                     work.append((self._row(w), ops))
 
+    def echelon(self, nrows: int = 0):
+        """(the rows in order of their pivots above zero rows up to nrows,
+        as a matrix; the pivot columns)."""
+        pairs = sorted(zip(self._pivots, self._rows))
+        rows = [r for _pc, r in pairs] + [zero_vec(self.field, self.ambient)] * (
+            nrows - len(pairs))
+        return (Matrix.trusted(self.field, tuple(rows), self.ambient),
+                tuple(pc for pc, _r in pairs))
+
     def subspace(self):
-        return Subspace.from_vectors(self.field, self.ambient, self._rows)
+        return Subspace(self.field, self.ambient, *self.echelon())
 
 
 class _BitReducer(RowReducer):
-    """The reducer over F_2, on packed rows kept fully reduced: each row is
-    zero at the other rows' pivot bits, so ``_clear_bits`` reduces."""
+    """The reducer over F_2, on packed rows and their pivot bits, so
+    ``_clear_bits`` reduces."""
 
     def __init__(self, field, ambient: int, start: "Subspace" = None):
         self.field = field
@@ -591,10 +562,16 @@ class _BitReducer(RowReducer):
         self._rows, self._pbits = list(rows), list(pbits)
 
     def _insert(self, x: int) -> int:
-        return _insert_bits(x, self._rows, self._pbits)
+        x = _clear_bits(x, self._rows, self._pbits)
+        if x:
+            _append_bits(x, self._rows, self._pbits)
+        return x
 
     def _row(self, x):
         return unpack(x, self.ambient)
+
+    def _rows_of(self, m: Matrix):
+        return m._bits or m.bits()
 
     def _operators(self, mats):
         return [m.bits() for m in mats]
@@ -608,10 +585,11 @@ class _BitReducer(RowReducer):
     def contains(self, v) -> bool:
         return not _clear_bits(pack(v), self._rows, self._pbits)
 
-    def subspace(self):
-        bits, pivots = _echelon_bits(self._rows, self._pbits)
-        return Subspace(self.field, self.ambient,
-                        Matrix._from_bits(self.field, bits, self.ambient), pivots)
+    def echelon(self, nrows: int = 0):
+        pairs = sorted(zip(self._pbits, self._rows))
+        bits = [x for _b, x in pairs] + [0] * (nrows - len(pairs))
+        return (Matrix._from_bits(self.field, bits, self.ambient),
+                tuple(b.bit_length() - 1 for b, _x in pairs))
 
 
 class Subspace:
@@ -636,12 +614,10 @@ class Subspace:
     def from_vectors(cls, field, ambient: int, vectors: Iterable):
         """The span of vectors of length ambient holding scalars of field,
         taken as they are (coerce outside input with ``Matrix`` first)."""
-        m = Matrix.trusted(field, tuple(map(tuple, vectors)), ambient)
-        r, pivots = m.rref()
-        top = Matrix.trusted(field, r.rows[:len(pivots)], ambient)
-        if r._bits is not None:
-            top._bits = r._bits[:len(pivots)]
-        return cls(field, ambient, top, pivots)
+        red = RowReducer(field, ambient)
+        for v in vectors:
+            red.add(v)
+        return red.subspace()
 
     @classmethod
     def zero(cls, field, ambient: int):
@@ -671,11 +647,7 @@ class Subspace:
         if f.packed:
             return unpack(_clear_bits(pack(v), *(self._bits or self._packed())),
                           self.ambient)
-        for pc, row in zip(self.pivots, self.mat.rows):
-            c = v[pc]
-            if c:
-                v = f.axpy(v, f.neg(c), row)
-        return tuple(v)
+        return _clear(f, v, self.pivots, self.mat.rows)
 
     def contains_vector(self, v):
         if self.field.packed:
@@ -717,8 +689,7 @@ class Subspace:
     def sum(self, other: "Subspace"):
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(self.field, self.ambient,
-                                     self.mat.rows + other.mat.rows)
+        return RowReducer(self.field, self.ambient, self).extend(other.mat).subspace()
 
     def intersect(self, other: "Subspace"):
         if other.ambient != self.ambient:
@@ -743,22 +714,13 @@ class Subspace:
         return not all(red.add(v) for v in other.mat.rows)
 
     def coords_of(self, v):
-        """Coefficients of v in the canonical basis, or None."""
-        f = self.field
-        if f.packed:
-            # Each rref row is 0 at the others' pivots: coordinate i is v there.
-            if _clear_bits(pack(v), *(self._bits or self._packed())):
-                return None
-            return tuple(map(v.__getitem__, self.pivots))
-        coords = [f.zero] * self.dim
-        for i, (pc, row) in enumerate(zip(self.pivots, self.mat.rows)):
-            c = v[pc]
-            if c:
-                coords[i] = c
-                v = f.axpy(v, f.neg(c), row)
-        if any(v):
+        """Coefficients of v in the canonical basis, or None.
+
+        Each canonical row is 1 at its pivot and 0 at the others' pivots,
+        so coordinate i of a member is v at pivot i."""
+        if not self.contains_vector(v):
             return None
-        return tuple(coords)
+        return tuple(map(v.__getitem__, self.pivots))
 
     def restrict(self, op: Matrix):
         """The matrix of v -> v op on this subspace, in its canonical basis;

@@ -343,6 +343,10 @@ class AssertionRecord:
 
 @dataclass
 class SpectrumReport:
+    """What ``verify_correspondence`` read and checked.  ``reduced_part``,
+    the backend's reduced part (None without a noetherian generator), is
+    kept for the caller and left out of ``as_dict``."""
+
     backend: str
     complete: bool
     atoms: list
@@ -357,6 +361,7 @@ class SpectrumReport:
     atomic_flags: dict | None
     molecular_flags: dict | None
     notes: list
+    reduced_part: ReducedPartResult | None
 
     def passed(self):
         return all(r.passed or r.skipped for r in self.assertions)
@@ -511,11 +516,11 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
 
     # Property flags along both routes: the reduced part's two-route check
     # runs once, and each spectrum gives its own irreducible flag.
-    aflags = mflags = None
+    aflags = mflags = red = None
     if backend.has_noetherian_generator:
-        reduced = backend.reduced_part().reduced
-        aflags = _integrality_flags(reduced, amin)
-        mflags = _integrality_flags(reduced, mmin)
+        red = backend.reduced_part()
+        aflags = _integrality_flags(red.reduced, amin)
+        mflags = _integrality_flags(red.reduced, mmin)
         rec("atomic_flags_equal_molecular_flags", aflags == mflags,
             f"atomic {aflags} vs molecular {mflags}")
     else:
@@ -534,7 +539,7 @@ def verify_correspondence(backend: SpectrumBackend, window=None) -> SpectrumRepo
         phi_table=phi_table, psi_table=psi_table,
         minimal_atoms=amin, minimal_molecules=mmin,
         assertions=records, atomic_flags=aflags, molecular_flags=mflags,
-        notes=notes)
+        notes=notes, reduced_part=red)
 
 
 def _integrality_flags(reduced, minimal) -> dict:

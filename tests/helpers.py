@@ -1,10 +1,10 @@
 """Matrix, module, ideal and subcategory facts that only the tests read.
 
-The package never inverts a matrix, takes a determinant or a trace, asks
-whether a module is semisimple, adds two ideals, asks whether a module
-lies in a localizing subcategory, builds a tensor product of algebras or
-names a free or simple graded module by its shifts, so these live here,
-beside the tests that use them as references.
+The package never inverts a matrix, takes a determinant or a trace, runs
+a Gauss-Jordan loop, asks whether a module is semisimple, adds two ideals,
+asks whether a module lies in a localizing subcategory, builds a tensor
+product of algebras or names a free or simple graded module by its shifts,
+so these live here, beside the tests that use them as references.
 """
 
 import itertools
@@ -55,6 +55,33 @@ def inverse(m: Matrix) -> Matrix:
     if tuple(pivots) != tuple(range(n)):
         raise ValueError("matrix not invertible")
     return Matrix.trusted(f, tuple(row[n:] for row in r.rows), n)
+
+
+def rref_reference(m: Matrix):
+    """(reduced row echelon form, pivot columns) by a Gauss-Jordan loop on
+    tuple rows: a reference independent of the package's row reducer."""
+    f = m.field
+    rows = [list(r) for r in m.rows]
+    n = len(rows)
+    pivots = []
+    pr = 0
+    for pc in range(m.ncols):
+        if pr == n:
+            break
+        for r in range(pr, n):
+            if rows[r][pc]:
+                break
+        else:
+            continue
+        rows[pr], rows[r] = rows[r], rows[pr]
+        prow = rows[pr] = f.row_scale(f.inv(rows[pr][pc]), rows[pr])
+        for r in range(n):
+            c = rows[r][pc]
+            if c and r != pr:
+                rows[r] = f.axpy(rows[r], f.neg(c), prow)
+        pivots.append(pc)
+        pr += 1
+    return Matrix.trusted(f, tuple(map(tuple, rows)), m.ncols), tuple(pivots)
 
 
 def trace(m: Matrix):

@@ -899,3 +899,39 @@ def test_cli_analyze_reads_the_molecule_order_twice(monkeypatch, capsys):
     assert cli_main(["analyze", _shipped("t2_f2.alg")]) == 0
     capsys.readouterr()
     assert calls == {"molecule_up_sets": 2}
+
+
+@pytest.mark.parametrize("backend,fixture", [
+    ("ArtinianBackend", "t2_f2.alg"), ("CommutativeSpec", "z.alg")])
+def test_cli_analyze_reads_the_reduced_part_once(monkeypatch, capsys, backend,
+                                                 fixture):
+    """The verifier's reduced part also fills the --radical section."""
+    from ringspectra import commutative, spectra
+    cls = getattr(spectra, backend, None) or getattr(commutative, backend)
+    calls = _count_calls(monkeypatch, cls, ["reduced_part"])
+    assert cli_main(["analyze", _shipped(fixture)]) == 0
+    assert "reduced_part" in json.loads(capsys.readouterr().out)
+    assert calls == {"reduced_part": 1}
+
+
+def test_cli_unwritable_output_leaves_no_new_file(tmp_path, capsys):
+    """A --json path that cannot be written leaves no --dot file behind."""
+    dot = tmp_path / "good.dot"
+    bad = str(tmp_path / "missing" / "x.json")
+    assert cli_main(["analyze", _shipped("t2_f2.alg"), "--dot", str(dot),
+                     "--json", bad]) == 2
+    assert capsys.readouterr() == (
+        "", f"usage error: cannot write {bad}: No such file or directory\n")
+    assert not dot.exists()
+
+
+def test_cli_unwritable_output_keeps_an_existing_file(tmp_path, capsys):
+    """A --dot file that was there keeps its bytes when --json cannot be
+    written."""
+    dot = tmp_path / "keep.dot"
+    dot.write_bytes(b"kept\n")
+    assert cli_main(["analyze", _shipped("t2_f2.alg"), "--dot", str(dot),
+                     "--json", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"usage error: cannot write {tmp_path}: Is a directory\n"
+    assert dot.read_bytes() == b"kept\n"

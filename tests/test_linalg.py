@@ -9,7 +9,7 @@ import pytest
 from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, RowReducer, Subspace,
                                 apply_vec, combine_matrices, common_left_kernel,
                                 pack, spin, unit_vec, unpack)
-from helpers import det, inverse
+from helpers import det, inverse, rref_reference
 
 
 def test_gf_arithmetic_exact():
@@ -285,8 +285,10 @@ def test_meets_agrees_with_intersection():
 # -- packed F_2 rows against the tuple kernels -------------------------------------
 
 # F_2 with the tuple kernels, the ones every other prime field runs: the
-# reference the packed kernels are compared with.  It equals F2, so
-# matrices and subspaces over the two compare equal when their rows do.
+# packed kernels are compared with it.  Both formats run the same row
+# reducer, so the tests below also compare each with ``rref_reference``.
+# It equals F2, so matrices and subspaces over the two compare equal when
+# their rows do.
 F2_TUPLES = GF(2)
 F2_TUPLES.packed = False
 
@@ -393,3 +395,124 @@ def test_packed_row_reducer_agrees_with_tuples():
         red.close([a for a, _b in ops])
         red_t.close([b for _a, b in ops])
         assert red.dim() == red_t.dim() and red.subspace() == red_t.subspace()
+
+
+# -- every format against an independent Gauss-Jordan reference --------------------
+
+REFERENCE_FIELDS = [F2, F2_TUPLES, F3, GF(5), QQ]
+REFERENCE_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4),
+                    (6, 6), (8, 5), (5, 9)]
+
+
+def _random_rows(rng, field, r, n, density):
+    def draw():
+        if rng.random() >= density:
+            return 0
+        if field == QQ:
+            return Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))
+        return rng.randrange(field.char)
+    return [tuple(field.scalar(draw()) for _ in range(n)) for _ in range(r)]
+
+
+def _reference_cases(rng, field):
+    """(rows, ambient): random at two densities, all zero, and full rank
+    (the identity and a random invertible matrix)."""
+    for r, n in REFERENCE_SHAPES:
+        for density in (0.0, 0.3, 0.7):
+            yield _random_rows(rng, field, r, n, density), n
+    for n in (1, 4, 6):
+        yield [unit_vec(field, n, i) for i in range(n)], n
+        while True:
+            rows = _random_rows(rng, field, n, n, 0.7)
+            if len(rref_reference(Matrix(field, rows, n))[1]) == n:
+                yield rows, n
+                break
+
+
+def _right_kernel_reference(m):
+    """The basis with 1 at one free column of the reference rref, 0 at the
+    others."""
+    f = m.field
+    r, pivots = rref_reference(m)
+    out = []
+    for j in range(m.ncols):
+        if j not in pivots:
+            v = [f.zero] * m.ncols
+            v[j] = f.one
+            for i, pc in enumerate(pivots):
+                v[pc] = f.neg(r.rows[i][j])
+            out.append(tuple(v))
+    return out
+
+
+def _solve_left_reference(m, b):
+    """The x with x m = b that is 0 at each row depending on the rows
+    before it, from the reference rref of [m^T | b]; None if b is not in
+    the row space."""
+    f = m.field
+    aug = Matrix.trusted(f, tuple(r + (bi,) for r, bi in
+                                  zip(m.transpose().rows, b)), m.nrows + 1)
+    r, pivots = rref_reference(aug)
+    if m.nrows in pivots:
+        return None
+    x = [f.zero] * m.nrows
+    for i, pc in enumerate(pivots):
+        x[pc] = r.rows[i][-1]
+    return tuple(x)
+
+
+def _span_reference(field, n, rows):
+    r, pivots = rref_reference(Matrix.trusted(field, tuple(rows), n))
+    return r.rows[:len(pivots)], pivots
+
+
+def _spin_reference(field, n, seeds, ops):
+    """Add the images of the basis until the dimension stops growing."""
+    basis, pivots = _span_reference(field, n, seeds)
+    while True:
+        grown = _span_reference(field, n, list(basis) + [
+            apply_vec(v, op) for v in basis for op in ops])
+        if len(grown[1]) == len(pivots):
+            return basis, pivots
+        basis, pivots = grown
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS,
+                         ids=["F2", "F2-tuples", "F3", "F5", "Q"])
+def test_kernels_agree_with_the_gauss_jordan_reference(field):
+    rng = random.Random(29)
+    for rows, n in _reference_cases(rng, field):
+        m = Matrix(field, rows, n)
+        r, pivots = m.rref()
+        ref, ref_pivots = rref_reference(m)
+        assert (r.rows, pivots) == (ref.rows, ref_pivots), (rows, n)
+        assert m.rank() == len(ref_pivots)
+        assert list(m.right_kernel().rows) == _right_kernel_reference(m)
+        assert list(m.left_kernel().rows) == _right_kernel_reference(m.transpose())
+        x = _random_rows(rng, field, 1, len(rows), 0.7)[0]
+        for b in [apply_vec(x, m)] + _random_rows(rng, field, 2, n, 0.5):
+            assert m.solve_left(b) == _solve_left_reference(m, b)
+        s = Subspace.from_vectors(field, n, rows)
+        basis, basis_pivots = _span_reference(field, n, rows)
+        assert (s.basis_rows(), s.pivots) == (basis, basis_pivots)
+        c = _random_rows(rng, field, 1, s.dim, 0.7)[0]
+        assert s.coords_of(apply_vec(c, s.mat)) == c
+        for v in _random_rows(rng, field, 2, n, 0.5):
+            inside = len(_span_reference(field, n, list(rows) + [v])[1]) == s.dim
+            assert (s.coords_of(v) is not None) == inside
+        ops = [Matrix(field, _random_rows(rng, field, n, n, 0.3), n) for _ in range(2)]
+        spun = spin(field, n, rows[:2], ops)
+        assert (spun.basis_rows(), spun.pivots) == \
+            _spin_reference(field, n, rows[:2], ops)
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=str)
+def test_spin_runs_no_rref(monkeypatch, field):
+    """spin reads its subspace off the row reducer's rows."""
+    def refused(self):
+        raise AssertionError("Matrix.rref called")
+    rng = random.Random(31)
+    ops = [Matrix(field, _random_rows(rng, field, 6, 6, 0.3), 6) for _ in range(2)]
+    monkeypatch.setattr(Matrix, "rref", refused)
+    spun = spin(field, 6, [unit_vec(field, 6, 0)], ops)
+    assert spun.dim >= 1 and spun.is_stable(ops)

@@ -12,7 +12,9 @@ Runs each rung once, in this order:
   19 (dimension k + 1, and 1 + k + k^2 paths listed: 381 for k = 19);
 - ``verify_correspondence(ArtinianBackend(a))`` with each algebra built
   fresh (its associativity check included in the time): T_n(F_2) for
-  n = 2..16 (dimension 3..136), then M_3(F_3), M_4(F_2), M_2(Q) and T_4(Q);
+  n = 2..16 (dimension 3..136), then M_3(F_3), M_4(F_2), M_2(Q) and T_4(Q),
+  then the tuple-row path on T_n(F_3) for n = 8, 10, 12 and T_n(Q) for
+  n = 6, 8;
 - ``verify_correspondence`` on Z with windows 1000..6000, 20000 and
   100000 and on Q[x] with windows 150, 300 and 1000 (the backend built in
   the time), and on Q[x] window 20000 alone in a fresh interpreter: its
@@ -344,6 +346,10 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
             ("M4(F2)", verify_algebra, (matrix_algebra, 4, F2)),
             ("M2(Q)", verify_algebra, (matrix_algebra, 2, QQ)),
             ("T4(Q)", verify_algebra, (upper_triangular_algebra, 4, QQ))]
+         + [(f"T{n}(F3)", verify_algebra, (upper_triangular_algebra, n, F3))
+            for n in (8, 10, 12)]
+         + [(f"T{n}(Q)", verify_algebra, (upper_triangular_algebra, n, QQ))
+            for n in (6, 8)]
          + [(f"Z window {w}", verify_window, (IntegerBackend, (), w))
             for w in [*range(1000, 7000, 1000), 20000, 100000]]
          + [(f"Q[x] window {w}", verify_window, (PolyBackend, (QQ,), w))
