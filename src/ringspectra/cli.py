@@ -16,6 +16,7 @@ only the self-checks of what it computes; every other ``analyze``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -159,23 +160,35 @@ def _out(text: str):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _write(outputs):
-    """Write each (path, text) pair.  Every path is first opened to append,
-    which changes no file, so a path that cannot be written is a usage
-    error before any is written; the files made on the way are removed."""
+@contextlib.contextmanager
+def _claimed(paths):
+    """Check, before any work, that each output path can be written: each
+    is opened to append, which changes no file.  A path that cannot be is a
+    usage error.  The files made on the way are removed when the command
+    then fails."""
     made = []
     try:
-        for path, _text in outputs:
-            existed = os.path.lexists(path)
-            open(path, "a").close()
+        for path in filter(None, paths):
+            try:
+                existed = os.path.lexists(path)
+                open(path, "a").close()
+            except OSError as exc:
+                raise UsageError(f"cannot write {path}: {exc.strerror}") from None
             if not existed:
                 made.append(path)
-        for path, text in outputs:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        yield
+    except BaseException:
+        for path in made:
+            os.remove(path)
+        raise
+
+
+def _write(path, text):
+    """Write text to a path that ``_claimed`` checked."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
-        for p in made:
-            os.remove(p)
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
@@ -183,6 +196,11 @@ def cmd_analyze(args) -> int:
     """The requested sections; a listing (only --atoms and/or --molecules,
     no --dot) reads its spectra without ``verify_correspondence`` and
     exits 0 unless a self-check raises (docs/report_schema.md)."""
+    with _claimed((args.dot_path, args.json_path)):
+        return _analyze(args)
+
+
+def _analyze(args) -> int:
     loaded = _load(args)
     backend = loaded.backend
     window = loaded.window
@@ -255,16 +273,14 @@ def cmd_analyze(args) -> int:
                    "mass": sorted(r.label for r in backend.mass(mod)),
                    "msupp": sorted(r.label for r in backend.msupp(mod))}
             for name, mod in loaded.modules.items()}
-    outputs = []
     if args.dot_path:
-        outputs.append((args.dot_path, radical_lattice_dot(backend)
-                        if args.subcats and backend.algebra is not None
-                        else render_hasse_dot(report)))
+        _write(args.dot_path, radical_lattice_dot(backend)
+               if args.subcats and backend.algebra is not None
+               else render_hasse_dot(report))
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
     if args.json_path:
-        outputs.append((args.json_path, text + "\n"))
-    _write(outputs)
-    if not args.json_path:
+        _write(args.json_path, text + "\n")
+    else:
         _out(text)
     return EXIT_OK if report is None or report.passed() else EXIT_VERIFY_FAILED
 
@@ -377,13 +393,14 @@ def _exhaustive_checks(a):
 
 
 def cmd_hasse(args) -> int:
-    loaded = _load(args)
-    report = verify_correspondence(loaded.backend, loaded.window)
-    dot = render_hasse_dot(report)
-    if args.dot_path:
-        _write([(args.dot_path, dot)])
-    else:
-        _out(dot)
+    with _claimed((args.dot_path,)):
+        loaded = _load(args)
+        dot = render_hasse_dot(verify_correspondence(loaded.backend,
+                                                     loaded.window))
+        if args.dot_path:
+            _write(args.dot_path, dot)
+        else:
+            _out(dot)
     return EXIT_OK
 
 

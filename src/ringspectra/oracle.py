@@ -4,10 +4,24 @@ Everything here evaluates definitions literally over enumerated lattices:
 subspaces in reduced echelon form, filtered to two-sided ideals, right
 ideals, or submodules.  The filters and the ideal closure apply every
 basis multiplication on both sides and every action matrix, not the
-generating set the fast checks run on, so the two stay independent.  The fast criteria elsewhere in the package are
-required (by the acceptance suite) to agree with these on every F_2
-corpus instance within budget.  Budgets are explicit and overrunning one
-raises ``BudgetExceeded``; nothing is silently truncated.
+generating set the fast checks run on, so the two stay independent.  The
+fast criteria elsewhere in the package are required (by the acceptance
+suite) to agree with these on every F_2 corpus instance within budget.
+Budgets are explicit and overrunning one raises ``BudgetExceeded``;
+nothing is silently truncated.
+
+Each check builds each module-level object once, and only when it is
+needed (docs/derivations.md):
+
+* a lattice candidate is tested on its echelon rows, and only a member
+  becomes a ``Subspace``;
+* primeness spins the products of pairs of ideals outside I only;
+* a member's annihilator is read from the ambient action matrices,
+  without building the module on it;
+* ``brute_is_monoform`` and ``brute_is_compressible`` build a member's
+  module only for a comparison whose dimensions allow an answer.
+
+``tests/helpers.py`` keeps the plain forms as references.
 """
 
 from __future__ import annotations
@@ -22,7 +36,8 @@ from .algebras import (BoundQuiver, FiniteDimAlgebra, bound_quiver_algebra,
                        upper_triangular_algebra)
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .ideals import TwoSidedIdeal, annihilator
-from .linalg import F2, F3, Matrix, Subspace, apply_vec, spin
+from .linalg import (F2, F3, Matrix, Subspace, _clear, _clear_bits,
+                     _combine_bits, apply_vec, spin, unit_vec, unpack)
 from .modules import (RightModule, are_isomorphic, embeds_in,
                       injective_envelope, simple_modules)
 
@@ -81,33 +96,61 @@ def _budgeted(what, field, dim: int, count, budget: Budget = None) -> int:
 
 
 def enumerate_subspaces(field, dim: int, budget: Budget = None):
-    """Every subspace of k^dim in canonical form; complete and duplicate-free.
+    """Every subspace of k^dim in canonical form; complete and duplicate-free."""
+    return enumerate_stable_subspaces(field, dim, (), budget)
 
-    Each one is built as its reduced echelon matrix: the entries are field
-    scalars (``field.elements()``), so the matrix is taken as it is.
+
+def _echelon_rows(field, dim: int, pivots) -> list:
+    """For each pivot p, every row with 1 at p, 0 before p and at the other
+    pivots, and any scalar of ``field.elements()`` at each remaining column,
+    in ``itertools.product`` order; packed over F_2."""
+    out = []
+    for p in pivots:
+        free = [j for j in range(p + 1, dim) if j not in pivots]
+        if field.packed:
+            rows = [1 << p]
+            for j in free:
+                rows = [x | b for x in rows for b in (0, 1 << j)]
+        else:
+            rows = [unit_vec(field, dim, p)]
+            for j in free:
+                rows = [v[:j] + (c,) + v[j + 1:] for v in rows
+                        for c in field.elements()]
+        out.append(rows)
+    return out
+
+
+def enumerate_stable_subspaces(field, dim: int, ops, budget: Budget = None):
+    """Every subspace of k^dim stable under each matrix of ops, in canonical
+    form, in the order of the whole subspace lattice.
+
+    Each reduced echelon candidate is tested on its rows: v m is reduced
+    by the candidate's rows, which are fully reduced, for each row v and
+    each m (packed over F_2).  Only a candidate that passes is built as a
+    ``Subspace``.  Every candidate is counted against ``count_subspaces``.
     """
     total = _budgeted("subspace enumeration", field, dim, count_subspaces,
                       budget)
+    if field.packed:
+        ops = [m._bits or m.bits() for m in ops]
     out = []
+    seen = 0
     for r in range(dim + 1):
         for pivots in itertools.combinations(range(dim), r):
-            free_positions = []
-            for i, p in enumerate(pivots):
-                for j in range(p + 1, dim):
-                    if j not in pivots:
-                        free_positions.append((i, j))
-            for values in itertools.product(field.elements(),
-                                            repeat=len(free_positions)):
-                rows = []
-                for i, p in enumerate(pivots):
-                    row = [field.zero] * dim
-                    row[p] = field.one
-                    rows.append(row)
-                for (i, j), v in zip(free_positions, values):
-                    rows[i][j] = v
-                mat = Matrix.trusted(field, tuple(map(tuple, rows)), dim)
-                out.append(Subspace(field, dim, mat, tuple(pivots)))
-    if len(out) != total:
+            pbits = [1 << p for p in pivots]
+            for rows in itertools.product(*_echelon_rows(field, dim, pivots)):
+                seen += 1
+                if field.packed:
+                    if not any(_clear_bits(_combine_bits(op, v), rows, pbits)
+                               for v in map(unpack, rows, itertools.repeat(dim))
+                               for op in ops):
+                        out.append(Subspace(field, dim, Matrix._from_bits(
+                            field, rows, dim), pivots))
+                elif not any(any(_clear(field, apply_vec(v, op), pivots, rows))
+                             for v in rows for op in ops):
+                    out.append(Subspace(field, dim,
+                                        Matrix.trusted(field, rows, dim), pivots))
+    if seen != total:
         raise ValidationError("subspace enumeration does not match the count")
     return out
 
@@ -129,9 +172,8 @@ def _all_multiplications(a: FiniteDimAlgebra):
 
 
 def enumerate_two_sided_ideals(a: FiniteDimAlgebra, budget: Budget = None):
-    ops = _all_multiplications(a)
-    return [s for s in enumerate_subspaces(a.field, a.dim, budget)
-            if s.is_stable(ops)]
+    return enumerate_stable_subspaces(a.field, a.dim, _all_multiplications(a),
+                                      budget)
 
 
 def enumerate_right_ideals(a: FiniteDimAlgebra, budget: Budget = None):
@@ -139,28 +181,32 @@ def enumerate_right_ideals(a: FiniteDimAlgebra, budget: Budget = None):
 
 
 def enumerate_submodules(m: RightModule, budget: Budget = None):
-    return [s for s in enumerate_subspaces(m.algebra.field, m.dim, budget)
-            if s.is_stable(m.action)]
+    return enumerate_stable_subspaces(m.algebra.field, m.dim, m.action, budget)
 
 
 # -- definitional predicates ------------------------------------------------------
 
 def brute_is_prime(i: TwoSidedIdeal, lattice=None, budget: Budget = None) -> bool:
-    """For all ideals A, B: AB in I implies A in I or B in I."""
+    """For all ideals A, B: AB in I implies A in I or B in I.
+
+    Read as its contrapositive: no A and B outside I have AB in I, so the
+    product is spun only for pairs outside I (docs/derivations.md,
+    "Primeness from pairs outside I").
+    """
     a = i.algebra
     if i.is_whole():
         raise ValidationError("primeness is about proper ideals")
     lattice = lattice if lattice is not None \
         else enumerate_two_sided_ideals(a, budget)
     ops = _all_multiplications(a)
-    for s in lattice:
-        for t in lattice:
+    outside = [s for s in lattice if not i.space.contains(s)]
+    for s in outside:
+        for t in outside:
             prod = spin(a.field, a.dim, [a.mul(u, v)
                                          for u in s.basis_rows()
                                          for v in t.basis_rows()], ops)
             if i.space.contains(prod):
-                if not (i.space.contains(s) or i.space.contains(t)):
-                    return False
+                return False
     return True
 
 
@@ -219,35 +265,43 @@ def brute_is_monoform(m: RightModule, budget: Budget = None) -> bool:
     """No nonzero submodule of m is isomorphic to a submodule of any m/L.
 
     The submodules of m/L are the images of the members of m's lattice
-    that contain L, so one lattice serves every quotient.
+    that contain L, so one lattice serves every quotient.  Modules of
+    unequal dimension are not isomorphic, so the modules on the members of
+    one dimension are built when a submodule of a quotient first has it.
     """
     if m.dim == 0:
         raise ValidationError("monoform is about nonzero modules")
+    f = m.algebra.field
     subs = enumerate_submodules(m, budget)
-    sub_modules = [m.submodule(s)[0] for s in subs if s.dim > 0]
+    by_dim = {}
     for l_space in subs:
         if l_space.dim == 0 or l_space.dim == m.dim:
             continue
         quot, proj = m.quotient(l_space)
-        q_subs = [quot.submodule(Subspace.from_vectors(
-                      m.algebra.field, quot.dim, map(proj, t.basis_rows())))[0]
-                  for t in subs if t.dim > l_space.dim and t.contains(l_space)]
-        for x in sub_modules:
-            for y in q_subs:
-                if x.dim == y.dim and are_isomorphic(x, y):
+        for t in subs:
+            if t.dim > l_space.dim and t.contains(l_space):
+                y = quot.submodule(Subspace.from_vectors(
+                    f, quot.dim, map(proj, t.basis_rows())))[0]
+                if y.dim not in by_dim:
+                    by_dim[y.dim] = [m.submodule(s)[0] for s in subs
+                                     if s.dim == y.dim]
+                if any(are_isomorphic(x, y) for x in by_dim[y.dim]):
                     return False
     return True
 
 
 def brute_is_compressible(m: RightModule, budget: Budget = None) -> bool:
-    """Every nonzero submodule contains a copy of m."""
+    """Every nonzero submodule contains a copy of m.
+
+    A submodule of smaller dimension holds no copy of m, so its module is
+    not built.
+    """
     if m.dim == 0:
         raise ValidationError("compressible is about nonzero modules")
     for s in enumerate_submodules(m, budget):
         if s.dim == 0:
             continue
-        sub = m.submodule(s)[0]
-        if not embeds_in(m, sub):
+        if s.dim < m.dim or not embeds_in(m, m.submodule(s)[0]):
             return False
     return True
 
@@ -256,12 +310,20 @@ def _submodule_annihilators(m: RightModule, budget: Budget = None):
     """(s, Ann(s)) for each nonzero submodule s of m, from one lattice.
 
     The submodules of the submodule on s are exactly the members t of this
-    lattice with t in s (docs/derivations.md).  Lazy, so a caller that has
+    lattice with t in s (docs/derivations.md).  Ann(s) is read in m: it is
+    the left kernel of the matrix whose row i is v rho(b_i) for each basis
+    row v of s, side by side (docs/derivations.md, "Annihilators of
+    lattice members from the ambient action").  Lazy, so a caller that has
     its answer stops computing annihilators.
     """
+    f = m.algebra.field
     for s in enumerate_submodules(m, budget):
         if s.dim > 0:
-            yield s, annihilator(m.submodule(s)[0]).space
+            rows = tuple(tuple(itertools.chain.from_iterable(
+                             apply_vec(v, op) for v in s.basis_rows()))
+                         for op in m.action)
+            kernel = Matrix.trusted(f, rows, s.dim * m.dim).left_kernel()
+            yield s, Subspace.from_vectors(f, m.algebra.dim, kernel.rows)
 
 
 def _is_prime_on(s: Subspace, ann: Subspace, members) -> bool:

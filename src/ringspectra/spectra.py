@@ -587,7 +587,13 @@ def _strict_pairs(elements, up) -> list:
 
 def _artinian_envelope_assertions(backend: ArtinianBackend, phi_table,
                                   psi_table):
-    """mass(E(S)) = {phi(S)} and E(Lambda/P) isotypic over E(psi(P))."""
+    """mass(E(S)) = {phi(S)} and E(Lambda/P) isotypic over E(psi(P)).
+
+    An envelope depends only on the module's action matrices, and on a
+    basic algebra Lambda/P is S with the same matrices, so each distinct
+    module gets one envelope (docs/derivations.md, "One envelope per
+    distinct module").
+    """
     records = []
     try:
         simples = backend.simples()
@@ -596,7 +602,16 @@ def _artinian_envelope_assertions(backend: ArtinianBackend, phi_table,
     except CapabilityError as exc:
         return [AssertionRecord("envelope_facts", True,
                                 f"skipped: {exc}", skipped=True)]
-    envelopes = {s.label: injective_envelope(s.module)[0] for s in simples}
+    by_action = {}
+
+    def envelope(mod):
+        """E(mod), computed once for each distinct set of action matrices."""
+        key = tuple(mat.rows for mat in mod.action)
+        if key not in by_action:
+            by_action[key] = injective_envelope(mod)[0]
+        return by_action[key]
+
+    envelopes = {s.label: envelope(s.module) for s in simples}
     bad = []
     for s in simples:
         m = backend.mass(envelopes[s.label])
@@ -609,7 +624,7 @@ def _artinian_envelope_assertions(backend: ArtinianBackend, phi_table,
     bad = []
     for w in backend.primes():
         quot_reg = _module_on_quotient_ring(backend.algebra, w.ideal)
-        e_big, _ = injective_envelope(quot_reg)
+        e_big = envelope(quot_reg)
         s_label = psi_table[w.label]
         soc_big, _ = e_big.submodule(e_big.socle_space(), name="socE")
         factors = composition_factors(soc_big)

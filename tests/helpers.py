@@ -4,15 +4,19 @@ The package never inverts a matrix, takes a determinant or a trace, runs
 a Gauss-Jordan loop, asks whether a module is semisimple, adds two ideals,
 asks whether a module lies in a localizing subcategory, builds a tensor
 product of algebras or names a free or simple graded module by its shifts,
-so these live here, beside the tests that use them as references.
+so these live here, beside the tests that use them as references.  So do
+the plain forms of the oracle's lattice routines: every subspace built
+and then filtered, primeness over all pairs of ideals, and annihilators
+of submodules built as modules.
 """
 
 import itertools
 
 from ringspectra.algebras import FiniteDimAlgebra, group_algebra
 from ringspectra.commutative import GradedModuleDescriptor, poly_trim
-from ringspectra.ideals import TwoSidedIdeal
-from ringspectra.linalg import Matrix, unit_vec
+from ringspectra.ideals import TwoSidedIdeal, annihilator
+from ringspectra.linalg import Matrix, Subspace, spin, unit_vec
+from ringspectra.oracle import _budgeted, count_subspaces
 from ringspectra.subcats import LocalizingSubcatDescriptor
 
 
@@ -173,3 +177,55 @@ def s3_group_algebra(field) -> FiniteDimAlgebra:
     table = [[perms.index(tuple(g[h[x]] for x in range(3))) for h in perms]
              for g in perms]
     return group_algebra(field, table, name="kS3")
+
+
+def reference_subspaces(field, dim: int, budget=None):
+    """Every subspace of k^dim, each built as a ``Subspace`` on its reduced
+    echelon matrix, under the oracle's budget and count check."""
+    total = _budgeted("subspace enumeration", field, dim, count_subspaces,
+                      budget)
+    out = []
+    for r in range(dim + 1):
+        for pivots in itertools.combinations(range(dim), r):
+            free_positions = [(i, j) for i, p in enumerate(pivots)
+                              for j in range(p + 1, dim) if j not in pivots]
+            for values in itertools.product(field.elements(),
+                                            repeat=len(free_positions)):
+                rows = []
+                for p in pivots:
+                    row = [field.zero] * dim
+                    row[p] = field.one
+                    rows.append(row)
+                for (i, j), v in zip(free_positions, values):
+                    rows[i][j] = v
+                mat = Matrix.trusted(field, tuple(map(tuple, rows)), dim)
+                out.append(Subspace(field, dim, mat, tuple(pivots)))
+    if len(out) != total:
+        raise ValueError("subspace enumeration does not match the count")
+    return out
+
+
+def reference_stable_subspaces(field, dim: int, ops, budget=None):
+    """The subspaces of k^dim stable under ops: every subspace, filtered."""
+    return [s for s in reference_subspaces(field, dim, budget)
+            if s.is_stable(ops)]
+
+
+def reference_is_prime(i: TwoSidedIdeal, lattice) -> bool:
+    """For all A, B in the lattice: AB in I implies A in I or B in I, with
+    the product spun for every pair."""
+    a = i.algebra
+    ops = a.right_mult_matrices() + a.left_mult_matrices()
+    for s in lattice:
+        for t in lattice:
+            prod = spin(a.field, a.dim, [a.mul(u, v) for u in s.basis_rows()
+                                         for v in t.basis_rows()], ops)
+            if i.space.contains(prod) and not (i.space.contains(s)
+                                               or i.space.contains(t)):
+                return False
+    return True
+
+
+def reference_annihilator(m, s: Subspace) -> Subspace:
+    """Ann of the submodule of m on s, built as a module."""
+    return annihilator(m.submodule(s)[0]).space

@@ -914,8 +914,14 @@ def test_cli_analyze_reads_the_reduced_part_once(monkeypatch, capsys, backend,
     assert calls == {"reduced_part": 1}
 
 
-def test_cli_unwritable_output_leaves_no_new_file(tmp_path, capsys):
-    """A --json path that cannot be written leaves no --dot file behind."""
+def test_cli_unwritable_output_leaves_no_new_file(monkeypatch, tmp_path,
+                                                  capsys):
+    """A --json path that cannot be written leaves no --dot file behind,
+    and is found before the fixture is read: no verification runs."""
+    from ringspectra import cli
+    calls = []
+    monkeypatch.setattr(cli, "verify_correspondence",
+                        lambda *args: calls.append(args))
     dot = tmp_path / "good.dot"
     bad = str(tmp_path / "missing" / "x.json")
     assert cli_main(["analyze", _shipped("t2_f2.alg"), "--dot", str(dot),
@@ -923,6 +929,20 @@ def test_cli_unwritable_output_leaves_no_new_file(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", f"usage error: cannot write {bad}: No such file or directory\n")
     assert not dot.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--json"], ["analyze", "--dot"],
+                                  ["hasse", "--dot"]],
+                         ids=["analyze-json", "analyze-dot", "hasse-dot"])
+def test_cli_failed_command_removes_the_output_it_made(tmp_path, capsys, argv):
+    """An output file made by the path check is removed when the command
+    then fails, here on a fixture that does not parse."""
+    path = _write(tmp_path, "bad.alg", "[backend]\nkind = nonsense\n")
+    out = tmp_path / "out.txt"
+    assert cli_main([argv[0], path, argv[1], str(out)]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+    assert not out.exists()
 
 
 def test_cli_unwritable_output_keeps_an_existing_file(tmp_path, capsys):

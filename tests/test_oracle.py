@@ -1,18 +1,23 @@
 """Enumeration harness: counts, budgets, definitional predicates, corpus."""
 
+import random
+
 import pytest
 
+from helpers import (reference_annihilator, reference_is_prime,
+                     reference_stable_subspaces, reference_subspaces)
 from ringspectra.errors import BudgetExceeded
-from ringspectra.ideals import annihilator
-from ringspectra.linalg import F2, F3, GF
+from ringspectra.ideals import TwoSidedIdeal, annihilator
+from ringspectra.linalg import F2, F3, GF, Matrix
 from ringspectra.modules import RightModule, are_isomorphic, simple_modules
-from ringspectra.oracle import (Budget, brute_is_compressible,
-                                brute_is_monoform, brute_is_prime_object,
+from ringspectra.oracle import (Budget, _submodule_annihilators,
+                                brute_is_compressible, brute_is_monoform,
+                                brute_is_prime, brute_is_prime_object,
                                 brute_mass, brute_singular_subspace, corpus,
-                                count_subspaces, enumerate_submodules,
-                                enumerate_subspaces, enumerate_two_sided_ideals,
-                                enumerate_vectors, gaussian_binomial,
-                                standard_modules)
+                                count_subspaces, enumerate_stable_subspaces,
+                                enumerate_submodules, enumerate_subspaces,
+                                enumerate_two_sided_ideals, enumerate_vectors,
+                                gaussian_binomial, standard_modules)
 from ringspectra.spectra import ArtinianBackend
 
 
@@ -78,8 +83,6 @@ def test_brute_predicates_on_basics(corpus_by_name):
     assert brute_is_monoform(s)
     reg = RightModule.regular(corpus_by_name["trunc2_f2"])
     assert not brute_is_compressible(reg)          # length-2 uniserial
-    from ringspectra.oracle import brute_is_prime
-    from ringspectra.ideals import TwoSidedIdeal
     ff = corpus_by_name["f2xf2"]
     assert not brute_is_prime(TwoSidedIdeal.zero(ff))
 
@@ -190,3 +193,70 @@ def test_monoform_from_one_lattice_matches_the_nested_definition(
         monoform += got
         not_monoform += not got
     assert monoform > 20 and not_monoform > 20
+
+
+def _members(subspaces):
+    return [(s.pivots, s.mat.rows) for s in subspaces]
+
+
+def test_lattice_routines_match_their_references_on_the_zoo(algebra_corpus):
+    """Lattices tested on raw rows, primeness from pairs outside I and
+    annihilators read in the ambient module give the members, order, rows,
+    pivots and answers of the plain forms in tests/helpers.py."""
+    primes = non_primes = modules = 0
+    for name, a in algebra_corpus:
+        bound = ZOO_MAX_DIM[a.field.p]
+        if a.dim > bound:
+            continue
+        lattice = enumerate_two_sided_ideals(a)
+        assert _members(lattice) == _members(reference_stable_subspaces(
+            a.field, a.dim, a.right_mult_matrices() + a.left_mult_matrices())), name
+        for s in lattice:
+            if s.dim < a.dim:
+                ideal = TwoSidedIdeal(a, s, validate=False)
+                got = brute_is_prime(ideal, lattice)
+                assert got == reference_is_prime(ideal, lattice), name
+                primes += got
+                non_primes += not got
+        for mname, m in standard_modules(a):
+            if m.dim > bound:
+                continue
+            subs = enumerate_submodules(m)
+            assert _members(subs) == _members(reference_stable_subspaces(
+                a.field, m.dim, m.action)), (name, mname)
+            assert list(_submodule_annihilators(m)) == [
+                (s, reference_annihilator(m, s)) for s in subs if s.dim], \
+                (name, mname)
+            modules += 1
+    assert primes > 20 and non_primes > 20 and modules > 100
+
+
+@pytest.mark.parametrize("p,dims", [(2, (1, 2, 3, 4, 5)), (3, (1, 2, 3)),
+                                    (5, (1, 2))])
+def test_stable_subspaces_match_the_filter_on_random_operators(p, dims):
+    """Seeded random operator sets, with the empty, zero and identity sets."""
+    rng = random.Random(p)
+    f = GF(p)
+    for dim in dims:
+        sets = [(), (Matrix.zero(f, dim, dim),), (Matrix.identity(f, dim),)]
+        for k in (1, 1, 2, 3):
+            sets.append(tuple(Matrix(f, [[rng.randrange(p) for _ in range(dim)]
+                                         for _ in range(dim)])
+                              for _ in range(k)))
+        for ops in sets:
+            assert _members(enumerate_stable_subspaces(f, dim, ops)) == \
+                _members(reference_stable_subspaces(f, dim, ops)), (p, dim, ops)
+        assert _members(enumerate_subspaces(f, dim)) == \
+            _members(reference_subspaces(f, dim))
+
+
+@pytest.mark.parametrize("field,dim,budget", [
+    (F2, 4, Budget(max_count=10)), (F2, 9, Budget()),
+    (GF(7), 2, Budget()), (F3, 3, Budget(max_count=27))])
+def test_stable_subspaces_refuse_as_the_filter_does(field, dim, budget):
+    ops = (Matrix.identity(field, dim),)
+    with pytest.raises(BudgetExceeded) as ours:
+        enumerate_stable_subspaces(field, dim, ops, budget)
+    with pytest.raises(BudgetExceeded) as ref:
+        reference_stable_subspaces(field, dim, ops, budget)
+    assert str(ours.value) == str(ref.value)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ringspectra.algebras import upper_triangular_algebra
+from ringspectra.algebras import matrix_algebra, upper_triangular_algebra
 from ringspectra.commutative import (GradedPolyBackend, IntegerBackend,
                                      IntModBackend, PolyBackend,
                                      PolyQuotBackend, poly_divmod)
@@ -369,7 +369,13 @@ def test_verifier_refuses_disagreeing_flags(corpus_by_name):
         assert rep.molecular_flags["irreducible"] is not atom_irreducible
 
 
-def test_envelope_of_each_simple_computed_once(monkeypatch):
+@pytest.mark.parametrize("build, calls", [
+    (lambda: upper_triangular_algebra(3, F2), 3),
+    (lambda: matrix_algebra(2, F2), 2)], ids=["T3(F2)", "M2(F2)"])
+def test_one_envelope_per_distinct_module(monkeypatch, build, calls):
+    """T_3(F_2) is basic: each Lambda/P is its simple S, with the same
+    action matrices, so three envelopes serve six modules.  On M_2(F_2)
+    Lambda/P (dim 4) is not S (dim 2), so each gets its own."""
     import ringspectra.spectra as spectra
     inputs = []
 
@@ -378,10 +384,9 @@ def test_envelope_of_each_simple_computed_once(monkeypatch):
         return injective_envelope(m)
 
     monkeypatch.setattr(spectra, "injective_envelope", counting)
-    a = upper_triangular_algebra(3, F2)
-    assert verify_correspondence(ArtinianBackend(a)).passed()
-    # One envelope per simple and one per prime quotient, none repeated.
-    assert len(inputs) == 6 and len({id(m) for m in inputs}) == 6
+    assert verify_correspondence(ArtinianBackend(build())).passed()
+    assert len(inputs) == calls
+    assert len({tuple(mat.rows for mat in m.action) for m in inputs}) == calls
 
 
 def _pairwise_order_checks(backend, window):

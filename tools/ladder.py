@@ -42,9 +42,11 @@ Runs each rung once, in this order:
   the algebra, its radical and its simples, no verification suite);
 - ``classify_locally_closed_localizing`` on T_9(F_2), after building the
   algebra and its primes outside the timed region;
-- the brute-force oracles ``brute_mass``, ``brute_singular_subspace`` and
-  ``brute_is_prime_object`` on the regular module of T_3(F_2), the algebra,
-  module and primes built outside the timed region;
+- the brute-force oracles ``brute_mass``, ``brute_singular_subspace``,
+  ``brute_is_prime_object`` and ``brute_is_monoform`` on the regular
+  module of T_3(F_2), and ``brute_is_prime`` on each proper ideal of its
+  ideal lattice (the lattice enumerated in the time), the algebra, module
+  and primes built outside the timed region;
 - ``ringspectra verify fixtures/cycle_quiver.alg --exhaustive`` in-process.
 
 ringspectra is imported from the ``src`` directory of the checkout this
@@ -80,8 +82,11 @@ from ringspectra.commutative import (IntegerBackend, IntModBackend,  # noqa: E40
 from ringspectra.errors import CapabilityError  # noqa: E402
 from ringspectra.linalg import F2, F3, QQ  # noqa: E402
 from ringspectra.modules import RightModule  # noqa: E402
-from ringspectra.oracle import (brute_is_prime_object, brute_mass,  # noqa: E402
-                                brute_singular_subspace)
+from ringspectra.ideals import TwoSidedIdeal  # noqa: E402
+from ringspectra.oracle import (brute_is_monoform, brute_is_prime,  # noqa: E402
+                                brute_is_prime_object, brute_mass,
+                                brute_singular_subspace,
+                                enumerate_two_sided_ideals)
 from ringspectra.spectra import ArtinianBackend, verify_correspondence  # noqa: E402
 from ringspectra.subcats import classify_locally_closed_localizing  # noqa: E402
 
@@ -325,6 +330,16 @@ def oracle_on_t3(run):
     return time.perf_counter() - t0, facts
 
 
+def primes_by_brute_force(a):
+    """The proper ideals of a that ``brute_is_prime`` finds prime, over
+    the lattice of all ideals."""
+    lattice = enumerate_two_sided_ideals(a)
+    return {"ideals": len(lattice),
+            "primes": sum(brute_is_prime(TwoSidedIdeal(a, s, validate=False),
+                                         lattice)
+                          for s in lattice if s.dim < a.dim)}
+
+
 def verify_exhaustive(name):
     argv = ["verify", str(ROOT / "fixtures" / name), "--exhaustive"]
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -380,6 +395,10 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
                  lambda reg, b: {"dim": brute_singular_subspace(reg).dim},)),
             ("T3(F2) reg brute_is_prime_object", oracle_on_t3, (
                  lambda reg, b: {"prime": brute_is_prime_object(reg)},)),
+            ("T3(F2) reg brute_is_monoform", oracle_on_t3, (
+                 lambda reg, b: {"monoform": brute_is_monoform(reg)},)),
+            ("T3(F2) ideals brute_is_prime", oracle_on_t3, (
+                 lambda reg, b: primes_by_brute_force(reg.algebra),)),
             ("verify cycle_quiver.alg --exhaustive", verify_exhaustive,
              ("cycle_quiver.alg",))])
 
