@@ -371,24 +371,27 @@ def _exhaustive_checks(a):
     from .modules import RightModule, is_monoform, is_prime_object
     from .oracle import (brute_is_monoform, brute_is_prime,
                          brute_is_prime_object, brute_singular_subspace,
-                         enumerate_two_sided_ideals)
+                         enumerate_submodules, enumerate_two_sided_ideals)
     from .goldie import singular_subspace
     lattice = enumerate_two_sided_ideals(a)
     proper = [TwoSidedIdeal(a, s, validate=False)
               for s in lattice if s.dim != a.dim]
     ok = all(is_prime(i) == brute_is_prime(i, lattice) for i in proper)
     reg = RightModule.regular(a)
+    right_ideals = enumerate_submodules(reg)
     return [
         AssertionRecord("exhaustive_is_prime_agrees", ok,
                         f"{len(lattice)} ideals checked"),
         AssertionRecord("exhaustive_monoform_agrees",
-                        is_monoform(reg) == brute_is_monoform(reg),
+                        is_monoform(reg) == brute_is_monoform(reg, right_ideals),
                         "regular module"),
         AssertionRecord("exhaustive_prime_object_agrees",
-                        is_prime_object(reg) == brute_is_prime_object(reg),
+                        is_prime_object(reg)
+                        == brute_is_prime_object(reg, right_ideals),
                         "regular module"),
         AssertionRecord("exhaustive_singular_agrees",
-                        singular_subspace(reg) == brute_singular_subspace(reg),
+                        singular_subspace(reg)
+                        == brute_singular_subspace(reg, right_ideals),
                         "regular module")]
 
 

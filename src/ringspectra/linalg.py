@@ -236,6 +236,25 @@ def _append_bits(x: int, rows: list, pbits: list):
     pbits.append(b)
 
 
+def _tagged_echelon(bits, w: int):
+    """Packed rows of width w, row i packed as [row i | e_i] and reduced
+    in order.
+
+    Bits below w hold a row, the bits from w on which of the given rows it
+    adds up.  A row that depends on the rows before it is not inserted:
+    (rows, pivot bits, the reduced dependent rows), every tag a
+    combination of independent rows only.
+    """
+    rows, pbits, dependent = [], [], []
+    for i, x in enumerate(bits):
+        y = _clear_bits(x | 1 << (w + i), rows, pbits)
+        if y & ((1 << w) - 1):
+            _append_bits(y, rows, pbits)
+        else:
+            dependent.append(y)
+    return rows, pbits, dependent
+
+
 def _clear(field, v, pivots, rows) -> tuple:
     """v with every pivot entry cleared by its row, ``_clear_bits`` for
     tuple rows: the rows are fully reduced, so none refills a pivot."""
@@ -358,23 +377,6 @@ class Matrix:
         off a ``RowReducer`` of the rows and padded with zero rows."""
         return RowReducer(self.field, self.ncols).extend(self).echelon(self.nrows)
 
-    def _tagged_echelon(self):
-        """Over F_2, row i packed as [row i | e_i] and reduced in order.
-
-        Bits below ncols hold a row, the bits from ncols on which rows of
-        self it adds up.  A row that depends on the rows before it is not
-        inserted: (rows, pivot bits, the reduced dependent rows), every tag
-        a combination of independent rows only.
-        """
-        w, rows, pbits, dependent = self.ncols, [], [], []
-        for i, x in enumerate(self._bits or self.bits()):
-            y = _clear_bits(x | 1 << (w + i), rows, pbits)
-            if y & ((1 << w) - 1):
-                _append_bits(y, rows, pbits)
-            else:
-                dependent.append(y)
-        return rows, pbits, dependent
-
     def rank(self):
         return RowReducer(self.field, self.ncols).extend(self).dim()
 
@@ -403,8 +405,9 @@ class Matrix:
         if not f.packed:
             return self.transpose().right_kernel()
         w = self.ncols
-        return Matrix._from_bits(f, [y >> w for y in self._tagged_echelon()[2]],
-                                 self.nrows)
+        return Matrix._from_bits(
+            f, [y >> w for y in _tagged_echelon(self._bits or self.bits(), w)[2]],
+            self.nrows)
 
     def solve_left(self, b):
         """Some x with x @ self = b, or None. b is a row vector.
@@ -413,7 +416,8 @@ class Matrix:
         """
         f = self.field
         if f.packed:
-            rows, pbits, _dependent = self._tagged_echelon()
+            rows, pbits, _dependent = _tagged_echelon(self._bits or self.bits(),
+                                                      self.ncols)
             y = _clear_bits(pack(b), rows, pbits)
             if y & ((1 << self.ncols) - 1):
                 return None

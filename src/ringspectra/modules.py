@@ -582,7 +582,12 @@ def _newton_idempotent_lift(a: FiniteDimAlgebra, e):
 
 
 def projective_cover(n: RightModule):
-    """(P, cover map P -> n) with P minimal projective, kernel in rad P."""
+    """(P, cover map P -> n) with P minimal projective, kernel in rad P.
+
+    Minimal: P/rad P has the dimension of the top of n.  rad P = P J is a
+    submodule by construction, so dim P/rad P = dim P - dim rad P, and no
+    quotient module is built to read it.
+    """
     a = n.algebra
     f = a.field
     if n.dim == 0:
@@ -616,7 +621,7 @@ def projective_cover(n: RightModule):
     cover = ModuleMap(big, n, Matrix(f, cover_rows, n.dim))
     if not cover.is_surjective():
         raise ValidationError("projective cover map is not surjective")
-    if big.quotient(big.radical_space())[0].dim != top.dim:
+    if big.dim - big.radical_space().dim != top.dim:
         raise ValidationError("projective cover is not minimal")
     return big, cover
 

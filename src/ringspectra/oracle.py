@@ -14,12 +14,17 @@ Each check builds each module-level object once, and only when it is
 needed (docs/derivations.md):
 
 * a lattice candidate is tested on its echelon rows, and only a member
-  becomes a ``Subspace``;
+  becomes a ``Subspace``; 0 and the whole space are members untested;
+* over F_2, each operator's images of all packed vectors are read from
+  one table per call, so no tuple is built per candidate or per vector;
 * primeness spins the products of pairs of ideals outside I only;
-* a member's annihilator is read from the ambient action matrices,
-  without building the module on it;
+* a member's annihilator is read from the ambient action matrices, on
+  packed rows over F_2, without building the module on it;
+* a prime object or submodule is checked on its minimal nonzero members;
+* ``brute_singular_subspace`` takes one vector per line;
 * ``brute_is_monoform`` and ``brute_is_compressible`` build a member's
-  module only for a comparison whose dimensions allow an answer.
+  module only for a comparison whose dimensions allow an answer;
+* every predicate on a module's lattice takes the caller's lattice.
 
 ``tests/helpers.py`` keeps the plain forms as references.
 """
@@ -35,9 +40,10 @@ from .algebras import (BoundQuiver, FiniteDimAlgebra, bound_quiver_algebra,
                        is_nilpotent_space, matrix_algebra, product_algebra,
                        upper_triangular_algebra)
 from .errors import BudgetExceeded, CapabilityError, ValidationError
-from .ideals import TwoSidedIdeal, annihilator
-from .linalg import (F2, F3, Matrix, Subspace, _clear, _clear_bits,
-                     _combine_bits, apply_vec, spin, unit_vec, unpack)
+from .ideals import TwoSidedIdeal
+from .linalg import (F2, F3, Matrix, RowReducer, Subspace, _append_bits,
+                     _clear, _clear_bits, _tagged_echelon, apply_vec, spin,
+                     unit_vec)
 from .modules import (RightModule, are_isomorphic, embeds_in,
                       injective_envelope, simple_modules)
 
@@ -120,34 +126,50 @@ def _echelon_rows(field, dim: int, pivots) -> list:
     return out
 
 
+def _image_tables(ops) -> list:
+    """For each F_2 matrix of ops, the list of x op over every packed row x
+    of its domain, by linearity: the table of the first k rows, extended
+    by row k added to each entry, is the table of the first k + 1."""
+    tables = []
+    for op in ops:
+        t = [0]
+        for row in op._bits or op.bits():
+            t += [y ^ row for y in t]
+        tables.append(t)
+    return tables
+
+
 def enumerate_stable_subspaces(field, dim: int, ops, budget: Budget = None):
     """Every subspace of k^dim stable under each matrix of ops, in canonical
     form, in the order of the whole subspace lattice.
 
     Each reduced echelon candidate is tested on its rows: v m is reduced
     by the candidate's rows, which are fully reduced, for each row v and
-    each m (packed over F_2).  Only a candidate that passes is built as a
-    ``Subspace``.  Every candidate is counted against ``count_subspaces``.
+    each m; over F_2, v m is read from m's image table.  0 and k^dim are
+    stable under every matrix, so they are taken untested.  Only a
+    candidate that passes is built as a ``Subspace``.  Every candidate is
+    counted against ``count_subspaces``.
     """
     total = _budgeted("subspace enumeration", field, dim, count_subspaces,
                       budget)
     if field.packed:
-        ops = [m._bits or m.bits() for m in ops]
+        tables = _image_tables(ops)
     out = []
     seen = 0
     for r in range(dim + 1):
+        untested = r in (0, dim)
         for pivots in itertools.combinations(range(dim), r):
             pbits = [1 << p for p in pivots]
             for rows in itertools.product(*_echelon_rows(field, dim, pivots)):
                 seen += 1
                 if field.packed:
-                    if not any(_clear_bits(_combine_bits(op, v), rows, pbits)
-                               for v in map(unpack, rows, itertools.repeat(dim))
-                               for op in ops):
+                    if untested or not any(_clear_bits(t[v], rows, pbits)
+                                           for v in rows for t in tables):
                         out.append(Subspace(field, dim, Matrix._from_bits(
                             field, rows, dim), pivots))
-                elif not any(any(_clear(field, apply_vec(v, op), pivots, rows))
-                             for v in rows for op in ops):
+                elif untested or not any(
+                        any(_clear(field, apply_vec(v, op), pivots, rows))
+                        for v in rows for op in ops):
                     out.append(Subspace(field, dim,
                                         Matrix.trusted(field, rows, dim), pivots))
     if seen != total:
@@ -155,9 +177,14 @@ def enumerate_stable_subspaces(field, dim: int, ops, budget: Budget = None):
     return out
 
 
+def _budgeted_vectors(field, dim: int, budget: Budget = None):
+    """The budget check of an enumeration of the vectors of field^dim."""
+    _budgeted("vector enumeration", field, dim, lambda d, q: q ** d, budget)
+
+
 def enumerate_vectors(field, dim: int, budget: Budget = None):
     """Every vector of k^dim, within the budget's dimension, field and count."""
-    _budgeted("vector enumeration", field, dim, lambda d, q: q ** d, budget)
+    _budgeted_vectors(field, dim, budget)
     return [tuple(field.scalar(c) for c in combo)
             for combo in itertools.product(field.elements(), repeat=dim)]
 
@@ -246,22 +273,60 @@ def brute_is_essential(space: Subspace, m: RightModule,
     return True
 
 
-def brute_singular_subspace(m: RightModule, budget: Budget = None) -> Subspace:
-    """{v : the right annihilator of v is an essential right ideal}."""
+def brute_singular_subspace(m: RightModule, lattice=None,
+                            budget: Budget = None) -> Subspace:
+    """{v : the right annihilator of v is an essential right ideal}.
+
+    ``lattice``, if given, is the right ideal lattice of m's algebra.
+    Ann(c v) = Ann(v) for a scalar c != 0, and the answer is a subspace,
+    so one vector per line is tested: over F_2 every vector, packed, its
+    rows v b_i read from the action's image tables; over F_p, p > 2, the
+    vectors whose first nonzero entry is 1 (docs/derivations.md,
+    "Annihilators on packed rows").
+    """
     a = m.algebra
     f = a.field
-    right_ideals = [r for r in enumerate_right_ideals(a, budget) if r.dim > 0]
-    vecs = []
-    for v in module_vectors(m, budget):
-        rows = tuple(apply_vec(v, mat) for mat in m.action)     # v b_i
-        ann = Subspace.from_vectors(
-            f, a.dim, Matrix.trusted(f, rows, m.dim).left_kernel().rows)
-        if all(ann.meets(r) for r in right_ideals):
-            vecs.append(v)
-    return Subspace.from_vectors(f, m.dim, vecs)
+    lattice = lattice if lattice is not None else enumerate_right_ideals(a, budget)
+    right_ideals = [r for r in lattice if r.dim > 0]
+    if not f.packed:
+        vecs = []
+        for v in module_vectors(m, budget):
+            if next(filter(None, v), None) != f.one:
+                continue                # 0, or not the first vector of its line
+            rows = tuple(apply_vec(v, op) for op in m.action)     # v b_i
+            ann = Subspace.from_vectors(
+                f, a.dim, Matrix.trusted(f, rows, m.dim).left_kernel().rows)
+            if all(ann.meets(r) for r in right_ideals):
+                vecs.append(v)
+        return Subspace.from_vectors(f, m.dim, vecs)
+    _budgeted_vectors(f, m.dim, budget)
+    w = m.dim
+    tables = _image_tables(m.action)
+    ideals = [r.mat.bits() for r in right_ideals]
+    red = RowReducer(f, w)
+    for v in range(1 << w):
+        ann, pbits = [], []                   # Ann(v), fully reduced
+        for y in _tagged_echelon([t[v] for t in tables], w)[2]:
+            _append_bits(_clear_bits(y >> w, ann, pbits), ann, pbits)
+        if all(_meets_bits(ann, pbits, r) for r in ideals):
+            red._insert(v)
+    return red.subspace()
 
 
-def brute_is_monoform(m: RightModule, budget: Budget = None) -> bool:
+def _meets_bits(rows, pbits, other) -> bool:
+    """The span of fully reduced packed rows meets the span of the
+    independent packed rows other: some row of other depends on the rows
+    and the rows of other before it (``Subspace.meets``)."""
+    rows, pbits = list(rows), list(pbits)
+    for x in other:
+        x = _clear_bits(x, rows, pbits)
+        if not x:
+            return True
+        _append_bits(x, rows, pbits)
+    return False
+
+
+def brute_is_monoform(m: RightModule, lattice=None, budget: Budget = None) -> bool:
     """No nonzero submodule of m is isomorphic to a submodule of any m/L.
 
     The submodules of m/L are the images of the members of m's lattice
@@ -272,7 +337,7 @@ def brute_is_monoform(m: RightModule, budget: Budget = None) -> bool:
     if m.dim == 0:
         raise ValidationError("monoform is about nonzero modules")
     f = m.algebra.field
-    subs = enumerate_submodules(m, budget)
+    subs = lattice if lattice is not None else enumerate_submodules(m, budget)
     by_dim = {}
     for l_space in subs:
         if l_space.dim == 0 or l_space.dim == m.dim:
@@ -290,7 +355,8 @@ def brute_is_monoform(m: RightModule, budget: Budget = None) -> bool:
     return True
 
 
-def brute_is_compressible(m: RightModule, budget: Budget = None) -> bool:
+def brute_is_compressible(m: RightModule, lattice=None,
+                          budget: Budget = None) -> bool:
     """Every nonzero submodule contains a copy of m.
 
     A submodule of smaller dimension holds no copy of m, so its module is
@@ -298,7 +364,8 @@ def brute_is_compressible(m: RightModule, budget: Budget = None) -> bool:
     """
     if m.dim == 0:
         raise ValidationError("compressible is about nonzero modules")
-    for s in enumerate_submodules(m, budget):
+    lattice = lattice if lattice is not None else enumerate_submodules(m, budget)
+    for s in lattice:
         if s.dim == 0:
             continue
         if s.dim < m.dim or not embeds_in(m, m.submodule(s)[0]):
@@ -306,19 +373,34 @@ def brute_is_compressible(m: RightModule, budget: Budget = None) -> bool:
     return True
 
 
-def _submodule_annihilators(m: RightModule, budget: Budget = None):
-    """(s, Ann(s)) for each nonzero submodule s of m, from one lattice.
+def _submodule_annihilators(m: RightModule, members=None, budget: Budget = None):
+    """(s, Ann(s)) for each nonzero s of members, by default m's lattice.
 
-    The submodules of the submodule on s are exactly the members t of this
+    The submodules of the submodule on s are exactly the members t of m's
     lattice with t in s (docs/derivations.md).  Ann(s) is read in m: it is
     the left kernel of the matrix whose row i is v rho(b_i) for each basis
     row v of s, side by side (docs/derivations.md, "Annihilators of
-    lattice members from the ambient action").  Lazy, so a caller that has
-    its answer stops computing annihilators.
+    lattice members from the ambient action").  Over F_2 row i is packed,
+    sum_k t_i[v_k] << (k dim m) from the image table t_i of rho(b_i), and
+    the kernel is taken on ints ("Annihilators on packed rows").  Lazy, so
+    a caller that has its answer stops computing annihilators.
     """
     f = m.algebra.field
-    for s in enumerate_submodules(m, budget):
-        if s.dim > 0:
+    members = members if members is not None else enumerate_submodules(m, budget)
+    if f.packed:
+        tables = _image_tables(m.action)
+    for s in members:
+        if s.dim == 0:
+            continue
+        if f.packed:
+            w = s.dim * m.dim
+            rows = [sum(t[v] << (k * m.dim) for k, v in enumerate(s.mat.bits()))
+                    for t in tables]
+            red = RowReducer(f, m.algebra.dim)
+            for y in _tagged_echelon(rows, w)[2]:
+                red._insert(y >> w)
+            yield s, red.subspace()
+        else:
             rows = tuple(tuple(itertools.chain.from_iterable(
                              apply_vec(v, op) for v in s.basis_rows()))
                          for op in m.action)
@@ -326,25 +408,47 @@ def _submodule_annihilators(m: RightModule, budget: Budget = None):
             yield s, Subspace.from_vectors(f, m.algebra.dim, kernel.rows)
 
 
-def _is_prime_on(s: Subspace, ann: Subspace, members) -> bool:
-    """The submodule on s is prime: each nonzero t in s has Ann(t) = Ann(s)."""
-    return all(ann_t == ann or not s.contains(t) for t, ann_t in members)
+def _minimal_members(lattice):
+    """The minimal nonzero members of a lattice listed by dimension: the
+    nonzero members that contain no minimal member listed before them."""
+    found = []
+    for s in lattice:
+        if s.dim and not any(s.contains(u) for u in found):
+            found.append(s)
+            yield s
 
 
-def brute_is_prime_object(m: RightModule, budget: Budget = None) -> bool:
-    """All nonzero submodules share the annihilator of m."""
+def brute_is_prime_object(m: RightModule, lattice=None,
+                          budget: Budget = None) -> bool:
+    """All nonzero submodules share the annihilator of m.
+
+    Ann(m) is read off the lattice's top member, m itself.  A submodule t
+    has Ann(t) >= Ann(t') for t <= t', and every nonzero member contains
+    a minimal one, so only the minimal nonzero members are compared
+    (docs/derivations.md, "Prime objects from minimal members").
+    """
     if m.dim == 0:
         raise ValidationError("prime is about nonzero modules")
-    ann = annihilator(m).space
-    return all(ann_t == ann for _s, ann_t in _submodule_annihilators(m, budget))
+    lattice = lattice if lattice is not None else enumerate_submodules(m, budget)
+    anns = _submodule_annihilators(
+        m, itertools.chain(lattice[-1:], _minimal_members(lattice)))
+    _m, ann = next(anns)
+    return all(ann_t == ann for _t, ann_t in anns)
 
 
-def brute_mass(m: RightModule, backend, budget: Budget = None):
-    """Annihilators of prime submodules, as molecules of the backend."""
-    members = list(_submodule_annihilators(m, budget))
-    anns = {ann for s, ann in members if _is_prime_on(s, ann, members)}
+def brute_mass(m: RightModule, backend, lattice=None, budget: Budget = None):
+    """Annihilators of prime submodules, as molecules of the backend.
+
+    The module on s is prime when each minimal nonzero member inside s
+    has the annihilator of s.
+    """
+    lattice = lattice if lattice is not None else enumerate_submodules(m, budget)
+    anns = dict(_submodule_annihilators(m, lattice))
+    minimal = [(t, anns[t]) for t in _minimal_members(lattice)]
+    prime = {ann for s, ann in anns.items()
+             if all(ann_t == ann or not s.contains(t) for t, ann_t in minimal)}
     out = {("prime", w.block_index) for w in backend.primes()
-           if w.ideal.space in anns}
+           if w.ideal.space in prime}
     return {mol for mol in backend.molecules() if mol.key in out}
 
 

@@ -6,8 +6,9 @@ asks whether a module lies in a localizing subcategory, builds a tensor
 product of algebras or names a free or simple graded module by its shifts,
 so these live here, beside the tests that use them as references.  So do
 the plain forms of the oracle's lattice routines: every subspace built
-and then filtered, primeness over all pairs of ideals, and annihilators
-of submodules built as modules.
+and then filtered, primeness over all pairs of ideals, annihilators
+of submodules built as modules, and the singular subspace from every
+vector and every nonzero right ideal.
 """
 
 import itertools
@@ -15,7 +16,8 @@ import itertools
 from ringspectra.algebras import FiniteDimAlgebra, group_algebra
 from ringspectra.commutative import GradedModuleDescriptor, poly_trim
 from ringspectra.ideals import TwoSidedIdeal, annihilator
-from ringspectra.linalg import Matrix, Subspace, spin, unit_vec
+from ringspectra.linalg import Matrix, Subspace, apply_vec, spin, unit_vec
+from ringspectra.modules import RightModule
 from ringspectra.oracle import _budgeted, count_subspaces
 from ringspectra.subcats import LocalizingSubcatDescriptor
 
@@ -229,3 +231,21 @@ def reference_is_prime(i: TwoSidedIdeal, lattice) -> bool:
 def reference_annihilator(m, s: Subspace) -> Subspace:
     """Ann of the submodule of m on s, built as a module."""
     return annihilator(m.submodule(s)[0]).space
+
+
+def reference_singular_subspace(m) -> Subspace:
+    """{v : Ann(v) is an essential right ideal}, from every vector v of m:
+    Ann(v) built as a ``Subspace`` and intersected with every nonzero
+    right ideal of the filtered lattice."""
+    a = m.algebra
+    f = a.field
+    right_ideals = [r for r in reference_stable_subspaces(
+        f, a.dim, RightModule.regular(a).action) if r.dim > 0]
+    vecs = []
+    for v in itertools.product(map(f.scalar, f.elements()), repeat=m.dim):
+        rows = tuple(apply_vec(v, op) for op in m.action)
+        ann = Subspace.from_vectors(
+            f, a.dim, Matrix.trusted(f, rows, m.dim).left_kernel().rows)
+        if all(ann.intersect(r).dim > 0 for r in right_ideals):
+            vecs.append(v)
+    return Subspace.from_vectors(f, m.dim, vecs)

@@ -1,11 +1,16 @@
 """Enumeration harness: counts, budgets, definitional predicates, corpus."""
 
 import random
+import sys
 
 import pytest
 
+import ringspectra
 from helpers import (reference_annihilator, reference_is_prime,
-                     reference_stable_subspaces, reference_subspaces)
+                     reference_singular_subspace, reference_stable_subspaces,
+                     reference_subspaces)
+from ringspectra import oracle
+from ringspectra.cli import _exhaustive_checks
 from ringspectra.errors import BudgetExceeded
 from ringspectra.ideals import TwoSidedIdeal, annihilator
 from ringspectra.linalg import F2, F3, GF, Matrix
@@ -200,9 +205,10 @@ def _members(subspaces):
 
 
 def test_lattice_routines_match_their_references_on_the_zoo(algebra_corpus):
-    """Lattices tested on raw rows, primeness from pairs outside I and
-    annihilators read in the ambient module give the members, order, rows,
-    pivots and answers of the plain forms in tests/helpers.py."""
+    """Lattices tested on raw rows and primeness from pairs outside I give
+    the members, order, rows, pivots and answers of the plain forms in
+    tests/helpers.py (annihilators:
+    ``test_submodule_annihilators_match_the_built_modules``)."""
     primes = non_primes = modules = 0
     for name, a in algebra_corpus:
         bound = ZOO_MAX_DIM[a.field.p]
@@ -221,31 +227,41 @@ def test_lattice_routines_match_their_references_on_the_zoo(algebra_corpus):
         for mname, m in standard_modules(a):
             if m.dim > bound:
                 continue
-            subs = enumerate_submodules(m)
-            assert _members(subs) == _members(reference_stable_subspaces(
-                a.field, m.dim, m.action)), (name, mname)
-            assert list(_submodule_annihilators(m)) == [
-                (s, reference_annihilator(m, s)) for s in subs if s.dim], \
+            assert _members(enumerate_submodules(m)) == _members(
+                reference_stable_subspaces(a.field, m.dim, m.action)), \
                 (name, mname)
             modules += 1
     assert primes > 20 and non_primes > 20 and modules > 100
 
 
-@pytest.mark.parametrize("p,dims", [(2, (1, 2, 3, 4, 5)), (3, (1, 2, 3)),
+def _irreducible_pair(f, dim):
+    """The cyclic shift and the matrix unit E_00: they generate all of
+    M_dim(k), so only 0 and k^dim are stable under them."""
+    shift = Matrix(f, [[int(j == (i + 1) % dim) for j in range(dim)]
+                       for i in range(dim)], dim)
+    unit = Matrix(f, [[int(i == j == 0) for j in range(dim)]
+                      for i in range(dim)], dim)
+    return shift, unit
+
+
+@pytest.mark.parametrize("p,dims", [(2, (0, 1, 2, 3, 4, 5, 6)), (3, (1, 2, 3)),
                                     (5, (1, 2))])
 def test_stable_subspaces_match_the_filter_on_random_operators(p, dims):
-    """Seeded random operator sets, with the empty, zero and identity sets."""
+    """Seeded random operator sets, with the empty, zero and identity sets
+    and a pair under which only 0 and the whole space are stable."""
     rng = random.Random(p)
     f = GF(p)
     for dim in dims:
         sets = [(), (Matrix.zero(f, dim, dim),), (Matrix.identity(f, dim),)]
         for k in (1, 1, 2, 3):
             sets.append(tuple(Matrix(f, [[rng.randrange(p) for _ in range(dim)]
-                                         for _ in range(dim)])
+                                         for _ in range(dim)], dim)
                               for _ in range(k)))
-        for ops in sets:
+        for ops in sets + [_irreducible_pair(f, dim)]:
             assert _members(enumerate_stable_subspaces(f, dim, ops)) == \
                 _members(reference_stable_subspaces(f, dim, ops)), (p, dim, ops)
+        assert len(enumerate_stable_subspaces(f, dim, _irreducible_pair(f, dim))) \
+            == min(dim + 1, 2)
         assert _members(enumerate_subspaces(f, dim)) == \
             _members(reference_subspaces(f, dim))
 
@@ -260,3 +276,116 @@ def test_stable_subspaces_refuse_as_the_filter_does(field, dim, budget):
     with pytest.raises(BudgetExceeded) as ref:
         reference_stable_subspaces(field, dim, ops, budget)
     assert str(ours.value) == str(ref.value)
+
+
+def test_budget_refusals_build_no_image_table(monkeypatch, corpus_by_name):
+    """Each refusal comes before any image table is built, with the same
+    message."""
+    a = corpus_by_name["field_f2"]
+    s = simple_modules(a)[0].module
+    m = s
+    for _ in range(8):
+        m = m.direct_sum(s)
+    right_ideals = enumerate_submodules(RightModule.regular(a))
+
+    def no_tables(ops):
+        raise AssertionError("image table built before the budget check")
+    monkeypatch.setattr(oracle, "_image_tables", no_tables)
+    with pytest.raises(BudgetExceeded, match="subspace enumeration count"):
+        enumerate_stable_subspaces(F2, 4, (Matrix.identity(F2, 4),),
+                                   Budget(max_count=10))
+    with pytest.raises(BudgetExceeded, match="vector enumeration dim"):
+        brute_singular_subspace(m, right_ideals)
+    with pytest.raises(BudgetExceeded, match="subspace enumeration dim"):
+        list(_submodule_annihilators(m))
+
+
+@pytest.fixture(scope="module")
+def zoo_in_two_bases(algebra_corpus):
+    """The oracle zoo over F_2 and F_3, its algebras in their natural and
+    in a seeded random basis: (label, algebra, module)."""
+    from test_algebras import _in_random_basis
+    rng = random.Random(31)
+    out = []
+    for name, a in algebra_corpus:
+        bound = ZOO_MAX_DIM[a.field.p]
+        if a.dim > bound:
+            continue
+        for tag, alg in ((name, a), (f"{name}~", _in_random_basis(a, rng))):
+            out += [(f"{tag}:{mname}", alg, m)
+                    for mname, m in standard_modules(alg) if m.dim <= bound]
+    return out
+
+
+def test_singular_subspace_matches_its_plain_form(zoo_in_two_bases):
+    """Packed tables over F_2 and one vector per line over F_3 give the
+    singular subspace of every vector tested against every nonzero right
+    ideal, in the natural and in a random basis."""
+    compared = {2: 0, 3: 0}
+    nonzero = 0
+    for label, a, m in zoo_in_two_bases:
+        got = brute_singular_subspace(m)
+        assert got == reference_singular_subspace(m), label
+        compared[a.field.p] += 1
+        nonzero += got.dim > 0
+    assert min(compared.values()) > 50 and nonzero > 20
+
+
+def test_submodule_annihilators_match_the_built_modules(zoo_in_two_bases):
+    """Ann of every member, read on packed rows over F_2 and on tuples over
+    F_3, is the annihilator of the module built on it."""
+    compared = {2: 0, 3: 0}
+    for label, a, m in zoo_in_two_bases:
+        subs = enumerate_submodules(m)
+        got = list(_submodule_annihilators(m, subs))
+        assert got == [(s, reference_annihilator(m, s)) for s in subs if s.dim], \
+            label
+        compared[a.field.p] += len(got)
+    assert min(compared.values()) > 200
+
+
+def _patch_annihilator(monkeypatch):
+    """Count the calls of ``ideals.annihilator``, wherever a module of the
+    package holds it."""
+    calls = []
+    real = ringspectra.ideals.annihilator
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ringspectra") and \
+                getattr(mod, "annihilator", None) is real:
+            monkeypatch.setattr(mod, "annihilator", counted)
+    return calls
+
+
+def test_prime_object_reads_its_minimal_members(zoo_in_two_bases, monkeypatch):
+    """Ann(m) from the lattice's top member and the minimal nonzero members
+    only give the answer of comparing every member with annihilator(m),
+    with no call of ``ideals.annihilator``."""
+    cases = [(label, m) for label, _a, m in zoo_in_two_bases
+             if m.dim]
+    every = [all(ann_t == annihilator(m).space
+                 for _s, ann_t in _submodule_annihilators(m)) for _l, m in cases]
+    calls = _patch_annihilator(monkeypatch)
+    for (label, m), want in zip(cases, every):
+        assert brute_is_prime_object(m) == want, label
+    assert not calls
+    assert 20 < sum(every) < len(every) - 20
+
+
+def test_exhaustive_checks_enumerate_the_regular_lattice_once(
+        corpus_by_name, monkeypatch):
+    """``verify --exhaustive`` hands one lattice of the regular module to
+    the monoform, prime-object and singular oracles."""
+    calls = []
+    real = oracle.enumerate_submodules
+
+    def counted(m, budget=None):
+        calls.append(m.dim)
+        return real(m, budget)
+    monkeypatch.setattr(oracle, "enumerate_submodules", counted)
+    records = _exhaustive_checks(corpus_by_name["t2_f2"])
+    assert all(r.passed for r in records)
+    assert calls == [3]

@@ -47,6 +47,10 @@ Runs each rung once, in this order:
   module of T_3(F_2), and ``brute_is_prime`` on each proper ideal of its
   ideal lattice (the lattice enumerated in the time), the algebra, module
   and primes built outside the timed region;
+- ``enumerate_subspaces`` of F_2^7 (29,212 subspaces) and of F_3^5, near
+  the edge of the oracle's default budget, and ``brute_singular_subspace``
+  and ``brute_mass`` on the regular module of the Kronecker algebra over
+  F_2 (dimension 4, 18 right ideals), built as for T_3(F_2);
 - ``ringspectra verify fixtures/cycle_quiver.alg --exhaustive`` in-process.
 
 ringspectra is imported from the ``src`` directory of the checkout this
@@ -85,7 +89,8 @@ from ringspectra.modules import RightModule  # noqa: E402
 from ringspectra.ideals import TwoSidedIdeal  # noqa: E402
 from ringspectra.oracle import (brute_is_monoform, brute_is_prime,  # noqa: E402
                                 brute_is_prime_object, brute_mass,
-                                brute_singular_subspace,
+                                brute_singular_subspace, corpus,
+                                enumerate_subspaces,
                                 enumerate_two_sided_ideals)
 from ringspectra.spectra import ArtinianBackend, verify_correspondence  # noqa: E402
 from ringspectra.subcats import classify_locally_closed_localizing  # noqa: E402
@@ -320,14 +325,30 @@ def classify_algebra(build, n, field):
                                       "locally_closed": len(found)}
 
 
-def oracle_on_t3(run):
-    a = upper_triangular_algebra(3, F2)
+def oracle_on(build, run):
+    """``run(regular module, backend)`` on the algebra ``build()``, the
+    algebra, module and primes built outside the timing."""
+    a = build()
     reg = RightModule.regular(a)
     backend = ArtinianBackend(a)
     backend.molecules()                     # the primes, outside the timing
     t0 = time.perf_counter()
     facts = run(reg, backend)
     return time.perf_counter() - t0, facts
+
+
+def t3_f2():
+    return upper_triangular_algebra(3, F2)
+
+
+def kronecker_f2():
+    return dict(corpus())["quiver.kronecker_f2"]
+
+
+def subspaces(field, dim):
+    t0 = time.perf_counter()
+    count = len(enumerate_subspaces(field, dim))
+    return time.perf_counter() - t0, {"subspaces": count}
 
 
 def primes_by_brute_force(a):
@@ -347,6 +368,14 @@ def verify_exhaustive(name):
         code = cli_main(argv)
         seconds = time.perf_counter() - t0
     return seconds, {"exit": code, "summary": out.getvalue().splitlines()[-1]}
+
+
+def mass(reg, backend):
+    return {"mass": sorted(r.label for r in brute_mass(reg, backend))}
+
+
+def singular(reg, backend):
+    return {"dim": brute_singular_subspace(reg).dim}
 
 
 # (label, run, arguments); labels ending in "(F2)" form the T_n ladder, and
@@ -388,17 +417,19 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
             for n in (9, 12)]
          + [("T9(F2) lcl classification", classify_algebra,
              (upper_triangular_algebra, 9, F2))]
-         + [("T3(F2) reg brute_mass", oracle_on_t3, (
-                 lambda reg, b: {"mass": sorted(r.label
-                                                for r in brute_mass(reg, b))},)),
-            ("T3(F2) reg brute_singular_subspace", oracle_on_t3, (
-                 lambda reg, b: {"dim": brute_singular_subspace(reg).dim},)),
-            ("T3(F2) reg brute_is_prime_object", oracle_on_t3, (
-                 lambda reg, b: {"prime": brute_is_prime_object(reg)},)),
-            ("T3(F2) reg brute_is_monoform", oracle_on_t3, (
-                 lambda reg, b: {"monoform": brute_is_monoform(reg)},)),
-            ("T3(F2) ideals brute_is_prime", oracle_on_t3, (
-                 lambda reg, b: primes_by_brute_force(reg.algebra),)),
+         + [("T3(F2) reg brute_mass", oracle_on, (t3_f2, mass)),
+            ("T3(F2) reg brute_singular_subspace", oracle_on, (t3_f2, singular)),
+            ("T3(F2) reg brute_is_prime_object", oracle_on, (
+                 t3_f2, lambda reg, b: {"prime": brute_is_prime_object(reg)})),
+            ("T3(F2) reg brute_is_monoform", oracle_on, (
+                 t3_f2, lambda reg, b: {"monoform": brute_is_monoform(reg)})),
+            ("T3(F2) ideals brute_is_prime", oracle_on, (
+                 t3_f2, lambda reg, b: primes_by_brute_force(reg.algebra))),
+            ("enumerate_subspaces F2^7", subspaces, (F2, 7)),
+            ("enumerate_subspaces F3^5", subspaces, (F3, 5)),
+            ("Kronecker(F2) reg brute_singular_subspace", oracle_on,
+             (kronecker_f2, singular)),
+            ("Kronecker(F2) reg brute_mass", oracle_on, (kronecker_f2, mass)),
             ("verify cycle_quiver.alg --exhaustive", verify_exhaustive,
              ("cycle_quiver.alg",))])
 
