@@ -236,6 +236,19 @@ def _append_bits(x: int, rows: list, pbits: list):
     pbits.append(b)
 
 
+def _meets_bits(rows, pbits, other) -> bool:
+    """The span of fully reduced packed rows meets the span of the
+    independent packed rows other: some row of other depends on the rows
+    and the rows of other before it (``Subspace.meets``)."""
+    rows, pbits = list(rows), list(pbits)
+    for x in other:
+        x = _clear_bits(x, rows, pbits)
+        if not x:
+            return True
+        _append_bits(x, rows, pbits)
+    return False
+
+
 def _tagged_echelon(bits, w: int):
     """Packed rows of width w, row i packed as [row i | e_i] and reduced
     in order.
@@ -714,6 +727,8 @@ class Subspace:
         """
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
+        if self.field.packed:
+            return _meets_bits(*self._packed(), other.mat._bits or other.mat.bits())
         red = RowReducer(self.field, self.ambient, self)
         return not all(red.add(v) for v in other.mat.rows)
 

@@ -24,7 +24,9 @@ needed (docs/derivations.md):
 * ``brute_singular_subspace`` takes one vector per line;
 * ``brute_is_monoform`` and ``brute_is_compressible`` build a member's
   module only for a comparison whose dimensions allow an answer;
-* every predicate on a module's lattice takes the caller's lattice.
+* ``brute_is_monoform``, ``brute_is_prime_object`` and
+  ``brute_singular_subspace`` take the caller's lattice, which
+  ``verify --exhaustive`` enumerates once.
 
 ``tests/helpers.py`` keeps the plain forms as references.
 """
@@ -41,9 +43,9 @@ from .algebras import (BoundQuiver, FiniteDimAlgebra, bound_quiver_algebra,
                        upper_triangular_algebra)
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .ideals import TwoSidedIdeal
-from .linalg import (F2, F3, Matrix, RowReducer, Subspace, _append_bits,
-                     _clear, _clear_bits, _tagged_echelon, apply_vec, spin,
-                     unit_vec)
+from .linalg import (F2, F3, Matrix, RowReducer, Subspace, _clear,
+                     _clear_bits, _meets_bits, _tagged_echelon, apply_vec,
+                     spin, unit_vec)
 from .modules import (RightModule, are_isomorphic, embeds_in,
                       injective_envelope, simple_modules)
 
@@ -305,25 +307,12 @@ def brute_singular_subspace(m: RightModule, lattice=None,
     ideals = [r.mat.bits() for r in right_ideals]
     red = RowReducer(f, w)
     for v in range(1 << w):
-        ann, pbits = [], []                   # Ann(v), fully reduced
+        ann = RowReducer(f, a.dim)            # Ann(v)
         for y in _tagged_echelon([t[v] for t in tables], w)[2]:
-            _append_bits(_clear_bits(y >> w, ann, pbits), ann, pbits)
-        if all(_meets_bits(ann, pbits, r) for r in ideals):
+            ann._insert(y >> w)
+        if all(_meets_bits(ann._rows, ann._pbits, r) for r in ideals):
             red._insert(v)
     return red.subspace()
-
-
-def _meets_bits(rows, pbits, other) -> bool:
-    """The span of fully reduced packed rows meets the span of the
-    independent packed rows other: some row of other depends on the rows
-    and the rows of other before it (``Subspace.meets``)."""
-    rows, pbits = list(rows), list(pbits)
-    for x in other:
-        x = _clear_bits(x, rows, pbits)
-        if not x:
-            return True
-        _append_bits(x, rows, pbits)
-    return False
 
 
 def brute_is_monoform(m: RightModule, lattice=None, budget: Budget = None) -> bool:
@@ -355,8 +344,7 @@ def brute_is_monoform(m: RightModule, lattice=None, budget: Budget = None) -> bo
     return True
 
 
-def brute_is_compressible(m: RightModule, lattice=None,
-                          budget: Budget = None) -> bool:
+def brute_is_compressible(m: RightModule, budget: Budget = None) -> bool:
     """Every nonzero submodule contains a copy of m.
 
     A submodule of smaller dimension holds no copy of m, so its module is
@@ -364,8 +352,7 @@ def brute_is_compressible(m: RightModule, lattice=None,
     """
     if m.dim == 0:
         raise ValidationError("compressible is about nonzero modules")
-    lattice = lattice if lattice is not None else enumerate_submodules(m, budget)
-    for s in lattice:
+    for s in enumerate_submodules(m, budget):
         if s.dim == 0:
             continue
         if s.dim < m.dim or not embeds_in(m, m.submodule(s)[0]):
@@ -373,8 +360,8 @@ def brute_is_compressible(m: RightModule, lattice=None,
     return True
 
 
-def _submodule_annihilators(m: RightModule, members=None, budget: Budget = None):
-    """(s, Ann(s)) for each nonzero s of members, by default m's lattice.
+def _submodule_annihilators(m: RightModule, members):
+    """(s, Ann(s)) for each nonzero s of members, members of m's lattice.
 
     The submodules of the submodule on s are exactly the members t of m's
     lattice with t in s (docs/derivations.md).  Ann(s) is read in m: it is
@@ -386,7 +373,6 @@ def _submodule_annihilators(m: RightModule, members=None, budget: Budget = None)
     a caller that has its answer stops computing annihilators.
     """
     f = m.algebra.field
-    members = members if members is not None else enumerate_submodules(m, budget)
     if f.packed:
         tables = _image_tables(m.action)
     for s in members:
@@ -436,13 +422,13 @@ def brute_is_prime_object(m: RightModule, lattice=None,
     return all(ann_t == ann for _t, ann_t in anns)
 
 
-def brute_mass(m: RightModule, backend, lattice=None, budget: Budget = None):
+def brute_mass(m: RightModule, backend, budget: Budget = None):
     """Annihilators of prime submodules, as molecules of the backend.
 
     The module on s is prime when each minimal nonzero member inside s
     has the annihilator of s.
     """
-    lattice = lattice if lattice is not None else enumerate_submodules(m, budget)
+    lattice = enumerate_submodules(m, budget)
     anns = dict(_submodule_annihilators(m, lattice))
     minimal = [(t, anns[t]) for t in _minimal_members(lattice)]
     prime = {ann for s, ann in anns.items()

@@ -297,7 +297,7 @@ def test_budget_refusals_build_no_image_table(monkeypatch, corpus_by_name):
     with pytest.raises(BudgetExceeded, match="vector enumeration dim"):
         brute_singular_subspace(m, right_ideals)
     with pytest.raises(BudgetExceeded, match="subspace enumeration dim"):
-        list(_submodule_annihilators(m))
+        brute_is_prime_object(m)
 
 
 @pytest.fixture(scope="module")
@@ -366,8 +366,8 @@ def test_prime_object_reads_its_minimal_members(zoo_in_two_bases, monkeypatch):
     with no call of ``ideals.annihilator``."""
     cases = [(label, m) for label, _a, m in zoo_in_two_bases
              if m.dim]
-    every = [all(ann_t == annihilator(m).space
-                 for _s, ann_t in _submodule_annihilators(m)) for _l, m in cases]
+    every = [all(reference_annihilator(m, s) == annihilator(m).space
+                 for s in enumerate_submodules(m) if s.dim) for _l, m in cases]
     calls = _patch_annihilator(monkeypatch)
     for (label, m), want in zip(cases, every):
         assert brute_is_prime_object(m) == want, label

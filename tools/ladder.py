@@ -49,8 +49,10 @@ Runs each rung once, in this order:
   and primes built outside the timed region;
 - ``enumerate_subspaces`` of F_2^7 (29,212 subspaces) and of F_3^5, near
   the edge of the oracle's default budget, and ``brute_singular_subspace``
-  and ``brute_mass`` on the regular module of the Kronecker algebra over
-  F_2 (dimension 4, 18 right ideals), built as for T_3(F_2);
+  and ``brute_mass`` on the regular module of the product of the cyclic
+  quiver algebra ``quiver.cycle.J3_f2`` with F_2 (dimension 7, so its
+  right ideals are filtered from those 29,212 subspaces and its module
+  has 128 vectors), built as for T_3(F_2);
 - ``ringspectra verify fixtures/cycle_quiver.alg --exhaustive`` in-process.
 
 ringspectra is imported from the ``src`` directory of the checkout this
@@ -79,7 +81,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ringspectra.algebras import matrix_algebra, upper_triangular_algebra  # noqa: E402
+from ringspectra.algebras import (matrix_algebra, product_algebra,  # noqa: E402
+                                  upper_triangular_algebra)
 from ringspectra.cli import main as cli_main  # noqa: E402
 from ringspectra.commutative import (IntegerBackend, IntModBackend,  # noqa: E402
                                      PolyBackend)
@@ -341,8 +344,9 @@ def t3_f2():
     return upper_triangular_algebra(3, F2)
 
 
-def kronecker_f2():
-    return dict(corpus())["quiver.kronecker_f2"]
+def cycle_j3_times_f2():
+    algebras = dict(corpus())
+    return product_algebra(algebras["quiver.cycle.J3_f2"], algebras["field_f2"])
 
 
 def subspaces(field, dim):
@@ -427,9 +431,10 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
                  t3_f2, lambda reg, b: primes_by_brute_force(reg.algebra))),
             ("enumerate_subspaces F2^7", subspaces, (F2, 7)),
             ("enumerate_subspaces F3^5", subspaces, (F3, 5)),
-            ("Kronecker(F2) reg brute_singular_subspace", oracle_on,
-             (kronecker_f2, singular)),
-            ("Kronecker(F2) reg brute_mass", oracle_on, (kronecker_f2, mass)),
+            ("cycle.J3 x F2 reg brute_singular_subspace", oracle_on,
+             (cycle_j3_times_f2, singular)),
+            ("cycle.J3 x F2 reg brute_mass", oracle_on,
+             (cycle_j3_times_f2, mass)),
             ("verify cycle_quiver.alg --exhaustive", verify_exhaustive,
              ("cycle_quiver.alg",))])
 
