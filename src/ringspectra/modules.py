@@ -26,10 +26,11 @@ both off its partner (docs/derivations.md, "Simples and primitive
 idempotents of the opposite").
 
 Object-level predicates (monoform, compressible, prime) use the
-finite-length criteria recorded in ``docs/derivations.md``; the raw
-definitional quantifiers live in ``oracle`` and the two are compared on
-enumerated lattices in the test suite.  Questions needing submodule
-enumeration over Q raise ``CapabilityError`` rather than guessing.
+finite-length criteria recorded in ``docs/derivations.md`` and enumerate
+no submodules; the raw definitional quantifiers live in ``oracle`` and
+the two are compared on enumerated lattices in the test suite.  Over Q,
+a module over a block whose simple is not realized raises
+``CapabilityError`` through ``composition_factors`` rather than guessing.
 """
 
 from __future__ import annotations
@@ -404,10 +405,6 @@ def hom_basis(m: RightModule, n: RightModule) -> list[Matrix]:
     return out
 
 
-def hom_dim(m, n) -> int:
-    return len(hom_basis(m, n))
-
-
 COMBO_BUDGET = 200000     # coefficient combinations one map search may try
 
 
@@ -656,47 +653,21 @@ def _is_essential_image(embed, e_mod):
 
 # -- object-level predicates -----------------------------------------------------
 
-def is_uniform(m: RightModule) -> bool:
-    """Nonzero with simple socle: every nonzero submodule is essential."""
-    if m.dim == 0:
-        return False
-    soc = m.socle_space()
-    sub, _ = m.submodule(soc, name="soc")
-    return is_simple_module(sub)
-
-
-def submodule_lattice(m: RightModule, budget=None):
-    from .oracle import enumerate_submodules
-    return enumerate_submodules(m, budget=budget)
-
-
-def is_monoform(m: RightModule, budget=None) -> bool:
+def is_monoform(m: RightModule) -> bool:
     """No common submodule class with any proper quotient.
 
-    Finite length reduction (docs/derivations.md): for uniform m with
-    socle S, monoform iff Hom(S, m/L) = 0 for every nonzero submodule L.
-    Needs the submodule lattice, so Q backends with non-uniform lattices
-    raise CapabilityError unless the answer is forced without enumeration.
+    Finite length reduction (docs/derivations.md, "Monoform, finite
+    length"): m is monoform iff its socle is a simple S and [m : S] = 1,
+    both read off ``composition_factors``.
     """
     if m.dim == 0:
         raise ValidationError("monoform is about nonzero modules")
-    if not is_uniform(m):
-        return False
-    if is_simple_module(m):
-        return True
-    soc_sub, _ = m.submodule(m.socle_space(), name="S")
-    if not m.algebra.field.is_finite():
-        raise CapabilityError(
-            "monoform over Q needs submodule enumeration; undecidable at desk scale")
-    for space in submodule_lattice(m, budget=budget):
-        if space.dim == 0:
-            continue
-        quot, _ = m.quotient(space)
-        if quot.dim == 0:
-            continue
-        if hom_dim(soc_sub, quot) > 0:
-            return False
-    return True
+    soc, _ = m.submodule(m.socle_space(), name="soc")
+    soc_factors = composition_factors(soc)
+    if list(soc_factors.values()) != [1]:
+        return False                    # the socle is not simple
+    (label,) = soc_factors
+    return composition_factors(m)[label] == 1
 
 
 def is_compressible(m: RightModule) -> bool:

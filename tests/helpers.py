@@ -8,7 +8,8 @@ so these live here, beside the tests that use them as references.  So do
 the plain forms of the oracle's lattice routines: every subspace built
 and then filtered, primeness over all pairs of ideals, annihilators
 of submodules built as modules, and the singular subspace from every
-vector and every nonzero right ideal.
+vector and every nonzero right ideal; and monoformity as Hom(S, M/L)
+over the whole submodule lattice.
 """
 
 import itertools
@@ -17,8 +18,8 @@ from ringspectra.algebras import FiniteDimAlgebra, group_algebra
 from ringspectra.commutative import GradedModuleDescriptor, poly_trim
 from ringspectra.ideals import TwoSidedIdeal, annihilator
 from ringspectra.linalg import Matrix, Subspace, apply_vec, spin, unit_vec
-from ringspectra.modules import RightModule
-from ringspectra.oracle import _budgeted, count_subspaces
+from ringspectra.modules import RightModule, hom_basis, is_simple_module
+from ringspectra.oracle import _budgeted, count_subspaces, enumerate_submodules
 from ringspectra.subcats import LocalizingSubcatDescriptor
 
 
@@ -231,6 +232,18 @@ def reference_is_prime(i: TwoSidedIdeal, lattice) -> bool:
 def reference_annihilator(m, s: Subspace) -> Subspace:
     """Ann of the submodule of m on s, built as a module."""
     return annihilator(m.submodule(s)[0]).space
+
+
+def reference_is_monoform(m) -> bool:
+    """m has a simple socle S and Hom(S, m/L) = 0 for every nonzero proper
+    submodule L of the enumerated lattice (docs/derivations.md, "Monoform,
+    finite length")."""
+    soc, _ = m.submodule(m.socle_space(), name="S")
+    if not is_simple_module(soc):
+        return False
+    return not any(len(hom_basis(soc, m.quotient(space)[0])) > 0
+                   for space in enumerate_submodules(m)
+                   if 0 < space.dim < m.dim)
 
 
 def reference_singular_subspace(m) -> Subspace:

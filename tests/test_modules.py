@@ -10,7 +10,7 @@ from ringspectra.errors import BudgetExceeded, CapabilityError, ValidationError
 from ringspectra.linalg import F2, F3, GF, QQ, Matrix, Subspace
 from ringspectra.modules import (RightModule, _minimal_right_ideal_space,
                                  are_isomorphic, composition_factors,
-                                 hom_basis, hom_dim,
+                                 hom_basis,
                                  injective_envelope, is_compressible,
                                  is_monoform, is_prime_object,
                                  is_simple_module, module_length,
@@ -183,11 +183,11 @@ def test_simple_modules_pairwise_non_isomorphic(algebra_corpus):
 def test_hom_schur():
     t2 = upper_triangular_algebra(2, F2)
     s1, s2 = (s.module for s in simple_modules(t2))
-    assert hom_dim(s1, s1) == 1
-    assert hom_dim(s1, s2) == 0
+    assert len(hom_basis(s1, s1)) == 1
+    assert len(hom_basis(s1, s2)) == 0
     m2 = matrix_algebra(2, F3)
     s = simple_modules(m2)[0].module
-    assert hom_dim(s, s) == 1
+    assert len(hom_basis(s, s)) == 1
 
 
 def test_iso_under_permutation():
@@ -301,10 +301,36 @@ def test_monoform_examples():
         is_monoform(RightModule.zero(t2))
 
 
-def test_monoform_undecidable_over_q():
-    a = companion_algebra(QQ, [0, 0, 1])
-    with pytest.raises(CapabilityError):
-        is_monoform(RightModule.regular(a))
+def _envelopes_and_projectives(a):
+    return ([injective_envelope(s.module)[0] for s in simple_modules(a)]
+            + [p.projective for p in primitive_idempotents(a)])
+
+
+def test_monoform_over_q():
+    """Split blocks over Q are answered from the multiplicities; a block
+    whose simple is not realized still refuses."""
+    # Q[x]/(x^3), uniserial with every factor Q: Q embeds into m/soc.
+    q3 = companion_algebra(QQ, [0, 0, 0, 1])
+    assert not is_monoform(RightModule.regular(q3))
+    # Uniserial with pairwise distinct factors.
+    t4 = upper_triangular_algebra(4, QQ)
+    ms = _envelopes_and_projectives(t4)
+    assert len(ms) == 8 and all(is_monoform(m) for m in ms)
+    assert not is_monoform(RightModule.regular(t4))     # socle S1^4
+    with pytest.raises(CapabilityError, match="S1 is not"):
+        is_monoform(RightModule.regular(_rational_quaternions()))
+
+
+def test_monoform_past_the_oracle_budget():
+    """E(S1) and P9 of T_9(F_2) have dimension 9, past the oracle's
+    enumeration budget; as uniserials with distinct factors they are
+    monoform."""
+    ms = _envelopes_and_projectives(upper_triangular_algebra(9, F2))
+    for m in (ms[0], ms[-1]):                       # E(S1) and P9
+        assert m.dim == 9
+        with pytest.raises(BudgetExceeded):
+            brute_is_monoform(m)
+        assert is_monoform(m)
 
 
 def test_compressible_examples():
@@ -389,15 +415,6 @@ def test_hom_basis_elements_are_intertwiners(corpus_by_name):
         for h in hom_basis(soc, reg):
             for ms, mt in zip(soc.action, reg.action):
                 assert ms * h == h * mt, name
-
-
-def test_monoform_respects_budget():
-    from ringspectra.errors import BudgetExceeded
-    from ringspectra.oracle import Budget
-    a = upper_triangular_algebra(2, F2)
-    e, _ = injective_envelope(simple_modules(a)[0].module)
-    with pytest.raises(BudgetExceeded):
-        is_monoform(e, budget=Budget(max_count=1))
 
 
 # -- one minimal right ideal per block -------------------------------------------

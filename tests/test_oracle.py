@@ -6,15 +6,17 @@ import sys
 import pytest
 
 import ringspectra
-from helpers import (reference_annihilator, reference_is_prime,
-                     reference_singular_subspace, reference_stable_subspaces,
-                     reference_subspaces)
+from helpers import (reference_annihilator, reference_is_monoform,
+                     reference_is_prime, reference_singular_subspace,
+                     reference_stable_subspaces, reference_subspaces)
 from ringspectra import oracle
+from ringspectra.algebras import upper_triangular_algebra
 from ringspectra.cli import _exhaustive_checks
 from ringspectra.errors import BudgetExceeded
 from ringspectra.ideals import TwoSidedIdeal, annihilator
 from ringspectra.linalg import F2, F3, GF, Matrix
-from ringspectra.modules import RightModule, are_isomorphic, simple_modules
+from ringspectra.modules import (RightModule, are_isomorphic, is_monoform,
+                                 simple_modules)
 from ringspectra.oracle import (Budget, _submodule_annihilators,
                                 brute_is_compressible, brute_is_monoform,
                                 brute_is_prime, brute_is_prime_object,
@@ -183,7 +185,8 @@ def test_monoform_from_one_lattice_matches_the_nested_definition(
         algebra_corpus, corpus_by_name):
     """On the zoo, and on the quotients of the Kronecker algebra's regular
     module: in some of those only a proper submodule of a quotient m/L is
-    isomorphic to a submodule of m."""
+    isomorphic to a submodule of m.  ``is_monoform`` gives the same
+    answers from [m : soc m]."""
     cases = [(f"{name}:{mname}", m) for name, a in algebra_corpus
              if a.dim <= ZOO_MAX_DIM[a.field.p]
              for mname, m in standard_modules(a)
@@ -195,9 +198,28 @@ def test_monoform_from_one_lattice_matches_the_nested_definition(
     for label, m in cases:
         got = brute_is_monoform(m)
         assert got == _nested_is_monoform(m), label
+        assert is_monoform(m) == got, label
         monoform += got
         not_monoform += not got
     assert monoform > 20 and not_monoform > 20
+
+
+def test_monoform_from_multiplicities_matches_both_references(
+        zoo_in_two_bases):
+    """[m : soc m] = 1 gives the answers of Hom(S, m/L) over the lattice and
+    of the definition, on the zoo in two bases and on the envelopes and
+    projectives of T_5(F_2), T_7(F_2) and T_5(F_3)."""
+    from test_modules import _envelopes_and_projectives
+    cases = [(label, m) for label, _a, m in zoo_in_two_bases if m.dim]
+    for n, field in ((5, F2), (7, F2), (5, F3)):
+        cases += [(f"T{n}({field}):{m.name}", m) for m in
+                  _envelopes_and_projectives(upper_triangular_algebra(n, field))]
+    answers = []
+    for label, m in cases:
+        got = is_monoform(m)
+        assert got == reference_is_monoform(m) == brute_is_monoform(m), label
+        answers.append(got)
+    assert 50 < sum(answers) < len(answers) - 50
 
 
 def _members(subspaces):

@@ -1,4 +1,5 @@
-"""Every definition in the package has a caller outside the tests.
+"""Every definition in the package has a caller outside the tests, and
+the fast layer does not import the oracle.
 
 The match is by name, anywhere in ``src`` (``__init__.py`` aside),
 ``tools`` or ``perfbench``.  A top-level function or class counts as
@@ -71,3 +72,25 @@ def test_every_definition_has_a_caller_outside_the_tests():
                  (attributes if d.count(".") == 2 else names)
                  and d not in EXEMPT and d.split(".", 1)[0] not in EXEMPT]
     assert unreached == []
+
+
+# The package modules that may import the brute-force oracle: the CLI runs
+# it for ``verify --exhaustive``.  ``__init__``, which re-exports it, is not
+# in MODULES.
+ORACLE_IMPORTERS = {"oracle", "cli"}
+
+
+def _imports_oracle(node):
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[-1] == "oracle" or \
+            any(a.name == "oracle" for a in node.names)
+    return isinstance(node, ast.Import) and \
+        any(a.name.split(".")[-1] == "oracle" for a in node.names)
+
+
+def test_only_the_cli_and_the_package_root_import_the_oracle():
+    """Checked on every import statement, those inside functions too."""
+    importers = {p.stem for p in MODULES
+                 if any(_imports_oracle(node)
+                        for node in ast.walk(ast.parse(p.read_text())))}
+    assert importers <= ORACLE_IMPORTERS

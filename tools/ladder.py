@@ -42,6 +42,10 @@ Runs each rung once, in this order:
   the algebra, its radical and its simples, no verification suite);
 - ``classify_locally_closed_localizing`` on T_9(F_2), after building the
   algebra and its primes outside the timed region;
+- ``is_monoform`` on E(S1) of T_9(F_2) (dimension 9, past the oracle's
+  enumeration budget), on P6 of T_6(F_3) and on E(S1) of T_4(Q), the
+  algebra and module built outside the timed region; a refusal is
+  recorded as refused, with the time to it;
 - the brute-force oracles ``brute_mass``, ``brute_singular_subspace``,
   ``brute_is_prime_object`` and ``brute_is_monoform`` on the regular
   module of T_3(F_2), and ``brute_is_prime`` on each proper ideal of its
@@ -86,9 +90,11 @@ from ringspectra.algebras import (matrix_algebra, product_algebra,  # noqa: E402
 from ringspectra.cli import main as cli_main  # noqa: E402
 from ringspectra.commutative import (IntegerBackend, IntModBackend,  # noqa: E402
                                      PolyBackend)
-from ringspectra.errors import CapabilityError  # noqa: E402
+from ringspectra.errors import BudgetExceeded, CapabilityError  # noqa: E402
 from ringspectra.linalg import F2, F3, QQ  # noqa: E402
-from ringspectra.modules import RightModule  # noqa: E402
+from ringspectra.modules import (RightModule, injective_envelope,  # noqa: E402
+                                 is_monoform, primitive_idempotents,
+                                 simple_modules)
 from ringspectra.ideals import TwoSidedIdeal  # noqa: E402
 from ringspectra.oracle import (brute_is_monoform, brute_is_prime,  # noqa: E402
                                 brute_is_prime_object, brute_mass,
@@ -328,6 +334,26 @@ def classify_algebra(build, n, field):
                                       "locally_closed": len(found)}
 
 
+def envelope_of_s1(a):
+    return injective_envelope(simple_modules(a)[0].module)[0]
+
+
+def last_projective(a):
+    return primitive_idempotents(a)[-1].projective
+
+
+def monoform(build, n, field, module_of):
+    """``is_monoform`` on ``module_of(build(n, field))``, the algebra and
+    the module built outside the timing, or the time to the refusal."""
+    m = module_of(build(n, field))
+    t0 = time.perf_counter()
+    try:
+        facts = {"monoform": is_monoform(m)}
+    except (BudgetExceeded, CapabilityError):
+        facts = {"refused": True}
+    return time.perf_counter() - t0, {"dim": m.dim, **facts}
+
+
 def oracle_on(build, run):
     """``run(regular module, backend)`` on the algebra ``build()``, the
     algebra, module and primes built outside the timing."""
@@ -421,6 +447,12 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
             for n in (9, 12)]
          + [("T9(F2) lcl classification", classify_algebra,
              (upper_triangular_algebra, 9, F2))]
+         + [("T9(F2) E(S1) is_monoform", monoform,
+             (upper_triangular_algebra, 9, F2, envelope_of_s1)),
+            ("T6(F3) P6 is_monoform", monoform,
+             (upper_triangular_algebra, 6, F3, last_projective)),
+            ("T4(Q) E(S1) is_monoform", monoform,
+             (upper_triangular_algebra, 4, QQ, envelope_of_s1))]
          + [("T3(F2) reg brute_mass", oracle_on, (t3_f2, mass)),
             ("T3(F2) reg brute_singular_subspace", oracle_on, (t3_f2, singular)),
             ("T3(F2) reg brute_is_prime_object", oracle_on, (
