@@ -356,12 +356,6 @@ class Matrix:
                                        for a, b in zip(self.rows, other.rows)),
                               self.ncols)
 
-    def scale(self, c):
-        f = self.field
-        c = f.scalar(c)
-        return Matrix.trusted(f, tuple(vec_scale(f, c, r) for r in self.rows),
-                              self.ncols)
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -774,17 +768,6 @@ class Subspace:
             red = self.reduce(unit_vec(self.field, self.ambient, i))
             rows.append(tuple(red[j] for j in comp))
         return Matrix.trusted(self.field, tuple(rows), len(comp))
-
-    def vectors(self):
-        """All vectors of the subspace (finite fields only)."""
-        f = self.field
-        if not f.is_finite():
-            raise ValueError("cannot enumerate over an infinite field")
-        vecs = [zero_vec(f, self.ambient)]
-        for row in self.mat.rows:
-            vecs = [vec_add(f, v, vec_scale(f, c, row))
-                    for v in vecs for c in f.elements()]
-        return vecs
 
 
 def common_left_kernel(field, n: int, mats: Iterable[Matrix]) -> Subspace:

@@ -28,9 +28,13 @@ idempotents of the opposite").
 Object-level predicates (monoform, compressible, prime) use the
 finite-length criteria recorded in ``docs/derivations.md`` and enumerate
 no submodules; the raw definitional quantifiers live in ``oracle`` and
-the two are compared on enumerated lattices in the test suite.  Over Q,
-a module over a block whose simple is not realized raises
-``CapabilityError`` through ``composition_factors`` rather than guessing.
+the two are compared on enumerated lattices in the test suite.  No
+isomorphism is searched for: the oracle compares only simple modules,
+and simples are isomorphic iff ``hom_basis`` between them is non-empty
+(Schur's lemma; docs/derivations.md, "Simples are isomorphic iff Hom is
+nonzero").  Over Q, a module over a block whose simple is not realized
+raises ``CapabilityError`` through ``composition_factors`` rather than
+guessing.
 """
 
 from __future__ import annotations
@@ -38,12 +42,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .algebras import (FiniteDimAlgebra, WedderburnBlock,
                        factor_minimal_polynomial, jacobson_radical,
                        semisimple_quotient, wedderburn_blocks)
-from .errors import BudgetExceeded, CapabilityError, ValidationError
+from .errors import CapabilityError, ValidationError
 from .ideals import annihilator, is_prime
 from .linalg import (Matrix, Subspace, apply_vec, combine_matrices,
                      common_left_kernel, spin, vec_add, vec_is_zero, vec_scale,
@@ -405,67 +408,6 @@ def hom_basis(m: RightModule, n: RightModule) -> list[Matrix]:
     return out
 
 
-COMBO_BUDGET = 200000     # coefficient combinations one map search may try
-
-
-def are_isomorphic(m: RightModule, n: RightModule) -> bool:
-    """True iff an invertible intertwiner exists.
-
-    Between modules of equal dimension an injective map is an
-    isomorphism, so this is the embedding search.  Over Q, a grid with
-    dim+1 points per coefficient decides (the determinant has degree at
-    most dim in each coefficient), when the grid fits the budget;
-    otherwise CapabilityError.
-    """
-    if m.dim != n.dim:
-        return False
-    return _injective_map_exists(m, n, "isomorphism search",
-                                 [Fraction(t) for t in range(m.dim + 1)])
-
-
-def embeds_in(m: RightModule, n: RightModule) -> bool:
-    """True iff an injective module map m -> n exists; not decided over Q."""
-    if m.dim > n.dim:
-        return False
-    return _injective_map_exists(m, n, "embedding search", None)
-
-
-def _injective_map_exists(m, n, what, rational_grid) -> bool:
-    """Whether some combination of the Hom(m, n) basis is injective.
-
-    Finite fields try every combination up to ``COMBO_BUDGET``; over Q the
-    coefficients come from ``rational_grid``, and without one the search
-    is refused unless a basis map already decides it.
-    """
-    if m.dim == 0:
-        return True
-    homs = hom_basis(m, n)
-    if not homs:
-        return False
-    if any(h.rank() == m.dim for h in homs):
-        return True
-    f = m.algebra.field
-    if f.is_finite():
-        coeffs = f.elements()
-        total = f.p ** len(homs)
-        if total > COMBO_BUDGET:
-            raise BudgetExceeded(what, total, COMBO_BUDGET)
-    elif rational_grid is None:
-        raise CapabilityError(f"{what} over Q is not enumerable")
-    else:
-        coeffs = rational_grid
-        if len(coeffs) ** len(homs) > COMBO_BUDGET:
-            raise CapabilityError(f"{what} grid too large over Q")
-    for combo in itertools.product(coeffs, repeat=len(homs)):
-        acc = Matrix.zero(f, m.dim, n.dim)
-        for c, h in zip(combo, homs):
-            if c != f.zero:
-                acc = acc + h.scale(c)
-        if acc.rank() == m.dim:
-            return True
-    return False
-
-
 # -- duality, projective covers, injective envelopes ------------------------------
 
 def dual_module(m: RightModule, opposite_algebra: FiniteDimAlgebra,
@@ -535,12 +477,12 @@ def _minimal_right_ideal_space(quot, block: WedderburnBlock) -> Subspace:
     D = K; it is then minimal (docs/derivations.md, "Simples read off the
     block's centre").  Over F_p D = K always, and the search shrinks to
     the first right ideal generated by a vector of the current one that
-    is smaller, walking the vectors lazily in the order of
-    ``Subspace.vectors``, until the target dimension.  Over Q the smallest
-    candidate kernel is certified iff it has that dimension, and the
-    search stops at the first candidate of the target dimension: each is
-    a nonzero right ideal of the block, so none is smaller.  A commutative
-    block, a field, is its own target.
+    is smaller, walking its vectors lazily (their coefficients in
+    ``itertools.product`` order) until the target dimension.  Over Q the
+    smallest candidate kernel is certified iff it has that dimension, and
+    the search stops at the first candidate of the target dimension: each
+    is a nonzero right ideal of the block, so none is smaller.  A
+    commutative block, a field, is its own target.
     """
     f = quot.field
     space = block.space
@@ -641,14 +583,9 @@ def injective_envelope(m: RightModule):
         raise ValidationError("injective envelope embedding is not injective")
     if not embed.is_module_map():
         raise ValidationError("injective envelope embedding is not a module map")
-    if not _is_essential_image(embed, e_mod):
+    if not embed.image_space().contains(e_mod.socle_space()):
         raise ValidationError("injective envelope embedding is not essential")
     return e_mod, embed
-
-
-def _is_essential_image(embed, e_mod):
-    img = embed.image_space()
-    return img.contains(e_mod.socle_space())
 
 
 # -- object-level predicates -----------------------------------------------------

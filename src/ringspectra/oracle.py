@@ -22,8 +22,10 @@ needed (docs/derivations.md):
   packed rows over F_2, without building the module on it;
 * a prime object or submodule is checked on its minimal nonzero members;
 * ``brute_singular_subspace`` takes one vector per line;
-* ``brute_is_monoform`` and ``brute_is_compressible`` build a member's
-  module only for a comparison whose dimensions allow an answer;
+* modules are compared only when simple, by a non-empty ``hom_basis``
+  (Schur's lemma): ``brute_is_monoform`` builds the module on each minimal
+  member once, ``brute_composition_factors`` names each simple layer so,
+  and ``brute_is_compressible`` reads "only 0 and m" off the lattice;
 * ``brute_is_monoform``, ``brute_is_prime_object`` and
   ``brute_singular_subspace`` take the caller's lattice, which
   ``verify --exhaustive`` enumerates once.
@@ -46,8 +48,8 @@ from .ideals import TwoSidedIdeal
 from .linalg import (F2, F3, Matrix, RowReducer, Subspace, _clear,
                      _clear_bits, _meets_bits, _tagged_echelon, apply_vec,
                      spin, unit_vec)
-from .modules import (RightModule, are_isomorphic, embeds_in,
-                      injective_envelope, simple_modules)
+from .modules import (RightModule, hom_basis, injective_envelope,
+                      simple_modules)
 
 
 @dataclass
@@ -318,46 +320,42 @@ def brute_singular_subspace(m: RightModule, lattice=None,
 def brute_is_monoform(m: RightModule, lattice=None, budget: Budget = None) -> bool:
     """No nonzero submodule of m is isomorphic to a submodule of any m/L.
 
-    The submodules of m/L are the images of the members of m's lattice
-    that contain L, so one lattice serves every quotient.  Modules of
-    unequal dimension are not isomorphic, so the modules on the members of
-    one dimension are built when a submodule of a quotient first has it.
+    Such a pair exists iff a pair of simple submodules does, and simples
+    are isomorphic iff Hom between them is nonzero (docs/derivations.md,
+    "Simples are isomorphic iff Hom is nonzero").  The simple submodules
+    of m are its lattice's minimal nonzero members, and those of m/L the
+    images of the members minimal above L, so one lattice serves every
+    quotient, and the module on each minimal member is built once.
     """
     if m.dim == 0:
         raise ValidationError("monoform is about nonzero modules")
     f = m.algebra.field
     subs = lattice if lattice is not None else enumerate_submodules(m, budget)
-    by_dim = {}
+    simples = [m.submodule(s)[0] for s in _minimal_members(subs)]
     for l_space in subs:
         if l_space.dim == 0 or l_space.dim == m.dim:
             continue
         quot, proj = m.quotient(l_space)
-        for t in subs:
-            if t.dim > l_space.dim and t.contains(l_space):
-                y = quot.submodule(Subspace.from_vectors(
-                    f, quot.dim, map(proj, t.basis_rows())))[0]
-                if y.dim not in by_dim:
-                    by_dim[y.dim] = [m.submodule(s)[0] for s in subs
-                                     if s.dim == y.dim]
-                if any(are_isomorphic(x, y) for x in by_dim[y.dim]):
-                    return False
+        for t in _minimal_members(u for u in subs if u.dim > l_space.dim
+                                  and u.contains(l_space)):
+            y = quot.submodule(Subspace.from_vectors(
+                f, quot.dim, map(proj, t.basis_rows())))[0]
+            if any(x.dim == y.dim and hom_basis(x, y) for x in simples):
+                return False
     return True
 
 
 def brute_is_compressible(m: RightModule, budget: Budget = None) -> bool:
     """Every nonzero submodule contains a copy of m.
 
-    A submodule of smaller dimension holds no copy of m, so its module is
-    not built.
+    A copy of m needs dim m dimensions, so the only nonzero submodule
+    that can hold one is m itself, which does: m is compressible iff its
+    lattice holds only 0 and m (docs/derivations.md, "Compressible,
+    finite length").
     """
     if m.dim == 0:
         raise ValidationError("compressible is about nonzero modules")
-    for s in enumerate_submodules(m, budget):
-        if s.dim == 0:
-            continue
-        if s.dim < m.dim or not embeds_in(m, m.submodule(s)[0]):
-            return False
-    return True
+    return all(s.dim in (0, m.dim) for s in enumerate_submodules(m, budget))
 
 
 def _submodule_annihilators(m: RightModule, members):
@@ -442,8 +440,8 @@ def brute_composition_factors(m: RightModule, budget: Budget = None):
     """{simple label: multiplicity} along one maximal chain of m's lattice.
 
     Each step goes from c to a smallest member t of the lattice above it,
-    so t/c is simple; the layer is named by the simple class it is
-    isomorphic to.
+    so t/c is simple; the layer is named by the simple class it has a
+    nonzero map to, which for simples is isomorphism.
     """
     f = m.algebra.field
     subs = enumerate_submodules(m, budget)
@@ -456,7 +454,7 @@ def brute_composition_factors(m: RightModule, budget: Budget = None):
         top, _ = m.submodule(t)
         layer, _ = top.quotient(Subspace.from_vectors(
             f, t.dim, [t.coords_of(v) for v in c.basis_rows()]))
-        names = [lbl for lbl, s in simples if are_isomorphic(layer, s)]
+        names = [lbl for lbl, s in simples if hom_basis(layer, s)]
         if len(names) != 1:
             raise ValidationError(f"a layer matches {len(names)} simple classes")
         counts[names[0]] = counts.get(names[0], 0) + 1

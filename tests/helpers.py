@@ -8,8 +8,10 @@ so these live here, beside the tests that use them as references.  So do
 the plain forms of the oracle's lattice routines: every subspace built
 and then filtered, primeness over all pairs of ideals, annihilators
 of submodules built as modules, and the singular subspace from every
-vector and every nonzero right ideal; and monoformity as Hom(S, M/L)
-over the whole submodule lattice.
+vector and every nonzero right ideal; monoformity as Hom(S, M/L)
+over the whole submodule lattice; and isomorphism by a search over the
+coefficient combinations of a Hom basis, which the package replaced by
+Schur's lemma on simple modules.
 """
 
 import itertools
@@ -17,7 +19,8 @@ import itertools
 from ringspectra.algebras import FiniteDimAlgebra, group_algebra
 from ringspectra.commutative import GradedModuleDescriptor, poly_trim
 from ringspectra.ideals import TwoSidedIdeal, annihilator
-from ringspectra.linalg import Matrix, Subspace, apply_vec, spin, unit_vec
+from ringspectra.linalg import (Matrix, Subspace, apply_vec, combine_matrices,
+                               spin, unit_vec)
 from ringspectra.modules import RightModule, hom_basis, is_simple_module
 from ringspectra.oracle import _budgeted, count_subspaces, enumerate_submodules
 from ringspectra.subcats import LocalizingSubcatDescriptor
@@ -244,6 +247,17 @@ def reference_is_monoform(m) -> bool:
     return not any(len(hom_basis(soc, m.quotient(space)[0])) > 0
                    for space in enumerate_submodules(m)
                    if 0 < space.dim < m.dim)
+
+
+def reference_is_isomorphic(m, n) -> bool:
+    """Whether some combination of a basis of Hom(m, n) is invertible, every
+    combination of coefficients tried (finite fields only)."""
+    if m.dim != n.dim:
+        return False
+    f = m.algebra.field
+    homs = hom_basis(m, n)
+    return any(combine_matrices(f, m.dim, combo, homs).rank() == m.dim
+               for combo in itertools.product(f.elements(), repeat=len(homs)))
 
 
 def reference_singular_subspace(m) -> Subspace:

@@ -16,7 +16,7 @@ from ringspectra.algebras import (BoundQuiver, FiniteDimAlgebra,
                                   upper_triangular_algebra, wedderburn_blocks)
 from ringspectra.errors import BudgetExceeded, ValidationError
 from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, Subspace, apply_vec,
-                               unit_vec, zero_vec)
+                               unit_vec, vec_scale, zero_vec)
 from ringspectra.oracle import _quiver_truncations, brute_largest_nilpotent_ideal
 from helpers import inverse, is_invertible, trace
 
@@ -467,7 +467,8 @@ def _poly_of_matrix_by_products(f, poly, m):
     acc = Matrix.zero(f, m.nrows, m.nrows)
     power = Matrix.identity(f, m.nrows)
     for c in poly:
-        acc = acc + power.scale(c)
+        scaled = tuple(vec_scale(f, c, r) for r in power.rows)
+        acc = acc + Matrix.trusted(f, scaled, power.ncols)
         power = power * m
     return acc
 
@@ -639,10 +640,13 @@ def test_verify_correspondence_computes_the_radical_at_most_twice(monkeypatch):
 
 def _random_change_of_basis(a, rng):
     """(b, change): a in the basis given by the rows of a random invertible
-    matrix, so coordinates y in b are y * change in a."""
+    matrix, so coordinates y in b are y * change in a; over Q its entries
+    are integers from -2 to 2."""
     f, d = a.field, a.dim
+    draw = (lambda: rng.randrange(f.p)) if f.is_finite() \
+        else (lambda: rng.randint(-2, 2))
     while True:
-        change = Matrix(f, [[f.scalar(rng.randrange(f.p)) for _ in range(d)]
+        change = Matrix(f, [[f.scalar(draw()) for _ in range(d)]
                             for _ in range(d)], d)
         if is_invertible(change):
             break

@@ -1,6 +1,7 @@
 """Goldie machinery: singular subobjects, essentiality, quotient rings."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from ringspectra.oracle import (brute_is_essential, brute_singular_subspace,
                                 enumerate_right_ideals, enumerate_submodules,
                                 standard_modules)
 from ringspectra.spectra import ArtinianBackend
-from helpers import is_semisimple_module
+from helpers import is_semisimple_module, reference_is_isomorphic
 
 
 def test_essential_self_and_socle():
@@ -142,8 +143,9 @@ def test_essentially_compressible_over_q():
 
 
 def test_essentially_compressible_definitional(small_f2_corpus):
-    """Literal quantifier: every essential submodule contains a copy."""
-    from ringspectra.modules import embeds_in
+    """Literal quantifier: every essential submodule contains a copy.  An
+    embedding of m into a submodule s has dim s = dim m, so it is an
+    isomorphism m -> s."""
     for name, a in small_f2_corpus:
         for mname, m in standard_modules(a, include_envelopes=False):
             if m.dim == 0 or m.dim > 4:
@@ -153,7 +155,7 @@ def test_essentially_compressible_definitional(small_f2_corpus):
                 if not is_essential_submodule(s, m):
                     continue
                 sub, _ = m.submodule(s)
-                if not embeds_in(m, sub):
+                if not reference_is_isomorphic(m, sub):
                     brute = False
                     break
             assert is_semisimple_module(m) == brute, (name, mname)
@@ -176,6 +178,42 @@ def test_regular_element_lemma_exhaustive(small_f2_corpus):
             v = regular_element_in(a, space)
             assert a.is_regular_element(v), name
             assert space.contains_vector(v), name
+
+
+def test_regular_element_of_a_semiprime_algebra_is_its_unit(algebra_corpus):
+    """On the semiprime corpus algebras and the semiprime rational algebras
+    of ``test_modules``, each in its natural and in a seeded random basis:
+    the one essential right ideal, the algebra itself, yields 1, which is
+    regular."""
+    from test_algebras import _in_random_basis
+    from test_modules import _rational_algebras
+    rng = random.Random(33)
+    chars = set()
+    for b in [a for _n, a in algebra_corpus] + _rational_algebras():
+        if not is_semiprime(b):
+            continue
+        for a in (b, _in_random_basis(b, rng)):
+            v = regular_element_in(a, Subspace.full(a.field, a.dim))
+            assert v == a.unit and a.is_regular_element(v), a.name
+            chars.add(a.field.char)
+    assert chars == {0, 2, 3}
+
+
+def test_a_semiprime_algebra_is_its_only_essential_right_ideal(
+        algebra_corpus):
+    """The premise of ``regular_element_in``, by the definition: on every
+    semiprime corpus algebra over F_2 and F_3, a right ideal that meets
+    every nonzero right ideal is the whole algebra."""
+    checked = 0
+    for name, a in algebra_corpus:
+        if not is_semiprime(a):
+            continue
+        reg = RightModule.regular(a)
+        lattice = enumerate_right_ideals(a)
+        essential = [s for s in lattice if brute_is_essential(s, reg, lattice)]
+        assert [s.dim for s in essential] == [a.dim], name
+        checked += 1
+    assert checked > 10
 
 
 def test_regular_element_examples(corpus_by_name):

@@ -7,10 +7,11 @@ from ringspectra.algebras import (FiniteDimAlgebra, companion_algebra,
                                   product_algebra, upper_triangular_algebra,
                                   wedderburn_blocks)
 from ringspectra.errors import BudgetExceeded, CapabilityError, ValidationError
-from ringspectra.linalg import F2, F3, GF, QQ, Matrix, Subspace
-from ringspectra.modules import (RightModule, _minimal_right_ideal_space,
-                                 are_isomorphic, composition_factors,
-                                 hom_basis,
+from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, Subspace, vec_add,
+                               vec_scale)
+from ringspectra.modules import (ModuleMap, RightModule,
+                                 _minimal_right_ideal_space,
+                                 composition_factors, hom_basis,
                                  injective_envelope, is_compressible,
                                  is_monoform, is_prime_object,
                                  is_simple_module, module_length,
@@ -172,12 +173,13 @@ def test_simple_modules_counts():
 
 
 def test_simple_modules_pairwise_non_isomorphic(algebra_corpus):
+    """Simples are isomorphic iff Hom between them is nonzero (Schur)."""
     for name, a in algebra_corpus:
         simples = [s for s in simple_modules(a) if s.module is not None]
         for i, s1 in enumerate(simples):
             assert is_simple_module(s1.module), name
             for s2 in simples[i + 1:]:
-                assert not are_isomorphic(s1.module, s2.module), name
+                assert not hom_basis(s1.module, s2.module), name
 
 
 def test_hom_schur():
@@ -197,8 +199,10 @@ def test_iso_under_permutation():
     p = Matrix(F2, [[0, 1], [1, 0]])
     conj = [p * m * inverse(p) for m in reg.action]
     other = RightModule(a, conj)
-    assert are_isomorphic(reg, other)
-    assert not are_isomorphic(reg, simple_modules(a)[0].module)
+    # rho(b) p^-1 = p^-1 (p rho(b) p^-1): p^-1 intertwines, and is invertible.
+    iso = ModuleMap(reg, other, inverse(p))
+    assert iso.is_module_map() and iso.is_injective() and iso.is_surjective()
+    assert simple_modules(a)[0].module.dim != reg.dim
 
 
 def test_projective_cover_of_simple_is_principal():
@@ -216,8 +220,13 @@ def test_injective_envelope_self_injective():
     e, emb = injective_envelope(s)
     assert e.dim == 2
     assert emb.is_injective() and emb.is_module_map()
+    # A -> E, x -> g x for a g outside rad E: invertible, so E is A_A.
     reg = RightModule.regular(a)
-    assert are_isomorphic(e, reg)
+    g = next(v for v in Subspace.full(F2, e.dim).basis_rows()
+             if not e.radical_space().contains_vector(v))
+    iso = ModuleMap(reg, e, Matrix(F2, [e.act(g, a.basis_coords(i))
+                                        for i in range(a.dim)]))
+    assert iso.is_module_map() and iso.is_injective() and iso.is_surjective()
     e2, _ = injective_envelope(e)
     assert e2.dim == e.dim                          # idempotent up to iso
 
@@ -424,11 +433,16 @@ def _exhaustive_shrink(a, block):
     of a, starting from block, then spin them in that order until one
     generates a smaller one."""
     reg = RightModule.regular(a)
+    f = a.field
     space = block
     shrunk = True
     while shrunk:
         shrunk = False
-        for v in space.vectors():
+        vectors = [(f.zero,) * a.dim]
+        for row in space.basis_rows():
+            vectors = [vec_add(f, v, vec_scale(f, c, row))
+                       for v in vectors for c in f.elements()]
+        for v in vectors:
             if any(v):
                 gen = reg.spin_submodule([v])
                 if gen.dim < space.dim:

@@ -6,18 +6,21 @@ import sys
 import pytest
 
 import ringspectra
-from helpers import (reference_annihilator, reference_is_monoform,
-                     reference_is_prime, reference_singular_subspace,
-                     reference_stable_subspaces, reference_subspaces)
+from helpers import (reference_annihilator, reference_is_isomorphic,
+                     reference_is_monoform, reference_is_prime,
+                     reference_singular_subspace, reference_stable_subspaces,
+                     reference_subspaces)
 from ringspectra import oracle
 from ringspectra.algebras import upper_triangular_algebra
 from ringspectra.cli import _exhaustive_checks
 from ringspectra.errors import BudgetExceeded
 from ringspectra.ideals import TwoSidedIdeal, annihilator
 from ringspectra.linalg import F2, F3, GF, Matrix
-from ringspectra.modules import (RightModule, are_isomorphic, is_monoform,
-                                 simple_modules)
+from ringspectra.modules import (RightModule, composition_factors,
+                                 injective_envelope, is_monoform,
+                                 primitive_idempotents, simple_modules)
 from ringspectra.oracle import (Budget, _submodule_annihilators,
+                                brute_composition_factors,
                                 brute_is_compressible, brute_is_monoform,
                                 brute_is_prime, brute_is_prime_object,
                                 brute_mass, brute_singular_subspace, corpus,
@@ -175,7 +178,7 @@ def _nested_is_monoform(m):
             continue
         q_subs = [quot.submodule(t)[0] for t in enumerate_submodules(quot)
                   if t.dim > 0]
-        if any(x.dim == y.dim and are_isomorphic(x, y)
+        if any(reference_is_isomorphic(x, y)
                for x in sub_modules for y in q_subs):
             return False
     return True
@@ -220,6 +223,23 @@ def test_monoform_from_multiplicities_matches_both_references(
         assert got == reference_is_monoform(m) == brute_is_monoform(m), label
         answers.append(got)
     assert 50 < sum(answers) < len(answers) - 50
+
+
+@pytest.mark.parametrize("n,field", [(6, F2), (7, F2), (5, F3)])
+def test_monoform_oracle_scans_every_pair_near_the_budget_edge(n, field):
+    """E(S1) and P_n of T_n, both of dimension n, are monoform, so
+    ``brute_is_monoform`` compares its simple members with those above
+    every L without stopping early; it and ``brute_composition_factors``
+    compare simples by Hom alone and agree with the fast criteria."""
+    a = upper_triangular_algebra(n, field)
+    e1 = injective_envelope(simple_modules(a)[0].module)[0]
+    pn = primitive_idempotents(a)[-1].projective
+    for m in (e1, pn):
+        assert m.dim == n
+        assert brute_is_monoform(m, enumerate_submodules(m)) is True
+        assert is_monoform(m) is True
+        assert brute_composition_factors(m) == composition_factors(m) == \
+            {f"S{i}": 1 for i in range(1, n + 1)}
 
 
 def _members(subspaces):

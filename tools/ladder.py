@@ -46,6 +46,12 @@ Runs each rung once, in this order:
   enumeration budget), on P6 of T_6(F_3) and on E(S1) of T_4(Q), the
   algebra and module built outside the timed region; a refusal is
   recorded as refused, with the time to it;
+- ``brute_is_monoform`` on E(S1) of T_7(F_2) (dimension 7, monoform, so
+  every pair of simple members is compared), given its lattice, and
+  ``brute_composition_factors`` on it, which enumerates the lattice
+  itself; the algebra, module and lattice built outside the timed region;
+- ``regular_element_in`` on the whole of M_4(F_2) and of M_3(F_3), the
+  algebra built outside the timed region;
 - the brute-force oracles ``brute_mass``, ``brute_singular_subspace``,
   ``brute_is_prime_object`` and ``brute_is_monoform`` on the regular
   module of T_3(F_2), and ``brute_is_prime`` on each proper ideal of its
@@ -63,13 +69,14 @@ ringspectra is imported from the ``src`` directory of the checkout this
 file sits in, so a copy of the file times the checkout it is copied into.
 Stdlib only.
 
-A ``verify`` in a fresh interpreter that has not ended after
-VERIFY_TIMEOUT_S is stopped and recorded with ``seconds: null`` as
-"did not finish".  Once a T_n(F_2) rung takes longer than SKIP_AFTER_S,
-the higher T_n rungs, the ``analyze --atoms`` ones included, are
-recorded with ``seconds: null`` instead of being run: verification
-grows several-fold with each step in n.  Single runs on a shared host; read
-the figures as sizes, not as gates.
+Seconds are recorded to the microsecond.  A ``verify`` in a fresh
+interpreter that has not ended after VERIFY_TIMEOUT_S is stopped and
+recorded with ``seconds: null`` as "did not finish".  Once a T_n(F_2)
+rung takes longer than SKIP_AFTER_S, the higher T_n rungs, the
+``analyze --atoms`` ones included, are recorded with ``seconds: null``
+instead of being run: verification grows several-fold with each step in
+n.  Single runs on a shared host; read the figures as sizes, not as
+gates.
 """
 
 import contextlib
@@ -91,15 +98,17 @@ from ringspectra.cli import main as cli_main  # noqa: E402
 from ringspectra.commutative import (IntegerBackend, IntModBackend,  # noqa: E402
                                      PolyBackend)
 from ringspectra.errors import BudgetExceeded, CapabilityError  # noqa: E402
-from ringspectra.linalg import F2, F3, QQ  # noqa: E402
+from ringspectra.goldie import regular_element_in  # noqa: E402
+from ringspectra.linalg import F2, F3, QQ, Subspace  # noqa: E402
 from ringspectra.modules import (RightModule, injective_envelope,  # noqa: E402
                                  is_monoform, primitive_idempotents,
                                  simple_modules)
 from ringspectra.ideals import TwoSidedIdeal  # noqa: E402
-from ringspectra.oracle import (brute_is_monoform, brute_is_prime,  # noqa: E402
+from ringspectra.oracle import (brute_composition_factors,  # noqa: E402
+                                brute_is_monoform, brute_is_prime,
                                 brute_is_prime_object, brute_mass,
                                 brute_singular_subspace, corpus,
-                                enumerate_subspaces,
+                                enumerate_submodules, enumerate_subspaces,
                                 enumerate_two_sided_ideals)
 from ringspectra.spectra import ArtinianBackend, verify_correspondence  # noqa: E402
 from ringspectra.subcats import classify_locally_closed_localizing  # noqa: E402
@@ -354,6 +363,26 @@ def monoform(build, n, field, module_of):
     return time.perf_counter() - t0, {"dim": m.dim, **facts}
 
 
+def oracle_on_envelope(n, field, run):
+    """``run(m, lattice)`` on m = E(S1) of T_n(field), the algebra, the
+    module and its submodule lattice built outside the timing."""
+    m = envelope_of_s1(upper_triangular_algebra(n, field))
+    lattice = enumerate_submodules(m)
+    t0 = time.perf_counter()
+    facts = run(m, lattice)
+    return time.perf_counter() - t0, {"dim": m.dim, **facts}
+
+
+def regular_element(build, n, field):
+    """``regular_element_in`` on the whole of ``build(n, field)``, the
+    algebra built outside the timing."""
+    a = build(n, field)
+    whole = Subspace.full(field, a.dim)
+    t0 = time.perf_counter()
+    v = regular_element_in(a, whole)
+    return time.perf_counter() - t0, {"dim": a.dim, "unit": v == a.unit}
+
+
 def oracle_on(build, run):
     """``run(regular module, backend)`` on the algebra ``build()``, the
     algebra, module and primes built outside the timing."""
@@ -453,6 +482,16 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
              (upper_triangular_algebra, 6, F3, last_projective)),
             ("T4(Q) E(S1) is_monoform", monoform,
              (upper_triangular_algebra, 4, QQ, envelope_of_s1))]
+         + [("T7(F2) E(S1) brute_is_monoform", oracle_on_envelope, (
+                 7, F2, lambda m, lattice: {
+                     "monoform": brute_is_monoform(m, lattice)})),
+            ("T7(F2) E(S1) brute_composition_factors", oracle_on_envelope, (
+                 7, F2, lambda m, _lattice: {
+                     "length": sum(brute_composition_factors(m).values())})),
+            ("M4(F2) regular_element_in", regular_element,
+             (matrix_algebra, 4, F2)),
+            ("M3(F3) regular_element_in", regular_element,
+             (matrix_algebra, 3, F3))]
          + [("T3(F2) reg brute_mass", oracle_on, (t3_f2, mass)),
             ("T3(F2) reg brute_singular_subspace", oracle_on, (t3_f2, singular)),
             ("T3(F2) reg brute_is_prime_object", oracle_on, (
@@ -486,7 +525,7 @@ def main(argv) -> int:
         seconds, facts = run(*args)
         if seconds is not None:
             too_slow = too_slow or (ladder and seconds > SKIP_AFTER_S)
-            seconds = round(seconds, 3)
+            seconds = round(seconds, 6)
         rows.append({"input": label, "seconds": seconds, **facts})
         shown = "  ".join(f"{k}={v}" for k, v in facts.items())
         print(f"{label:38s} {seconds} s  {shown}", flush=True)
