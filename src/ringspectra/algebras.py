@@ -17,9 +17,9 @@ is witnessed).  Each refuses, before it allocates anything, an algebra
 larger than ``SIZE_BUDGET``.
 
 The two structure computations that everything else leans on live here as
-well: the Jacobson radical (trace bilinear form in characteristic zero,
-the lifted-trace chain over F_p) and the Wedderburn block decomposition of
-a semisimple algebra via central idempotents.
+well: the Jacobson radical (one chain of trace kernels, run on the stored
+rows: the trace form, then over F_p the lifted traces) and the Wedderburn
+block decomposition of a semisimple algebra via central idempotents.
 
 Each algebra carries one ``AlgebraStructure``, created on first use, that
 holds what is computed about it once: a generating set of basis indices,
@@ -47,7 +47,6 @@ associativity is Light's test on the triples (i, g, k) with g in S
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -672,12 +671,15 @@ def subspace_product(a: FiniteDimAlgebra, s: Subspace, t: Subspace) -> Subspace:
 
 
 def is_nilpotent_space(a: FiniteDimAlgebra, s: Subspace) -> bool:
+    """Whether s^(2^m) = 0 for the least m with 2^m > dim a, which holds iff
+    s is nilpotent (docs/derivations.md, "Nilpotent by squaring"): s is
+    squared at most dim.bit_length() times."""
     cur = s
-    for _ in range(a.dim + 1):
+    for _ in range(a.dim.bit_length()):
         if cur.dim == 0:
             return True
-        cur = subspace_product(a, cur, s)
-    return False
+        cur = subspace_product(a, cur, cur)
+    return cur.dim == 0
 
 
 # -- Jacobson radical --------------------------------------------------------
@@ -685,13 +687,15 @@ def is_nilpotent_space(a: FiniteDimAlgebra, s: Subspace) -> bool:
 def jacobson_radical(a: FiniteDimAlgebra) -> Subspace:
     """Radical as a subspace: nilpotent two-sided ideal with semisimple quotient.
 
-    Characteristic zero uses the radical of the trace bilinear form of the
-    regular representation.  Over F_p that form can be degenerate, so the
-    base kernel is shrunk by the lifted trace functions
-    z -> tr(M_z^{p^i}) / p^i mod p on integer lifts M_z of left
-    multiplication; each step is linear algebra on the previous ideal.
-    The result is post-validated: two-sided, nilpotent, and the quotient's
-    own chain must vanish.  The checked quotient is kept as the algebra's
+    One chain of kernels, started at the whole algebra: step 0 keeps the
+    radical of the trace bilinear form of the regular representation,
+    which is J in characteristic zero.  Over F_p that form can be
+    degenerate, so steps i >= 1 shrink the kernel by the lifted trace
+    functions z -> tr(M_z^{p^i}) / p^i mod p on integer lifts M_z of left
+    multiplication, powered on sparse rows; each step is linear algebra on
+    the previous ideal.  The result is post-validated: two-sided,
+    nilpotent (by repeated squaring), and the quotient's own chain must
+    vanish.  The checked quotient is kept as the algebra's
     semisimple quotient, with its zero radical recorded.  The opposite
     algebra of a pair reads the radical off its partner (J(A^op) = J(A)).
     """
@@ -733,58 +737,53 @@ def semisimple_quotient(a: FiniteDimAlgebra):
 
 
 def _radical_space(a: FiniteDimAlgebra) -> Subspace:
-    """Kernel of the trace form, shrunk by the lifted traces over F_p.
-
-    The Gram matrix is read off the structure constants:
-    tr(L_i L_j) = sum_k c_ijk tr(L_k), and tr(L_k) = sum_r c_krr.
-    """
-    f = a.field
-    d = a.dim
-    tr = [sum((c for r, row in enumerate(plane) for m, c in row if m == r), f.zero)
-          for plane in a.rows]
-    gram = Matrix.trusted(f, tuple(
-        tuple(f.row_scale(f.one, [sum((c * tr[k] for k, c in row), f.zero)
-                                  for row in plane]))
-        for plane in a.rows), d)
-    base = Subspace.from_vectors(f, d, gram.left_kernel().rows)
-    if f.char == 0:
-        return base
-    return _shrink_charp(a, base)
+    """The chain of trace kernels started at the whole algebra."""
+    return _trace_kernel_chain(a, Subspace.full(a.field, a.dim))
 
 
-def _shrink_charp(a, current: Subspace) -> Subspace:
-    """F_p refinement of the trace-form kernel down to the radical.
+def _trace_kernel_chain(a, current: Subspace) -> Subspace:
+    """I_0, ..., I_level from I_{-1} = ``current``, the whole algebra for
+    the radical: step i keeps the x of I_{i-1} with g_i(x b_j) = 0 for
+    every j (docs/derivations.md).
 
-    Step i keeps the x of the current ideal I with g_i(x b_j) = 0 for every
-    j, where g_i(z) = tr(L_z^{p^i}) / p^i mod p on integer lifts.  g_i is
-    linear on I (docs/derivations.md), so it is evaluated only on the basis
-    of I.  A vector of I has as its coordinates in that canonical basis its
-    entries at the pivots, so on I, g_i is v -> sum_t v[pivot_t] g_i(u_t);
-    once I is checked to be a right ideal, all g_i(u b_j) are one product
-    of I's basis with the matrix of these values on the b_k b_j.  The
+    g_0(z) = tr(L_z) is read off the constants, tr(L_k) = sum_r c_krr, and
+    level = 0 in characteristic zero.  Over F_p, level is least with
+    p^level >= d, and for i >= 1, g_i(z) = tr(L_z^{p^i}) / p^i mod p on
+    integer lifts, linear on I_{i-1}, so it is evaluated only on the basis
+    of I_{i-1}: a vector of I_{i-1} has as its coordinates in that
+    canonical basis its entries at the pivots, so there g_i is
+    v -> sum_t v[pivot_t] g_i(u_t).  Once I_{i-1} is checked to be a right
+    ideal (I_{-1} is the algebra), all g_i(u b_j) are one product of its
+    basis with the matrix of these values on the b_k b_j.  The
     divisibility by p^i is checked, so a violated hypothesis fails loudly
     instead of corrupting the kernel.
     """
     f = a.field
     p = f.char
     d = a.dim
-    gens = [a.right_mult_by(g) for g in a.generators()]
-
     level = 0
-    while p ** level < d:
+    while p and p ** level < d:
         level += 1
 
-    for i in range(1, level + 1):
+    for i in range(level + 1):
         if current.dim == 0:
             break
-        if not current.is_stable(gens):
+        if i == 0:
+            g = [sum((c for r, row in enumerate(plane) for m, c in row if m == r),
+                     f.zero) for plane in a.rows]
+        elif not current.is_stable([a.right_mult_by(j) for j in a.generators()]):
             raise ValidationError("lifted-trace ideal is not a right ideal")
-        g = [0] * d
-        for pc, u in zip(current.pivots, current.basis_rows()):
-            g[pc] = _lifted_trace(a.left_mult_matrix(u).rows, p, i)
+        else:
+            g = [0] * d
+            for pc, u in zip(current.pivots, current.basis_rows()):
+                # Row r of L_u holds u b_r = sum_t u_t b_t b_r.
+                nz = [(t, ut) for t, ut in enumerate(u) if ut]
+                lu = [_sparse_sum(((ut, a.rows[t][r]) for t, ut in nz), p)
+                      for r in range(d)]
+                g[pc] = _lifted_trace(lu, p, i)
         # Row k holds g_i(b_k b_j) for every j, the constants read through g.
         values = Matrix.trusted(f, tuple(
-            tuple(f.row_scale(f.one, [sum(c * g[m] for m, c in row)
+            tuple(f.row_scale(f.one, [sum((c * g[m] for m, c in row), f.zero)
                                       for row in plane]))
             for plane in a.rows), d)
         kern = (current.mat * values).left_kernel()
@@ -793,40 +792,38 @@ def _shrink_charp(a, current: Subspace) -> Subspace:
     return current
 
 
+def _sparse_sum(terms, m: int):
+    """The nonzero (k, c) entries, c reduced into [0, m), of the sum of
+    e * row over the pairs (e, row) of ``terms``, each row sparse."""
+    acc = {}
+    for e, row in terms:
+        for k, c in row:
+            acc[k] = acc.get(k, 0) + e * c
+    return [(k, c % m) for k, c in acc.items() if c % m]
+
+
 def _lifted_trace(rows, p: int, i: int) -> int:
-    """tr(M^(p^i)) / p^i mod p for the integer matrix M with these rows.
+    """tr(M^(p^i)) / p^i mod p for the integer matrix M whose row r holds
+    the nonzero entries (k, c) listed in ``rows[r]``.
 
     Only tr mod p^(i+1) is needed, and reduction mod m = p^(i+1) is a ring
-    map, so every product is reduced mod m.  Rows are packed into one int,
-    entry c at bit w*c (Kronecker substitution): a row of A B is the sum of
-    A[r][t] times packed row t of B, whose slots hold at most d (m-1)^2 and
-    so never carry into each other at slot width w.
+    map, so every product is reduced mod m.  Row r of A B sums A[r][t]
+    times row t of B over the nonzero A[r][t] only.
     """
-    d = len(rows)
     m = p ** (i + 1)
-    w = (d * (m - 1) ** 2).bit_length() + 1
-    mask = (1 << w) - 1
-    shifts = [w * c for c in range(d)]
 
     def times(x, y):
-        packed = [sum(map(operator.lshift, row, shifts)) for row in y]
-        out = []
-        for row in x:
-            acc = 0
-            for e, pk in zip(row, packed):
-                if e:
-                    acc += e * pk
-            out.append([(acc >> s & mask) % m for s in shifts])
-        return out
+        return [_sparse_sum(((e, y[t]) for t, e in row), m) for row in x]
 
-    power, base, e = None, [list(r) for r in rows], p ** i
+    power, base, e = None, rows, p ** i
     while e:
         if e & 1:
             power = base if power is None else times(power, base)
         e >>= 1
         if e:
             base = times(base, base)
-    q, r = divmod(sum(power[t][t] for t in range(d)) % m, p ** i)
+    trace = sum(c for t, row in enumerate(power) for k, c in row if k == t)
+    q, r = divmod(trace % m, p ** i)
     if r:
         raise ValidationError("lifted trace not divisible as expected")
     return q

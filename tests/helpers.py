@@ -11,12 +11,15 @@ of submodules built as modules, and the singular subspace from every
 vector and every nonzero right ideal; monoformity as Hom(S, M/L)
 over the whole submodule lattice; and isomorphism by a search over the
 coefficient combinations of a Hom basis, which the package replaced by
-Schur's lemma on simple modules.
+Schur's lemma on simple modules; and nilpotency of a subspace by
+multiplying by it one factor at a time, which the package replaced by
+repeated squaring.
 """
 
 import itertools
 
-from ringspectra.algebras import FiniteDimAlgebra, group_algebra
+from ringspectra.algebras import (FiniteDimAlgebra, group_algebra,
+                                  subspace_product)
 from ringspectra.commutative import GradedModuleDescriptor, poly_trim
 from ringspectra.ideals import TwoSidedIdeal, annihilator
 from ringspectra.linalg import (Matrix, Subspace, apply_vec, combine_matrices,
@@ -100,6 +103,17 @@ def trace(m: Matrix):
     for i in range(min(m.nrows, m.ncols)):
         t = f.add(t, m.rows[i][i])
     return t
+
+
+def reference_is_nilpotent(a, s: Subspace) -> bool:
+    """Whether s^k = 0 for some k <= dim a + 1, with s^(k+1) formed as
+    s^k s, one factor at a time."""
+    cur = s
+    for _ in range(a.dim + 1):
+        if cur.dim == 0:
+            return True
+        cur = subspace_product(a, cur, s)
+    return False
 
 
 def is_semisimple_module(m) -> bool:

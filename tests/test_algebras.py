@@ -9,16 +9,17 @@ import pytest
 from ringspectra import algebras
 from ringspectra.algebras import (BoundQuiver, FiniteDimAlgebra,
                                   bound_quiver_algebra, companion_algebra,
-                                  cyclic_group_algebra, is_semisimple,
-                                  jacobson_radical, matrix_algebra,
+                                  cyclic_group_algebra, is_nilpotent_space,
+                                  is_semisimple, jacobson_radical, matrix_algebra,
                                   product_algebra, quotient_algebra,
                                   semisimple_quotient, subspace_product,
                                   upper_triangular_algebra, wedderburn_blocks)
 from ringspectra.errors import BudgetExceeded, ValidationError
 from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, Subspace, apply_vec,
                                unit_vec, vec_scale, zero_vec)
-from ringspectra.oracle import _quiver_truncations, brute_largest_nilpotent_ideal
-from helpers import inverse, is_invertible, trace
+from ringspectra.oracle import (_quiver_truncations, brute_largest_nilpotent_ideal,
+                               enumerate_two_sided_ideals)
+from helpers import inverse, is_invertible, reference_is_nilpotent, trace
 
 
 def _is_algebra_hom(m):
@@ -765,7 +766,8 @@ def _reference_radical_space(a):
     matrix products, then one lifted trace for every product u b_j of a
     basis vector u of the ideal with a basis element b_j, whose left
     multiplication is L_{u b_j} = L_{b_j} L_u on row vectors.  The integer
-    powers are ``algebras._lifted_trace``'s, which
+    powers are ``algebras._lifted_trace``'s, on the dense rows turned into
+    sparse ones at the call, which
     ``test_lifted_trace_matches_plain_integer_power`` checks."""
     f, d = a.field, a.dim
     lm = [a.left_mult_matrix(a.basis_coords(i)) for i in range(d)]
@@ -781,12 +783,17 @@ def _reference_radical_space(a):
     for i in range(1, level + 1):
         if current.dim == 0:
             break
-        cond = Matrix(f, [[algebras._lifted_trace((lm[j] * lu).rows, p, i)
+        cond = Matrix(f, [[algebras._lifted_trace(_sparse_rows((lm[j] * lu).rows), p, i)
                            for j in range(d)]
                           for lu in map(a.left_mult_matrix, current.basis_rows())], d)
         vecs = [apply_vec(z, current.mat) for z in cond.left_kernel().rows]
         current = Subspace.from_vectors(f, d, vecs)
     return current
+
+
+def _sparse_rows(rows):
+    """Each dense row as its nonzero (k, c) entries."""
+    return [[(k, c) for k, c in enumerate(row) if c] for row in rows]
 
 
 def _plain_lifted_trace(rows, p, i):
@@ -807,20 +814,26 @@ def _plain_lifted_trace(rows, p, i):
 
 
 def test_lifted_trace_matches_plain_integer_power():
+    """Random sparse matrices, the zero matrix and matrices with an empty
+    row, handed over as sparse rows."""
     rng = random.Random(60)
     cases = [(p, i, d) for p in (2, 3, 5, 7) for i in (1, 2) for d in (1, 2, 4, 7)]
     cases += [(2, 4, 16), (3, 3, 27)]
     seen = set()
     for p, i, d in cases:
-        for _ in range(12):
-            rows = [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(d)]
-                    for _ in range(d)]
+        matrices = [[[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(d)]
+                     for _ in range(d)] for _ in range(12)]
+        matrices.append([[0] * d for _ in range(d)])
+        matrices.append([[0] * d] + [[rng.randrange(1, p) for _ in range(d)]
+                                     for _ in range(d - 1)])
+        for rows in matrices:
             want = _plain_lifted_trace(rows, p, i)
             if want is None:
                 with pytest.raises(ValidationError):
-                    algebras._lifted_trace(rows, p, i)
+                    algebras._lifted_trace(_sparse_rows(rows), p, i)
             else:
-                assert algebras._lifted_trace(rows, p, i) == want, (p, i, rows)
+                assert algebras._lifted_trace(_sparse_rows(rows), p, i) == want, \
+                    (p, i, rows)
             seen.add(want is None)
     assert seen == {True, False}
 
@@ -840,15 +853,17 @@ def _radical_inputs():
     return out
 
 
-def test_radical_route_matches_dense_reference():
-    """Same canonical subspace as the dense route, natural and random bases.
+def test_radical_route_matches_dense_reference(algebra_corpus):
+    """Same canonical subspace as the dense route, natural and random bases,
+    on the inputs above and on every member of the corpus (all over F_p).
 
     The dense route costs about ten seconds on F_3[C_27] in a random basis,
     so there, and only there, the reference is the natural basis's radical
     moved through the change of basis: J does not depend on the basis.
     """
     rng = random.Random(62)
-    for a in _radical_inputs():
+    assert all(a.field.char for _name, a in algebra_corpus)
+    for a in _radical_inputs() + [a for _name, a in algebra_corpus]:
         want = _reference_radical_space(a)
         assert algebras._radical_space(a) == want, a.name
         b, change = _random_change_of_basis(a, rng)
@@ -865,7 +880,32 @@ def test_shrink_step_refuses_a_subspace_that_is_not_a_right_ideal():
     t2 = upper_triangular_algebra(2, F2)
     e11 = Subspace.from_vectors(F2, 3, [t2.basis_coords(t2.labels.index("e11"))])
     with pytest.raises(ValidationError, match="not a right ideal"):
-        algebras._shrink_charp(t2, e11)
+        algebras._trace_kernel_chain(t2, e11)
+
+
+def test_nilpotency_by_squaring_matches_one_factor_at_a_time(algebra_corpus):
+    """On every two-sided ideal of the corpus algebras (over F_2 and F_3)
+    of dimension <= 4; on (x) in k[x]/(x^n), whose index is exactly n, so
+    that n = 2^m and 2^m + 1 sit on the squaring bound; and on the span of
+    an idempotent, which is not nilpotent."""
+    checked = 0
+    for _name, a in algebra_corpus:
+        if a.dim <= 4:
+            for s in enumerate_two_sided_ideals(a):
+                assert is_nilpotent_space(a, s) == reference_is_nilpotent(a, s), _name
+                checked += 1
+    assert checked > 100
+    for f in (F2, F3):
+        for n in range(2, 18):
+            a = companion_algebra(f, [0] * n + [1])
+            x = a.basis_coords(1)
+            assert a.power(x, n - 1) != zero_vec(f, n)
+            assert a.power(x, n) == zero_vec(f, n)
+            s = Subspace.from_vectors(f, n, [a.basis_coords(k) for k in range(1, n)])
+            assert is_nilpotent_space(a, s) and reference_is_nilpotent(a, s), (f, n)
+    t2 = upper_triangular_algebra(2, F3)
+    e11 = Subspace.from_vectors(F3, 3, [t2.basis_coords(t2.labels.index("e11"))])
+    assert not is_nilpotent_space(t2, e11) and not reference_is_nilpotent(t2, e11)
 
 
 def test_radical_matches_brute_force_in_random_bases():
