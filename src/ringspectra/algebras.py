@@ -21,21 +21,28 @@ well: the Jacobson radical (one chain of trace kernels, run on the stored
 rows: the trace form, then over F_p the lifted traces) and the Wedderburn
 block decomposition of a semisimple algebra via central idempotents.
 
+The radical comes with G, the span of its canonical rows off the pivots of
+J^2, so J = G + J^2.  By Nakayama's lemma G generates J on both sides:
+A G = J = G A (docs/derivations.md, "Nakayama generators").  Whatever acts
+with J acts with G instead: the socle is what G kills, M J = M G, and the
+radical's own self-check forms the Loewy series as J^(k+1) = J^k G.
+
 Each algebra carries one ``AlgebraStructure``, created on first use, that
 holds what is computed about it once: a generating set of basis indices,
-the radical, the semisimple quotient
+the radical and its generators G, the semisimple quotient
 ``(a/J, projection, section)`` (``(a, None, None)`` when J = 0), the
 Wedderburn blocks, the simple modules, the primitive idempotents, the
-minimal primes and the opposite algebra.  A Wedderburn block is its
-central idempotent and its subspace of the semisimple algebra; no algebra
-is built on it.  The radical's self-check builds the quotient and proves
-its radical zero, so the quotient is stored with that zero radical
-recorded.  ``opposite()`` is built once and paired, so
-``a.opposite().opposite() is a``; the pair shares one radical, since
-J(A^op) = J(A) (docs/derivations.md).  The radical and its checks
-therefore run once per opposite pair, and the structure constants of the
-opposite, being those of a validated algebra transposed, are not validated
-again.
+minimal primes and the opposite algebra.  The projection and the section
+are the matrices of those linear maps on row vectors.  A Wedderburn block
+is its central idempotent and its subspace of the semisimple algebra; no
+algebra is built on it.  The radical's self-check builds the quotient and
+proves its radical zero, so the quotient is stored with that zero radical
+(and G = 0) recorded.  ``opposite()`` is built once and paired, so
+``a.opposite().opposite() is a``; the pair shares one radical and one G,
+since J(A^op) = J(A) (docs/derivations.md) and G generates J on both
+sides.  The radical and its checks therefore run once per opposite pair,
+and the structure constants of the opposite, being those of a validated
+algebra transposed, are not validated again.
 
 The generating set S (``FiniteDimAlgebra.generators``) is what every check
 that quantifies over the algebra's action runs on: a subspace closed under
@@ -60,11 +67,11 @@ class AlgebraStructure:
     """What is computed about one algebra, each field filled in on first use.
 
     ``mirror`` marks an algebra built by ``opposite()``: its generating
-    set, radical and simple modules are read off the algebra it is the
-    opposite of.
+    set, radical, radical generators and simple modules are read off the
+    algebra it is the opposite of.
     """
-    generators = radical = quotient = blocks = simples = None
-    primitive_idempotents = minimal_primes = opposite = None
+    generators = radical = radical_generators = quotient = blocks = None
+    simples = primitive_idempotents = minimal_primes = opposite = None
     mirror = False
 
 
@@ -301,7 +308,10 @@ class FiniteDimAlgebra:
         return self._mult_matrix(a, self.left_mult_by)
 
     def _mult_matrix(self, a, by):
+        """sum_j a_j by(j); by(j) itself when a is the basis element b_j."""
         nz = [j for j, aj in enumerate(a) if aj]
+        if len(nz) == 1 and a[nz[0]] == self.field.one:
+            return by(nz[0])
         return combine_matrices(self.field, self.dim, [a[j] for j in nz],
                                 list(map(by, nz)))
 
@@ -601,23 +611,10 @@ def bound_quiver_algebra(field, q: BoundQuiver, name=None) -> FiniteDimAlgebra:
 
 # -- quotients ---------------------------------------------------------------
 
-class AlgebraMap:
-    """Linear map between algebras recorded by a matrix on row vectors."""
-
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source, target, matrix: Matrix):
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-
-    def __call__(self, x):
-        return apply_vec(x, self.matrix)
-
-
 def quotient_algebra(a: FiniteDimAlgebra, ideal_space: Subspace,
-                     name=None) -> tuple[FiniteDimAlgebra, AlgebraMap, AlgebraMap]:
-    """Quotient by a two-sided ideal: (quotient, projection, linear section).
+                     name=None) -> tuple[FiniteDimAlgebra, Matrix, Matrix]:
+    """Quotient by a two-sided ideal: (quotient, projection, linear section),
+    the two maps as matrices on row vectors (``apply_vec``).
 
     The quotient basis is the canonical coordinate complement of the
     ideal's pivot columns, so equal ideals give identical quotients.  The
@@ -630,7 +627,6 @@ def quotient_algebra(a: FiniteDimAlgebra, ideal_space: Subspace,
     if ideal_space.dim == a.dim:
         raise ValidationError("cannot quotient by the whole algebra")
     comp = ideal_space.complement_coords()
-    d = len(comp)
 
     def project(vec):
         red = ideal_space.reduce(vec)
@@ -640,10 +636,8 @@ def quotient_algebra(a: FiniteDimAlgebra, ideal_space: Subspace,
     labels = [a.labels[j] + "~" for j in comp]
     quot = FiniteDimAlgebra.trusted(f, rows, project(a.unit), labels=labels,
                                     name=name or a.name + "/I")
-    proj = AlgebraMap(a, quot, Matrix(f, [project(a.basis_coords(i))
-                                          for i in range(a.dim)], d))
-    section = AlgebraMap(quot, a, Matrix(f, [a.basis_coords(j) for j in comp],
-                                         a.dim))
+    proj = ideal_space.complement_projection_matrix()
+    section = Matrix.trusted(f, tuple(a.basis_coords(j) for j in comp), a.dim)
     return quot, proj, section
 
 
@@ -665,21 +659,40 @@ def ideal_closure(a: FiniteDimAlgebra, seeds) -> Subspace:
 
 
 def subspace_product(a: FiniteDimAlgebra, s: Subspace, t: Subspace) -> Subspace:
-    """Span of pairwise products s*t (not closed to an ideal)."""
-    vecs = [a.mul(u, v) for u in s.basis_rows() for v in t.basis_rows()]
-    return Subspace.from_vectors(a.field, a.dim, vecs)
+    """Span of pairwise products s*t (not closed to an ideal): the rows of
+    s R_v over the basis rows v of t, packed over F_2."""
+    red = RowReducer(a.field, a.dim)
+    for v in t.basis_rows():
+        red.extend(s.mat * a.right_mult_matrix(v))
+    return red.subspace()
 
 
-def is_nilpotent_space(a: FiniteDimAlgebra, s: Subspace) -> bool:
-    """Whether s^(2^m) = 0 for the least m with 2^m > dim a, which holds iff
-    s is nilpotent (docs/derivations.md, "Nilpotent by squaring"): s is
-    squared at most dim.bit_length() times."""
-    cur = s
-    for _ in range(a.dim.bit_length()):
-        if cur.dim == 0:
-            return True
-        cur = subspace_product(a, cur, cur)
-    return cur.dim == 0
+def nilpotent_generators(a: FiniteDimAlgebra, space: Subspace):
+    """(G, index) for a nilpotent two-sided ideal J = ``space``: G the span
+    of J's canonical rows off the pivots of J^2, so J = G + J^2, and the
+    least k with J^k = 0.  Anything else is refused.
+
+    J is checked two-sided and A G = J (the spin of G under the left
+    multiplications by the generators); then J^(k+1) = J^k G, so the Loewy
+    series runs from J^2 until it reaches 0 or a step does not shrink it
+    (docs/derivations.md, "Nakayama generators").
+    """
+    if not space.is_stable(generator_multiplications(a)):
+        raise ValidationError("radical computation produced a non-ideal")
+    power = subspace_product(a, space, space)
+    gens = Subspace.from_vectors(a.field, a.dim, [row for pc, row in zip(
+        space.pivots, space.basis_rows()) if pc not in power.pivots])
+    left = [a.left_mult_by(g) for g in a.generators()]
+    # A G = J, which G = J satisfies without a spin.
+    ok = gens.dim == space.dim or spin(a.field, a.dim, gens.basis_rows(), left) == space
+    index = 2 if space.dim else 1
+    while ok and power.dim:
+        step = subspace_product(a, power, gens)         # J^(k+1) = J^k G
+        ok = step.dim < power.dim
+        power, index = step, index + 1
+    if not ok:
+        raise ValidationError("radical computation produced a non-nilpotent space")
+    return gens, index
 
 
 # -- Jacobson radical --------------------------------------------------------
@@ -694,21 +707,21 @@ def jacobson_radical(a: FiniteDimAlgebra) -> Subspace:
     functions z -> tr(M_z^{p^i}) / p^i mod p on integer lifts M_z of left
     multiplication, powered on sparse rows; each step is linear algebra on
     the previous ideal.  The result is post-validated: two-sided,
-    nilpotent (by repeated squaring), and the quotient's own chain must
-    vanish.  The checked quotient is kept as the algebra's
+    generated by G on the left and nilpotent (``nilpotent_generators``),
+    and the quotient's own chain must vanish.  G is kept with the radical
+    (``radical_generators``), and the checked quotient as the algebra's
     semisimple quotient, with its zero radical recorded.  The opposite
-    algebra of a pair reads the radical off its partner (J(A^op) = J(A)).
+    algebra of a pair reads the radical and G off its partner
+    (J(A^op) = J(A)).
     """
     st = a.structure
     if st.radical is None and st.mirror:
         st.radical = jacobson_radical(st.opposite)
+        st.radical_generators = st.opposite.structure.radical_generators
     if st.radical is not None:
         return st.radical
     rad = _radical_space(a)
-    if not rad.is_stable(generator_multiplications(a)):
-        raise ValidationError("radical computation produced a non-ideal")
-    if not is_nilpotent_space(a, rad):
-        raise ValidationError("radical computation produced a non-nilpotent space")
+    gens = nilpotent_generators(a, rad)[0]
     if rad.dim == a.dim:
         raise ValidationError("radical cannot be the whole unital algebra")
     # J = 0: the quotient is a itself, whose chain has just been seen to vanish.
@@ -717,14 +730,23 @@ def jacobson_radical(a: FiniteDimAlgebra) -> Subspace:
     if quot is not a:
         if _radical_space(quot).dim != 0:
             raise ValidationError("radical quotient is not semisimple")
-        quot.structure.radical = Subspace.zero(a.field, quot.dim)
-        quot.structure.quotient = (quot, None, None)
-    st.radical = rad
+        qs = quot.structure
+        qs.radical = qs.radical_generators = Subspace.zero(a.field, quot.dim)
+        qs.quotient = (quot, None, None)
+    st.radical, st.radical_generators = rad, gens
     return rad
 
 
+def radical_generators(a: FiniteDimAlgebra) -> Subspace:
+    """G, which generates J on both sides: A G = J = G A.  Filled with the
+    radical by ``jacobson_radical``."""
+    jacobson_radical(a)
+    return a.structure.radical_generators
+
+
 def semisimple_quotient(a: FiniteDimAlgebra):
-    """(a/J, projection, section), or (a, None, None) when J = 0; built once.
+    """(a/J, projection, section), the maps as matrices on row vectors, or
+    (a, None, None) when J = 0; built once.
 
     The radical's self-check builds it; an opposite, which reads its
     radical off its partner, builds it here.

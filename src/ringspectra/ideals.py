@@ -4,7 +4,9 @@ For a finite-dimensional algebra a proper two-sided ideal P is prime iff
 Lambda/P is a simple algebra (prime artinian rings are simple), i.e. iff P
 is maximal; the primes are therefore the preimages of the block-killing
 ideals of Lambda/J, and ``is_prime`` looks an ideal up among the cached
-``minimal_primes``.  The quantifier-over-ideal-pairs
+``minimal_primes``.  Each prime carries a few generators as a right ideal,
+the radical's generators G and one element, through which modules are
+asked what it kills.  The quantifier-over-ideal-pairs
 definition survives as the brute-force oracle in ``oracle``; the two are
 compared on the full enumerated lattice in tests.
 """
@@ -14,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import (FiniteDimAlgebra, generator_multiplications,
-                       jacobson_radical, semisimple_quotient,
-                       subspace_product, wedderburn_blocks)
+                       jacobson_radical, radical_generators,
+                       semisimple_quotient, subspace_product,
+                       wedderburn_blocks)
 from .errors import ValidationError
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, RowReducer, Subspace, apply_vec, vec_sub
 
 
 class TwoSidedIdeal:
@@ -97,8 +100,15 @@ def is_prime(i: TwoSidedIdeal) -> bool:
 
 @dataclass
 class PrimeWitness:
+    """The prime that kills block ``block_index`` of Lambda/J.
+
+    ``generators`` spans G and 1 - e for a lift e of the block's central
+    idempotent, and generates the prime as a right ideal, so v P = 0 iff
+    v kills ``generators`` (docs/derivations.md, "Nakayama generators").
+    """
     ideal: TwoSidedIdeal
     block_index: int
+    generators: Subspace
 
     @property
     def label(self):
@@ -109,37 +119,29 @@ def minimal_primes(a: FiniteDimAlgebra) -> list[PrimeWitness]:
     """All primes of a finite-dimensional algebra (they are maximal).
 
     Each is the preimage of the ideal killing one Wedderburn block of the
-    semisimple quotient; pairwise incomparable by construction.  The
-    blocks are checked two-sided ideals of a/J, so their sums and the
-    preimages of those are ideals, and are not checked again.  Computed
-    once per algebra and kept on its ``structure``.
+    semisimple quotient, pairwise incomparable by construction: with e the
+    section of the block's central idempotent, P = (1 - e) A + J, the rows
+    of L_(1 - e) and of J.  The blocks are checked two-sided ideals of a/J,
+    so their sums and the preimages of those are ideals, and are not
+    checked again.  Computed once per algebra and kept on its
+    ``structure``, each prime with its generators.
     """
     if a.structure.minimal_primes is not None:
         return a.structure.minimal_primes
-    rad = jacobson_radical(a)
-    quot, proj, _section = semisimple_quotient(a)
-    blocks = wedderburn_blocks(quot)
+    f = a.field
+    rad, gens = jacobson_radical(a), radical_generators(a)
+    quot, _proj, section = semisimple_quotient(a)
     out = []
-    for t in range(len(blocks)):
-        others = [r for s, b in enumerate(blocks) if s != t
-                  for r in b.space.basis_rows()]
-        kill_t = Subspace.from_vectors(quot.field, quot.dim, others)
-        if proj is None:
-            space = kill_t
-        else:
-            space = _preimage(proj.matrix, kill_t, rad)
-        out.append(PrimeWitness(TwoSidedIdeal(a, space, validate=False), t))
+    for t, block in enumerate(wedderburn_blocks(quot)):
+        lift = block.idempotent if section is None \
+            else apply_vec(block.idempotent, section)
+        rest = vec_sub(f, a.unit, lift)
+        space = RowReducer(f, a.dim, rad).extend(a.left_mult_matrix(rest))
+        spans = RowReducer(f, a.dim, gens).extend(Matrix.trusted(f, (rest,), a.dim))
+        out.append(PrimeWitness(TwoSidedIdeal(a, space.subspace(), validate=False),
+                                t, spans.subspace()))
     a.structure.minimal_primes = out
     return out
-
-
-def _preimage(proj_matrix: Matrix, target: Subspace, kernel: Subspace) -> Subspace:
-    f = proj_matrix.field
-    comp_proj = target.complement_projection_matrix()
-    cond = proj_matrix * comp_proj
-    pre = cond.left_kernel()
-    vecs = list(pre.rows) + list(kernel.basis_rows())
-    return Subspace.from_vectors(f, proj_matrix.nrows, vecs)
 
 
 def primes_over(a: FiniteDimAlgebra, i: TwoSidedIdeal) -> list[PrimeWitness]:

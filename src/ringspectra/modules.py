@@ -8,7 +8,8 @@ action of the algebra's generators (``FiniteDimAlgebra.generators``): for
 a representation that is the action of every word in them, so of all of
 the algebra (docs/derivations.md, "Generating sets").
 
-The structural layers: socle and radical, simple modules realized as
+The structural layers: socle and radical, both read through the
+radical's generators G (A G = J = G A), simple modules realized as
 certified minimal right ideals of the semisimple quotient A/J lying inside
 its blocks, one primitive idempotent e_t per simple S_t, composition
 multiplicities read off as [M : S_t] = dim M e_t / dim End(S_t), and
@@ -44,7 +45,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .algebras import (FiniteDimAlgebra, WedderburnBlock,
-                       factor_minimal_polynomial, jacobson_radical,
+                       factor_minimal_polynomial, radical_generators,
                        semisimple_quotient, wedderburn_blocks)
 from .errors import CapabilityError, ValidationError
 from .ideals import annihilator, is_prime
@@ -168,23 +169,27 @@ class RightModule:
     # -- socle / radical -------------------------------------------------------
 
     def killed_by(self, space: Subspace) -> Subspace:
-        """{v : v x = 0 for every x in space}, for a subspace of the algebra."""
+        """{v : v x = 0 for every x in space}, for a subspace of the algebra,
+        one action matrix per basis row.  An ideal is best passed by its
+        generators as a right ideal, T with T A = I, since v I = v T A is 0
+        iff v T is (``radical_generators``, ``PrimeWitness.generators``)."""
         return common_left_kernel(self.algebra.field, self.dim,
                                   [self.act_matrix(x) for x in space.basis_rows()])
 
     def socle_space(self) -> Subspace:
-        """{v : v J = 0}, the largest semisimple submodule."""
+        """{v : v J = 0}, the largest semisimple submodule: what G kills,
+        since G A = J."""
         if self._socle is None:
-            self._socle = self.killed_by(jacobson_radical(self.algebra))
+            self._socle = self.killed_by(radical_generators(self.algebra))
         return self._socle
 
     def radical_space(self) -> Subspace:
-        """M J, the radical submodule."""
+        """M J, the radical submodule, which is M G, since A G = J."""
         if self._radical is None:
-            rad = jacobson_radical(self.algebra)
-            # Row i of act_matrix(j) is v_i j for the i-th basis vector v_i
-            # of M, so these rows, over a basis of J, span MJ.
-            vecs = [row for j in rad.basis_rows() for row in self.act_matrix(j).rows]
+            # Row i of act_matrix(g) is v_i g for the i-th basis vector v_i
+            # of M, so these rows, over a basis of G, span M G.
+            vecs = [row for g in radical_generators(self.algebra).basis_rows()
+                    for row in self.act_matrix(g).rows]
             self._radical = Subspace.from_vectors(self.algebra.field, self.dim, vecs)
         return self._radical
 
@@ -327,10 +332,10 @@ def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
             continue
         simple, end, e_quot = found
         mats = simple.action if proj is None else \
-            [simple.act_matrix(z) for z in proj.matrix.rows]
+            [simple.act_matrix(z) for z in proj.rows]
         mod = RightModule(a, mats, name=label, validate=False)
         e = _newton_idempotent_lift(
-            a, e_quot if section is None else section(e_quot))
+            a, e_quot if section is None else apply_vec(e_quot, section))
         out.append(SimpleClass(label, t, mod, end, mod.dim, e))
     st.simples = out
     return out

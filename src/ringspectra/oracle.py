@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .algebras import (BoundQuiver, FiniteDimAlgebra, bound_quiver_algebra,
                        companion_algebra, cyclic_group_algebra,
-                       is_nilpotent_space, matrix_algebra, product_algebra,
+                       matrix_algebra, product_algebra, subspace_product,
                        upper_triangular_algebra)
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .ideals import TwoSidedIdeal
@@ -243,11 +243,16 @@ def brute_is_prime(i: TwoSidedIdeal, lattice=None, budget: Budget = None) -> boo
 
 def brute_largest_nilpotent_ideal(a: FiniteDimAlgebra,
                                   budget: Budget = None) -> Subspace:
-    best = Subspace.zero(a.field, a.dim)
-    for s in enumerate_two_sided_ideals(a, budget):
-        if s.dim > best.dim and is_nilpotent_space(a, s):
-            best = s
-    return best
+    """The largest ideal s with s^(d+1) = 0, d = dim a, each power formed
+    one factor at a time: a nilpotent s has s^(d+1) = 0 (docs/derivations.md,
+    "Nakayama generators").  The sum of two nilpotent ideals is nilpotent,
+    so the largest is unique, and the zero ideal is always there."""
+    for s in sorted(enumerate_two_sided_ideals(a, budget), key=lambda s: -s.dim):
+        power = s
+        for _ in range(a.dim):
+            power = subspace_product(a, power, s)
+        if power.dim == 0:
+            return s
 
 
 def brute_prime_radical_of_zero(a: FiniteDimAlgebra,

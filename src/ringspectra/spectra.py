@@ -209,7 +209,8 @@ class ArtinianBackend:
                         f"P{s.block_index + 1}")
 
     def psi(self, r: Molecule) -> Atom:
-        """psi(P) is the unique simple killed by P (smallest atom of cl(P))."""
+        """psi(P) is the unique simple killed by P (smallest atom of cl(P)),
+        asked of P's generators as a right ideal."""
         w = self._prime_by_key(r.key)
         hits = []
         for s in self.simples():
@@ -218,7 +219,7 @@ class ArtinianBackend:
                     hits.append(s)
                 continue
             if all(s.module.act_matrix(p).is_zero()
-                   for p in w.ideal.space.basis_rows()):
+                   for p in w.generators.basis_rows()):
                 hits.append(s)
         if len(hits) != 1:
             raise ValidationError(
@@ -247,9 +248,10 @@ class ArtinianBackend:
 
     def mass(self, m: RightModule) -> set[Molecule]:
         """{P prime : Ann(ann_m(P)) = P}, which on an artinian ring is
-        {P : ann_m(P) != 0}: every prime is maximal (docs/derivations.md)."""
+        {P : ann_m(P) != 0}: every prime is maximal (docs/derivations.md).
+        ann_m(P) is what P's generators kill."""
         return {Molecule(self.label, ("prime", w.block_index), w.label)
-                for w in self.primes() if m.killed_by(w.ideal.space).dim > 0}
+                for w in self.primes() if m.killed_by(w.generators).dim > 0}
 
     def msupp(self, m: RightModule) -> set[Molecule]:
         """{P : P contains Ann m} = V(Ann m)."""

@@ -11,15 +11,17 @@ of submodules built as modules, and the singular subspace from every
 vector and every nonzero right ideal; monoformity as Hom(S, M/L)
 over the whole submodule lattice; and isomorphism by a search over the
 coefficient combinations of a Hom basis, which the package replaced by
-Schur's lemma on simple modules; and nilpotency of a subspace by
-multiplying by it one factor at a time, which the package replaced by
-repeated squaring.
+Schur's lemma on simple modules; nilpotency of a subspace by
+multiplying by it one factor at a time, which the package replaced by the
+Loewy series through the radical's generators G; and the socle and the
+radical of a module acted on by every basis row of J, which the package
+reads through G.
 """
 
 import itertools
 
 from ringspectra.algebras import (FiniteDimAlgebra, group_algebra,
-                                  subspace_product)
+                                  jacobson_radical, subspace_product)
 from ringspectra.commutative import GradedModuleDescriptor, poly_trim
 from ringspectra.ideals import TwoSidedIdeal, annihilator
 from ringspectra.linalg import (Matrix, Subspace, apply_vec, combine_matrices,
@@ -114,6 +116,18 @@ def reference_is_nilpotent(a, s: Subspace) -> bool:
             return True
         cur = subspace_product(a, cur, s)
     return False
+
+
+def reference_socle_space(m) -> Subspace:
+    """{v : v J = 0}, one action matrix per basis row of J."""
+    return m.killed_by(jacobson_radical(m.algebra))
+
+
+def reference_radical_space(m) -> Subspace:
+    """M J, spanned by the images of M's basis under every basis row of J."""
+    rows = [row for j in jacobson_radical(m.algebra).basis_rows()
+            for row in m.act_matrix(j).rows]
+    return Subspace.from_vectors(m.algebra.field, m.dim, rows)
 
 
 def is_semisimple_module(m) -> bool:

@@ -9,23 +9,27 @@ import pytest
 from ringspectra import algebras
 from ringspectra.algebras import (BoundQuiver, FiniteDimAlgebra,
                                   bound_quiver_algebra, companion_algebra,
-                                  cyclic_group_algebra, is_nilpotent_space,
-                                  is_semisimple, jacobson_radical, matrix_algebra,
-                                  product_algebra, quotient_algebra,
+                                  cyclic_group_algebra, is_semisimple,
+                                  jacobson_radical, matrix_algebra,
+                                  nilpotent_generators, product_algebra,
+                                  quotient_algebra, radical_generators,
                                   semisimple_quotient, subspace_product,
                                   upper_triangular_algebra, wedderburn_blocks)
 from ringspectra.errors import BudgetExceeded, ValidationError
 from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, Subspace, apply_vec,
-                               unit_vec, vec_scale, zero_vec)
+                               spin, unit_vec, vec_scale, zero_vec)
 from ringspectra.oracle import (_quiver_truncations, brute_largest_nilpotent_ideal,
                                enumerate_two_sided_ideals)
 from helpers import inverse, is_invertible, reference_is_nilpotent, trace
 
 
-def _is_algebra_hom(m):
-    """m preserves products of basis elements and the unit."""
-    a, b = m.source, m.target
+def _is_algebra_hom(a, b, matrix):
+    """The linear map a -> b with this matrix on row vectors preserves
+    products of basis elements and the unit."""
     basis = [a.basis_coords(i) for i in range(a.dim)]
+
+    def m(x):
+        return apply_vec(x, matrix)
     return all(m(a.mul(u, v)) == b.mul(m(u), m(v))
                for u in basis for v in basis) and m(a.unit) == b.unit
 
@@ -317,7 +321,7 @@ def test_quotient_by_radical_of_truncated_poly():
     rad = jacobson_radical(a)
     quot, proj, section = quotient_algebra(a, rad)
     assert quot.dim == 1
-    assert _is_algebra_hom(proj)
+    assert _is_algebra_hom(a, quot, proj)
     # Brute-check the 1-dim multiplication: it is the field.
     assert quot.mul(quot.unit, quot.unit) == quot.unit
 
@@ -556,11 +560,14 @@ def test_opposite_is_cached_and_paired(corpus_by_name):
 
 
 def test_radical_of_opposite_equals_radical(algebra_corpus):
-    """J(A^op) = J(A), computed on an opposite that shares nothing with A."""
+    """J(A^op) = J(A), computed on an opposite that shares nothing with A,
+    and so is G; the paired opposite shares both."""
     assert len(algebra_corpus) == 43
     for name, a in algebra_corpus:
         assert jacobson_radical(_transposed(a)) == jacobson_radical(a), name
+        assert radical_generators(_transposed(a)) == radical_generators(a), name
         assert jacobson_radical(a.opposite()) is jacobson_radical(a), name
+        assert radical_generators(a.opposite()) is radical_generators(a), name
 
 
 def test_paired_quotient_is_the_quotient_of_the_opposite(algebra_corpus):
@@ -574,8 +581,8 @@ def test_paired_quotient_is_the_quotient_of_the_opposite(algebra_corpus):
             continue
         direct, dproj, dsection = quotient_algebra(a.opposite(), rad)
         assert quot.structurally_equal(direct), name
-        assert proj.matrix == dproj.matrix and section.matrix == dsection.matrix
-        assert _is_algebra_hom(proj), name
+        assert proj == dproj and section == dsection
+        assert _is_algebra_hom(a.opposite(), quot, proj), name
         assert jacobson_radical(quot).dim == 0 == jacobson_radical(direct).dim
 
 
@@ -619,8 +626,9 @@ def test_semisimple_quotient_is_stored_with_zero_radical():
     quot, proj, section = semisimple_quotient(a)
     assert semisimple_quotient(a)[0] is quot
     assert quot.structure.radical is not None and quot.structure.radical.dim == 0
+    assert quot.structure.radical_generators.dim == 0
     assert semisimple_quotient(quot) == (quot, None, None)
-    assert quot.dim == 3 and _is_algebra_hom(proj)
+    assert quot.dim == 3 and _is_algebra_hom(a, quot, proj)
 
 
 def test_verify_correspondence_computes_the_radical_at_most_twice(monkeypatch):
@@ -883,16 +891,41 @@ def test_shrink_step_refuses_a_subspace_that_is_not_a_right_ideal():
         algebras._trace_kernel_chain(t2, e11)
 
 
-def test_nilpotency_by_squaring_matches_one_factor_at_a_time(algebra_corpus):
-    """On every two-sided ideal of the corpus algebras (over F_2 and F_3)
-    of dimension <= 4; on (x) in k[x]/(x^n), whose index is exactly n, so
-    that n = 2^m and 2^m + 1 sit on the squaring bound; and on the span of
-    an idempotent, which is not nilpotent."""
+def _power(a, s, k):
+    """s^k, formed one factor at a time."""
+    power = s
+    for _ in range(k - 1):
+        power = subspace_product(a, power, s)
+    return power
+
+
+def test_nilpotent_generators_match_one_factor_at_a_time(algebra_corpus):
+    """The radical's self-check accepts exactly the nilpotent ideals among
+    every two-sided ideal of the corpus algebras (over F_2 and F_3) of
+    dimension <= 4, each with its exact index; reports the index n of (x)
+    in k[x]/(x^n); and refuses the span of e11 in T_2(F_3), which is not
+    an ideal, and the ideal e11 T_2(F_3), which holds an idempotent.  When
+    it accepts J, dim G = dim J - dim J^2, and G generates J as a left and
+    as a right ideal."""
+    def check(a, s):
+        try:
+            gens, index = nilpotent_generators(a, s)
+        except ValidationError:
+            return None
+        assert gens.dim == s.dim - subspace_product(a, s, s).dim
+        for ops in (a.left_mult_matrices(), a.right_mult_matrices()):
+            assert spin(a.field, a.dim, gens.basis_rows(), ops) == s
+        return index
+
     checked = 0
     for _name, a in algebra_corpus:
         if a.dim <= 4:
             for s in enumerate_two_sided_ideals(a):
-                assert is_nilpotent_space(a, s) == reference_is_nilpotent(a, s), _name
+                index = check(a, s)
+                assert (index is not None) == reference_is_nilpotent(a, s), _name
+                if index is not None:
+                    assert _power(a, s, index).dim == 0, _name
+                    assert index == 1 or _power(a, s, index - 1).dim, _name
                 checked += 1
     assert checked > 100
     for f in (F2, F3):
@@ -902,10 +935,14 @@ def test_nilpotency_by_squaring_matches_one_factor_at_a_time(algebra_corpus):
             assert a.power(x, n - 1) != zero_vec(f, n)
             assert a.power(x, n) == zero_vec(f, n)
             s = Subspace.from_vectors(f, n, [a.basis_coords(k) for k in range(1, n)])
-            assert is_nilpotent_space(a, s) and reference_is_nilpotent(a, s), (f, n)
+            assert check(a, s) == n and reference_is_nilpotent(a, s), (f, n)
     t2 = upper_triangular_algebra(2, F3)
-    e11 = Subspace.from_vectors(F3, 3, [t2.basis_coords(t2.labels.index("e11"))])
-    assert not is_nilpotent_space(t2, e11) and not reference_is_nilpotent(t2, e11)
+    e11, e12 = (t2.basis_coords(t2.labels.index(x)) for x in ("e11", "e12"))
+    for seeds, refusal in (([e11], "non-ideal"), ([e11, e12], "non-nilpotent")):
+        s = Subspace.from_vectors(F3, 3, seeds)
+        assert not reference_is_nilpotent(t2, s)
+        with pytest.raises(ValidationError, match=refusal):
+            nilpotent_generators(t2, s)
 
 
 def test_radical_matches_brute_force_in_random_bases():

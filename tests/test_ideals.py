@@ -144,7 +144,7 @@ def test_prime_radical_equals_preimage_of_quotient_radical(small_f2_corpus):
             rad = prime_radical(ideal)
             quot, proj, _sec = quotient_algebra(a, s)
             jq = jacobson_radical(quot)
-            pre_cond = proj.matrix * jq.complement_projection_matrix()
+            pre_cond = proj * jq.complement_projection_matrix()
             preimage = Subspace.from_vectors(a.field, a.dim,
                                              pre_cond.left_kernel().rows)
             assert rad.space == preimage, name

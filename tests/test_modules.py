@@ -1,5 +1,7 @@
 """Right modules: socle, composition series, homs, envelopes, predicates."""
 
+import random
+
 import pytest
 
 from ringspectra.algebras import (FiniteDimAlgebra, companion_algebra,
@@ -7,7 +9,8 @@ from ringspectra.algebras import (FiniteDimAlgebra, companion_algebra,
                                   product_algebra, upper_triangular_algebra,
                                   wedderburn_blocks)
 from ringspectra.errors import BudgetExceeded, CapabilityError, ValidationError
-from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, Subspace, vec_add,
+from ringspectra.ideals import minimal_primes
+from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, Subspace, spin, vec_add,
                                vec_scale)
 from ringspectra.modules import (ModuleMap, RightModule,
                                  _minimal_right_ideal_space,
@@ -21,7 +24,9 @@ from ringspectra.oracle import (brute_composition_factors,
                                 brute_is_compressible, brute_is_monoform,
                                 brute_is_prime_object, enumerate_submodules,
                                 standard_modules)
-from helpers import inverse, s3_group_algebra, tensor_algebra
+from helpers import (inverse, reference_radical_space, reference_socle_space,
+                     s3_group_algebra, tensor_algebra)
+from test_algebras import _random_change_of_basis
 
 
 def test_module_validation_catches_bad_action():
@@ -547,3 +552,24 @@ def test_unresolved_block_over_q_is_searched_once_and_refused(monkeypatch):
     with pytest.raises(CapabilityError, match=r"block 0: no primitive idempotent"):
         primitive_idempotents(h)
     assert calls == [("H(Q)", Subspace.full(QQ, 4))]
+
+
+def test_modules_act_through_the_generators_of_j_and_of_each_prime(algebra_corpus):
+    """Every corpus algebra, in its natural basis and in a seeded random
+    one: each prime's generators spin under right multiplication to the
+    prime, and kill what the prime kills in every standard module; the
+    socle and the radical of each module equal their forms through every
+    basis row of J."""
+    rng = random.Random(36)
+    for name, a in algebra_corpus:
+        for b in (a, _random_change_of_basis(a, rng)[0]):
+            primes = minimal_primes(b)
+            for w in primes:
+                assert spin(b.field, b.dim, w.generators.basis_rows(),
+                            b.right_mult_matrices()) == w.ideal.space, name
+            for label, m in standard_modules(b):
+                assert m.socle_space() == reference_socle_space(m), (name, label)
+                assert m.radical_space() == reference_radical_space(m), (name, label)
+                for w in primes:
+                    assert m.killed_by(w.generators) == \
+                        m.killed_by(w.ideal.space), (name, label, w.label)

@@ -276,12 +276,12 @@ def test_simples_inside_the_blocks_match_the_block_algebras(name, a):
         simple, end, ebar = found
         mats = []
         for i in range(a.dim):
-            z = a.basis_coords(i) if proj is None else proj(a.basis_coords(i))
+            z = a.basis_coords(i) if proj is None else proj.rows[i]
             coords = blk.space.coords_of(quot.mul(blk.idempotent, z))
             mats.append(simple.act_matrix(coords))
         e_quot = apply_vec(ebar, blk.space.mat)
         e = _newton_idempotent_lift(
-            a, e_quot if section is None else section(e_quot))
+            a, e_quot if section is None else apply_vec(e_quot, section))
         assert s.end_dim == end, (name, s.label)
         assert _exact([s.idempotent]) == _exact([e]), (name, s.label)
         assert [_exact(m.rows) for m in s.module.action] == \

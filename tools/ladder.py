@@ -12,9 +12,12 @@ Runs each rung once, in this order:
   19 (dimension k + 1, and 1 + k + k^2 paths listed: 381 for k = 19);
 - ``verify_correspondence(ArtinianBackend(a))`` with each algebra built
   fresh (its associativity check included in the time): T_n(F_2) for
-  n = 2..16 and 20 (dimension 3..136 and 210), then F_2[C_n] for n = 32,
-  64 and 128, then M_3(F_3), M_4(F_2), M_2(Q) and T_4(Q), then the
-  tuple-row path on T_n(F_3) for n = 8, 10, 12 and T_n(Q) for n = 6, 8;
+  n = 2..16, 20 and 24 (dimension 3..136, 210 and 300), then the same
+  algebra for n = 16 and 20 as the path algebra of the quiver A_n
+  (``bound_quiver_algebra``, no relations), whose basis is the paths,
+  then F_2[C_n] for n = 32, 64 and 128, then M_3(F_3), M_n(F_2) for
+  n = 4, 6, 8, 10 (J = 0), M_2(Q) and T_4(Q), then the tuple-row path on
+  T_n(F_3) for n = 8, 10, 12 and T_n(Q) for n = 6, 8;
 - ``verify_correspondence`` on Z with windows 1000..6000, 20000 and
   100000 and on Q[x] with windows 150, 300 and 1000 (the backend built in
   the time), and on Q[x] window 20000 alone in a fresh interpreter: its
@@ -92,7 +95,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ringspectra.algebras import (cyclic_group_algebra,  # noqa: E402
+from ringspectra.algebras import (BoundQuiver,  # noqa: E402
+                                  bound_quiver_algebra, cyclic_group_algebra,
                                   matrix_algebra, product_algebra,
                                   upper_triangular_algebra)
 from ringspectra.cli import main as cli_main  # noqa: E402
@@ -348,6 +352,14 @@ def cyclic_group(n, field):
     return cyclic_group_algebra(field, n)
 
 
+def a_n_path_algebra(n, field):
+    """The path algebra of 1 -> 2 -> ... -> n, which is T_n in the basis
+    of its paths."""
+    arrows = tuple((f"a{i + 1}", i, i + 1) for i in range(n - 1))
+    return bound_quiver_algebra(field, BoundQuiver(n, arrows, (), n),
+                                name=f"kA{n}")
+
+
 def envelope_of_s1(a):
     return injective_envelope(simple_modules(a)[0].module)[0]
 
@@ -449,12 +461,15 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
          + [(f"{k} loops, products zero, build", build_only, ("loops", k))
             for k in (5, 10, 19)]
          + [(f"T{n}(F2)", verify_algebra, (upper_triangular_algebra, n, F2))
-            for n in (*range(2, 17), 20)]
+            for n in (*range(2, 17), 20, 24)]
+         + [(f"A{n} path algebra (F2)", verify_algebra, (a_n_path_algebra, n, F2))
+            for n in (16, 20)]
          + [(f"F2[C{n}]", verify_algebra, (cyclic_group, n, F2))
             for n in (32, 64, 128)]
-         + [("M3(F3)", verify_algebra, (matrix_algebra, 3, F3)),
-            ("M4(F2)", verify_algebra, (matrix_algebra, 4, F2)),
-            ("M2(Q)", verify_algebra, (matrix_algebra, 2, QQ)),
+         + [("M3(F3)", verify_algebra, (matrix_algebra, 3, F3))]
+         + [(f"M{n}(F2)", verify_algebra, (matrix_algebra, n, F2))
+            for n in (4, 6, 8, 10)]
+         + [("M2(Q)", verify_algebra, (matrix_algebra, 2, QQ)),
             ("T4(Q)", verify_algebra, (upper_triangular_algebra, 4, QQ))]
          + [(f"T{n}(F3)", verify_algebra, (upper_triangular_algebra, n, F3))
             for n in (8, 10, 12)]
