@@ -737,7 +737,10 @@ class Subspace:
 
     def restrict(self, op: Matrix):
         """The matrix of v -> v op on this subspace, in its canonical basis;
-        None when op does not map the subspace into itself."""
+        None when op does not map the subspace into itself.  On the whole
+        space, whose canonical basis is the identity, that is op."""
+        if self.dim == self.ambient:
+            return op
         f = self.field
         out = []
         if f.packed:

@@ -258,22 +258,15 @@ class SimpleClass:
         return self.module
 
 
-def _block_simple(quot: FiniteDimAlgebra, block: WedderburnBlock):
-    """(S, dim End(S), e) for the simple right module S = e(A/J) inside
-    the block ``block`` of the semisimple ``quot``, or None when S is not
-    certified.
-
-    S is a minimal right ideal of quot inside the block, and End(S) is
-    the block's center (docs/derivations.md, "Simples read off the
-    block's centre").
-    """
-    try:
-        space = _minimal_right_ideal_space(quot, block)
-    except CapabilityError:
-        return None
-    simple = RightModule.regular(quot).submodule(space)[0]
-    return (simple, block.center.dim,
-            _idempotent_in_minimal_right_ideal(quot, space))
+def pull_back(a: FiniteDimAlgebra, space: Subspace, name="M") -> RightModule:
+    """The right ideal ``space`` of a/J as a right a-module: x acts as its
+    image under the projection a -> a/J that ``semisimple_quotient``
+    stores.  A simple S_t is a minimal right ideal inside block B_t, and
+    a/P_t is B_t itself (docs/derivations.md, "Lambda/P is its block")."""
+    quot, proj, _section = semisimple_quotient(a)
+    m = RightModule.regular(quot).submodule(space)[0]
+    mats = m.action if proj is None else [m.act_matrix(z) for z in proj.rows]
+    return RightModule(a, mats, name=name, validate=False)
 
 
 def _rational_right_submodule_candidates(quot, block: Subspace):
@@ -303,8 +296,10 @@ def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
     """Complete irredundant list; one class per Wedderburn block of a/J.
 
     The simple of block B is a minimal right ideal S of a/J inside B, on
-    which a acts through the projection a -> a/J.  So End_a(S) = End_B(S)
-    (docs/derivations.md), which is Z(B) once S is certified, and
+    which a acts through the projection a -> a/J (``pull_back``), or,
+    when none is certified, a class with no module.  So End_a(S) =
+    End_B(S) (docs/derivations.md), which is the block's centre Z(B) once
+    S is certified ("Simples read off the block's centre"), and
     ``end_dim`` is dim Z(B).  The idempotent generating S in a/J is
     lifted here to a primitive idempotent of a, so every later reader
     finds it computed.
@@ -322,21 +317,19 @@ def simple_modules(a: FiniteDimAlgebra) -> list[SimpleClass]:
                       replace(s, module=dual_module(s.module, a, name=s.label))
                       for s in simple_modules(st.opposite)]
         return st.simples
-    quot, proj, section = semisimple_quotient(a)
+    quot, _proj, section = semisimple_quotient(a)
     out = []
     for t, blk in enumerate(wedderburn_blocks(quot)):
-        found = _block_simple(quot, blk)
         label = f"S{t + 1}"
-        if found is None:
+        try:
+            space = _minimal_right_ideal_space(quot, blk)
+        except CapabilityError:
             out.append(SimpleClass(label, t, None, None, None, None))
             continue
-        simple, end, e_quot = found
-        mats = simple.action if proj is None else \
-            [simple.act_matrix(z) for z in proj.rows]
-        mod = RightModule(a, mats, name=label, validate=False)
-        e = _newton_idempotent_lift(
-            a, e_quot if section is None else apply_vec(e_quot, section))
-        out.append(SimpleClass(label, t, mod, end, mod.dim, e))
+        mod = pull_back(a, space, name=label)
+        e = _idempotent_in_minimal_right_ideal(quot, space)
+        e = _newton_idempotent_lift(a, e if section is None else apply_vec(e, section))
+        out.append(SimpleClass(label, t, mod, blk.center.dim, mod.dim, e))
     st.simples = out
     return out
 

@@ -34,13 +34,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol, runtime_checkable
 
-from .algebras import FiniteDimAlgebra, jacobson_radical
+from .algebras import (FiniteDimAlgebra, jacobson_radical, semisimple_quotient,
+                       wedderburn_blocks)
 from .errors import CapabilityError, ValidationError
 from .ideals import (TwoSidedIdeal, annihilator, is_semiprime, minimal_primes,
                      prime_radical_of_zero)
 from .linalg import field_name
 from .modules import (RightModule, SimpleClass, composition_factors,
-                      injective_envelope, simple_modules)
+                      injective_envelope, pull_back, simple_modules)
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,10 @@ class ArtinianBackend:
     """Mod(Lambda) for a finite-dimensional algebra Lambda.
 
     Atoms are the simple classes with the discrete order; molecules are the
-    prime two-sided ideals (all maximal here, so also an antichain).
+    prime two-sided ideals, all maximal here, so also an antichain.  Prime
+    P_t kills block B_t of Lambda/J and nothing else, so Lambda/P_t is B_t
+    (``prime_quotient``), and a simple and a prime are both keyed by their
+    block.
     """
 
     kind = "algebra"
@@ -169,13 +173,19 @@ class ArtinianBackend:
                 for w in self.primes()]
 
     def atom_up_sets(self, atoms):
+        """Discrete.  So is ``molecule_up_sets``: every prime is maximal
+        (docs/derivations.md, "Primeness"), so no prime lies in another."""
         return discrete_up_sets(atoms)
 
-    def molecule_up_sets(self, molecules):
-        """Ideal containment, one test per ordered pair of the listing."""
-        ideal = {("prime", w.block_index): w.ideal for w in self.primes()}
-        return up_sets([ideal[r.key] for r in molecules],
-                       lambda p, q: q.contains(p))
+    molecule_up_sets = atom_up_sets
+
+    def prime_quotient(self, w) -> RightModule:
+        """Lambda/P for the prime ``w``: the block B_t of Lambda/J it kills,
+        pulled back to Lambda (docs/derivations.md, "Lambda/P is its
+        block")."""
+        a = self.algebra
+        block = wedderburn_blocks(semisimple_quotient(a)[0])[w.block_index]
+        return pull_back(a, block.space, name=f"{a.name}/P")
 
     def _prime_by_key(self, key):
         for w in self.primes():
@@ -591,10 +601,12 @@ def _artinian_envelope_assertions(backend: ArtinianBackend, phi_table,
                                   psi_table):
     """mass(E(S)) = {phi(S)} and E(Lambda/P) isotypic over E(psi(P)).
 
-    An envelope depends only on the module's action matrices, and on a
-    basic algebra Lambda/P is S with the same matrices, so each distinct
-    module gets one envelope (docs/derivations.md, "One envelope per
-    distinct module").
+    Lambda/P is its block of Lambda/J (``prime_quotient``), and the simple
+    of a block is a minimal right ideal in it, pulled back the same way.
+    An envelope depends only on the module's action matrices, and when
+    the block is a division algebra it is its own minimal right ideal, so
+    Lambda/P is S with the same matrices; each distinct module gets one
+    envelope (docs/derivations.md, "One envelope per distinct module").
     """
     records = []
     try:
@@ -625,8 +637,7 @@ def _artinian_envelope_assertions(backend: ArtinianBackend, phi_table,
 
     bad = []
     for w in backend.primes():
-        quot_reg = _module_on_quotient_ring(backend.algebra, w.ideal)
-        e_big = envelope(quot_reg)
+        e_big = envelope(backend.prime_quotient(w))
         s_label = psi_table[w.label]
         soc_big, _ = e_big.submodule(e_big.socle_space(), name="socE")
         factors = composition_factors(soc_big)
@@ -639,9 +650,3 @@ def _artinian_envelope_assertions(backend: ArtinianBackend, phi_table,
         "envelope_of_prime_quotient_isotypic", not bad,
         f"violations: {bad}" if bad else f"checked {len(backend.primes())} primes"))
     return records
-
-
-def _module_on_quotient_ring(a: FiniteDimAlgebra, ideal: TwoSidedIdeal) -> RightModule:
-    """Lambda/P as a right Lambda-module (regular module of the quotient)."""
-    reg = RightModule.regular(a)
-    return reg.quotient(ideal.space, name=f"{a.name}/P")[0]

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from ringspectra.algebras import matrix_algebra, upper_triangular_algebra
+from ringspectra.algebras import (cyclic_group_algebra, matrix_algebra,
+                                  upper_triangular_algebra)
 from ringspectra.commutative import (GradedPolyBackend, IntegerBackend,
                                      IntModBackend, PolyBackend,
                                      PolyQuotBackend, poly_divmod)
@@ -18,6 +19,7 @@ from ringspectra.oracle import brute_mass, enumerate_submodules, standard_module
 from ringspectra.spectra import (ArtinianBackend, Molecule,
                                  PhiUndefinedError, atom_spectrum,
                                  molecule_spectrum, verify_correspondence)
+from test_algebras import _random_change_of_basis
 
 
 def _backend(name, corpus_by_name):
@@ -146,6 +148,25 @@ def test_envelope_of_prime_quotient_is_isotypic(corpus_by_name):
             assert set(factors) == {psi_simple.label}, name
             copies = factors[psi_simple.label]
             assert e_big.dim == copies * e_small.dim, name
+
+
+def test_prime_quotient_is_its_block(algebra_corpus):
+    """Lambda/P as ``verify`` builds it, its block of Lambda/J pulled back,
+    is the quotient of the regular module by P: the same annihilator,
+    dimension d - dim P and the same composition factors, on every corpus
+    algebra in its natural basis and in a seeded random one."""
+    rng = random.Random(37)
+    for name, a in algebra_corpus:
+        for b in (a, _random_change_of_basis(a, rng)[0]):
+            backend = ArtinianBackend(b)
+            reg = RightModule.regular(b)
+            for w in backend.primes():
+                m = backend.prime_quotient(w)
+                where = (name, b is a, w.label)
+                assert annihilator(m).space == w.ideal.space, where
+                assert m.dim == b.dim - w.ideal.space.dim, where
+                assert composition_factors(m) == composition_factors(
+                    reg.quotient(w.ideal.space)[0]), where
 
 
 def test_short_exact_ass_asupp_behavior(corpus_by_name):
@@ -371,10 +392,15 @@ def test_verifier_refuses_disagreeing_flags(corpus_by_name):
 
 @pytest.mark.parametrize("build, calls", [
     (lambda: upper_triangular_algebra(3, F2), 3),
-    (lambda: matrix_algebra(2, F2), 2)], ids=["T3(F2)", "M2(F2)"])
+    (lambda: matrix_algebra(2, F2), 2),
+    (lambda: cyclic_group_algebra(F2, 3), 2)],
+    ids=["T3(F2)", "M2(F2)", "F2[C3]"])
 def test_one_envelope_per_distinct_module(monkeypatch, build, calls):
-    """T_3(F_2) is basic: each Lambda/P is its simple S, with the same
-    action matrices, so three envelopes serve six modules.  On M_2(F_2)
+    """Lambda/P is its block B of Lambda/J, and S a minimal right ideal of
+    B, both pulled back to Lambda; when B is a division algebra they are
+    one module, with the same action matrices.  T_3(F_2) is basic, so
+    three envelopes serve six modules; F_2[C_3] = F_2 x F_4 has two
+    division blocks, F_4 of dimension 2, so two serve four.  On M_2(F_2)
     Lambda/P (dim 4) is not S (dim 2), so each gets its own."""
     import ringspectra.spectra as spectra
     inputs = []

@@ -12,7 +12,9 @@ Runs each rung once, in this order:
   19 (dimension k + 1, and 1 + k + k^2 paths listed: 381 for k = 19);
 - ``verify_correspondence(ArtinianBackend(a))`` with each algebra built
   fresh (its associativity check included in the time): T_n(F_2) for
-  n = 2..16, 20 and 24 (dimension 3..136, 210 and 300), then the same
+  n = 2..16, 20 and 24 (dimension 3..136, 210 and 300), n = 20 and 24
+  each in a fresh interpreter, with the rise in peak RSS the build and
+  the verification cause, then the same
   algebra for n = 16 and 20 as the path algebra of the quiver A_n
   (``bound_quiver_algebra``, no relations), whose basis is the paths,
   then F_2[C_n] for n = 32, 64 and 128, then M_3(F_3), M_n(F_2) for
@@ -169,6 +171,33 @@ def verify_algebra(build, n, field):
     a = build(n, field)
     report = verify_correspondence(ArtinianBackend(a))
     return time.perf_counter() - t0, {"dim": a.dim, "passed": report.passed()}
+
+
+VERIFY_ALGEBRA = PEAK_KB + """\
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from ringspectra import linalg
+from ringspectra.algebras import upper_triangular_algebra
+from ringspectra.spectra import ArtinianBackend, verify_correspondence
+before = peak_kb()
+t0 = time.perf_counter()
+a = upper_triangular_algebra(int(sys.argv[3]), getattr(linalg, sys.argv[2]))
+report = verify_correspondence(ArtinianBackend(a))
+seconds = time.perf_counter() - t0
+print(json.dumps([seconds, a.dim, report.passed(), peak_kb() - before]))
+"""
+
+
+def verify_triangular_alone(field, n):
+    """``verify_algebra`` on T_n over the field named ``field`` in
+    ``ringspectra.linalg`` ("F2"), in a fresh interpreter, whose peak RSS
+    then rises by what the build and the run hold at their peak."""
+    out = subprocess.run([sys.executable, "-c", VERIFY_ALGEBRA,
+                          str(ROOT / "src"), field, str(n)],
+                         capture_output=True, text=True, check=True)
+    seconds, dim, passed, rise = json.loads(out.stdout)
+    return seconds, {"dim": dim, "passed": passed,
+                     "max_rss_rise_mb": round(rise / 1024, 1)}
 
 
 def verify_window(backend_cls, args, window):
@@ -461,7 +490,8 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
          + [(f"{k} loops, products zero, build", build_only, ("loops", k))
             for k in (5, 10, 19)]
          + [(f"T{n}(F2)", verify_algebra, (upper_triangular_algebra, n, F2))
-            for n in (*range(2, 17), 20, 24)]
+            for n in range(2, 17)]
+         + [(f"T{n}(F2)", verify_triangular_alone, ("F2", n)) for n in (20, 24)]
          + [(f"A{n} path algebra (F2)", verify_algebra, (a_n_path_algebra, n, F2))
             for n in (16, 20)]
          + [(f"F2[C{n}]", verify_algebra, (cyclic_group, n, F2))
