@@ -19,8 +19,8 @@ from .commutative import (CommutativeSpec, GradedModuleDescriptor,
 from .errors import (BudgetExceeded, CapabilityError, RingSpectraError,
                      ValidationError)
 from .goldie import (classical_quotient_ring, goldie_localizing,
-                     is_essential_submodule, regular_element_in,
-                     singular_subspace, validate_quotient_ring)
+                     is_essential_submodule, singular_subspace,
+                     validate_quotient_ring)
 from .ideals import (PrimeWitness, TwoSidedIdeal, annihilator, ideal_product,
                      is_prime, is_semiprime, minimal_primes, prime_radical,
                      prime_radical_of_zero)

@@ -113,7 +113,8 @@ def _build_parser():
 
 
 class _SubspacesArgs(argparse.Action):
-    """``--subspaces DIM P``: a usage error unless DIM >= 0 and P is prime."""
+    """``--subspaces DIM P``: a usage error unless DIM >= 0 and P is prime,
+    and a capability error when P cannot be certified prime."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         dim, p = values
@@ -123,6 +124,8 @@ class _SubspacesArgs(argparse.Action):
             GF(p)
         except ValueError as exc:
             parser.error(f"{option_string}: P: {exc}")
+        except CapabilityError as exc:
+            parser.exit(EXIT_CAPABILITY, f"capability error: {exc}\n")
         setattr(namespace, self.dest, values)
 
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 from .algebras import FiniteDimAlgebra, companion_algebra
 from .errors import BudgetExceeded, CapabilityError, ValidationError
-from .linalg import GF, field_name
+from .linalg import GF, field_name, is_certified_prime, shown
 from .spectra import (ArtinianizationDescriptor, Atom, Molecule,
                       PhiUndefinedError, QuotientRingDescriptor,
                       ReducedPartResult, check_algebra_quotient_ring,
@@ -270,15 +270,10 @@ def factor_polynomial(field, poly):
     return sorted(out.items())
 
 
-# The Miller-Rabin bases.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The primes below TRIAL_BOUND are divided out first, found by one gcd
 # with their product; ``_TRIAL_PRIMES`` and ``_TRIAL_PRODUCT`` are built
 # once, when the module is imported, below ``primes_up_to``.
 TRIAL_BOUND = 10_000
-# The least strong pseudoprime to all 13 bases (Sorenson and Webster,
-# Math. Comp. 86, 2017): below it, passing every base certifies a prime.
-_PSI_13 = 3317044064679887385961981
 # Squarings one factor_integer call may spend before it refuses, weighted
 # by ``_squaring_cost``: the Miller-Rabin powers, the Newton steps of the
 # perfect-power roots and Brent's rho are all charged to it before they
@@ -309,13 +304,8 @@ class _Budget:
         self.left -= units
         if self.left < 0:
             raise CapabilityError(
-                f"{_shown(m)} is not factored within the budget of "
+                f"{shown(m)} is not factored within the budget of "
                 f"{RHO_BUDGET} squarings")
-
-
-def _shown(m: int) -> str:
-    """m in decimal, or its size when it is too long to print."""
-    return str(m) if m.bit_length() <= 256 else f"a {m.bit_length()}-bit number"
 
 
 def factor_integer(n: int):
@@ -365,33 +355,11 @@ def factor_integer(n: int):
 
 
 def _is_certified_prime(m: int, budget: _Budget) -> bool:
-    """Whether m, free of the primes below TRIAL_BOUND, is prime.
-
-    A base that is a witness proves m composite; passing all 13 bases
-    proves m prime below psi_13, and above it is refused.  Each base is
-    charged its bits(m) squarings before it runs.
-    """
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    """Whether m, free of the primes below TRIAL_BOUND, is prime, by
+    ``linalg.is_certified_prime``, each base charged its bits(m) squarings
+    before it runs."""
     per_base = m.bit_length() * _squaring_cost(m)
-    for a in _SMALL_PRIMES:
-        budget.spend(m, per_base)
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    if m >= _PSI_13:
-        raise CapabilityError(
-            f"{_shown(m)} passes Miller-Rabin to the bases 2..41 but is at "
-            f"least psi_13 = {_PSI_13}, so it is not certified prime")
-    return True
+    return is_certified_prime(m, lambda: budget.spend(m, per_base))
 
 
 def _perfect_power(m: int, budget: _Budget):

@@ -1,8 +1,8 @@
 """Goldie machinery: singular subobjects, the Goldie localizing
-subcategory, classical quotient rings, and the regular element lemma, on
-artinian and symbolic backends.
+subcategory and classical quotient rings, on artinian and symbolic
+backends.
 
-Three derived closed forms do the heavy lifting on artinian backends
+Two derived closed forms do the heavy lifting on artinian backends
 (all proved in docs/derivations.md and cross-checked against definitional
 enumeration in the oracle suite):
 
@@ -10,9 +10,7 @@ enumeration in the oracle suite):
 * the singular subobject is Z(M) = {v : v * soc(Lambda) = 0}, because the
   essential right ideals are exactly those containing soc(Lambda), which
   also identifies the Goldie weakly closed subcategory with the closed
-  subcategory of the two-sided ideal soc(Lambda);
-* on a semiprime Lambda, which is semisimple, the only essential right
-  ideal is Lambda itself, so the regular element lemma's witness is 1.
+  subcategory of the two-sided ideal soc(Lambda).
 """
 
 from __future__ import annotations
@@ -150,19 +148,3 @@ def validate_quotient_ring(backend: SpectrumBackend, samples: int = 100,
     desc = classical_quotient_ring(backend)
     checked = backend.check_quotient_ring(random.Random(seed), samples)
     return {"descriptor": vars(desc), "checked": checked}
-
-
-def regular_element_in(a: FiniteDimAlgebra, space: Subspace) -> tuple:
-    """A regular element inside ``space``, an essential right ideal of the
-    semiprime algebra ``a``; a space that is not a right ideal is refused.
-
-    A semiprime artinian algebra is semisimple, so soc(A_A) = A, and an
-    essential right ideal contains the socle: ``space`` is all of ``a``,
-    and its regular element is 1 (docs/derivations.md, "The regular
-    element of a semiprime artinian algebra is 1").
-    """
-    if not is_semiprime(a):
-        raise ValidationError("regular element lemma needs a semiprime algebra")
-    if not is_essential_submodule(space, RightModule.regular(a)):
-        raise ValidationError("regular element lemma needs an essential right ideal")
-    return a.unit

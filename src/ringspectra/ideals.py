@@ -175,7 +175,11 @@ def prime_radical_of_zero(a: FiniteDimAlgebra) -> TwoSidedIdeal:
 
 
 def is_semiprime(a: FiniteDimAlgebra) -> bool:
-    return prime_radical_of_zero(a).is_zero()
+    """Whether the prime radical of a is zero.  On an artinian algebra the
+    prime radical is J (docs/derivations.md, "Radical ideals on prime
+    masks"), so no prime is intersected; ``ArtinianBackend.reduced_part``
+    checks the two routes agree."""
+    return jacobson_radical(a).dim == 0
 
 
 def annihilator(module) -> TwoSidedIdeal:

@@ -38,13 +38,59 @@ from itertools import chain, compress, repeat
 from operator import and_, xor
 from typing import Iterable, Sequence
 
+from .errors import CapabilityError
+
+
+# The Miller-Rabin bases.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all 13 bases (Sorenson and Webster,
+# Math. Comp. 86, 2017): below it, passing every base certifies a prime.
+PSI_13 = 3317044064679887385961981
+
+
+def shown(m: int) -> str:
+    """m in decimal, or its size when it is too long to print."""
+    return str(m) if m.bit_length() <= 256 else f"a {m.bit_length()}-bit number"
+
+
+def is_certified_prime(m: int, charge=None) -> bool:
+    """Whether m, odd and free of the primes in MR_BASES, is prime.
+
+    A base that is a witness proves m composite; passing all 13 bases
+    proves m prime below psi_13, and above it ``CapabilityError`` is
+    raised.  ``charge()``, when given, runs before each base.
+    """
+    s = ((m - 1) & (1 - m)).bit_length() - 1
+    d = (m - 1) >> s
+    for a in MR_BASES:
+        if charge is not None:
+            charge()
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    if m >= PSI_13:
+        raise CapabilityError(
+            f"{shown(m)} passes Miller-Rabin to the bases 2..41 but is at "
+            f"least psi_13 = {PSI_13}, so it is not certified prime")
+    return True
+
 
 class GF:
     """Prime field F_p with residues stored as ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"modulus {p} is not prime")
+        """A composite p raises ValueError and a p that Miller-Rabin cannot
+        certify ``CapabilityError``.  Below 43^2 a p free of the bases is
+        prime, so a small field costs at most 13 remainders."""
+        if p < 2 or any(p % b == 0 for b in MR_BASES if b < p) or not (
+                p < 43 * 43 or is_certified_prime(p)):
+            raise ValueError(f"modulus {shown(p)} is not prime")
         self.p = p
         self.char = p
         self.packed = p == 2     # rows are packed into ints in the kernels

@@ -194,13 +194,6 @@ class RightModule:
         return self._radical
 
 
-def _any_preimage(proj_matrix: Matrix, w):
-    x = proj_matrix.solve_left(w)
-    if x is None:
-        raise ValidationError("vector has no preimage under a surjection")
-    return x
-
-
 class ModuleMap:
     """Module homomorphism recorded by a matrix on row vectors."""
 
@@ -521,30 +514,27 @@ def _newton_idempotent_lift(a: FiniteDimAlgebra, e):
 def projective_cover(n: RightModule):
     """(P, cover map P -> n) with P minimal projective, kernel in rad P.
 
-    Minimal: P/rad P has the dimension of the top of n.  rad P = P J is a
-    submodule by construction, so dim P/rad P = dim P - dim rad P, and no
-    quotient module is built to read it.
+    Each generator g is a row of act_matrix(e_t), so g = g e_t, outside
+    rad n plus the spins of the generators so far: g A then adds one copy
+    of S_t to the top, and once every row of every e_t is spanned the
+    copies make up the top of n.  Minimal: P/rad P has the dimension of
+    the top of n.  rad P = P J and rad n are submodules by construction,
+    so both tops are read as dimension differences, and no quotient
+    module is built.
     """
     a = n.algebra
     f = a.field
     if n.dim == 0:
         z = RightModule.zero(a)
         return z, ModuleMap(z, n, Matrix(f, [], n.dim))
-    prims = primitive_idempotents(a)
-    top, top_proj = n.quotient(n.radical_space(), name="top")
+    rad = n.radical_space()
+    spanned = rad
     summands = []     # (prim data, generator g in n)
-    for prim in prims:
-        e = prim.idempotent
-        weight = Subspace.from_vectors(f, top.dim, top.act_matrix(e).rows)
-        covered = Subspace.zero(f, top.dim)
-        for w in weight.basis_rows():
-            if covered.contains_vector(w):
-                continue
-            g0 = _any_preimage(top_proj.matrix, w)
-            g = n.act(g0, e)
-            summands.append((prim, g))
-            covered = covered.sum(top.spin_submodule([apply_vec(g, top_proj.matrix)]))
-        # generators found greedily cover the whole isotypic part
+    for prim in primitive_idempotents(a):
+        for g in n.act_matrix(prim.idempotent).rows:
+            if not spanned.contains_vector(g):
+                summands.append((prim, g))
+                spanned = spanned.sum(n.spin_submodule([g]))
     big = None
     maps = []
     for prim, g in summands:
@@ -558,7 +548,7 @@ def projective_cover(n: RightModule):
     cover = ModuleMap(big, n, Matrix(f, cover_rows, n.dim))
     if not cover.is_surjective():
         raise ValidationError("projective cover map is not surjective")
-    if big.dim - big.radical_space().dim != top.dim:
+    if big.dim - big.radical_space().dim != n.dim - rad.dim:
         raise ValidationError("projective cover is not minimal")
     return big, cover
 

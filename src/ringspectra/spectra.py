@@ -402,9 +402,9 @@ class SpectrumReport:
 class Spectrum:
     """One spectrum as read off a backend.
 
-    ``up`` holds each element's up-set (``up_sets``), ``order`` the strict
-    order as sorted label pairs and ``minimal`` the minimal elements, in
-    listing order.
+    ``up`` holds each element's up-set, as the backend states it,
+    ``order`` the strict order as sorted label pairs and ``minimal`` the
+    minimal elements, in listing order.
     """
 
     elements: list
@@ -560,15 +560,6 @@ def _integrality_flags(reduced, minimal) -> dict:
     irreducible = len(minimal) == 1
     return {"reduced": reduced, "irreducible": irreducible,
             "integral": reduced and irreducible}
-
-
-def up_sets(elements, leq) -> list[list[int]]:
-    """For each element x, the indices of the elements y with leq(x, y).
-
-    Indices ascend, in listing order.  leq is called exactly once per
-    ordered pair: the route for an order that is only known pair by pair.
-    """
-    return [[j for j, y in enumerate(elements) if leq(x, y)] for x in elements]
 
 
 def discrete_up_sets(elements) -> list[list[int]]:

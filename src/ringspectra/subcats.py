@@ -8,8 +8,10 @@ composition factor in the atom support; V(Ann M) inside the molecule
 support) live with the tests, which confirm against enumerated modules
 that they behave like the subcategories they name.
 
-The inclusion order on closed descriptors reverses the ideal order; the
-reversal is applied here and nowhere else.
+The inclusion order on closed descriptors reverses the ideal order.  On
+the radical ones it is read off prime masks: a radical ideal is the
+intersection of a set of primes, and intersecting fewer primes gives a
+larger ideal, so a smaller subcategory.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BudgetExceeded
-from .ideals import TwoSidedIdeal, intersect_primes, minimal_primes
+from .ideals import TwoSidedIdeal, minimal_primes
 from .spectra import (ArtinianBackend, ArtinianizationDescriptor,
                       ReducedPartResult, SpectrumBackend, atom_spectrum,
-                      hasse_edges, up_sets)
+                      hasse_edges)
 
 
 @dataclass
@@ -47,10 +49,6 @@ class ClosedSubcatDescriptor:
 
     def __hash__(self):
         return hash(self.ideal.space)
-
-    def leq(self, other: "ClosedSubcatDescriptor") -> bool:
-        """Subcategory inclusion: reverses ideal inclusion."""
-        return self.ideal.contains(other.ideal)
 
 
 def reduced_part(backend: SpectrumBackend) -> ReducedPartResult:
@@ -225,27 +223,36 @@ def radical_closed_descriptors(backend: ArtinianBackend):
 
     For an artinian backend the radical ideals are exactly the
     intersections of subsets of the (finitely many) primes, with the empty
-    intersection read as the whole algebra (the zero subcategory).
+    intersection read as the whole algebra (the zero subcategory).  Entry
+    m is the intersection of the primes whose bit is set in m, built from
+    the entry without m's highest bit; distinct sets of primes give
+    distinct ideals (docs/derivations.md, "Radical ideals on prime
+    masks").  Past LOCALIZING_MAX_ATOMS primes the 2^r lattice is refused
+    before any intersection.
     """
     a = backend.algebra
     ws = minimal_primes(a)
-    seen = {}
-    for mask in range(2 ** len(ws)):
-        chosen = [w for i, w in enumerate(ws) if mask >> i & 1]
-        ideal = intersect_primes(chosen) if chosen else TwoSidedIdeal.whole(a)
-        seen[ideal.space] = ideal
-    return [ClosedSubcatDescriptor(backend, ideal)
-            for ideal in seen.values()]
+    if len(ws) > LOCALIZING_MAX_ATOMS:
+        raise BudgetExceeded("radical closed classification", 2 ** len(ws),
+                             2 ** LOCALIZING_MAX_ATOMS)
+    ideals = _subset_table([w.ideal for w in ws], TwoSidedIdeal.intersect,
+                           TwoSidedIdeal.whole(a))
+    return [ClosedSubcatDescriptor(backend, ideal) for ideal in ideals]
 
 
 def radical_lattice_dot(backend: ArtinianBackend) -> str:
-    """DOT Hasse diagram of the radical-ideal closed subcategory lattice."""
-    descs = sorted(radical_closed_descriptors(backend),
-                   key=lambda d: (d.ideal.dim, d.ideal.space.mat.rows))
+    """DOT Hasse diagram of the radical-ideal closed subcategory lattice.
+
+    Descriptor m of ``radical_closed_descriptors`` intersects the primes
+    of mask m, so one lies below another iff its mask is a subset of the
+    other's."""
+    descs = radical_closed_descriptors(backend)
+    masks = sorted(range(len(descs)), key=lambda m: (
+        descs[m].ideal.dim, descs[m].ideal.space.mat.rows))
     lines = ["digraph closed_subcats {", "  rankdir=BT;"]
-    lines.extend(f'  c{i} [label="{d.label}", shape=box];'
-                 for i, d in enumerate(descs))
-    up = up_sets(descs, ClosedSubcatDescriptor.leq)
+    lines.extend(f'  c{i} [label="{descs[m].label}", shape=box];'
+                 for i, m in enumerate(masks))
+    up = [[j for j, n in enumerate(masks) if m & n == m] for m in masks]
     lines.extend(f"  c{i} -> c{j};" for i, j in hasse_edges(up))
     lines.append("}")
     return "\n".join(lines) + "\n"

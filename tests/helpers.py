@@ -13,9 +13,11 @@ over the whole submodule lattice; and isomorphism by a search over the
 coefficient combinations of a Hom basis, which the package replaced by
 Schur's lemma on simple modules; nilpotency of a subspace by
 multiplying by it one factor at a time, which the package replaced by the
-Loewy series through the radical's generators G; and the socle and the
+Loewy series through the radical's generators G; the socle and the
 radical of a module acted on by every basis row of J, which the package
-reads through G.
+reads through G; and the radical-ideal lattice with each subset of primes
+intersected from scratch and its order read pair by pair, which the
+package reads off prime masks.
 """
 
 import itertools
@@ -23,12 +25,15 @@ import itertools
 from ringspectra.algebras import (FiniteDimAlgebra, group_algebra,
                                   jacobson_radical, subspace_product)
 from ringspectra.commutative import GradedModuleDescriptor, poly_trim
-from ringspectra.ideals import TwoSidedIdeal, annihilator
+from ringspectra.ideals import (TwoSidedIdeal, annihilator, intersect_primes,
+                                minimal_primes)
 from ringspectra.linalg import (Matrix, Subspace, apply_vec, combine_matrices,
                                spin, unit_vec)
 from ringspectra.modules import RightModule, hom_basis, is_simple_module
 from ringspectra.oracle import _budgeted, count_subspaces, enumerate_submodules
-from ringspectra.subcats import LocalizingSubcatDescriptor
+from ringspectra.spectra import hasse_edges
+from ringspectra.subcats import (ClosedSubcatDescriptor,
+                                 LocalizingSubcatDescriptor)
 
 
 def det(m: Matrix):
@@ -154,6 +159,27 @@ def contains_module(descriptor, m) -> bool:
     if isinstance(descriptor, LocalizingSubcatDescriptor):
         return m.dim == 0 or descriptor.backend.asupp(m) <= support(descriptor)
     return descriptor.backend.msupp(m) <= support(descriptor)
+
+
+def reference_radical_lattice_dot(backend) -> str:
+    """``subcats.radical_lattice_dot`` by the plain route: every subset of
+    the primes intersected from scratch, equal ideals merged, and a node
+    below another iff its ideal contains the other's, asked of each pair."""
+    a = backend.algebra
+    ws = minimal_primes(a)
+    seen = {}
+    for mask in range(2 ** len(ws)):
+        chosen = [w for i, w in enumerate(ws) if mask >> i & 1]
+        ideal = intersect_primes(chosen) if chosen else TwoSidedIdeal.whole(a)
+        seen[ideal.space] = ideal
+    ideals = sorted(seen.values(), key=lambda i: (i.dim, i.space.mat.rows))
+    lines = ["digraph closed_subcats {", "  rankdir=BT;"]
+    lines.extend(f'  c{n} [label="{ClosedSubcatDescriptor(backend, i).label}", '
+                 'shape=box];' for n, i in enumerate(ideals))
+    up = [[n for n, k in enumerate(ideals) if i.contains(k)] for i in ideals]
+    lines.extend(f"  c{n} -> c{m};" for n, m in hasse_edges(up))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_poly_divmod(field, a, b):

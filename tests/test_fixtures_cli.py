@@ -248,6 +248,39 @@ def test_cli_oracle_subspaces_usage_errors(capsys, dim_p, message):
     assert message in capsys.readouterr().err
 
 
+def test_cli_oracle_uncertifiable_p_is_a_capability_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["oracle", "--subspaces", "1", str(2 ** 89 - 1)])
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("capability error:")
+    assert "psi_13" in err and "Traceback" not in err
+
+
+COMPANION_X2 = ("[backend]\nkind = algebra\nfield = F{}\nsource = companion\n"
+                "poly = 0 0 1\n")
+
+
+@pytest.mark.parametrize("p, code, err", [
+    (10 ** 16 + 61, 0, ""),
+    (10 ** 16 + 63, 2, "parse error: [backend] modulus 10000000000000063 "
+                       "is not prime (line 3)\n"),
+    (10 ** 400 + 1, 2, "parse error: [backend] modulus a 1329-bit number "
+                       "is not prime (line 3)\n"),
+    (2 ** 89 - 1, 3, "capability error: 618970019642690137449562111 passes "
+                     "Miller-Rabin to the bases 2..41 but is at least "
+                     "psi_13 = 3317044064679887385961981, so it is not "
+                     "certified prime\n")],
+    ids=["prime", "composite", "1e400+1", "uncertifiable"])
+def test_cli_field_modulus_is_certified(tmp_path, capsys, p, code, err):
+    """A large prime field is certified by Miller-Rabin, not by trial
+    division to its square root; a composite is a parse error at its line
+    and a modulus Miller-Rabin cannot certify a capability error."""
+    path = _write(tmp_path, "c.alg", COMPANION_X2.format(p))
+    assert cli_main(["verify", path]) == code
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
 def test_cli_bad_budget_is_a_capability_error(tmp_path, monkeypatch, capsys,
                                                value):

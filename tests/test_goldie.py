@@ -1,7 +1,6 @@
 """Goldie machinery: singular subobjects, essentiality, quotient rings."""
 
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +14,8 @@ from ringspectra.commutative import (IntegerBackend, IntModBackend,
                                      PolyBackend, PolyQuotBackend)
 from ringspectra.errors import CapabilityError, ValidationError
 from ringspectra.goldie import (classical_quotient_ring, goldie_localizing,
-                                is_essential_submodule, regular_element_in,
-                                regular_socle_ideal, singular_subspace,
-                                validate_quotient_ring)
+                                is_essential_submodule, regular_socle_ideal,
+                                singular_subspace, validate_quotient_ring)
 from ringspectra.ideals import is_semiprime
 from ringspectra.linalg import F2, QQ, Subspace
 from ringspectra.modules import RightModule, simple_modules
@@ -161,49 +159,11 @@ def test_essentially_compressible_definitional(small_f2_corpus):
             assert is_semisimple_module(m) == brute, (name, mname)
 
 
-def test_regular_element_lemma_exhaustive(small_f2_corpus):
-    """Every essential right ideal of a semiprime algebra has a regular
-    element; non-essential or non-semiprime inputs are refused."""
-    for name, a in small_f2_corpus:
-        if not is_semiprime(a):
-            with pytest.raises(ValidationError):
-                regular_element_in(a, Subspace.full(a.field, a.dim))
-            continue
-        reg = RightModule.regular(a)
-        for space in enumerate_right_ideals(a):
-            if not is_essential_submodule(space, reg):
-                with pytest.raises(ValidationError):
-                    regular_element_in(a, space)
-                continue
-            v = regular_element_in(a, space)
-            assert a.is_regular_element(v), name
-            assert space.contains_vector(v), name
-
-
-def test_regular_element_of_a_semiprime_algebra_is_its_unit(algebra_corpus):
-    """On the semiprime corpus algebras and the semiprime rational algebras
-    of ``test_modules``, each in its natural and in a seeded random basis:
-    the one essential right ideal, the algebra itself, yields 1, which is
-    regular."""
-    from test_algebras import _in_random_basis
-    from test_modules import _rational_algebras
-    rng = random.Random(33)
-    chars = set()
-    for b in [a for _n, a in algebra_corpus] + _rational_algebras():
-        if not is_semiprime(b):
-            continue
-        for a in (b, _in_random_basis(b, rng)):
-            v = regular_element_in(a, Subspace.full(a.field, a.dim))
-            assert v == a.unit and a.is_regular_element(v), a.name
-            chars.add(a.field.char)
-    assert chars == {0, 2, 3}
-
-
 def test_a_semiprime_algebra_is_its_only_essential_right_ideal(
         algebra_corpus):
-    """The premise of ``regular_element_in``, by the definition: on every
-    semiprime corpus algebra over F_2 and F_3, a right ideal that meets
-    every nonzero right ideal is the whole algebra."""
+    """The regular element lemma's witness is 1, by the definition: on
+    every semiprime corpus algebra over F_2 and F_3, a right ideal that
+    meets every nonzero right ideal is the whole algebra."""
     checked = 0
     for name, a in algebra_corpus:
         if not is_semiprime(a):
@@ -214,26 +174,6 @@ def test_a_semiprime_algebra_is_its_only_essential_right_ideal(
         assert [s.dim for s in essential] == [a.dim], name
         checked += 1
     assert checked > 10
-
-
-def test_regular_element_examples(corpus_by_name):
-    ff = corpus_by_name["f2xf2"]
-    assert regular_element_in(ff, Subspace.full(F2, 2)) == (1, 1)
-    diag = RightModule.regular(ff).spin_submodule([ff.unit])
-    assert regular_element_in(ff, diag) == (1, 1)
-    m2 = corpus_by_name["m2_f2"]
-    v = regular_element_in(m2, Subspace.full(F2, 4))
-    assert m2.is_regular_element(v)
-
-
-def test_regular_element_refuses_a_space_that_is_not_a_right_ideal(
-        corpus_by_name):
-    """m2_f2 is simple, so semiprime; the span of e12 alone is not closed
-    under right multiplication (e12 * e21 = e11)."""
-    m2 = corpus_by_name["m2_f2"]
-    e12 = Subspace.from_vectors(F2, 4, [m2.basis_coords(1)])
-    with pytest.raises(ValidationError, match="about submodules"):
-        regular_element_in(m2, e12)
 
 
 def test_classical_quotient_ring_descriptors(corpus_by_name):

@@ -1,11 +1,14 @@
 """Exact linear algebra kernel: rref, subspaces, spin."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from ringspectra import linalg
+from ringspectra.errors import CapabilityError
 from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, RowReducer, Subspace,
                                 apply_vec, combine_matrices, common_left_kernel,
                                 pack, spin, unit_vec, unpack)
@@ -23,6 +26,48 @@ def test_gf_arithmetic_exact():
 def test_gf_rejects_composite():
     with pytest.raises(ValueError):
         GF(6)
+
+
+def test_gf_decides_small_moduli_by_remainders_alone(monkeypatch):
+    """Below 43^2 no Miller-Rabin power runs, and the answer is trial
+    division's."""
+    def refuse(*_args):
+        raise AssertionError("Miller-Rabin ran on a small modulus")
+
+    monkeypatch.setattr(linalg, "is_certified_prime", refuse)
+    for p in range(-3, 43 * 43):
+        prime = p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+        if prime:
+            assert GF(p).p == p
+        else:
+            with pytest.raises(ValueError, match="is not prime"):
+                GF(p)
+
+
+@pytest.mark.parametrize("p, prime", [
+    (43 * 43, False), (1861, True), (3215031751, False),
+    (10 ** 16 + 61, True), (10 ** 16 + 63, False),
+    (318665857834031151167461, False), (2 ** 61 - 1, True),
+    (10 ** 400 + 1, False)],
+    ids=["43^2", "1861", "spsp-2-3-5-7", "1e16+61", "1e16+63", "psi_12",
+         "2^61-1", "1e400+1"])
+def test_gf_certifies_large_moduli_by_miller_rabin(p, prime):
+    """Strong pseudoprimes to the first bases (psi_12 passes 2..37) are
+    caught, and a modulus too large for a float is decided, not overflowed."""
+    if prime:
+        assert GF(p).p == p
+    else:
+        with pytest.raises(ValueError, match="is not prime"):
+            GF(p)
+
+
+@pytest.mark.parametrize("p", [2 ** 89 - 1, linalg.PSI_13],
+                         ids=["2^89-1", "psi_13"])
+def test_gf_refuses_a_modulus_miller_rabin_cannot_certify(p):
+    """At psi_13 and above, passing every base proves nothing: the prime
+    2^89 - 1 and the composite psi_13 are both refused, neither reported."""
+    with pytest.raises(CapabilityError, match="psi_13"):
+        GF(p)
 
 
 def test_rational_exactness():

@@ -20,7 +20,6 @@ MODULES = [p for p in sorted((ROOT / "src" / "ringspectra").glob("*.py"))
 
 EXEMPT = {
     "oracle": "brute-force references, whose callers are tests by design",
-    "goldie.regular_element_in": "acceptance criterion 6 tests it",
     "algebras.ideal_closure":
         "acceptance criterion 9 builds ideals with it; the oracle's closure "
         "applies every basis multiplication instead",

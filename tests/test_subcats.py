@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from ringspectra.algebras import ideal_closure, jacobson_radical
+from ringspectra.algebras import (ideal_closure, jacobson_radical,
+                                  upper_triangular_algebra)
 from ringspectra.cli import main as cli_main
-from ringspectra.ideals import TwoSidedIdeal
+from ringspectra.ideals import TwoSidedIdeal, annihilator
 from ringspectra.commutative import IntegerBackend, PolyBackend
 from ringspectra.errors import BudgetExceeded
 from ringspectra.linalg import GF, QQ
@@ -24,9 +25,13 @@ from ringspectra.subcats import (LOCALIZING_MAX_ATOMS,
                                  LOCALLY_CLOSED_MAX_MOLECULES,
                                  ClosedSubcatDescriptor, classify_localizing,
                                  classify_locally_closed_localizing,
-                                 reduced_part, artinianization)
+                                 radical_closed_descriptors,
+                                 radical_lattice_dot, reduced_part,
+                                 artinianization)
+from test_algebras import _random_change_of_basis
 from test_spectra import _literal_order
-from helpers import contains_module, ideal_sum, support
+from helpers import (contains_module, ideal_sum, reference_radical_lattice_dot,
+                     support)
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -37,15 +42,18 @@ def _backend(name, corpus_by_name):
 
 
 def test_order_reversal_on_full_lattice(corpus_by_name):
+    """Mod(Lambda/I) lies in Mod(Lambda/K) iff K kills Lambda/I, which
+    generates Mod(Lambda/I), iff I contains K: the order on closed
+    subcategories reverses the ideal order."""
     for name in ["trunc3_f2", "t2_f2", "f2xf2"]:
-        b = _backend(name, corpus_by_name)
-        a = b.algebra
+        a = corpus_by_name[name]
+        reg = RightModule.regular(a)
         lattice = [TwoSidedIdeal(a, s, validate=False)
                    for s in enumerate_two_sided_ideals(a)]
-        descs = [ClosedSubcatDescriptor(b, i) for i in lattice]
-        for c1 in descs:
-            for c2 in descs:
-                assert c1.leq(c2) == c1.ideal.contains(c2.ideal), name
+        for i in lattice:
+            killer = annihilator(reg.quotient(i.space)[0])
+            for k in lattice:
+                assert killer.contains(k) == i.contains(k), name
 
 
 def test_reduced_part_examples(corpus_by_name):
@@ -289,7 +297,7 @@ def test_dcc_random_descending_chains(corpus_by_name):
                 nxt_ideal = ideal_sum(current.ideal, TwoSidedIdeal(
                     a, ideal_closure(a, [gen]), validate=False))
                 nxt = ClosedSubcatDescriptor(b, nxt_ideal)
-                assert nxt.leq(current)
+                assert nxt.ideal.contains(current.ideal)
                 if nxt.ideal.space != current.ideal.space:
                     strict_steps += 1
                 current = nxt
@@ -312,8 +320,6 @@ def test_generated_filter_realizes_goldie_filter(corpus_by_name):
 
 
 def test_radical_closed_lattice(corpus_by_name):
-    from ringspectra.subcats import (radical_closed_descriptors,
-                                     radical_lattice_dot)
     from ringspectra.ideals import prime_radical
     b = _backend("t2_f2", corpus_by_name)
     descs = radical_closed_descriptors(b)
@@ -329,3 +335,41 @@ def test_radical_closed_lattice(corpus_by_name):
     b2 = _backend("f2xf2", corpus_by_name)
     labels = {d.label for d in radical_closed_descriptors(b2)}
     assert any(lab.startswith("Mod f2xf2") for lab in labels)
+
+
+def test_radical_lattice_on_masks_matches_the_pairwise_route(algebra_corpus):
+    """The DOT read off prime masks is byte-equal to the plain route's on
+    every corpus algebra, in its natural and a seeded random basis, and on
+    T_2..T_7(F_2)."""
+    rng = random.Random(38)
+    algebras = [a for _n, a in algebra_corpus]
+    algebras += [_random_change_of_basis(a, rng)[0] for a in algebras]
+    algebras += [upper_triangular_algebra(n, GF(2)) for n in range(2, 8)]
+    for a in algebras:
+        b = ArtinianBackend(a)
+        assert radical_lattice_dot(b) == reference_radical_lattice_dot(b), a.name
+
+
+def test_radical_lattice_past_the_budget_is_refused_unintersected(
+        monkeypatch, tmp_path):
+    """T_9(F_2) has 9 primes, past LOCALIZING_MAX_ATOMS: refused before any
+    intersection, and ``analyze --subcats --dot`` exits 3 leaving no DOT."""
+    b = ArtinianBackend(upper_triangular_algebra(9, GF(2)))
+
+    def refuse(*_args):
+        raise AssertionError("an intersection ran before the refusal")
+
+    monkeypatch.setattr(TwoSidedIdeal, "intersect", refuse)
+    with pytest.raises(BudgetExceeded, match="needs 512, budget allows 256"):
+        radical_closed_descriptors(b)
+    monkeypatch.undo()
+    fixture = tmp_path / "t9.alg"
+    fixture.write_text("[backend]\nkind = algebra\nfield = F2\n"
+                       "source = triangular\nn = 9\n")
+    out = tmp_path / "t9.dot"
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli_main(["analyze", str(fixture), "--subcats",
+                         "--dot", str(out)]) == 3
+    assert err.getvalue().startswith("capability error: radical closed")
+    assert not out.exists()

@@ -38,13 +38,17 @@ Runs each rung once, in this order:
   M_2(F_p) for p = 31, 101, 1009, M_3(F_31), F_10007[C_2], F_100003[C_2]
   and M_2(Q(i)) (on its structure constants): large primes, where the
   Wedderburn split factors over F_p and the simple search shrinks right
-  ideals over F_p;
+  ideals over F_p; then on the companion algebra of x^2 over
+  F_(10^16 + 61), whose field is certified by Miller-Rabin;
 - ``ringspectra analyze fixtures/z.alg --window N --json TMP`` for
   N = 41, 43, 47 (14 to 16 molecules, up to the 2^16 subset budget), each
   in a fresh interpreter: its seconds and the rise in peak RSS it causes;
 - ``ringspectra analyze T.alg --atoms --json TMP`` in-process on
   ``source = triangular`` fixtures for T_9(F_2) and T_12(F_2) (a listing:
   the algebra, its radical and its simples, no verification suite);
+- ``ringspectra analyze T.alg --subcats --dot TMP`` in a fresh
+  interpreter on T_8(F_2), the radical-ideal lattice on 8 primes, and on
+  T_9(F_2), refused past the 2^8 subset budget;
 - ``classify_locally_closed_localizing`` on T_9(F_2), after building the
   algebra and its primes outside the timed region;
 - ``is_monoform`` on E(S1) of T_9(F_2) (dimension 9, past the oracle's
@@ -55,8 +59,6 @@ Runs each rung once, in this order:
   every pair of simple members is compared), given its lattice, and
   ``brute_composition_factors`` on it, which enumerates the lattice
   itself; the algebra, module and lattice built outside the timed region;
-- ``regular_element_in`` on the whole of M_4(F_2) and of M_3(F_3), the
-  algebra built outside the timed region;
 - the brute-force oracles ``brute_mass``, ``brute_singular_subspace``,
   ``brute_is_prime_object`` and ``brute_is_monoform`` on the regular
   module of T_3(F_2), and ``brute_is_prime`` on each proper ideal of its
@@ -105,8 +107,7 @@ from ringspectra.cli import main as cli_main  # noqa: E402
 from ringspectra.commutative import (IntegerBackend, IntModBackend,  # noqa: E402
                                      PolyBackend)
 from ringspectra.errors import BudgetExceeded, CapabilityError  # noqa: E402
-from ringspectra.goldie import regular_element_in  # noqa: E402
-from ringspectra.linalg import F2, F3, QQ, Subspace  # noqa: E402
+from ringspectra.linalg import F2, F3, QQ  # noqa: E402
 from ringspectra.modules import (RightModule, injective_envelope,  # noqa: E402
                                  is_monoform, primitive_idempotents,
                                  simple_modules)
@@ -264,13 +265,13 @@ INT_MOD_PRIMES = {4: (10007, 10009), 6: (1000003, 1000033),
                   13: (10000000000037, 10000000000051)}
 
 
-VERIFY = """\
+CLI = """\
 import contextlib, io, json, sys, time
 sys.path.insert(0, sys.argv[1])
 from ringspectra.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     t0 = time.perf_counter()
-    code = main(["verify", sys.argv[2]])
+    code = main(sys.argv[2:])
     seconds = time.perf_counter() - t0
 print(json.dumps([seconds, code]))
 """
@@ -283,21 +284,36 @@ ROOTLESS = {
 }
 
 
-def verify_fixture(text):
-    """``verify`` on the fixture ``text`` in a fresh interpreter, stopped
-    after VERIFY_TIMEOUT_S."""
+def verify_fixture(text, command="verify", *options):
+    """``ringspectra COMMAND FIXTURE OPTIONS`` (by default ``verify``) on the
+    fixture ``text`` in a fresh interpreter, stopped after
+    VERIFY_TIMEOUT_S."""
     with tempfile.TemporaryDirectory() as tmp:
         fixture = Path(tmp) / "a.alg"
         fixture.write_text(text)
         try:
-            out = subprocess.run([sys.executable, "-c", VERIFY, str(ROOT / "src"),
-                                  str(fixture)], capture_output=True, text=True,
+            out = subprocess.run([sys.executable, "-c", CLI, str(ROOT / "src"),
+                                  command, str(fixture), *options],
+                                 capture_output=True, text=True,
                                  check=True, timeout=VERIFY_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return None, {"note": "did not finish within "
                                   f"{VERIFY_TIMEOUT_S:.0f} s"}
     seconds, code = json.loads(out.stdout)
     return seconds, {"exit": code}
+
+
+def subcats_dot(n):
+    """``analyze --subcats --dot`` on T_n(F_2) in a fresh interpreter: the
+    exit code, and the edges of the DOT it leaves, or None if it leaves
+    none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dot = Path(tmp) / "t.dot"
+        seconds, facts = verify_fixture(
+            f"[backend]\nkind = algebra\nfield = F2\nsource = triangular\n"
+            f"n = {n}\n", "analyze", "--subcats", "--dot", str(dot))
+        facts["edges"] = dot.read_text().count(" -> ") if dot.exists() else None
+    return seconds, facts
 
 
 def cyclic_fixture(p, n):
@@ -419,16 +435,6 @@ def oracle_on_envelope(n, field, run):
     return time.perf_counter() - t0, {"dim": m.dim, **facts}
 
 
-def regular_element(build, n, field):
-    """``regular_element_in`` on the whole of ``build(n, field)``, the
-    algebra built outside the timing."""
-    a = build(n, field)
-    whole = Subspace.full(field, a.dim)
-    t0 = time.perf_counter()
-    v = regular_element_in(a, whole)
-    return time.perf_counter() - t0, {"dim": a.dim, "unit": v == a.unit}
-
-
 def oracle_on(build, run):
     """``run(regular module, backend)`` on the algebra ``build()``, the
     algebra, module and primes built outside the timing."""
@@ -522,10 +528,15 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
          + [(f"verify M{n}(F{p})", verify_fixture, (matrix_fixture(p, n),))
             for p, n in ((31, 2), (101, 2), (1009, 2), (31, 3))]
          + [("verify M2(Q(i))", verify_fixture, (gaussian_matrix_fixture(),))]
+         + [("verify companion x^2 over F(10^16+61)", verify_fixture,
+             ("[backend]\nkind = algebra\nfield = F10000000000000061\n"
+              "source = companion\npoly = 0 0 1\n",))]
          + [(f"analyze z.alg --window {w}", analyze_z, (w,))
             for w in (41, 43, 47)]
          + [(f"analyze --atoms T{n}(F2)", analyze_atoms, ("triangular", n, "F2"))
             for n in (9, 12)]
+         + [(f"analyze --subcats --dot T{n}(F2), fresh interpreter",
+             subcats_dot, (n,)) for n in (8, 9)]
          + [("T9(F2) lcl classification", classify_algebra,
              (upper_triangular_algebra, 9, F2))]
          + [("T9(F2) E(S1) is_monoform", monoform,
@@ -539,11 +550,7 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
                      "monoform": brute_is_monoform(m, lattice)})),
             ("T7(F2) E(S1) brute_composition_factors", oracle_on_envelope, (
                  7, F2, lambda m, _lattice: {
-                     "length": sum(brute_composition_factors(m).values())})),
-            ("M4(F2) regular_element_in", regular_element,
-             (matrix_algebra, 4, F2)),
-            ("M3(F3) regular_element_in", regular_element,
-             (matrix_algebra, 3, F3))]
+                     "length": sum(brute_composition_factors(m).values())}))]
          + [("T3(F2) reg brute_mass", oracle_on, (t3_f2, mass)),
             ("T3(F2) reg brute_singular_subspace", oracle_on, (t3_f2, singular)),
             ("T3(F2) reg brute_is_prime_object", oracle_on, (
