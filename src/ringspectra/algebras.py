@@ -584,10 +584,9 @@ def bound_quiver_algebra(field, q: BoundQuiver, name=None) -> FiniteDimAlgebra:
         if ideal.dim == len(layer):
             break
         comp = ideal.complement_coords()
-        position = {j: q.vertices + len(basis) + i for i, j in enumerate(comp)}
-        for j, (s, _t, p) in enumerate(layer):
-            red = ideal.reduce(unit_vec(field, len(layer), j))
-            forms[(s, p)] = tuple((position[k], red[k]) for k in comp if red[k])
+        start = q.vertices + len(basis)
+        for (s, _t, p), row in zip(layer, ideal.complement_projection_matrix().rows):
+            forms[(s, p)] = tuple((start + i, c) for i, c in enumerate(row) if c)
         basis.extend(layer[j] for j in comp)
         lower = [[(c, layer[j]) for j, c in enumerate(row) if c]
                  for row in ideal.basis_rows()]
@@ -851,10 +850,6 @@ def _lifted_trace(rows, p: int, i: int) -> int:
     return q
 
 
-def is_semisimple(a: FiniteDimAlgebra) -> bool:
-    return jacobson_radical(a).dim == 0
-
-
 # -- Wedderburn decomposition ------------------------------------------------
 
 @dataclass
@@ -875,7 +870,7 @@ def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
     st = a.structure
     if st.blocks is not None:
         return st.blocks
-    if not is_semisimple(a):
+    if jacobson_radical(a).dim:
         raise ValidationError("wedderburn decomposition needs a semisimple algebra")
     f = a.field
     d = a.dim

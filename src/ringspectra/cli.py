@@ -29,8 +29,8 @@ from .linalg import GF
 from .oracle import corpus, count_subspaces, enumerate_subspaces
 from .spectra import (AssertionRecord, atom_spectrum, hasse_edges,
                       molecule_spectrum, verify_correspondence)
-from .subcats import (artinianization, classify_localizing,
-                      classify_locally_closed_localizing,
+from .subcats import (ClosedSubcatDescriptor, artinianization,
+                      classify_localizing, classify_locally_closed_localizing,
                       radical_lattice_dot, reduced_part)
 
 EXIT_OK = 0
@@ -240,9 +240,9 @@ def _analyze(args) -> int:
                             "molecular": report.molecular_flags}
         try:
             red = report.reduced_part or reduced_part(backend)
-            payload["reduced_part"] = (red.descriptor.label
-                                       if red.descriptor is not None
-                                       else str(red.atomic_route_ideal))
+            payload["reduced_part"] = (
+                ClosedSubcatDescriptor(backend, red.atomic_route_ideal).label
+                if backend.algebra is not None else str(red.atomic_route_ideal))
         except CapabilityError as exc:
             payload["reduced_part"] = f"unavailable: {exc}"
         try:

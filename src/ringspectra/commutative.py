@@ -565,7 +565,7 @@ class CommutativeSpec:
     def reduced_part(self):
         """R_red along both routes: each names the same reduced ring."""
         label = self.reduced_ring_label()
-        return ReducedPartResult(None, self.is_semiprime(), label, label)
+        return ReducedPartResult(self.is_semiprime(), label, label)
 
     def artinianization(self):
         """Supported on the minimal points: every point of an artinian R,

@@ -20,7 +20,8 @@ from .algebras import (FiniteDimAlgebra, generator_multiplications,
                        semisimple_quotient, subspace_product,
                        wedderburn_blocks)
 from .errors import ValidationError
-from .linalg import Matrix, RowReducer, Subspace, apply_vec, vec_sub
+from .linalg import (Matrix, RowReducer, Subspace, apply_vec,
+                     common_left_kernel, vec_sub)
 
 
 class TwoSidedIdeal:
@@ -72,11 +73,6 @@ class TwoSidedIdeal:
         if other.algebra is not self.algebra:
             if not other.algebra.structurally_equal(self.algebra):
                 raise ValidationError("ideals belong to different algebras")
-
-    def intersect(self, other: "TwoSidedIdeal"):
-        self._check_parent(other)
-        return TwoSidedIdeal(self.algebra, self.space.intersect(other.space),
-                             validate=False)
 
 
 def ideal_product(i: TwoSidedIdeal, j: TwoSidedIdeal) -> TwoSidedIdeal:
@@ -157,17 +153,19 @@ def primes_over(a: FiniteDimAlgebra, i: TwoSidedIdeal) -> list[PrimeWitness]:
 
 def prime_radical(i: TwoSidedIdeal) -> TwoSidedIdeal:
     """Intersection of all primes containing i."""
-    return intersect_primes(primes_over(i.algebra, i))
+    return prime_intersection(i.algebra, primes_over(i.algebra, i))
 
 
-def intersect_primes(ws: list[PrimeWitness]) -> TwoSidedIdeal:
-    """The intersection of the listed primes, an ideal by construction."""
-    if not ws:
-        raise ValidationError("an artinian algebra has at least one prime")
-    acc = ws[0].ideal
-    for w in ws[1:]:
-        acc = acc.intersect(w.ideal)
-    return acc
+def prime_intersection(a: FiniteDimAlgebra, ws: list[PrimeWitness]) -> TwoSidedIdeal:
+    """The intersection of the listed primes, the whole of a for none.
+
+    x lies in P iff its residue mod P is 0, so the intersection is the
+    common left kernel of the primes' complement projections
+    (docs/derivations.md, "An intersection of primes is one kernel"); an
+    ideal by construction, so not checked again."""
+    space = common_left_kernel(a.field, a.dim, [
+        w.ideal.space.complement_projection_matrix() for w in ws])
+    return TwoSidedIdeal(a, space, validate=False)
 
 
 def prime_radical_of_zero(a: FiniteDimAlgebra) -> TwoSidedIdeal:

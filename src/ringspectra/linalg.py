@@ -810,13 +810,20 @@ class Subspace:
         return tuple(j for j in range(self.ambient) if j not in self.pivots)
 
     def complement_projection_matrix(self) -> Matrix:
-        """Matrix of v -> coordinates of v mod this subspace (row action)."""
+        """Matrix of v -> coordinates of v mod this subspace (row action).
+
+        v mod this subspace is v - sum_k v[p_k] row_k, for the canonical
+        rows row_k and their pivots p_k, so the row of a non-pivot column
+        is its unit vector among the complement coordinates and the row of
+        pivot p_k is -row_k read at them."""
+        f = self.field
         comp = self.complement_coords()
-        rows = []
-        for i in range(self.ambient):
-            red = self.reduce(unit_vec(self.field, self.ambient, i))
-            rows.append(tuple(red[j] for j in comp))
-        return Matrix.trusted(self.field, tuple(rows), len(comp))
+        rows = [None] * self.ambient
+        for t, j in enumerate(comp):
+            rows[j] = unit_vec(f, len(comp), t)
+        for pc, row in zip(self.pivots, self.mat.rows):
+            rows[pc] = tuple(f.neg(row[j]) for j in comp)
+        return Matrix.trusted(f, tuple(rows), len(comp))
 
 
 def common_left_kernel(field, n: int, mats: Iterable[Matrix]) -> Subspace:

@@ -138,15 +138,12 @@ class RightModule:
     def spin_submodule(self, seeds) -> Subspace:
         return spin(self.algebra.field, self.dim, seeds, self.generator_action())
 
-    def submodule(self, space_or_seeds, name="L"):
-        """(module on the subspace, inclusion map); seeds are spun closed."""
-        if isinstance(space_or_seeds, Subspace):
-            space = space_or_seeds
-            if not space.is_stable(self.generator_action()):
-                raise ValidationError("subspace is not action-invariant")
-        else:
-            space = self.spin_submodule(list(space_or_seeds))
+    def submodule(self, space: Subspace, name="L"):
+        """(module on the subspace, inclusion map); a subspace that some
+        action matrix does not map into itself raises."""
         mats = [space.restrict(m) for m in self.action]
+        if None in mats:
+            raise ValidationError("subspace is not action-invariant")
         sub = RightModule(self.algebra, mats, name=name, validate=False)
         incl = ModuleMap(sub, self, space.mat)
         return sub, incl

@@ -81,7 +81,6 @@ class ReducedPartResult:
     """The reduced part, as each route computed it, and whether the ring
     is reduced (the two routes already agree)."""
 
-    descriptor: object      # a subcats.ClosedSubcatDescriptor; None if symbolic
     reduced: bool
     atomic_route_ideal: object
     molecular_route_ideal: object
@@ -275,7 +274,6 @@ class ArtinianBackend:
 
     def reduced_part(self):
         """Mod(Lambda/J): J is the Jacobson radical and the prime radical."""
-        from .subcats import ClosedSubcatDescriptor  # subcats imports spectra
         a = self.algebra
         atomic = TwoSidedIdeal(a, jacobson_radical(a), validate=False)
         molecular = prime_radical_of_zero(a)
@@ -283,8 +281,7 @@ class ArtinianBackend:
             raise ValidationError(
                 "atomically and molecularly reduced parts disagree: "
                 "this violates the correspondence and indicates a bug")
-        return ReducedPartResult(ClosedSubcatDescriptor(self, atomic),
-                                 atomic.is_zero(), atomic, molecular)
+        return ReducedPartResult(atomic.is_zero(), atomic, molecular)
 
     def artinianization(self):
         """An artinian category is its own artinianization."""

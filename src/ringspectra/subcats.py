@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BudgetExceeded
-from .ideals import TwoSidedIdeal, minimal_primes
+from .ideals import TwoSidedIdeal, minimal_primes, prime_intersection
 from .spectra import (ArtinianBackend, ArtinianizationDescriptor,
                       ReducedPartResult, SpectrumBackend, atom_spectrum,
                       hasse_edges)
@@ -224,20 +224,20 @@ def radical_closed_descriptors(backend: ArtinianBackend):
     For an artinian backend the radical ideals are exactly the
     intersections of subsets of the (finitely many) primes, with the empty
     intersection read as the whole algebra (the zero subcategory).  Entry
-    m is the intersection of the primes whose bit is set in m, built from
-    the entry without m's highest bit; distinct sets of primes give
-    distinct ideals (docs/derivations.md, "Radical ideals on prime
-    masks").  Past LOCALIZING_MAX_ATOMS primes the 2^r lattice is refused
-    before any intersection.
+    m is the intersection of the primes whose bit is set in m, one
+    ``prime_intersection`` each; distinct sets of primes give distinct
+    ideals (docs/derivations.md, "Radical ideals on prime masks").  Past
+    LOCALIZING_MAX_ATOMS primes the 2^r lattice is refused before any
+    intersection.
     """
     a = backend.algebra
     ws = minimal_primes(a)
     if len(ws) > LOCALIZING_MAX_ATOMS:
         raise BudgetExceeded("radical closed classification", 2 ** len(ws),
                              2 ** LOCALIZING_MAX_ATOMS)
-    ideals = _subset_table([w.ideal for w in ws], TwoSidedIdeal.intersect,
-                           TwoSidedIdeal.whole(a))
-    return [ClosedSubcatDescriptor(backend, ideal) for ideal in ideals]
+    return [ClosedSubcatDescriptor(backend, prime_intersection(
+                a, [w for t, w in enumerate(ws) if m >> t & 1]))
+            for m in range(2 ** len(ws))]
 
 
 def radical_lattice_dot(backend: ArtinianBackend) -> str:

@@ -15,9 +15,11 @@ Schur's lemma on simple modules; nilpotency of a subspace by
 multiplying by it one factor at a time, which the package replaced by the
 Loewy series through the radical's generators G; the socle and the
 radical of a module acted on by every basis row of J, which the package
-reads through G; and the radical-ideal lattice with each subset of primes
-intersected from scratch and its order read pair by pair, which the
-package reads off prime masks.
+reads through G; an intersection of primes taken one pair at a time,
+which the package reads as one kernel of their complement projections;
+and the radical-ideal lattice with each subset of primes intersected
+from scratch and its order read pair by pair, which the package reads
+off prime masks.
 """
 
 import itertools
@@ -25,8 +27,7 @@ import itertools
 from ringspectra.algebras import (FiniteDimAlgebra, group_algebra,
                                   jacobson_radical, subspace_product)
 from ringspectra.commutative import GradedModuleDescriptor, poly_trim
-from ringspectra.ideals import (TwoSidedIdeal, annihilator, intersect_primes,
-                                minimal_primes)
+from ringspectra.ideals import TwoSidedIdeal, annihilator, minimal_primes
 from ringspectra.linalg import (Matrix, Subspace, apply_vec, combine_matrices,
                                spin, unit_vec)
 from ringspectra.modules import RightModule, hom_basis, is_simple_module
@@ -161,6 +162,15 @@ def contains_module(descriptor, m) -> bool:
     return descriptor.backend.msupp(m) <= support(descriptor)
 
 
+def reference_prime_intersection(a, ws) -> Subspace:
+    """The intersection of the listed primes, the whole of a for none, one
+    pair at a time by ``Subspace.intersect`` (the stacked kernel)."""
+    space = Subspace.full(a.field, a.dim)
+    for w in ws:
+        space = space.intersect(w.ideal.space)
+    return space
+
+
 def reference_radical_lattice_dot(backend) -> str:
     """``subcats.radical_lattice_dot`` by the plain route: every subset of
     the primes intersected from scratch, equal ideals merged, and a node
@@ -169,9 +179,9 @@ def reference_radical_lattice_dot(backend) -> str:
     ws = minimal_primes(a)
     seen = {}
     for mask in range(2 ** len(ws)):
-        chosen = [w for i, w in enumerate(ws) if mask >> i & 1]
-        ideal = intersect_primes(chosen) if chosen else TwoSidedIdeal.whole(a)
-        seen[ideal.space] = ideal
+        space = reference_prime_intersection(
+            a, [w for i, w in enumerate(ws) if mask >> i & 1])
+        seen[space] = TwoSidedIdeal(a, space, validate=False)
     ideals = sorted(seen.values(), key=lambda i: (i.dim, i.space.mat.rows))
     lines = ["digraph closed_subcats {", "  rankdir=BT;"]
     lines.extend(f'  c{n} [label="{ClosedSubcatDescriptor(backend, i).label}", '

@@ -1,5 +1,7 @@
 """Two-sided ideal arithmetic, primes, radicals, against the lattice oracle."""
 
+import random
+
 import pytest
 
 from ringspectra.algebras import (companion_algebra, ideal_closure,
@@ -14,6 +16,8 @@ from ringspectra.linalg import F2, F3
 from ringspectra.modules import RightModule, simple_modules
 from ringspectra.oracle import (brute_is_prime, brute_prime_radical_of_zero,
                                 enumerate_two_sided_ideals)
+from helpers import reference_prime_intersection
+from test_algebras import _random_change_of_basis
 
 
 def test_ideal_from_unit_is_whole():
@@ -109,10 +113,10 @@ def test_minimal_primes_antichain_and_radical(algebra_corpus):
             for w2 in ws[i + 1:]:
                 assert not w1.ideal.contains(w2.ideal), name
                 assert not w2.ideal.contains(w1.ideal), name
-        acc = ws[0].ideal
+        space = ws[0].ideal.space
         for w in ws[1:]:
-            acc = acc.intersect(w.ideal)
-        assert acc.space == jacobson_radical(a), name
+            space = space.intersect(w.ideal.space)
+        assert space == jacobson_radical(a), name
 
 
 def test_prime_radical_examples():
@@ -130,6 +134,26 @@ def test_prime_radical_matches_brute(small_f2_corpus):
     for name, a in small_f2_corpus:
         assert prime_radical_of_zero(a).space == \
             brute_prime_radical_of_zero(a), name
+
+
+def test_prime_radical_matches_the_pairwise_intersection(algebra_corpus):
+    """prime_radical is the primes over i intersected one pair at a time,
+    for i = 0 and for i the intersection of each nonempty set of primes
+    (radical, so its own prime radical), on every corpus algebra in its
+    natural and a seeded random basis, and on T_2..T_7(F_2)."""
+    rng = random.Random(39)
+    algebras = [a for _n, a in algebra_corpus]
+    algebras += [_random_change_of_basis(a, rng)[0] for a in algebras]
+    algebras += [upper_triangular_algebra(n, F2) for n in range(2, 8)]
+    for a in algebras:
+        ws = minimal_primes(a)
+        assert prime_radical_of_zero(a).space == \
+            reference_prime_intersection(a, ws), a.name
+        for mask in range(1, 2 ** len(ws)):
+            space = reference_prime_intersection(
+                a, [w for t, w in enumerate(ws) if mask >> t & 1])
+            ideal = TwoSidedIdeal(a, space, validate=False)
+            assert prime_radical(ideal).space == space, a.name
 
 
 def test_prime_radical_equals_preimage_of_quotient_radical(small_f2_corpus):

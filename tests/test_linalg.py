@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringspectra import linalg
 from ringspectra.errors import CapabilityError
@@ -213,6 +214,30 @@ def test_common_left_kernel_meets_the_left_kernels():
         for m in mats:
             meet = meet.intersect(Subspace.from_vectors(F3, 4, m.left_kernel().rows))
         assert common_left_kernel(F3, 4, mats) == meet
+
+
+@st.composite
+def _field_rows(draw):
+    """A field among F_2, F_3 and Q, an ambient n <= 7 and up to n + 1
+    rows of small entries (fractions over Q)."""
+    field = draw(st.sampled_from([F2, F3, QQ]))
+    n = draw(st.integers(min_value=0, max_value=7))
+    entry = (st.fractions(min_value=-3, max_value=3, max_denominator=3)
+             if field == QQ else st.integers(min_value=0, max_value=field.char - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 1))
+    return field, n, rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_field_rows())
+def test_complement_projection_equals_reducing_each_unit_vector(case):
+    field, n, rows = case
+    s = Subspace.from_vectors(field, n, Matrix(field, rows, n).rows)
+    comp = s.complement_coords()
+    reduced = [s.reduce(unit_vec(field, n, i)) for i in range(n)]
+    proj = s.complement_projection_matrix()
+    assert proj.ncols == len(comp)
+    assert proj.rows == tuple(tuple(r[j] for j in comp) for r in reduced)
 
 
 def test_inverse():

@@ -49,13 +49,23 @@ def test_submodule_of_regular_t2():
     a = upper_triangular_algebra(2, F2)
     reg = RightModule.regular(a)
     e12 = a.basis_coords(a.labels.index("e12"))
-    sub, incl = reg.submodule([e12])
+    sub, incl = reg.submodule(reg.spin_submodule([e12]))
     assert sub.dim == 1
     assert incl.is_injective() and incl.is_module_map()
-    full, _ = reg.submodule([a.basis_coords(i) for i in range(a.dim)])
+    full, _ = reg.submodule(reg.spin_submodule(
+        [a.basis_coords(i) for i in range(a.dim)]))
     assert full.dim == reg.dim
-    zero, _ = reg.submodule([])
+    zero, _ = reg.submodule(reg.spin_submodule([]))
     assert zero.dim == 0
+
+
+def test_submodule_refuses_a_subspace_that_is_not_invariant():
+    """span(e11) in T_2(F_2): e11 e12 = e12 leaves it."""
+    a = upper_triangular_algebra(2, F2)
+    reg = RightModule.regular(a)
+    e11 = a.basis_coords(a.labels.index("e11"))
+    with pytest.raises(ValidationError, match="not action-invariant"):
+        reg.submodule(Subspace.from_vectors(F2, a.dim, [e11]))
 
 
 def test_socle_examples():

@@ -59,14 +59,14 @@ def test_order_reversal_on_full_lattice(corpus_by_name):
 def test_reduced_part_examples(corpus_by_name):
     b = _backend("t2_f2", corpus_by_name)
     red = reduced_part(b)
-    assert red.descriptor.ideal.space == jacobson_radical(b.algebra)
+    assert red.atomic_route_ideal.space == jacobson_radical(b.algebra)
     assert red.reduced is False
     assert verify_correspondence(b).atomic_flags == {
         "reduced": False, "irreducible": False, "integral": False}
 
     b2 = _backend("m2_f3", corpus_by_name)
     red2 = reduced_part(b2)
-    assert red2.descriptor.ideal.is_zero() and red2.reduced is True
+    assert red2.atomic_route_ideal.is_zero() and red2.reduced is True
     assert verify_correspondence(b2).atomic_flags["integral"] is True
 
     b3 = _backend("trunc2_f2", corpus_by_name)
@@ -359,7 +359,8 @@ def test_radical_lattice_past_the_budget_is_refused_unintersected(
     def refuse(*_args):
         raise AssertionError("an intersection ran before the refusal")
 
-    monkeypatch.setattr(TwoSidedIdeal, "intersect", refuse)
+    monkeypatch.setattr("ringspectra.subcats.prime_intersection", refuse)
+    monkeypatch.setattr("ringspectra.ideals.prime_intersection", refuse)
     with pytest.raises(BudgetExceeded, match="needs 512, budget allows 256"):
         radical_closed_descriptors(b)
     monkeypatch.undo()

@@ -20,6 +20,9 @@ Runs each rung once, in this order:
   then F_2[C_n] for n = 32, 64 and 128, then M_3(F_3), M_n(F_2) for
   n = 4, 6, 8, 10 (J = 0), M_2(Q) and T_4(Q), then the tuple-row path on
   T_n(F_3) for n = 8, 10, 12 and T_n(Q) for n = 6, 8;
+- ``prime_radical_of_zero`` on T_20(F_2), the molecular route to the
+  reduced part, the algebra and its 20 primes built outside the timed
+  region;
 - ``verify_correspondence`` on Z with windows 1000..6000, 20000 and
   100000 and on Q[x] with windows 150, 300 and 1000 (the backend built in
   the time), and on Q[x] window 20000 alone in a fresh interpreter: its
@@ -111,7 +114,8 @@ from ringspectra.linalg import F2, F3, QQ  # noqa: E402
 from ringspectra.modules import (RightModule, injective_envelope,  # noqa: E402
                                  is_monoform, primitive_idempotents,
                                  simple_modules)
-from ringspectra.ideals import TwoSidedIdeal  # noqa: E402
+from ringspectra.ideals import (TwoSidedIdeal, minimal_primes,  # noqa: E402
+                                prime_radical_of_zero)
 from ringspectra.oracle import (brute_composition_factors,  # noqa: E402
                                 brute_is_monoform, brute_is_prime,
                                 brute_is_prime_object, brute_mass,
@@ -199,6 +203,16 @@ def verify_triangular_alone(field, n):
     seconds, dim, passed, rise = json.loads(out.stdout)
     return seconds, {"dim": dim, "passed": passed,
                      "max_rss_rise_mb": round(rise / 1024, 1)}
+
+
+def molecular_reduced_part(n):
+    """``prime_radical_of_zero`` on T_n(F_2), the algebra and its primes
+    built outside the timing."""
+    a = upper_triangular_algebra(n, F2)
+    minimal_primes(a)                       # the primes, outside the timing
+    t0 = time.perf_counter()
+    rad = prime_radical_of_zero(a)
+    return time.perf_counter() - t0, {"dim": a.dim, "radical_dim": rad.dim}
 
 
 def verify_window(backend_cls, args, window):
@@ -511,6 +525,8 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
             for n in (8, 10, 12)]
          + [(f"T{n}(Q)", verify_algebra, (upper_triangular_algebra, n, QQ))
             for n in (6, 8)]
+         + [("T20(F2) molecular reduced part, primes cached",
+             molecular_reduced_part, (20,))]
          + [(f"Z window {w}", verify_window, (IntegerBackend, (), w))
             for w in [*range(1000, 7000, 1000), 20000, 100000]]
          + [(f"Q[x] window {w}", verify_window, (PolyBackend, (QQ,), w))
