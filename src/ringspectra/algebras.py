@@ -60,7 +60,7 @@ from typing import Sequence
 from .errors import BudgetExceeded, CapabilityError, ValidationError
 from .linalg import (Matrix, RowReducer, Subspace, apply_vec,
                      combine_matrices, common_left_kernel, field_name, spin,
-                     unit_vec, vec_add, vec_is_zero, vec_scale)
+                     unit_vec, vec_add, vec_is_zero, vec_scale, vec_sub)
 
 
 class AlgebraStructure:
@@ -864,8 +864,13 @@ class WedderburnBlock:
 def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
     """Central primitive idempotent decomposition of a semisimple algebra.
 
-    Each component is checked to be a two-sided ideal of a, its projection
-    of 1 a central idempotent, and the idempotents orthogonal.
+    Over F_p the blocks are cut by central idempotents read off Euler's
+    criterion, with no polynomial factored (``_euler_blocks``).  Over Q
+    each central basis element splits the components by the factors of
+    its minimal polynomial, and the rational refinement splits or
+    certifies what is left.  Each component is checked to be a two-sided
+    ideal of a, its projection of 1 a central idempotent, and the
+    idempotents orthogonal.
     """
     st = a.structure
     if st.blocks is not None:
@@ -877,31 +882,12 @@ def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
     center = a.center()
 
     if f.is_finite():
-        splitters = _frobenius_fixed_center_basis(a, center)
+        components = [(comp, _block_center(comp, center))
+                      for comp in _euler_blocks(a, center)]
     else:
-        splitters = list(center.basis_rows())
-
-    components = [Subspace.full(f, d)]
-    for z in splitters:
-        lz = a.left_mult_matrix(z)
-        new_components = []
-        for comp in components:
-            if comp.dim <= 1:
-                new_components.append(comp)
-                continue
-            # An unfactored polynomial defers to the rational refinement.
-            _deg, factors, pieces = factor_minimal_polynomial(comp, lz)
-            new_components.extend(_filling(comp, pieces)
-                                  if factors and len(factors) > 1 else [comp])
-        components = new_components
-
-    if f.is_finite():
-        # The Frobenius-fixed center separates all blocks; anything else
-        # indicates a broken semisimplicity assumption upstream.
-        if len(components) != len(splitters):
-            raise ValidationError("finite-field block splitting incomplete")
-        components = [(comp, _block_center(comp, center)) for comp in components]
-    else:
+        components = [Subspace.full(f, d)]
+        for lz in map(a.left_mult_matrix, center.basis_rows()):
+            components = [s for c in components for s in _split(c, lz)]
         components = _refine_rational_components(a, components, center)
     components.sort(key=lambda c: (c[0].dim, c[0].mat.rows))
 
@@ -924,8 +910,7 @@ def wedderburn_blocks(a: FiniteDimAlgebra) -> list[WedderburnBlock]:
             raise ValidationError("block idempotent is not central")
         out.append(WedderburnBlock(e, comp, zc))
 
-    total = sum(b.space.dim for b in out)
-    if total != a.dim:
+    if sum(b.space.dim for b in out) != a.dim:
         raise ValidationError("block dimensions do not sum to the algebra dimension")
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
@@ -991,17 +976,40 @@ def _try_split_rational_component(a, comp, zc):
         "cannot split or certify a rational block center at desk scale")
 
 
-def _frobenius_fixed_center_basis(a, center):
-    f = a.field
-    q = f.p
-    rows = []
-    for z in center.basis_rows():
-        zq = a.power(z, q)
-        rows.append(vec_add(f, zq, vec_scale(f, f.neg(f.one), z)))
-    # Fixed points of Frobenius within the center: z^q = z.
-    m = Matrix(f, rows, a.dim)
-    kern = m.left_kernel()
-    return [apply_vec(c, center.mat) for c in kern.rows]
+def _euler_blocks(a, center):
+    """The blocks of a semisimple F_p-algebra, cut by central idempotents
+    read off Euler's criterion (docs/derivations.md, "Blocks over F_p by
+    Euler's criterion").
+
+    The fixed centre {z central : z^p = z} is F_p^r, one factor per block,
+    so each fixed z acts on a block as a scalar c.  For shifts s = 0, 1,
+    ... and each fixed z, w = (z + s)^((p-1)/2) acts on each block as 0, 1
+    or -1, so 1 - w^2, (w^2 + w)/2 and (w^2 - w)/2 are central idempotents
+    summing to 1 (over F_2, where w = z + s: 1 - w, w and 0).  Their
+    products with the idempotents found so far cut those until there are
+    r, one per block; s = -c separates c from every other scalar, so the
+    loop ends before the shifts run out.  The shifts are generated one at
+    a time, so a large p costs only the shifts used.  Block B is the image
+    of its idempotent e: B = A e.
+    """
+    f, p, one = a.field, a.field.p, a.unit
+    frobenius = Matrix(f, [vec_sub(f, a.power(z, p), z)
+                           for z in center.basis_rows()], a.dim)
+    fixed = [apply_vec(c, center.mat) for c in frobenius.left_kernel().rows]
+    shifted = (vec_add(f, z, vec_scale(f, s, one))
+               for s in range(p) for z in fixed)
+    idempotents = [one]
+    while len(idempotents) < len(fixed):
+        w = a.power(next(shifted), p // 2)
+        u = a.mul(w, w)
+        # (p + 1) / 2 is the inverse of 2 modulo an odd p.
+        e = u if p == 2 else vec_scale(f, (p + 1) // 2, vec_add(f, u, w))
+        cuts = [a.right_mult_matrix(c)
+                for c in (vec_sub(f, one, u), e, vec_sub(f, u, e))]
+        idempotents = [x for g in idempotents for r in cuts
+                       if any(x := apply_vec(g, r))]
+    return [Subspace.from_vectors(f, a.dim, a.right_mult_matrix(e).rows)
+            for e in idempotents]
 
 
 def factor_minimal_polynomial(space: Subspace, op: Matrix):
@@ -1016,6 +1024,10 @@ def factor_minimal_polynomial(space: Subspace, op: Matrix):
     first power that depends on those before it, which gives the monic
     minimal polynomial, and each factor of op is combined from them
     (docs/derivations.md, "The minimal polynomial from one kernel").
+
+    The rational blocks and the rational right-ideal candidates of
+    ``modules`` call it; blocks over F_p are cut without a polynomial
+    (``_euler_blocks``).
     """
     from .commutative import factor_polynomial
     f = space.field
@@ -1044,6 +1056,15 @@ def factor_minimal_polynomial(space: Subspace, op: Matrix):
     whole = len(factors) == 1 and factors[0][1] == 1
     return deg, factors, (space if whole else kernel(fac)
                           for fac, _m in factors)
+
+
+def _split(comp, op):
+    """comp cut by the kernels of the factors of op's minimal polynomial on
+    it; comp itself when that is irreducible or cannot be factored."""
+    if comp.dim <= 1:
+        return [comp]
+    _deg, factors, pieces = factor_minimal_polynomial(comp, op)
+    return _filling(comp, pieces) if factors and len(factors) > 1 else [comp]
 
 
 def _filling(comp, pieces):

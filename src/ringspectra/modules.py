@@ -465,8 +465,10 @@ def _minimal_right_ideal_space(quot, block: WedderburnBlock) -> Subspace:
     D = K; it is then minimal (docs/derivations.md, "Simples read off the
     block's centre").  Over F_p D = K always, and the search shrinks to
     the first right ideal generated by a vector of the current one that
-    is smaller, walking its vectors lazily (their coefficients in
-    ``itertools.product`` order) until the target dimension.  Over Q the
+    is smaller, walking one vector per line (first nonzero coefficient 1)
+    lazily, in ``itertools.product`` order of the coefficients, until the
+    target dimension: c v, c != 1, comes after v and spins the same right
+    ideal, so the walk over all vectors finds the same one.  Over Q the
     smallest candidate kernel is certified iff it has that dimension, and
     the search stops at the first candidate of the target dimension: each
     is a nonzero right ideal of the block, so none is smaller.  A
@@ -484,9 +486,12 @@ def _minimal_right_ideal_space(quot, block: WedderburnBlock) -> Subspace:
         return space
     ops = [quot.right_mult_by(g) for g in quot.generators()]
     while space.dim > target:
+        n, p = space.dim, f.p
+        # The n base-p digits of each m in [p^k, 2 p^k): leading digit 1.
+        lines = (tuple(m // p ** j % p for j in range(n - 1, -1, -1))
+                 for k in range(n) for m in range(p ** k, 2 * p ** k))
         gens = (spin(f, quot.dim, [apply_vec(c, space.mat)], ops)
-                for c in itertools.product(f.elements(), repeat=space.dim)
-                if any(c))
+                for c in lines)
         space = next((g for g in gens if g.dim < space.dim), None)
         if space is None:
             raise ValidationError("no right ideal of the target dimension")

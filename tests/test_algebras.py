@@ -543,6 +543,69 @@ def test_rational_c5_is_an_honest_capability_boundary():
         wedderburn_blocks(cyclic_group_algebra(QQ, 5))
 
 
+def _minimal_ideals(a):
+    """Reference: the minimal nonzero two-sided ideals of a, read off the
+    oracle's list of all of them."""
+    nonzero = [s for s in enumerate_two_sided_ideals(a) if s.dim]
+    return {s for s in nonzero
+            if not any(t != s and s.contains(t) for t in nonzero)}
+
+
+def test_fp_blocks_are_the_minimal_two_sided_ideals(algebra_corpus):
+    """The blocks of a semisimple algebra are its minimal nonzero two-sided
+    ideals: A/J of every corpus algebra, in its own basis and in a seeded
+    random one, against the oracle's lattice."""
+    rng = random.Random(40)
+    for name, a in algebra_corpus:
+        quot = semisimple_quotient(a)[0]
+        for b in (quot, _in_random_basis(quot, rng)):
+            spaces = [blk.space for blk in wedderburn_blocks(b)]
+            assert len(spaces) == len(set(spaces)), name
+            assert set(spaces) == _minimal_ideals(b), name
+
+
+def test_fp_blocks_factor_no_polynomial(monkeypatch, corpus_by_name):
+    """Over F_p the blocks are cut by Euler's criterion alone: with both
+    factorizations made to raise, fresh copies of the corpus algebras give
+    the same blocks, and F_5[C_4] and F_5[C_2], whose character values
+    need shifted elements to be told apart, give their minimal ideals."""
+    from ringspectra import commutative
+    from ringspectra.oracle import corpus
+
+    def refuse(*_args):
+        raise AssertionError("a polynomial was factored")
+
+    monkeypatch.setattr(algebras, "factor_minimal_polynomial", refuse)
+    monkeypatch.setattr(commutative, "factor_polynomial", refuse)
+    for name, a in corpus():
+        quot = semisimple_quotient(a)[0]
+        want = wedderburn_blocks(semisimple_quotient(corpus_by_name[name])[0])
+        assert [(b.idempotent, b.space, b.center)
+                for b in wedderburn_blocks(quot)] == \
+            [(b.idempotent, b.space, b.center) for b in want], name
+    for n in (4, 2):
+        a = cyclic_group_algebra(GF(5), n)
+        spaces = {blk.space for blk in wedderburn_blocks(a)}
+        assert len(spaces) == n and spaces == _minimal_ideals(a)
+
+
+def _split_field_power(field, r):
+    """F_p^r on its r orthogonal idempotents."""
+    return FiniteDimAlgebra(field, [[[int(i == j == k) for k in range(r)]
+                                     for j in range(r)] for i in range(r)])
+
+
+def test_verify_passes_on_f41_to_the_16_in_a_random_basis():
+    """Sixteen blocks, in a basis where the fixed centre's basis elements
+    take many values on them: the cutting ends with all sixteen, and the
+    verifier passes."""
+    from ringspectra.spectra import ArtinianBackend, verify_correspondence
+    a = _random_change_of_basis(_split_field_power(GF(41), 16),
+                                random.Random(1))[0]
+    assert len(wedderburn_blocks(a)) == 16
+    assert verify_correspondence(ArtinianBackend(a)).passed()
+
+
 # -- the per-algebra structure ------------------------------------------------------
 
 def _transposed(a):

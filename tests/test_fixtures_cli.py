@@ -753,16 +753,22 @@ def test_cli_too_many_rational_root_candidates_is_refused(tmp_path):
 @pytest.mark.parametrize("field,source,keys", [
     ("F31", "group", "table = 0 1 2; 1 2 0; 2 0 1"),
     ("F101", "matrix", "n = 2"),
-], ids=["F31[C3]", "M2(F101)"])
+    ("F1009", "group", "table = 0 1 2 3; 1 2 3 0; 2 3 0 1; 3 0 1 2"),
+    ("F10000000000000061", "group", "table = 0 1; 1 0"),
+    ("F10000000000000061", "matrix", "n = 2"),
+], ids=["F31[C3]", "M2(F101)", "F1009[C4]", "F(10^16+61)[C2]",
+        "M2(F(10^16+61))"])
 def test_cli_verify_over_a_large_prime_ends(tmp_path, field, source, keys):
-    """``verify`` on F_31[C_3] and M_2(F_101) exits 0 within 30 s: the
-    factor table goes only to half the degree, and the simple search stops
-    at the dimension the block's centre gives."""
+    """``verify`` exits 0 within 30 s, with nothing on stderr: the blocks
+    are cut by Euler's criterion, with no polynomial factored and no list
+    of F_p, and the simple search walks one vector per line, lazily, and
+    stops at the dimension the block's centre gives."""
     text = ALGEBRA_FIXTURE.format(source, keys).replace("F2", field)
     path = _write(tmp_path, "p.alg", text)
     proc = subprocess.run([sys.executable, "-m", "ringspectra.cli", "verify",
                            path], capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout.endswith("pass: 13 assertions (0 skipped)\n")
 
 
 @pytest.mark.parametrize("command", [["analyze", "--atoms"], ["verify"]])

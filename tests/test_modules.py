@@ -1,5 +1,7 @@
 """Right modules: socle, composition series, homs, envelopes, predicates."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -10,8 +12,8 @@ from ringspectra.algebras import (FiniteDimAlgebra, companion_algebra,
                                   wedderburn_blocks)
 from ringspectra.errors import BudgetExceeded, CapabilityError, ValidationError
 from ringspectra.ideals import minimal_primes
-from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, Subspace, spin, vec_add,
-                               vec_scale)
+from ringspectra.linalg import (F2, F3, GF, QQ, Matrix, Subspace, apply_vec,
+                               spin, vec_add, vec_scale)
 from ringspectra.modules import (ModuleMap, RightModule,
                                  _minimal_right_ideal_space,
                                  composition_factors, hom_basis,
@@ -492,6 +494,52 @@ def test_lazy_shrink_matches_the_exhaustive_shrink():
         for blk in wedderburn_blocks(a):
             assert _minimal_right_ideal_space(a, blk) == \
                 _exhaustive_shrink(a, blk.space), a.name
+
+
+def _product_walk(quot, block):
+    """Reference: the search over F_p walking every nonzero vector of the
+    current right ideal, its coefficients in ``itertools.product`` order,
+    until the target dimension.  Returns the right ideal and, in walk
+    order, the vectors spun whose first nonzero coefficient is 1."""
+    f = quot.field
+    space = block.space
+    target = math.isqrt(space.dim * block.center.dim)
+    ops = [quot.right_mult_by(g) for g in quot.generators()]
+    lines = []
+    while space.dim > target:
+        for c in itertools.product(f.elements(), repeat=space.dim):
+            if not any(c):
+                continue
+            v = apply_vec(c, space.mat)
+            if next(x for x in c if x) == f.one:
+                lines.append(v)
+            gen = spin(f, quot.dim, [v], ops)
+            if gen.dim < space.dim:
+                space = gen
+                break
+    return space, lines
+
+
+@pytest.mark.parametrize("p,n,seed", [(5, 2, 40), (7, 2, 41), (3, 3, 42)],
+                         ids=["M2(F5)", "M2(F7)", "M3(F3)"])
+def test_one_vector_per_line_walk_matches_the_product_walk(monkeypatch, p, n,
+                                                           seed):
+    """In a seeded random basis, the search spins exactly the vectors of
+    the product walk whose first nonzero coefficient is 1, in its order,
+    and stops at the same minimal right ideal."""
+    from ringspectra import modules
+    a = _random_change_of_basis(matrix_algebra(n, GF(p)), random.Random(seed))[0]
+    [blk] = wedderburn_blocks(a)
+    want, lines = _product_walk(a, blk)
+    spun = []
+
+    def recorded(field, dim, seeds, ops):
+        spun.extend(seeds)
+        return spin(field, dim, seeds, ops)
+
+    monkeypatch.setattr(modules, "spin", recorded)
+    assert _minimal_right_ideal_space(a, blk) == want
+    assert spun == lines and len(lines) > 1
 
 
 @pytest.mark.parametrize("field", [F3, QQ])

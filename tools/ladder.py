@@ -38,11 +38,13 @@ Runs each rung once, in this order:
   each in a fresh interpreter (a rational root search whose candidates
   come from the divisors of 10^k);
 - ``ringspectra verify`` in a fresh interpreter on F_31[C_3], F_11[C_10],
-  M_2(F_p) for p = 31, 101, 1009, M_3(F_31), F_10007[C_2], F_100003[C_2]
+  F_10007[C_2], F_100003[C_2], F_1009[C_4], F_(10^16 + 61)[C_2],
+  M_2(F_p) for p = 31, 101, 1009 and 10^16 + 61, M_3(F_31), F_41^16 in
+  the basis drawn from ``random.Random(1)`` (on its structure constants)
   and M_2(Q(i)) (on its structure constants): large primes, where the
-  Wedderburn split factors over F_p and the simple search shrinks right
-  ideals over F_p; then on the companion algebra of x^2 over
-  F_(10^16 + 61), whose field is certified by Miller-Rabin;
+  blocks are cut by Euler's criterion over F_p and the simple search
+  shrinks right ideals over F_p; then on the companion algebra of x^2
+  over F_(10^16 + 61), whose field is certified by Miller-Rabin;
 - ``ringspectra analyze fixtures/z.alg --window N --json TMP`` for
   N = 41, 43, 47 (14 to 16 molecules, up to the 2^16 subset budget), each
   in a fresh interpreter: its seconds and the rise in peak RSS it causes;
@@ -81,7 +83,9 @@ Stdlib only.
 
 Seconds are recorded to the microsecond.  A ``verify`` in a fresh
 interpreter that has not ended after VERIFY_TIMEOUT_S is stopped and
-recorded with ``seconds: null`` as "did not finish".  Once a T_n(F_2)
+recorded with ``seconds: null`` as "did not finish"; one that crashes is
+recorded with ``seconds: null``, the interpreter's exit code and the last
+line of its stderr.  Once a T_n(F_2)
 rung takes longer than SKIP_AFTER_S, the higher T_n rungs, the
 ``analyze --atoms`` ones included, are recorded with ``seconds: null``
 instead of being run: verification grows several-fold with each step in
@@ -93,6 +97,7 @@ import contextlib
 import io
 import json
 import platform
+import random
 import subprocess
 import sys
 import tempfile
@@ -110,7 +115,7 @@ from ringspectra.cli import main as cli_main  # noqa: E402
 from ringspectra.commutative import (IntegerBackend, IntModBackend,  # noqa: E402
                                      PolyBackend)
 from ringspectra.errors import BudgetExceeded, CapabilityError  # noqa: E402
-from ringspectra.linalg import F2, F3, QQ  # noqa: E402
+from ringspectra.linalg import F2, F3, GF, QQ, Matrix  # noqa: E402
 from ringspectra.modules import (RightModule, injective_envelope,  # noqa: E402
                                  is_monoform, primitive_idempotents,
                                  simple_modules)
@@ -301,7 +306,7 @@ ROOTLESS = {
 def verify_fixture(text, command="verify", *options):
     """``ringspectra COMMAND FIXTURE OPTIONS`` (by default ``verify``) on the
     fixture ``text`` in a fresh interpreter, stopped after
-    VERIFY_TIMEOUT_S."""
+    VERIFY_TIMEOUT_S; a crash is recorded by the interpreter's exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         fixture = Path(tmp) / "a.alg"
         fixture.write_text(text)
@@ -309,10 +314,13 @@ def verify_fixture(text, command="verify", *options):
             out = subprocess.run([sys.executable, "-c", CLI, str(ROOT / "src"),
                                   command, str(fixture), *options],
                                  capture_output=True, text=True,
-                                 check=True, timeout=VERIFY_TIMEOUT_S)
+                                 timeout=VERIFY_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return None, {"note": "did not finish within "
                                   f"{VERIFY_TIMEOUT_S:.0f} s"}
+    if out.returncode:
+        return None, {"exit": out.returncode,
+                      "note": "crashed: " + out.stderr.strip().splitlines()[-1]}
     seconds, code = json.loads(out.stdout)
     return seconds, {"exit": code}
 
@@ -351,6 +359,27 @@ def gaussian_matrix_fixture():
              for s in range(2) for t in range(2)]
     return ("[backend]\nkind = algebra\nfield = Q\n"
             "source = structure_constants\ndim = 8\n" + "\n".join(lines) + "\n")
+
+
+def split_field_power_fixture(p, r, seed):
+    """F_p^r in the basis given by the rows of an invertible matrix drawn
+    from ``random.Random(seed)``, as structure constants.  On the r
+    orthogonal idempotents the product is coordinatewise."""
+    f = GF(p)
+    rng = random.Random(seed)
+    while True:
+        change = Matrix(f, [[rng.randrange(p) for _ in range(r)]
+                            for _ in range(r)], r)
+        if change.rank() == r:
+            break
+    lines = [f"c = {i} {j} {k} {c}"
+             for i, u in enumerate(change.rows)
+             for j, v in enumerate(change.rows)
+             for k, c in enumerate(change.solve_left(
+                 tuple(x * y % p for x, y in zip(u, v)))) if c]
+    return (f"[backend]\nkind = algebra\nfield = F{p}\n"
+            f"source = structure_constants\ndim = {r}\n"
+            + "\n".join(lines) + "\n")
 
 
 ANALYZE_Z = PEAK_KB + """\
@@ -540,9 +569,15 @@ RUNGS = ([(f"T{n}(F2) build", build_only, ("triangular", n))
              (ROOTLESS[kind].format(10 ** k),))
             for kind in ROOTLESS for k in (12, 14, 16)]
          + [(f"verify F{p}[C{n}]", verify_fixture, (cyclic_fixture(p, n),))
-            for p, n in ((31, 3), (11, 10), (10007, 2), (100003, 2))]
+            for p, n in ((31, 3), (11, 10), (10007, 2), (100003, 2), (1009, 4))]
+         + [("verify F(10^16+61)[C2]", verify_fixture,
+             (cyclic_fixture(10 ** 16 + 61, 2),))]
          + [(f"verify M{n}(F{p})", verify_fixture, (matrix_fixture(p, n),))
             for p, n in ((31, 2), (101, 2), (1009, 2), (31, 3))]
+         + [("verify M2(F(10^16+61))", verify_fixture,
+             (matrix_fixture(10 ** 16 + 61, 2),))]
+         + [("verify F41^16, random basis (seed 1)", verify_fixture,
+             (split_field_power_fixture(41, 16, 1),))]
          + [("verify M2(Q(i))", verify_fixture, (gaussian_matrix_fixture(),))]
          + [("verify companion x^2 over F(10^16+61)", verify_fixture,
              ("[backend]\nkind = algebra\nfield = F10000000000000061\n"
